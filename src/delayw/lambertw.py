@@ -7,9 +7,14 @@ evaluated as the limit from above (counter-clockwise continuity), so a
 -0.0 imaginary part is treated as +0.0.
 
 The kernel is Halley's method on f(w) = w*e^w - z, started from one of
-three seeds: a square-root series about the branch point, a rational
-fit of the principal branch near the origin, or the standard
-logarithmic asymptotic expansion.
+four seeds: a square-root series about the branch point, a rational
+fit of the principal branch near the origin, the real-axis expansion of
+W_-1 in log(-z) next to its real domain, or the standard logarithmic
+asymptotic expansion.  Its stopping rule is relative to
+|z| and |w|, so accuracy does not depend on the scale of the argument.
+Real arguments run through the same complex kernel; on the two real
+domains (branch 0 on [-1/e, inf), branch -1 on [-1/e, 0)) the result is
+projected exactly onto the real axis.
 """
 
 import cmath
@@ -57,6 +62,10 @@ _BP_DIRECT = 5e-3
 # Radius around -1/e inside which the series seeds the iteration.
 _BP_SEED_RADIUS = 0.3
 
+# Radius around the origin inside which the left half of the real sheet
+# of W_-1 is seeded from its real-axis expansion.
+_WM1_SEED_RADIUS = 0.3
+
 # e as a double-double pair: math.e plus the digits rounding dropped.
 _E_LO = 1.4456468917292502e-16
 
@@ -76,28 +85,22 @@ def _two_prod(a, b):
     return p, err
 
 
-def _ez_plus_1_real(x):
-    """e*x + 1, compensated for the cancellation at x = -1/e.
+def _ez_plus_1(z):
+    """e*z + 1, with the real part compensated for the cancellation at -1/e.
 
     The naive product keeps only half the digits of the difference
     there, and the square root in the branch-point series promotes that
     to ~1e-8 of absolute error in w.  Splitting the product recovers
     its rounding error and _E_LO restores the digits of e itself.  The
     double closest to -1/e sits on the far side of the true branch
-    point by less than one ulp; the clamp keeps the real branches
-    pinned at w = -1 there instead of leaking a ~8e-9 imaginary part.
+    point by less than one ulp; for real z the clamp keeps the real
+    branches pinned at w = -1 there instead of leaking a ~8e-9
+    imaginary part.
     """
-    prod, err = _two_prod(_E, x)
-    d = (prod + 1.0) + (err + _E_LO * x)
-    return 0.0 if d < 0.0 else d
-
-
-def _ez_plus_1(z):
-    """Complex e*z + 1 with the real part compensated."""
-    if z.imag == 0.0 and z.real == BRANCH_POINT_Z:
-        return complex(0.0, 0.0)
     prod, err = _two_prod(_E, z.real)
     re = (prod + 1.0) + (err + _E_LO * z.real)
+    if re < 0.0 and z.imag == 0.0 and z.real >= BRANCH_POINT_Z:
+        re = 0.0
     return complex(re, _E * z.imag + _E_LO * z.imag)
 
 
@@ -159,49 +162,45 @@ def _newton_log(z, w):
     """
     lz = cmath.log(z)
     m = round((w.imag + cmath.phase(w) - lz.imag) / _TWO_PI)
-    target = lz + _TWO_PI * m * 1j
-    g = w + cmath.log(w) - target
+    # Log(w) is continued from the seed w0 as Log(w0) + Log(w/w0): the
+    # principal Log jumps by 2*pi*i across the negative axis, where the
+    # real sheet of W_-1 lies, and a sign flip of a zero Im w would
+    # otherwise throw the iteration into the neighbouring band
+    w0 = w
+    c = cmath.log(w0) - (lz + _TWO_PI * m * 1j)
+    g = w + c
     it = 0
     for it in range(1, _MAX_ITER + 1):
         if abs(g) <= 4.0 * _EPS * abs(w):
             break
         w = w - w * g / (w + 1.0)
-        g = w + cmath.log(w) - target
+        g = w + cmath.log(w / w0) + c
     return w, abs(z) * abs(g), it
 
 
-def _newton_log_real(x, w):
-    """Real-line variant of _newton_log, for W_-1 as x -> 0-."""
-    target = math.log(-x)
-    g = w + math.log(-w) - target
-    it = 0
-    for it in range(1, _MAX_ITER + 1):
-        if abs(g) <= 4.0 * _EPS * abs(w):
-            break
-        w = w - w * g / (w + 1.0)
-        g = w + math.log(-w) - target
-    return w, abs(x) * abs(g), it
-
-
-def _halley(z, w, res_tol, rtol, exp_fn, abs_fn):
+def _halley(z, w, res_tol, rtol):
     """Polish w with Halley's method on f(w) = w*e^w - z.
 
-    Both stopping tolerances carry conditioning floors.  The step cannot
-    shrink below the noise of f divided by |f'| (which vanishes at the
-    branch point), and the residual cannot shrink below |f'| times the
-    quantization of w itself (which grows with |w|, i.e. with |k|);
-    demanding less than either would spin until the iteration cap.
+    Stops once the residual is within res_tol (tol*|z|) and the last step
+    within rtol*|w|.  Both tolerances carry conditioning floors, scaled
+    like the quantities they bound: the step cannot shrink below the
+    noise of f divided by |f'| (which vanishes at the branch point), and
+    the residual cannot shrink below |f'| times the quantization of w
+    itself (which grows with |w|, i.e. with |k|); demanding less than
+    either would spin until the iteration cap.
     """
+    az = abs(z)
     step_prev = math.inf
     for it in range(_MAX_ITER):
-        ew = exp_fn(w)
+        ew = cmath.exp(w)
         f = w * ew - z
-        res = abs_fn(f)
+        res = abs(f)
         wp1 = w + 1.0
         fp = wp1 * ew
-        afp = abs_fn(fp)
-        step_tol = rtol * max(1.0, abs_fn(w)) + 8.0 * _EPS * max(1.0, abs_fn(z)) / max(afp, 1e-300)
-        res_floor = 2.0 * _EPS * (max(1.0, abs_fn(w)) * afp + 2.0 * max(1.0, abs_fn(z)))
+        afp = abs(fp)
+        aw = abs(w)
+        step_tol = rtol * aw + 8.0 * _EPS * az / max(afp, 1e-300)
+        res_floor = 2.0 * _EPS * (aw * afp + 2.0 * az)
         if res <= res_tol + res_floor and step_prev <= step_tol:
             return w, res, it
         if fp == 0.0:
@@ -211,18 +210,21 @@ def _halley(z, w, res_tol, rtol, exp_fn, abs_fn):
             continue
         dw = f / (fp - f * (w + 2.0) / (2.0 * wp1))
         w = w - dw
-        step_prev = abs_fn(dw)
+        step_prev = abs(dw)
     raise NoConvergence(f"Halley iteration did not converge for z={z!r} (last step {step_prev:.3e})")
 
 
 def _eval_complex(k, z, res_tol, rtol):
-    """Seed selection and iteration for the complex kernel."""
+    """Seed selection and iteration: the one kernel behind every argument."""
+    # the sheet of W_-1 above the axis and of W_1 below it that is real on
+    # [-1/e, 0)
+    real_wm1 = (k == -1 and z.imag >= 0.0) or (k == 1 and z.imag < 0.0)
     # branch-point neighbourhood, branches 0 and +-1 only
     if abs(z - BRANCH_POINT_Z) <= _BP_SEED_RADIUS and k in (0, 1, -1):
         p = cmath.sqrt(2.0 * _ez_plus_1(z))
         if k == 0:
             seed = _bp_series(p)
-        elif (k == -1 and z.imag >= 0.0) or (k == 1 and z.imag < 0.0):
+        elif real_wm1:
             seed = _bp_series(-p)
             p = -p
         else:
@@ -231,51 +233,23 @@ def _eval_complex(k, z, res_tol, rtol):
             if abs(p) <= _BP_DIRECT:
                 res = abs(seed * cmath.exp(seed) - z)
                 return seed, res, 0
-            return _halley(z, seed, res_tol, rtol, cmath.exp, abs)
+            return _halley(z, seed, res_tol, rtol)
     if k == 0:
         if abs(z) <= 2.0 and z.real >= BRANCH_POINT_Z:
             seed = _pade0(z)
         else:
             seed = _asymptotic(z, 0)
+    elif real_wm1 and z.real < 0.0 and abs(z) <= _WM1_SEED_RADIUS:
+        # w = L - log(-L) with L = log(-z), the real-axis expansion as
+        # z -> 0-; unlike log(z) + 2*pi*i*k it keeps a tiny Im w exact
+        # instead of rounding it away against pi
+        l1 = cmath.log(-z)
+        seed = l1 - cmath.log(-l1)
     else:
         seed = _asymptotic(z, k)
     if seed.real < _LOG_DOMAIN_RE:
         return _newton_log(z, seed)
-    return _halley(z, seed, res_tol, rtol, cmath.exp, abs)
-
-
-def _real_w0(x, res_tol, rtol):
-    """W_0 restricted to its real domain [-1/e, inf)."""
-    if x == 0.0:
-        return 0.0, 0.0, 0
-    if x - BRANCH_POINT_Z <= _BP_SEED_RADIUS:
-        p = math.sqrt(2.0 * _ez_plus_1_real(x))
-        seed = _bp_series(p)
-        if p <= _BP_DIRECT:
-            return seed, abs(seed * math.exp(seed) - x), 0
-    elif x <= 2.0:
-        seed = _pade0(x)
-    else:
-        l1 = math.log(x)
-        l2 = math.log(l1)
-        seed = l1 - l2 + l2 / l1
-    return _halley(x, seed, res_tol, rtol, math.exp, abs)
-
-
-def _real_wm1(x, res_tol, rtol):
-    """W_{-1} restricted to its real domain [-1/e, 0)."""
-    if x - BRANCH_POINT_Z <= _BP_SEED_RADIUS:
-        p = math.sqrt(2.0 * _ez_plus_1_real(x))
-        seed = _bp_series(-p)
-        if p <= _BP_DIRECT:
-            return seed, abs(seed * math.exp(seed) - x), 0
-    else:
-        # w = log(-x) - log(-log(-x)) + ..., exact as x -> 0-
-        l1 = math.log(-x)
-        seed = l1 - math.log(-l1)
-        if seed < _LOG_DOMAIN_RE:
-            return _newton_log_real(x, seed)
-    return _halley(x, seed, res_tol, rtol, math.exp, abs)
+    return _halley(z, seed, res_tol, rtol)
 
 
 def lambert_w(k, z, tol=1e-14, k_max=K_MAX_DEFAULT):
@@ -290,8 +264,8 @@ def lambert_w(k, z, tol=1e-14, k_max=K_MAX_DEFAULT):
         evaluated on the branch cut as the limit from above.
     tol : float, optional
         Relative residual tolerance; the returned value satisfies
-        ``abs(w*exp(w) - z) <= tol*max(1, abs(z))`` (plus a 1e-300
-        absolute floor).
+        ``abs(w*exp(w) - z) <= tol*abs(z)``, up to the conditioning floor
+        of a few ulps of ``w*exp(w)`` and of ``z``.
     k_max : int, optional
         Bound on |k|; branches beyond it are rejected rather than
         approximated.
@@ -326,20 +300,18 @@ def lambert_w(k, z, tol=1e-14, k_max=K_MAX_DEFAULT):
         raise DomainError("W_k(0) diverges for k != 0")
     if z.imag == 0.0:
         z = complex(z.real, 0.0)  # -0.0 -> +0.0: cut values are the limit from above
-        x = z.real
-        if k == 0 and x >= BRANCH_POINT_Z:
-            w, res, it = _real_w0(x, tol * max(1.0, abs(x)) + 1e-300, tol)
-            return WValue(complex(w, 0.0), res, it)
-        if k == -1 and BRANCH_POINT_Z <= x < 0.0:
-            w, res, it = _real_wm1(x, tol * max(1.0, abs(x)) + 1e-300, tol)
-            return WValue(complex(w, 0.0), res, it)
-    res_tol = tol * max(1.0, abs(z)) + 1e-300
-    w, res, it = _eval_complex(k, z, res_tol, tol)
+    w, res, it = _eval_complex(k, z, tol * abs(z), tol)
+    x = z.real
+    if z.imag == 0.0 and ((k == 0 and x >= BRANCH_POINT_Z) or (k == -1 and BRANCH_POINT_Z <= x < 0.0)):
+        w = complex(w.real, 0.0)  # real domain: drop the rounding-level imaginary part
     return WValue(complex(w), res, it)
 
 
 def lambert_w_real(branch, x):
     """Real-valued W on the two branches that are real on part of the axis.
+
+    The domain checks of the real branches in front of ``lambert_w``,
+    whose result is exactly real on these domains.
 
     Parameters
     ----------
@@ -356,16 +328,15 @@ def lambert_w_real(branch, x):
     x = float(x)
     if not math.isfinite(x):
         raise NonFiniteInput(f"x must be finite, got {x!r}")
-    res_tol = 1e-14 * max(1.0, abs(x)) + 1e-300
     if branch == 0:
         if x < BRANCH_POINT_Z:
             raise DomainError(f"W_0 is real only for x >= -1/e, got {x}")
-        return _real_w0(x, res_tol, 1e-14)[0]
-    if branch == -1:
+    elif branch == -1:
         if not BRANCH_POINT_Z <= x < 0.0:
             raise DomainError(f"W_-1 is real only for -1/e <= x < 0, got {x}")
-        return _real_wm1(x, res_tol, 1e-14)[0]
-    raise DomainError(f"real evaluation exists only for branches 0 and -1, got {branch}")
+    else:
+        raise DomainError(f"real evaluation exists only for branches 0 and -1, got {branch}")
+    return lambert_w(branch, x).w.real
 
 
 def w0_boundary_point(eta):

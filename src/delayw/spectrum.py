@@ -140,6 +140,20 @@ def _root(cl, k, z, tol):
     return cl.alpha + w.w / cl.h
 
 
+def _rightmost(cl, tol=1e-14):
+    """Branch-0 root and its multiplicity, as (s0, multiplicity)."""
+    if cl.beta == 0.0:
+        # delay term vanishes; W_k(0) exists only for k = 0
+        return complex(cl.alpha, 0.0), 1
+    z = cl.w_argument
+    if abs(z - BRANCH_POINT_Z) <= COALESCENCE_TOL:
+        # the classification pins z to the branch point, where W = -1
+        # exactly; evaluating W_0(z) here instead would leak a spurious
+        # imaginary part of order sqrt(|z + 1/e|)
+        return complex(cl.alpha - 1.0 / cl.h, 0.0), 2
+    return _root(cl, 0, z, tol), 1
+
+
 def spectrum(cl, n_branches, k_max=K_MAX_DEFAULT, tol=1e-14):
     """Enumerate characteristic roots branch by branch.
 
@@ -166,57 +180,32 @@ def spectrum(cl, n_branches, k_max=K_MAX_DEFAULT, tol=1e-14):
     if n_branches > k_max:
         raise DomainError(f"n_branches = {n_branches} exceeds k_max = {k_max}")
     n = int(n_branches)
-    z = cl.w_argument
-    roots = []
-    if cl.beta == 0.0:
-        # delay term vanishes; W_k(0) exists only for k = 0
-        roots.append(SpectrumRoot(0, complex(cl.alpha, 0.0), 1))
-        rightmost = complex(cl.alpha, 0.0)
-    elif z > 0.0:
-        s0 = _root(cl, 0, z, tol)
-        roots.append(SpectrumRoot(0, s0, 1))
-        rightmost = s0
+    s0, multiplicity = _rightmost(cl, tol)
+    roots = [SpectrumRoot(0, s0, multiplicity)]
+    if cl.beta != 0.0:
+        z = cl.w_argument
+        if multiplicity == 1 and z < BRANCH_POINT_Z:
+            # on the cut: branch -1 is the conjugate partner of branch 0
+            roots.append(SpectrumRoot(-1, s0.conjugate(), 1))
+        elif multiplicity == 1 and z <= 0.0:
+            # -1/e < z < 0: branch -1 is the second real root (z == 0 only
+            # when the argument underflows, and W_-1(0) raises DomainError)
+            roots.append(SpectrumRoot(-1, _root(cl, -1, z, tol), 1))
+        # for z < 0 branch k pairs with branch -k-1, for z > 0 with -k
         for k in range(1, n + 1):
             sk = _root(cl, k, z, tol)
             roots.append(SpectrumRoot(k, sk, 1))
-            roots.append(SpectrumRoot(-k, sk.conjugate(), 1))
-    elif abs(z - BRANCH_POINT_Z) <= COALESCENCE_TOL:
-        # the classification pins z to the branch point, where W = -1
-        # exactly; evaluating W_0(z) here instead would leak a spurious
-        # imaginary part of order sqrt(|z + 1/e|)
-        s0 = complex(cl.alpha - 1.0 / cl.h, 0.0)
-        roots.append(SpectrumRoot(0, s0, 2))
-        rightmost = s0
-        for k in range(1, n + 1):
-            sk = _root(cl, k, z, tol)
-            roots.append(SpectrumRoot(k, sk, 1))
-            roots.append(SpectrumRoot(-k - 1, sk.conjugate(), 1))
-    elif z < BRANCH_POINT_Z:
-        # on the cut: branch k pairs with branch -k-1
-        s0 = _root(cl, 0, z, tol)
-        roots.append(SpectrumRoot(0, s0, 1))
-        roots.append(SpectrumRoot(-1, s0.conjugate(), 1))
-        rightmost = s0
-        for k in range(1, n + 1):
-            sk = _root(cl, k, z, tol)
-            roots.append(SpectrumRoot(k, sk, 1))
-            roots.append(SpectrumRoot(-k - 1, sk.conjugate(), 1))
-    else:
-        # -1/e < z < 0: branches 0 and -1 are real, the rest pair as on the cut
-        s0 = _root(cl, 0, z, tol)
-        roots.append(SpectrumRoot(0, s0, 1))
-        roots.append(SpectrumRoot(-1, _root(cl, -1, z, tol), 1))
-        rightmost = s0
-        for k in range(1, n + 1):
-            sk = _root(cl, k, z, tol)
-            roots.append(SpectrumRoot(k, sk, 1))
-            roots.append(SpectrumRoot(-k - 1, sk.conjugate(), 1))
+            roots.append(SpectrumRoot(-k if z > 0.0 else -k - 1, sk.conjugate(), 1))
     roots.sort(key=lambda r: (-r.s.real, r.s.imag))
-    return Spectrum(roots=tuple(roots), rightmost=rightmost)
+    return Spectrum(roots=tuple(roots), rightmost=s0)
 
 
 def is_stable(cl):
     """Stability verdict from the rightmost root.
+
+    Reads the same branch-0 root that ``spectrum`` reports, including the
+    pinned double root when the W argument is within COALESCENCE_TOL of
+    -1/e.
 
     Returns
     -------
@@ -224,8 +213,5 @@ def is_stable(cl):
         margin is Re s_0; the loop is exponentially stable iff it is
         negative.
     """
-    if cl.beta == 0.0:
-        margin = cl.alpha
-    else:
-        margin = cl.alpha + lambert_w(0, cl.w_argument).w.real / cl.h
+    margin = _rightmost(cl)[0].real
     return margin < 0.0, margin

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import delayw
 from delayw.cli import main, parse_complex
 from delayw.errors import DomainError, NonFiniteInput
 
@@ -59,10 +63,21 @@ class TestEnvelope:
         json.loads(first)
 
     def test_console_script(self):
-        proc = subprocess.run(["delayw", "wk", "--branch", "0", "--re", "1"],
-                              capture_output=True)
+        # the `delayw` command is the [project.scripts] entry point; launch
+        # that entry point the way the installed wrapper does, without
+        # needing an install
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert re.search(r'^delayw\s*=\s*"delayw\.cli:main"\s*$', scripts, re.M)
+        src = str(Path(delayw.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from delayw.cli import main; sys.exit(main())",
+             "wk", "--branch", "0", "--re", "1"],
+            capture_output=True, env=env,
+        )
         assert proc.returncode == 0
-        json.loads(proc.stdout)
+        assert json.loads(proc.stdout)["command"] == "wk"
 
     def test_seventeen_digit_floats(self, capsys):
         code, out = run_cli(capsys, "wk", "--branch", "1", "--re", str(BP))

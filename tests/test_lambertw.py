@@ -4,7 +4,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from delayw.errors import BranchOutOfRange, DomainError, NonFiniteInput
 from delayw.lambertw import (
@@ -175,6 +175,9 @@ def test_conjugate_symmetry(k, z):
 
 @settings(max_examples=100, deadline=None)
 @given(k=st.integers(min_value=-50, max_value=50), z=complex_args())
+# just off the real sheet of W_-1 / W_1, where Im w is tiny but nonzero
+@example(k=-1, z=complex(-0.03125, 9.154579230048015e-238))
+@example(k=1, z=complex(-0.03125, -9.154579230048015e-238))
 def test_band_membership_off_axis(k, z):
     # interior points stay strictly inside branch k's horizontal band.
     # The bands are asymmetric: each branch k != 0 is bounded on the
@@ -312,11 +315,34 @@ class TestCrossChecks:
             (1, complex(5e-324, 0.0)),
             (3, complex(-1e-320, 2e-310)),
             (-50, complex(1e-310, 1e-312)),
+            # next to the real sheet of W_-1, where the log-space iteration
+            # straddles the negative axis
+            (-1, complex(-5.56017e-319, 5e-324)),
+            (1, complex(-3.7095074e-316, -5e-324)),
         ]
         for k, z in cases:
             ours = lambert_w(k, z).w
             theirs = complex(mpmath.lambertw(mpmath.mpc(z.real, z.imag), k))
             assert abs(ours - theirs) <= 1e-12 * abs(theirs), (k, z)
+
+    def test_log_uniform_grid_against_mpmath(self):
+        # |z| over the whole double range on the positive axis, the
+        # negative axis (cut included) and off-axis; the stopping rule is
+        # relative, so tiny and huge |z| get the same relative accuracy
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        rng = __import__("random").Random(3)
+        eps = 2.220446049250313e-16
+        for i in range(300):
+            r = 10.0 ** rng.uniform(-300.0, 300.0)
+            z = (complex(r, 0.0), complex(-r, 0.0), r * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))[i % 3]
+            if abs(math.e * z + 1.0) <= 1e-3:
+                continue  # conditioning 1/|1+W| dominates next to the branch point
+            for k in (0, 1, -1, 2, -2, 3, -3, rng.choice((-1000, -317, -40, 40, 317, 1000))):
+                ours = lambert_w(k, z).w
+                theirs = mpmath.lambertw(mpmath.mpc(z.real, z.imag), k)
+                err = abs(mpmath.mpc(ours.real, ours.imag) - theirs) / abs(theirs)
+                assert err <= 4 * eps, (k, z, float(err))
 
 
 class TestExtremeArguments:

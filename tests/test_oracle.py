@@ -186,6 +186,18 @@ class TestCrossValidate:
         assert rep.spectrum_count == rep.oracle_count
         assert rep.max_distance <= 1e-8
 
+    def test_wide_parameter_space_agrees(self):
+        # log-uniform delays and gains with unstable plants and long delays
+        # push |beta*h*e^{-alpha*h}| down to ~1e-280, where a W kernel
+        # with an absolute stopping rule drifts from the oracle by ~1e-6
+        rng = __import__("random").Random(7)
+        for _ in range(400):
+            h = 10.0 ** rng.uniform(-2.0, 1.5)
+            alpha = rng.uniform(-20.0, 20.0)
+            beta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-4.0, 2.0)
+            rep = cross_validate(ClosedLoopParams(alpha, beta, h), 3)
+            assert rep.spectrum_count == rep.oracle_count
+
     def test_located_roots_satisfy_equation(self):
         cl = ClosedLoopParams(0.8, -1.9, 2.3)
         sp = spectrum(cl, 3)

@@ -102,7 +102,11 @@ def test_close_loop_input_delay():
 
 
 def test_is_stable_matches_rightmost():
-    for alpha, beta in [(1.0, -1.0), (-1.0, -2.0), (0.5, -0.1), (-3.0, 0.0)]:
+    loops = [(1.0, -1.0), (-1.0, -2.0), (0.5, -0.1), (-3.0, 0.0)]
+    # W arguments inside the coalescence band on both sides of -1/e, where
+    # spectrum pins the double root
+    loops += [(-0.5, (BRANCH_POINT_Z + d) * math.exp(-0.5)) for d in (1e-13, 5e-13, -5e-13)]
+    for alpha, beta in loops:
         cl = ClosedLoopParams(alpha, beta, 1.0)
         stable, margin = is_stable(cl)
         spec = spectrum(cl, n_branches=2)
