@@ -3,9 +3,13 @@
 Method of steps with the classical 4th-order one-step scheme: each
 interval of length h is an ODE whose delayed term reads the previous
 interval through cubic Hermite dense output.  The step is snapped to
-an integer fraction of h, so stage lookups at full steps land exactly
-on stored nodes and only the half-step stages interpolate.  Global
-error is O(step^4).
+an integer fraction of h, so full-step delayed values are stored nodes
+and only half steps interpolate.  The equation being linear, the four
+stages fold into x_{n+1} = c0 x_n + c1 f_n + c2 d_mid + c3 d_end (f_n
+the node derivative, d_mid/d_end the delayed values, c0..c3 fixed by
+alpha*dt): the same step up to rounding, so the error stays O(step^4).
+The first delay interval queries the history up front, later ones read
+stored nodes.
 
 estimate_dominant_eig recovers the dominant characteristic root from
 a trajectory tail: decay rate from a least-squares line through the
@@ -15,6 +19,7 @@ frequency from the mean zero-crossing spacing.
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import DomainError, InsufficientData, InvalidStep, NonFiniteInput
 
@@ -149,14 +154,6 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def _validate_sampled_span(phi, h):
-    if isinstance(phi, SampledHistory):
-        first = phi.points[0][0]
-        if abs(first + h) > 1e-9 * max(1.0, h):
-            raise DomainError(
-                f"sampled history must span [-h, 0): first stamp {first:.6g}, expected {-h:.6g}")
-
-
 def simulate(cl, init, t_final, step=None):
     """Integrate the closed loop from the given initial data.
 
@@ -179,66 +176,69 @@ def simulate(cl, init, t_final, step=None):
     h = cl.h
     if step is None:
         step = h / 1000.0
-    if not (isinstance(step, (int, float)) and math.isfinite(step) and step > 0.0):
+    if not (isinstance(step, (int, float)) and not isinstance(step, bool)
+            and math.isfinite(step) and step > 0.0):
         raise InvalidStep(f"step must be a positive finite real, got {step!r}")
     if not (math.isfinite(t_final) and t_final >= h):
         raise InvalidStep(
             f"t_final must be finite and >= h = {h:.6g} (one full delay interval), got {t_final!r}")
-    _validate_sampled_span(init.phi, h)
+    phi = init.phi
+    if isinstance(phi, SampledHistory) and abs(phi.points[0][0] + h) > 1e-9 * max(1.0, h):
+        raise DomainError(f"sampled history must span [-h, 0): first stamp "
+                          f"{phi.points[0][0]:.6g}, expected {-h:.6g}")
 
     n_per = max(1, math.ceil(h / step - 1e-12))
     dt = h / n_per
     total = math.floor(t_final / dt + 1e-9)
 
-    alpha, beta, phi = cl.alpha, cl.beta, init.phi
-    xs = [init.x0]
-    # node derivatives back the cubic dense output; the value at t - h
-    # for t on the grid is itself a node (or a history query)
-    fs = [alpha * init.x0 + beta * phi(-h)]
-    truncated = False
+    alpha, beta = cl.alpha, cl.beta
+    a = alpha * dt
+    c0 = 1.0 + a * (5.0 / 6.0 + a / 3.0 + a * a / 12.0)
+    c1 = dt / 6.0 * (1.0 + a + a * a / 2.0 + a * a * a / 4.0)
+    c2 = beta * dt / 6.0 * (4.0 + 2.0 * a + a * a / 2.0)
+    c3 = beta * dt / 6.0
+    x, f = init.x0, alpha * init.x0 + beta * phi(-h)
+    xs, fs = [x], [f]
 
-    def node_delayed(j):
-        jj = j - n_per
-        if jj >= 0:
-            return xs[jj]
-        return phi(j * dt - h)
-
-    def mid_delayed(j):
-        jj = j - n_per
-        if jj < 0:
-            return phi((j + 0.5) * dt - h)
-        x0, x1 = xs[jj], xs[jj + 1]
-        f0, f1 = fs[jj], fs[jj + 1]
-        # cubic Hermite at the segment midpoint
-        return 0.5 * (x0 + x1) + 0.125 * dt * (f0 - f1)
-
-    for i in range(total):
-        x = xs[i]
-        d_mid = mid_delayed(i)
-        d_end = node_delayed(i + 1)
-        k1 = fs[i]
-        k2 = alpha * (x + 0.5 * dt * k1) + beta * d_mid
-        k3 = alpha * (x + 0.5 * dt * k2) + beta * d_mid
-        k4 = alpha * (x + dt * k3) + beta * d_end
-        x_next = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not math.isfinite(x_next) or abs(x_next) > OVERFLOW_LIMIT:
-            truncated = True
+    # first delay interval: t - h lies in the history, except at its
+    # last node, where it is 0 and the delayed value is x0
+    n_hist = min(total, n_per)
+    mids = [phi((j + 0.5) * dt - h) for j in range(n_hist)]
+    ends = [phi(j * dt - h) for j in range(1, min(n_hist + 1, n_per))] + [x]
+    for d_mid, d_end in zip(mids, ends):
+        x = c0 * x + c1 * f + c2 * d_mid + c3 * d_end
+        if not abs(x) <= OVERFLOW_LIMIT:
             break
-        xs.append(x_next)
-        fs.append(alpha * x_next + beta * d_end)
+        f = alpha * x + beta * d_end
+        xs.append(x)
+        fs.append(f)
+    else:
+        # later steps read the nodes one delay back, through zips that follow
+        # the growing lists; the half step is their cubic Hermite midpoint
+        q = 0.125 * dt
+        lagged = zip(xs, islice(xs, 1, None), fs, islice(fs, 1, None))
+        for _, (x0, x1, f0, f1) in zip(range(total - n_hist), lagged):
+            x = c0 * x + c1 * f + c2 * (0.5 * (x0 + x1) + q * (f0 - f1)) + c3 * x1
+            if not abs(x) <= OVERFLOW_LIMIT:
+                break
+            f = alpha * x + beta * x1
+            xs.append(x)
+            fs.append(f)
 
-    times = tuple(i * dt for i in range(len(xs)))
-    return Trajectory(times=times, values=tuple(xs), step=dt, truncated=truncated)
+    times = tuple(map(dt.__mul__, range(len(xs))))
+    # every step that passed the overflow test appended its node
+    return Trajectory(times=times, values=tuple(xs), step=dt, truncated=len(xs) <= total)
 
 
 @dataclass(frozen=True)
 class EigEstimate:
     """Dominant-eigenvalue fit with its diagnostics.
 
-    kind is one of "constant", "oscillatory", "monotone".  fit_residual
-    is the RMS deviation of the log-envelope fit; a large value flags
-    degenerate excitation (tail dominated by more than one mode), where
-    the plain estimate should not be trusted.
+    kind is one of "constant" (tail spread within 1e-9 of the tail's own
+    amplitude), "oscillatory", "monotone".  fit_residual is the RMS
+    deviation of the log-envelope fit; a large value flags degenerate
+    excitation (tail dominated by more than one mode), where the plain
+    estimate should not be trusted.
     """
 
     value: complex
@@ -277,7 +277,7 @@ def estimate_dominant_eig_detailed(traj, tail_fraction=0.5):
 
     amax = max(abs(x) for x in xs)
     spread = max(xs) - min(xs)
-    if spread <= 1e-9 * max(1.0, amax):
+    if spread <= 1e-9 * amax:
         return EigEstimate(0j, "constant", spread, 0)
 
     # zero-crossing times by linear interpolation
@@ -317,7 +317,7 @@ def estimate_dominant_eig_detailed(traj, tail_fraction=0.5):
             f"tail crosses zero {len(crossings)} times: too few for a frequency fit, "
             "too many for a monotone fit")
     # single-signed tail: fit log|x| directly
-    if amax == 0.0 or min(abs(x) for x in xs) == 0.0:
+    if min(abs(x) for x in xs) == 0.0:
         raise InsufficientData("tail touches zero without sign changes; no log fit possible")
     efold = abs(math.log(abs(xs[-1]) / abs(xs[0])))
     if efold < 10.0:
@@ -334,7 +334,7 @@ def estimate_dominant_eig(traj, tail_fraction=0.5):
     give rate + i*frequency: the rate is the least-squares slope of the
     log peak envelope, the frequency pi over the mean crossing spacing.
     Single-signed tails need at least 10 e-foldings and give a real
-    rate.  Near-constant tails return 0.
+    rate.  Tails near-constant relative to their own amplitude return 0.
 
     Raises
     ------

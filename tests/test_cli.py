@@ -28,6 +28,13 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def source_env():
+    """Environment under which a child interpreter imports the delayw
+    these tests import, installed or not."""
+    src = str(Path(delayw.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestParseComplex:
     def test_forms(self):
         assert parse_complex("-1") == -1.0
@@ -57,8 +64,8 @@ class TestEnvelope:
     def test_determinism_byte_identical(self):
         argv = [sys.executable, "-m", "delayw", "spectrum",
                 "--alpha", "-1", "--beta", "-2", "--h", "1", "--branches", "3"]
-        first = subprocess.run(argv, capture_output=True, check=True).stdout
-        second = subprocess.run(argv, capture_output=True, check=True).stdout
+        first = subprocess.run(argv, capture_output=True, check=True, env=source_env()).stdout
+        second = subprocess.run(argv, capture_output=True, check=True, env=source_env()).stdout
         assert first == second
         json.loads(first)
 
@@ -69,12 +76,10 @@ class TestEnvelope:
         pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
         scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
         assert re.search(r'^delayw\s*=\s*"delayw\.cli:main"\s*$', scripts, re.M)
-        src = str(Path(delayw.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from delayw.cli import main; sys.exit(main())",
              "wk", "--branch", "0", "--re", "1"],
-            capture_output=True, env=env,
+            capture_output=True, env=source_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["command"] == "wk"

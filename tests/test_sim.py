@@ -32,6 +32,39 @@ from delayw.sim import (
 UNIT = InitialData(1.0, ConstantHistory(1.0))
 
 
+def rk4_method_of_steps(cl, init, t_final, step):
+    """Stage-by-stage RK4 with cubic Hermite dense output: the reference
+    for simulate's folded one-line recurrence.  Returns (values, truncated)."""
+    alpha, beta, h, phi = cl.alpha, cl.beta, cl.h, init.phi
+    n_per = max(1, math.ceil(h / step - 1e-12))
+    dt = h / n_per
+    total = math.floor(t_final / dt + 1e-9)
+    xs = [init.x0]
+    fs = [alpha * init.x0 + beta * phi(-h)]
+
+    def node_delayed(j):
+        return xs[j - n_per] if j >= n_per else phi(j * dt - h)
+
+    def mid_delayed(j):
+        jj = j - n_per
+        if jj < 0:
+            return phi((j + 0.5) * dt - h)
+        return 0.5 * (xs[jj] + xs[jj + 1]) + 0.125 * dt * (fs[jj] - fs[jj + 1])
+
+    for i in range(total):
+        x, d_mid, d_end = xs[i], mid_delayed(i), node_delayed(i + 1)
+        k1 = fs[i]
+        k2 = alpha * (x + 0.5 * dt * k1) + beta * d_mid
+        k3 = alpha * (x + 0.5 * dt * k2) + beta * d_mid
+        k4 = alpha * (x + dt * k3) + beta * d_end
+        x_next = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not math.isfinite(x_next) or abs(x_next) > 1e300:
+            return xs, True
+        xs.append(x_next)
+        fs.append(alpha * x_next + beta * d_end)
+    return xs, False
+
+
 class TestHistories:
     def test_constant(self):
         phi = ConstantHistory(2.5)
@@ -112,13 +145,34 @@ class TestSimulate:
 
     def test_invalid_step(self):
         cl = ClosedLoopParams(-1.0, 0.0, 1.0)
-        for bad in (0.0, -0.1, math.nan, math.inf):
+        for bad in (0.0, -0.1, math.nan, math.inf, True):
             with pytest.raises(InvalidStep):
                 simulate(cl, UNIT, 5.0, bad)
         with pytest.raises(InvalidStep):
             simulate(cl, UNIT, 0.5)  # below one delay interval
         with pytest.raises(InvalidStep):
             simulate(cl, UNIT, math.inf)
+
+    @pytest.mark.parametrize("cl, init, t_final, step", [
+        (ClosedLoopParams(-1.0, -2.0, 1.0), UNIT, 6.0, 0.01),
+        (ClosedLoopParams(-0.5, -1.0, 0.7), InitialData(0.3, LinearHistory(1.0, -2.0)), 5.0, 0.003),
+        (ClosedLoopParams(0.4, -1.5, 1.3),
+         InitialData(-0.2, SampledHistory(((-1.3, 0.5), (-0.9, -1.0), (-0.2, 0.25)))), 9.0, 0.013),
+        # t_final == h: the history phase alone
+        (ClosedLoopParams(-1.0, -2.0, 0.7), InitialData(1.0, LinearHistory(0.5, 1.0)), 0.7, 0.01),
+        # step >= h: one step per delay, whose delayed end node is x0
+        (ClosedLoopParams(-0.3, -0.4, 1.0), InitialData(2.0, LinearHistory(-1.0, 3.0)), 30.0, 2.0),
+        # overflow in the stored phase and in the history phase
+        (ClosedLoopParams(2.0, 0.5, 1.0), UNIT, 400.0, 0.01),
+        (ClosedLoopParams(800.0, 1.0, 1.0), UNIT, 2.0, 0.01),
+    ])
+    def test_matches_stagewise_rk4(self, cl, init, t_final, step):
+        traj = simulate(cl, init, t_final, step)
+        ref, truncated = rk4_method_of_steps(cl, init, t_final, step)
+        assert len(traj.values) == len(ref)
+        assert traj.truncated == truncated
+        scale = max(abs(x) for x in ref)
+        assert max(abs(x - y) for x, y in zip(traj.values, ref)) <= 1e-11 * scale
 
     def test_overflow_truncates_with_flag(self):
         traj = simulate(ClosedLoopParams(2.0, 0.5, 1.0), UNIT, 400.0, 0.01)
@@ -171,6 +225,27 @@ class TestEstimate:
         est = estimate_dominant_eig_detailed(traj)
         assert est.value == 0j
         assert est.kind == "constant"
+
+    def test_scale_invariant(self):
+        # the same loop started 1e-15 smaller: the fit must not read the
+        # tiny tail as constant
+        cl = ClosedLoopParams(-1.0, -2.0, 1.0)
+        unit = estimate_dominant_eig_detailed(simulate(cl, UNIT, 40.0))
+        tiny = estimate_dominant_eig_detailed(
+            simulate(cl, InitialData(1e-15, ConstantHistory(1e-15)), 40.0))
+        assert unit.kind == tiny.kind == "oscillatory"
+        assert abs(unit.value - tiny.value) <= 1e-9 * abs(unit.value)
+
+    def test_decayed_tail(self):
+        # a fast-decaying loop whose tail peaks near 2e-20
+        plant = SystemParams(a=0.0, a1d=0.0, b=1.0, h=1.0)
+        cl = assign_both(plant, complex(-1.5, 2.5)).closed_loop
+        traj = simulate(cl, UNIT, 60.0)
+        assert max(abs(x) for x in traj.values[len(traj.values) // 2:]) < 1e-19
+        rm = spectrum(cl, 0).rightmost
+        est = estimate_dominant_eig_detailed(traj)
+        assert est.kind == "oscillatory"
+        assert abs(est.value - rm) <= 1e-2 * abs(rm)
 
     def test_growth_rate(self):
         cl = ClosedLoopParams(0.1, -2.0, 1.0)
