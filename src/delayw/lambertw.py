@@ -282,12 +282,13 @@ def lambert_w(k, z, tol=1e-14, k_max=K_MAX_DEFAULT):
     NonFiniteInput
         If z is NaN or infinite.
     DomainError
-        If z == 0 with k != 0 (every branch but the principal one
-        diverges at the origin).
+        If k is not an int (a bool is rejected too), or z == 0 with
+        k != 0 (every branch but the principal one diverges at the
+        origin).
     NoConvergence
         If the iteration cap is hit; indicates a kernel bug.
     """
-    if not isinstance(k, int):
+    if isinstance(k, bool) or not isinstance(k, int):
         raise DomainError(f"branch index must be an integer, got {k!r}")
     if abs(k) > k_max:
         raise BranchOutOfRange(f"|k| = {abs(k)} exceeds k_max = {k_max}")

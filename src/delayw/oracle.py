@@ -17,9 +17,12 @@ handled by direct sign analysis (f restricted to the reals has a
 single-signed second derivative, hence at most one interior extremum
 and at most two real roots), and winding cells keep a strictly
 positive distance from the axis.  Boundary walks near a known real
-root insert extra sample knots scaled to the edge's distance from
-that root, which resolves the concentrated phase swing the root
-induces on nearby edges.
+root, or near the axis extremum, insert extra sample knots scaled to
+the edge's distance from that point, which resolves the concentrated
+phase swing it induces on nearby edges.
+
+One function, _df, evaluates f and its derivatives everywhere: on the
+contour, in Newton polishing and in the real-axis sign analysis.
 """
 
 import cmath
@@ -126,10 +129,11 @@ def _df(cl, s, order):
     double root of the coalesced branch case often sits exactly there.
     Points where the exponential overflows double range come back as
     infinities rather than exceptions; iterations treat them as
-    out-of-range probes.
+    out-of-range probes.  Their real part keeps the sign of the
+    exponential term, which the real-axis sign analysis reads.
     """
     if cl.beta != 0.0 and -s.real * cl.h > 709.0:
-        return complex(math.inf, math.inf)
+        return complex(-cl.beta * (-cl.h) ** order * math.inf, math.inf)
     if order == 0:
         return (s - cl.alpha - cl.beta) - cl.beta * _cexpm1(-s * cl.h)
     if order == 1:
@@ -155,29 +159,21 @@ def _edge_knots(sa, sb, h, focus):
 
     Uniform knots keep each piece under a quarter turn of the delay
     term's rotation (rate h along the segment); focus knots resolve the
-    phase swing concentrated where the segment passes a real root.
+    phase swing concentrated where the segment passes a focus point fx
+    on the axis, closest at Re s = fx (horizontal) or Im s = 0.
     """
     length = abs(sb - sa)
     pieces = max(1, min(65536, math.ceil(length * h / (math.pi / 4.0))))
     ts = {i / pieces for i in range(1, pieces)}
-    if focus and sa.imag == sb.imag:
-        y = abs(sa.imag)
-        span = sb.real - sa.real
-        for fx in focus:
-            d = max(y, 1e-14 * max(1.0, abs(fx)))
-            for k in _FOCUS_LADDER:
-                t = (fx + k * d - sa.real) / span
-                if 0.0 < t < 1.0:
-                    ts.add(t)
-    elif focus and sa.real == sb.real:
-        x = sa.real
-        span = sb.imag - sa.imag
-        for fx in focus:
-            d = max(abs(x - fx), 1e-14 * max(1.0, abs(fx)))
-            for k in _FOCUS_LADDER:
-                t = (k * d - sa.imag) / span
-                if 0.0 < t < 1.0:
-                    ts.add(t)
+    horizontal = sa.imag == sb.imag
+    start, span = (sa.real, sb.real - sa.real) if horizontal else (sa.imag, sb.imag - sa.imag)
+    for fx in focus:
+        c, dist = (fx, abs(sa.imag)) if horizontal else (0.0, abs(sa.real - fx))
+        d = max(dist, 1e-14 * max(1.0, abs(fx)))
+        for k in _FOCUS_LADDER:
+            t = (c + k * d - start) / span
+            if 0.0 < t < 1.0:
+                ts.add(t)
     return sorted(ts)
 
 
@@ -230,34 +226,25 @@ def _winding(cl, rect, focus=()):
     return n
 
 
-def _real_f(cl, x):
-    w = -x * cl.h
-    if cl.beta != 0.0 and w > 709.0:
-        return math.inf if cl.beta < 0.0 else -math.inf
-    return (x - cl.alpha - cl.beta) - cl.beta * math.expm1(w)
-
-
-def _real_fp(cl, x):
-    w = -x * cl.h
-    if cl.beta != 0.0 and w > 709.0:
-        return math.inf if cl.beta * cl.h > 0.0 else -math.inf
-    return 1.0 + cl.beta * cl.h * math.exp(w)
+def _real_df(cl, x, order=0):
+    """_df at the real point x, as a float."""
+    return _df(cl, complex(x, 0.0), order).real
 
 
 def _real_bracketed(cl, lo, hi):
     """One real root in [lo, hi] with a sign change: Newton with a
     bisection safety net."""
-    flo = _real_f(cl, lo)
+    flo = _real_df(cl, lo)
     x = 0.5 * (lo + hi)
     for _ in range(200):
-        fx = _real_f(cl, x)
+        fx = _real_df(cl, x)
         if fx == 0.0:
             return x
         if (fx > 0.0) == (flo > 0.0):
             lo = x
         else:
             hi = x
-        fp = _real_fp(cl, x)
+        fp = _real_df(cl, x, 1)
         step = fx / fp if fp != 0.0 else math.inf
         nx = x - step
         if not (lo < nx < hi):
@@ -268,48 +255,40 @@ def _real_bracketed(cl, lo, hi):
     return x
 
 
-def _real_axis_roots(cl, re_lo, re_hi):
-    """All real roots in (re_lo, re_hi), with multiplicity.
+def _axis(cl, rect):
+    """(focus, reals) on the rectangle's stretch of the real axis.
 
-    f restricted to the real axis has a single-signed second
-    derivative, so it is strictly monotone or has exactly one interior
-    extremum: at most two real roots, or one double root exactly at
-    the extremum.  Decidable by sign inspection, with no phase walking
-    anywhere near the axis.
+    reals lists the real roots in (re_min, re_max) with multiplicity,
+    found by sign inspection with no phase walking near the axis: f on
+    the axis has a single-signed second derivative, hence at most one
+    interior extremum x_ext, and so at most two simple roots or one
+    double root exactly at x_ext.  focus holds the abscissae whose
+    nearby edges need extra knots: the real roots, and x_ext, where a
+    near-coalescent conjugate pair concentrates two cancelling phase
+    swings even though no real root exists.
     """
+    if not (rect.im_min < 0.0 < rect.im_max):
+        return (), []
+    re_lo, re_hi = rect.re_min, rect.re_max
     if cl.beta == 0.0:
-        return [LocatedRoot(complex(cl.alpha, 0.0), 1)] if re_lo < cl.alpha < re_hi else []
+        reals = [LocatedRoot(complex(cl.alpha, 0.0), 1)] if re_lo < cl.alpha < re_hi else []
+        return tuple(r.s.real for r in reals), reals
     nodes = [re_lo, re_hi]
     if cl.beta * cl.h < 0.0:
         # f'(x) = 0 has the single solution below; f' itself is monotone
         x_ext = math.log(-cl.beta * cl.h) / cl.h
         if re_lo < x_ext < re_hi:
-            f_ext = _real_f(cl, x_ext)
             scale = max(1.0, abs(x_ext), abs(cl.alpha) + abs(cl.beta))
-            if abs(f_ext) <= 8.0 * _EPS * scale:
+            if abs(_real_df(cl, x_ext)) <= 8.0 * _EPS * scale:
                 # the extremum touches zero: double root, location exact
-                return [LocatedRoot(complex(x_ext, 0.0), 2)]
+                return (x_ext, x_ext), [LocatedRoot(complex(x_ext, 0.0), 2)]
             nodes = [re_lo, x_ext, re_hi]
-    out = []
+    reals = []
     for lo, hi in zip(nodes, nodes[1:]):
-        if (_real_f(cl, lo) > 0.0) != (_real_f(cl, hi) > 0.0):
-            out.append(LocatedRoot(complex(_real_bracketed(cl, lo, hi), 0.0), 1))
-    return out
-
-
-def _axis_focus(cl, rect):
-    if not (rect.im_min < 0.0 < rect.im_max):
-        return (), []
-    reals = _real_axis_roots(cl, rect.re_min, rect.re_max)
-    focus = [r.s.real for r in reals]
-    if cl.beta * cl.h < 0.0:
-        # a near-coalescent conjugate pair concentrates two cancelling
-        # phase swings around the axis minimum; edges need knots there
-        # even though no real root exists
-        x_ext = math.log(-cl.beta * cl.h) / cl.h
-        if rect.re_min < x_ext < rect.re_max:
-            focus.append(x_ext)
-    return tuple(focus), reals
+        if (_real_df(cl, lo) > 0.0) != (_real_df(cl, hi) > 0.0):
+            reals.append(LocatedRoot(complex(_real_bracketed(cl, lo, hi), 0.0), 1))
+    # the interior node, if any, is x_ext
+    return tuple([r.s.real for r in reals] + nodes[1:-1]), reals
 
 
 def _counted_rect(cl, rect):
@@ -317,7 +296,7 @@ def _counted_rect(cl, rect):
     delta = _NUDGE_FRACTION * rect.diameter
     last = None
     for attempt in range(_MAX_NUDGES + 1):
-        focus, reals = _axis_focus(cl, rect)
+        focus, reals = _axis(cl, rect)
         try:
             return _winding(cl, rect, focus), rect, reals, focus
         except BoundaryRootSuspected as exc:
@@ -359,24 +338,18 @@ def _newton(cl, s0, order, tol_scale=1e-13):
     return None
 
 
-def _split(cl, cell, frac, focus):
-    wide = (cell.re_max - cell.re_min) >= (cell.im_max - cell.im_min)
-    if wide:
-        mid = cell.re_min + frac * (cell.re_max - cell.re_min)
-        c1 = replace(cell, re_max=mid)
-        c2 = replace(cell, re_min=mid)
-    else:
-        mid = cell.im_min + frac * (cell.im_max - cell.im_min)
-        c1 = replace(cell, im_max=mid)
-        c2 = replace(cell, im_min=mid)
-    return c1, c2, _winding(cl, c1, focus), _winding(cl, c2, focus)
-
-
 def _split_clean(cl, cell, n, focus):
     """Split cell so that child counts add up to n; None if no line works."""
+    wide = (cell.re_max - cell.re_min) >= (cell.im_max - cell.im_min)
     for frac in _FRACTIONS:
+        if wide:
+            mid = cell.re_min + frac * (cell.re_max - cell.re_min)
+            c1, c2 = replace(cell, re_max=mid), replace(cell, re_min=mid)
+        else:
+            mid = cell.im_min + frac * (cell.im_max - cell.im_min)
+            c1, c2 = replace(cell, im_max=mid), replace(cell, im_min=mid)
         try:
-            c1, c2, n1, n2 = _split(cl, cell, frac, focus)
+            n1, n2 = _winding(cl, c1, focus), _winding(cl, c2, focus)
         except BoundaryRootSuspected:
             continue
         if n1 + n2 == n:
@@ -386,23 +359,6 @@ def _split_clean(cl, cell, n, focus):
 
 def _min_cell(cell, diam0):
     return cell.diameter <= max(CLUSTER_TOL, _MIN_CELL_FRACTION * diam0)
-
-
-def _polish_simple(cl, cell, diam0, focus):
-    while True:
-        s = _newton(cl, cell.center, order=0)
-        # the winding count guarantees the root is strictly inside, so a
-        # polished value outside the cell is a different root entirely
-        # (Newton escaped its basin); shrink and retry instead
-        if s is not None and cell.contains(s, tol=1e-9 * cell.diameter + 1e-13):
-            return LocatedRoot(s, 1)
-        if _min_cell(cell, diam0):
-            raise NoConvergence(f"Newton failed to converge inside cell around {cell.center}")
-        parts = _split_clean(cl, cell, 1, focus)
-        if parts is None:
-            raise BoundaryRootSuspected(f"could not isolate the root near {cell.center}")
-        c1, c2, n1, _ = parts
-        cell = c1 if n1 == 1 else c2
 
 
 def _polish_cluster(cl, cell, m):
@@ -419,17 +375,30 @@ def _polish_cluster(cl, cell, m):
 
 
 def _resolve(cl, cell, n, diam0, out, focus):
+    """Append the n roots that the winding count puts in cell to out.
+
+    A simple root is Newton-polished from the cell centre.  The count
+    puts it strictly inside, so a failed or escaped Newton run (a value
+    outside the cell is another root) shrinks the cell by a split like
+    any other; at the minimum cell size that raises NoConvergence.
+    n >= 2 roots at the minimum cell size are one multiple root.
+    """
     if n == 0:
         return
     if n == 1:
-        out.append(_polish_simple(cl, cell, diam0, focus))
-        return
-    if _min_cell(cell, diam0):
+        s = _newton(cl, cell.center, order=0)
+        if s is not None and cell.contains(s, tol=1e-9 * cell.diameter + 1e-13):
+            out.append(LocatedRoot(s, 1))
+            return
+        if _min_cell(cell, diam0):
+            raise NoConvergence(f"Newton failed to converge inside cell around {cell.center}")
+    elif _min_cell(cell, diam0):
         out.append(_polish_cluster(cl, cell, n))
         return
     parts = _split_clean(cl, cell, n, focus)
     if parts is None:
-        raise BoundaryRootSuspected(f"could not partition {n} roots near {cell.center}")
+        what = "isolate the root" if n == 1 else f"partition {n} roots"
+        raise BoundaryRootSuspected(f"could not {what} near {cell.center}")
     c1, c2, n1, n2 = parts
     _resolve(cl, c1, n1, diam0, out, focus)
     _resolve(cl, c2, n2, diam0, out, focus)

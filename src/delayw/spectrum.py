@@ -161,9 +161,11 @@ def spectrum(cl, n_branches, k_max=K_MAX_DEFAULT, tol=1e-14):
     ----------
     cl : ClosedLoopParams
     n_branches : int
-        Highest branch index to include.  The root set is kept closed
-        under conjugation, so for negative real W arguments the partner
-        of branch k is branch -k-1 and the listing extends to -(n+1).
+        Highest branch index to include; anything but a non-negative
+        int (a bool included) raises DomainError.  The root set is kept
+        closed under conjugation, so for negative real W arguments the
+        partner of branch k is branch -k-1 and the listing extends to
+        -(n+1).
     k_max : int, optional
         Branch bound forwarded to the W kernel.
 
@@ -175,11 +177,12 @@ def spectrum(cl, n_branches, k_max=K_MAX_DEFAULT, tol=1e-14):
         when the W argument sits within COALESCENCE_TOL of -1/e the
         coalesced branch-0/-1 pair is reported once with multiplicity 2.
     """
+    if isinstance(n_branches, bool) or not isinstance(n_branches, int):
+        raise DomainError(f"n_branches must be an integer, got {n_branches!r}")
     if n_branches < 0:
         raise DomainError(f"n_branches must be >= 0, got {n_branches}")
     if n_branches > k_max:
         raise DomainError(f"n_branches = {n_branches} exceeds k_max = {k_max}")
-    n = int(n_branches)
     s0, multiplicity = _rightmost(cl, tol)
     roots = [SpectrumRoot(0, s0, multiplicity)]
     if cl.beta != 0.0:
@@ -192,7 +195,7 @@ def spectrum(cl, n_branches, k_max=K_MAX_DEFAULT, tol=1e-14):
             # when the argument underflows, and W_-1(0) raises DomainError)
             roots.append(SpectrumRoot(-1, _root(cl, -1, z, tol), 1))
         # for z < 0 branch k pairs with branch -k-1, for z > 0 with -k
-        for k in range(1, n + 1):
+        for k in range(1, n_branches + 1):
             sk = _root(cl, k, z, tol)
             roots.append(SpectrumRoot(k, sk, 1))
             roots.append(SpectrumRoot(-k if z > 0.0 else -k - 1, sk.conjugate(), 1))

@@ -35,6 +35,16 @@ def source_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, env=source_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout
+
+
 class TestParseComplex:
     def test_forms(self):
         assert parse_complex("-1") == -1.0

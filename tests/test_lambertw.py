@@ -74,6 +74,8 @@ class TestErrors:
     def test_non_integer_branch(self):
         with pytest.raises(DomainError):
             lambert_w(0.5, 1.0)
+        with pytest.raises(DomainError):
+            lambert_w(True, 1.0)  # a bool is not a branch index
 
     def test_nonfinite(self):
         for bad in (math.nan, math.inf, complex(0, math.inf)):

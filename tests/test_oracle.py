@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,6 +167,10 @@ class TestCrossValidate:
         assert report.spectrum_count == report.oracle_count == 6
         assert report.max_distance > 1e-300
 
+    def test_non_integer_branch_count(self):
+        with pytest.raises(DomainError):
+            cross_validate(ClosedLoopParams(-1.0, -2.0, 1.0), 2.5)
+
     @settings(max_examples=60, deadline=None)
     @given(
         alpha=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
@@ -208,3 +213,23 @@ class TestCrossValidate:
         assert rs.total_count >= sp.total_multiplicity
         for root in rs.roots:
             assert residual_ok(cl, root.s)
+
+
+@pytest.mark.parametrize("n, budget", [(3, 646), (10, 2779), (30, 10724)])
+def test_phase_evaluation_budget(n, budget):
+    # the oracle's work is its phase evaluations, the calls of cmath.phase
+    # made from delayw.oracle; cheaper walks may lower the counts, never
+    # raise them
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "c_call" and arg is cmath.phase and frame.f_globals.get("__name__") == "delayw.oracle":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        cross_validate(ClosedLoopParams(-1.0, -2.0, 1.0), n)
+    finally:
+        sys.setprofile(None)
+    assert 0 < calls <= budget

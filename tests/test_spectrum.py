@@ -130,6 +130,9 @@ def test_validation_errors():
         spectrum(cl, n_branches=-1)
     with pytest.raises(DomainError):
         spectrum(cl, n_branches=10, k_max=5)
+    for bad in (2.5, 2.0, math.nan, True):
+        with pytest.raises(DomainError):
+            spectrum(cl, n_branches=bad)
 
 
 finite = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
