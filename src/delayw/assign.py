@@ -26,7 +26,7 @@ from .errors import (
     NotAssignableAsRightmost,
 )
 from .lambertw import on_w0_boundary
-from .spectrum import ClosedLoopParams, Gains, SystemParams, spectrum
+from .spectrum import ClosedLoopParams, Gains, spectrum
 
 __all__ = [
     "Target",
@@ -97,29 +97,63 @@ class AssignmentResult:
     certificate: str
 
 
-def _require_direct(sys, op):
-    if sys.input_delay:
-        raise DomainError(f"{op} applies to delayed-state plants; use assign_input_delay for input-delay plants")
+def _applicable(fn, sys, S):
+    """The normalized target, once fn's mode applies to the plant form and
+    the target kind; DomainError naming fn otherwise.
+
+    feasibility_report lists that DomainError's message as the detail of
+    a mode that does not apply.
+    """
+    if fn is assign_input_delay:
+        if not sys.input_delay:
+            raise DomainError(f"{fn.__name__} applies to input-delay plants only")
+    elif sys.input_delay:
+        raise DomainError(
+            f"{fn.__name__} applies to delayed-state plants; use assign_input_delay for input-delay plants"
+        )
+    t = as_target(S)
+    if fn is assign_both and t.v == 0.0:
+        raise DomainError(f"{fn.__name__} needs a complex target; for a real target use assign_real_both")
+    if fn is assign_real_both and t.v != 0.0:
+        raise DomainError(f"{fn.__name__} needs a real target; for a complex target use assign_both")
+    return t
 
 
-def _require_complex(t, op):
-    if t.v == 0.0:
-        raise DomainError(f"{op} needs a complex target; for a real target use assign_real_both")
-
-
-def _window_violation(vh):
-    """Signed distance by which v*h leaves the open interval (0, pi)."""
+def _window(t, h):
+    """v*h and the signed distance by which it leaves the branch-0 window
+    (0, pi), None inside it."""
+    vh = t.v * h
     if vh <= 0.0:
-        return vh
+        return vh, vh
     if vh >= math.pi:
-        return vh - math.pi
-    return None
+        return vh, vh - math.pi
+    return vh, None
 
 
-def _boundary_cert(u, v, alpha, h):
-    w = complex((u - alpha) * h, v * h)
-    ok = on_w0_boundary(w, 1e-9)
-    return f"(S - alpha)*h on branch-0 boundary: {ok}"
+def _in_window(fn, t, h):
+    """v*h with its sine and cosine, for the single-gain mode of fn.
+
+    Outside the window fn cannot make S the rightmost root; the raised
+    ConditionViolated carries the signed distance to the window.
+    """
+    vh, viol = _window(t, h)
+    if viol is not None:
+        raise ConditionViolated(
+            f"v*h = {vh:.9g} outside (0, pi); {fn.__name__} cannot make S the rightmost root",
+            residual=viol,
+        )
+    return vh, math.sin(vh), math.cos(vh)
+
+
+def _condition(text, r, scale, cond_tol, vh):
+    """Certificate that the equality text holds: its residual r vanishes
+    to cond_tol relative to scale; ConditionViolated otherwise."""
+    if abs(r) > cond_tol * scale:
+        raise ConditionViolated(
+            f"{text} fails: residual {r:.6g} exceeds tol {cond_tol:g} (relative)",
+            residual=r,
+        )
+    return f"{text} holds (residual {r:.3e}); window 0 < v*h < pi holds (v*h = {vh:.9g})"
 
 
 def assign_both(sys, S):
@@ -130,15 +164,12 @@ def assign_both(sys, S):
     still make S an eigenvalue, just not the rightmost one; the raised
     NotAssignableAsRightmost carries those would-be gains.
     """
-    _require_direct(sys, "assign_both")
-    t = as_target(S)
-    _require_complex(t, "assign_both")
+    t = _applicable(assign_both, sys, S)
     h = sys.h
-    vh = t.v * h
+    vh, viol = _window(t, h)
     sv = math.sin(vh)
     cv = math.cos(vh)
-    viol = _window_violation(vh)
-    if viol is not None and sv == 0.0:
+    if sv == 0.0:
         raise NotAssignableAsRightmost(
             f"v*h = {vh:.9g} is a multiple of pi; the gain formulas are singular there",
             window=(0.0, math.pi / h),
@@ -158,12 +189,15 @@ def assign_both(sys, S):
             closed_loop=cl,
             window=(0.0, math.pi / h),
         )
-    cert = f"window 0 < v*h < pi holds (v*h = {vh:.9g}); " + _boundary_cert(t.u, t.v, alpha, h)
+    on_boundary = on_w0_boundary(complex((t.u - alpha) * h, vh), 1e-9)
+    cert = f"window 0 < v*h < pi holds (v*h = {vh:.9g}); (S - alpha)*h on branch-0 boundary: {on_boundary}"
     return AssignmentResult(AssignmentMode.BOTH_GAINS, gains, cl, t.S, True, cert)
 
 
-def _delay_only_value(sys, t, cond_tol, op):
-    """Real value of (S - a)*e^{S h}, with the mode's precondition checks."""
+def _delay_only_value(fn, sys, S, cond_tol):
+    """Normalized target, real value of (S - a)*e^{S h} and certificate,
+    with the preconditions of fn's mode checked."""
+    t = _applicable(fn, sys, S)
     a, h = sys.a, sys.h
     if t.v == 0.0:
         margin = t.u - (a - 1.0 / h)
@@ -175,26 +209,12 @@ def _delay_only_value(sys, t, cond_tol, op):
         cert = f"S >= a - 1/h holds with margin {margin:.6g}"
         if abs((t.u - a) * h + 1.0) <= MARGINAL_TOL:
             cert += "; marginal: double rightmost root"
-        return (t.u - a) * math.exp(t.u * h), cert
-    vh = t.v * h
-    viol = _window_violation(vh)
-    if viol is not None:
-        raise ConditionViolated(
-            f"v*h = {vh:.9g} outside (0, pi); {op} cannot make S the rightmost root",
-            residual=viol,
-        )
-    sv = math.sin(vh)
-    cv = math.cos(vh)
+        return t, (t.u - a) * math.exp(t.u * h), cert
+    vh, sv, cv = _in_window(fn, t, h)
     cot_term = t.v * cv / sv
-    r = a - t.u - cot_term
-    scale = max(1.0, abs(a), abs(t.u), abs(cot_term))
-    if abs(r) > cond_tol * scale:
-        raise ConditionViolated(
-            f"a = u + v*cot(v*h) fails: residual {r:.6g} exceeds tol {cond_tol:g} (relative)",
-            residual=r,
-        )
-    cert = f"a = u + v*cot(v*h) holds (residual {r:.3e}); window 0 < v*h < pi holds (v*h = {vh:.9g})"
-    return math.exp(t.u * h) * ((t.u - a) * cv - t.v * sv), cert
+    cert = _condition("a = u + v*cot(v*h)", a - t.u - cot_term,
+                      max(1.0, abs(a), abs(t.u), abs(cot_term)), cond_tol, vh)
+    return t, math.exp(t.u * h) * ((t.u - a) * cv - t.v * sv), cert
 
 
 def assign_delay_only(sys, S, cond_tol=COND_TOL_DEFAULT):
@@ -203,9 +223,7 @@ def assign_delay_only(sys, S, cond_tol=COND_TOL_DEFAULT):
     alpha stays at the plant's a, so a complex target must already
     satisfy a = u + v*cot(v h); a real target needs S >= a - 1/h.
     """
-    _require_direct(sys, "assign_delay_only")
-    t = as_target(S)
-    value, cert = _delay_only_value(sys, t, cond_tol, "assign_delay_only")
+    t, value, cert = _delay_only_value(assign_delay_only, sys, S, cond_tol)
     gains = Gains(k=0.0, k1d=(value - sys.a1d) / sys.b)
     cl = ClosedLoopParams(sys.a, value, sys.h)
     return AssignmentResult(AssignmentMode.DELAY_ONLY, gains, cl, t.S, True, cert)
@@ -221,48 +239,30 @@ def assign_current_only(sys, S, cond_tol=COND_TOL_DEFAULT):
     computed spectrum and reported through the feasible flag instead
     of an exception.
     """
-    _require_direct(sys, "assign_current_only")
-    t = as_target(S)
+    t = _applicable(assign_current_only, sys, S)
     a, a1d, h = sys.a, sys.a1d, sys.h
     if t.v == 0.0:
-        k = (t.u - a - a1d * math.exp(-t.u * h)) / sys.b
-        gains = Gains(k=k, k1d=0.0)
-        cl = ClosedLoopParams(t.u - a1d * math.exp(-t.u * h), a1d, h)
-        rm = spectrum(cl, n_branches=0).rightmost
-        dist = abs(rm - t.S)
-        feasible = dist <= 1e-10
-        x = a1d * h * math.exp(-t.u * h)  # (S - alpha)*h at the designed gain
-        cert = (
-            f"S is an eigenvalue by construction; (S - alpha)*h = {x:.9g} "
-            f"({'>=' if x >= -1.0 else '<'} -1); spectrum rightmost = "
-            f"{rm.real:.9g}{rm.imag:+.9g}i, |rightmost - S| = {dist:.3e}"
-        )
-        return AssignmentResult(AssignmentMode.CURRENT_ONLY, gains, cl, t.S, feasible, cert)
-    vh = t.v * h
-    viol = _window_violation(vh)
-    if viol is not None:
-        raise ConditionViolated(
-            f"v*h = {vh:.9g} outside (0, pi); assign_current_only cannot make S the rightmost root",
-            residual=viol,
-        )
-    sv = math.sin(vh)
-    cv = math.cos(vh)
-    csc_term = t.v * math.exp(t.u * h) / sv
-    r = a1d + csc_term
-    scale = max(1.0, abs(a1d), abs(csc_term))
-    if abs(r) > cond_tol * scale:
-        raise ConditionViolated(
-            f"a1d + v*e^(u*h)*csc(v*h) = 0 fails: residual {r:.6g} exceeds tol {cond_tol:g} (relative)",
-            residual=r,
-        )
-    k = (t.u - a - a1d * math.exp(-t.u * h) * cv) / sys.b
-    gains = Gains(k=k, k1d=0.0)
-    cl = ClosedLoopParams(t.u - a1d * math.exp(-t.u * h) * cv, a1d, h)
+        shift = a1d * math.exp(-t.u * h)
+    else:
+        vh, sv, cv = _in_window(assign_current_only, t, h)
+        csc_term = t.v * math.exp(t.u * h) / sv
+        cert = _condition("a1d + v*e^(u*h)*csc(v*h) = 0", a1d + csc_term,
+                          max(1.0, abs(a1d), abs(csc_term)), cond_tol, vh)
+        shift = a1d * math.exp(-t.u * h) * cv
+    # k from S - a directly: (alpha - a)/b would add alpha's rounding
+    gains = Gains(k=(t.u - a - shift) / sys.b, k1d=0.0)
+    cl = ClosedLoopParams(t.u - shift, a1d, h)
+    if t.v != 0.0:
+        return AssignmentResult(AssignmentMode.CURRENT_ONLY, gains, cl, t.S, True, cert)
+    rm = spectrum(cl, n_branches=0).rightmost
+    dist = abs(rm - t.S)
+    x = a1d * h * math.exp(-t.u * h)  # (S - alpha)*h at the designed gain
     cert = (
-        f"a1d + v*e^(u*h)*csc(v*h) = 0 holds (residual {r:.3e}); "
-        f"window 0 < v*h < pi holds (v*h = {vh:.9g})"
+        f"S is an eigenvalue by construction; (S - alpha)*h = {x:.9g} "
+        f"({'>=' if x >= -1.0 else '<'} -1); spectrum rightmost = "
+        f"{rm.real:.9g}{rm.imag:+.9g}i, |rightmost - S| = {dist:.3e}"
     )
-    return AssignmentResult(AssignmentMode.CURRENT_ONLY, gains, cl, t.S, True, cert)
+    return AssignmentResult(AssignmentMode.CURRENT_ONLY, gains, cl, t.S, dist <= 1e-10, cert)
 
 
 def assign_real_both(sys, S, alpha_choice=None):
@@ -272,10 +272,7 @@ def assign_real_both(sys, S, alpha_choice=None):
     the branch-0 root at S.  The default alpha = S gives beta = 0, a
     delay-free closed loop.
     """
-    _require_direct(sys, "assign_real_both")
-    t = as_target(S)
-    if t.v != 0.0:
-        raise DomainError("assign_real_both needs a real target; for a complex target use assign_both")
+    t = _applicable(assign_real_both, sys, S)
     h = sys.h
     alpha = t.u if alpha_choice is None else float(alpha_choice)
     if not math.isfinite(alpha):
@@ -301,10 +298,7 @@ def assign_input_delay(sys, S, cond_tol=COND_TOL_DEFAULT):
     The loop gives alpha = a, beta = b*k, so the feasibility conditions
     match the delay-only mode and k = (S - a)*e^{S h}/b.
     """
-    if not sys.input_delay:
-        raise DomainError("assign_input_delay applies to input-delay plants only")
-    t = as_target(S)
-    value, cert = _delay_only_value(sys, t, cond_tol, "assign_input_delay")
+    t, value, cert = _delay_only_value(assign_input_delay, sys, S, cond_tol)
     gains = Gains(k=value / sys.b, k1d=0.0)
     cl = ClosedLoopParams(sys.a, value, sys.h)
     return AssignmentResult(AssignmentMode.INPUT_DELAY, gains, cl, t.S, True, cert)
@@ -329,52 +323,43 @@ class FeasibilityReport:
         return tuple(c.mode for c in self.checks if c.applicable and c.feasible)
 
 
-def _try(fn, *args, **kwargs):
-    try:
-        res = fn(*args, **kwargs)
-    except (ConditionViolated, NotAssignableAsRightmost, AlphaOutOfRange) as exc:
-        residual = getattr(exc, "residual", None)
-        if residual is None:
-            residual = getattr(exc, "margin", None)
-        return False, str(exc), residual
-    return res.feasible, res.certificate, None
+# every design mode with its function, in AssignmentMode order; the
+# function name gives the error text and the CLI's --mode name
+_MODES = (
+    (AssignmentMode.BOTH_GAINS, assign_both),
+    (AssignmentMode.DELAY_ONLY, assign_delay_only),
+    (AssignmentMode.CURRENT_ONLY, assign_current_only),
+    (AssignmentMode.REAL_BOTH, assign_real_both),
+    (AssignmentMode.INPUT_DELAY, assign_input_delay),
+)
 
 
 def feasibility_report(sys, S, cond_tol=COND_TOL_DEFAULT):
     """Check every design mode against one target.
 
-    Modes that do not apply to the plant form or target type are
-    listed with applicable=False; the rest carry the same condition
-    residuals the assign functions would raise or certify.
+    The checks come in AssignmentMode order.  A mode that does not apply
+    to the plant form or target kind is listed with applicable=False,
+    its detail the DomainError message its assign function raises.  The
+    rest carry the certificate, or the failure message and condition
+    residual, of their assign function; real_both instead reports the
+    whole admissible alpha interval.
     """
     t = as_target(S)
     checks = []
-
-    def add(mode, applicable, feasible=False, detail="", residual=None, alpha_interval=None):
-        checks.append(ModeCheck(mode, applicable, feasible, detail, residual, alpha_interval))
-
-    real = t.v == 0.0
-    if sys.input_delay:
-        for mode in (AssignmentMode.BOTH_GAINS, AssignmentMode.DELAY_ONLY,
-                     AssignmentMode.CURRENT_ONLY, AssignmentMode.REAL_BOTH):
-            add(mode, False, detail="plant is input-delay")
-        ok, detail, residual = _try(assign_input_delay, sys, t, cond_tol)
-        add(AssignmentMode.INPUT_DELAY, True, ok, detail, residual)
-        return FeasibilityReport(target=t.S, checks=tuple(checks))
-
-    add(AssignmentMode.INPUT_DELAY, False, detail="plant is not input-delay")
-    if real:
-        add(AssignmentMode.BOTH_GAINS, False, detail="target is real; covered by real_both")
-        bound = t.u + 1.0 / sys.h
-        add(AssignmentMode.REAL_BOTH, True, True,
-            f"feasible for any alpha <= S + 1/h = {bound:.9g}",
-            alpha_interval=(-math.inf, bound))
-    else:
-        add(AssignmentMode.REAL_BOTH, False, detail="target is complex; covered by both_gains")
-        ok, detail, residual = _try(assign_both, sys, t)
-        add(AssignmentMode.BOTH_GAINS, True, ok, detail, residual)
-    ok, detail, residual = _try(assign_delay_only, sys, t, cond_tol)
-    add(AssignmentMode.DELAY_ONLY, True, ok, detail, residual)
-    ok, detail, residual = _try(assign_current_only, sys, t, cond_tol)
-    add(AssignmentMode.CURRENT_ONLY, True, ok, detail, residual)
+    for mode, fn in _MODES:
+        try:
+            _applicable(fn, sys, t)
+        except DomainError as exc:
+            checks.append(ModeCheck(mode, False, False, str(exc)))
+            continue
+        if fn is assign_real_both:
+            bound = t.u + 1.0 / sys.h
+            checks.append(ModeCheck(mode, True, True, f"feasible for any alpha <= S + 1/h = {bound:.9g}",
+                                    alpha_interval=(-math.inf, bound)))
+            continue
+        try:
+            res = fn(sys, t) if fn is assign_both else fn(sys, t, cond_tol)
+            checks.append(ModeCheck(mode, True, res.feasible, res.certificate))
+        except (ConditionViolated, NotAssignableAsRightmost) as exc:
+            checks.append(ModeCheck(mode, True, False, str(exc), getattr(exc, "residual", None)))
     return FeasibilityReport(target=t.S, checks=tuple(checks))

@@ -22,13 +22,7 @@ import math
 import os
 import sys
 
-from .assign import (
-    assign_both,
-    assign_current_only,
-    assign_delay_only,
-    assign_input_delay,
-    assign_real_both,
-)
+from .assign import _MODES
 from .errors import (
     AlphaOutOfRange,
     ConditionViolated,
@@ -129,6 +123,10 @@ def _c(z):
     return {"re": z.real, "im": z.imag}
 
 
+def _loop(cl):
+    return {"alpha": cl.alpha, "beta": cl.beta, "h": cl.h}
+
+
 def _envelope(command, inputs, result, warnings):
     return {
         "schema_version": SCHEMA_VERSION,
@@ -163,7 +161,7 @@ def _error_payload(exc):
         payload["would_be_gains"] = {"k": gains.k, "k1d": gains.k1d}
     cl = getattr(exc, "closed_loop", None)
     if cl is not None:
-        payload["would_be_closed_loop"] = {"alpha": cl.alpha, "beta": cl.beta, "h": cl.h}
+        payload["would_be_closed_loop"] = _loop(cl)
     window = getattr(exc, "window", None)
     if window is not None:
         payload["admissible_v"] = list(window)
@@ -256,7 +254,7 @@ def cmd_spectrum(args):
         return "\n".join(lines) + "\n", []
     stable, margin = is_stable(cl)
     result = {
-        "closed_loop": {"alpha": cl.alpha, "beta": cl.beta, "h": cl.h},
+        "closed_loop": _loop(cl),
         "roots": [
             {"branch": r.branch, "re": r.s.real, "im": r.s.imag, "multiplicity": r.multiplicity}
             for r in sp.roots
@@ -280,13 +278,7 @@ def _target_from(args):
     return complex(args.target_re, args.target_im if args.target_im is not None else 0.0)
 
 
-_ASSIGN_MODES = {
-    "both": assign_both,
-    "delay-only": assign_delay_only,
-    "current-only": assign_current_only,
-    "real-both": assign_real_both,
-    "input-delay": assign_input_delay,
-}
+_ASSIGNERS = {fn.__name__.removeprefix("assign_").replace("_", "-"): fn for _, fn in _MODES}
 
 
 def cmd_assign(args):
@@ -295,19 +287,13 @@ def cmd_assign(args):
     sysp = SystemParams(args.a, a1d, args.b, args.h, input_delay=args.input_delay)
     if args.alpha is not None and args.mode != "real-both":
         raise DomainError("--alpha selects the decay coefficient for --mode real-both only")
-    if args.mode == "real-both":
-        res = assign_real_both(sysp, target, alpha_choice=args.alpha)
-    else:
-        res = _ASSIGN_MODES[args.mode](sysp, target)
+    assign = _ASSIGNERS[args.mode]
+    res = assign(sysp, target) if args.alpha is None else assign(sysp, target, alpha_choice=args.alpha)
     sp = spectrum(res.closed_loop, args.branches, k_max=_k_max())
     result = {
         "mode": res.mode.value,
         "gains": {"k": res.gains.k, "k1d": res.gains.k1d},
-        "closed_loop": {
-            "alpha": res.closed_loop.alpha,
-            "beta": res.closed_loop.beta,
-            "h": res.closed_loop.h,
-        },
+        "closed_loop": _loop(res.closed_loop),
         "predicted_rightmost": _c(res.predicted_rightmost),
         "certificate": res.certificate,
         "confirmation": {
@@ -428,7 +414,7 @@ def _build_parser():
     p.add_argument("--target-im", type=float, help="imaginary part of the target (default 0)")
     p.add_argument(
         "--mode",
-        choices=tuple(_ASSIGN_MODES),
+        choices=tuple(_ASSIGNERS),
         default="both",
         help="which gains carry the design (default: both)",
     )

@@ -89,8 +89,20 @@ class ClosedLoopParams:
 
     @property
     def w_argument(self):
-        """beta*h*e^{-alpha*h}, the argument handed to Lambert W."""
-        return self.beta * self.h * math.exp(-self.alpha * self.h)
+        """beta*h*e^{-alpha*h}, the argument handed to Lambert W.
+
+        Raises NonFiniteInput when it lies past the double range.
+        """
+        try:
+            z = self.beta * self.h * math.exp(-self.alpha * self.h)
+        except OverflowError:
+            z = math.inf
+        if math.isinf(z):
+            raise NonFiniteInput(
+                f"W argument beta*h*e^(-alpha*h) overflows for alpha = {self.alpha!r}, "
+                f"beta = {self.beta!r}, h = {self.h!r}"
+            )
+        return z
 
 
 @dataclass(frozen=True)
@@ -135,12 +147,11 @@ def char_residual(cl, s):
     return s - cl.alpha - cl.beta * cmath.exp(-s * cl.h)
 
 
-def _root(cl, k, z, tol):
-    w = lambert_w(k, z, tol=tol)
-    return cl.alpha + w.w / cl.h
+def _root(cl, k, z):
+    return cl.alpha + lambert_w(k, z).w / cl.h
 
 
-def _rightmost(cl, tol=1e-14):
+def _rightmost(cl):
     """Branch-0 root and its multiplicity, as (s0, multiplicity)."""
     if cl.beta == 0.0:
         # delay term vanishes; W_k(0) exists only for k = 0
@@ -151,10 +162,10 @@ def _rightmost(cl, tol=1e-14):
         # exactly; evaluating W_0(z) here instead would leak a spurious
         # imaginary part of order sqrt(|z + 1/e|)
         return complex(cl.alpha - 1.0 / cl.h, 0.0), 2
-    return _root(cl, 0, z, tol), 1
+    return _root(cl, 0, z), 1
 
 
-def spectrum(cl, n_branches, k_max=K_MAX_DEFAULT, tol=1e-14):
+def spectrum(cl, n_branches, k_max=K_MAX_DEFAULT):
     """Enumerate characteristic roots branch by branch.
 
     Parameters
@@ -176,6 +187,14 @@ def spectrum(cl, n_branches, k_max=K_MAX_DEFAULT, tol=1e-14):
         imaginary part).  The rightmost root always carries branch 0;
         when the W argument sits within COALESCENCE_TOL of -1/e the
         coalesced branch-0/-1 pair is reported once with multiplicity 2.
+
+    Raises
+    ------
+    NonFiniteInput
+        If the W argument beta*h*e^{-alpha h} overflows.
+    DomainError
+        If n_branches is invalid, or the W argument underflows to 0 with
+        beta != 0: W_k(0) diverges for every k != 0.
     """
     if isinstance(n_branches, bool) or not isinstance(n_branches, int):
         raise DomainError(f"n_branches must be an integer, got {n_branches!r}")
@@ -183,20 +202,24 @@ def spectrum(cl, n_branches, k_max=K_MAX_DEFAULT, tol=1e-14):
         raise DomainError(f"n_branches must be >= 0, got {n_branches}")
     if n_branches > k_max:
         raise DomainError(f"n_branches = {n_branches} exceeds k_max = {k_max}")
-    s0, multiplicity = _rightmost(cl, tol)
+    s0, multiplicity = _rightmost(cl)
     roots = [SpectrumRoot(0, s0, multiplicity)]
     if cl.beta != 0.0:
         z = cl.w_argument
+        if z == 0.0:
+            raise DomainError(
+                f"W argument beta*h*e^(-alpha*h) underflows to 0 for alpha = {cl.alpha!r}, "
+                f"beta = {cl.beta!r}, h = {cl.h!r}; W_k(0) diverges for the branches k != 0"
+            )
         if multiplicity == 1 and z < BRANCH_POINT_Z:
             # on the cut: branch -1 is the conjugate partner of branch 0
             roots.append(SpectrumRoot(-1, s0.conjugate(), 1))
-        elif multiplicity == 1 and z <= 0.0:
-            # -1/e < z < 0: branch -1 is the second real root (z == 0 only
-            # when the argument underflows, and W_-1(0) raises DomainError)
-            roots.append(SpectrumRoot(-1, _root(cl, -1, z, tol), 1))
+        elif multiplicity == 1 and z < 0.0:
+            # -1/e < z < 0: branch -1 is the second real root
+            roots.append(SpectrumRoot(-1, _root(cl, -1, z), 1))
         # for z < 0 branch k pairs with branch -k-1, for z > 0 with -k
         for k in range(1, n_branches + 1):
-            sk = _root(cl, k, z, tol)
+            sk = _root(cl, k, z)
             roots.append(SpectrumRoot(k, sk, 1))
             roots.append(SpectrumRoot(-k if z > 0.0 else -k - 1, sk.conjugate(), 1))
     roots.sort(key=lambda r: (-r.s.real, r.s.imag))

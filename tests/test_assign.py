@@ -321,6 +321,34 @@ def test_feasibility_report_complex_target():
     assert rep.feasible_modes() == ()
 
 
+MODE_FUNCTIONS = {
+    AssignmentMode.BOTH_GAINS: assign_both,
+    AssignmentMode.DELAY_ONLY: assign_delay_only,
+    AssignmentMode.CURRENT_ONLY: assign_current_only,
+    AssignmentMode.REAL_BOTH: assign_real_both,
+    AssignmentMode.INPUT_DELAY: assign_input_delay,
+}
+
+
+@pytest.mark.parametrize("plant", [PLANT, SystemParams(a=0.0, a1d=0.0, b=1.0, h=1.0, input_delay=True)],
+                         ids=["direct", "input-delay"])
+@pytest.mark.parametrize("S", [0.5, -0.5 + 1.5j], ids=["real", "complex"])
+def test_feasibility_report_applicability_matches_functions(plant, S):
+    # a mode is applicable exactly when its function raises no DomainError,
+    # and a non-applicable row quotes that DomainError
+    rep = feasibility_report(plant, S)
+    assert [c.mode for c in rep.checks] == list(AssignmentMode)
+    for check in rep.checks:
+        try:
+            res = MODE_FUNCTIONS[check.mode](plant, S)
+        except DomainError as exc:
+            assert (check.applicable, check.detail) == (False, str(exc))
+        except (ConditionViolated, NotAssignableAsRightmost):
+            assert check.applicable and not check.feasible
+        else:
+            assert check.applicable and res.mode == check.mode
+
+
 def test_feasibility_report_input_delay():
     sys = SystemParams(a=0.0, a1d=0.0, b=1.0, h=1.0, input_delay=True)
     rep = feasibility_report(sys, 0.0)

@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line front end."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -43,6 +45,81 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, env=source_env())
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout
+
+
+# Fixed commands whose stdout, exit code and --out file must not change by
+# a single byte.  The recorded outputs live in cli_golden.json; after an
+# intended output change, rewrite it with
+#     PYTHONPATH=src python tests/test_cli.py
+# The floats come from the platform libm (exp, sin, cos), so the file
+# pins one platform's results.
+_PLANT = ("--a", "1", "--a1d", "-1", "--b", "1", "--h", "1")
+# a = u + v*cot(v*h) and a1d = -v*e^(u*h)/sin(v*h) for S = -0.5+1.5i, h = 1
+_DELAY_PLANT = ("--a", "-0.3936277335460213", "--a1d", "0.3", "--b", "2", "--h", "1")
+_CURRENT_PLANT = ("--a", "0.7", "--a1d", "-0.912080764101208", "--b", "2", "--h", "1")
+_INPUT_PLANT = ("--a", "0", "--b", "1", "--h", "1", "--input-delay")
+GOLDEN_COMMANDS = {
+    "assign-both": ("assign", *_PLANT, "--target", "-0.092484+1.9973i", "--mode", "both"),
+    "assign-both-parts": ("assign", *_PLANT, "--target-re", "-0.5", "--target-im", "1.5"),
+    "assign-both-window": ("assign", *_PLANT, "--target", "-1+4i", "--mode", "both"),
+    "assign-both-real-target": ("assign", *_PLANT, "--target", "-1", "--mode", "both"),
+    "assign-delay-only": ("assign", *_DELAY_PLANT, "--target", "-0.5+1.5i", "--mode", "delay-only"),
+    "assign-delay-only-real": ("assign", *_PLANT, "--target", "0.5", "--mode", "delay-only"),
+    "assign-delay-only-condition": ("assign", *_PLANT, "--target", "-0.5+1.5i", "--mode", "delay-only"),
+    "assign-delay-only-window": ("assign", *_DELAY_PLANT, "--target", "-0.5+3.5i", "--mode", "delay-only"),
+    "assign-delay-only-real-bound": ("assign", *_PLANT, "--target", "-0.5", "--mode", "delay-only"),
+    "assign-current-only": ("assign", *_CURRENT_PLANT, "--target", "-0.5+1.5i", "--mode", "current-only"),
+    "assign-current-only-real": ("assign", *_PLANT, "--target", "0.5", "--mode", "current-only"),
+    "assign-current-only-real-not-rightmost": ("assign", *_PLANT, "--target", "-1",
+                                               "--mode", "current-only"),
+    "assign-current-only-condition": ("assign", *_PLANT, "--target", "-0.5+1.5i", "--mode", "current-only"),
+    "assign-current-only-window": ("assign", *_CURRENT_PLANT, "--target", "-0.5+3.5i",
+                                   "--mode", "current-only"),
+    "assign-real-both": ("assign", *_PLANT, "--target", "-1", "--mode", "real-both"),
+    "assign-real-both-alpha": ("assign", *_PLANT, "--target-re", "-1", "--mode", "real-both",
+                               "--alpha", "-1.5"),
+    "assign-real-both-alpha-bound": ("assign", *_PLANT, "--target", "-1", "--mode", "real-both",
+                                     "--alpha", "0.5"),
+    "assign-real-both-complex-target": ("assign", *_PLANT, "--target", "-1+1i", "--mode", "real-both"),
+    "assign-input-delay": ("assign", *_INPUT_PLANT, "--target", "0", "--mode", "input-delay"),
+    "assign-input-delay-condition": ("assign", *_INPUT_PLANT, "--target", "1+2i", "--mode", "input-delay"),
+    "assign-input-delay-on-direct-plant": ("assign", *_PLANT, "--target", "0", "--mode", "input-delay"),
+    "assign-both-on-input-delay-plant": ("assign", *_INPUT_PLANT, "--target", "-1+1i", "--mode", "both"),
+    "wk-branch-0-real": ("wk", "--branch", "0", "--re", "0.5"),
+    "wk-branch-minus-1-real": ("wk", "--branch", "-1", "--re", "-0.2"),
+    "wk-cut": ("wk", "--branch", "0", "--re", "-1"),
+    "wk-off-axis": ("wk", "--branch", "2", "--re", "1", "--im", "3", "--tol", "1e-10"),
+    "spectrum-json": ("spectrum", "--alpha", "-1", "--beta", "-2", "--h", "1", "--branches", "3"),
+    "spectrum-csv": ("spectrum", "--alpha", "-1", "--beta", "-2", "--h", "1", "--branches", "3",
+                     "--format", "csv"),
+    "spectrum-coalescence": ("spectrum", *_PLANT),
+    "spectrum-coalescence-csv": ("spectrum", *_PLANT, "--branches", "2", "--format", "csv"),
+    "spectrum-overflow": ("spectrum", "--alpha=-300", "--beta=1", "--h=3"),
+    "verify": ("verify", "--alpha", "-1", "--beta", "-2", "--h", "1", "--branches", "3"),
+    "verify-mismatch": ("verify", "--alpha", "-1", "--beta", "-2", "--h", "1", "--branches", "3",
+                        "--match-tol", "1e-300"),
+    "simulate-out": ("simulate", *_PLANT, "--k", "-2", "--k1d", "-1", "--tfinal", "10",
+                     "--step", "0.05", "--out", "traj.csv"),
+}
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+
+def golden_run(argv):
+    """Exit code, stdout and the --out file's text of one command, run in
+    the current directory."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    out = Path(argv[argv.index("--out") + 1]).read_text() if "--out" in argv else None
+    return {"exit": code, "stdout": buf.getvalue(), "out": out}
+
+
+@pytest.mark.parametrize("name", GOLDEN_COMMANDS)
+def test_golden_output(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DELAYW_KMAX", raising=False)
+    expected = json.loads(GOLDEN.read_text())[name]
+    assert golden_run(GOLDEN_COMMANDS[name]) == expected
 
 
 class TestParseComplex:
@@ -189,6 +266,11 @@ class TestSpectrum:
             branch, re, im, mult = line.split(",")
             int(branch), float(re), float(im), int(mult)
 
+    def test_w_argument_overflow(self, capsys):
+        code, env = run_json(capsys, "spectrum", "--alpha=-300", "--beta=1", "--h=3")
+        assert code == 2
+        assert env["result"]["error"] == "NonFiniteInput"
+
     def test_mixed_forms_rejected(self, capsys):
         code, env = run_json(capsys, "spectrum", "--alpha", "-1", "--beta", "0",
                              "--a", "1", "--h", "1")
@@ -253,6 +335,14 @@ class TestAssign:
         code, env = run_json(capsys, "assign", "--a", "1", "--a1d", "-1", "--b", "1",
                              "--h", "1", "--target", "-0.5+1.5i", "--alpha", "-2")
         assert code == 2
+
+    def test_mode_names(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["assign", "--help"])
+        assert "--mode {both,delay-only,current-only,real-both,input-delay}" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["assign", *_PLANT, "--target", "-1", "--mode", "both-gains"])
+        assert exc.value.code == 2
 
     def test_help_documents_grammar(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -359,3 +449,13 @@ class TestSimulate:
                              "--h", "1", "--tfinal", "0.5")
         assert code == 2
         assert env["result"]["error"] == "InvalidStep"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    os.environ.pop("DELAYW_KMAX", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        golden = {name: golden_run(argv) for name, argv in GOLDEN_COMMANDS.items()}
+    GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")

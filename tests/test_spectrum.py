@@ -15,6 +15,7 @@ from delayw import (
     SystemParams,
     char_residual,
     close_loop,
+    cross_validate,
     is_stable,
     spectrum,
 )
@@ -133,6 +134,25 @@ def test_validation_errors():
     for bad in (2.5, 2.0, math.nan, True):
         with pytest.raises(DomainError):
             spectrum(cl, n_branches=bad)
+
+
+@pytest.mark.parametrize("alpha, beta", [(-300.0, 1.0), (-230.0, 1e10)])
+def test_w_argument_overflow(alpha, beta):
+    # e^{-alpha h} itself overflows, or only its product with beta*h
+    cl = ClosedLoopParams(alpha, beta, 3.0)
+    for call in (lambda: cl.w_argument, lambda: spectrum(cl, 2), lambda: is_stable(cl),
+                 lambda: cross_validate(cl, 2)):
+        with pytest.raises(NonFiniteInput, match=r"beta\*h\*e\^\(-alpha\*h\) overflows"):
+            call()
+
+
+@pytest.mark.parametrize("beta", [-1.0, 1.0])
+def test_w_argument_underflow(beta):
+    # W_0(0) still gives the rightmost root, W_k(0) for k != 0 diverges
+    cl = ClosedLoopParams(300.0, beta, 3.0)
+    assert is_stable(cl) == (False, 300.0)
+    with pytest.raises(DomainError, match="underflows to 0"):
+        spectrum(cl, 0)
 
 
 finite = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
