@@ -41,7 +41,7 @@ from .oracle import (
 )
 from .lambertw import (
     BRANCH_POINT_Z,
-    K_MAX_DEFAULT,
+    K_MAX,
     WValue,
     lambert_w,
     lambert_w_real,
@@ -67,7 +67,6 @@ from .sim import (
     LinearHistory,
     SampledHistory,
     Trajectory,
-    estimate_dominant_eig,
     estimate_dominant_eig_detailed,
     simulate,
 )

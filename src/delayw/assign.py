@@ -119,10 +119,20 @@ def _applicable(fn, sys, S):
     return t
 
 
+def _exp(x, name):
+    """e^x, or NonFiniteInput naming the quantity when it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise NonFiniteInput(f"{name} overflows: exponent {x!r}") from None
+
+
 def _window(t, h):
     """v*h and the signed distance by which it leaves the branch-0 window
     (0, pi), None inside it."""
     vh = t.v * h
+    if math.isinf(vh):
+        raise NonFiniteInput(f"v*h overflows for v = {t.v!r}, h = {h!r}")
     if vh <= 0.0:
         return vh, vh
     if vh >= math.pi:
@@ -175,7 +185,7 @@ def assign_both(sys, S):
             window=(0.0, math.pi / h),
         )
     alpha = t.u + t.v * cv / sv
-    beta = -t.v * math.exp(t.u * h) / sv
+    beta = -t.v * _exp(t.u * h, "e^(u*h)") / sv
     gains = Gains(k=(alpha - sys.a) / sys.b, k1d=(beta - sys.a1d) / sys.b)
     # carry the designed coefficients, not close_loop(sys, gains): the
     # gain round trip a1d + b*k1d loses beta to cancellation once
@@ -209,12 +219,12 @@ def _delay_only_value(fn, sys, S, cond_tol):
         cert = f"S >= a - 1/h holds with margin {margin:.6g}"
         if abs((t.u - a) * h + 1.0) <= MARGINAL_TOL:
             cert += "; marginal: double rightmost root"
-        return t, (t.u - a) * math.exp(t.u * h), cert
+        return t, (t.u - a) * _exp(t.u * h, "e^(u*h)"), cert
     vh, sv, cv = _in_window(fn, t, h)
     cot_term = t.v * cv / sv
     cert = _condition("a = u + v*cot(v*h)", a - t.u - cot_term,
                       max(1.0, abs(a), abs(t.u), abs(cot_term)), cond_tol, vh)
-    return t, math.exp(t.u * h) * ((t.u - a) * cv - t.v * sv), cert
+    return t, _exp(t.u * h, "e^(u*h)") * ((t.u - a) * cv - t.v * sv), cert
 
 
 def assign_delay_only(sys, S, cond_tol=COND_TOL_DEFAULT):
@@ -242,13 +252,13 @@ def assign_current_only(sys, S, cond_tol=COND_TOL_DEFAULT):
     t = _applicable(assign_current_only, sys, S)
     a, a1d, h = sys.a, sys.a1d, sys.h
     if t.v == 0.0:
-        shift = a1d * math.exp(-t.u * h)
+        shift = a1d * _exp(-t.u * h, "e^(-u*h)")
     else:
         vh, sv, cv = _in_window(assign_current_only, t, h)
-        csc_term = t.v * math.exp(t.u * h) / sv
+        csc_term = t.v * _exp(t.u * h, "e^(u*h)") / sv
         cert = _condition("a1d + v*e^(u*h)*csc(v*h) = 0", a1d + csc_term,
                           max(1.0, abs(a1d), abs(csc_term)), cond_tol, vh)
-        shift = a1d * math.exp(-t.u * h) * cv
+        shift = a1d * _exp(-t.u * h, "e^(-u*h)") * cv
     # k from S - a directly: (alpha - a)/b would add alpha's rounding
     gains = Gains(k=(t.u - a - shift) / sys.b, k1d=0.0)
     cl = ClosedLoopParams(t.u - shift, a1d, h)
@@ -283,7 +293,7 @@ def assign_real_both(sys, S, alpha_choice=None):
             f"alpha = {alpha:.9g} exceeds S + 1/h = {bound:.9g}; the branch-0 root would lie right of S",
             margin=bound - alpha,
         )
-    beta = (t.u - alpha) * math.exp(t.u * h)
+    beta = (t.u - alpha) * _exp(t.u * h, "e^(u*h)")
     gains = Gains(k=(alpha - sys.a) / sys.b, k1d=(beta - sys.a1d) / sys.b)
     cl = ClosedLoopParams(alpha, beta, sys.h)
     cert = f"alpha = {alpha:.9g} <= S + 1/h = {bound:.9g}"

@@ -12,14 +12,12 @@ The one non-JSON mode is ``spectrum --format csv``, which emits a bare
 root table instead (header ``branch,re,im,multiplicity``).
 
 Exit codes: 0 success, 2 invalid input, 3 infeasible assignment,
-4 verification mismatch.  Set ``DELAYW_KMAX`` to raise the branch
-index bound when more than the default number of branches is needed.
+4 verification mismatch.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 
 from .assign import _MODES
@@ -33,7 +31,7 @@ from .errors import (
     NonFiniteInput,
     NotAssignableAsRightmost,
 )
-from .lambertw import K_MAX_DEFAULT, lambert_w
+from .lambertw import lambert_w
 from .oracle import cross_validate
 from .sim import (
     ConstantHistory,
@@ -45,7 +43,6 @@ from .sim import (
 from .spectrum import ClosedLoopParams, Gains, SystemParams, close_loop, is_stable, spectrum
 
 SCHEMA_VERSION = "1"
-ENV_K_MAX = "DELAYW_KMAX"
 
 COMPLEX_GRAMMAR = (
     'complex literal: "<re>", "<im>i", or "<re>+<im>i" / "<re>-<im>i"; '
@@ -68,19 +65,6 @@ def parse_complex(text):
         raise DomainError(f"cannot parse {text!r}; expected {COMPLEX_GRAMMAR}") from None
     if not (math.isfinite(val.real) and math.isfinite(val.imag)):
         raise NonFiniteInput(f"complex literal must be finite, got {text!r}")
-    return val
-
-
-def _k_max():
-    raw = os.environ.get(ENV_K_MAX)
-    if raw is None:
-        return K_MAX_DEFAULT
-    try:
-        val = int(raw)
-    except ValueError:
-        raise DomainError(f"{ENV_K_MAX} must be an integer, got {raw!r}") from None
-    if val < 0:
-        raise DomainError(f"{ENV_K_MAX} must be nonnegative, got {val}")
     return val
 
 
@@ -236,7 +220,7 @@ def _closed_loop_from(args):
 
 
 def cmd_wk(args):
-    res = lambert_w(args.branch, complex(args.re, args.im), tol=args.tol, k_max=_k_max())
+    res = lambert_w(args.branch, complex(args.re, args.im), tol=args.tol)
     return {
         "w": _c(res.w),
         "residual": res.residual,
@@ -246,7 +230,7 @@ def cmd_wk(args):
 
 def cmd_spectrum(args):
     cl = _closed_loop_from(args)
-    sp = spectrum(cl, args.branches, k_max=_k_max())
+    sp = spectrum(cl, args.branches)
     if args.format == "csv":
         lines = ["branch,re,im,multiplicity"]
         for r in sp.roots:
@@ -289,7 +273,7 @@ def cmd_assign(args):
         raise DomainError("--alpha selects the decay coefficient for --mode real-both only")
     assign = _ASSIGNERS[args.mode]
     res = assign(sysp, target) if args.alpha is None else assign(sysp, target, alpha_choice=args.alpha)
-    sp = spectrum(res.closed_loop, args.branches, k_max=_k_max())
+    sp = spectrum(res.closed_loop, args.branches)
     result = {
         "mode": res.mode.value,
         "gains": {"k": res.gains.k, "k1d": res.gains.k1d},
@@ -307,7 +291,7 @@ def cmd_assign(args):
 
 def cmd_verify(args):
     cl = _closed_loop_from(args)
-    report = cross_validate(cl, args.branches, match_tol=args.match_tol, k_max=_k_max())
+    report = cross_validate(cl, args.branches, match_tol=args.match_tol)
     result = {
         "match": True,
         "spectrum_count": report.spectrum_count,
@@ -348,7 +332,7 @@ def cmd_simulate(args):
     if args.out is not None:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(traj.to_csv())
-    prediction = spectrum(cl, 0, k_max=_k_max()).rightmost
+    prediction = spectrum(cl, 0).rightmost
     result = {
         "n_samples": len(traj.times),
         "step": traj.step,

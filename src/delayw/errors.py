@@ -10,7 +10,7 @@ class NonFiniteInput(DelayWError, ValueError):
 
 
 class BranchOutOfRange(DelayWError, ValueError):
-    """Requested Lambert W branch index exceeds the configured bound."""
+    """Requested Lambert W branch index exceeds the kernel bound K_MAX."""
 
 
 class NoConvergence(DelayWError, RuntimeError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .errors import BranchOutOfRange, DomainError, NoConvergence, NonFiniteInput
 
 __all__ = [
-    "K_MAX_DEFAULT",
+    "K_MAX",
     "BRANCH_POINT_Z",
     "WValue",
     "lambert_w",
@@ -33,7 +33,10 @@ __all__ = [
     "on_w0_boundary",
 ]
 
-K_MAX_DEFAULT = 1024
+# Largest |k| the kernel evaluates.  W_k exists for every integer k;
+# the bound sits well inside the range where the kernel stays within
+# one eps of 50-digit mpmath (|k| up to 2^40, |z| over the double range).
+K_MAX = 2**32
 
 # z at which branches 0 and -1 meet, w = -1 there.
 BRANCH_POINT_Z = -math.exp(-1.0)
@@ -252,13 +255,13 @@ def _eval_complex(k, z, res_tol, rtol):
     return _halley(z, seed, res_tol, rtol)
 
 
-def lambert_w(k, z, tol=1e-14, k_max=K_MAX_DEFAULT):
+def lambert_w(k, z, tol=1e-14):
     """Evaluate branch k of the Lambert W function at z.
 
     Parameters
     ----------
     k : int
-        Branch index, |k| <= k_max.
+        Branch index, |k| <= K_MAX.
     z : complex
         Argument.  A real part below -1/e with imaginary part +-0.0 is
         evaluated on the branch cut as the limit from above.
@@ -266,9 +269,6 @@ def lambert_w(k, z, tol=1e-14, k_max=K_MAX_DEFAULT):
         Relative residual tolerance; the returned value satisfies
         ``abs(w*exp(w) - z) <= tol*abs(z)``, up to the conditioning floor
         of a few ulps of ``w*exp(w)`` and of ``z``.
-    k_max : int, optional
-        Bound on |k|; branches beyond it are rejected rather than
-        approximated.
 
     Returns
     -------
@@ -278,7 +278,8 @@ def lambert_w(k, z, tol=1e-14, k_max=K_MAX_DEFAULT):
     Raises
     ------
     BranchOutOfRange
-        If |k| > k_max.
+        If |k| > K_MAX, the bound of the checked range; branches beyond
+        it are rejected rather than approximated.
     NonFiniteInput
         If z is NaN or infinite.
     DomainError
@@ -290,8 +291,8 @@ def lambert_w(k, z, tol=1e-14, k_max=K_MAX_DEFAULT):
     """
     if isinstance(k, bool) or not isinstance(k, int):
         raise DomainError(f"branch index must be an integer, got {k!r}")
-    if abs(k) > k_max:
-        raise BranchOutOfRange(f"|k| = {abs(k)} exceeds k_max = {k_max}")
+    if abs(k) > K_MAX:
+        raise BranchOutOfRange(f"|k| = {abs(k)} exceeds K_MAX = {K_MAX}")
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise NonFiniteInput(f"z must be finite, got {z!r}")

@@ -30,10 +30,10 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import BoundaryRootSuspected, DomainError, MismatchDetected, NoConvergence
-from .lambertw import K_MAX_DEFAULT
 from .spectrum import spectrum
 
 __all__ = [
+    "CLUSTER_TOL",
     "SearchRect",
     "LocatedRoot",
     "RootSet",
@@ -465,7 +465,7 @@ def _enclosing_rect(roots, h):
     return SearchRect(re_lo - re_pad, re_hi + re_pad, im_lo - im_pad, im_hi + im_pad)
 
 
-def cross_validate(cl, n_branches, match_tol=1e-8, k_max=K_MAX_DEFAULT):
+def cross_validate(cl, n_branches, match_tol=1e-8):
     """Check the branch-based spectrum against the boundary oracle.
 
     Encloses the requested branches in a padded rectangle, re-locates
@@ -474,7 +474,7 @@ def cross_validate(cl, n_branches, match_tol=1e-8, k_max=K_MAX_DEFAULT):
     any count difference or a matched pair further apart than
     match_tol; either would mean a bug in one of the two paths.
     """
-    sp = spectrum(cl, n_branches, k_max=k_max)
+    sp = spectrum(cl, n_branches)
     rect = _enclosing_rect(sp.roots, cl.h)
     located = find_roots(cl, rect)
 

@@ -11,10 +11,10 @@ alpha*dt): the same step up to rounding, so the error stays O(step^4).
 The first delay interval queries the history up front, later ones read
 stored nodes.
 
-estimate_dominant_eig recovers the dominant characteristic root from
-a trajectory tail: decay rate from a least-squares line through the
-log of the peak envelope (or of |x| itself for non-oscillatory tails),
-frequency from the mean zero-crossing spacing.
+estimate_dominant_eig_detailed recovers the dominant characteristic
+root from the trajectory's second half: decay rate from a least-squares
+line through the log of the peak envelope (or of |x| itself for
+non-oscillatory tails), frequency from the mean zero-crossing spacing.
 """
 
 import math
@@ -31,12 +31,13 @@ __all__ = [
     "Trajectory",
     "EigEstimate",
     "simulate",
-    "estimate_dominant_eig",
     "estimate_dominant_eig_detailed",
 ]
 
 # state magnitude past which the integration stops and flags truncation
 OVERFLOW_LIMIT = 1e300
+# share of the trajectory, from its end, that the estimator fits
+TAIL_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -259,17 +260,24 @@ def _lsq_slope(ts, ys):
     return slope, math.sqrt(rss / n)
 
 
-def estimate_dominant_eig_detailed(traj, tail_fraction=0.5):
-    """Fit the dominant characteristic root to a trajectory tail.
+def estimate_dominant_eig_detailed(traj):
+    """EigEstimate of the dominant characteristic root, fitted to a
+    trajectory tail: the last TAIL_FRACTION of the samples.
 
-    See estimate_dominant_eig for the contract; this variant returns
-    the EigEstimate record with fit diagnostics instead of the bare
-    complex value.
+    Oscillatory tails (at least 10 zero crossings, roughly 5 periods)
+    give rate + i*frequency: the rate is the least-squares slope of the
+    log peak envelope, the frequency pi over the mean crossing spacing.
+    Single-signed tails need at least 10 e-foldings and give a real
+    rate.  Tails near-constant relative to their own amplitude return 0.
+
+    Raises
+    ------
+    InsufficientData
+        Tail too short, too few crossings/e-foldings, or zero values
+        breaking the log fit.
     """
-    if not (0.0 < tail_fraction <= 1.0):
-        raise DomainError(f"tail_fraction must lie in (0, 1], got {tail_fraction!r}")
     n = len(traj.values)
-    start = min(n - 1, max(0, n - int(math.ceil(n * tail_fraction))))
+    start = n - math.ceil(n * TAIL_FRACTION)
     ts = traj.times[start:]
     xs = traj.values[start:]
     if len(xs) < 20:
@@ -325,21 +333,3 @@ def estimate_dominant_eig_detailed(traj, tail_fraction=0.5):
             f"monotone tail spans {efold:.2f} e-foldings; need 10 for a trustworthy rate")
     rate, resid = _lsq_slope(ts, [math.log(abs(x)) for x in xs])
     return EigEstimate(complex(rate, 0.0), "monotone", resid, 0)
-
-
-def estimate_dominant_eig(traj, tail_fraction=0.5):
-    """Dominant characteristic root estimated from a trajectory tail.
-
-    Oscillatory tails (at least 10 zero crossings, roughly 5 periods)
-    give rate + i*frequency: the rate is the least-squares slope of the
-    log peak envelope, the frequency pi over the mean crossing spacing.
-    Single-signed tails need at least 10 e-foldings and give a real
-    rate.  Tails near-constant relative to their own amplitude return 0.
-
-    Raises
-    ------
-    InsufficientData
-        Tail too short, too few crossings/e-foldings, or zero values
-        breaking the log fit.
-    """
-    return estimate_dominant_eig_detailed(traj, tail_fraction).value

@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InvalidGain, NonFiniteInput, DomainError
-from .lambertw import BRANCH_POINT_Z, K_MAX_DEFAULT, lambert_w
+from .lambertw import BRANCH_POINT_Z, K_MAX, lambert_w
 
 __all__ = [
+    "COALESCENCE_TOL",
     "SystemParams",
     "Gains",
     "ClosedLoopParams",
@@ -119,10 +120,6 @@ class Spectrum:
     roots: tuple = field(default_factory=tuple)
     rightmost: complex = complex(0.0)
 
-    @property
-    def total_multiplicity(self):
-        return sum(r.multiplicity for r in self.roots)
-
 
 def close_loop(sys, gains):
     """Combine plant and feedback law into closed-loop coefficients.
@@ -165,20 +162,18 @@ def _rightmost(cl):
     return _root(cl, 0, z), 1
 
 
-def spectrum(cl, n_branches, k_max=K_MAX_DEFAULT):
+def spectrum(cl, n_branches):
     """Enumerate characteristic roots branch by branch.
 
     Parameters
     ----------
     cl : ClosedLoopParams
     n_branches : int
-        Highest branch index to include; anything but a non-negative
-        int (a bool included) raises DomainError.  The root set is kept
-        closed under conjugation, so for negative real W arguments the
-        partner of branch k is branch -k-1 and the listing extends to
-        -(n+1).
-    k_max : int, optional
-        Branch bound forwarded to the W kernel.
+        Highest branch index to include, at most the W kernel's K_MAX;
+        anything but a non-negative int (a bool included) raises
+        DomainError.  The root set is kept closed under conjugation, so
+        for negative real W arguments the partner of branch k is branch
+        -k-1 and the listing extends to -(n+1).
 
     Returns
     -------
@@ -200,8 +195,8 @@ def spectrum(cl, n_branches, k_max=K_MAX_DEFAULT):
         raise DomainError(f"n_branches must be an integer, got {n_branches!r}")
     if n_branches < 0:
         raise DomainError(f"n_branches must be >= 0, got {n_branches}")
-    if n_branches > k_max:
-        raise DomainError(f"n_branches = {n_branches} exceeds k_max = {k_max}")
+    if n_branches > K_MAX:
+        raise DomainError(f"n_branches = {n_branches} exceeds K_MAX = {K_MAX}")
     s0, multiplicity = _rightmost(cl)
     roots = [SpectrumRoot(0, s0, multiplicity)]
     if cl.beta != 0.0:

@@ -27,7 +27,7 @@ from delayw import (
     assign_delay_only,
     assign_real_both,
     cross_validate,
-    estimate_dominant_eig,
+    estimate_dominant_eig_detailed,
     lambert_w,
     lambert_w_real,
     simulate,
@@ -254,7 +254,7 @@ def test_acceptance_6_simulation_confirmation():
     assert r.closed_loop.alpha == pytest.approx(-1.0, abs=1e-4)
     assert r.closed_loop.beta == pytest.approx(-2.0, abs=1e-4)
     traj = simulate(r.closed_loop, init, 40.0)
-    est = estimate_dominant_eig(traj)
+    est = estimate_dominant_eig_detailed(traj).value
     target = complex(-0.092484, 1.9973)
     rel = abs(est - target) / abs(target)
     assert rel <= 1e-2, (est, rel)
@@ -263,7 +263,7 @@ def test_acceptance_6_simulation_confirmation():
     r0 = assign_real_both(PLANT, -1.0)
     assert r0.closed_loop.beta == 0.0
     traj0 = simulate(r0.closed_loop, init, 25.0)
-    est0 = estimate_dominant_eig(traj0)
+    est0 = estimate_dominant_eig_detailed(traj0).value
     assert est0.imag == 0.0
     assert abs(est0.real - (-1.0)) <= 1e-3, est0
     elapsed = time.perf_counter() - t0

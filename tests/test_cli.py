@@ -15,6 +15,7 @@ import pytest
 import delayw
 from delayw.cli import main, parse_complex
 from delayw.errors import DomainError, NonFiniteInput
+from delayw.lambertw import K_MAX
 
 BP = -0.36787944117144233  # closest double to -1/e
 
@@ -58,6 +59,7 @@ _PLANT = ("--a", "1", "--a1d", "-1", "--b", "1", "--h", "1")
 _DELAY_PLANT = ("--a", "-0.3936277335460213", "--a1d", "0.3", "--b", "2", "--h", "1")
 _CURRENT_PLANT = ("--a", "0.7", "--a1d", "-0.912080764101208", "--b", "2", "--h", "1")
 _INPUT_PLANT = ("--a", "0", "--b", "1", "--h", "1", "--input-delay")
+_OVERFLOW_PLANT = ("--a", "0", "--a1d", "1", "--b", "1", "--h", "1")
 GOLDEN_COMMANDS = {
     "assign-both": ("assign", *_PLANT, "--target", "-0.092484+1.9973i", "--mode", "both"),
     "assign-both-parts": ("assign", *_PLANT, "--target-re", "-0.5", "--target-im", "1.5"),
@@ -85,10 +87,21 @@ GOLDEN_COMMANDS = {
     "assign-input-delay-condition": ("assign", *_INPUT_PLANT, "--target", "1+2i", "--mode", "input-delay"),
     "assign-input-delay-on-direct-plant": ("assign", *_PLANT, "--target", "0", "--mode", "input-delay"),
     "assign-both-on-input-delay-plant": ("assign", *_INPUT_PLANT, "--target", "-1+1i", "--mode", "both"),
+    # e^(u*h), e^(-u*h) or v*h past the double range
+    "assign-both-overflow": ("assign", *_OVERFLOW_PLANT, "--target", "800+1i", "--mode", "both"),
+    "assign-both-vh-overflow": ("assign", "--a", "0", "--a1d", "1", "--b", "1", "--h", "2",
+                                "--target", "1e308i", "--mode", "both"),
+    "assign-delay-only-overflow": ("assign", "--a", "0", "--a1d", "0", "--b", "1", "--h", "1",
+                                   "--target", "800", "--mode", "delay-only"),
+    "assign-current-only-overflow": ("assign", *_OVERFLOW_PLANT, "--target", "-800", "--mode", "current-only"),
+    "assign-real-both-overflow": ("assign", *_OVERFLOW_PLANT, "--target", "800", "--mode", "real-both",
+                                  "--alpha", "0"),
     "wk-branch-0-real": ("wk", "--branch", "0", "--re", "0.5"),
     "wk-branch-minus-1-real": ("wk", "--branch", "-1", "--re", "-0.2"),
     "wk-cut": ("wk", "--branch", "0", "--re", "-1"),
     "wk-off-axis": ("wk", "--branch", "2", "--re", "1", "--im", "3", "--tol", "1e-10"),
+    "wk-branch-1500": ("wk", "--branch", "1500", "--re", "1"),
+    "wk-branch-past-k-max": ("wk", "--branch", "4294967297", "--re", "1"),
     "spectrum-json": ("spectrum", "--alpha", "-1", "--beta", "-2", "--h", "1", "--branches", "3"),
     "spectrum-csv": ("spectrum", "--alpha", "-1", "--beta", "-2", "--h", "1", "--branches", "3",
                      "--format", "csv"),
@@ -117,7 +130,6 @@ def golden_run(argv):
 @pytest.mark.parametrize("name", GOLDEN_COMMANDS)
 def test_golden_output(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("DELAYW_KMAX", raising=False)
     expected = json.loads(GOLDEN.read_text())[name]
     assert golden_run(GOLDEN_COMMANDS[name]) == expected
 
@@ -200,17 +212,9 @@ class TestWk:
         assert env["result"]["iterations"] >= 0
 
     def test_branch_out_of_range(self, capsys):
-        code, env = run_json(capsys, "wk", "--branch", "2000", "--re", "1")
+        code, env = run_json(capsys, "wk", "--branch", str(K_MAX + 1), "--re", "1")
         assert code == 2
         assert env["result"]["error"] == "BranchOutOfRange"
-
-    def test_kmax_env_override(self, monkeypatch, capsys):
-        monkeypatch.setenv("DELAYW_KMAX", "1")
-        code, env = run_json(capsys, "wk", "--branch", "2", "--re", "1")
-        assert code == 2
-        monkeypatch.setenv("DELAYW_KMAX", "junk")
-        code, env = run_json(capsys, "wk", "--branch", "0", "--re", "1")
-        assert code == 2
 
     def test_nonfinite_input(self, capsys):
         code, env = run_json(capsys, "wk", "--branch", "0", "--re", "inf")
@@ -454,7 +458,6 @@ class TestSimulate:
 if __name__ == "__main__":
     import tempfile
 
-    os.environ.pop("DELAYW_KMAX", None)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         golden = {name: golden_run(argv) for name, argv in GOLDEN_COMMANDS.items()}

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from delayw.errors import BranchOutOfRange, DomainError, NonFiniteInput
 from delayw.lambertw import (
     BRANCH_POINT_Z,
-    K_MAX_DEFAULT,
+    K_MAX,
     lambert_w,
     lambert_w_real,
     on_w0_boundary,
@@ -65,11 +65,11 @@ class TestPinnedValues:
 
 class TestErrors:
     def test_branch_out_of_range(self):
-        with pytest.raises(BranchOutOfRange):
-            lambert_w(K_MAX_DEFAULT + 1, 1.0)
-        with pytest.raises(BranchOutOfRange):
-            lambert_w(5, 1.0, k_max=4)
-        lambert_w(5, 1.0, k_max=5)
+        for k in (K_MAX + 1, -K_MAX - 1):
+            with pytest.raises(BranchOutOfRange):
+                lambert_w(k, 1.0)
+        lambert_w(K_MAX, 1.0)
+        lambert_w(-K_MAX, 1.0)
 
     def test_non_integer_branch(self):
         with pytest.raises(DomainError):
@@ -340,7 +340,8 @@ class TestCrossChecks:
             z = (complex(r, 0.0), complex(-r, 0.0), r * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))[i % 3]
             if abs(math.e * z + 1.0) <= 1e-3:
                 continue  # conditioning 1/|1+W| dominates next to the branch point
-            for k in (0, 1, -1, 2, -2, 3, -3, rng.choice((-1000, -317, -40, 40, 317, 1000))):
+            for k in (0, 1, -1, 2, -2, 3, -3, K_MAX, -K_MAX,
+                      rng.choice((-1000, -317, -40, 40, 317, 1000))):
                 ours = lambert_w(k, z).w
                 theirs = mpmath.lambertw(mpmath.mpc(z.real, z.imag), k)
                 err = abs(mpmath.mpc(ours.real, ours.imag) - theirs) / abs(theirs)

@@ -23,8 +23,8 @@ from delayw.sim import (
     InitialData,
     LinearHistory,
     SampledHistory,
+    TAIL_FRACTION,
     Trajectory,
-    estimate_dominant_eig,
     estimate_dominant_eig_detailed,
     simulate,
 )
@@ -208,9 +208,10 @@ class TestSimulate:
 class TestEstimate:
     def test_monotone_decay(self):
         traj = simulate(ClosedLoopParams(-1.0, 0.0, 1.0), UNIT, 25.0, 1e-3)
-        est = estimate_dominant_eig(traj)
-        assert est.imag == 0.0
-        assert abs(est.real + 1.0) <= 1e-3
+        est = estimate_dominant_eig_detailed(traj)
+        assert est.kind == "monotone"
+        assert est.value.imag == 0.0
+        assert abs(est.value.real + 1.0) <= 1e-3
 
     def test_oscillatory(self):
         traj = simulate(ClosedLoopParams(-1.0, -2.0, 1.0), UNIT, 40.0)
@@ -251,42 +252,55 @@ class TestEstimate:
         cl = ClosedLoopParams(0.1, -2.0, 1.0)
         rm = spectrum(cl, 0).rightmost
         traj = simulate(cl, UNIT, 40.0)
-        est = estimate_dominant_eig(traj)
+        est = estimate_dominant_eig_detailed(traj).value
         assert abs(est - rm) <= 1e-2 * abs(rm)
 
     def test_insufficient_tail(self):
         traj = Trajectory(times=tuple(i * 0.1 for i in range(10)),
                           values=tuple(1.0 for _ in range(10)), step=0.1)
         with pytest.raises(InsufficientData):
-            estimate_dominant_eig(traj)
+            estimate_dominant_eig_detailed(traj)
 
     def test_too_few_efoldings(self):
         # slow decay observed over a short window
         traj = simulate(ClosedLoopParams(-0.05, 0.0, 1.0), UNIT, 20.0, 0.01)
         with pytest.raises(InsufficientData):
-            estimate_dominant_eig(traj)
+            estimate_dominant_eig_detailed(traj)
 
     def test_too_few_crossings(self):
         # about one period in the tail: crossings present but far short of 10
         ts = tuple(i * 0.01 for i in range(2000))
         vals = tuple(math.sin(0.5 * t) for t in ts)
         with pytest.raises(InsufficientData):
-            estimate_dominant_eig(Trajectory(times=ts, values=vals, step=0.01))
+            estimate_dominant_eig_detailed(Trajectory(times=ts, values=vals, step=0.01))
 
     def test_tail_fraction_validation(self):
+        assert 0.0 < TAIL_FRACTION <= 1.0
         traj = simulate(ClosedLoopParams(-1.0, 0.0, 1.0), UNIT, 25.0, 0.01)
-        with pytest.raises(DomainError):
-            estimate_dominant_eig(traj, tail_fraction=0.0)
-        with pytest.raises(DomainError):
-            estimate_dominant_eig(traj, tail_fraction=1.5)
-        # a full-trajectory fit is legal
-        est = estimate_dominant_eig(traj, tail_fraction=1.0)
-        assert abs(est.real + 1.0) <= 1e-2
+        est = estimate_dominant_eig_detailed(traj)
+        assert est.kind == "monotone"
+        assert abs(est.value.real + 1.0) <= 1e-3
+        # only the last TAIL_FRACTION of the samples is fitted: the head
+        # can hold anything, a change inside the tail moves the estimate
+        n = len(traj.values)
+        start = n - math.ceil(n * TAIL_FRACTION)
+        head = tuple(float((-1) ** i) * 1e6 for i in range(start))
+        garbled = Trajectory(times=traj.times, values=head + traj.values[start:],
+                             step=traj.step)
+        assert estimate_dominant_eig_detailed(garbled) == est
+        bent = list(traj.values)
+        bent[start] *= 2.0
+        bent = Trajectory(times=traj.times, values=tuple(bent), step=traj.step)
+        assert estimate_dominant_eig_detailed(bent) != est
 
     def test_estimate_matches_detailed(self):
+        # the record is the whole result: a complex value, the same on
+        # every call
         traj = simulate(ClosedLoopParams(-1.0, -2.0, 1.0), UNIT, 40.0)
-        assert estimate_dominant_eig(traj) == estimate_dominant_eig_detailed(traj).value
-        assert isinstance(estimate_dominant_eig_detailed(traj), EigEstimate)
+        est = estimate_dominant_eig_detailed(traj)
+        assert isinstance(est, EigEstimate)
+        assert isinstance(est.value, complex)
+        assert est == estimate_dominant_eig_detailed(traj)
 
 
 @settings(max_examples=25, deadline=None)
@@ -302,7 +316,7 @@ def test_estimate_recovers_assigned_root(u, v, h):
     r = assign_both(plant, complex(u, v))
     t_final = max(6.0 * h, 20.0 * math.pi / v)
     traj = simulate(r.closed_loop, UNIT, t_final, h / 300.0)
-    est = estimate_dominant_eig(traj)
+    est = estimate_dominant_eig_detailed(traj).value
     S = complex(u, v)
     assert abs(est - S) <= 1e-2 * abs(S)
 
@@ -316,5 +330,5 @@ def test_assigned_loop_gains_close_to_design():
     assert applied.alpha == pytest.approx(r.closed_loop.alpha, abs=1e-12)
     assert applied.beta == pytest.approx(r.closed_loop.beta, abs=1e-12)
     traj = simulate(applied, UNIT, 40.0)
-    est = estimate_dominant_eig(traj)
+    est = estimate_dominant_eig_detailed(traj).value
     assert abs(est - complex(-0.092484, 1.9973)) <= 1e-2 * abs(complex(-0.092484, 1.9973))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from delayw import (
     BRANCH_POINT_Z,
+    K_MAX,
     ClosedLoopParams,
     DomainError,
     Gains,
@@ -48,7 +49,21 @@ def test_coalesced_double_root():
     assert root0.multiplicity == 2
     assert root0.s == 0.0
     assert -1 not in {r.branch for r in spec.roots}
-    assert spec.total_multiplicity == 8
+    assert sum(r.multiplicity for r in spec.roots) == 8
+
+
+def test_branches_past_one_thousand():
+    # branch indices beyond 1024 are evaluated like any other
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    cl = ClosedLoopParams(alpha=-1.0, beta=-2.0, h=1.0)
+    by_branch = {r.branch: r.s for r in spectrum(cl, 1100).roots}
+    assert len(by_branch) == 2 * 1101
+    z = mpmath.mpf(cl.beta) * cl.h * mpmath.exp(-cl.alpha * cl.h)
+    for k in (1025, 1100):
+        want = cl.alpha + mpmath.lambertw(z, k) / cl.h
+        got = by_branch[k]
+        assert abs(mpmath.mpc(got.real, got.imag) - want) <= 4 * 2.220446049250313e-16 * abs(want)
 
 
 def test_rightmost_is_branch_zero():
@@ -130,7 +145,7 @@ def test_validation_errors():
     with pytest.raises(DomainError):
         spectrum(cl, n_branches=-1)
     with pytest.raises(DomainError):
-        spectrum(cl, n_branches=10, k_max=5)
+        spectrum(cl, n_branches=K_MAX + 1)
     for bad in (2.5, 2.0, math.nan, True):
         with pytest.raises(DomainError):
             spectrum(cl, n_branches=bad)
