@@ -40,7 +40,7 @@ from .sim import (
     estimate_dominant_eig_detailed,
     simulate,
 )
-from .spectrum import ClosedLoopParams, Gains, SystemParams, close_loop, is_stable, spectrum
+from .spectrum import ClosedLoopParams, Gains, SystemParams, close_loop, spectrum
 
 SCHEMA_VERSION = "1"
 
@@ -236,7 +236,7 @@ def cmd_spectrum(args):
         for r in sp.roots:
             lines.append(f"{r.branch},{_g(r.s.real)},{_g(r.s.imag)},{r.multiplicity}")
         return "\n".join(lines) + "\n", []
-    stable, margin = is_stable(cl)
+    margin = sp.rightmost.real
     result = {
         "closed_loop": _loop(cl),
         "roots": [
@@ -244,7 +244,7 @@ def cmd_spectrum(args):
             for r in sp.roots
         ],
         "rightmost": _c(sp.rightmost),
-        "stable": stable,
+        "stable": margin < 0.0,
         "margin": margin,
     }
     return result, []

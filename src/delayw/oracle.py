@@ -7,22 +7,22 @@ polishes them with Newton's method.  Nothing here touches Lambert W,
 so agreement with the branch-based spectrum is a genuine two-path
 check rather than a self-comparison.
 
-Multiple roots need special care.  For real coefficients the only
-root of multiplicity above one is the real double root (f and f' share
-a zero only where f'' steers them together on the axis), and an
-even-order root produces no phase signature along a line through it:
-f stays in one half-plane, so a contour walk sails past without a
-jump and the count silently splits.  The real axis is therefore
-handled by direct sign analysis (f restricted to the reals has a
-single-signed second derivative, hence at most one interior extremum
-and at most two real roots), and winding cells keep a strictly
-positive distance from the axis.  Boundary walks near a known real
-root, or near the axis extremum, insert extra sample knots scaled to
-the edge's distance from that point, which resolves the concentrated
-phase swing it induces on nearby edges.
+Every root off the real axis is simple.  f = f' = 0 forces
+beta*e^{-sh} = -1/h and hence s = alpha - 1/h, where f'' = h != 0: the
+only multiple root is the real double root at the Lambert W branch
+point.  That even-order root produces no phase signature along a line
+through it: f stays in one half-plane, so a contour walk sails past
+without a jump and the count silently splits.  The real axis is
+therefore handled by direct sign analysis (f restricted to the reals
+has a single-signed second derivative, hence at most one interior
+extremum and at most two real roots), and winding cells keep a
+strictly positive distance from the axis.  Boundary walks near a
+known real root, or near the axis extremum, insert extra sample knots
+scaled to the edge's distance from that point, which resolves the
+concentrated phase swing it induces on nearby edges.
 
-One function, _df, evaluates f and its derivatives everywhere: on the
-contour, in Newton polishing and in the real-axis sign analysis.
+One function, _df, evaluates f and f' everywhere: on the contour, in
+Newton polishing and in the real-axis sign analysis.
 """
 
 import cmath
@@ -33,7 +33,6 @@ from .errors import BoundaryRootSuspected, DomainError, MismatchDetected, NoConv
 from .spectrum import spectrum
 
 __all__ = [
-    "CLUSTER_TOL",
     "SearchRect",
     "LocatedRoot",
     "RootSet",
@@ -46,9 +45,10 @@ __all__ = [
 _EPS = 2.220446049250313e-16
 # accept a boundary segment once its phase change is below this
 _PHASE_STEP = math.pi / 2
-# cells at most this wide are treated as a single multiple root
-CLUSTER_TOL = 1e-6
-# hard floor relative to the original rectangle, guards the recursion
+# the bisection stops at cells this wide, or at this fraction of the
+# original rectangle if that is larger; a root Newton cannot place in
+# such a cell raises NoConvergence
+_MIN_CELL = 1e-6
 _MIN_CELL_FRACTION = 1e-9
 # split fractions tried when a root sits on (or hugs) the dividing line;
 # exact 0.5 is deliberately absent: conjugate symmetry would put real
@@ -121,7 +121,7 @@ def _cexpm1(z):
 
 
 def _df(cl, s, order):
-    """order-th derivative of the characteristic function at s.
+    """The characteristic function (order 0) or its derivative (order 1) at s.
 
     The value itself is written as (s - alpha - beta) - beta*(e^{-sh}-1)
     so that roots near the origin (where s - alpha and beta*e^{-sh}
@@ -136,9 +136,7 @@ def _df(cl, s, order):
         return complex(-cl.beta * (-cl.h) ** order * math.inf, math.inf)
     if order == 0:
         return (s - cl.alpha - cl.beta) - cl.beta * _cexpm1(-s * cl.h)
-    if order == 1:
-        return 1.0 + cl.beta * cl.h * cmath.exp(-s * cl.h)
-    return -cl.beta * (-cl.h) ** order * cmath.exp(-s * cl.h)
+    return 1.0 + cl.beta * cl.h * cmath.exp(-s * cl.h)
 
 
 def _checked_phase(cl, s):
@@ -318,12 +316,12 @@ def count_roots(cl, rect):
     return n
 
 
-def _newton(cl, s0, order, tol_scale=1e-13):
-    """Newton iteration on the order-th derivative; None when it fails."""
+def _newton(cl, s0):
+    """Newton iteration on f from s0; None when it fails."""
     s = s0
     for _ in range(80):
-        f = _df(cl, s, order)
-        fp = _df(cl, s, order + 1)
+        f = _df(cl, s, 0)
+        fp = _df(cl, s, 1)
         if fp == 0.0 or not (math.isfinite(fp.real) and math.isfinite(fp.imag)):
             return None
         step = f / fp
@@ -332,22 +330,15 @@ def _newton(cl, s0, order, tol_scale=1e-13):
             return None
         if abs(step) <= 1e-15 * max(1.0, abs(s)):
             break
-    f = _df(cl, s, order)
-    if abs(f) <= tol_scale * max(1.0, abs(s)):
+    if abs(_df(cl, s, 0)) <= 1e-13 * max(1.0, abs(s)):
         return s
     return None
 
 
-def _split_clean(cl, cell, n, focus):
-    """Split cell so that child counts add up to n; None if no line works."""
-    wide = (cell.re_max - cell.re_min) >= (cell.im_max - cell.im_min)
-    for frac in _FRACTIONS:
-        if wide:
-            mid = cell.re_min + frac * (cell.re_max - cell.re_min)
-            c1, c2 = replace(cell, re_max=mid), replace(cell, re_min=mid)
-        else:
-            mid = cell.im_min + frac * (cell.im_max - cell.im_min)
-            c1, c2 = replace(cell, im_max=mid), replace(cell, im_min=mid)
+def _partition(cl, pairs, n, focus):
+    """First candidate (c1, c2) whose windings add up to n, as
+    (c1, c2, n1, n2); None if no candidate does."""
+    for c1, c2 in pairs:
         try:
             n1, n2 = _winding(cl, c1, focus), _winding(cl, c2, focus)
         except BoundaryRootSuspected:
@@ -357,45 +348,37 @@ def _split_clean(cl, cell, n, focus):
     return None
 
 
-def _min_cell(cell, diam0):
-    return cell.diameter <= max(CLUSTER_TOL, _MIN_CELL_FRACTION * diam0)
-
-
-def _polish_cluster(cl, cell, m):
-    # a multiplicity-m root is a simple zero of the (m-1)-th derivative
-    s = _newton(cl, cell.center, order=m - 1)
-    if s is None:
-        raise NoConvergence(
-            f"derivative polish failed for a multiplicity-{m} cluster near {cell.center}")
-    f = _df(cl, s, 0)
-    if abs(f) > 1e-12 * max(1.0, abs(s)):
-        raise NoConvergence(
-            f"cluster near {cell.center} does not behave like a multiplicity-{m} root (|f| = {abs(f):.3e})")
-    return LocatedRoot(s, m)
+def _split_lines(cell):
+    """Halves of cell split across its longer side, one pair per fraction."""
+    if cell.re_max - cell.re_min >= cell.im_max - cell.im_min:
+        for frac in _FRACTIONS:
+            mid = cell.re_min + frac * (cell.re_max - cell.re_min)
+            yield replace(cell, re_max=mid), replace(cell, re_min=mid)
+    else:
+        for frac in _FRACTIONS:
+            mid = cell.im_min + frac * (cell.im_max - cell.im_min)
+            yield replace(cell, im_max=mid), replace(cell, im_min=mid)
 
 
 def _resolve(cl, cell, n, diam0, out, focus):
-    """Append the n roots that the winding count puts in cell to out.
+    """Append the n simple roots that the winding count puts in cell to out.
 
-    A simple root is Newton-polished from the cell centre.  The count
+    A lone root is Newton-polished from the cell centre.  The count
     puts it strictly inside, so a failed or escaped Newton run (a value
     outside the cell is another root) shrinks the cell by a split like
     any other; at the minimum cell size that raises NoConvergence.
-    n >= 2 roots at the minimum cell size are one multiple root.
     """
     if n == 0:
         return
     if n == 1:
-        s = _newton(cl, cell.center, order=0)
+        s = _newton(cl, cell.center)
         if s is not None and cell.contains(s, tol=1e-9 * cell.diameter + 1e-13):
             out.append(LocatedRoot(s, 1))
             return
-        if _min_cell(cell, diam0):
-            raise NoConvergence(f"Newton failed to converge inside cell around {cell.center}")
-    elif _min_cell(cell, diam0):
-        out.append(_polish_cluster(cl, cell, n))
-        return
-    parts = _split_clean(cl, cell, n, focus)
+    if cell.diameter <= max(_MIN_CELL, _MIN_CELL_FRACTION * diam0):
+        what = "Newton failed to converge" if n == 1 else f"{n} roots stay unseparated"
+        raise NoConvergence(f"{what} inside cell around {cell.center}")
+    parts = _partition(cl, _split_lines(cell), n, focus)
     if parts is None:
         what = "isolate the root" if n == 1 else f"partition {n} roots"
         raise BoundaryRootSuspected(f"could not {what} near {cell.center}")
@@ -420,21 +403,14 @@ def find_roots(cl, rect):
         # root on a cell edge leaves no phase signature at all
         n_real = sum(r.multiplicity for r in reals)
         scale = max(1.0, -rect.im_min, rect.im_max)
-        for margin in (1e-7 * scale, 1e-9 * scale, 1e-11 * scale):
-            if rect.im_max <= margin or rect.im_min >= -margin:
-                continue
-            upper = replace(rect, im_min=margin)
-            lower = replace(rect, im_max=-margin)
-            try:
-                n_up = _winding(cl, upper, focus)
-                n_lo = _winding(cl, lower, focus)
-            except BoundaryRootSuspected:
-                continue
-            if n_real + n_up + n_lo == n:
-                break
-        else:
+        strips = ((replace(rect, im_min=m), replace(rect, im_max=-m))
+                  for m in (1e-7 * scale, 1e-9 * scale, 1e-11 * scale)
+                  if rect.im_min < -m and m < rect.im_max)
+        parts = _partition(cl, strips, n - n_real, focus)
+        if parts is None:
             raise BoundaryRootSuspected(
                 "roots too close to the real axis to separate from it")
+        upper, lower, n_up, n_lo = parts
         found.extend(reals)
         _resolve(cl, upper, n_up, rect.diameter, found, focus)
         _resolve(cl, lower, n_lo, rect.diameter, found, focus)

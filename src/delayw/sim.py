@@ -17,6 +17,7 @@ line through the log of the peak envelope (or of |x| itself for
 non-oscillatory tails), frequency from the mean zero-crossing spacing.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -101,14 +102,8 @@ class SampledHistory:
             return pts[0][1]
         if tau >= pts[-1][0]:
             return pts[-1][1]
-        lo, hi = 0, len(pts) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if pts[mid][0] <= tau:
-                lo = mid
-            else:
-                hi = mid
-        (t0, x0), (t1, x1) = pts[lo], pts[hi]
+        hi = bisect.bisect_right(pts, tau, key=lambda p: p[0])
+        (t0, x0), (t1, x1) = pts[hi - 1], pts[hi]
         w = (tau - t0) / (t1 - t0)
         return x0 * (1.0 - w) + x1 * w
 

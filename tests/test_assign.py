@@ -168,6 +168,8 @@ def test_real_both_alpha_bounds():
     assert "marginal" in r.certificate
     assert r.closed_loop.w_argument == pytest.approx(-math.exp(-1.0), rel=1e-15)
     assert spectrum(r.closed_loop, 2).rightmost == pytest.approx(-1.0, abs=1e-7)
+    with pytest.raises(NonFiniteInput):
+        assign_real_both(PLANT, -1.0, alpha_choice=math.nan)
 
 
 def test_real_both_rejects_complex_target():

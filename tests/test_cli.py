@@ -334,6 +334,11 @@ class TestAssign:
         code, env = run_json(capsys, "assign", "--a", "1", "--a1d", "-1", "--b", "1",
                              "--h", "1", "--target", "1+2x")
         assert code == 2
+        # a literal and a part flag together are ambiguous
+        code, env = run_json(capsys, "assign", "--a", "1", "--a1d", "-1", "--b", "1",
+                             "--h", "1", "--target", "-1", "--target-re", "-1")
+        assert code == 2
+        assert env["result"]["error"] == "DomainError"
 
     def test_alpha_only_for_real_both(self, capsys):
         code, env = run_json(capsys, "assign", "--a", "1", "--a1d", "-1", "--b", "1",

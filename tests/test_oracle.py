@@ -13,6 +13,7 @@ from delayw import (
     DomainError,
     LocatedRoot,
     MismatchDetected,
+    NoConvergence,
     RootSet,
     SearchRect,
     char_residual,
@@ -132,6 +133,17 @@ class TestFindRoots:
         ims = sorted(r.s.imag for r in rs.roots)
         assert abs(ims[0] - 1.99730) < 5e-4
         assert abs(ims[1] - 7.80750) < 5e-4
+
+    def test_unseparated_simple_roots_raise(self):
+        # at h = 1e8 six simple roots share a cell below the minimum size;
+        # every root off the real axis is simple, so none is reported as
+        # one multiple root
+        cl = ClosedLoopParams(-1.0, -2.0, 1e8)
+        rect = SearchRect(-1e-7, 1e-7, 1e-7, 5e-7)
+        assert count_roots(cl, rect) == 6
+        with pytest.raises(NoConvergence) as info:
+            find_roots(cl, rect)
+        assert "multiplicity" not in str(info.value)
 
     def test_rootset_multiplicity_bookkeeping(self):
         with pytest.raises(DomainError):

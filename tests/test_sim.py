@@ -76,6 +76,9 @@ class TestHistories:
         phi = LinearHistory(1.0, 2.0)
         assert phi(-0.5) == 0.0
         assert phi(0.0) == 1.0
+        for c0, c1 in ((math.nan, 0.0), (0.0, math.inf)):
+            with pytest.raises(NonFiniteInput):
+                LinearHistory(c0, c1)
 
     def test_sampled_interpolates(self):
         phi = SampledHistory(((-1.0, 0.0), (-0.5, 1.0), (-0.25, 1.0)))

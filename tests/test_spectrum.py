@@ -135,6 +135,9 @@ def test_validation_errors():
         ClosedLoopParams(alpha=0.0, beta=1.0, h=0.0)
     with pytest.raises(DomainError):
         SystemParams(a=0.0, a1d=0.0, b=0.0, h=1.0)
+    for h in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            SystemParams(a=0.0, a1d=0.5, b=1.0, h=h)
     with pytest.raises(DomainError):
         SystemParams(a=0.0, a1d=0.5, b=1.0, h=1.0, input_delay=True)
     with pytest.raises(NonFiniteInput):
