@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import is_dataclass
 
 from .assign import _MODES
 from .errors import (
@@ -77,7 +78,13 @@ def _g(x):
 
 
 def _dump(obj, indent=0):
+    """Render obj as indented JSON: a complex as {"re", "im"}, a record
+    as its fields in declaration order, a tuple like a list."""
     pad = "  " * indent
+    if isinstance(obj, complex):
+        obj = {"re": obj.real, "im": obj.imag}
+    elif is_dataclass(obj):
+        obj = vars(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -103,68 +110,28 @@ def _dump(obj, indent=0):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _c(z):
-    return {"re": z.real, "im": z.imag}
-
-
-def _loop(cl):
-    return {"alpha": cl.alpha, "beta": cl.beta, "h": cl.h}
-
-
-def _envelope(command, inputs, result, warnings):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "warnings": list(warnings),
-    }
-
-
 def _inputs_echo(args):
-    echo = {}
-    for key in sorted(vars(args)):
-        if key in ("command", "handler"):
-            continue
-        val = getattr(args, key)
-        if val is not None:
-            echo[key] = val
-    return echo
+    return {key: val for key, val in sorted(vars(args).items())
+            if key not in ("command", "handler") and val is not None}
+
+
+# exception attribute -> error payload key, in output order
+_ERROR_FIELDS = (("residual", "residual"), ("margin", "margin"), ("gains", "would_be_gains"),
+                 ("closed_loop", "would_be_closed_loop"), ("window", "admissible_v"))
 
 
 def _error_payload(exc):
     payload = {"error": type(exc).__name__, "message": str(exc)}
-    residual = getattr(exc, "residual", None)
-    if residual is not None:
-        payload["residual"] = residual
-    margin = getattr(exc, "margin", None)
-    if margin is not None:
-        payload["margin"] = margin
-    gains = getattr(exc, "gains", None)
-    if gains is not None:
-        payload["would_be_gains"] = {"k": gains.k, "k1d": gains.k1d}
-    cl = getattr(exc, "closed_loop", None)
-    if cl is not None:
-        payload["would_be_closed_loop"] = _loop(cl)
-    window = getattr(exc, "window", None)
-    if window is not None:
-        payload["admissible_v"] = list(window)
+    for attr, key in _ERROR_FIELDS:
+        val = getattr(exc, attr, None)
+        if val is not None:
+            payload[key] = val
     report = getattr(exc, "report", None)
     if report is not None:
-        payload["spectrum_count"] = report.spectrum_count
-        payload["oracle_count"] = report.oracle_count
-        payload["max_distance"] = report.max_distance
-        payload["rect"] = _rect_payload(report.rect)
+        # CrossValidation declares rect first; the payload puts it last
+        for key in ("spectrum_count", "oracle_count", "max_distance", "rect"):
+            payload[key] = getattr(report, key)
     return payload
-
-
-def _rect_payload(rect):
-    return {
-        "re_min": rect.re_min,
-        "re_max": rect.re_max,
-        "im_min": rect.im_min,
-        "im_max": rect.im_max,
-    }
 
 
 def _exit_code(exc):
@@ -220,34 +187,26 @@ def _closed_loop_from(args):
 
 
 def cmd_wk(args):
-    res = lambert_w(args.branch, complex(args.re, args.im), tol=args.tol)
-    return {
-        "w": _c(res.w),
-        "residual": res.residual,
-        "iterations": res.iterations,
-    }, []
+    return lambert_w(args.branch, complex(args.re, args.im), tol=args.tol), []
 
 
 def cmd_spectrum(args):
     cl = _closed_loop_from(args)
     sp = spectrum(cl, args.branches)
     if args.format == "csv":
-        lines = ["branch,re,im,multiplicity"]
-        for r in sp.roots:
-            lines.append(f"{r.branch},{_g(r.s.real)},{_g(r.s.imag)},{r.multiplicity}")
-        return "\n".join(lines) + "\n", []
+        rows = (f"{r.branch},{_g(r.s.real)},{_g(r.s.imag)},{r.multiplicity}" for r in sp.roots)
+        return "\n".join(("branch,re,im,multiplicity", *rows)) + "\n", []
     margin = sp.rightmost.real
-    result = {
-        "closed_loop": _loop(cl),
+    return {
+        "closed_loop": cl,
         "roots": [
             {"branch": r.branch, "re": r.s.real, "im": r.s.imag, "multiplicity": r.multiplicity}
             for r in sp.roots
         ],
-        "rightmost": _c(sp.rightmost),
+        "rightmost": sp.rightmost,
         "stable": margin < 0.0,
         "margin": margin,
-    }
-    return result, []
+    }, []
 
 
 def _target_from(args):
@@ -274,33 +233,31 @@ def cmd_assign(args):
     assign = _ASSIGNERS[args.mode]
     res = assign(sysp, target) if args.alpha is None else assign(sysp, target, alpha_choice=args.alpha)
     sp = spectrum(res.closed_loop, args.branches)
-    result = {
+    return {
         "mode": res.mode.value,
-        "gains": {"k": res.gains.k, "k1d": res.gains.k1d},
-        "closed_loop": _loop(res.closed_loop),
-        "predicted_rightmost": _c(res.predicted_rightmost),
+        "gains": res.gains,
+        "closed_loop": res.closed_loop,
+        "predicted_rightmost": res.predicted_rightmost,
         "certificate": res.certificate,
         "confirmation": {
             "branches": args.branches,
-            "rightmost": _c(sp.rightmost),
+            "rightmost": sp.rightmost,
             "distance_to_target": abs(sp.rightmost - res.predicted_rightmost),
         },
-    }
-    return result, []
+    }, []
 
 
 def cmd_verify(args):
     cl = _closed_loop_from(args)
     report = cross_validate(cl, args.branches, match_tol=args.match_tol)
-    result = {
+    return {
         "match": True,
         "spectrum_count": report.spectrum_count,
         "oracle_count": report.oracle_count,
         "max_distance": report.max_distance,
         "match_tol": args.match_tol,
-        "rect": _rect_payload(report.rect),
-    }
-    return result, []
+        "rect": report.rect,
+    }, []
 
 
 def _history_from(text, x0):
@@ -339,7 +296,7 @@ def cmd_simulate(args):
         "t_end": traj.times[-1],
         "truncated": traj.truncated,
         "csv_path": args.out,
-        "predicted_rightmost": _c(prediction),
+        "predicted_rightmost": prediction,
         "estimate": None,
         "deviation": None,
     }
@@ -348,12 +305,7 @@ def cmd_simulate(args):
     except InsufficientData as exc:
         warnings.append(f"estimate unavailable: {exc}")
     else:
-        result["estimate"] = {
-            "value": _c(est.value),
-            "kind": est.kind,
-            "fit_residual": est.fit_residual,
-            "n_crossings": est.n_crossings,
-        }
+        result["estimate"] = est
         result["deviation"] = abs(est.value - prediction)
     return result, warnings
 
@@ -435,33 +387,34 @@ def _glue_target(argv):
     and reject the value.
     """
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--target" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(tok + "=" + argv[i + 1])
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        if out and out[-1] == "--target" and tok.startswith("-"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
     return out
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _build_parser().parse_args(_glue_target(argv))
+    code, warnings = 0, []
     try:
-        out, warnings = args.handler(args)
+        result, warnings = args.handler(args)
     except DelayWError as exc:
-        env = _envelope(args.command, _inputs_echo(args), _error_payload(exc), [])
-        print(_dump(env))
-        return _exit_code(exc)
-    if isinstance(out, str):
+        code, result = _exit_code(exc), _error_payload(exc)
+    if isinstance(result, str):
         # csv mode bypasses the envelope
-        print(out, end="")
-        return 0
-    print(_dump(_envelope(args.command, _inputs_echo(args), out, warnings)))
-    return 0
+        print(result, end="")
+        return code
+    print(_dump({
+        "schema_version": SCHEMA_VERSION,
+        "command": args.command,
+        "inputs": _inputs_echo(args),
+        "result": result,
+        "warnings": warnings,
+    }))
+    return code
 
 
 if __name__ == "__main__":

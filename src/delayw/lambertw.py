@@ -283,9 +283,9 @@ def lambert_w(k, z, tol=1e-14):
     NonFiniteInput
         If z is NaN or infinite.
     DomainError
-        If k is not an int (a bool is rejected too), or z == 0 with
-        k != 0 (every branch but the principal one diverges at the
-        origin).
+        If k is not an int (a bool is rejected too), tol is NaN,
+        negative or infinite, or z == 0 with k != 0 (every branch but
+        the principal one diverges at the origin).
     NoConvergence
         If the iteration cap is hit; indicates a kernel bug.
     """
@@ -293,6 +293,8 @@ def lambert_w(k, z, tol=1e-14):
         raise DomainError(f"branch index must be an integer, got {k!r}")
     if abs(k) > K_MAX:
         raise BranchOutOfRange(f"|k| = {abs(k)} exceeds K_MAX = {K_MAX}")
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tol must be finite and non-negative, got {tol!r}")
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise NonFiniteInput(f"z must be finite, got {z!r}")
@@ -357,10 +359,11 @@ def w0_boundary_point(eta):
 def on_w0_boundary(w, tol):
     """True iff w lies on the upper boundary of the W_0 range, within tol.
 
-    The test is Im w in (0, pi) and |Re w + Im w * cot(Im w)| <= tol.
+    The test is Im w in (0, pi) and |Re w + Im w * cot(Im w)| <= tol;
+    a tol that is not positive and finite raises DomainError.
     """
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
     w = complex(w)
     eta = w.imag
     if not 0.0 < eta < math.pi:

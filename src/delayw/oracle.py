@@ -433,7 +433,9 @@ def _enclosing_rect(roots, h):
     ims = [r.s.imag for r in roots]
     re_lo, re_hi = min(res), max(res)
     im_lo, im_hi = min(ims), max(ims)
-    re_pad = max(0.1 * (re_hi - re_lo), 0.5)
+    # 0.5/h keeps the rectangle invariant under the time rescaling
+    # (alpha, beta, h) -> (alpha/c, beta/c, c*h), as pi/h does below
+    re_pad = max(0.1 * (re_hi - re_lo), 0.5 / h)
     # cap the imaginary margin below the half-gap to the next branch so
     # the rectangle holds exactly the branches being checked
     gap = math.pi / h
@@ -449,7 +451,10 @@ def cross_validate(cl, n_branches, match_tol=1e-8):
     two root multisets with multiplicity.  Raises MismatchDetected on
     any count difference or a matched pair further apart than
     match_tol; either would mean a bug in one of the two paths.
+    Raises DomainError if match_tol is NaN, negative or infinite.
     """
+    if not 0.0 <= match_tol < math.inf:
+        raise DomainError(f"match_tol must be finite and non-negative, got {match_tol!r}")
     sp = spectrum(cl, n_branches)
     rect = _enclosing_rect(sp.roots, cl.h)
     located = find_roots(cl, rect)

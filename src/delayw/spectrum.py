@@ -179,9 +179,11 @@ def spectrum(cl, n_branches):
     -------
     Spectrum
         Roots sorted by descending real part (ties by ascending
-        imaginary part).  The rightmost root always carries branch 0;
-        when the W argument sits within COALESCENCE_TOL of -1/e the
-        coalesced branch-0/-1 pair is reported once with multiplicity 2.
+        imaginary part).  ``Spectrum.rightmost`` is the branch-0 root,
+        with Im >= 0; for an oscillatory loop ``roots[0]`` is its
+        branch -1 conjugate, which sorts first.  When the W argument
+        sits within COALESCENCE_TOL of -1/e the coalesced branch-0/-1
+        pair is reported once with multiplicity 2.
 
     Raises
     ------

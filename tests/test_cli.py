@@ -102,6 +102,7 @@ GOLDEN_COMMANDS = {
     "wk-off-axis": ("wk", "--branch", "2", "--re", "1", "--im", "3", "--tol", "1e-10"),
     "wk-branch-1500": ("wk", "--branch", "1500", "--re", "1"),
     "wk-branch-past-k-max": ("wk", "--branch", "4294967297", "--re", "1"),
+    "wk-tol-nan": ("wk", "--branch", "0", "--re", "1", "--tol", "nan"),
     "spectrum-json": ("spectrum", "--alpha", "-1", "--beta", "-2", "--h", "1", "--branches", "3"),
     "spectrum-csv": ("spectrum", "--alpha", "-1", "--beta", "-2", "--h", "1", "--branches", "3",
                      "--format", "csv"),
@@ -111,8 +112,13 @@ GOLDEN_COMMANDS = {
     "verify": ("verify", "--alpha", "-1", "--beta", "-2", "--h", "1", "--branches", "3"),
     "verify-mismatch": ("verify", "--alpha", "-1", "--beta", "-2", "--h", "1", "--branches", "3",
                         "--match-tol", "1e-300"),
+    "verify-match-tol-nan": ("verify", "--alpha", "-1", "--beta", "-2", "--h", "1", "--match-tol", "nan"),
     "simulate-out": ("simulate", *_PLANT, "--k", "-2", "--k1d", "-1", "--tfinal", "10",
                      "--step", "0.05", "--out", "traj.csv"),
+    "simulate-estimate": ("simulate", "--alpha", "-1", "--beta", "-2", "--h", "1", "--tfinal", "40"),
+    # grows until the overflow limit stops it at t = 472
+    "simulate-truncated": ("simulate", "--alpha", "1", "--beta", "2", "--h", "1", "--tfinal", "800",
+                           "--step", "0.5"),
 }
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 

@@ -82,6 +82,13 @@ class TestErrors:
             with pytest.raises(NonFiniteInput):
                 lambert_w(0, bad)
 
+    def test_malformed_tolerance(self):
+        for bad in (math.nan, -1.0, math.inf):
+            with pytest.raises(DomainError):
+                lambert_w(0, 1.0, tol=bad)
+        # tol = 0 asks for the conditioning floor and stays valid
+        assert abs(lambert_w(0, 1.0, tol=0.0).w - 0.5671432904097838) < 1e-15
+
     def test_origin_off_principal(self):
         with pytest.raises(DomainError):
             lambert_w(1, 0.0)
@@ -145,8 +152,9 @@ class TestBoundaryCurve:
         for eta in (0.0, math.pi, -1.0, 4.0):
             with pytest.raises(DomainError):
                 w0_boundary_point(eta)
-        with pytest.raises(DomainError):
-            on_w0_boundary(1j, 0.0)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                on_w0_boundary(1j, bad)
 
 
 @st.composite

@@ -183,6 +183,26 @@ class TestCrossValidate:
         with pytest.raises(DomainError):
             cross_validate(ClosedLoopParams(-1.0, -2.0, 1.0), 2.5)
 
+    def test_malformed_match_tol(self):
+        # NaN would switch the distance check off, a negative value would
+        # report every loop as a mismatch
+        for bad in (math.nan, -1.0, math.inf):
+            with pytest.raises(DomainError):
+                cross_validate(ClosedLoopParams(-1.0, -2.0, 1.0), 2, match_tol=bad)
+        assert cross_validate(ClosedLoopParams(-1.0, 0.0, 1.0), 1, match_tol=0.0).max_distance == 0.0
+
+    @pytest.mark.parametrize("h", [1e3, 1.5e3, 1e5])
+    def test_time_rescaled_loop(self, h):
+        # (alpha, beta, h) -> (alpha/h, beta/h, h) scales every root of the
+        # (-1, -2, 1) loop by 1/h; the enclosing rectangle must scale with
+        # them, or its contour reaches where e^{-sh} overflows
+        base = cross_validate(ClosedLoopParams(-1.0, -2.0, 1.0), 3)
+        rep = cross_validate(ClosedLoopParams(-1.0 / h, -2.0 / h, h), 3)
+        assert rep.spectrum_count == rep.oracle_count == base.spectrum_count
+        assert rep.max_distance * h <= 1e-12
+        for side in ("re_min", "re_max", "im_min", "im_max"):
+            assert getattr(rep.rect, side) * h == pytest.approx(getattr(base.rect, side), rel=1e-9)
+
     @settings(max_examples=60, deadline=None)
     @given(
         alpha=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),

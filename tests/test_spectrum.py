@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +129,33 @@ def test_is_stable_matches_rightmost():
         spec = spectrum(cl, n_branches=2)
         assert margin == pytest.approx(spec.rightmost.real, abs=1e-14)
         assert stable == (margin < 0)
+
+
+def _hayes_stable(alpha, beta, h):
+    """W-free verdict of Hayes (J. London Math. Soc. 25, 1950): with
+    a = alpha*h and b = beta*h, every root has Re s < 0 iff a < 1 and
+    a < -b < sqrt(x^2 + a^2), x the root of x*cos(x) = a*sin(x) in (0, pi)."""
+    a, b = alpha * h, beta * h
+    if not a < 1.0:
+        return False
+    lo, hi = 0.0, math.pi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid * math.cos(mid) > a * math.sin(mid) else (lo, mid)
+    return a < -b < math.hypot(lo, a)
+
+
+def test_is_stable_agrees_with_hayes():
+    rng = random.Random(1950)
+    verdicts = set()
+    for _ in range(2000):
+        h = 10.0 ** rng.uniform(-2.0, 1.5)
+        alpha = rng.uniform(-20.0, 20.0)
+        beta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-4.0, 2.0)
+        stable = _hayes_stable(alpha, beta, h)
+        assert is_stable(ClosedLoopParams(alpha, beta, h))[0] == stable, (alpha, beta, h)
+        verdicts.add(stable)
+    assert verdicts == {True, False}
 
 
 def test_validation_errors():
