@@ -21,6 +21,15 @@ known real root, or near the axis extremum, insert extra sample knots
 scaled to the edge's distance from that point, which resolves the
 concentrated phase swing it induces on nearby edges.
 
+Every sample point of a walk depends only on the line it lies on: the
+uniform knots sit on the lattice j*pi/(4h) along it, the focus knots at
+fixed multiples of their distance, and a bisection midpoint is the
+midpoint of two such points.  Sibling cells sharing an edge, and child
+cells re-walking a stretch of their parent's edge, therefore land on
+the same points, and each find_roots or count_roots call keeps one
+table of the phases it has evaluated, so each point is evaluated at
+most once per call.
+
 One function, _df, evaluates f and f' everywhere: on the contour, in
 Newton polishing and in the real-axis sign analysis.
 """
@@ -139,13 +148,23 @@ def _df(cl, s, order):
     return 1.0 + cl.beta * cl.h * cmath.exp(-s * cl.h)
 
 
-def _checked_phase(cl, s):
-    f = _df(cl, s, 0)
-    if f == 0.0:
-        raise BoundaryRootSuspected(f"characteristic function vanishes on the contour at {s}")
-    if not (math.isfinite(f.real) and math.isfinite(f.imag)):
-        raise DomainError(f"characteristic function overflows on the contour at {s}; shrink the rectangle")
-    return cmath.phase(f)
+def _checked_phase(cl, s, phases):
+    """Phase of f at the contour point s, evaluated once per call.
+
+    phases maps every point already evaluated in the current find_roots
+    or count_roots call to its phase; a point found there is not
+    evaluated again.  A zero or overflowing f raises on evaluation and
+    is never stored.
+    """
+    ph = phases.get(s)
+    if ph is None:
+        f = _df(cl, s, 0)
+        if f == 0.0:
+            raise BoundaryRootSuspected(f"characteristic function vanishes on the contour at {s}")
+        if not (math.isfinite(f.real) and math.isfinite(f.imag)):
+            raise DomainError(f"characteristic function overflows on the contour at {s}; shrink the rectangle")
+        ph = phases[s] = cmath.phase(f)
+    return ph
 
 
 def _wrap(d):
@@ -153,39 +172,60 @@ def _wrap(d):
 
 
 def _edge_knots(sa, sb, h, focus):
-    """Initial parameter knots for the walk from sa to sb.
+    """Sample points strictly inside the segment sa -> sb, in walk order.
 
-    Uniform knots keep each piece under a quarter turn of the delay
-    term's rotation (rate h along the segment); focus knots resolve the
-    phase swing concentrated where the segment passes a focus point fx
-    on the axis, closest at Re s = fx (horizontal) or Im s = 0.
+    Each knot depends only on the line the segment lies on, never on its
+    endpoints, so every walk along one line (the shared edge of two
+    sibling cells, a child cell's stretch of its parent's edge) lands on
+    the same points.  Uniform knots sit on the lattice j*pi/(4h) along
+    the line, which keeps each piece under a quarter turn of the delay
+    term's rotation (rate h along the segment); past 65,536 pieces the
+    step doubles until the edge fits, which keeps the knots on a coarser
+    lattice of the same family.  Focus knots, at fx + k*d, resolve the
+    phase swing concentrated where the line passes a focus point fx on
+    the axis, at distance d: closest at Re s = fx (horizontal) or Im s =
+    0 (vertical).
     """
-    length = abs(sb - sa)
-    pieces = max(1, min(65536, math.ceil(length * h / (math.pi / 4.0))))
-    ts = {i / pieces for i in range(1, pieces)}
     horizontal = sa.imag == sb.imag
-    start, span = (sa.real, sb.real - sa.real) if horizontal else (sa.imag, sb.imag - sa.imag)
+    if horizontal:
+        a, b, fixed = sa.real, sb.real, sa.imag
+    else:
+        a, b, fixed = sa.imag, sb.imag, sa.real
+    lo, hi = (a, b) if a < b else (b, a)
+    step = math.pi / (4.0 * h)
+    while hi - lo > 65536.0 * step:
+        step *= 2.0
+    xs = [x for j in range(math.floor(lo / step), math.ceil(hi / step) + 1)
+          if lo < (x := j * step) < hi]
     for fx in focus:
-        c, dist = (fx, abs(sa.imag)) if horizontal else (0.0, abs(sa.real - fx))
+        c, dist = (fx, abs(fixed)) if horizontal else (0.0, abs(fixed - fx))
         d = max(dist, 1e-14 * max(1.0, abs(fx)))
-        for k in _FOCUS_LADDER:
-            t = (c + k * d - start) / span
-            if 0.0 < t < 1.0:
-                ts.add(t)
-    return sorted(ts)
+        xs += [x for k in _FOCUS_LADDER if lo < (x := c + k * d) < hi]
+    if focus:
+        # the lattice alone comes out sorted and free of duplicates
+        xs = sorted(set(xs))
+    if b < a:
+        xs.reverse()
+    if horizontal:
+        return [complex(x, fixed) for x in xs]
+    return [complex(fixed, x) for x in xs]
 
 
-def _edge_arg(cl, sa, sb, pa, pb, focus):
+def _edge_arg(cl, sa, sb, pa, pb, focus, phases):
     """Total phase change of f along the segment sa -> sb."""
+    total = 0.0
     stack = []
     prev_s, prev_p = sa, pa
-    for t in _edge_knots(sa, sb, cl.h, focus):
-        cur_s = sa + (sb - sa) * t
-        cur_p = _checked_phase(cl, cur_s)
-        stack.append((prev_s, cur_s, prev_p, cur_p, 0))
+    for cur_s in _edge_knots(sa, sb, cl.h, focus):
+        cur_p = _checked_phase(cl, cur_s, phases)
+        # most pieces pass at once; only the others go through the stack
+        d = _wrap(cur_p - prev_p)
+        if abs(d) < _PHASE_STEP:
+            total += d
+        else:
+            stack.append((prev_s, cur_s, prev_p, cur_p, 0))
         prev_s, prev_p = cur_s, cur_p
     stack.append((prev_s, sb, prev_p, pb, 0))
-    total = 0.0
     while stack:
         a, b, ph_a, ph_b, depth = stack.pop()
         d = _wrap(ph_b - ph_a)
@@ -196,13 +236,13 @@ def _edge_arg(cl, sa, sb, pa, pb, focus):
             raise BoundaryRootSuspected(
                 f"phase refinement exhausted near {0.5 * (a + b)}; a root sits on or next to the contour")
         m = 0.5 * (a + b)
-        ph_m = _checked_phase(cl, m)
+        ph_m = _checked_phase(cl, m, phases)
         stack.append((a, m, ph_a, ph_m, depth + 1))
         stack.append((m, b, ph_m, ph_b, depth + 1))
     return total
 
 
-def _winding(cl, rect, focus=()):
+def _winding(cl, rect, focus, phases):
     """Exact root count inside rect from the boundary phase sum."""
     corners = (
         complex(rect.re_min, rect.im_min),
@@ -210,11 +250,11 @@ def _winding(cl, rect, focus=()):
         complex(rect.re_max, rect.im_max),
         complex(rect.re_min, rect.im_max),
     )
-    phases = [_checked_phase(cl, c) for c in corners]
+    ends = [_checked_phase(cl, c, phases) for c in corners]
     total = 0.0
     for i in range(4):
         a, b = corners[i], corners[(i + 1) % 4]
-        total += _edge_arg(cl, a, b, phases[i], phases[(i + 1) % 4], focus)
+        total += _edge_arg(cl, a, b, ends[i], ends[(i + 1) % 4], focus, phases)
     n = round(total / _TWO_PI)
     if abs(total / _TWO_PI - n) > 0.25:
         raise BoundaryRootSuspected(
@@ -289,14 +329,14 @@ def _axis(cl, rect):
     return tuple([r.s.real for r in reals] + nodes[1:-1]), reals
 
 
-def _counted_rect(cl, rect):
+def _counted_rect(cl, rect, phases):
     """Winding count with outward nudges when the boundary grazes a root."""
     delta = _NUDGE_FRACTION * rect.diameter
     last = None
     for attempt in range(_MAX_NUDGES + 1):
         focus, reals = _axis(cl, rect)
         try:
-            return _winding(cl, rect, focus), rect, reals, focus
+            return _winding(cl, rect, focus, phases), rect, reals, focus
         except BoundaryRootSuspected as exc:
             last = exc
             rect = rect.expanded(delta)
@@ -312,7 +352,7 @@ def count_roots(cl, rect):
     rectangle is grown outward by 1e-3 of its diameter, up to 5 times,
     before giving up.
     """
-    n, _, _, _ = _counted_rect(cl, rect)
+    n, _, _, _ = _counted_rect(cl, rect, {})
     return n
 
 
@@ -335,12 +375,12 @@ def _newton(cl, s0):
     return None
 
 
-def _partition(cl, pairs, n, focus):
+def _partition(cl, pairs, n, focus, phases):
     """First candidate (c1, c2) whose windings add up to n, as
     (c1, c2, n1, n2); None if no candidate does."""
     for c1, c2 in pairs:
         try:
-            n1, n2 = _winding(cl, c1, focus), _winding(cl, c2, focus)
+            n1, n2 = _winding(cl, c1, focus, phases), _winding(cl, c2, focus, phases)
         except BoundaryRootSuspected:
             continue
         if n1 + n2 == n:
@@ -360,7 +400,7 @@ def _split_lines(cell):
             yield replace(cell, im_max=mid), replace(cell, im_min=mid)
 
 
-def _resolve(cl, cell, n, diam0, out, focus):
+def _resolve(cl, cell, n, diam0, out, focus, phases):
     """Append the n simple roots that the winding count puts in cell to out.
 
     A lone root is Newton-polished from the cell centre.  The count
@@ -378,13 +418,13 @@ def _resolve(cl, cell, n, diam0, out, focus):
     if cell.diameter <= max(_MIN_CELL, _MIN_CELL_FRACTION * diam0):
         what = "Newton failed to converge" if n == 1 else f"{n} roots stay unseparated"
         raise NoConvergence(f"{what} inside cell around {cell.center}")
-    parts = _partition(cl, _split_lines(cell), n, focus)
+    parts = _partition(cl, _split_lines(cell), n, focus, phases)
     if parts is None:
         what = "isolate the root" if n == 1 else f"partition {n} roots"
         raise BoundaryRootSuspected(f"could not {what} near {cell.center}")
     c1, c2, n1, n2 = parts
-    _resolve(cl, c1, n1, diam0, out, focus)
-    _resolve(cl, c2, n2, diam0, out, focus)
+    _resolve(cl, c1, n1, diam0, out, focus, phases)
+    _resolve(cl, c2, n2, diam0, out, focus, phases)
 
 
 def find_roots(cl, rect):
@@ -396,7 +436,8 @@ def find_roots(cl, rect):
     root is Newton-polished to |f(s)| <= 1e-12*max(1, |s|).  Roots are
     ordered by descending real part, ties by ascending imaginary part.
     """
-    n, rect, reals, focus = _counted_rect(cl, rect)
+    phases = {}
+    n, rect, reals, focus = _counted_rect(cl, rect, phases)
     found = []
     if rect.im_min < 0.0 < rect.im_max:
         # winding cells must keep clear of the axis: an even-order real
@@ -406,16 +447,16 @@ def find_roots(cl, rect):
         strips = ((replace(rect, im_min=m), replace(rect, im_max=-m))
                   for m in (1e-7 * scale, 1e-9 * scale, 1e-11 * scale)
                   if rect.im_min < -m and m < rect.im_max)
-        parts = _partition(cl, strips, n - n_real, focus)
+        parts = _partition(cl, strips, n - n_real, focus, phases)
         if parts is None:
             raise BoundaryRootSuspected(
                 "roots too close to the real axis to separate from it")
         upper, lower, n_up, n_lo = parts
         found.extend(reals)
-        _resolve(cl, upper, n_up, rect.diameter, found, focus)
-        _resolve(cl, lower, n_lo, rect.diameter, found, focus)
+        _resolve(cl, upper, n_up, rect.diameter, found, focus, phases)
+        _resolve(cl, lower, n_lo, rect.diameter, found, focus, phases)
     else:
-        _resolve(cl, rect, n, rect.diameter, found, ())
+        _resolve(cl, rect, n, rect.diameter, found, (), phases)
     found.sort(key=lambda r: (-r.s.real, r.s.imag))
     return RootSet(roots=tuple(found), total_count=n)
 

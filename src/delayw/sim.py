@@ -263,13 +263,14 @@ def estimate_dominant_eig_detailed(traj):
     give rate + i*frequency: the rate is the least-squares slope of the
     log peak envelope, the frequency pi over the mean crossing spacing.
     Single-signed tails need at least 10 e-foldings and give a real
-    rate.  Tails near-constant relative to their own amplitude return 0.
+    rate.  Nonzero tails near-constant relative to their own amplitude
+    return 0.
 
     Raises
     ------
     InsufficientData
-        Tail too short, too few crossings/e-foldings, or zero values
-        breaking the log fit.
+        Tail too short or identically zero, too few crossings/e-foldings,
+        or zero values breaking the log fit.
     """
     n = len(traj.values)
     start = n - math.ceil(n * TAIL_FRACTION)
@@ -279,6 +280,8 @@ def estimate_dominant_eig_detailed(traj):
         raise InsufficientData(f"tail holds {len(xs)} samples; need at least 20")
 
     amax = max(abs(x) for x in xs)
+    if amax == 0.0:
+        raise InsufficientData("tail is identically zero; no mode is excited")
     spread = max(xs) - min(xs)
     if spread <= 1e-9 * amax:
         return EigEstimate(0j, "constant", spread, 0)

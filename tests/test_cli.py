@@ -116,6 +116,9 @@ GOLDEN_COMMANDS = {
     "simulate-out": ("simulate", *_PLANT, "--k", "-2", "--k1d", "-1", "--tfinal", "10",
                      "--step", "0.05", "--out", "traj.csv"),
     "simulate-estimate": ("simulate", "--alpha", "-1", "--beta", "-2", "--h", "1", "--tfinal", "40"),
+    # zero initial data excites no mode, so there is no estimate to report
+    "simulate-zero": ("simulate", "--alpha", "-1", "--beta", "-2", "--h", "1", "--tfinal", "10",
+                      "--x0", "0"),
     # grows until the overflow limit stops it at t = 472
     "simulate-truncated": ("simulate", "--alpha", "1", "--beta", "2", "--h", "1", "--tfinal", "800",
                            "--step", "0.5"),

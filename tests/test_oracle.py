@@ -5,7 +5,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from delayw import (
     ClosedLoopParams,
@@ -22,10 +22,29 @@ from delayw import (
     find_roots,
     spectrum,
 )
+from delayw.oracle import _edge_knots
 
 
 def residual_ok(cl, s, tol=1e-12):
     return abs(char_residual(cl, s)) <= tol * max(1.0, abs(s))
+
+
+def phase_evaluations(cl, n):
+    """cross_validate(cl, n) and the number of phase evaluations it made:
+    the calls of cmath.phase from delayw.oracle."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "c_call" and arg is cmath.phase and frame.f_globals.get("__name__") == "delayw.oracle":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        rep = cross_validate(cl, n)
+    finally:
+        sys.setprofile(None)
+    return rep, calls
 
 
 class TestCountRoots:
@@ -195,13 +214,18 @@ class TestCrossValidate:
     def test_time_rescaled_loop(self, h):
         # (alpha, beta, h) -> (alpha/h, beta/h, h) scales every root of the
         # (-1, -2, 1) loop by 1/h; the enclosing rectangle must scale with
-        # them, or its contour reaches where e^{-sh} overflows
-        base = cross_validate(ClosedLoopParams(-1.0, -2.0, 1.0), 3)
-        rep = cross_validate(ClosedLoopParams(-1.0 / h, -2.0 / h, h), 3)
-        assert rep.spectrum_count == rep.oracle_count == base.spectrum_count
-        assert rep.max_distance * h <= 1e-12
-        for side in ("re_min", "re_max", "im_min", "im_max"):
-            assert getattr(rep.rect, side) * h == pytest.approx(getattr(base.rect, side), rel=1e-9)
+        # them, or its contour reaches where e^{-sh} overflows, and so
+        # must the walk: lattice knots at j*pi/(4h), focus knots at
+        # multiples of their distance, hence the same number of phase
+        # evaluations
+        for n in (3, 30):
+            base, base_calls = phase_evaluations(ClosedLoopParams(-1.0, -2.0, 1.0), n)
+            rep, calls = phase_evaluations(ClosedLoopParams(-1.0 / h, -2.0 / h, h), n)
+            assert rep.spectrum_count == rep.oracle_count == base.spectrum_count
+            assert rep.max_distance * h <= 1e-12
+            for side in ("re_min", "re_max", "im_min", "im_max"):
+                assert getattr(rep.rect, side) * h == pytest.approx(getattr(base.rect, side), rel=1e-9)
+            assert calls == base_calls
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -247,21 +271,36 @@ class TestCrossValidate:
             assert residual_ok(cl, root.s)
 
 
-@pytest.mark.parametrize("n, budget", [(3, 646), (10, 2779), (30, 10724)])
+@pytest.mark.parametrize("n, budget", [(3, 176), (10, 601), (30, 1930)])
 def test_phase_evaluation_budget(n, budget):
-    # the oracle's work is its phase evaluations, the calls of cmath.phase
-    # made from delayw.oracle; cheaper walks may lower the counts, never
-    # raise them
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        if event == "c_call" and arg is cmath.phase and frame.f_globals.get("__name__") == "delayw.oracle":
-            calls += 1
-
-    sys.setprofile(profile)
-    try:
-        cross_validate(ClosedLoopParams(-1.0, -2.0, 1.0), n)
-    finally:
-        sys.setprofile(None)
+    # the oracle's work is its phase evaluations; cheaper walks may lower
+    # the counts, never raise them
+    _, calls = phase_evaluations(ClosedLoopParams(-1.0, -2.0, 1.0), n)
     assert 0 < calls <= budget
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.floats(min_value=1e-2, max_value=1e2),
+    horizontal=st.booleans(),
+    offset=st.floats(min_value=-20.0, max_value=20.0),
+    ends=st.lists(st.floats(min_value=-20.0, max_value=20.0), min_size=4, max_size=4, unique=True),
+    focus=st.lists(st.floats(min_value=-20.0, max_value=20.0), max_size=2),
+)
+def test_edge_knots_depend_only_on_the_line(h, horizontal, offset, ends, focus):
+    # the per-call phase table pays off only if a walk along part of an
+    # edge samples exactly the edge's own points there, in either direction
+    lo, a, b, hi = sorted(ends)
+    assume((hi - lo) * h <= 65536 * math.pi / 4.0)
+
+    def at(x):
+        return complex(x, offset) if horizontal else complex(offset, x)
+
+    def along(s):
+        return s.real if horizontal else s.imag
+
+    full = _edge_knots(at(lo), at(hi), h, focus)
+    inside = [s for s in full if a < along(s) < b]
+    assert _edge_knots(at(a), at(b), h, focus) == inside
+    assert _edge_knots(at(b), at(a), h, focus) == inside[::-1]
+    assert _edge_knots(at(hi), at(lo), h, focus) == full[::-1]

@@ -264,6 +264,15 @@ class TestEstimate:
         with pytest.raises(InsufficientData):
             estimate_dominant_eig_detailed(traj)
 
+    def test_zero_tail(self):
+        # zero initial data excites no mode: there is no root to read off,
+        # least of all the constant mode at 0
+        cl = ClosedLoopParams(-1.0, -2.0, 1.0)
+        traj = simulate(cl, InitialData(0.0, ConstantHistory(0.0)), 10.0)
+        assert set(traj.values) == {0.0}
+        with pytest.raises(InsufficientData, match="identically zero"):
+            estimate_dominant_eig_detailed(traj)
+
     def test_too_few_efoldings(self):
         # slow decay observed over a short window
         traj = simulate(ClosedLoopParams(-0.05, 0.0, 1.0), UNIT, 20.0, 0.01)
