@@ -16,7 +16,7 @@ of a higher branch, never the rightmost one.
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     AlphaOutOfRange,
@@ -50,13 +50,10 @@ COND_TOL_DEFAULT = 1e-9
 MARGINAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Target:
+class Target(namedtuple("Target", "S u v")):
     """Desired rightmost eigenvalue, normalized to Im S >= 0."""
 
-    S: complex
-    u: float
-    v: float
+    __slots__ = ()
 
 
 def as_target(S):
@@ -79,8 +76,8 @@ class AssignmentMode(enum.Enum):
     INPUT_DELAY = "input_delay"
 
 
-@dataclass(frozen=True)
-class AssignmentResult:
+class AssignmentResult(namedtuple("AssignmentResult",
+                                  "mode gains closed_loop predicted_rightmost feasible certificate")):
     """Outcome of one design mode.
 
     closed_loop holds the designed coefficients (alpha, beta) directly;
@@ -89,12 +86,7 @@ class AssignmentResult:
     only to absolute rounding in the gain representation.
     """
 
-    mode: AssignmentMode
-    gains: Gains
-    closed_loop: ClosedLoopParams
-    predicted_rightmost: complex
-    feasible: bool
-    certificate: str
+    __slots__ = ()
 
 
 def _applicable(fn, sys, S):
@@ -314,20 +306,12 @@ def assign_input_delay(sys, S, cond_tol=COND_TOL_DEFAULT):
     return AssignmentResult(AssignmentMode.INPUT_DELAY, gains, cl, t.S, True, cert)
 
 
-@dataclass(frozen=True)
-class ModeCheck:
-    mode: AssignmentMode
-    applicable: bool
-    feasible: bool
-    detail: str
-    residual: float = None
-    alpha_interval: tuple = None
+ModeCheck = namedtuple("ModeCheck", "mode applicable feasible detail residual alpha_interval",
+                       defaults=(None, None))
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    target: complex
-    checks: tuple
+class FeasibilityReport(namedtuple("FeasibilityReport", "target checks")):
+    __slots__ = ()
 
     def feasible_modes(self):
         return tuple(c.mode for c in self.checks if c.applicable and c.feasible)

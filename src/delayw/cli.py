@@ -19,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import is_dataclass
 
 from .assign import _MODES
 from .errors import (
@@ -83,8 +82,8 @@ def _dump(obj, indent=0):
     pad = "  " * indent
     if isinstance(obj, complex):
         obj = {"re": obj.real, "im": obj.imag}
-    elif is_dataclass(obj):
-        obj = vars(obj)
+    elif hasattr(obj, "_asdict"):
+        obj = obj._asdict()
     if isinstance(obj, dict):
         if not obj:
             return "{}"

@@ -19,7 +19,7 @@ projected exactly onto the real axis.
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BranchOutOfRange, DomainError, NoConvergence, NonFiniteInput
 
@@ -107,8 +107,7 @@ def _ez_plus_1(z):
     return complex(re, _E * z.imag + _E_LO * z.imag)
 
 
-@dataclass(frozen=True)
-class WValue:
+class WValue(namedtuple("WValue", "w residual iterations")):
     """Result of a Lambert W evaluation.
 
     Attributes
@@ -122,9 +121,7 @@ class WValue:
         series evaluation sufficed).
     """
 
-    w: complex
-    residual: float
-    iterations: int
+    __slots__ = ()
 
 
 def _bp_series(p):

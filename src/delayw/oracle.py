@@ -36,7 +36,7 @@ Newton polishing and in the real-axis sign analysis.
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .errors import BoundaryRootSuspected, DomainError, MismatchDetected, NoConvergence
 from .spectrum import spectrum
@@ -73,19 +73,16 @@ _FOCUS_LADDER = (-128.0, -64.0, -32.0, -16.0, -8.0, -4.0, -2.0, -1.0, 0.0,
                  1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
-@dataclass(frozen=True)
-class SearchRect:
-    re_min: float
-    re_max: float
-    im_min: float
-    im_max: float
+class SearchRect(namedtuple("SearchRect", "re_min re_max im_min im_max")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = (self.re_min, self.re_max, self.im_min, self.im_max)
+    def __new__(cls, re_min, re_max, im_min, im_max):
+        vals = (re_min, re_max, im_min, im_max)
         if not all(math.isfinite(v) for v in vals):
             raise DomainError(f"rectangle bounds must be finite, got {vals}")
-        if not (self.re_min < self.re_max and self.im_min < self.im_max):
+        if not (re_min < re_max and im_min < im_max):
             raise DomainError(f"degenerate rectangle {vals}")
+        return super().__new__(cls, *vals)
 
     @property
     def diameter(self):
@@ -104,20 +101,16 @@ class SearchRect:
                           self.im_min - delta, self.im_max + delta)
 
 
-@dataclass(frozen=True)
-class LocatedRoot:
-    s: complex
-    multiplicity: int
+LocatedRoot = namedtuple("LocatedRoot", "s multiplicity")
 
 
-@dataclass(frozen=True)
-class RootSet:
-    roots: tuple
-    total_count: int
+class RootSet(namedtuple("RootSet", "roots total_count")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sum(r.multiplicity for r in self.roots) != self.total_count:
+    def __new__(cls, roots, total_count):
+        if sum(r.multiplicity for r in roots) != total_count:
             raise DomainError("multiplicities do not add up to the boundary count")
+        return super().__new__(cls, roots, total_count)
 
 
 def _cexpm1(z):
@@ -390,14 +383,15 @@ def _partition(cl, pairs, n, focus, phases):
 
 def _split_lines(cell):
     """Halves of cell split across its longer side, one pair per fraction."""
-    if cell.re_max - cell.re_min >= cell.im_max - cell.im_min:
+    re_lo, re_hi, im_lo, im_hi = cell
+    if re_hi - re_lo >= im_hi - im_lo:
         for frac in _FRACTIONS:
-            mid = cell.re_min + frac * (cell.re_max - cell.re_min)
-            yield replace(cell, re_max=mid), replace(cell, re_min=mid)
+            mid = re_lo + frac * (re_hi - re_lo)
+            yield SearchRect(re_lo, mid, im_lo, im_hi), SearchRect(mid, re_hi, im_lo, im_hi)
     else:
         for frac in _FRACTIONS:
-            mid = cell.im_min + frac * (cell.im_max - cell.im_min)
-            yield replace(cell, im_max=mid), replace(cell, im_min=mid)
+            mid = im_lo + frac * (im_hi - im_lo)
+            yield SearchRect(re_lo, re_hi, im_lo, mid), SearchRect(re_lo, re_hi, mid, im_hi)
 
 
 def _resolve(cl, cell, n, diam0, out, focus, phases):
@@ -444,7 +438,8 @@ def find_roots(cl, rect):
         # root on a cell edge leaves no phase signature at all
         n_real = sum(r.multiplicity for r in reals)
         scale = max(1.0, -rect.im_min, rect.im_max)
-        strips = ((replace(rect, im_min=m), replace(rect, im_max=-m))
+        strips = ((SearchRect(rect.re_min, rect.re_max, m, rect.im_max),
+                   SearchRect(rect.re_min, rect.re_max, rect.im_min, -m))
                   for m in (1e-7 * scale, 1e-9 * scale, 1e-11 * scale)
                   if rect.im_min < -m and m < rect.im_max)
         parts = _partition(cl, strips, n - n_real, focus, phases)
@@ -461,12 +456,7 @@ def find_roots(cl, rect):
     return RootSet(roots=tuple(found), total_count=n)
 
 
-@dataclass(frozen=True)
-class CrossValidation:
-    rect: SearchRect
-    spectrum_count: int
-    oracle_count: int
-    max_distance: float
+CrossValidation = namedtuple("CrossValidation", "rect spectrum_count oracle_count max_distance")
 
 
 def _enclosing_rect(roots, h):

@@ -19,7 +19,7 @@ non-oscillatory tails), frequency from the mean zero-crossing spacing.
 
 import bisect
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 
 from .errors import DomainError, InsufficientData, InvalidStep, NonFiniteInput
@@ -41,37 +41,35 @@ OVERFLOW_LIMIT = 1e300
 TAIL_FRACTION = 0.5
 
 
-@dataclass(frozen=True)
-class ConstantHistory:
+class ConstantHistory(namedtuple("ConstantHistory", "c")):
     """phi(tau) = c on [-h, 0)."""
 
-    c: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.c):
-            raise NonFiniteInput(f"history constant must be finite, got {self.c!r}")
+    def __new__(cls, c):
+        if not math.isfinite(c):
+            raise NonFiniteInput(f"history constant must be finite, got {c!r}")
+        return super().__new__(cls, c)
 
     def __call__(self, tau):
         return self.c
 
 
-@dataclass(frozen=True)
-class LinearHistory:
+class LinearHistory(namedtuple("LinearHistory", "c0 c1")):
     """phi(tau) = c0 + c1*tau on [-h, 0)."""
 
-    c0: float
-    c1: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.c0) and math.isfinite(self.c1)):
+    def __new__(cls, c0, c1):
+        if not (math.isfinite(c0) and math.isfinite(c1)):
             raise NonFiniteInput("history coefficients must be finite")
+        return super().__new__(cls, c0, c1)
 
     def __call__(self, tau):
         return self.c0 + self.c1 * tau
 
 
-@dataclass(frozen=True)
-class SampledHistory:
+class SampledHistory(namedtuple("SampledHistory", "points")):
     """Piecewise-linear history through (tau_i, x_i) samples.
 
     Stamps must be strictly increasing and start at the delay horizon;
@@ -80,10 +78,10 @@ class SampledHistory:
     of [-h, 0).
     """
 
-    points: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        pts = tuple((float(t), float(x)) for t, x in self.points)
+    def __new__(cls, points):
+        pts = tuple((float(t), float(x)) for t, x in points)
         if len(pts) < 2:
             raise DomainError("sampled history needs at least two points")
         for (t0, x0), (t1, x1) in zip(pts, pts[1:]):
@@ -94,7 +92,7 @@ class SampledHistory:
                 raise NonFiniteInput("sample stamps and values must be finite")
         if pts[-1][0] >= 0.0:
             raise DomainError("sample stamps must stay below 0")
-        object.__setattr__(self, "points", pts)
+        return super().__new__(cls, pts)
 
     def __call__(self, tau):
         pts = self.points
@@ -108,22 +106,20 @@ class SampledHistory:
         return x0 * (1.0 - w) + x1 * w
 
 
-@dataclass(frozen=True)
-class InitialData:
+class InitialData(namedtuple("InitialData", "x0 phi")):
     """State at t = 0 plus the history segment feeding the delay term."""
 
-    x0: float
-    phi: object
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.x0):
-            raise NonFiniteInput(f"x0 must be finite, got {self.x0!r}")
-        if not callable(self.phi):
+    def __new__(cls, x0, phi):
+        if not math.isfinite(x0):
+            raise NonFiniteInput(f"x0 must be finite, got {x0!r}")
+        if not callable(phi):
             raise DomainError("phi must be callable on [-h, 0)")
+        return super().__new__(cls, x0, phi)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(namedtuple("Trajectory", "times values step truncated")):
     """Uniformly sampled solution starting at t = 0.
 
     truncated marks an integration stopped early because the state
@@ -131,16 +127,14 @@ class Trajectory:
     the arrays hold everything computed up to that point.
     """
 
-    times: tuple
-    values: tuple
-    step: float
-    truncated: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.times) != len(self.values):
+    def __new__(cls, times, values, step, truncated=False):
+        if len(times) != len(values):
             raise DomainError("times and values must have equal length")
-        if not self.times or self.times[0] != 0.0:
+        if not times or times[0] != 0.0:
             raise DomainError("trajectory must start at t = 0")
+        return super().__new__(cls, times, values, step, truncated)
 
     def to_csv(self):
         """Render as CSV with header "t,x", 17 significant digits."""
@@ -226,8 +220,7 @@ def simulate(cl, init, t_final, step=None):
     return Trajectory(times=times, values=tuple(xs), step=dt, truncated=len(xs) <= total)
 
 
-@dataclass(frozen=True)
-class EigEstimate:
+class EigEstimate(namedtuple("EigEstimate", "value kind fit_residual n_crossings")):
     """Dominant-eigenvalue fit with its diagnostics.
 
     kind is one of "constant" (tail spread within 1e-9 of the tail's own
@@ -237,10 +230,7 @@ class EigEstimate:
     estimate should not be trusted.
     """
 
-    value: complex
-    kind: str
-    fit_residual: float
-    n_crossings: int
+    __slots__ = ()
 
 
 def _lsq_slope(ts, ys):
@@ -269,8 +259,7 @@ def estimate_dominant_eig_detailed(traj):
     Raises
     ------
     InsufficientData
-        Tail too short or identically zero, too few crossings/e-foldings,
-        or zero values breaking the log fit.
+        Tail too short or identically zero, or too few crossings/e-foldings.
     """
     n = len(traj.values)
     start = n - math.ceil(n * TAIL_FRACTION)
@@ -323,8 +312,6 @@ def estimate_dominant_eig_detailed(traj):
             f"tail crosses zero {len(crossings)} times: too few for a frequency fit, "
             "too many for a monotone fit")
     # single-signed tail: fit log|x| directly
-    if min(abs(x) for x in xs) == 0.0:
-        raise InsufficientData("tail touches zero without sign changes; no log fit possible")
     efold = abs(math.log(abs(xs[-1]) / abs(xs[0])))
     if efold < 10.0:
         raise InsufficientData(

@@ -11,7 +11,7 @@ root, so stability reduces to the sign of Re s_0.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import InvalidGain, NonFiniteInput, DomainError
 from .lambertw import BRANCH_POINT_Z, K_MAX, lambert_w
@@ -40,53 +40,46 @@ def _require_finite(**values):
             raise NonFiniteInput(f"{name} must be finite, got {v!r}")
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class SystemParams(namedtuple("SystemParams", "a a1d b h input_delay")):
     """Open-loop plant x'(t) = a*x(t) + a1d*x(t-h) + b*u(t).
 
     With ``input_delay=True`` the plant is x'(t) = a*x(t) + b*u(t-h)
     instead; the delayed-state coefficient a1d must then be zero.
     """
 
-    a: float
-    a1d: float
-    b: float
-    h: float
-    input_delay: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_finite(a=self.a, a1d=self.a1d, b=self.b, h=self.h)
-        if self.h <= 0:
-            raise DomainError(f"delay h must be positive, got {self.h}")
-        if self.b == 0:
+    def __new__(cls, a, a1d, b, h, input_delay=False):
+        _require_finite(a=a, a1d=a1d, b=b, h=h)
+        if h <= 0:
+            raise DomainError(f"delay h must be positive, got {h}")
+        if b == 0:
             raise DomainError("input gain b must be nonzero")
-        if self.input_delay and self.a1d != 0:
+        if input_delay and a1d != 0:
             raise DomainError("an input-delay plant has no delayed-state term; a1d must be 0")
+        return super().__new__(cls, a, a1d, b, h, input_delay)
 
 
-@dataclass(frozen=True)
-class Gains:
+class Gains(namedtuple("Gains", "k k1d")):
     """Feedback law u(t) = k*x(t) + k1d*x(t-h)."""
 
-    k: float
-    k1d: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_finite(k=self.k, k1d=self.k1d)
+    def __new__(cls, k, k1d=0.0):
+        _require_finite(k=k, k1d=k1d)
+        return super().__new__(cls, k, k1d)
 
 
-@dataclass(frozen=True)
-class ClosedLoopParams:
+class ClosedLoopParams(namedtuple("ClosedLoopParams", "alpha beta h")):
     """Closed loop x'(t) = alpha*x(t) + beta*x(t-h)."""
 
-    alpha: float
-    beta: float
-    h: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_finite(alpha=self.alpha, beta=self.beta, h=self.h)
-        if self.h <= 0:
-            raise DomainError(f"delay h must be positive, got {self.h}")
+    def __new__(cls, alpha, beta, h):
+        _require_finite(alpha=alpha, beta=beta, h=h)
+        if h <= 0:
+            raise DomainError(f"delay h must be positive, got {h}")
+        return super().__new__(cls, alpha, beta, h)
 
     @property
     def w_argument(self):
@@ -106,19 +99,13 @@ class ClosedLoopParams:
         return z
 
 
-@dataclass(frozen=True)
-class SpectrumRoot:
-    branch: int
-    s: complex
-    multiplicity: int = 1
+SpectrumRoot = namedtuple("SpectrumRoot", "branch s multiplicity", defaults=(1,))
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(namedtuple("Spectrum", "roots rightmost", defaults=((), 0j))):
     """Branch-labelled characteristic roots, rightmost first."""
 
-    roots: tuple = field(default_factory=tuple)
-    rightmost: complex = complex(0.0)
+    __slots__ = ()
 
 
 def close_loop(sys, gains):

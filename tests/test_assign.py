@@ -76,6 +76,13 @@ def test_window_violation_carries_design():
     assert rm.real > S.real
 
 
+def test_both_window_underflow_is_singular():
+    # v is nonzero, but v*h underflows to 0, where sin(v*h) vanishes
+    with pytest.raises(NotAssignableAsRightmost, match="is a multiple of pi") as info:
+        assign_both(SystemParams(a=0.5, a1d=1.0, b=1.0, h=0.1), complex(-1.0, 5e-324))
+    assert info.value.window == (0.0, math.pi / 0.1)
+
+
 def test_delay_only_real():
     p0 = SystemParams(a=0.0, a1d=0.0, b=1.0, h=1.0)
     r = assign_delay_only(p0, -0.5)
@@ -90,6 +97,14 @@ def test_delay_only_real_condition_boundary():
     with pytest.raises(ConditionViolated) as info:
         assign_delay_only(p0, -2.0)
     assert info.value.residual == pytest.approx(-1.0)
+
+
+def test_delay_only_real_marginal():
+    # S = a - 1/h exactly puts (S - alpha)*h at -1: the design lands on
+    # the W branch point, where the rightmost root is double
+    r = assign_delay_only(SystemParams(a=0.5, a1d=1.0, b=1.0, h=2.0), 0.0)
+    assert r.certificate.endswith("; marginal: double rightmost root")
+    assert spectrum(r.closed_loop, 0).roots[0].multiplicity == 2
 
 
 def test_delay_only_complex_constructed():

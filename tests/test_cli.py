@@ -48,6 +48,16 @@ def test_demo_runs(demo):
     assert proc.stdout
 
 
+def test_import_loads_no_dataclasses():
+    # every record is a named tuple, so importing the package leaves
+    # dataclasses and the inspect machinery behind it unloaded
+    code = ("import sys; before = set(sys.modules); import delayw; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, text=True,
+                          env=source_env())
+    assert proc.stdout.strip() == "[]"
+
+
 # Fixed commands whose stdout, exit code and --out file must not change by
 # a single byte.  The recorded outputs live in cli_golden.json; after an
 # intended output change, rewrite it with

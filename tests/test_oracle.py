@@ -164,6 +164,13 @@ class TestFindRoots:
             find_roots(cl, rect)
         assert "multiplicity" not in str(info.value)
 
+    @pytest.mark.parametrize("locate", [count_roots, find_roots])
+    def test_contour_overflow_raises(self, locate):
+        # e^{-sh} passes the double range all along this rectangle
+        with pytest.raises(DomainError, match=r"characteristic function overflows on the contour "
+                                              r".*; shrink the rectangle"):
+            locate(ClosedLoopParams(-1.0, -2.0, 1.0), SearchRect(-800.0, -700.0, -1.0, 1.0))
+
     def test_rootset_multiplicity_bookkeeping(self):
         with pytest.raises(DomainError):
             RootSet(roots=(LocatedRoot(0j, 1),), total_count=2)
@@ -304,3 +311,15 @@ def test_edge_knots_depend_only_on_the_line(h, horizontal, offset, ends, focus):
     assert _edge_knots(at(a), at(b), h, focus) == inside
     assert _edge_knots(at(b), at(a), h, focus) == inside[::-1]
     assert _edge_knots(at(hi), at(lo), h, focus) == full[::-1]
+
+
+def test_edge_knots_cap_the_piece_count():
+    # past 65,536 pieces of pi/(4h) the step doubles until the edge fits:
+    # 0 -> 1e5 at h = 10 takes 32 times pi/(4h), and a walk along a
+    # stretch at the same doubling samples the edge's own points
+    step = 32.0 * math.pi / 40.0
+    knots = _edge_knots(0j, complex(1e5, 0.0), 10.0, ())
+    assert len(knots) == 39788
+    assert knots == [complex(j * step, 0.0) for j in range(1, 39789)]
+    assert _edge_knots(complex(5e3, 0.0), complex(9.5e4, 0.0), 10.0, ()) == \
+        [s for s in knots if 5e3 < s.real < 9.5e4]

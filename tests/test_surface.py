@@ -1,12 +1,45 @@
-"""The package's public names: nothing exported that no module declares."""
+"""The package's public names: nothing exported that no module declares,
+and every record an immutable named tuple."""
 
 import importlib
 import types
 
+import pytest
+
 import delayw
 import delayw.errors
+from delayw import AssignmentMode, ClosedLoopParams, ConstantHistory, Gains, SearchRect
 
 MODULES = ("lambertw", "spectrum", "assign", "oracle", "sim")
+
+# every public record: the fields a caller must give, in declaration
+# order, then the documented defaults of the rest
+RECORDS = [
+    (delayw.WValue, dict(w=1j, residual=0.0, iterations=0), {}),
+    (delayw.SystemParams, dict(a=1.0, a1d=-1.0, b=1.0, h=1.0), dict(input_delay=False)),
+    (delayw.Gains, dict(k=1.0), dict(k1d=0.0)),
+    (delayw.ClosedLoopParams, dict(alpha=-1.0, beta=-2.0, h=1.0), {}),
+    (delayw.SpectrumRoot, dict(branch=0, s=-1j), dict(multiplicity=1)),
+    (delayw.Spectrum, {}, dict(roots=(), rightmost=0j)),
+    (delayw.Target, dict(S=1j, u=0.0, v=1.0), {}),
+    (delayw.AssignmentResult, dict(mode=AssignmentMode.BOTH_GAINS, gains=Gains(1.0),
+                                   closed_loop=ClosedLoopParams(-1.0, -2.0, 1.0), predicted_rightmost=1j,
+                                   feasible=True, certificate="ok"), {}),
+    (delayw.ModeCheck, dict(mode=AssignmentMode.REAL_BOTH, applicable=True, feasible=True, detail="ok"),
+     dict(residual=None, alpha_interval=None)),
+    (delayw.FeasibilityReport, dict(target=1j, checks=()), {}),
+    (delayw.SearchRect, dict(re_min=-1.0, re_max=1.0, im_min=-1.0, im_max=1.0), {}),
+    (delayw.LocatedRoot, dict(s=-1 + 0j, multiplicity=1), {}),
+    (delayw.RootSet, dict(roots=(), total_count=0), {}),
+    (delayw.CrossValidation, dict(rect=SearchRect(-1.0, 1.0, -1.0, 1.0), spectrum_count=0, oracle_count=0,
+                                  max_distance=0.0), {}),
+    (delayw.ConstantHistory, dict(c=1.0), {}),
+    (delayw.LinearHistory, dict(c0=1.0, c1=0.5), {}),
+    (delayw.SampledHistory, dict(points=((-1.0, 0.0), (-0.5, 1.0))), {}),
+    (delayw.InitialData, dict(x0=1.0, phi=ConstantHistory(1.0)), {}),
+    (delayw.Trajectory, dict(times=(0.0, 0.5), values=(1.0, 0.5), step=0.5), dict(truncated=False)),
+    (delayw.EigEstimate, dict(value=-1 + 0j, kind="monotone", fit_residual=0.0, n_crossings=0), {}),
+]
 
 
 def test_public_surface():
@@ -22,3 +55,17 @@ def test_public_surface():
               if not n.startswith("_") and not isinstance(o, types.ModuleType)}
     assert public == errors | declared
     assert isinstance(delayw.__version__, str)
+    records = {n for n, o in vars(delayw).items() if isinstance(o, type) and issubclass(o, tuple)}
+    assert records == {cls.__name__ for cls, _, _ in RECORDS}
+
+
+@pytest.mark.parametrize("cls, given, defaults", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS])
+def test_record_fields_and_immutability(cls, given, defaults):
+    rec = cls(**given)
+    assert rec._fields == (*given, *defaults)
+    assert tuple(rec) == (*given.values(), *defaults.values())
+    with pytest.raises(AttributeError):
+        setattr(rec, rec._fields[0], None)
+    # a subclass that lacks __slots__ = () would take new attributes
+    with pytest.raises(AttributeError):
+        rec.extra = None
