@@ -45,9 +45,6 @@ __all__ = [
 
 # relative tolerance for algebraic feasibility conditions
 COND_TOL_DEFAULT = 1e-9
-# |(S - alpha)*h + 1| below this means the design lands exactly on the
-# W branch point: rightmost root of multiplicity two
-MARGINAL_TOL = 1e-12
 
 
 class Target(namedtuple("Target", "S u v")):
@@ -209,7 +206,7 @@ def _delay_only_value(fn, sys, S, cond_tol):
                 residual=margin,
             )
         cert = f"S >= a - 1/h holds with margin {margin:.6g}"
-        if abs((t.u - a) * h + 1.0) <= MARGINAL_TOL:
+        if margin == 0.0:
             cert += "; marginal: double rightmost root"
         return t, (t.u - a) * _exp(t.u * h, "e^(u*h)"), cert
     vh, sv, cv = _in_window(fn, t, h)
@@ -289,7 +286,7 @@ def assign_real_both(sys, S, alpha_choice=None):
     gains = Gains(k=(alpha - sys.a) / sys.b, k1d=(beta - sys.a1d) / sys.b)
     cl = ClosedLoopParams(alpha, beta, sys.h)
     cert = f"alpha = {alpha:.9g} <= S + 1/h = {bound:.9g}"
-    if abs((t.u - alpha) * h + 1.0) <= MARGINAL_TOL:
+    if alpha == bound:
         cert += "; marginal: double rightmost root"
     return AssignmentResult(AssignmentMode.REAL_BOTH, gains, cl, t.S, True, cert)
 

@@ -286,8 +286,11 @@ def cmd_simulate(args):
             f"trajectory truncated at t = {_g(traj.times[-1])}: |x| reached the overflow limit"
         )
     if args.out is not None:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(traj.to_csv())
+        try:
+            with open(args.out, "w", encoding="ascii") as fh:
+                fh.write(traj.to_csv())
+        except OSError as exc:
+            raise DomainError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
     prediction = spectrum(cl, 0).rightmost
     result = {
         "n_samples": len(traj.times),

@@ -84,12 +84,12 @@ class SampledHistory(namedtuple("SampledHistory", "points")):
         pts = tuple((float(t), float(x)) for t, x in points)
         if len(pts) < 2:
             raise DomainError("sampled history needs at least two points")
-        for (t0, x0), (t1, x1) in zip(pts, pts[1:]):
-            if not (t1 > t0):
-                raise DomainError("sample stamps must be strictly increasing")
         for t, x in pts:
             if not (math.isfinite(t) and math.isfinite(x)):
                 raise NonFiniteInput("sample stamps and values must be finite")
+        for (t0, x0), (t1, x1) in zip(pts, pts[1:]):
+            if not (t1 > t0):
+                raise DomainError("sample stamps must be strictly increasing")
         if pts[-1][0] >= 0.0:
             raise DomainError("sample stamps must stay below 0")
         return super().__new__(cls, pts)

@@ -17,7 +17,6 @@ from .errors import InvalidGain, NonFiniteInput, DomainError
 from .lambertw import BRANCH_POINT_Z, K_MAX, lambert_w
 
 __all__ = [
-    "COALESCENCE_TOL",
     "SystemParams",
     "Gains",
     "ClosedLoopParams",
@@ -28,10 +27,6 @@ __all__ = [
     "spectrum",
     "is_stable",
 ]
-
-# |beta*h*e^{-alpha h} + 1/e| below which branches 0 and -1 are treated
-# as coalesced into one double root.
-COALESCENCE_TOL = 1e-12
 
 
 def _require_finite(**values):
@@ -131,22 +126,16 @@ def char_residual(cl, s):
     return s - cl.alpha - cl.beta * cmath.exp(-s * cl.h)
 
 
-def _root(cl, k, z):
-    return cl.alpha + lambert_w(k, z).w / cl.h
+def _root(cl, w):
+    return cl.alpha + w / cl.h
 
 
 def _rightmost(cl):
-    """Branch-0 root and its multiplicity, as (s0, multiplicity)."""
+    """Branch-0 root, the rightmost one."""
     if cl.beta == 0.0:
         # delay term vanishes; W_k(0) exists only for k = 0
-        return complex(cl.alpha, 0.0), 1
-    z = cl.w_argument
-    if abs(z - BRANCH_POINT_Z) <= COALESCENCE_TOL:
-        # the classification pins z to the branch point, where W = -1
-        # exactly; evaluating W_0(z) here instead would leak a spurious
-        # imaginary part of order sqrt(|z + 1/e|)
-        return complex(cl.alpha - 1.0 / cl.h, 0.0), 2
-    return _root(cl, 0, z), 1
+        return complex(cl.alpha, 0.0)
+    return _root(cl, lambert_w(0, cl.w_argument).w)
 
 
 def spectrum(cl, n_branches):
@@ -168,9 +157,11 @@ def spectrum(cl, n_branches):
         Roots sorted by descending real part (ties by ascending
         imaginary part).  ``Spectrum.rightmost`` is the branch-0 root,
         with Im >= 0; for an oscillatory loop ``roots[0]`` is its
-        branch -1 conjugate, which sorts first.  When the W argument
-        sits within COALESCENCE_TOL of -1/e the coalesced branch-0/-1
-        pair is reported once with multiplicity 2.
+        branch -1 conjugate, which sorts first.  For a W argument z in
+        [-1/e, 0), branches 0 and -1 are reported once, as branch 0 with
+        multiplicity 2, exactly when the kernel returns the same W for
+        both, as it does where its compensated e*z + 1 is zero.  Next
+        to the branch point they stay two simple roots, however close.
 
     Raises
     ------
@@ -186,26 +177,35 @@ def spectrum(cl, n_branches):
         raise DomainError(f"n_branches must be >= 0, got {n_branches}")
     if n_branches > K_MAX:
         raise DomainError(f"n_branches = {n_branches} exceeds K_MAX = {K_MAX}")
-    s0, multiplicity = _rightmost(cl)
-    roots = [SpectrumRoot(0, s0, multiplicity)]
-    if cl.beta != 0.0:
-        z = cl.w_argument
-        if z == 0.0:
-            raise DomainError(
-                f"W argument beta*h*e^(-alpha*h) underflows to 0 for alpha = {cl.alpha!r}, "
-                f"beta = {cl.beta!r}, h = {cl.h!r}; W_k(0) diverges for the branches k != 0"
-            )
-        if multiplicity == 1 and z < BRANCH_POINT_Z:
-            # on the cut: branch -1 is the conjugate partner of branch 0
-            roots.append(SpectrumRoot(-1, s0.conjugate(), 1))
-        elif multiplicity == 1 and z < 0.0:
-            # -1/e < z < 0: branch -1 is the second real root
-            roots.append(SpectrumRoot(-1, _root(cl, -1, z), 1))
-        # for z < 0 branch k pairs with branch -k-1, for z > 0 with -k
-        for k in range(1, n_branches + 1):
-            sk = _root(cl, k, z)
-            roots.append(SpectrumRoot(k, sk, 1))
-            roots.append(SpectrumRoot(-k if z > 0.0 else -k - 1, sk.conjugate(), 1))
+    if cl.beta == 0.0:
+        s0 = _rightmost(cl)
+        return Spectrum(roots=(SpectrumRoot(0, s0),), rightmost=s0)
+    z = cl.w_argument
+    if z == 0.0:
+        raise DomainError(
+            f"W argument beta*h*e^(-alpha*h) underflows to 0 for alpha = {cl.alpha!r}, "
+            f"beta = {cl.beta!r}, h = {cl.h!r}; W_k(0) diverges for the branches k != 0"
+        )
+    w0 = lambert_w(0, z).w
+    s0 = _root(cl, w0)
+    roots = [SpectrumRoot(0, s0)]
+    if z < BRANCH_POINT_Z:
+        # on the cut: branch -1 is the conjugate partner of branch 0
+        roots.append(SpectrumRoot(-1, s0.conjugate()))
+    elif z < 0.0:
+        # -1/e <= z < 0: branch -1 is the second real root.  The kernel
+        # returns it equal to W_0 (both -1) only where its compensated
+        # e*z + 1 is zero, and there the two are one double root
+        w1 = lambert_w(-1, z).w
+        if w1 == w0:
+            roots[0] = SpectrumRoot(0, s0, 2)
+        else:
+            roots.append(SpectrumRoot(-1, _root(cl, w1)))
+    # for z < 0 branch k pairs with branch -k-1, for z > 0 with -k
+    for k in range(1, n_branches + 1):
+        sk = _root(cl, lambert_w(k, z).w)
+        roots.append(SpectrumRoot(k, sk))
+        roots.append(SpectrumRoot(-k if z > 0.0 else -k - 1, sk.conjugate()))
     roots.sort(key=lambda r: (-r.s.real, r.s.imag))
     return Spectrum(roots=tuple(roots), rightmost=s0)
 
@@ -213,9 +213,7 @@ def spectrum(cl, n_branches):
 def is_stable(cl):
     """Stability verdict from the rightmost root.
 
-    Reads the same branch-0 root that ``spectrum`` reports, including the
-    pinned double root when the W argument is within COALESCENCE_TOL of
-    -1/e.
+    Reads the same branch-0 root that ``spectrum`` reports.
 
     Returns
     -------
@@ -223,5 +221,5 @@ def is_stable(cl):
         margin is Re s_0; the loop is exponentially stable iff it is
         negative.
     """
-    margin = _rightmost(cl)[0].real
+    margin = _rightmost(cl).real
     return margin < 0.0, margin

@@ -222,7 +222,7 @@ def test_acceptance_4_lambert_w_conformance():
 def test_acceptance_5_oracle_equivalence():
     t0 = time.perf_counter()
 
-    # pinned case with a multiplicity-2 root at the origin
+    # W argument exactly -1/e: a multiplicity-2 root at the origin
     cl0 = ClosedLoopParams(alpha=1.0, beta=-1.0, h=1.0)
     cv0 = cross_validate(cl0, 3)
     assert cv0.spectrum_count == cv0.oracle_count == 8

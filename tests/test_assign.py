@@ -280,12 +280,10 @@ def test_round_trip_real_both(sys, S, frac):
     _assert_real_round_trip(sys, S, alpha)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "open defect: spectrum pins a W argument within COALESCENCE_TOL of -1/e "
-    "to the double root alpha - 1/h, which lies (1 + W)/h from S"))
 def test_round_trip_real_both_coalescence_band():
-    # 1 + (S - alpha)h = 1.5e-6 is inside the pin band; the pin errs by
-    # 1.5e-6 where conditioning allows 7.4e-10
+    # 1 + (S - alpha)h = 1.5e-6: the pair of real roots sits 3e-6 apart,
+    # and the branch-0 one must land on S within the conditioning bound
+    # of 7.4e-10, not on the branch point alpha - 1/h
     sys = SystemParams(a=0.0, a1d=0.0, b=1.0, h=1.0)
     _assert_real_round_trip(sys, 0.0, 1.0 - 1.5e-6)
 

@@ -429,6 +429,15 @@ class TestSimulate:
         assert lines[0] == "t,x"
         assert len(lines) == res["n_samples"] + 1
 
+    def test_unwritable_out_path(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        code, env = run_json(capsys, "simulate", "--alpha", "-1", "--beta", "0.5",
+                             "--h", "1", "--tfinal", "2", "--out", str(out))
+        assert code == 2
+        assert env["result"]["error"] == "DomainError"
+        assert str(out) in env["result"]["message"]
+        assert not out.exists()
+
     def test_delay_free_rate(self, capsys):
         code, env = run_json(capsys, "simulate", "--a", "1", "--a1d", "-1", "--b", "1",
                              "--h", "1", "--k", "-2", "--k1d", "1", "--tfinal", "25")

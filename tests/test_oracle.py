@@ -244,9 +244,9 @@ class TestCrossValidate:
     )
     def test_random_systems_agree(self, alpha, beta, h, n):
         cl = ClosedLoopParams(alpha, beta, h)
-        # the branch classification pins near-coalescent arguments to an
-        # exact double root; skip that sliver, where the two paths
-        # legitimately report different fine structure
+        # next to the branch point the real roots of branches 0 and -1
+        # nearly coincide, and the oracle's real-axis sign analysis may
+        # report them as one double root; skip that sliver
         z = cl.w_argument
         if abs(z + math.exp(-1.0)) <= 1e-9:
             return

@@ -97,6 +97,8 @@ class TestHistories:
             SampledHistory(((-1.0, 0.0), (0.0, 1.0)))
         with pytest.raises(NonFiniteInput):
             SampledHistory(((-1.0, math.inf), (-0.5, 0.0)))
+        with pytest.raises(NonFiniteInput):
+            SampledHistory(((-1.0, 0.0), (math.nan, 1.0), (-0.5, 0.0)))
 
     def test_sampled_span_checked_at_simulate(self):
         cl = ClosedLoopParams(-1.0, -0.5, 1.0)

@@ -53,6 +53,42 @@ def test_coalesced_double_root():
     assert sum(r.multiplicity for r in spec.roots) == 8
 
 
+def _conditioned_tol(alpha, h, w):
+    """Distance a root alpha + w/h may sit from the true one, from
+    conditioning: the W argument carries a relative uncertainty rho (the
+    kernel's 1e-14 residual plus the rounding of beta*h*e^{-alpha h}),
+    which moves W by rho|w|/|1 + w|, or by at most sqrt(rho) next to the
+    branch point.  A factor 4 covers the first-order constants."""
+    eps = 2.220446049250313e-16
+    rho = 1e-14 + 4.0 * eps * (1.0 + abs(alpha * h))
+    dw = 4.0 * rho * abs(w) / max(abs(1.0 + w), math.sqrt(rho)) + 4.0 * eps * abs(w)
+    return dw / h + 4.0 * eps * abs(alpha)
+
+
+def test_coalescence_band_against_mpmath():
+    # W arguments (1 + d)(-1/e) with 1e-15 <= |d| <= 1e-12, on both sides
+    # of the branch point: the real pair (d < 0) or conjugate pair (d > 0)
+    # of branches 0 and -1 sits sqrt(2|d|)/h apart, and each root must
+    # match its 50-digit reference, not the branch point alpha - 1/h
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20)
+    with mpmath.workdps(50):
+        for i in range(200):
+            h = 10.0 ** rng.uniform(-2.0, 1.0)
+            alpha = rng.uniform(-5.0, 5.0)
+            d = (1.0 if i % 2 else -1.0) * 10.0 ** rng.uniform(-15.0, -12.0)
+            cl = ClosedLoopParams(alpha, BRANCH_POINT_Z * (1.0 + d) * math.exp(alpha * h) / h, h)
+            spec = spectrum(cl, 0)
+            got = {r.branch: r.s for r in spec.roots}
+            if -1 not in got:
+                assert spec.roots[0].multiplicity == 2
+                got[-1] = got[0]
+            z = mpmath.mpf(cl.beta) * cl.h * mpmath.exp(-mpmath.mpf(cl.alpha) * cl.h)
+            for k in (0, -1):
+                w = complex(mpmath.lambertw(z, k))
+                assert abs(got[k] - (alpha + w / h)) <= _conditioned_tol(alpha, h, w), (cl, k, d)
+
+
 def test_branches_past_one_thousand():
     # branch indices beyond 1024 are evaluated like any other
     mpmath = pytest.importorskip("mpmath")
@@ -120,8 +156,8 @@ def test_close_loop_input_delay():
 
 def test_is_stable_matches_rightmost():
     loops = [(1.0, -1.0), (-1.0, -2.0), (0.5, -0.1), (-3.0, 0.0)]
-    # W arguments inside the coalescence band on both sides of -1/e, where
-    # spectrum pins the double root
+    # W arguments within 5e-13 of -1/e on both sides, where branches 0 and
+    # -1 give two real roots (or a conjugate pair) about 1e-6 apart
     loops += [(-0.5, (BRANCH_POINT_Z + d) * math.exp(-0.5)) for d in (1e-13, 5e-13, -5e-13)]
     for alpha, beta in loops:
         cl = ClosedLoopParams(alpha, beta, 1.0)
