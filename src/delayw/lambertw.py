@@ -154,11 +154,10 @@ _LOG_DOMAIN_RE = -705.0
 def _newton_log(z, w):
     """Newton on g(w) = w + Log(w) - (Log(z) + 2*pi*i*m), exponential-free.
 
-    Used when the seed lies so far left that exp(w) underflows.  Any root
-    of g satisfies w*e^w = z exactly; the integer m is pinned by the
-    seed's band.  The defining residual is |z|*|exp(g) - 1|, reported to
-    first order as |z|*|g| (far below any tolerance here, since |z| is
-    tiny by construction).
+    Used when the seed lies so far left that exp(w) underflows, or when
+    |w|*|z| overflows.  Any root of g satisfies w*e^w = z exactly; the
+    integer m is pinned by the seed's band.  The defining residual is
+    |z|*|exp(g) - 1|, reported to first order as |z|*|g|.
     """
     lz = cmath.log(z)
     m = round((w.imag + cmath.phase(w) - lz.imag) / _TWO_PI)
@@ -247,7 +246,10 @@ def _eval_complex(k, z, res_tol, rtol):
         seed = l1 - cmath.log(-l1)
     else:
         seed = _asymptotic(z, k)
-    if seed.real < _LOG_DOMAIN_RE:
+    # Halley's residual floor |w|*|f'| is about |w|*|z|; where that
+    # leaves the double range its quotients overflow too and the step
+    # reads 0, so such seeds take the exponential-free iteration as well
+    if seed.real < _LOG_DOMAIN_RE or math.isinf(abs(seed) * abs(z)):
         return _newton_log(z, seed)
     return _halley(z, seed, res_tol, rtol)
 

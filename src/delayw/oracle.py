@@ -20,6 +20,8 @@ strictly positive distance from the axis.  Boundary walks near a
 known real root, or near the axis extremum, insert extra sample knots
 scaled to the edge's distance from that point, which resolves the
 concentrated phase swing it induces on nearby edges.
+The coefficients are real, so f(conj s) = conj f(s): only the upper
+half-plane is searched, and the roots below are the exact conjugates.
 
 Every sample point of a walk depends only on the line it lies on: the
 uniform knots sit on the lattice j*pi/(4h) along it, the focus knots at
@@ -427,7 +429,8 @@ def find_roots(cl, rect):
     Real roots are resolved directly on the axis (where any multiple
     root of this function family must lie), the off-axis remainder by
     winding-guided bisection until each cell holds one root; every
-    root is Newton-polished to |f(s)| <= 1e-12*max(1, |s|).  Roots are
+    root is Newton-polished to |f(s)| <= 1e-12*max(1, |s|), and the
+    roots below the axis are the conjugates of those above.  Roots are
     ordered by descending real part, ties by ascending imaginary part.
     """
     phases = {}
@@ -435,21 +438,24 @@ def find_roots(cl, rect):
     found = []
     if rect.im_min < 0.0 < rect.im_max:
         # winding cells must keep clear of the axis: an even-order real
-        # root on a cell edge leaves no phase signature at all
+        # root on a cell edge leaves no phase signature at all; [m, low]
+        # is the mirror image of the shorter half
         n_real = sum(r.multiplicity for r in reals)
-        scale = max(1.0, -rect.im_min, rect.im_max)
-        strips = ((SearchRect(rect.re_min, rect.re_max, m, rect.im_max),
-                   SearchRect(rect.re_min, rect.re_max, rect.im_min, -m))
-                  for m in (1e-7 * scale, 1e-9 * scale, 1e-11 * scale)
-                  if rect.im_min < -m and m < rect.im_max)
-        parts = _partition(cl, strips, n - n_real, focus, phases)
+        top, low = max(rect.im_max, -rect.im_min), min(rect.im_max, -rect.im_min)
+        scale = max(1.0, top)
+        cells = ((SearchRect(rect.re_min, rect.re_max, m, top),
+                  SearchRect(rect.re_min, rect.re_max, m, low))
+                 for m in (1e-7 * scale, 1e-9 * scale, 1e-11 * scale) if m < low)
+        parts = _partition(cl, cells, n - n_real, focus, phases)
         if parts is None:
             raise BoundaryRootSuspected(
                 "roots too close to the real axis to separate from it")
-        upper, lower, n_up, n_lo = parts
+        upper, _, n_up, _ = parts
+        above = []
+        _resolve(cl, upper, n_up, rect.diameter, above, focus, phases)
         found.extend(reals)
-        _resolve(cl, upper, n_up, rect.diameter, found, focus, phases)
-        _resolve(cl, lower, n_lo, rect.diameter, found, focus, phases)
+        found.extend(r for r in above if r.s.imag < rect.im_max)
+        found.extend(LocatedRoot(r.s.conjugate(), 1) for r in above if r.s.imag < -rect.im_min)
     else:
         _resolve(cl, rect, n, rect.diameter, found, (), phases)
     found.sort(key=lambda r: (-r.s.real, r.s.imag))
@@ -478,10 +484,12 @@ def cross_validate(cl, n_branches, match_tol=1e-8):
     """Check the branch-based spectrum against the boundary oracle.
 
     Encloses the requested branches in a padded rectangle, re-locates
-    every root from scratch via count/bisect/polish, and matches the
-    two root multisets with multiplicity.  Raises MismatchDetected on
-    any count difference or a matched pair further apart than
-    match_tol; either would mean a bug in one of the two paths.
+    the upper half of its roots from scratch via count/bisect/polish
+    and mirrors them below, and pairs the two sorted root lists by
+    position (its largest distance is at least the best matching's, so
+    it hides no disagreement).  Raises MismatchDetected on any count
+    difference or a pair further apart than match_tol; either would
+    mean a bug in one of the two paths.
     Raises DomainError if match_tol is NaN, negative or infinite.
     """
     if not 0.0 <= match_tol < math.inf:
@@ -490,27 +498,16 @@ def cross_validate(cl, n_branches, match_tol=1e-8):
     rect = _enclosing_rect(sp.roots, cl.h)
     located = find_roots(cl, rect)
 
-    def expand(entries):
-        return sorted((s for s, m in entries for _ in range(m)), key=lambda s: (-s.real, s.imag))
+    def expand(roots):
+        return sorted((r.s for r in roots for _ in range(r.multiplicity)), key=lambda s: (-s.real, s.imag))
 
-    from_spectrum = expand((r.s, r.multiplicity) for r in sp.roots)
-    from_oracle = expand((r.s, r.multiplicity) for r in located.roots)
-    report_counts = (len(from_spectrum), len(from_oracle))
-    if report_counts[0] != report_counts[1]:
-        report = CrossValidation(rect, report_counts[0], report_counts[1], math.inf)
-        raise MismatchDetected(
-            f"root count differs: spectrum lists {report_counts[0]}, oracle found {report_counts[1]}",
-            report=report,
-        )
-    # greedy nearest matching; index pairing would misorder conjugate
-    # pairs whose polished real parts differ by one rounding step
-    remaining = list(from_oracle)
-    max_distance = 0.0
-    for s in from_spectrum:
-        j = min(range(len(remaining)), key=lambda i: abs(remaining[i] - s))
-        max_distance = max(max_distance, abs(remaining[j] - s))
-        remaining.pop(j)
-    report = CrossValidation(rect, report_counts[0], report_counts[1], max_distance)
+    from_spectrum, from_oracle = expand(sp.roots), expand(located.roots)
+    n_sp, n_or = len(from_spectrum), len(from_oracle)
+    if n_sp != n_or:
+        raise MismatchDetected(f"root count differs: spectrum lists {n_sp}, oracle found {n_or}",
+                               report=CrossValidation(rect, n_sp, n_or, math.inf))
+    max_distance = max((abs(a - b) for a, b in zip(from_spectrum, from_oracle)))
+    report = CrossValidation(rect, n_sp, n_or, max_distance)
     if max_distance > match_tol:
         raise MismatchDetected(
             f"matched roots disagree by {max_distance:.3e} (tolerance {match_tol:.1e})",

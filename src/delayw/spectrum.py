@@ -120,10 +120,20 @@ def close_loop(sys, gains):
 def char_residual(cl, s):
     """Value of the characteristic function s - alpha - beta*e^{-s h}.
 
-    Zero exactly at the characteristic roots.
+    Zero exactly at the characteristic roots.  Raises NonFiniteInput if
+    s is not finite or e^{-s h} overflows.
     """
     s = complex(s)
-    return s - cl.alpha - cl.beta * cmath.exp(-s * cl.h)
+    if not cmath.isfinite(s):
+        raise NonFiniteInput(f"s must be finite, got {s!r}")
+    x = -s * cl.h
+    try:
+        e = cmath.exp(x)
+    except OverflowError:
+        e = complex(math.inf)
+    if not cmath.isfinite(e):
+        raise NonFiniteInput(f"e^(-s*h) overflows: exponent {x!r}")
+    return s - cl.alpha - cl.beta * e
 
 
 def _root(cl, w):

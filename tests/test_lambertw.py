@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -350,6 +351,26 @@ class TestCrossChecks:
                 continue  # conditioning 1/|1+W| dominates next to the branch point
             for k in (0, 1, -1, 2, -2, 3, -3, K_MAX, -K_MAX,
                       rng.choice((-1000, -317, -40, 40, 317, 1000))):
+                ours = lambert_w(k, z).w
+                theirs = mpmath.lambertw(mpmath.mpc(z.real, z.imag), k)
+                err = abs(mpmath.mpc(ours.real, ours.imag) - theirs) / abs(theirs)
+                assert err <= 4 * eps, (k, z, float(err))
+
+    def test_top_of_double_range_against_mpmath(self):
+        # |z| from 1e300 up to the largest double, where |w|*|z|, and with
+        # it Halley's step and residual floor, can leave the double range
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        rng = __import__("random").Random(5)
+        eps = 2.220446049250313e-16
+        top = sys.float_info.max
+        zs = [complex(1e308, 1e308), complex(top, 0.0), complex(-top, 0.0), complex(0.0, top),
+              complex(-top / 2.0, -top / 3.0)]
+        for i in range(150):
+            r = 10.0 ** rng.uniform(300.0, math.log10(top))
+            zs.append((complex(r, 0.0), complex(-r, 0.0), r * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))[i % 3])
+        for z in zs:
+            for k in (0, 1, -1, 5, 1000, K_MAX):
                 ours = lambert_w(k, z).w
                 theirs = mpmath.lambertw(mpmath.mpc(z.real, z.imag), k)
                 err = abs(mpmath.mpc(ours.real, ours.imag) - theirs) / abs(theirs)

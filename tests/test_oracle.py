@@ -22,7 +22,19 @@ from delayw import (
     find_roots,
     spectrum,
 )
-from delayw.oracle import _edge_knots
+from delayw.oracle import _edge_knots, _enclosing_rect
+
+
+# e*z + 1 = -2.1e-13 for the W argument z: a conjugate pair 5e-5 off the axis
+NEAR_BRANCH_POINT = ClosedLoopParams(-4.268065811676514, -26.546180901730136, 0.013104286990555977)
+
+# rectangles across the axis, one taller above it and one taller below;
+# their horizontal edges lie on lines Im s = j*pi/h, where Im f = j*pi/h
+# and so no root lies
+ASYMMETRIC = [
+    (ClosedLoopParams(-1.0, -2.0, 1.0), SearchRect(-3.1, 0.5, -3.0 * math.pi, 5.0 * math.pi)),
+    (ClosedLoopParams(0.5, 2.0, 0.7), SearchRect(-4.0, 1.5, -7.0 * math.pi / 0.7, 2.0 * math.pi / 0.7)),
+]
 
 
 def residual_ok(cl, s, tol=1e-12):
@@ -138,11 +150,32 @@ class TestFindRoots:
         assert keys == sorted(keys)
 
     def test_conjugate_symmetry(self):
-        cl = ClosedLoopParams(0.3, -2.4, 1.7)
-        rs = find_roots(cl, SearchRect(-4.0, 1.5, -10.0, 10.0))
-        bag = sorted((round(r.s.real, 9), round(r.s.imag, 9)) for r in rs.roots)
-        mirrored = sorted((re, -im) for re, im in bag)
-        assert bag == mirrored
+        # real coefficients: f(conj s) = conj f(s), so below the axis, up
+        # to the shorter half's height, the roots are the exact conjugates
+        # of those above it
+        def key(s):
+            return s.real, s.imag
+
+        cases = [
+            (ClosedLoopParams(0.3, -2.4, 1.7), SearchRect(-4.0, 1.5, -10.0, 10.0)),
+            # next to the branch point, on the rectangle cross_validate(cl, 2)
+            # builds, where a pair 5e-5 off the axis must still mirror exactly
+            (NEAR_BRANCH_POINT, _enclosing_rect(spectrum(NEAR_BRANCH_POINT, 2).roots, NEAR_BRANCH_POINT.h)),
+        ] + ASYMMETRIC
+        for cl, rect in cases:
+            low = min(rect.im_max, -rect.im_min)
+            bag = [r.s for r in find_roots(cl, rect).roots for _ in range(r.multiplicity) if abs(r.s.imag) < low]
+            assert bag and sorted(bag, key=key) == sorted((s.conjugate() for s in bag), key=key)
+
+    @pytest.mark.parametrize("cl, rect", ASYMMETRIC, ids=["taller-above", "taller-below"])
+    def test_asymmetric_rect_agrees_with_spectrum(self, cl, rect):
+        rs = find_roots(cl, rect)
+        expected = [r.s for r in spectrum(cl, 8).roots for _ in range(r.multiplicity) if rect.contains(r.s)]
+        assert rs.total_count == len(expected) == 5
+        assert len(rs.roots) == 5
+        for root, ref in zip(rs.roots, sorted(expected, key=lambda s: (-s.real, s.imag))):
+            assert root.multiplicity == 1
+            assert abs(root.s - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_off_axis_rect(self):
         # a window that avoids the real axis entirely
@@ -278,7 +311,7 @@ class TestCrossValidate:
             assert residual_ok(cl, root.s)
 
 
-@pytest.mark.parametrize("n, budget", [(3, 176), (10, 601), (30, 1930)])
+@pytest.mark.parametrize("n, budget", [(3, 146), (10, 482), (30, 1450)])
 def test_phase_evaluation_budget(n, budget):
     # the oracle's work is its phase evaluations; cheaper walks may lower
     # the counts, never raise them

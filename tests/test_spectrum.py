@@ -208,6 +208,12 @@ def test_validation_errors():
         ClosedLoopParams(alpha=math.nan, beta=1.0, h=1.0)
     with pytest.raises(NonFiniteInput):
         Gains(k=math.inf)
+    with pytest.raises(NonFiniteInput, match="s must be finite"):
+        char_residual(ClosedLoopParams(-1.0, -2.0, 1.0), complex(math.nan, 1.0))
+    # e^{-sh} overflows, for s itself finite
+    for s, h in ((-800.0, 1.0), (-1e308, 10.0)):
+        with pytest.raises(NonFiniteInput, match=r"e\^\(-s\*h\) overflows: exponent"):
+            char_residual(ClosedLoopParams(-1.0, -2.0, h), s)
     cl = ClosedLoopParams(alpha=0.0, beta=1.0, h=1.0)
     with pytest.raises(DomainError):
         spectrum(cl, n_branches=-1)
