@@ -151,13 +151,14 @@ def _asymptotic(z, k):
 _LOG_DOMAIN_RE = -705.0
 
 
-def _newton_log(z, w):
+def _newton_log(z, w, az):
     """Newton on g(w) = w + Log(w) - (Log(z) + 2*pi*i*m), exponential-free.
 
     Used when the seed lies so far left that exp(w) underflows, or when
     |w|*|z| overflows.  Any root of g satisfies w*e^w = z exactly; the
     integer m is pinned by the seed's band.  The defining residual is
-    |z|*|exp(g) - 1|, reported to first order as |z|*|g|.
+    |z|*|exp(g) - 1|, reported to first order as |z|*|g|; az is |z|, inf
+    past the largest double, where the residual itself is still finite.
     """
     lz = cmath.log(z)
     m = round((w.imag + cmath.phase(w) - lz.imag) / _TWO_PI)
@@ -174,7 +175,7 @@ def _newton_log(z, w):
             break
         w = w - w * g / (w + 1.0)
         g = w + cmath.log(w / w0) + c
-    return w, abs(z) * abs(g), it
+    return w, az * abs(g) if az < math.inf else abs(z * abs(g)), it
 
 
 def _halley(z, w, res_tol, rtol):
@@ -213,13 +214,16 @@ def _halley(z, w, res_tol, rtol):
     raise NoConvergence(f"Halley iteration did not converge for z={z!r} (last step {step_prev:.3e})")
 
 
-def _eval_complex(k, z, res_tol, rtol):
-    """Seed selection and iteration: the one kernel behind every argument."""
+def _eval_complex(k, z, az, tol):
+    """Seed selection and iteration: the one kernel behind every argument.
+
+    az is |z|, or inf where |z| passes the largest double."""
     # the sheet of W_-1 above the axis and of W_1 below it that is real on
     # [-1/e, 0)
     real_wm1 = (k == -1 and z.imag >= 0.0) or (k == 1 and z.imag < 0.0)
-    # branch-point neighbourhood, branches 0 and +-1 only
-    if abs(z - BRANCH_POINT_Z) <= _BP_SEED_RADIUS and k in (0, 1, -1):
+    # branch-point neighbourhood, branches 0 and +-1 only; |z| <= 1 covers
+    # it and keeps abs() from overflowing
+    if az <= 1.0 and abs(z - BRANCH_POINT_Z) <= _BP_SEED_RADIUS and k in (0, 1, -1):
         p = cmath.sqrt(2.0 * _ez_plus_1(z))
         if k == 0:
             seed = _bp_series(p)
@@ -232,13 +236,13 @@ def _eval_complex(k, z, res_tol, rtol):
             if abs(p) <= _BP_DIRECT:
                 res = abs(seed * cmath.exp(seed) - z)
                 return seed, res, 0
-            return _halley(z, seed, res_tol, rtol)
+            return _halley(z, seed, tol * az, tol)
     if k == 0:
-        if abs(z) <= 2.0 and z.real >= BRANCH_POINT_Z:
+        if az <= 2.0 and z.real >= BRANCH_POINT_Z:
             seed = _pade0(z)
         else:
             seed = _asymptotic(z, 0)
-    elif real_wm1 and z.real < 0.0 and abs(z) <= _WM1_SEED_RADIUS:
+    elif real_wm1 and z.real < 0.0 and az <= _WM1_SEED_RADIUS:
         # w = L - log(-L) with L = log(-z), the real-axis expansion as
         # z -> 0-; unlike log(z) + 2*pi*i*k it keeps a tiny Im w exact
         # instead of rounding it away against pi
@@ -249,9 +253,9 @@ def _eval_complex(k, z, res_tol, rtol):
     # Halley's residual floor |w|*|f'| is about |w|*|z|; where that
     # leaves the double range its quotients overflow too and the step
     # reads 0, so such seeds take the exponential-free iteration as well
-    if seed.real < _LOG_DOMAIN_RE or math.isinf(abs(seed) * abs(z)):
-        return _newton_log(z, seed)
-    return _halley(z, seed, res_tol, rtol)
+    if seed.real < _LOG_DOMAIN_RE or math.isinf(abs(seed) * az):
+        return _newton_log(z, seed, az)
+    return _halley(z, seed, tol * az, tol)
 
 
 def lambert_w(k, z, tol=1e-14):
@@ -262,8 +266,10 @@ def lambert_w(k, z, tol=1e-14):
     k : int
         Branch index, |k| <= K_MAX.
     z : complex
-        Argument.  A real part below -1/e with imaginary part +-0.0 is
-        evaluated on the branch cut as the limit from above.
+        Argument, any finite complex number, also one whose modulus
+        passes the largest double.  A real part below -1/e with
+        imaginary part +-0.0 is evaluated on the branch cut as the
+        limit from above.
     tol : float, optional
         Relative residual tolerance; the returned value satisfies
         ``abs(w*exp(w) - z) <= tol*abs(z)``, up to the conditioning floor
@@ -303,7 +309,11 @@ def lambert_w(k, z, tol=1e-14):
         raise DomainError("W_k(0) diverges for k != 0")
     if z.imag == 0.0:
         z = complex(z.real, 0.0)  # -0.0 -> +0.0: cut values are the limit from above
-    w, res, it = _eval_complex(k, z, tol * abs(z), tol)
+    try:
+        az = abs(z)
+    except OverflowError:
+        az = math.inf  # finite parts, modulus past the largest double
+    w, res, it = _eval_complex(k, z, az, tol)
     x = z.real
     if z.imag == 0.0 and ((k == 0 and x >= BRANCH_POINT_Z) or (k == -1 and BRANCH_POINT_Z <= x < 0.0)):
         w = complex(w.real, 0.0)  # real domain: drop the rounding-level imaginary part

@@ -1,11 +1,32 @@
 """Argument-principle root oracle for f(s) = s - alpha - beta*e^{-s h}.
 
-Counts roots inside a rectangle by walking its boundary and summing
-phase increments of f (refined until every segment turns by less than
-pi/2), then isolates individual roots by recursive bisection and
-polishes them with Newton's method.  Nothing here touches Lambert W,
-so agreement with the branch-based spectrum is a genuine two-path
-check rather than a self-comparison.
+Counts roots inside a rectangle from the phase change of f around its
+boundary, isolates them one to a cell and polishes each with Newton's
+method.  Nothing here touches Lambert W, so agreement with the
+branch-based spectrum is a genuine two-path check rather than a
+self-comparison.
+
+Most edges cost no sample points.  Where f provably keeps to one open
+half-plane along an edge, the edge's phase change follows from its two
+end phases in closed form: on a horizontal edge at height v once
+|v| > |beta|e^{-uh}|sin vh| for every u on it, on a vertical edge at
+Re s = c once |c - alpha| > |beta|e^{-ch}, or once |beta|e^{-ch}
+exceeds every |s - alpha| on it.  Each bound carries a rounding slack
+derived from how f is evaluated.  On a line Im s = j*pi/h, j != 0,
+Im f = j*pi/h exactly, so the first bound holds there for any beta and
+no root lies on it (the classical root-free lines of exponential
+polynomials, Bellman & Cooke 1963).  A horizontal edge that fails its
+bound only towards its left end is split at a lattice knot past the
+crossing; the other edges, and the failing stretches, are walked knot
+by knot and refined until every segment turns by less than pi/2.
+
+find_roots cuts its search cell at every line j*pi/h into strips, which
+the branch strips of W (Corless et al. 1996) fill with about one root
+each, and counts each strip: every strip's horizontal edges take the
+closed form.  If the strip counts do not add up, the cell falls back
+to recursive bisection.  Newton from a cell's centre first steps on the
+log form log(s - alpha) + sh = log(beta) + 2*pi*i*m, which is close to
+linear in s, and then polishes on f itself.
 
 Every root off the real axis is simple.  f = f' = 0 forces
 beta*e^{-sh} = -1/h and hence s = alpha - 1/h, where f'' = h != 0: the
@@ -24,8 +45,9 @@ The coefficients are real, so f(conj s) = conj f(s): only the upper
 half-plane is searched, and the roots below are the exact conjugates.
 
 Every sample point of a walk depends only on the line it lies on: the
-uniform knots sit on the lattice j*pi/(4h) along it, the focus knots at
-fixed multiples of their distance, and a bisection midpoint is the
+uniform knots sit on the lattice j*pi/(4h) along it, as do the split
+knots and, on vertical edges, the strip corners j*pi/h, the focus knots
+at fixed multiples of their distance, and a bisection midpoint is the
 midpoint of two such points.  Sibling cells sharing an edge, and child
 cells re-walking a stretch of their parent's edge, therefore land on
 the same points, and each find_roots or count_roots call keeps one
@@ -33,7 +55,8 @@ table of the phases it has evaluated, so each point is evaluated at
 most once per call.
 
 One function, _df, evaluates f and f' everywhere: on the contour, in
-Newton polishing and in the real-axis sign analysis.
+Newton polishing and in the real-axis sign analysis; only the log-form
+seed steps evaluate their own function.
 """
 
 import cmath
@@ -68,6 +91,17 @@ _FRACTIONS = (0.531, 0.468, 0.553, 0.447, 0.571, 0.415, 0.49)
 _NUDGE_FRACTION = 1e-3
 _MAX_NUDGES = 5
 _MAX_EDGE_DEPTH = 60
+# Newton steps on the log form before polishing on f (a cap: from a strip
+# centre they take 2 to 7 on the benchmark's verify pools), and the
+# relative step at which they hand over: still above the rounding noise
+# of either form, so the last digits come from f alone, and one or two
+# quadratic steps on f from there reach full precision
+_LOG_STEPS = 40
+_LOG_SEED_STEP = 1e-5
+# a pi/h strip costs a winding; the roots of consecutive branches fill
+# about two strips each, and past this many strips per root the cell
+# reaches far beyond its roots, where bisection drops the empty parts
+_MAX_STRIPS_PER_ROOT = 4
 _TWO_PI = 2.0 * math.pi
 # knot offsets (in units of the edge-to-root distance) bracketing the
 # phase swing a nearby root concentrates around its closest approach
@@ -206,8 +240,118 @@ def _edge_knots(sa, sb, h, focus):
     return [complex(fixed, x) for x in xs]
 
 
+def _decay(cl, x):
+    """|beta|*e^{-x h}, the modulus of the delay term on the line Re s = x."""
+    return abs(cl.beta) * math.exp(-x * cl.h) if cl.beta != 0.0 else 0.0
+
+
+def _closed_form(cl, sa, sb, pa, pb):
+    """Phase change of f along sa -> sb when f provably keeps to one open
+    half-plane there, from the end phases alone; None otherwise.
+
+    With s = u + iv, Im f = v + beta*e^{-uh}*sin(vh) and
+    Re f = u - alpha - beta*e^{-uh}*cos(vh).  Writing B for |beta|e^{-uh}
+    at the left end (its largest value on the edge), the edge is clear:
+
+    - horizontal, at height v: if |v| > B|sin vh|, Im f has the sign of v;
+      on the lines v = j*pi/h, j != 0, this holds whatever B is;
+    - vertical, at Re s = c: if |c - alpha| > B, Re f has the sign of
+      c - alpha;
+    - vertical: if every |s - alpha| < B, then f = -beta*e^{-sh}*(1 - q)
+      with |q| < 1, whose phase is that of -beta, minus vh, plus a part
+      inside (-pi/2, pi/2).
+
+    In the fixed half-planes the change is the difference of the end
+    phases measured from the half-plane's centre direction; in the third
+    case it is -h*dv plus wrap(pb - pa + h*dv).
+
+    Each bound carries a slack that covers both the exact f along the
+    edge and the f that _df evaluates at its ends, with u = eps/2 the
+    unit roundoff and Z the largest |uh| + |vh| on the edge.  _df
+    rounds -sh by u|sh| (which moves e^{-sh} by B*u*Z), takes exp, sin
+    and cos to an ulp and adds a few roundings, so its error is below
+    u*(4(|s| + |alpha|) + 28|beta| + B(16 + Z)); Im f alone carries only
+    the B part, as its (s - alpha - beta) term is exact.  The bound's
+    own B = |beta|*exp(-uh) and sin(vh) are off by u*B*(4 + Z) and by
+    u|vh|.  Summed, and rounded up to whole eps = 2u, the slacks below
+    are eps*B*(12 + 2Z) for Im f, plus eps*(4(|s| + |alpha|) + 16|beta|)
+    for the vertical bounds.  The third case also needs the end phases,
+    h*dv and the wrap, together off by at most x = eps*(4|h dv| + 32), to
+    keep the part inside (-pi/2, pi/2) from reaching +-pi: its
+    |q| <= rho has |phase(1 - q)| <= asin(rho), and
+    pi/2 - asin(rho) >= sqrt(2(1 - rho)) exceeds x/2 once
+    1 - rho > x^2/8.
+    """
+    h = cl.h
+    if sa.imag == sb.imag:
+        v = sa.imag
+        if abs(v) > _decay(cl, min(sa.real, sb.real)) * _sine_bound(cl, sa, sb):
+            centre = math.copysign(0.5 * math.pi, v)
+            return _wrap(pb - centre) - _wrap(pa - centre)
+        return None
+    c = sa.real
+    decay = _decay(cl, c)
+    zmax = abs(c * h) + max(abs(sa.imag), abs(sb.imag)) * h
+    reach = max(abs(sa.real) + abs(sa.imag), abs(sb.real) + abs(sb.imag)) + abs(cl.alpha)
+    slack = _EPS * (decay * (12.0 + 2.0 * zmax) + 4.0 * reach + 16.0 * abs(cl.beta))
+    if abs(c - cl.alpha) > decay + slack:
+        centre = 0.0 if c > cl.alpha else math.pi
+        return _wrap(pb - centre) - _wrap(pa - centre)
+    turn = h * (sb.imag - sa.imag)
+    x = _EPS * (4.0 * abs(turn) + 32.0)
+    dist = max(math.hypot(c - cl.alpha, sa.imag), math.hypot(c - cl.alpha, sb.imag))
+    if decay * (1.0 - 0.125 * x * x) > dist + slack:
+        return _wrap(pb - pa + turn) - turn
+    return None
+
+
+def _sine_bound(cl, sa, sb):
+    """|sin vh| plus its slack on the horizontal edge sa -> sb at height
+    v: the edge is clear where |v| exceeds |beta|e^{-uh} times this."""
+    v = sa.imag
+    zmax = max(abs(sa.real), abs(sb.real)) * cl.h + abs(v * cl.h)
+    return abs(math.sin(v * cl.h)) + _EPS * (12.0 + 2.0 * zmax)
+
+
+def _split_knot(cl, sa, sb):
+    """Lattice knot past which a horizontal edge meets the first bound.
+
+    |beta|e^{-uh} falls as u grows, so an edge that fails the bound
+    fails it only left of u* = (log(|beta| S) - log|v|)/h, S the sine
+    bound.  Returns the first knot j*pi/(4h) past u* if it lies strictly
+    inside the edge, else None.
+    """
+    v = sa.imag
+    if sb.imag != v or v == 0.0 or cl.beta == 0.0:
+        return None
+    cross = (math.log(abs(cl.beta)) + math.log(_sine_bound(cl, sa, sb)) - math.log(abs(v))) / cl.h
+    lo, hi = (sa.real, sb.real) if sa.real < sb.real else (sb.real, sa.real)
+    if not lo < cross < hi:
+        return None
+    step = math.pi / (4.0 * cl.h)
+    knot = (math.floor(cross / step) + 1) * step
+    return complex(knot, v) if knot < hi else None
+
+
 def _edge_arg(cl, sa, sb, pa, pb, focus, phases):
-    """Total phase change of f along the segment sa -> sb."""
+    """Total phase change of f along the segment sa -> sb.
+
+    In closed form where f stays in one half-plane; a horizontal edge
+    that is clear only right of a knot is split there, and the part left
+    of it walked.
+    """
+    d = _closed_form(cl, sa, sb, pa, pb)
+    if d is not None:
+        return d
+    knot = _split_knot(cl, sa, sb)
+    if knot is None:
+        return _walk(cl, sa, sb, pa, pb, focus, phases)
+    pk = _checked_phase(cl, knot, phases)
+    return _edge_arg(cl, sa, knot, pa, pk, focus, phases) + _edge_arg(cl, knot, sb, pk, pb, focus, phases)
+
+
+def _walk(cl, sa, sb, pa, pb, focus, phases):
+    """Phase change of f along sa -> sb, summed knot by knot."""
     total = 0.0
     stack = []
     prev_s, prev_p = sa, pa
@@ -351,9 +495,42 @@ def count_roots(cl, rect):
     return n
 
 
-def _newton(cl, s0):
-    """Newton iteration on f from s0; None when it fails."""
+def _log_seed(cl, s0):
+    """s0 moved by Newton steps on the log form of f(s) = 0.
+
+    Off the real axis f(s) = 0 iff log(s - alpha) + sh = log(beta) +
+    2*pi*i*m for one integer m, read here from s0.  The left side is
+    close to linear in s except near alpha - 1/h, so the steps reach a
+    root's neighbourhood where Newton on f, whose exponential term
+    swings by e^{h|ds|} over a step, would take many.  The steps stop
+    once one is small, turns non-finite or would cross the real axis,
+    where the principal log jumps; s0 comes back unmoved if none was
+    taken.
+    """
+    if cl.beta == 0.0 or s0.imag == 0.0:
+        return s0
+    log_beta = cmath.log(cl.beta)
+    lead = (cmath.log(s0 - cl.alpha) + s0 * cl.h - log_beta).imag / _TWO_PI
+    if not math.isfinite(lead):
+        return s0
+    target = log_beta + complex(0.0, _TWO_PI * round(lead))
     s = s0
+    for _ in range(_LOG_STEPS):
+        w = s - cl.alpha
+        step = (cmath.log(w) + s * cl.h - target) / (1.0 / w + cl.h)
+        nxt = s - step
+        if not (math.isfinite(nxt.real) and math.isfinite(nxt.imag) and nxt.imag * s0.imag > 0.0):
+            break
+        s = nxt
+        if abs(step) <= _LOG_SEED_STEP * max(1.0, abs(s)):
+            break
+    return s
+
+
+def _newton(cl, s0):
+    """Newton iteration on f, started from the log-form seed of s0;
+    None when it fails."""
+    s = _log_seed(cl, s0)
     for _ in range(80):
         f = _df(cl, s, 0)
         fp = _df(cl, s, 1)
@@ -423,15 +600,49 @@ def _resolve(cl, cell, n, diam0, out, focus, phases):
     _resolve(cl, c2, n2, diam0, out, focus, phases)
 
 
+def _strips(cell, gap):
+    """cell cut at every line Im s = j*gap, j != 0, strictly inside it."""
+    lo, hi = cell.im_min, cell.im_max
+    ys = [lo]
+    ys += [y for j in range(math.floor(lo / gap) + 1, math.ceil(hi / gap)) if j and lo < (y := j * gap) < hi]
+    ys.append(hi)
+    return [SearchRect(cell.re_min, cell.re_max, a, b) for a, b in zip(ys, ys[1:])]
+
+
+def _resolve_strips(cl, cell, n, diam0, out, focus, phases):
+    """_resolve on each pi/h strip of cell when the strip counts add up
+    to n, else on cell itself.
+
+    Im f = v on every line Im s = v = j*pi/h, so f has no root there and
+    the strips' shared edges take the closed form; the roots of
+    consecutive branches fall about one to every other strip.
+    """
+    gap = math.pi / cl.h
+    few = 0 < n and cell.im_max - cell.im_min <= _MAX_STRIPS_PER_ROOT * n * gap
+    strips = _strips(cell, gap) if few else []
+    counts = None
+    if len(strips) > 1:
+        try:
+            counts = [_winding(cl, strip, focus, phases) for strip in strips]
+        except BoundaryRootSuspected:
+            pass
+    if counts is None or sum(counts) != n:
+        _resolve(cl, cell, n, diam0, out, focus, phases)
+        return
+    for strip, k in zip(strips, counts):
+        _resolve(cl, strip, k, diam0, out, focus, phases)
+
+
 def find_roots(cl, rect):
     """Locate every characteristic root in rect.
 
     Real roots are resolved directly on the axis (where any multiple
     root of this function family must lie), the off-axis remainder by
-    winding-guided bisection until each cell holds one root; every
-    root is Newton-polished to |f(s)| <= 1e-12*max(1, |s|), and the
-    roots below the axis are the conjugates of those above.  Roots are
-    ordered by descending real part, ties by ascending imaginary part.
+    counting the pi/h strips of the search cell, or by winding-guided
+    bisection where those counts fail, until each cell holds one root;
+    every root is Newton-polished to |f(s)| <= 1e-12*max(1, |s|), and
+    the roots below the axis are the conjugates of those above.  Roots
+    are ordered by descending real part, ties by ascending imaginary part.
     """
     phases = {}
     n, rect, reals, focus = _counted_rect(cl, rect, phases)
@@ -452,12 +663,12 @@ def find_roots(cl, rect):
                 "roots too close to the real axis to separate from it")
         upper, _, n_up, _ = parts
         above = []
-        _resolve(cl, upper, n_up, rect.diameter, above, focus, phases)
+        _resolve_strips(cl, upper, n_up, rect.diameter, above, focus, phases)
         found.extend(reals)
         found.extend(r for r in above if r.s.imag < rect.im_max)
         found.extend(LocatedRoot(r.s.conjugate(), 1) for r in above if r.s.imag < -rect.im_min)
     else:
-        _resolve(cl, rect, n, rect.diameter, found, (), phases)
+        _resolve_strips(cl, rect, n, rect.diameter, found, (), phases)
     found.sort(key=lambda r: (-r.s.real, r.s.imag))
     return RootSet(roots=tuple(found), total_count=n)
 
@@ -484,7 +695,7 @@ def cross_validate(cl, n_branches, match_tol=1e-8):
     """Check the branch-based spectrum against the boundary oracle.
 
     Encloses the requested branches in a padded rectangle, re-locates
-    the upper half of its roots from scratch via count/bisect/polish
+    the upper half of its roots from scratch via count/strip/polish
     and mirrors them below, and pairs the two sorted root lists by
     position (its largest distance is at least the best matching's, so
     it hides no disagreement).  Raises MismatchDetected on any count

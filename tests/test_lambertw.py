@@ -364,8 +364,9 @@ class TestCrossChecks:
         rng = __import__("random").Random(5)
         eps = 2.220446049250313e-16
         top = sys.float_info.max
+        # the last two have |z| past the largest double, where abs(z) raises
         zs = [complex(1e308, 1e308), complex(top, 0.0), complex(-top, 0.0), complex(0.0, top),
-              complex(-top / 2.0, -top / 3.0)]
+              complex(-top / 2.0, -top / 3.0), complex(top, top), complex(-1.7e308, -6e307)]
         for i in range(150):
             r = 10.0 ** rng.uniform(300.0, math.log10(top))
             zs.append((complex(r, 0.0), complex(-r, 0.0), r * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))[i % 3])

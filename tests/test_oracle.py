@@ -8,12 +8,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from delayw import (
+    BoundaryRootSuspected,
     ClosedLoopParams,
     CrossValidation,
     DomainError,
     LocatedRoot,
     MismatchDetected,
-    NoConvergence,
     RootSet,
     SearchRect,
     char_residual,
@@ -22,7 +22,8 @@ from delayw import (
     find_roots,
     spectrum,
 )
-from delayw.oracle import _edge_knots, _enclosing_rect
+from delayw.oracle import (_checked_phase, _closed_form, _edge_arg, _edge_knots, _enclosing_rect, _split_knot,
+                           _walk)
 
 
 # e*z + 1 = -2.1e-13 for the W argument z: a conjugate pair 5e-5 off the axis
@@ -186,16 +187,22 @@ class TestFindRoots:
         assert abs(ims[0] - 1.99730) < 5e-4
         assert abs(ims[1] - 7.80750) < 5e-4
 
-    def test_unseparated_simple_roots_raise(self):
-        # at h = 1e8 six simple roots share a cell below the minimum size;
-        # every root off the real axis is simple, so none is reported as
-        # one multiple root
+    def test_closely_spaced_simple_roots_separate(self):
+        # at h = 1e8 six simple roots sit 2*pi/h ~ 6.3e-8 apart, in a cell
+        # below the bisection's minimum size; the pi/h strips give each
+        # root a strip of its own, though each root lies 1.6e-15 to 4.7e-15
+        # below a strip line
         cl = ClosedLoopParams(-1.0, -2.0, 1e8)
         rect = SearchRect(-1e-7, 1e-7, 1e-7, 5e-7)
         assert count_roots(cl, rect) == 6
-        with pytest.raises(NoConvergence) as info:
-            find_roots(cl, rect)
-        assert "multiplicity" not in str(info.value)
+        rs = find_roots(cl, rect)
+        assert rs.total_count == len(rs.roots) == 6
+        assert all(r.multiplicity == 1 for r in rs.roots)
+        ims = sorted(r.s.imag for r in rs.roots)
+        for r in rs.roots:
+            assert residual_ok(cl, r.s, tol=1e-13)
+        for lo, hi in zip(ims, ims[1:]):
+            assert hi - lo == pytest.approx(2.0 * math.pi / cl.h, rel=1e-6)
 
     @pytest.mark.parametrize("locate", [count_roots, find_roots])
     def test_contour_overflow_raises(self, locate):
@@ -311,11 +318,23 @@ class TestCrossValidate:
             assert residual_ok(cl, root.s)
 
 
-@pytest.mark.parametrize("n, budget", [(3, 146), (10, 482), (30, 1450)])
+@pytest.mark.parametrize("n, budget", [(3, 22), (10, 52), (30, 133)])
 def test_phase_evaluation_budget(n, budget):
     # the oracle's work is its phase evaluations; cheaper walks may lower
     # the counts, never raise them
     _, calls = phase_evaluations(ClosedLoopParams(-1.0, -2.0, 1.0), n)
+    assert 0 < calls <= budget
+
+
+@pytest.mark.parametrize("alpha, beta, h, budget", [
+    (16.393277104736335, 9.11212309351023, 20.456574920080563, 744),
+    (11.044532312121724, -0.04801816730893112, 23.14904106214897, 277),
+])
+def test_wide_loop_phase_evaluation_budget(alpha, beta, h, budget):
+    # |beta|e^{-uh} reaches ~1e15 at the left edge of these rectangles, so
+    # the strip lines j*pi/h pass the first bound only right of a split
+    # knot; walking them whole takes 5,145 and 5,308 evaluations
+    _, calls = phase_evaluations(ClosedLoopParams(alpha, beta, h), 30)
     assert 0 < calls <= budget
 
 
@@ -356,3 +375,85 @@ def test_edge_knots_cap_the_piece_count():
     assert knots == [complex(j * step, 0.0) for j in range(1, 39789)]
     assert _edge_knots(complex(5e3, 0.0), complex(9.5e4, 0.0), 10.0, ()) == \
         [s for s in knots if 5e3 < s.real < 9.5e4]
+
+
+def _closed_form_cases(rng):
+    """Seeded edges for test_closed_form_agrees_with_walk, as (kind, cl,
+    sa, sb): random edges, edges on the lines Im s = j*pi/h with
+    |beta|e^{-uh} up to 1e15 at their left end, and edges within 1e-12
+    relative of each bound, on either side."""
+    def loop(alpha=None, beta=None):
+        h = 10.0 ** rng.uniform(-2.0, 1.0)
+        if alpha is None:
+            alpha = rng.uniform(-5.0, 5.0) / h
+        if beta is None:
+            beta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0) / h
+        return ClosedLoopParams(alpha, beta, h)
+
+    def flip(sa, sb):
+        return (sa, sb) if rng.random() < 0.5 else (sb, sa)
+
+    for _ in range(150):
+        cl = loop()
+        a, b, c = (rng.uniform(-6.0, 6.0) / cl.h for _ in range(3))
+        if rng.random() < 0.5:
+            yield ("random", cl) + flip(complex(a, c), complex(b, c))
+        else:
+            yield ("random", cl) + flip(complex(c, a), complex(c, b))
+    for _ in range(150):
+        cl = loop()
+        v = rng.choice((-1, 1)) * rng.randint(1, 40) * (math.pi / cl.h)
+        lo = (math.log(abs(cl.beta)) - math.log(10.0 ** rng.uniform(0.0, 15.0))) / cl.h
+        yield ("line", cl) + flip(complex(lo, v), complex(lo + rng.uniform(0.1, 40.0) / cl.h, v))
+    for side in (-1.0, 1.0):
+        for _ in range(100):
+            rel = 1.0 + side * 10.0 ** rng.uniform(-14.0, -12.0)
+            cl = loop()
+            h, beta = cl.h, abs(cl.beta)
+            kind = rng.randrange(3)
+            if kind == 0:
+                # |v| = |beta|e^{-uh}|sin vh| * rel at the left end
+                v = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 6.0) / h
+                lo = (math.log(beta * abs(math.sin(v * h))) - math.log(abs(v) * rel)) / h
+                yield ("near-horizontal", cl) + flip(complex(lo, v), complex(lo + rng.uniform(0.1, 10.0) / h, v))
+                continue
+            c = rng.uniform(-3.0, 3.0) / h
+            a, b = (rng.uniform(-6.0, 6.0) / h for _ in range(2))
+            if kind == 1:
+                # |c - alpha| = |beta|e^{-ch} * rel
+                alpha = c - rng.choice((-1.0, 1.0)) * beta * math.exp(-c * h) * rel
+                cl = ClosedLoopParams(alpha, cl.beta, h)
+            else:
+                # max |s - alpha| = |beta|e^{-ch} * rel
+                dist = max(math.hypot(c - cl.alpha, a), math.hypot(c - cl.alpha, b))
+                cl = ClosedLoopParams(cl.alpha, math.copysign(dist * math.exp(c * h) / rel, cl.beta), h)
+            yield ("near-vertical", cl) + flip(complex(c, a), complex(c, b))
+
+
+def test_closed_form_agrees_with_walk():
+    # a closed-form edge, and a horizontal edge split at a lattice knot,
+    # must give the phase change the knotted walk finds on the same edge
+    rng = __import__("random").Random(13)
+    fired = {}
+    for kind, cl, sa, sb in _closed_form_cases(rng):
+        phases = {}
+        try:
+            pa, pb = _checked_phase(cl, sa, phases), _checked_phase(cl, sb, phases)
+            walked = _walk(cl, sa, sb, pa, pb, (), {})
+        except (BoundaryRootSuspected, DomainError):
+            continue
+        closed = _closed_form(cl, sa, sb, pa, pb)
+        got = _edge_arg(cl, sa, sb, pa, pb, (), phases)
+        assert abs(got - walked) <= 1e-9, (kind, cl, sa, sb, got, walked)
+        if closed is not None:
+            assert closed == got
+        hit = fired.setdefault(kind, [0, 0, 0])
+        hit[0] += 1
+        hit[1] += closed is not None
+        hit[2] += closed is None and _split_knot(cl, sa, sb) is not None
+    # the closed form must fire often, splits must occur, and near the
+    # bounds the closed form must both pass and fail
+    assert fired["random"][1] >= fired["random"][0] // 4
+    assert fired["line"][1] >= fired["line"][0] // 2 and fired["line"][2] > 0
+    for kind in ("near-horizontal", "near-vertical"):
+        assert 0 < fired[kind][1] < fired[kind][0]
