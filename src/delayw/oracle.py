@@ -20,13 +20,15 @@ bound only towards its left end is split at a lattice knot past the
 crossing; the other edges, and the failing stretches, are walked knot
 by knot and refined until every segment turns by less than pi/2.
 
-find_roots cuts its search cell at every line j*pi/h into strips, which
-the branch strips of W (Corless et al. 1996) fill with about one root
-each, and counts each strip: every strip's horizontal edges take the
-closed form.  If the strip counts do not add up, the cell falls back
-to recursive bisection.  Newton from a cell's centre first steps on the
-log form log(s - alpha) + sh = log(beta) + 2*pi*i*m, which is close to
-linear in s, and then polishes on f itself.
+find_roots isolates the roots by recursive bisection.  A cell that
+spans a line j*pi/h is cut at the one nearest its middle, and both
+halves take the cut in closed form; the branch strips of W (Corless et
+al. 1996) hold about one root to every two pi/h strips, so these cuts
+alone separate the roots.  Only a cell inside one strip, or one whose
+strip cut does not count, is cut at a fixed split fraction instead.
+Newton from a cell's centre first steps on the log form
+log(s - alpha) + sh = log(beta) + 2*pi*i*m, which is close to linear in
+s, and then polishes on f itself.
 
 Every root off the real axis is simple.  f = f' = 0 forces
 beta*e^{-sh} = -1/h and hence s = alpha - 1/h, where f'' = h != 0: the
@@ -52,7 +54,10 @@ midpoint of two such points.  Sibling cells sharing an edge, and child
 cells re-walking a stretch of their parent's edge, therefore land on
 the same points, and each find_roots or count_roots call keeps one
 table of the phases it has evaluated, so each point is evaluated at
-most once per call.
+most once per call.  The same table keeps the phase change of every
+edge a winding has summed, under the edge's ends in both directions: a
+cut cell's two halves each reuse one edge of their parent and share
+the cut between them.
 
 One function, _df, evaluates f and f' everywhere: on the contour, in
 Newton polishing and in the real-axis sign analysis; only the log-form
@@ -98,10 +103,6 @@ _MAX_EDGE_DEPTH = 60
 # quadratic steps on f from there reach full precision
 _LOG_STEPS = 40
 _LOG_SEED_STEP = 1e-5
-# a pi/h strip costs a winding; the roots of consecutive branches fill
-# about two strips each, and past this many strips per root the cell
-# reaches far beyond its roots, where bisection drops the empty parts
-_MAX_STRIPS_PER_ROOT = 4
 _TWO_PI = 2.0 * math.pi
 # knot offsets (in units of the edge-to-root distance) bracketing the
 # phase swing a nearby root concentrates around its closest approach
@@ -291,15 +292,16 @@ def _closed_form(cl, sa, sb, pa, pb):
         return None
     c = sa.real
     decay = _decay(cl, c)
-    zmax = abs(c * h) + max(abs(sa.imag), abs(sb.imag)) * h
-    reach = max(abs(sa.real) + abs(sa.imag), abs(sb.real) + abs(sb.imag)) + abs(cl.alpha)
+    ymax = max(abs(sa.imag), abs(sb.imag))
+    zmax = (abs(c) + ymax) * h
+    reach = abs(c) + ymax + abs(cl.alpha)
     slack = _EPS * (decay * (12.0 + 2.0 * zmax) + 4.0 * reach + 16.0 * abs(cl.beta))
     if abs(c - cl.alpha) > decay + slack:
         centre = 0.0 if c > cl.alpha else math.pi
         return _wrap(pb - centre) - _wrap(pa - centre)
     turn = h * (sb.imag - sa.imag)
     x = _EPS * (4.0 * abs(turn) + 32.0)
-    dist = max(math.hypot(c - cl.alpha, sa.imag), math.hypot(c - cl.alpha, sb.imag))
+    dist = math.hypot(c - cl.alpha, ymax)
     if decay * (1.0 - 0.125 * x * x) > dist + slack:
         return _wrap(pb - pa + turn) - turn
     return None
@@ -393,7 +395,11 @@ def _winding(cl, rect, focus, phases):
     total = 0.0
     for i in range(4):
         a, b = corners[i], corners[(i + 1) % 4]
-        total += _edge_arg(cl, a, b, ends[i], ends[(i + 1) % 4], focus, phases)
+        d = phases.get((a, b))
+        if d is None:
+            d = phases[(a, b)] = _edge_arg(cl, a, b, ends[i], ends[(i + 1) % 4], focus, phases)
+            phases[(b, a)] = -d
+        total += d
     n = round(total / _TWO_PI)
     if abs(total / _TWO_PI - n) > 0.25:
         raise BoundaryRootSuspected(
@@ -560,9 +566,21 @@ def _partition(cl, pairs, n, focus, phases):
     return None
 
 
-def _split_lines(cell):
-    """Halves of cell split across its longer side, one pair per fraction."""
+def _strip_line(cell, gap):
+    """The line Im s = j*gap, j != 0, strictly inside cell and nearest its
+    middle; None if cell spans no such line."""
+    mid = 0.5 * (cell.im_min + cell.im_max)
+    j = round(mid / gap) or (1 if mid > 0.0 else -1)
+    y = j * gap
+    return y if cell.im_min < y < cell.im_max else None
+
+
+def _halves(cell, line):
+    """Halves of cell to try, best first: cut at the strip line, if any,
+    then across the longer side, one pair per fraction."""
     re_lo, re_hi, im_lo, im_hi = cell
+    if line is not None:
+        yield SearchRect(re_lo, re_hi, im_lo, line), SearchRect(re_lo, re_hi, line, im_hi)
     if re_hi - re_lo >= im_hi - im_lo:
         for frac in _FRACTIONS:
             mid = re_lo + frac * (re_hi - re_lo)
@@ -576,22 +594,33 @@ def _split_lines(cell):
 def _resolve(cl, cell, n, diam0, out, focus, phases):
     """Append the n simple roots that the winding count puts in cell to out.
 
-    A lone root is Newton-polished from the cell centre.  The count
-    puts it strictly inside, so a failed or escaped Newton run (a value
-    outside the cell is another root) shrinks the cell by a split like
-    any other; at the minimum cell size that raises NoConvergence.
+    A cell that spans a line Im s = j*pi/h is cut at the one nearest its
+    middle: Im f = j*pi/h all along it, so no root lies there and both
+    halves take that edge in closed form.  The branch strips of W
+    (Corless et al. 1996) put about one root in every other pi/h strip,
+    so these cuts alone separate the roots, and a tall, sparse cell sheds
+    its empty parts in a number of cuts that grows with the log of its
+    height.
+
+    A lone root in a cell inside one strip is Newton-polished from the
+    cell centre.  The count puts it strictly inside, so a failed or
+    escaped Newton run (a value outside the cell is another root) splits
+    the cell at the split fractions, as does a strip cut that does not
+    count; once that reaches the minimum cell size it raises
+    NoConvergence.
     """
     if n == 0:
         return
-    if n == 1:
+    line = _strip_line(cell, math.pi / cl.h)
+    if n == 1 and line is None:
         s = _newton(cl, cell.center)
         if s is not None and cell.contains(s, tol=1e-9 * cell.diameter + 1e-13):
             out.append(LocatedRoot(s, 1))
             return
-    if cell.diameter <= max(_MIN_CELL, _MIN_CELL_FRACTION * diam0):
+    if line is None and cell.diameter <= max(_MIN_CELL, _MIN_CELL_FRACTION * diam0):
         what = "Newton failed to converge" if n == 1 else f"{n} roots stay unseparated"
         raise NoConvergence(f"{what} inside cell around {cell.center}")
-    parts = _partition(cl, _split_lines(cell), n, focus, phases)
+    parts = _partition(cl, _halves(cell, line), n, focus, phases)
     if parts is None:
         what = "isolate the root" if n == 1 else f"partition {n} roots"
         raise BoundaryRootSuspected(f"could not {what} near {cell.center}")
@@ -600,46 +629,13 @@ def _resolve(cl, cell, n, diam0, out, focus, phases):
     _resolve(cl, c2, n2, diam0, out, focus, phases)
 
 
-def _strips(cell, gap):
-    """cell cut at every line Im s = j*gap, j != 0, strictly inside it."""
-    lo, hi = cell.im_min, cell.im_max
-    ys = [lo]
-    ys += [y for j in range(math.floor(lo / gap) + 1, math.ceil(hi / gap)) if j and lo < (y := j * gap) < hi]
-    ys.append(hi)
-    return [SearchRect(cell.re_min, cell.re_max, a, b) for a, b in zip(ys, ys[1:])]
-
-
-def _resolve_strips(cl, cell, n, diam0, out, focus, phases):
-    """_resolve on each pi/h strip of cell when the strip counts add up
-    to n, else on cell itself.
-
-    Im f = v on every line Im s = v = j*pi/h, so f has no root there and
-    the strips' shared edges take the closed form; the roots of
-    consecutive branches fall about one to every other strip.
-    """
-    gap = math.pi / cl.h
-    few = 0 < n and cell.im_max - cell.im_min <= _MAX_STRIPS_PER_ROOT * n * gap
-    strips = _strips(cell, gap) if few else []
-    counts = None
-    if len(strips) > 1:
-        try:
-            counts = [_winding(cl, strip, focus, phases) for strip in strips]
-        except BoundaryRootSuspected:
-            pass
-    if counts is None or sum(counts) != n:
-        _resolve(cl, cell, n, diam0, out, focus, phases)
-        return
-    for strip, k in zip(strips, counts):
-        _resolve(cl, strip, k, diam0, out, focus, phases)
-
-
 def find_roots(cl, rect):
     """Locate every characteristic root in rect.
 
     Real roots are resolved directly on the axis (where any multiple
     root of this function family must lie), the off-axis remainder by
-    counting the pi/h strips of the search cell, or by winding-guided
-    bisection where those counts fail, until each cell holds one root;
+    winding-guided bisection, at the lines Im s = j*pi/h where a cell
+    spans one, until each cell holds one root;
     every root is Newton-polished to |f(s)| <= 1e-12*max(1, |s|), and
     the roots below the axis are the conjugates of those above.  Roots
     are ordered by descending real part, ties by ascending imaginary part.
@@ -663,12 +659,12 @@ def find_roots(cl, rect):
                 "roots too close to the real axis to separate from it")
         upper, _, n_up, _ = parts
         above = []
-        _resolve_strips(cl, upper, n_up, rect.diameter, above, focus, phases)
+        _resolve(cl, upper, n_up, rect.diameter, above, focus, phases)
         found.extend(reals)
         found.extend(r for r in above if r.s.imag < rect.im_max)
         found.extend(LocatedRoot(r.s.conjugate(), 1) for r in above if r.s.imag < -rect.im_min)
     else:
-        _resolve_strips(cl, rect, n, rect.diameter, found, (), phases)
+        _resolve(cl, rect, n, rect.diameter, found, (), phases)
     found.sort(key=lambda r: (-r.s.real, r.s.imag))
     return RootSet(roots=tuple(found), total_count=n)
 
@@ -695,7 +691,7 @@ def cross_validate(cl, n_branches, match_tol=1e-8):
     """Check the branch-based spectrum against the boundary oracle.
 
     Encloses the requested branches in a padded rectangle, re-locates
-    the upper half of its roots from scratch via count/strip/polish
+    the upper half of its roots from scratch via count/bisect/polish
     and mirrors them below, and pairs the two sorted root lists by
     position (its largest distance is at least the best matching's, so
     it hides no disagreement).  Raises MismatchDetected on any count

@@ -189,9 +189,9 @@ class TestFindRoots:
 
     def test_closely_spaced_simple_roots_separate(self):
         # at h = 1e8 six simple roots sit 2*pi/h ~ 6.3e-8 apart, in a cell
-        # below the bisection's minimum size; the pi/h strips give each
-        # root a strip of its own, though each root lies 1.6e-15 to 4.7e-15
-        # below a strip line
+        # below the bisection's minimum size; cuts at the root-free lines
+        # Im s = j*pi/h separate them, though each root lies 1.6e-15 to
+        # 4.7e-15 below such a line
         cl = ClosedLoopParams(-1.0, -2.0, 1e8)
         rect = SearchRect(-1e-7, 1e-7, 1e-7, 5e-7)
         assert count_roots(cl, rect) == 6
@@ -318,23 +318,20 @@ class TestCrossValidate:
             assert residual_ok(cl, root.s)
 
 
-@pytest.mark.parametrize("n, budget", [(3, 22), (10, 52), (30, 133)])
-def test_phase_evaluation_budget(n, budget):
-    # the oracle's work is its phase evaluations; cheaper walks may lower
-    # the counts, never raise them
-    _, calls = phase_evaluations(ClosedLoopParams(-1.0, -2.0, 1.0), n)
-    assert 0 < calls <= budget
-
-
-@pytest.mark.parametrize("alpha, beta, h, budget", [
-    (16.393277104736335, 9.11212309351023, 20.456574920080563, 744),
-    (11.044532312121724, -0.04801816730893112, 23.14904106214897, 277),
-])
-def test_wide_loop_phase_evaluation_budget(alpha, beta, h, budget):
+@pytest.mark.parametrize("alpha, beta, h, n, budget", [
+    pytest.param(-1.0, -2.0, 1.0, 3, 22, id="h1-n3"),
+    pytest.param(-1.0, -2.0, 1.0, 10, 52, id="h1-n10"),
+    pytest.param(-1.0, -2.0, 1.0, 30, 133, id="h1-n30"),
     # |beta|e^{-uh} reaches ~1e15 at the left edge of these rectangles, so
     # the strip lines j*pi/h pass the first bound only right of a split
     # knot; walking them whole takes 5,145 and 5,308 evaluations
-    _, calls = phase_evaluations(ClosedLoopParams(alpha, beta, h), 30)
+    pytest.param(16.393277104736335, 9.11212309351023, 20.456574920080563, 30, 744, id="h20-n30"),
+    pytest.param(11.044532312121724, -0.04801816730893112, 23.14904106214897, 30, 274, id="h23-n30"),
+])
+def test_phase_evaluation_budget(alpha, beta, h, n, budget):
+    # the oracle's work is its phase evaluations; cheaper walks may lower
+    # the counts, never raise them
+    _, calls = phase_evaluations(ClosedLoopParams(alpha, beta, h), n)
     assert 0 < calls <= budget
 
 
