@@ -231,7 +231,7 @@ def cmd_assign(args):
         raise DomainError("--alpha selects the decay coefficient for --mode real-both only")
     assign = _ASSIGNERS[args.mode]
     res = assign(sysp, target) if args.alpha is None else assign(sysp, target, alpha_choice=args.alpha)
-    sp = spectrum(res.closed_loop, args.branches)
+    rightmost = spectrum(res.closed_loop, 0).rightmost
     return {
         "mode": res.mode.value,
         "gains": res.gains,
@@ -239,9 +239,8 @@ def cmd_assign(args):
         "predicted_rightmost": res.predicted_rightmost,
         "certificate": res.certificate,
         "confirmation": {
-            "branches": args.branches,
-            "rightmost": sp.rightmost,
-            "distance_to_target": abs(sp.rightmost - res.predicted_rightmost),
+            "rightmost": rightmost,
+            "distance_to_target": abs(rightmost - res.predicted_rightmost),
         },
     }, []
 
@@ -357,7 +356,6 @@ def _build_parser():
         help="which gains carry the design (default: both)",
     )
     p.add_argument("--alpha", type=float, help="decay coefficient choice for --mode real-both")
-    p.add_argument("--branches", type=int, default=3, help="branches for the confirmation spectrum")
     p.set_defaults(handler=cmd_assign)
 
     p = sub.add_parser("verify", help="cross-check the spectrum against the counting oracle")

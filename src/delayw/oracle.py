@@ -20,15 +20,17 @@ bound only towards its left end is split at a lattice knot past the
 crossing; the other edges, and the failing stretches, are walked knot
 by knot and refined until every segment turns by less than pi/2.
 
-find_roots isolates the roots by recursive bisection.  A cell that
+find_roots isolates the roots by cutting at these lines.  A cell that
 spans a line j*pi/h is cut at the one nearest its middle, and both
-halves take the cut in closed form; the branch strips of W (Corless et
-al. 1996) hold about one root to every two pi/h strips, so these cuts
-alone separate the roots.  Only a cell inside one strip, or one whose
-strip cut does not count, is cut at a fixed split fraction instead.
-Newton from a cell's centre first steps on the log form
-log(s - alpha) + sh = log(beta) + 2*pi*i*m, which is close to linear in
-s, and then polishes on f itself.
+halves take the cut in closed form.  The W argument z = beta*h*e^{-alpha h}
+is real, and the branch ranges of W (Corless et al. 1996) put at most
+one root in each strip between neighbouring lines off the axis: above
+it, only in (j*pi/h, (j+1)*pi/h) with j odd when z > 0 and with j even
+when z < 0.  So these cuts alone isolate every root, and a cell inside
+one strip holds one root or none.  Newton from a cell's centre first
+steps on the log form log(s - alpha) + sh = log(beta) + 2*pi*i*m, which
+is close to linear in s, then polishes on f itself, and accepts once
+|f| is within the same derived rounding bound the edge slacks use.
 
 Every root off the real axis is simple.  f = f' = 0 forces
 beta*e^{-sh} = -1/h and hence s = alpha - 1/h, where f'' = h != 0: the
@@ -84,15 +86,6 @@ __all__ = [
 _EPS = 2.220446049250313e-16
 # accept a boundary segment once its phase change is below this
 _PHASE_STEP = math.pi / 2
-# the bisection stops at cells this wide, or at this fraction of the
-# original rectangle if that is larger; a root Newton cannot place in
-# such a cell raises NoConvergence
-_MIN_CELL = 1e-6
-_MIN_CELL_FRACTION = 1e-9
-# split fractions tried when a root sits on (or hugs) the dividing line;
-# exact 0.5 is deliberately absent: conjugate symmetry would put real
-# roots exactly on the midline of symmetric cells
-_FRACTIONS = (0.531, 0.468, 0.553, 0.447, 0.571, 0.415, 0.49)
 _NUDGE_FRACTION = 1e-3
 _MAX_NUDGES = 5
 _MAX_EDGE_DEPTH = 60
@@ -267,21 +260,13 @@ def _closed_form(cl, sa, sb, pa, pb):
     case it is -h*dv plus wrap(pb - pa + h*dv).
 
     Each bound carries a slack that covers both the exact f along the
-    edge and the f that _df evaluates at its ends, with u = eps/2 the
-    unit roundoff and Z the largest |uh| + |vh| on the edge.  _df
-    rounds -sh by u|sh| (which moves e^{-sh} by B*u*Z), takes exp, sin
-    and cos to an ulp and adds a few roundings, so its error is below
-    u*(4(|s| + |alpha|) + 28|beta| + B(16 + Z)); Im f alone carries only
-    the B part, as its (s - alpha - beta) term is exact.  The bound's
-    own B = |beta|*exp(-uh) and sin(vh) are off by u*B*(4 + Z) and by
-    u|vh|.  Summed, and rounded up to whole eps = 2u, the slacks below
-    are eps*B*(12 + 2Z) for Im f, plus eps*(4(|s| + |alpha|) + 16|beta|)
-    for the vertical bounds.  The third case also needs the end phases,
-    h*dv and the wrap, together off by at most x = eps*(4|h dv| + 32), to
-    keep the part inside (-pi/2, pi/2) from reaching +-pi: its
-    |q| <= rho has |phase(1 - q)| <= asin(rho), and
-    pi/2 - asin(rho) >= sqrt(2(1 - rho)) exceeds x/2 once
-    1 - rho > x^2/8.
+    edge and the f that _df evaluates at its ends: _sine_bound's for Im
+    f, _f_noise over the whole edge for the vertical bounds.  The third
+    case also needs the end phases, h*dv and the wrap, together off by
+    at most x = eps*(4|h dv| + 32), to keep the part inside
+    (-pi/2, pi/2) from reaching +-pi: its |q| <= rho has
+    |phase(1 - q)| <= asin(rho), and pi/2 - asin(rho) >= sqrt(2(1 - rho))
+    exceeds x/2 once 1 - rho > x^2/8.
     """
     h = cl.h
     if sa.imag == sb.imag:
@@ -293,9 +278,7 @@ def _closed_form(cl, sa, sb, pa, pb):
     c = sa.real
     decay = _decay(cl, c)
     ymax = max(abs(sa.imag), abs(sb.imag))
-    zmax = (abs(c) + ymax) * h
-    reach = abs(c) + ymax + abs(cl.alpha)
-    slack = _EPS * (decay * (12.0 + 2.0 * zmax) + 4.0 * reach + 16.0 * abs(cl.beta))
+    slack = _f_noise(cl, c, ymax)
     if abs(c - cl.alpha) > decay + slack:
         centre = 0.0 if c > cl.alpha else math.pi
         return _wrap(pb - centre) - _wrap(pa - centre)
@@ -307,9 +290,30 @@ def _closed_form(cl, sa, sb, pa, pb):
     return None
 
 
+def _f_noise(cl, x, y):
+    """Bound on the rounding error of the f that _df evaluates, at every
+    s on the line Re s = x with |Im s| <= |y|.
+
+    With u = eps/2 the unit roundoff, B = |beta|e^{-xh} and
+    Z = (|x| + |y|)h: _df rounds -sh by u|sh| (which moves e^{-sh} by
+    B*u*Z), takes exp, sin and cos to an ulp and adds a few roundings, so
+    its error is below u*(4(|s| + |alpha|) + 28|beta| + B(16 + Z)); Im f
+    alone carries only the B part, as its (s - alpha - beta) term is
+    exact.  A bound that compares against B computed as
+    |beta|*exp(-xh) is off by a further u*B*(4 + Z).  Summed, and rounded
+    up to whole eps = 2u, that is eps*B*(12 + 2Z) for Im f (the sine's
+    slack in _sine_bound) plus eps*(4(|s| + |alpha|) + 16|beta|).
+    """
+    z = (abs(x) + abs(y)) * cl.h
+    reach = abs(x) + abs(y) + abs(cl.alpha)
+    return _EPS * (_decay(cl, x) * (12.0 + 2.0 * z) + 4.0 * reach + 16.0 * abs(cl.beta))
+
+
 def _sine_bound(cl, sa, sb):
     """|sin vh| plus its slack on the horizontal edge sa -> sb at height
-    v: the edge is clear where |v| exceeds |beta|e^{-uh} times this."""
+    v: the edge is clear where |v| exceeds |beta|e^{-uh} times this; the
+    slack is _f_noise's Im f share over B, with sin(vh) itself off by
+    u|vh|."""
     v = sa.imag
     zmax = max(abs(sa.real), abs(sb.real)) * cl.h + abs(v * cl.h)
     return abs(math.sin(v * cl.h)) + _EPS * (12.0 + 2.0 * zmax)
@@ -534,8 +538,11 @@ def _log_seed(cl, s0):
 
 
 def _newton(cl, s0):
-    """Newton iteration on f, started from the log-form seed of s0;
-    None when it fails."""
+    """Newton iteration on f, started from the log-form seed of s0.
+
+    Returns the last iterate if f there is within _f_noise, that is,
+    indistinguishable from zero in _df's arithmetic; None otherwise.
+    """
     s = _log_seed(cl, s0)
     for _ in range(80):
         f = _df(cl, s, 0)
@@ -548,7 +555,7 @@ def _newton(cl, s0):
             return None
         if abs(step) <= 1e-15 * max(1.0, abs(s)):
             break
-    if abs(_df(cl, s, 0)) <= 1e-13 * max(1.0, abs(s)):
+    if abs(_df(cl, s, 0)) <= _f_noise(cl, s.real, s.imag):
         return s
     return None
 
@@ -575,58 +582,41 @@ def _strip_line(cell, gap):
     return y if cell.im_min < y < cell.im_max else None
 
 
-def _halves(cell, line):
-    """Halves of cell to try, best first: cut at the strip line, if any,
-    then across the longer side, one pair per fraction."""
-    re_lo, re_hi, im_lo, im_hi = cell
-    if line is not None:
-        yield SearchRect(re_lo, re_hi, im_lo, line), SearchRect(re_lo, re_hi, line, im_hi)
-    if re_hi - re_lo >= im_hi - im_lo:
-        for frac in _FRACTIONS:
-            mid = re_lo + frac * (re_hi - re_lo)
-            yield SearchRect(re_lo, mid, im_lo, im_hi), SearchRect(mid, re_hi, im_lo, im_hi)
-    else:
-        for frac in _FRACTIONS:
-            mid = im_lo + frac * (im_hi - im_lo)
-            yield SearchRect(re_lo, re_hi, im_lo, mid), SearchRect(re_lo, re_hi, mid, im_hi)
-
-
-def _resolve(cl, cell, n, diam0, out, focus, phases):
+def _resolve(cl, cell, n, out, focus, phases):
     """Append the n simple roots that the winding count puts in cell to out.
 
     A cell that spans a line Im s = j*pi/h is cut at the one nearest its
     middle: Im f = j*pi/h all along it, so no root lies there and both
-    halves take that edge in closed form.  The branch strips of W
-    (Corless et al. 1996) put about one root in every other pi/h strip,
-    so these cuts alone separate the roots, and a tall, sparse cell sheds
-    its empty parts in a number of cuts that grows with the log of its
-    height.
+    halves take that edge in closed form.  The branch ranges of W
+    (Corless et al. 1996) put at most one root in each pi/h strip off the
+    axis, so these cuts alone isolate the roots, and a tall, sparse cell
+    sheds its empty parts in a number of cuts that grows with the log of
+    its height.
 
-    A lone root in a cell inside one strip is Newton-polished from the
-    cell centre.  The count puts it strictly inside, so a failed or
-    escaped Newton run (a value outside the cell is another root) splits
-    the cell at the split fractions, as does a strip cut that does not
-    count; once that reaches the minimum cell size it raises
-    NoConvergence.
+    The lone root of a cell inside one strip is Newton-polished from the
+    cell centre.  The count puts it strictly inside, so two roots in one
+    strip, a failed or escaped Newton run (a value outside the cell is
+    another root), or a cut whose halves do not add up to n, raise.
     """
     if n == 0:
         return
     line = _strip_line(cell, math.pi / cl.h)
-    if n == 1 and line is None:
+    if line is None:
+        if n > 1:
+            raise NoConvergence(f"{n} roots share one pi/h strip inside cell around {cell.center}")
         s = _newton(cl, cell.center)
-        if s is not None and cell.contains(s, tol=1e-9 * cell.diameter + 1e-13):
-            out.append(LocatedRoot(s, 1))
-            return
-    if line is None and cell.diameter <= max(_MIN_CELL, _MIN_CELL_FRACTION * diam0):
-        what = "Newton failed to converge" if n == 1 else f"{n} roots stay unseparated"
-        raise NoConvergence(f"{what} inside cell around {cell.center}")
-    parts = _partition(cl, _halves(cell, line), n, focus, phases)
+        if s is None or not cell.contains(s, tol=1e-9 * cell.diameter + 1e-13):
+            raise NoConvergence(f"Newton failed to converge inside cell around {cell.center}")
+        out.append(LocatedRoot(s, 1))
+        return
+    re_lo, re_hi, im_lo, im_hi = cell
+    halves = (SearchRect(re_lo, re_hi, im_lo, line), SearchRect(re_lo, re_hi, line, im_hi))
+    parts = _partition(cl, (halves,), n, focus, phases)
     if parts is None:
-        what = "isolate the root" if n == 1 else f"partition {n} roots"
-        raise BoundaryRootSuspected(f"could not {what} near {cell.center}")
-    c1, c2, n1, n2 = parts
-    _resolve(cl, c1, n1, diam0, out, focus, phases)
-    _resolve(cl, c2, n2, diam0, out, focus, phases)
+        raise BoundaryRootSuspected(f"could not partition {n} roots at Im s = {line} near {cell.center}")
+    lower, upper, n_lower, n_upper = parts
+    _resolve(cl, lower, n_lower, out, focus, phases)
+    _resolve(cl, upper, n_upper, out, focus, phases)
 
 
 def find_roots(cl, rect):
@@ -634,11 +624,14 @@ def find_roots(cl, rect):
 
     Real roots are resolved directly on the axis (where any multiple
     root of this function family must lie), the off-axis remainder by
-    winding-guided bisection, at the lines Im s = j*pi/h where a cell
-    spans one, until each cell holds one root;
-    every root is Newton-polished to |f(s)| <= 1e-12*max(1, |s|), and
-    the roots below the axis are the conjugates of those above.  Roots
-    are ordered by descending real part, ties by ascending imaginary part.
+    winding counts on cells cut at the lines Im s = j*pi/h, until each
+    cell lies inside one pi/h strip and so holds at most one root;
+    every root is Newton-polished until |f(s)| is below a bound derived
+    from the rounding error of evaluating f at s, and the roots below
+    the axis are the conjugates of those above.  Roots are ordered by
+    descending real part, ties by ascending imaginary part.
+    Raises NoConvergence if a root cannot be placed in its strip, and
+    BoundaryRootSuspected if the contour or a cut cannot be counted.
     """
     phases = {}
     n, rect, reals, focus = _counted_rect(cl, rect, phases)
@@ -659,12 +652,12 @@ def find_roots(cl, rect):
                 "roots too close to the real axis to separate from it")
         upper, _, n_up, _ = parts
         above = []
-        _resolve(cl, upper, n_up, rect.diameter, above, focus, phases)
+        _resolve(cl, upper, n_up, above, focus, phases)
         found.extend(reals)
         found.extend(r for r in above if r.s.imag < rect.im_max)
         found.extend(LocatedRoot(r.s.conjugate(), 1) for r in above if r.s.imag < -rect.im_min)
     else:
-        _resolve(cl, rect, n, rect.diameter, found, (), phases)
+        _resolve(cl, rect, n, found, (), phases)
     found.sort(key=lambda r: (-r.s.real, r.s.imag))
     return RootSet(roots=tuple(found), total_count=n)
 

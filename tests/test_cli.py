@@ -372,6 +372,13 @@ class TestAssign:
             main(["assign", *_PLANT, "--target", "-1", "--mode", "both-gains"])
         assert exc.value.code == 2
 
+    def test_no_branches_flag(self, capsys):
+        # the confirmation reads the branch-0 rightmost root alone, so a
+        # branch count would change nothing but its own echo
+        with pytest.raises(SystemExit) as exc:
+            main(["assign", *_PLANT, "--target", "-1", "--branches", "3"])
+        assert exc.value.code == 2
+
     def test_help_documents_grammar(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["assign", "--help"])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from delayw import (
+    BRANCH_POINT_Z,
     BoundaryRootSuspected,
     ClosedLoopParams,
     CrossValidation,
@@ -22,8 +23,8 @@ from delayw import (
     find_roots,
     spectrum,
 )
-from delayw.oracle import (_checked_phase, _closed_form, _edge_arg, _edge_knots, _enclosing_rect, _split_knot,
-                           _walk)
+from delayw.oracle import (_checked_phase, _closed_form, _df, _edge_arg, _edge_knots, _enclosing_rect, _f_noise,
+                           _split_knot, _walk)
 
 
 # e*z + 1 = -2.1e-13 for the W argument z: a conjugate pair 5e-5 off the axis
@@ -204,6 +205,23 @@ class TestFindRoots:
         for lo, hi in zip(ims, ims[1:]):
             assert hi - lo == pytest.approx(2.0 * math.pi / cl.h, rel=1e-6)
 
+    @pytest.mark.parametrize("alpha, beta, h, rect, n", [
+        (-4.715371764610683, -662.746456237954, 88.16817207436287,
+         SearchRect(0.04955815185930507, 0.06228330330609371, -0.7717745241248456, 0.3571169362624423), 16),
+        (0.5333610378421003, 893.4119044206329, 52.83757299427533,
+         SearchRect(-0.09713038621647657, 0.3897788455680033, -0.5575306594949437, 3.0521625516828603), 30),
+    ], ids=["beta-663", "beta+893"])
+    def test_large_beta_roots_accepted_at_rounding_bound(self, alpha, beta, h, rect, n):
+        # |beta| in the hundreds puts f's rounding error above 1e-13 at the
+        # roots, so Newton stops there with |f| above that but within
+        # _f_noise; each strip holds one root, so nothing else can place it
+        cl = ClosedLoopParams(alpha, beta, h)
+        truth = [r.s for r in spectrum(cl, 400).roots if rect.contains(r.s)]
+        rs = find_roots(cl, rect)
+        assert rs.total_count == len(rs.roots) == len(truth) == n
+        for r in rs.roots:
+            assert min(abs(r.s - s) for s in truth) <= 1e-14 * max(1.0, abs(r.s))
+
     @pytest.mark.parametrize("locate", [count_roots, find_roots])
     def test_contour_overflow_raises(self, locate):
         # e^{-sh} passes the double range all along this rectangle
@@ -333,6 +351,76 @@ def test_phase_evaluation_budget(alpha, beta, h, n, budget):
     # the counts, never raise them
     _, calls = phase_evaluations(ClosedLoopParams(alpha, beta, h), n)
     assert 0 < calls <= budget
+
+
+def test_at_most_one_root_per_strip():
+    # find_roots isolates roots by pi/h strips alone: with z the real W
+    # argument, the branch ranges of W put one root in each strip
+    # [j*pi/h, (j+1)*pi/h] above the axis with j odd when z > 0, with j
+    # even when z < 0, and none in the others
+    rng = __import__("random").Random(3)
+    for _ in range(200):
+        h = 10.0 ** rng.uniform(-2.0, 2.0)
+        beta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        cl = ClosedLoopParams(rng.uniform(-5.0, 5.0), beta, h)
+        roots = [r.s for r in spectrum(cl, 6).roots]
+        lo = min(s.real for s in roots) - 0.5 / h
+        hi = max(s.real for s in roots) + 0.5 / h
+        gap = math.pi / h
+        for j in range(1, 11):
+            n = count_roots(cl, SearchRect(lo, hi, j * gap, (j + 1) * gap))
+            assert n == (1 if (j % 2 == 1) == (beta > 0.0) else 0), (cl, j, n)
+            assert n == sum(j * gap < s.imag < (j + 1) * gap for s in roots), (cl, j, n)
+
+
+def test_f_noise_bounds_df_error():
+    # the one rounding bound behind the closed-form edges and Newton's
+    # acceptance must cover _df's error, against 50-digit mpmath, near
+    # roots, far from them and where s - alpha cancels
+    mpmath = pytest.importorskip("mpmath")
+    rng = __import__("random").Random(11)
+    checked = 0
+    with mpmath.workdps(50):
+        for _ in range(1500):
+            h = 10.0 ** rng.uniform(-2.0, 2.0)
+            alpha = rng.uniform(-5.0, 5.0) / (h if rng.random() < 0.5 else 1.0)
+            beta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            cl = ClosedLoopParams(alpha, beta, h)
+            kind = rng.randrange(3)
+            if kind == 0:
+                s = rng.choice(spectrum(cl, 5).roots).s
+                s *= 1.0 + 10.0 ** rng.uniform(-16.0, -6.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            elif kind == 1:
+                s = 10.0 ** rng.uniform(-3.0, 3.0) / h * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            else:
+                s = complex(alpha + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16.0, 0.0),
+                            rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 3.0) / h)
+            if -s.real * h > 700.0:
+                continue
+            ms = mpmath.mpc(s.real, s.imag)
+            exact = ms - mpmath.mpf(alpha) - mpmath.mpf(beta) * mpmath.exp(-ms * mpmath.mpf(h))
+            err = abs(mpmath.mpc(_df(cl, s, 0)) - exact)
+            assert err <= _f_noise(cl, s.real, s.imag), (cl, s, float(err))
+            checked += 1
+    assert checked >= 1400
+
+
+def test_near_branch_point_raise_budget():
+    # next to the branch point the oracle's double-root snap in _axis
+    # still trips cross_validate on about half of these loops; that may
+    # only ever fall, and no loop may end in NoConvergence or DomainError
+    rng = __import__("random").Random(1)
+    raised = 0
+    for i in range(600):
+        h = 10.0 ** rng.uniform(-2.0, 1.0)
+        alpha = rng.uniform(-5.0, 5.0)
+        d = (-1.0 if i % 2 == 0 else 1.0) * 10.0 ** rng.uniform(-17.0, -12.0)
+        cl = ClosedLoopParams(alpha, BRANCH_POINT_Z * (1.0 + d) * math.exp(alpha * h) / h, h)
+        try:
+            cross_validate(cl, 2)
+        except (MismatchDetected, BoundaryRootSuspected):
+            raised += 1
+    assert raised <= 290
 
 
 @settings(max_examples=200, deadline=None)
