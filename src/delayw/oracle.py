@@ -20,17 +20,16 @@ bound only towards its left end is split at a lattice knot past the
 crossing; the other edges, and the failing stretches, are walked knot
 by knot and refined until every segment turns by less than pi/2.
 
-find_roots isolates the roots by cutting at these lines.  A cell that
-spans a line j*pi/h is cut at the one nearest its middle, and both
-halves take the cut in closed form.  The W argument z = beta*h*e^{-alpha h}
-is real, and the branch ranges of W (Corless et al. 1996) put at most
-one root in each strip between neighbouring lines off the axis: above
-it, only in (j*pi/h, (j+1)*pi/h) with j odd when z > 0 and with j even
-when z < 0.  So these cuts alone isolate every root, and a cell inside
-one strip holds one root or none.  Newton from a cell's centre first
-steps on the log form log(s - alpha) + sh = log(beta) + 2*pi*i*m, which
-is close to linear in s, then polishes on f itself, and accepts once
-|f| is within the same derived rounding bound the edge slacks use.
+find_roots isolates the roots in one pass over the strips between
+these lines, each of which takes its cut edges in closed form.  The W
+argument z = beta*h*e^{-alpha h} is real, and the branch ranges of W
+(Corless et al. 1996) put at most one root in each strip off the axis:
+above it, only in (j*pi/h, (j+1)*pi/h) with j odd when z > 0 and with j
+even when z < 0.  So a strip holds one root or none.  Newton from a
+strip's centre first steps on the log form log(s - alpha) + sh =
+log(beta) + 2*pi*i*m, which is close to linear in s, then polishes on f
+itself, and accepts once |f| is within the same derived rounding bound
+the edge slacks use.
 
 Every root off the real axis is simple.  f = f' = 0 forces
 beta*e^{-sh} = -1/h and hence s = alpha - 1/h, where f'' = h != 0: the
@@ -52,14 +51,14 @@ Every sample point of a walk depends only on the line it lies on: the
 uniform knots sit on the lattice j*pi/(4h) along it, as do the split
 knots and, on vertical edges, the strip corners j*pi/h, the focus knots
 at fixed multiples of their distance, and a bisection midpoint is the
-midpoint of two such points.  Sibling cells sharing an edge, and child
-cells re-walking a stretch of their parent's edge, therefore land on
+midpoint of two such points.  Neighbouring cells sharing an edge, and
+strips re-walking a stretch of their cell's edge, therefore land on
 the same points, and each find_roots or count_roots call keeps one
 table of the phases it has evaluated, so each point is evaluated at
 most once per call.  The same table keeps the phase change of every
-edge a winding has summed, under the edge's ends in both directions: a
-cut cell's two halves each reuse one edge of their parent and share
-the cut between them.
+edge a winding has summed, under the edge's ends in both directions:
+neighbouring strips share the line between them, and the edge at the
+axis margin serves both margin cells and the lowest strip.
 
 One function, _df, evaluates f and f' everywhere: on the contour, in
 Newton polishing and in the real-axis sign analysis; only the log-form
@@ -69,6 +68,7 @@ seed steps evaluate their own function.
 import cmath
 import math
 from collections import namedtuple
+from itertools import chain, pairwise
 
 from .errors import BoundaryRootSuspected, DomainError, MismatchDetected, NoConvergence
 from .spectrum import spectrum
@@ -199,8 +199,8 @@ def _edge_knots(sa, sb, h, focus):
 
     Each knot depends only on the line the segment lies on, never on its
     endpoints, so every walk along one line (the shared edge of two
-    sibling cells, a child cell's stretch of its parent's edge) lands on
-    the same points.  Uniform knots sit on the lattice j*pi/(4h) along
+    cells, a strip's stretch of its cell's edge) lands on the same
+    points.  Uniform knots sit on the lattice j*pi/(4h) along
     the line, which keeps each piece under a quarter turn of the delay
     term's rotation (rate h along the segment); past 65,536 pieces the
     step doubles until the edge fits, which keeps the knots on a coarser
@@ -560,63 +560,40 @@ def _newton(cl, s0):
     return None
 
 
-def _partition(cl, pairs, n, focus, phases):
-    """First candidate (c1, c2) whose windings add up to n, as
-    (c1, c2, n1, n2); None if no candidate does."""
-    for c1, c2 in pairs:
-        try:
-            n1, n2 = _winding(cl, c1, focus, phases), _winding(cl, c2, focus, phases)
-        except BoundaryRootSuspected:
-            continue
-        if n1 + n2 == n:
-            return c1, c2, n1, n2
-    return None
-
-
-def _strip_line(cell, gap):
-    """The line Im s = j*gap, j != 0, strictly inside cell and nearest its
-    middle; None if cell spans no such line."""
-    mid = 0.5 * (cell.im_min + cell.im_max)
-    j = round(mid / gap) or (1 if mid > 0.0 else -1)
-    y = j * gap
-    return y if cell.im_min < y < cell.im_max else None
-
-
 def _resolve(cl, cell, n, out, focus, phases):
     """Append the n simple roots that the winding count puts in cell to out.
 
-    A cell that spans a line Im s = j*pi/h is cut at the one nearest its
-    middle: Im f = j*pi/h all along it, so no root lies there and both
-    halves take that edge in closed form.  The branch ranges of W
-    (Corless et al. 1996) put at most one root in each pi/h strip off the
-    axis, so these cuts alone isolate the roots, and a tall, sparse cell
-    sheds its empty parts in a number of cuts that grows with the log of
-    its height.
-
-    The lone root of a cell inside one strip is Newton-polished from the
-    cell centre.  The count puts it strictly inside, so two roots in one
-    strip, a failed or escaped Newton run (a value outside the cell is
-    another root), or a cut whose halves do not add up to n, raise.
+    One pass over the strips that the lines Im s = j*pi/h, j != 0, cut
+    from cell: no root lies on such a line, and each strip holds at most
+    one root, which is Newton-polished from the strip centre.  Two roots
+    in one strip, or a failed or escaped Newton run (a value outside the
+    strip is another root), raise.  The pass stops once it holds n roots:
+    Newton-verified, in n distinct strips of a cell that winds to n, they
+    leave no other root in the cell.  If the strips run out first, their
+    counts fall short of the cell's and it raises.
     """
-    if n == 0:
-        return
-    line = _strip_line(cell, math.pi / cl.h)
-    if line is None:
-        if n > 1:
-            raise NoConvergence(f"{n} roots share one pi/h strip inside cell around {cell.center}")
-        s = _newton(cl, cell.center)
-        if s is None or not cell.contains(s, tol=1e-9 * cell.diameter + 1e-13):
-            raise NoConvergence(f"Newton failed to converge inside cell around {cell.center}")
-        out.append(LocatedRoot(s, 1))
-        return
+    gap = math.pi / cl.h
     re_lo, re_hi, im_lo, im_hi = cell
-    halves = (SearchRect(re_lo, re_hi, im_lo, line), SearchRect(re_lo, re_hi, line, im_hi))
-    parts = _partition(cl, (halves,), n, focus, phases)
-    if parts is None:
-        raise BoundaryRootSuspected(f"could not partition {n} roots at Im s = {line} near {cell.center}")
-    lower, upper, n_lower, n_upper = parts
-    _resolve(cl, lower, n_lower, out, focus, phases)
-    _resolve(cl, upper, n_upper, out, focus, phases)
+    # from the top down: on cross_validate's rectangles the empty strips
+    # lie next to the axis, and the pass stops before it has to wind them
+    cuts = (y for j in range(math.ceil(im_hi / gap), math.floor(im_lo / gap) - 1, -1)
+            if j != 0 and im_lo < (y := j * gap) < im_hi)
+    found = 0
+    for hi, lo in pairwise(chain((im_hi,), cuts, (im_lo,))):
+        if found == n:
+            return
+        strip = SearchRect(re_lo, re_hi, lo, hi)
+        k = _winding(cl, strip, focus, phases)
+        if k > 1:
+            raise NoConvergence(f"{k} roots share one pi/h strip inside cell around {strip.center}")
+        if k == 1:
+            s = _newton(cl, strip.center)
+            if s is None or not strip.contains(s, tol=1e-9 * strip.diameter + 1e-13):
+                raise NoConvergence(f"Newton failed to converge inside cell around {strip.center}")
+            out.append(LocatedRoot(s, 1))
+            found += 1
+    if found < n:
+        raise BoundaryRootSuspected(f"strips inside cell around {cell.center} hold {found} of its {n} roots")
 
 
 def find_roots(cl, rect):
@@ -624,14 +601,14 @@ def find_roots(cl, rect):
 
     Real roots are resolved directly on the axis (where any multiple
     root of this function family must lie), the off-axis remainder by
-    winding counts on cells cut at the lines Im s = j*pi/h, until each
-    cell lies inside one pi/h strip and so holds at most one root;
-    every root is Newton-polished until |f(s)| is below a bound derived
-    from the rounding error of evaluating f at s, and the roots below
-    the axis are the conjugates of those above.  Roots are ordered by
-    descending real part, ties by ascending imaginary part.
+    winding counts on the pi/h strips between the lines Im s = j*pi/h,
+    each of which holds at most one root; every root is Newton-polished
+    until |f(s)| is below a bound derived from the rounding error of
+    evaluating f at s, and the roots below the axis are the conjugates
+    of those above.  Roots are ordered by descending real part, ties by
+    ascending imaginary part.
     Raises NoConvergence if a root cannot be placed in its strip, and
-    BoundaryRootSuspected if the contour or a cut cannot be counted.
+    BoundaryRootSuspected if the contour or a strip cannot be counted.
     """
     phases = {}
     n, rect, reals, focus = _counted_rect(cl, rect, phases)
@@ -643,16 +620,20 @@ def find_roots(cl, rect):
         n_real = sum(r.multiplicity for r in reals)
         top, low = max(rect.im_max, -rect.im_min), min(rect.im_max, -rect.im_min)
         scale = max(1.0, top)
-        cells = ((SearchRect(rect.re_min, rect.re_max, m, top),
-                  SearchRect(rect.re_min, rect.re_max, m, low))
-                 for m in (1e-7 * scale, 1e-9 * scale, 1e-11 * scale) if m < low)
-        parts = _partition(cl, cells, n - n_real, focus, phases)
-        if parts is None:
-            raise BoundaryRootSuspected(
-                "roots too close to the real axis to separate from it")
-        upper, _, n_up, _ = parts
+        for m in (1e-7 * scale, 1e-9 * scale, 1e-11 * scale):
+            if m >= low:
+                continue
+            try:
+                n_up, n_low = (_winding(cl, SearchRect(rect.re_min, rect.re_max, m, y), focus, phases)
+                               for y in (top, low))
+            except BoundaryRootSuspected:
+                continue
+            if n_up + n_low == n - n_real:
+                break
+        else:
+            raise BoundaryRootSuspected("roots too close to the real axis to separate from it")
         above = []
-        _resolve(cl, upper, n_up, above, focus, phases)
+        _resolve(cl, SearchRect(rect.re_min, rect.re_max, m, top), n_up, above, focus, phases)
         found.extend(reals)
         found.extend(r for r in above if r.s.imag < rect.im_max)
         found.extend(LocatedRoot(r.s.conjugate(), 1) for r in above if r.s.imag < -rect.im_min)
@@ -684,8 +665,8 @@ def cross_validate(cl, n_branches, match_tol=1e-8):
     """Check the branch-based spectrum against the boundary oracle.
 
     Encloses the requested branches in a padded rectangle, re-locates
-    the upper half of its roots from scratch via count/bisect/polish
-    and mirrors them below, and pairs the two sorted root lists by
+    the upper half of its roots from scratch (count, one pass over the
+    pi/h strips, Newton polish) and mirrors them below, and pairs the two sorted root lists by
     position (its largest distance is at least the best matching's, so
     it hides no disagreement).  Raises MismatchDetected on any count
     difference or a pair further apart than match_tol; either would

@@ -23,6 +23,7 @@ from delayw import (
     find_roots,
     spectrum,
 )
+from delayw import oracle
 from delayw.oracle import (_checked_phase, _closed_form, _df, _edge_arg, _edge_knots, _enclosing_rect, _f_noise,
                            _split_knot, _walk)
 
@@ -188,6 +189,25 @@ class TestFindRoots:
         assert abs(ims[0] - 1.99730) < 5e-4
         assert abs(ims[1] - 7.80750) < 5e-4
 
+    @pytest.mark.parametrize("cl, rect, n", [
+        (ClosedLoopParams(-1.0, -2.0, 1.0), SearchRect(-3.1, 0.5, 0.5 * math.pi, 41.0 * math.pi), 7),
+        (ClosedLoopParams(0.5, 2.0, 0.7), SearchRect(-4.0, 1.5, 0.5 * math.pi / 0.7, 41.0 * math.pi / 0.7), 3),
+    ], ids=["h1", "h0.7"])
+    def test_tall_sparse_rect_off_axis(self, cl, rect, n):
+        # about 40 pi/h strips, all above or all below the axis, whose
+        # roots sit in the ones nearest it: the pass over the strips meets
+        # the lines j*pi/h with j < 0 and stops once it holds every root
+        mirror = SearchRect(rect.re_min, rect.re_max, -rect.im_max, -rect.im_min)
+        above, below = find_roots(cl, rect), find_roots(cl, mirror)
+        expected = [r.s for r in spectrum(cl, 60).roots if rect.contains(r.s)]
+        assert above.total_count == len(above.roots) == len(expected) == n
+        for root, ref in zip(above.roots, sorted(expected, key=lambda s: (-s.real, s.imag))):
+            assert root.multiplicity == 1
+            assert abs(root.s - ref) <= 1e-12 * max(1.0, abs(ref))
+        assert below.total_count == n
+        assert [r.s for r in below.roots] == sorted((r.s.conjugate() for r in above.roots),
+                                                     key=lambda s: (-s.real, s.imag))
+
     def test_closely_spaced_simple_roots_separate(self):
         # at h = 1e8 six simple roots sit 2*pi/h ~ 6.3e-8 apart, in a cell
         # below the bisection's minimum size; cuts at the root-free lines
@@ -336,6 +356,11 @@ class TestCrossValidate:
             assert residual_ok(cl, root.s)
 
 
+# loops of the wide verify space whose rectangles cross many pi/h strips
+H20 = (16.393277104736335, 9.11212309351023, 20.456574920080563)
+H23 = (11.044532312121724, -0.04801816730893112, 23.14904106214897)
+
+
 @pytest.mark.parametrize("alpha, beta, h, n, budget", [
     pytest.param(-1.0, -2.0, 1.0, 3, 22, id="h1-n3"),
     pytest.param(-1.0, -2.0, 1.0, 10, 52, id="h1-n10"),
@@ -343,13 +368,37 @@ class TestCrossValidate:
     # |beta|e^{-uh} reaches ~1e15 at the left edge of these rectangles, so
     # the strip lines j*pi/h pass the first bound only right of a split
     # knot; walking them whole takes 5,145 and 5,308 evaluations
-    pytest.param(16.393277104736335, 9.11212309351023, 20.456574920080563, 30, 744, id="h20-n30"),
-    pytest.param(11.044532312121724, -0.04801816730893112, 23.14904106214897, 30, 274, id="h23-n30"),
+    pytest.param(*H20, 30, 744, id="h20-n30"),
+    pytest.param(*H23, 30, 274, id="h23-n30"),
 ])
 def test_phase_evaluation_budget(alpha, beta, h, n, budget):
     # the oracle's work is its phase evaluations; cheaper walks may lower
     # the counts, never raise them
     _, calls = phase_evaluations(ClosedLoopParams(alpha, beta, h), n)
+    assert 0 < calls <= budget
+
+
+@pytest.mark.parametrize("alpha, beta, h, n, budget", [
+    pytest.param(-1.0, -2.0, 1.0, 3, 10, id="h1-n3"),
+    pytest.param(-1.0, -2.0, 1.0, 10, 24, id="h1-n10"),
+    pytest.param(-1.0, -2.0, 1.0, 30, 64, id="h1-n30"),
+    pytest.param(*H20, 30, 62, id="h20-n30"),
+    pytest.param(*H23, 30, 62, id="h23-n30"),
+])
+def test_winding_budget(monkeypatch, alpha, beta, h, n, budget):
+    # a winding is one argument-principle count around a cell; one pass
+    # over the pi/h strips winds each strip at most once, and these
+    # budgets may only ever be lowered
+    calls = 0
+    winding = oracle._winding
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return winding(*args)
+
+    monkeypatch.setattr(oracle, "_winding", counted)
+    cross_validate(ClosedLoopParams(alpha, beta, h), n)
     assert 0 < calls <= budget
 
 
