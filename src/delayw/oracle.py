@@ -36,14 +36,14 @@ beta*e^{-sh} = -1/h and hence s = alpha - 1/h, where f'' = h != 0: the
 only multiple root is the real double root at the Lambert W branch
 point.  That even-order root produces no phase signature along a line
 through it: f stays in one half-plane, so a contour walk sails past
-without a jump and the count silently splits.  The real axis is
-therefore handled by direct sign analysis (f restricted to the reals
-has a single-signed second derivative, hence at most one interior
-extremum and at most two real roots), and winding cells keep a
-strictly positive distance from the axis.  Boundary walks near a
-known real root, or near the axis extremum, insert extra sample knots
-scaled to the edge's distance from that point, which resolves the
-concentrated phase swing it induces on nearby edges.
+without a jump and the count silently splits.  The real roots are
+therefore found by sign analysis (f on the reals has a single-signed
+second derivative, hence at most one extremum and two real roots), and
+the band between the root-free lines -pi/h and pi/h, which holds them
+and at most one conjugate pair, is wound once to tell whether the pair
+is there.  Walks of the caller's rectangle near a real root, or the
+axis extremum, insert extra knots scaled to the edge's distance from
+that point, to resolve the phase swing it concentrates there.
 The coefficients are real, so f(conj s) = conj f(s): only the upper
 half-plane is searched, and the roots below are the exact conjugates.
 
@@ -57,8 +57,8 @@ the same points, and each find_roots or count_roots call keeps one
 table of the phases it has evaluated, so each point is evaluated at
 most once per call.  The same table keeps the phase change of every
 edge a winding has summed, under the edge's ends in both directions:
-neighbouring strips share the line between them, and the edge at the
-axis margin serves both margin cells and the lowest strip.
+neighbouring strips share the line between them, and the band's top
+edge, the line pi/h, is the bottom edge of the lowest strip.
 
 One function, _df, evaluates f and f' everywhere: on the contour, in
 Newton polishing and in the real-axis sign analysis; only the log-form
@@ -452,10 +452,9 @@ def _axis(cl, rect):
     double root exactly at x_ext.  focus holds the abscissae whose
     nearby edges need extra knots: the real roots, and x_ext, where a
     near-coalescent conjugate pair concentrates two cancelling phase
-    swings even though no real root exists.
+    swings even though no real root exists.  Edges that skim the axis
+    need them on rectangles off it too.
     """
-    if not (rect.im_min < 0.0 < rect.im_max):
-        return (), []
     re_lo, re_hi = rect.re_min, rect.re_max
     if cl.beta == 0.0:
         reals = [LocatedRoot(complex(cl.alpha, 0.0), 1)] if re_lo < cl.alpha < re_hi else []
@@ -485,7 +484,7 @@ def _counted_rect(cl, rect, phases):
     for attempt in range(_MAX_NUDGES + 1):
         focus, reals = _axis(cl, rect)
         try:
-            return _winding(cl, rect, focus, phases), rect, reals, focus
+            return _winding(cl, rect, focus, phases), rect, reals
         except BoundaryRootSuspected as exc:
             last = exc
             rect = rect.expanded(delta)
@@ -501,7 +500,7 @@ def count_roots(cl, rect):
     rectangle is grown outward by 1e-3 of its diameter, up to 5 times,
     before giving up.
     """
-    n, _, _, _ = _counted_rect(cl, rect, {})
+    n, _, _ = _counted_rect(cl, rect, {})
     return n
 
 
@@ -560,30 +559,31 @@ def _newton(cl, s0):
     return None
 
 
-def _resolve(cl, cell, n, out, focus, phases):
+def _resolve(cl, cell, n, out, phases):
     """Append the n simple roots that the winding count puts in cell to out.
 
-    One pass over the strips that the lines Im s = j*pi/h, j != 0, cut
-    from cell: no root lies on such a line, and each strip holds at most
-    one root, which is Newton-polished from the strip centre.  Two roots
-    in one strip, or a failed or escaped Newton run (a value outside the
-    strip is another root), raise.  The pass stops once it holds n roots:
-    Newton-verified, in n distinct strips of a cell that winds to n, they
-    leave no other root in the cell.  If the strips run out first, their
-    counts fall short of the cell's and it raises.
+    One pass over the strips that the lines Im s = j*pi/h cut from cell,
+    which lies off the real axis: no root lies on such a line, and each
+    strip holds at most one root, which is Newton-polished from the
+    strip centre.  Two roots in one strip, or a failed or escaped Newton
+    run (a value outside the strip is another root), raise.  The pass
+    stops once it holds n roots: Newton-verified, in n distinct strips
+    of a cell that winds to n, they leave no other root in the cell.  If
+    the strips run out first, their counts fall short of the cell's and
+    it raises.
     """
     gap = math.pi / cl.h
     re_lo, re_hi, im_lo, im_hi = cell
     # from the top down: on cross_validate's rectangles the empty strips
     # lie next to the axis, and the pass stops before it has to wind them
     cuts = (y for j in range(math.ceil(im_hi / gap), math.floor(im_lo / gap) - 1, -1)
-            if j != 0 and im_lo < (y := j * gap) < im_hi)
+            if im_lo < (y := j * gap) < im_hi)
     found = 0
     for hi, lo in pairwise(chain((im_hi,), cuts, (im_lo,))):
         if found == n:
             return
         strip = SearchRect(re_lo, re_hi, lo, hi)
-        k = _winding(cl, strip, focus, phases)
+        k = _winding(cl, strip, (), phases)
         if k > 1:
             raise NoConvergence(f"{k} roots share one pi/h strip inside cell around {strip.center}")
         if k == 1:
@@ -602,43 +602,43 @@ def find_roots(cl, rect):
     Real roots are resolved directly on the axis (where any multiple
     root of this function family must lie), the off-axis remainder by
     winding counts on the pi/h strips between the lines Im s = j*pi/h,
-    each of which holds at most one root; every root is Newton-polished
-    until |f(s)| is below a bound derived from the rounding error of
-    evaluating f at s, and the roots below the axis are the conjugates
-    of those above.  Roots are ordered by descending real part, ties by
-    ascending imaginary part.
+    each of which holds at most one root (the one across the axis, one
+    pair); every root is Newton-polished until |f(s)| is below a bound
+    derived from the rounding error of evaluating f at s, and the roots
+    below the axis are the conjugates of those above.  Roots are ordered
+    by descending real part, ties by ascending imaginary part.
     Raises NoConvergence if a root cannot be placed in its strip, and
-    BoundaryRootSuspected if the contour or a strip cannot be counted.
+    BoundaryRootSuspected if a contour cannot be counted or the roots
+    found do not add up to rect's count.
     """
     phases = {}
-    n, rect, reals, focus = _counted_rect(cl, rect, phases)
+    n, rect, reals = _counted_rect(cl, rect, phases)
     found = []
     if rect.im_min < 0.0 < rect.im_max:
-        # winding cells must keep clear of the axis: an even-order real
-        # root on a cell edge leaves no phase signature at all; [m, low]
-        # is the mirror image of the shorter half
-        n_real = sum(r.multiplicity for r in reals)
-        top, low = max(rect.im_max, -rect.im_min), min(rect.im_max, -rect.im_min)
-        scale = max(1.0, top)
-        for m in (1e-7 * scale, 1e-9 * scale, 1e-11 * scale):
-            if m >= low:
-                continue
-            try:
-                n_up, n_low = (_winding(cl, SearchRect(rect.re_min, rect.re_max, m, y), focus, phases)
-                               for y in (top, low))
-            except BoundaryRootSuspected:
-                continue
-            if n_up + n_low == n - n_real:
-                break
-        else:
-            raise BoundaryRootSuspected("roots too close to the real axis to separate from it")
+        # the band between the root-free lines -pi/h and pi/h holds the
+        # real roots and at most one pair; Newton may land on either root
+        gap = math.pi / cl.h
+        band = SearchRect(rect.re_min, rect.re_max, -gap, gap)
+        pair = _winding(cl, band, (), phases) - sum(r.multiplicity for r in reals)
         above = []
-        _resolve(cl, SearchRect(rect.re_min, rect.re_max, m, top), n_up, above, focus, phases)
+        if pair == 2:
+            s = _newton(cl, complex(band.center.real, 0.5 * gap))
+            if s is None or s.imag == 0.0 or not band.contains(s, tol=1e-9 * band.diameter + 1e-13):
+                raise NoConvergence(f"Newton failed to converge inside the band around {band.center}")
+            above.append(LocatedRoot(complex(s.real, abs(s.imag)), 1))
+        elif pair != 0:
+            raise BoundaryRootSuspected(f"band around {band.center} holds {pair} non-real roots, not 0 or 2")
+        top = max(rect.im_max, -rect.im_min)
+        if top > gap:
+            cell = SearchRect(rect.re_min, rect.re_max, gap, top)
+            _resolve(cl, cell, _winding(cl, cell, (), phases), above, phases)
         found.extend(reals)
         found.extend(r for r in above if r.s.imag < rect.im_max)
         found.extend(LocatedRoot(r.s.conjugate(), 1) for r in above if r.s.imag < -rect.im_min)
+        if sum(r.multiplicity for r in found) != n:
+            raise BoundaryRootSuspected(f"roots found in rectangle around {rect.center} do not add up to its {n}")
     else:
-        _resolve(cl, rect, n, found, (), phases)
+        _resolve(cl, rect, n, found, phases)
     found.sort(key=lambda r: (-r.s.real, r.s.imag))
     return RootSet(roots=tuple(found), total_count=n)
 
@@ -665,12 +665,11 @@ def cross_validate(cl, n_branches, match_tol=1e-8):
     """Check the branch-based spectrum against the boundary oracle.
 
     Encloses the requested branches in a padded rectangle, re-locates
-    the upper half of its roots from scratch (count, one pass over the
-    pi/h strips, Newton polish) and mirrors them below, and pairs the two sorted root lists by
-    position (its largest distance is at least the best matching's, so
-    it hides no disagreement).  Raises MismatchDetected on any count
-    difference or a pair further apart than match_tol; either would
-    mean a bug in one of the two paths.
+    its roots from scratch with find_roots, and pairs the two sorted
+    root lists by position (its largest distance is at least the best
+    matching's, so it hides no disagreement).  Raises MismatchDetected
+    on any count difference or a pair further apart than match_tol;
+    either would mean a bug in one of the two paths.
     Raises DomainError if match_tol is NaN, negative or infinite.
     """
     if not 0.0 <= match_tol < math.inf:

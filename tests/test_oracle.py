@@ -40,6 +40,15 @@ ASYMMETRIC = [
 ]
 
 
+# z = 0.99*BRANCH_POINT_Z: two real roots 0.28 apart, at -2.1486 and
+# -1.8648, and the nearest pair at -4.0992 +- 7.4602i
+TWO_REALS = ClosedLoopParams(-1.0, BRANCH_POINT_Z * 0.99 * math.exp(-1.0), 1.0)
+
+
+def sorted_roots(roots):
+    return sorted(roots, key=lambda s: (-s.real, s.imag))
+
+
 def residual_ok(cl, s, tol=1e-12):
     return abs(char_residual(cl, s)) <= tol * max(1.0, abs(s))
 
@@ -91,6 +100,27 @@ class TestCountRoots:
             top = count_roots(cl, SearchRect(-3.6, 0.5, cut, 21.7))
             bottom = count_roots(cl, SearchRect(-3.6, 0.5, -21.7, cut))
             assert top + bottom == whole
+
+    @pytest.mark.parametrize("m", [1e-3, 1e-5, 1e-7, 1e-9])
+    def test_edge_skimming_two_real_roots(self, m):
+        # an edge at distance m from two real roots sees each one turn the
+        # phase by nearly pi within about m of it; the focus knots from
+        # the rectangle's stretch of the axis resolve that whether or not
+        # the rectangle crosses the axis
+        cl = TWO_REALS
+        r1, r2 = sorted(r.s.real for r in spectrum(cl, 1).roots if r.s.imag == 0.0)
+        assert count_roots(cl, SearchRect(r1 - 1.0, r2 + 1.0, m, 1.0)) == 0
+        assert count_roots(cl, SearchRect(r1 - 1.0, r2 + 1.0, -1.0, -m)) == 0
+        assert count_roots(cl, SearchRect(r1 - 1.0, r2 + 1.0, -1.0, m)) == 2
+        truth = [r.s for r in spectrum(cl, 3).roots]
+        for rect, n in ((SearchRect(-6.0, 1.0, m, 3.0 * math.pi), 1), (SearchRect(-6.0, 1.0, -3.0 * math.pi, -m), 1),
+                        (SearchRect(r1 - 1.0, r2 + 1.0, -1.0, m), 2)):
+            rs = find_roots(cl, rect)
+            expected = sorted_roots(s for s in truth if rect.contains(s))
+            assert rs.total_count == len(rs.roots) == len(expected) == n
+            for root, ref in zip(rs.roots, expected):
+                assert root.multiplicity == 1
+                assert abs(root.s - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_degenerate_rect_rejected(self):
         with pytest.raises(DomainError):
@@ -362,14 +392,14 @@ H23 = (11.044532312121724, -0.04801816730893112, 23.14904106214897)
 
 
 @pytest.mark.parametrize("alpha, beta, h, n, budget", [
-    pytest.param(-1.0, -2.0, 1.0, 3, 22, id="h1-n3"),
-    pytest.param(-1.0, -2.0, 1.0, 10, 52, id="h1-n10"),
-    pytest.param(-1.0, -2.0, 1.0, 30, 133, id="h1-n30"),
+    pytest.param(-1.0, -2.0, 1.0, 3, 18, id="h1-n3"),
+    pytest.param(-1.0, -2.0, 1.0, 10, 46, id="h1-n10"),
+    pytest.param(-1.0, -2.0, 1.0, 30, 126, id="h1-n30"),
     # |beta|e^{-uh} reaches ~1e15 at the left edge of these rectangles, so
     # the strip lines j*pi/h pass the first bound only right of a split
     # knot; walking them whole takes 5,145 and 5,308 evaluations
-    pytest.param(*H20, 30, 744, id="h20-n30"),
-    pytest.param(*H23, 30, 274, id="h23-n30"),
+    pytest.param(*H20, 30, 702, id="h20-n30"),
+    pytest.param(*H23, 30, 202, id="h23-n30"),
 ])
 def test_phase_evaluation_budget(alpha, beta, h, n, budget):
     # the oracle's work is its phase evaluations; cheaper walks may lower
@@ -379,8 +409,8 @@ def test_phase_evaluation_budget(alpha, beta, h, n, budget):
 
 
 @pytest.mark.parametrize("alpha, beta, h, n, budget", [
-    pytest.param(-1.0, -2.0, 1.0, 3, 10, id="h1-n3"),
-    pytest.param(-1.0, -2.0, 1.0, 10, 24, id="h1-n10"),
+    pytest.param(-1.0, -2.0, 1.0, 3, 8, id="h1-n3"),
+    pytest.param(-1.0, -2.0, 1.0, 10, 22, id="h1-n10"),
     pytest.param(-1.0, -2.0, 1.0, 30, 64, id="h1-n30"),
     pytest.param(*H20, 30, 62, id="h20-n30"),
     pytest.param(*H23, 30, 62, id="h23-n30"),
@@ -422,6 +452,52 @@ def test_at_most_one_root_per_strip():
             assert n == sum(j * gap < s.imag < (j + 1) * gap for s in roots), (cl, j, n)
 
 
+def _straddling_rects(rng, count):
+    """Seeded loops and rectangles across the real axis, as (cl, rect): a
+    third taller on one side, a third thin (half-height down to
+    1e-9*pi/h) and a third as cross_validate builds them.  No horizontal
+    edge comes within 1e-3*pi/h of a root off the axis, and every edge
+    stays clear of the exponential's overflow."""
+    made = 0
+    while made < count:
+        h = 10.0 ** rng.uniform(-2.0, 2.0)
+        alpha = rng.uniform(-5.0, 5.0) / (h if rng.random() < 0.5 else 1.0)
+        cl = ClosedLoopParams(alpha, rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0), h)
+        gap = math.pi / h
+        roots = [r.s for r in spectrum(cl, 12).roots]
+        kind = made % 3
+        if kind == 2:
+            rect = _enclosing_rect(spectrum(cl, rng.randint(0, 5)).roots, h)
+        else:
+            near = [s.real for s in roots if abs(s.imag) < rng.uniform(0.5, 6.0) * gap]
+            re_lo = min(near) - rng.uniform(0.05, 1.0) / h
+            re_hi = max(near) + rng.uniform(0.05, 1.0) / h
+            if kind == 0:
+                rect = SearchRect(re_lo, re_hi, -rng.uniform(0.1, 6.0) * gap, rng.uniform(0.1, 6.0) * gap)
+            else:
+                half = 10.0 ** rng.uniform(-9.0, 0.0) * gap
+                rect = SearchRect(re_lo, re_hi, -half * rng.uniform(0.5, 1.5), half * rng.uniform(0.5, 1.5))
+        if -rect.re_min * h > 700.0 or any(abs(s.imag - y) < 1e-3 * gap for s in roots if s.imag != 0.0
+                                           for y in (rect.im_min, rect.im_max)):
+            continue
+        made += 1
+        yield cl, rect
+
+
+def test_straddling_rects_agree_with_spectrum():
+    # the band between the lines -pi/h and pi/h holds the real roots and
+    # at most one pair; on thin rectangles that pair lies outside and the
+    # roots must still add up to the rectangle's count
+    for cl, rect in _straddling_rects(__import__("random").Random(17), 300):
+        rs = find_roots(cl, rect)
+        got = [r.s for r in rs.roots for _ in range(r.multiplicity)]
+        expected = sorted_roots(r.s for r in spectrum(cl, 12).roots for _ in range(r.multiplicity)
+                                if rect.contains(r.s))
+        assert rs.total_count == len(got) == len(expected), (cl, rect)
+        for s, ref in zip(got, expected):
+            assert abs(s - ref) <= 1e-12 * max(1.0, abs(ref)), (cl, rect, s, ref)
+
+
 def test_f_noise_bounds_df_error():
     # the one rounding bound behind the closed-form edges and Newton's
     # acceptance must cover _df's error, against 50-digit mpmath, near
@@ -456,8 +532,10 @@ def test_f_noise_bounds_df_error():
 
 def test_near_branch_point_raise_budget():
     # next to the branch point the oracle's double-root snap in _axis
-    # still trips cross_validate on about half of these loops; that may
-    # only ever fall, and no loop may end in NoConvergence or DomainError
+    # trips cross_validate on about half of these loops, almost all as a
+    # mismatch of the near-double pair that Newton polishes in the band
+    # between -pi/h and pi/h; that may only ever fall, and no loop may
+    # end in NoConvergence or DomainError
     rng = __import__("random").Random(1)
     raised = 0
     for i in range(600):
@@ -469,7 +547,7 @@ def test_near_branch_point_raise_budget():
             cross_validate(cl, 2)
         except (MismatchDetected, BoundaryRootSuspected):
             raised += 1
-    assert raised <= 290
+    assert raised <= 277
 
 
 @settings(max_examples=200, deadline=None)
