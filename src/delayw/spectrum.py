@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 
 from .errors import InvalidGain, NonFiniteInput, DomainError
-from .lambertw import BRANCH_POINT_Z, K_MAX, lambert_w
+from .lambertw import BRANCH_POINT_Z, K_MAX, _eval_complex, lambert_w
 
 __all__ = [
     "SystemParams",
@@ -211,9 +211,11 @@ def spectrum(cl, n_branches):
             roots[0] = SpectrumRoot(0, s0, 2)
         else:
             roots.append(SpectrumRoot(-1, _root(cl, w1)))
-    # for z < 0 branch k pairs with branch -k-1, for z > 0 with -k
+    # for z < 0 branch k pairs with branch -k-1, for z > 0 with -k.  z is
+    # checked once here, and the kernel behind lambert_w skips the residual
+    zc, az = complex(z), abs(z)
     for k in range(1, n_branches + 1):
-        sk = _root(cl, lambert_w(k, z).w)
+        sk = _root(cl, _eval_complex(k, zc, az)[0])
         roots.append(SpectrumRoot(k, sk))
         roots.append(SpectrumRoot(-k if z > 0.0 else -k - 1, sk.conjugate()))
     roots.sort(key=lambda r: (-r.s.real, r.s.imag))

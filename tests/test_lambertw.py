@@ -16,6 +16,7 @@ from delayw.lambertw import (
     on_w0_boundary,
     w0_boundary_point,
 )
+from delayw.spectrum import ClosedLoopParams, spectrum
 
 OMEGA = 0.56714329040978384  # W_0(1)
 
@@ -376,6 +377,69 @@ class TestCrossChecks:
                 theirs = mpmath.lambertw(mpmath.mpc(z.real, z.imag), k)
                 err = abs(mpmath.mpc(ours.real, ours.imag) - theirs) / abs(theirs)
                 assert err <= 4 * eps, (k, z, float(err))
+
+    def test_predictive_stop_against_mpmath(self):
+        # away from the branch point Halley returns its next iterate once
+        # the derived error bound 2*|dw|^3 is below an ulp of w; the
+        # result must hold full precision on every branch and scale, and
+        # at every tol the residual bound lambert_w documents
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        rng = __import__("random").Random(17)
+        eps = 2.220446049250313e-16
+        draws = []
+        for i in range(450):
+            k = rng.choice((-1, 1)) * round(10.0 ** rng.uniform(0.0, math.log10(K_MAX)))
+            r = 10.0 ** rng.uniform(-300.0, 300.0)
+            draws.append((k, (complex(r, 0.0), complex(-r, 0.0),
+                              r * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))[i % 3]))
+        # W on both sides of the circle |1 + w| = 2 that bounds the region
+        for i in range(90):
+            w = -1.0 + 2.0 * (1.0 + (-1) ** i * 10.0 ** rng.uniform(-12.0, -1.0)) \
+                * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            z = w * cmath.exp(w)
+            k = min((-1, 0, 1), key=lambda j: abs(complex(mpmath.lambertw(mpmath.mpc(z.real, z.imag), j)) - w))
+            draws.append((k, z))
+        for k, z in draws:
+            ours = lambert_w(k, z).w
+            theirs = mpmath.lambertw(mpmath.mpc(z.real, z.imag), k)
+            err = abs(mpmath.mpc(ours.real, ours.imag) - theirs) / abs(theirs)
+            assert err <= 4 * eps, (k, z, float(err))
+            for tol in (1e-14, 1e-10, 1e-6):
+                res = lambert_w(k, z, tol)
+                assert res.residual <= (tol + 4 * eps * (abs(1.0 + res.w) + 2.0)) * abs(z), (k, z, tol)
+
+
+def test_halley_step_budget():
+    # Halley and log-form Newton steps over the lambert_w sample of
+    # bench/micro.py (rng 9, 1,000 (k, z)); the budget may only ever be
+    # lowered
+    rng = __import__("random").Random(9)
+    args = []
+    while len(args) < 1000:
+        z = complex(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0))
+        if z.imag != 0.0:
+            args.append((rng.randint(-50, 50), z))
+    assert 0 < sum(lambert_w(k, z).iterations for k, z in args) <= 2023
+
+
+def test_spectrum_exp_budget():
+    # the exponentials the kernel evaluates for spectrum(n=1000): mostly
+    # one per branch, with no residual for the roots spectrum keeps; the
+    # budget may only ever be lowered
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "c_call" and arg is cmath.exp and frame.f_globals.get("__name__") == "delayw.lambertw":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        spectrum(ClosedLoopParams(-1.0, -2.0, 1.0), 1000)
+    finally:
+        sys.setprofile(None)
+    assert 0 < calls <= 1101
 
 
 class TestExtremeArguments:

@@ -19,6 +19,7 @@ from delayw import (
     close_loop,
     cross_validate,
     is_stable,
+    lambert_w,
     spectrum,
 )
 
@@ -101,6 +102,22 @@ def test_branches_past_one_thousand():
         want = cl.alpha + mpmath.lambertw(z, k) / cl.h
         got = by_branch[k]
         assert abs(mpmath.mpc(got.real, got.imag) - want) <= 4 * 2.220446049250313e-16 * abs(want)
+
+
+@pytest.mark.parametrize("alpha, beta, h", [
+    pytest.param(-1.0, 2.0, 1.0, id="z-positive"),
+    pytest.param(0.0, -0.2, 1.0, id="z-above-branch-point"),
+    pytest.param(-1.0, -2.0, 1.0, id="z-below-branch-point"),
+])
+def test_high_branches_share_the_kernel(alpha, beta, h):
+    # spectrum checks z once and calls the kernel behind lambert_w for
+    # k >= 1: the same seed and Halley path, so the same bits
+    cl = ClosedLoopParams(alpha, beta, h)
+    z = cl.w_argument
+    roots = [r for r in spectrum(cl, 200).roots if r.branch >= 1]
+    assert len(roots) == 200
+    for r in roots:
+        assert r.s == cl.alpha + lambert_w(r.branch, z).w / cl.h, r.branch
 
 
 def test_rightmost_is_branch_zero():
