@@ -186,7 +186,7 @@ def _closed_loop_from(args):
 
 
 def cmd_wk(args):
-    return lambert_w(args.branch, complex(args.re, args.im), tol=args.tol), []
+    return lambert_w(args.branch, complex(args.re, args.im)), []
 
 
 def cmd_spectrum(args):
@@ -327,7 +327,6 @@ def _build_parser():
     p.add_argument("--branch", type=int, required=True, help="branch index k")
     p.add_argument("--re", type=float, required=True, help="Re z")
     p.add_argument("--im", type=float, default=0.0, help="Im z (default 0)")
-    p.add_argument("--tol", type=float, default=1e-14, help="residual tolerance")
     p.set_defaults(handler=cmd_wk)
 
     p = sub.add_parser("spectrum", help="enumerate characteristic roots by branch")

@@ -10,13 +10,13 @@ The kernel is Halley's method on f(w) = w*e^w - z, started from one of
 four seeds: a square-root series about the branch point, a rational
 fit of the principal branch near the origin, the real-axis expansion of
 W_-1 in log(-z) next to its real domain, or the standard logarithmic
-asymptotic expansion.  Its stopping rule is relative to
-|z| and |w|, so accuracy does not depend on the scale of the argument.
-Away from the branch point it stops once a derived bound puts the
-error of its next iterate below an ulp: mostly one step, one exp.
-Real arguments run through the same complex kernel; on the two real
-domains (branch 0 on [-1/e, inf), branch -1 on [-1/e, 0)) the result is
-projected exactly onto the real axis.
+asymptotic expansion.  It runs at full double precision, with a
+stopping rule relative to |z| and |w|, so accuracy does not depend on
+the scale of the argument.  Away from the branch point it stops once a
+derived bound puts the error of its next iterate below an ulp: mostly
+one step, one exp.  Real arguments run through the same complex kernel;
+on the two real domains (branch 0 on [-1/e, inf), branch -1 on [-1/e, 0))
+every seed is real and the iterations keep Im w = +0.0, so w is real.
 """
 
 import cmath
@@ -47,6 +47,7 @@ _E = math.e
 _EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
 _MAX_ITER = 60
+_TOL = 1e-14  # relative residual and step tolerance of Halley's method
 
 # Coefficients of w = -1 + p - p^2/3 + ... about the branch point,
 # p = sqrt(2*(e*z + 1)).
@@ -180,16 +181,16 @@ def _newton_log(z, w, az):
     return w, az * abs(g) if az < math.inf else abs(z * abs(g)), it
 
 
-def _halley(z, w, res_tol, rtol):
+def _halley(z, w):
     """Polish w with Halley's method on f(w) = w*e^w - z.
 
-    Stops once the residual is within res_tol (tol*|z|) and the last step
-    within rtol*|w|.  Both tolerances carry conditioning floors, scaled
-    like the quantities they bound: the step cannot shrink below the
-    noise of f divided by |f'| (which vanishes at the branch point), and
-    the residual cannot shrink below |f'| times the quantization of w
-    itself (which grows with |w|, i.e. with |k|); demanding less than
-    either would spin until the iteration cap.
+    Stops once the residual is within _TOL*|z| and the last step within
+    _TOL*|w|.  Both tolerances carry conditioning floors, scaled like the
+    quantities they bound: the step cannot shrink below the noise of f
+    divided by |f'| (which vanishes at the branch point), and the residual
+    cannot shrink below |f'| times the quantization of w itself (which
+    grows with |w|, i.e. with |k|); demanding less would spin until the
+    iteration cap.
 
     Where u = 1 + w has |u| >= 2 it returns w - dw, residual None, once
     2*|dw|^3 <= eps*|w|.  With e = w - W, f*e^-w = w - W*e^-e exactly and
@@ -208,9 +209,9 @@ def _halley(z, w, res_tol, rtol):
         fp = wp1 * ew
         afp = abs(fp)
         aw = abs(w)
-        step_tol = rtol * aw + 8.0 * _EPS * az / max(afp, 1e-300)
+        step_tol = _TOL * aw + 8.0 * _EPS * az / max(afp, 1e-300)
         res_floor = 2.0 * _EPS * (aw * afp + 2.0 * az)
-        if res <= res_tol + res_floor and step_prev <= step_tol:
+        if res <= _TOL * az + res_floor and step_prev <= step_tol:
             return w, res, it
         if fp == 0.0:
             # sitting exactly on the singular derivative; nudge off it
@@ -225,7 +226,7 @@ def _halley(z, w, res_tol, rtol):
     raise NoConvergence(f"Halley iteration did not converge for z={z!r} (last step {step_prev:.3e})")
 
 
-def _eval_complex(k, z, az, tol=1e-14):
+def _eval_complex(k, z, az):
     """Seed selection and iteration: the one kernel behind every argument.
 
     Takes a checked complex z != 0 and az = |z|, or inf where |z| passes
@@ -246,9 +247,8 @@ def _eval_complex(k, z, az, tol=1e-14):
             seed = None
         if seed is not None:
             if abs(p) <= _BP_DIRECT:
-                res = abs(seed * cmath.exp(seed) - z)
-                return seed, res, 0
-            return _halley(z, seed, tol * az, tol)
+                return seed, None, 0
+            return _halley(z, seed)
     if k == 0:
         if az <= 2.0 and z.real >= BRANCH_POINT_Z:
             seed = _pade0(z)
@@ -267,10 +267,10 @@ def _eval_complex(k, z, az, tol=1e-14):
     # reads 0, so such seeds take the exponential-free iteration as well
     if seed.real < _LOG_DOMAIN_RE or math.isinf(abs(seed) * az):
         return _newton_log(z, seed, az)
-    return _halley(z, seed, tol * az, tol)
+    return _halley(z, seed)
 
 
-def lambert_w(k, z, tol=1e-14):
+def lambert_w(k, z):
     """Evaluate branch k of the Lambert W function at z.
 
     Parameters
@@ -282,16 +282,13 @@ def lambert_w(k, z, tol=1e-14):
         passes the largest double.  A real part below -1/e with
         imaginary part +-0.0 is evaluated on the branch cut as the
         limit from above.
-    tol : float, optional
-        Relative residual tolerance; the returned value satisfies
-        ``abs(w*exp(w) - z) <= (tol + 4*eps*(abs(1 + w) + 2))*abs(z)``,
-        eps = 2**-52: tol plus the conditioning floor of a few ulps of
-        ``w*exp(w)`` and of ``z``.
 
     Returns
     -------
     WValue
-        Branch value with its residual and iteration count.
+        Branch value with its residual and iteration count, where
+        ``abs(w*exp(w) - z) <= (1e-14 + 4*eps*(abs(1 + w) + 2))*abs(z)``,
+        eps = 2**-52: 1e-14 plus a few ulps of ``w*exp(w)`` and of ``z``.
 
     Raises
     ------
@@ -301,9 +298,9 @@ def lambert_w(k, z, tol=1e-14):
     NonFiniteInput
         If z is NaN or infinite.
     DomainError
-        If k is not an int (a bool is rejected too), tol is NaN,
-        negative or infinite, or z == 0 with k != 0 (every branch but
-        the principal one diverges at the origin).
+        If k is not an int (a bool is rejected too), or z == 0 with
+        k != 0 (every branch but the principal one diverges at the
+        origin).
     NoConvergence
         If the iteration cap is hit; indicates a kernel bug.
     """
@@ -311,8 +308,6 @@ def lambert_w(k, z, tol=1e-14):
         raise DomainError(f"branch index must be an integer, got {k!r}")
     if abs(k) > K_MAX:
         raise BranchOutOfRange(f"|k| = {abs(k)} exceeds K_MAX = {K_MAX}")
-    if not 0.0 <= tol < math.inf:
-        raise DomainError(f"tol must be finite and non-negative, got {tol!r}")
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise NonFiniteInput(f"z must be finite, got {z!r}")
@@ -326,12 +321,9 @@ def lambert_w(k, z, tol=1e-14):
         az = abs(z)
     except OverflowError:
         az = math.inf  # finite parts, modulus past the largest double
-    w, res, it = _eval_complex(k, z, az, tol)
+    w, res, it = _eval_complex(k, z, az)
     if res is None:
         res = abs(w * cmath.exp(w) - z)
-    x = z.real
-    if z.imag == 0.0 and ((k == 0 and x >= BRANCH_POINT_Z) or (k == -1 and BRANCH_POINT_Z <= x < 0.0)):
-        w = complex(w.real, 0.0)  # real domain: drop the rounding-level imaginary part
     return WValue(complex(w), res, it)
 
 

@@ -1,0 +1,47 @@
+"""The benchmark's tracer against the library it traces.
+
+`bench/worker.py`'s Tracer rebinds names that delayw's own modules bind
+to their callees (`spectrum.lambert_w`, `assign.spectrum`,
+`oracle.spectrum`, `oracle.find_roots`).  A refactor that unbinds one of
+them must fail here rather than crash a traced benchmark run.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    # the bench scripts import each other by bare name
+    monkeypatch.syspath_prepend(str(BENCH))
+    yield importlib.import_module("worker")
+    for name in ("worker", "calibrate", "workloads"):
+        sys.modules.pop(name, None)
+
+
+def test_tracer_installs_and_undoes(worker):
+    bound = [(worker.SPECTRUM_MOD, "lambert_w"), (worker.ASSIGN_MOD, "spectrum"),
+             (worker.ORACLE_MOD, "spectrum"), (worker.ORACLE_MOD, "find_roots")]
+    before = [getattr(mod, attr) for mod, attr in bound]
+    tracer = worker.Tracer()
+    api, undo = tracer.install()
+    try:
+        assert all(getattr(mod, attr) is not fn for (mod, attr), fn in zip(bound, before))
+        for wl in worker.WORKLOADS.values():
+            wl.warm(api)
+        # a real target reaches the confirming spectrum call inside assign
+        api.assign_current_only(api.SystemParams(1.0, -1.0, 1.0, 1.0), -1.0)
+    finally:
+        undo()
+    assert all(getattr(mod, attr) is fn for (mod, attr), fn in zip(bound, before))
+    spans = set(tracer.totals())
+    for pair in [("spectrum", "assign"), ("spectrum", "oracle.cross_validate"),
+                 ("oracle.find_roots", "oracle.cross_validate"), ("spectrum.is_stable", ""),
+                 ("sim.simulate", ""), ("sim.estimate", "")]:
+        assert pair in spans, pair
+    assert any(name.startswith("lambertw.") and parent == "spectrum" for name, parent in spans)

@@ -84,13 +84,6 @@ class TestErrors:
             with pytest.raises(NonFiniteInput):
                 lambert_w(0, bad)
 
-    def test_malformed_tolerance(self):
-        for bad in (math.nan, -1.0, math.inf):
-            with pytest.raises(DomainError):
-                lambert_w(0, 1.0, tol=bad)
-        # tol = 0 asks for the conditioning floor and stays valid
-        assert abs(lambert_w(0, 1.0, tol=0.0).w - 0.5671432904097838) < 1e-15
-
     def test_origin_off_principal(self):
         with pytest.raises(DomainError):
             lambert_w(1, 0.0)
@@ -108,6 +101,26 @@ class TestErrors:
             lambert_w_real(2, 1.0)
         with pytest.raises(NonFiniteInput):
             lambert_w_real(0, math.nan)
+
+
+def test_real_domains_exactly_real():
+    # W_0 on [-1/e, inf) and W_-1 on [-1/e, 0) are real; the kernel must
+    # return Im w == +0.0 there, for a float argument and for either
+    # signed zero imaginary part, up to both ends of the double range
+    rng = __import__("random").Random(5)
+    xs0 = [BRANCH_POINT_Z, math.nextafter(BRANCH_POINT_Z, 0.0), -5e-324, 1.7976931348623157e308]
+    xs1 = [BRANCH_POINT_Z, math.nextafter(BRANCH_POINT_Z, 0.0), -5e-324]
+    for _ in range(400):
+        xs0.append(BRANCH_POINT_Z + 10.0 ** rng.uniform(-17.0, 0.0))
+        xs0.append(rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-323.0, 308.25))
+        xs1.append(max(BRANCH_POINT_Z, BRANCH_POINT_Z + 10.0 ** rng.uniform(-17.0, -0.44)))
+        xs1.append(min(-5e-324, -(10.0 ** rng.uniform(-323.5, -0.44))))
+    xs0 = [x for x in xs0 if x >= BRANCH_POINT_Z]
+    for k, xs in ((0, xs0), (-1, xs1)):
+        for x in xs:
+            for z in (x, complex(x, 0.0), complex(x, -0.0)):
+                w = lambert_w(k, z).w
+                assert w.imag == 0.0 and math.copysign(1.0, w.imag) == 1.0, (k, z, w)
 
 
 class TestCutConvention:
@@ -382,7 +395,7 @@ class TestCrossChecks:
         # away from the branch point Halley returns its next iterate once
         # the derived error bound 2*|dw|^3 is below an ulp of w; the
         # result must hold full precision on every branch and scale, and
-        # at every tol the residual bound lambert_w documents
+        # the residual bound lambert_w documents
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 50
         rng = __import__("random").Random(17)
@@ -401,13 +414,12 @@ class TestCrossChecks:
             k = min((-1, 0, 1), key=lambda j: abs(complex(mpmath.lambertw(mpmath.mpc(z.real, z.imag), j)) - w))
             draws.append((k, z))
         for k, z in draws:
-            ours = lambert_w(k, z).w
+            res = lambert_w(k, z)
+            ours = res.w
             theirs = mpmath.lambertw(mpmath.mpc(z.real, z.imag), k)
             err = abs(mpmath.mpc(ours.real, ours.imag) - theirs) / abs(theirs)
             assert err <= 4 * eps, (k, z, float(err))
-            for tol in (1e-14, 1e-10, 1e-6):
-                res = lambert_w(k, z, tol)
-                assert res.residual <= (tol + 4 * eps * (abs(1.0 + res.w) + 2.0)) * abs(z), (k, z, tol)
+            assert res.residual <= (1e-14 + 4 * eps * (abs(1.0 + ours) + 2.0)) * abs(z), (k, z)
 
 
 def test_halley_step_budget():

@@ -180,7 +180,7 @@ def test_is_stable_matches_rightmost():
         cl = ClosedLoopParams(alpha, beta, 1.0)
         stable, margin = is_stable(cl)
         spec = spectrum(cl, n_branches=2)
-        assert margin == pytest.approx(spec.rightmost.real, abs=1e-14)
+        assert margin == spec.rightmost.real
         assert stable == (margin < 0)
 
 
