@@ -15,12 +15,19 @@ estimate_dominant_eig_detailed recovers the dominant characteristic
 root from the trajectory's second half: decay rate from a least-squares
 line through the log of the peak envelope (or of |x| itself for
 non-oscillatory tails), frequency from the mean zero-crossing spacing.
+The common path makes no Python-level pass over the tail: crossing
+candidates are the 0->1 and 1->0 steps of one bytes string of x > 0
+flags (bytes.find), plus the exact zeros when the tail holds one; only
+those candidates are interpolated.  Between two crossings, bisecting
+the times gives the sample range, and the peak is the first sample of
+the larger modulus of that range's max and min.
 """
 
 import bisect
 import math
 from collections import namedtuple
-from itertools import islice
+from itertools import islice, repeat
+from operator import add, gt, mul, sub
 
 from .errors import DomainError, InsufficientData, InvalidStep, NonFiniteInput
 
@@ -207,7 +214,7 @@ def simulate(cl, init, t_final, step=None):
         # the growing lists; the half step is their cubic Hermite midpoint
         q = 0.125 * dt
         lagged = zip(xs, islice(xs, 1, None), fs, islice(fs, 1, None))
-        for _, (x0, x1, f0, f1) in zip(range(total - n_hist), lagged):
+        for x0, x1, f0, f1 in islice(lagged, total - n_hist):
             x = c0 * x + c1 * f + c2 * (0.5 * (x0 + x1) + q * (f0 - f1)) + c3 * x1
             if not abs(x) <= OVERFLOW_LIMIT:
                 break
@@ -234,15 +241,63 @@ class EigEstimate(namedtuple("EigEstimate", "value kind fit_residual n_crossings
 
 
 def _lsq_slope(ts, ys):
+    """Least-squares slope of ys against ts, and the RMS residual.  Each
+    sum takes its terms left to right, as the textbook formula writes them."""
     n = len(ts)
     tm = sum(ts) / n
     ym = sum(ys) / n
-    num = sum((t - tm) * (y - ym) for t, y in zip(ts, ys))
-    den = sum((t - tm) ** 2 for t in ts)
+    dts = list(map(sub, ts, repeat(tm)))
+    num = sum(map(mul, dts, map(sub, ys, repeat(ym))))
+    den = sum(map(pow, dts, repeat(2)))
     slope = num / den
     icept = ym - slope * tm
-    rss = sum((y - (icept + slope * t)) ** 2 for t, y in zip(ts, ys))
+    fit = map(add, repeat(icept), map(mul, repeat(slope), ts))
+    rss = sum(map(pow, map(sub, ys, fit), repeat(2)))
     return slope, math.sqrt(rss / n)
+
+
+def _find_all(buf, pattern):
+    """Start offsets of the non-overlapping occurrences of pattern in buf."""
+    i = buf.find(pattern)
+    while i >= 0:
+        yield i
+        i = buf.find(pattern, i + 1)
+
+
+def _crossings(ts, xs):
+    """Zero-crossing times of a finite sampled tail, in sample order.
+
+    An exact zero sample (either sign) is a crossing at its own time; a
+    sign change between two nonzero samples is one at the zero of the
+    line through them.
+    """
+    positive = bytes(map(gt, xs, repeat(0.0)))
+    events = {*_find_all(positive, b"\x00\x01"), *_find_all(positive, b"\x01\x00")}
+    if 0.0 in xs:
+        events.update(i for i, x in enumerate(xs) if x == 0.0)
+    crossings = []
+    for i in sorted(events):
+        a = xs[i]
+        if a == 0.0:
+            crossings.append(ts[i])
+        else:
+            b = xs[i + 1]
+            if b != 0.0:
+                crossings.append(ts[i] + (ts[i + 1] - ts[i]) * a / (a - b))
+    return crossings
+
+
+def _peak(xs, lo, hi):
+    """Index of the first sample of largest |x| in xs[lo:hi], or None if
+    the range is empty or all zero."""
+    seg = xs[lo:hi]
+    top, bottom = max(seg, default=0.0), min(seg, default=0.0)
+    if top < -bottom:
+        return xs.index(bottom, lo, hi)
+    if top <= 0.0:
+        return None
+    i = xs.index(top, lo, hi)
+    return min(i, xs.index(bottom, lo, hi)) if top == -bottom else i
 
 
 def estimate_dominant_eig_detailed(traj):
@@ -260,6 +315,8 @@ def estimate_dominant_eig_detailed(traj):
     ------
     InsufficientData
         Tail too short or identically zero, or too few crossings/e-foldings.
+    NonFiniteInput
+        Tail holds an infinite or NaN sample.
     """
     n = len(traj.values)
     start = n - math.ceil(n * TAIL_FRACTION)
@@ -268,40 +325,30 @@ def estimate_dominant_eig_detailed(traj):
     if len(xs) < 20:
         raise InsufficientData(f"tail holds {len(xs)} samples; need at least 20")
 
-    amax = max(abs(x) for x in xs)
+    hi, lo = max(xs), min(xs)
+    # max and min see every infinity and a NaN in the first sample; with
+    # those finite, the sum is NaN exactly when a later sample is NaN (a
+    # sum that overflows stays inf)
+    if not (math.isfinite(hi) and math.isfinite(lo)) or math.isnan(sum(xs)):
+        raise NonFiniteInput("trajectory tail holds a non-finite sample")
+    amax = max(hi, -lo)
     if amax == 0.0:
         raise InsufficientData("tail is identically zero; no mode is excited")
-    spread = max(xs) - min(xs)
+    spread = hi - lo
     if spread <= 1e-9 * amax:
         return EigEstimate(0j, "constant", spread, 0)
 
-    # zero-crossing times by linear interpolation
-    crossings = []
-    for i in range(len(xs) - 1):
-        a, b = xs[i], xs[i + 1]
-        if a == 0.0:
-            crossings.append(ts[i])
-        elif (a > 0.0) != (b > 0.0) and b != 0.0:
-            crossings.append(ts[i] + (ts[i + 1] - ts[i]) * a / (a - b))
-    if xs[-1] == 0.0:
-        crossings.append(ts[-1])
-
+    crossings = _crossings(ts, xs)
     if len(crossings) >= 10:
         spacings = [t1 - t0 for t0, t1 in zip(crossings, crossings[1:])]
         omega = math.pi / (sum(spacings) / len(spacings))
-        # one peak of |x| between consecutive crossings
+        # one peak of |x| between consecutive crossings, both ends included
         peak_ts, peak_logs = [], []
-        k = 0
         for t0, t1 in zip(crossings, crossings[1:]):
-            best_t, best_a = None, 0.0
-            while k < len(xs) and ts[k] <= t1:
-                if ts[k] >= t0 and abs(xs[k]) > best_a:
-                    best_t, best_a = ts[k], abs(xs[k])
-                k += 1
-            k = max(0, k - 1)
-            if best_t is not None and best_a > 0.0:
-                peak_ts.append(best_t)
-                peak_logs.append(math.log(best_a))
+            k = _peak(xs, bisect.bisect_left(ts, t0), bisect.bisect_right(ts, t1))
+            if k is not None:
+                peak_ts.append(ts[k])
+                peak_logs.append(math.log(abs(xs[k])))
         if len(peak_ts) < 4:
             raise InsufficientData("oscillatory tail with too few usable envelope peaks")
         rate, resid = _lsq_slope(peak_ts, peak_logs)
@@ -316,5 +363,5 @@ def estimate_dominant_eig_detailed(traj):
     if efold < 10.0:
         raise InsufficientData(
             f"monotone tail spans {efold:.2f} e-foldings; need 10 for a trustworthy rate")
-    rate, resid = _lsq_slope(ts, [math.log(abs(x)) for x in xs])
+    rate, resid = _lsq_slope(ts, list(map(math.log, map(abs, xs))))
     return EigEstimate(complex(rate, 0.0), "monotone", resid, 0)

@@ -1,10 +1,14 @@
 """Tests for the method-of-steps integrator and eigenvalue estimator."""
 
+import importlib
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import delayw
 from delayw import (
     ClosedLoopParams,
     DomainError,
@@ -30,6 +34,7 @@ from delayw.sim import (
 )
 
 UNIT = InitialData(1.0, ConstantHistory(1.0))
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def rk4_method_of_steps(cl, init, t_final, step):
@@ -63,6 +68,197 @@ def rk4_method_of_steps(cl, init, t_final, step):
         xs.append(x_next)
         fs.append(alpha * x_next + beta * d_end)
     return xs, False
+
+
+# every history kind, and the edge cases below: shared by the stagewise
+# and the bitwise comparisons
+RK4_CASES = [
+    (ClosedLoopParams(-1.0, -2.0, 1.0), UNIT, 6.0, 0.01),
+    (ClosedLoopParams(-0.5, -1.0, 0.7), InitialData(0.3, LinearHistory(1.0, -2.0)), 5.0, 0.003),
+    (ClosedLoopParams(0.4, -1.5, 1.3),
+     InitialData(-0.2, SampledHistory(((-1.3, 0.5), (-0.9, -1.0), (-0.2, 0.25)))), 9.0, 0.013),
+    # t_final == h: the history phase alone
+    (ClosedLoopParams(-1.0, -2.0, 0.7), InitialData(1.0, LinearHistory(0.5, 1.0)), 0.7, 0.01),
+    # step >= h: one step per delay, whose delayed end node is x0
+    (ClosedLoopParams(-0.3, -0.4, 1.0), InitialData(2.0, LinearHistory(-1.0, 3.0)), 30.0, 2.0),
+    # overflow in the stored phase and in the history phase
+    (ClosedLoopParams(2.0, 0.5, 1.0), UNIT, 400.0, 0.01),
+    (ClosedLoopParams(800.0, 1.0, 1.0), UNIT, 2.0, 0.01),
+]
+
+
+def folded_rk4(cl, init, t_final, step):
+    """simulate's folded step x_{n+1} = c0 x_n + c1 f_n + c2 d_mid + c3 d_end
+    written index by index, with the same coefficients and the same order
+    of operations: simulate must match it bit for bit.  Returns
+    (values, truncated)."""
+    alpha, beta, h, phi = cl.alpha, cl.beta, cl.h, init.phi
+    n_per = max(1, math.ceil(h / step - 1e-12))
+    dt = h / n_per
+    total = math.floor(t_final / dt + 1e-9)
+    a = alpha * dt
+    c0 = 1.0 + a * (5.0 / 6.0 + a / 3.0 + a * a / 12.0)
+    c1 = dt / 6.0 * (1.0 + a + a * a / 2.0 + a * a * a / 4.0)
+    c2 = beta * dt / 6.0 * (4.0 + 2.0 * a + a * a / 2.0)
+    c3 = beta * dt / 6.0
+    q = 0.125 * dt
+    xs = [init.x0]
+    fs = [alpha * init.x0 + beta * phi(-h)]
+    for i in range(total):
+        j = i - n_per
+        if j < 0:
+            d_mid = phi((i + 0.5) * dt - h)
+            d_end = phi((i + 1) * dt - h) if i + 1 < n_per else xs[0]
+        else:
+            d_mid = 0.5 * (xs[j] + xs[j + 1]) + q * (fs[j] - fs[j + 1])
+            d_end = xs[j + 1]
+        x = c0 * xs[i] + c1 * fs[i] + c2 * d_mid + c3 * d_end
+        if not abs(x) <= 1e300:
+            return xs, True
+        xs.append(x)
+        fs.append(alpha * x + beta * d_end)
+    return xs, False
+
+
+def loop_estimate(traj):
+    """The estimator written as index-by-index loops over the tail: the
+    reference that estimate_dominant_eig_detailed must match field for
+    field, InsufficientData message included, on finite tails."""
+    def lsq_slope(ts, ys):
+        n = len(ts)
+        tm = sum(ts) / n
+        ym = sum(ys) / n
+        num = sum((t - tm) * (y - ym) for t, y in zip(ts, ys))
+        den = sum((t - tm) ** 2 for t in ts)
+        slope = num / den
+        icept = ym - slope * tm
+        rss = sum((y - (icept + slope * t)) ** 2 for t, y in zip(ts, ys))
+        return slope, math.sqrt(rss / n)
+
+    n = len(traj.values)
+    start = n - math.ceil(n * TAIL_FRACTION)
+    ts = traj.times[start:]
+    xs = traj.values[start:]
+    if len(xs) < 20:
+        raise InsufficientData(f"tail holds {len(xs)} samples; need at least 20")
+    amax = max(abs(x) for x in xs)
+    if amax == 0.0:
+        raise InsufficientData("tail is identically zero; no mode is excited")
+    spread = max(xs) - min(xs)
+    if spread <= 1e-9 * amax:
+        return EigEstimate(0j, "constant", spread, 0)
+    crossings = []
+    for i in range(len(xs) - 1):
+        a, b = xs[i], xs[i + 1]
+        if a == 0.0:
+            crossings.append(ts[i])
+        elif (a > 0.0) != (b > 0.0) and b != 0.0:
+            crossings.append(ts[i] + (ts[i + 1] - ts[i]) * a / (a - b))
+    if xs[-1] == 0.0:
+        crossings.append(ts[-1])
+    if len(crossings) >= 10:
+        spacings = [t1 - t0 for t0, t1 in zip(crossings, crossings[1:])]
+        omega = math.pi / (sum(spacings) / len(spacings))
+        peak_ts, peak_logs = [], []
+        k = 0
+        for t0, t1 in zip(crossings, crossings[1:]):
+            best_t, best_a = None, 0.0
+            while k < len(xs) and ts[k] <= t1:
+                if ts[k] >= t0 and abs(xs[k]) > best_a:
+                    best_t, best_a = ts[k], abs(xs[k])
+                k += 1
+            k = max(0, k - 1)
+            if best_t is not None and best_a > 0.0:
+                peak_ts.append(best_t)
+                peak_logs.append(math.log(best_a))
+        if len(peak_ts) < 4:
+            raise InsufficientData("oscillatory tail with too few usable envelope peaks")
+        rate, resid = lsq_slope(peak_ts, peak_logs)
+        return EigEstimate(complex(rate, omega), "oscillatory", resid, len(crossings))
+    if crossings:
+        raise InsufficientData(
+            f"tail crosses zero {len(crossings)} times: too few for a frequency fit, "
+            "too many for a monotone fit")
+    efold = abs(math.log(abs(xs[-1]) / abs(xs[0])))
+    if efold < 10.0:
+        raise InsufficientData(
+            f"monotone tail spans {efold:.2f} e-foldings; need 10 for a trustworthy rate")
+    rate, resid = lsq_slope(ts, [math.log(abs(x)) for x in xs])
+    return EigEstimate(complex(rate, 0.0), "monotone", resid, 0)
+
+
+def outcome(estimator, traj):
+    """Every bit of an estimate (repr round-trips each float, -0.0
+    included), or the InsufficientData message."""
+    try:
+        return repr(estimator(traj))
+    except InsufficientData as exc:
+        return f"InsufficientData: {exc}"
+
+
+def decaying_sine(n, dt, rate=-0.1, omega=6.0):
+    ts = tuple(i * dt for i in range(n))
+    return ts, [math.exp(rate * t) * math.sin(omega * t) for t in ts]
+
+
+def _edited_sine(edits):
+    """A 400-sample decaying sine with edits(xs) -> [(index, value)] applied."""
+    ts, xs = decaying_sine(400, 0.05)
+    for i, x in edits(xs):
+        xs[i] = x
+    return Trajectory(times=ts, values=tuple(xs), step=0.05)
+
+
+def _tail_sign_changes(xs):
+    return [i for i in range(200, len(xs) - 1) if (xs[i] > 0.0) != (xs[i + 1] > 0.0)]
+
+
+def _signed_zeros(xs):
+    # a double zero at a sign change, a lone -0.0 at another, and a 0.0
+    # at the top of a positive run
+    c = _tail_sign_changes(xs)
+    top = max(range(200, len(xs)), key=xs.__getitem__)
+    return [(c[0], 0.0), (c[0] + 1, -0.0), (c[3] + 1, -0.0), (top, 0.0)]
+
+
+def _tiny_at_sign_changes(xs):
+    # a tiny sample on either side of a sign change puts the interpolated
+    # crossing exactly on a sample time
+    c = _tail_sign_changes(xs)
+    return [(i, math.copysign(1e-300, xs[i])) for i in (c[1], c[4] + 1)]
+
+
+def _equal_opposite_peaks(sign):
+    # tail times one ulp apart from 1.0, so every crossing rounds onto a
+    # sample; moduli 1, 1, 2, 2, ... with alternating signs put m and -m,
+    # in the order sign decides, in one segment (the tie between them
+    # rounds to the even time)
+    m = 30
+    head = tuple(i * 0.9 / m for i in range(m))
+    tail = tuple(1.0 + k * math.ulp(1.0) for k in range(m))
+    xs = tuple(0.5 for _ in range(m)) + tuple(sign * (-1.0) ** k * (1 + k // 2) for k in range(m))
+    return Trajectory(times=head + tail, values=xs, step=0.9 / m)
+
+
+CRAFTED_TAILS = {
+    "signed_zeros": lambda: _edited_sine(_signed_zeros),
+    "zero_last_sample": lambda: _edited_sine(lambda xs: [(len(xs) - 1, 0.0)]),
+    "negative_zero_last_sample": lambda: _edited_sine(lambda xs: [(len(xs) - 1, -0.0)]),
+    "crossing_on_sample": lambda: _edited_sine(_tiny_at_sign_changes),
+    "equal_opposite_peaks_positive_first": lambda: _equal_opposite_peaks(1.0),
+    "equal_opposite_peaks_negative_first": lambda: _equal_opposite_peaks(-1.0),
+    # the golden simulate-truncated command: a monotone run cut at overflow
+    "monotone_truncated": lambda: simulate(ClosedLoopParams(1.0, 2.0, 1.0), UNIT, 800.0, 0.5),
+    "monotone_decay": lambda: simulate(ClosedLoopParams(-1.0, 0.0, 1.0), UNIT, 25.0, 0.01),
+    "constant": lambda: simulate(ClosedLoopParams(1.0, -1.0, 1.0), UNIT, 10.0, 0.01),
+    "zero": lambda: simulate(ClosedLoopParams(-1.0, -2.0, 1.0), InitialData(0.0, ConstantHistory(0.0)), 10.0),
+    "too_few_efoldings": lambda: simulate(ClosedLoopParams(-0.05, 0.0, 1.0), UNIT, 20.0, 0.01),
+    "too_few_crossings": lambda: Trajectory(
+        times=tuple(i * 0.01 for i in range(2000)),
+        values=tuple(math.sin(0.005 * i) for i in range(2000)), step=0.01),
+    "short": lambda: Trajectory(times=tuple(i * 0.1 for i in range(30)),
+                                values=tuple(1.0 for _ in range(30)), step=0.1),
+}
 
 
 class TestHistories:
@@ -158,19 +354,7 @@ class TestSimulate:
         with pytest.raises(InvalidStep):
             simulate(cl, UNIT, math.inf)
 
-    @pytest.mark.parametrize("cl, init, t_final, step", [
-        (ClosedLoopParams(-1.0, -2.0, 1.0), UNIT, 6.0, 0.01),
-        (ClosedLoopParams(-0.5, -1.0, 0.7), InitialData(0.3, LinearHistory(1.0, -2.0)), 5.0, 0.003),
-        (ClosedLoopParams(0.4, -1.5, 1.3),
-         InitialData(-0.2, SampledHistory(((-1.3, 0.5), (-0.9, -1.0), (-0.2, 0.25)))), 9.0, 0.013),
-        # t_final == h: the history phase alone
-        (ClosedLoopParams(-1.0, -2.0, 0.7), InitialData(1.0, LinearHistory(0.5, 1.0)), 0.7, 0.01),
-        # step >= h: one step per delay, whose delayed end node is x0
-        (ClosedLoopParams(-0.3, -0.4, 1.0), InitialData(2.0, LinearHistory(-1.0, 3.0)), 30.0, 2.0),
-        # overflow in the stored phase and in the history phase
-        (ClosedLoopParams(2.0, 0.5, 1.0), UNIT, 400.0, 0.01),
-        (ClosedLoopParams(800.0, 1.0, 1.0), UNIT, 2.0, 0.01),
-    ])
+    @pytest.mark.parametrize("cl, init, t_final, step", RK4_CASES)
     def test_matches_stagewise_rk4(self, cl, init, t_final, step):
         traj = simulate(cl, init, t_final, step)
         ref, truncated = rk4_method_of_steps(cl, init, t_final, step)
@@ -178,6 +362,15 @@ class TestSimulate:
         assert traj.truncated == truncated
         scale = max(abs(x) for x in ref)
         assert max(abs(x - y) for x, y in zip(traj.values, ref)) <= 1e-11 * scale
+
+    @pytest.mark.parametrize("cl, init, t_final, step", RK4_CASES)
+    def test_matches_folded_step_bitwise(self, cl, init, t_final, step):
+        # the folded step differs from the stagewise one in the last bits;
+        # against its own index-by-index form it must not differ at all
+        traj = simulate(cl, init, t_final, step)
+        ref, truncated = folded_rk4(cl, init, t_final, step)
+        assert traj.values == tuple(ref)
+        assert traj.truncated == truncated
 
     def test_overflow_truncates_with_flag(self):
         traj = simulate(ClosedLoopParams(2.0, 0.5, 1.0), UNIT, 400.0, 0.01)
@@ -315,6 +508,33 @@ class TestEstimate:
         assert isinstance(est, EigEstimate)
         assert isinstance(est.value, complex)
         assert est == estimate_dominant_eig_detailed(traj)
+
+    @pytest.mark.parametrize("where", [50, 75, 99])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_tail(self, bad, where):
+        # the first, a middle and the last sample of the 50-sample tail
+        ts, xs = decaying_sine(100, 0.1)
+        xs[where] = bad
+        with pytest.raises(NonFiniteInput):
+            estimate_dominant_eig_detailed(Trajectory(times=ts, values=tuple(xs), step=0.1))
+
+    def test_matches_loop_reference_on_simulate_pool(self, monkeypatch):
+        # every 8th task of the benchmark's seed-1 simulate pool
+        monkeypatch.syspath_prepend(str(BENCH))
+        workloads = importlib.import_module("workloads")
+        try:
+            pool = workloads.simulate_pool(delayw, 1)[::8]
+            delays = workloads.SIM_DELAYS
+        finally:
+            sys.modules.pop("workloads", None)
+        for cl, init in pool:
+            traj = simulate(cl, init, delays * cl.h)
+            assert outcome(estimate_dominant_eig_detailed, traj) == outcome(loop_estimate, traj)
+
+    @pytest.mark.parametrize("name", sorted(CRAFTED_TAILS))
+    def test_matches_loop_reference_on_crafted_tails(self, name):
+        traj = CRAFTED_TAILS[name]()
+        assert outcome(estimate_dominant_eig_detailed, traj) == outcome(loop_estimate, traj)
 
 
 @settings(max_examples=25, deadline=None)
