@@ -27,7 +27,7 @@ import bisect
 import math
 from collections import namedtuple
 from itertools import islice, repeat
-from operator import add, gt, mul, sub
+from operator import gt
 
 from .errors import DomainError, InsufficientData, InvalidStep, NonFiniteInput
 
@@ -241,23 +241,19 @@ class EigEstimate(namedtuple("EigEstimate", "value kind fit_residual n_crossings
 
 
 def _lsq_slope(ts, ys):
-    """Least-squares slope of ys against ts, and the RMS residual.  Each
-    sum takes its terms left to right, as the textbook formula writes them."""
     n = len(ts)
     tm = sum(ts) / n
     ym = sum(ys) / n
-    dts = list(map(sub, ts, repeat(tm)))
-    num = sum(map(mul, dts, map(sub, ys, repeat(ym))))
-    den = sum(map(pow, dts, repeat(2)))
+    num = sum((t - tm) * (y - ym) for t, y in zip(ts, ys))
+    den = sum((t - tm) ** 2 for t in ts)
     slope = num / den
     icept = ym - slope * tm
-    fit = map(add, repeat(icept), map(mul, repeat(slope), ts))
-    rss = sum(map(pow, map(sub, ys, fit), repeat(2)))
+    rss = sum((y - (icept + slope * t)) ** 2 for t, y in zip(ts, ys))
     return slope, math.sqrt(rss / n)
 
 
 def _find_all(buf, pattern):
-    """Start offsets of the non-overlapping occurrences of pattern in buf."""
+    """Start offsets of every occurrence of pattern in buf."""
     i = buf.find(pattern)
     while i >= 0:
         yield i
@@ -363,5 +359,5 @@ def estimate_dominant_eig_detailed(traj):
     if efold < 10.0:
         raise InsufficientData(
             f"monotone tail spans {efold:.2f} e-foldings; need 10 for a trustworthy rate")
-    rate, resid = _lsq_slope(ts, list(map(math.log, map(abs, xs))))
+    rate, resid = _lsq_slope(ts, [math.log(abs(x)) for x in xs])
     return EigEstimate(complex(rate, 0.0), "monotone", resid, 0)
