@@ -204,15 +204,18 @@ def _halley(z, w):
     for it in range(_MAX_ITER):
         ew = cmath.exp(w)
         f = w * ew - z
-        res = abs(f)
         wp1 = w + 1.0
         fp = wp1 * ew
-        afp = abs(fp)
         aw = abs(w)
-        step_tol = _TOL * aw + 8.0 * _EPS * az / max(afp, 1e-300)
-        res_floor = 2.0 * _EPS * (aw * afp + 2.0 * az)
-        if res <= _TOL * az + res_floor and step_prev <= step_tol:
-            return w, res, it
+        # the test needs a previous step; before the first one (or after a
+        # nudge) step_prev is inf and it cannot pass, so it is not formed
+        if step_prev < math.inf:
+            res = abs(f)
+            afp = abs(fp)
+            step_tol = _TOL * aw + 8.0 * _EPS * az / max(afp, 1e-300)
+            res_floor = 2.0 * _EPS * (aw * afp + 2.0 * az)
+            if res <= _TOL * az + res_floor and step_prev <= step_tol:
+                return w, res, it
         if fp == 0.0:
             # sitting exactly on the singular derivative; nudge off it
             w = w + 1e-7

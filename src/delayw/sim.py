@@ -27,7 +27,7 @@ import bisect
 import math
 from collections import namedtuple
 from itertools import islice, repeat
-from operator import gt
+from operator import gt, mul
 
 from .errors import DomainError, InsufficientData, InvalidStep, NonFiniteInput
 
@@ -222,7 +222,7 @@ def simulate(cl, init, t_final, step=None):
             xs.append(x)
             fs.append(f)
 
-    times = tuple(map(dt.__mul__, range(len(xs))))
+    times = tuple(map(mul, repeat(dt), range(len(xs))))
     # every step that passed the overflow test appended its node
     return Trajectory(times=times, values=tuple(xs), step=dt, truncated=len(xs) <= total)
 

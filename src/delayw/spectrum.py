@@ -7,11 +7,19 @@ function f(s) = s - alpha - beta*e^{-s h}, whose roots are
 
 one per Lambert W branch.  The principal branch gives the rightmost
 root, so stability reduces to the sign of Re s_0.
+
+``spectrum`` takes branches 0 and -1 from ``lambert_w`` and every
+branch k >= 1 from the kernel entry behind it, z being checked once per
+call; each branch k >= 1 also gives the conjugate root of its partner
+branch.  The records are sorted by descending real part, ties by
+ascending imaginary part, in two stable passes, so exact ties keep the
+order in which the branches were listed.
 """
 
 import cmath
 import math
 from collections import namedtuple
+from operator import attrgetter
 
 from .errors import InvalidGain, NonFiniteInput, DomainError
 from .lambertw import BRANCH_POINT_Z, K_MAX, _eval_complex, lambert_w
@@ -95,6 +103,8 @@ class ClosedLoopParams(namedtuple("ClosedLoopParams", "alpha beta h")):
 
 
 SpectrumRoot = namedtuple("SpectrumRoot", "branch s multiplicity", defaults=(1,))
+
+_REAL, _IMAG = attrgetter("s.real"), attrgetter("s.imag")
 
 
 class Spectrum(namedtuple("Spectrum", "roots rightmost", defaults=((), 0j))):
@@ -212,13 +222,21 @@ def spectrum(cl, n_branches):
         else:
             roots.append(SpectrumRoot(-1, _root(cl, w1)))
     # for z < 0 branch k pairs with branch -k-1, for z > 0 with -k.  z is
-    # checked once here, and the kernel behind lambert_w skips the residual
+    # checked once here, so branches k >= 1 call the kernel entry behind
+    # lambert_w and skip its residual evaluation.  Each root is alpha + w/h
+    # as in _root; each record is built as SpectrumRoot._make builds it
     zc, az = complex(z), abs(z)
+    alpha, h = cl.alpha, cl.h
+    shift = 0 if z > 0.0 else 1
+    record, append = tuple.__new__, roots.append
     for k in range(1, n_branches + 1):
-        sk = _root(cl, _eval_complex(k, zc, az)[0])
-        roots.append(SpectrumRoot(k, sk))
-        roots.append(SpectrumRoot(-k if z > 0.0 else -k - 1, sk.conjugate()))
-    roots.sort(key=lambda r: (-r.s.real, r.s.imag))
+        sk = alpha + _eval_complex(k, zc, az)[0] / h
+        append(record(SpectrumRoot, (k, sk, 1)))
+        append(record(SpectrumRoot, (-k - shift, sk.conjugate(), 1)))
+    # descending Re s, ties by ascending Im s: two stable sorts, the
+    # secondary key first
+    roots.sort(key=_IMAG)
+    roots.sort(key=_REAL, reverse=True)
     return Spectrum(roots=tuple(roots), rightmost=s0)
 
 

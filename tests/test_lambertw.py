@@ -7,8 +7,12 @@ import sys
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from delayw.errors import BranchOutOfRange, DomainError, NonFiniteInput
+from delayw import lambertw
+from delayw.errors import BranchOutOfRange, DomainError, NoConvergence, NonFiniteInput
 from delayw.lambertw import (
+    _EPS,
+    _MAX_ITER,
+    _TOL,
     BRANCH_POINT_Z,
     K_MAX,
     lambert_w,
@@ -422,17 +426,84 @@ class TestCrossChecks:
             assert res.residual <= (1e-14 + 4 * eps * (abs(1.0 + ours) + 2.0)) * abs(z), (k, z)
 
 
-def test_halley_step_budget():
-    # Halley and log-form Newton steps over the lambert_w sample of
-    # bench/micro.py (rng 9, 1,000 (k, z)); the budget may only ever be
-    # lowered
+def micro_sample():
+    """The lambert_w sample of bench/micro.py: rng 9, 1,000 (k, z)."""
     rng = __import__("random").Random(9)
     args = []
     while len(args) < 1000:
         z = complex(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0))
         if z.imag != 0.0:
             args.append((rng.randint(-50, 50), z))
-    assert 0 < sum(lambert_w(k, z).iterations for k, z in args) <= 2023
+    return args
+
+
+def test_halley_step_budget():
+    # Halley and log-form Newton steps over micro's sample; the budget
+    # may only ever be lowered
+    assert 0 < sum(lambert_w(k, z).iterations for k, z in micro_sample()) <= 2023
+
+
+def loop_halley(z, w):
+    """_halley forming its convergence test on every iteration, the first
+    included: the reference that _halley must match bit for bit."""
+    az = abs(z)
+    step_prev = math.inf
+    for it in range(_MAX_ITER):
+        ew = cmath.exp(w)
+        f = w * ew - z
+        res = abs(f)
+        wp1 = w + 1.0
+        fp = wp1 * ew
+        afp = abs(fp)
+        aw = abs(w)
+        step_tol = _TOL * aw + 8.0 * _EPS * az / max(afp, 1e-300)
+        res_floor = 2.0 * _EPS * (aw * afp + 2.0 * az)
+        if res <= _TOL * az + res_floor and step_prev <= step_tol:
+            return w, res, it
+        if fp == 0.0:
+            w = w + 1e-7
+            step_prev = math.inf
+            continue
+        dw = f / (fp - f * (w + 2.0) / (2.0 * wp1))
+        w = w - dw
+        step_prev = abs(dw)
+        if 2.0 * step_prev**3 <= _EPS * aw and abs(wp1) >= 2.0:
+            return w, None, it + 1
+    raise NoConvergence(f"Halley iteration did not converge for z={z!r} (last step {step_prev:.3e})")
+
+
+def wide_sample(n):
+    """Seeded (k, z): |k| up to K_MAX, |z| log-uniform in [1e-300, 1e300],
+    one in four on the real axis with a +0.0 or -0.0 imaginary part."""
+    rng = __import__("random").Random(20)
+    args = []
+    for _ in range(n):
+        k = rng.choice((0, -1, 1, rng.randint(-50, 50), rng.randint(-K_MAX, K_MAX)))
+        r, t = 10.0 ** rng.uniform(-300.0, 300.0), rng.uniform(-math.pi, math.pi)
+        im = rng.choice((r * math.sin(t), r * math.sin(t), r * math.sin(t), rng.choice((0.0, -0.0))))
+        args.append((k, complex(r * math.cos(t), im)))
+    return args
+
+
+def test_halley_matches_loop_reference(monkeypatch):
+    # every Halley call the kernel makes on micro's sample and the wide
+    # sample, fed to both: identical (w, residual, iterations) bits
+    calls, mismatches = 0, []
+
+    def both(z, w):
+        nonlocal calls
+        calls += 1
+        got, want = halley(z, w), loop_halley(z, w)
+        if repr(got) != repr(want):
+            mismatches.append((z, w, got, want))
+        return got
+
+    halley = lambertw._halley
+    monkeypatch.setattr(lambertw, "_halley", both)
+    for k, z in micro_sample() + wide_sample(20000):
+        lambert_w(k, z)
+    assert calls >= 15000
+    assert not mismatches, mismatches[:3]
 
 
 def test_spectrum_exp_budget():

@@ -1,11 +1,15 @@
 import cmath
+import importlib
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import delayw
 from delayw import (
     BRANCH_POINT_Z,
     K_MAX,
@@ -22,6 +26,10 @@ from delayw import (
     lambert_w,
     spectrum,
 )
+from delayw.lambertw import _eval_complex
+from delayw.spectrum import Spectrum, SpectrumRoot, _rightmost, _root
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # published 6sf reference spectra for h = 1, upper-half representatives
 REFERENCE = {
@@ -110,8 +118,9 @@ def test_branches_past_one_thousand():
     pytest.param(-1.0, -2.0, 1.0, id="z-below-branch-point"),
 ])
 def test_high_branches_share_the_kernel(alpha, beta, h):
-    # spectrum checks z once and calls the kernel behind lambert_w for
-    # k >= 1: the same seed and Halley path, so the same bits
+    # spectrum checks z once and calls the kernel entry behind lambert_w
+    # for k >= 1, forming alpha + w/h inline: the same seed, Halley path
+    # and root arithmetic, so the same bits
     cl = ClosedLoopParams(alpha, beta, h)
     z = cl.w_argument
     roots = [r for r in spectrum(cl, 200).roots if r.branch >= 1]
@@ -301,3 +310,91 @@ def test_distinct_roots_across_branches(alpha, beta, h):
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             assert abs(pts[i] - pts[j]) > 1e-7 * max(1.0, abs(pts[i]))
+
+
+def loop_spectrum(cl, n_branches):
+    """spectrum with one SpectrumRoot call per record and one keyed sort:
+    the reference that spectrum must match bit for bit, order included."""
+    if isinstance(n_branches, bool) or not isinstance(n_branches, int):
+        raise DomainError(f"n_branches must be an integer, got {n_branches!r}")
+    if n_branches < 0:
+        raise DomainError(f"n_branches must be >= 0, got {n_branches}")
+    if n_branches > K_MAX:
+        raise DomainError(f"n_branches = {n_branches} exceeds K_MAX = {K_MAX}")
+    if cl.beta == 0.0:
+        s0 = _rightmost(cl)
+        return Spectrum(roots=(SpectrumRoot(0, s0),), rightmost=s0)
+    z = cl.w_argument
+    if z == 0.0:
+        raise DomainError(
+            f"W argument beta*h*e^(-alpha*h) underflows to 0 for alpha = {cl.alpha!r}, "
+            f"beta = {cl.beta!r}, h = {cl.h!r}; W_k(0) diverges for the branches k != 0"
+        )
+    w0 = lambert_w(0, z).w
+    s0 = _root(cl, w0)
+    roots = [SpectrumRoot(0, s0)]
+    if z < BRANCH_POINT_Z:
+        roots.append(SpectrumRoot(-1, s0.conjugate()))
+    elif z < 0.0:
+        w1 = lambert_w(-1, z).w
+        if w1 == w0:
+            roots[0] = SpectrumRoot(0, s0, 2)
+        else:
+            roots.append(SpectrumRoot(-1, _root(cl, w1)))
+    zc, az = complex(z), abs(z)
+    for k in range(1, n_branches + 1):
+        sk = _root(cl, _eval_complex(k, zc, az)[0])
+        roots.append(SpectrumRoot(k, sk))
+        roots.append(SpectrumRoot(-k if z > 0.0 else -k - 1, sk.conjugate()))
+    roots.sort(key=lambda r: (-r.s.real, r.s.imag))
+    return Spectrum(roots=tuple(roots), rightmost=s0)
+
+
+def spectrum_outcome(fn, cl, n):
+    """Every bit of a spectrum (repr round-trips each float, -0.0
+    included, with branch, multiplicity and order), or the error."""
+    try:
+        return repr(fn(cl, n))
+    except (DomainError, NonFiniteInput) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_matches_loop_reference_on_enumerate_pool(monkeypatch):
+    # every 8th task of the benchmark's seed-1 enumerate pool
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    try:
+        pool = workloads.enumerate_pool(delayw, 1)[::8]
+    finally:
+        sys.modules.pop("workloads", None)
+    assert len(pool) >= 50
+    for cl, n, _ in pool:
+        assert spectrum_outcome(spectrum, cl, n) == spectrum_outcome(loop_spectrum, cl, n), (cl, n)
+
+
+CRAFTED_LOOPS = {
+    "z-positive": ((-1.0, 2.0, 1.0), 300),
+    "z-above-branch-point": ((0.0, -0.2, 1.0), 300),
+    # beta*h*e^{-alpha h} = -1/e exactly: one double root
+    "coalescence": ((1.0, -1.0, 1.0), 50),
+    "z-below-branch-point": ((-1.0, -2.0, 1.0), 300),
+    # a real pair 1e-6 apart and a conjugate pair next to the branch point
+    "near-coalescence-real": ((-0.5, (BRANCH_POINT_Z + 5e-13) * math.exp(-0.5), 1.0), 50),
+    "near-coalescence-pair": ((-0.5, (BRANCH_POINT_Z - 5e-13) * math.exp(-0.5), 1.0), 50),
+    "beta-zero": ((-1.5, 0.0, 1.0), 20),
+    "n-zero": ((-1.0, -2.0, 1.0), 0),
+    # subnormal z: seeds left of exp's range take the log-form Newton
+    "tiny-z": ((710.0, 1.0, 1.0), 200),
+    "tiny-z-negative": ((710.0, -1.0, 1.0), 200),
+    # |seed|*|z| overflows from some branch on: log-form Newton again
+    "huge-z": ((0.0, 1e305, 1.0), 600),
+    "huge-z-negative": ((0.0, -1e305, 1.0), 600),
+    "underflow": ((300.0, 1.0, 3.0), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRAFTED_LOOPS))
+def test_matches_loop_reference_on_crafted_loops(name):
+    (alpha, beta, h), n = CRAFTED_LOOPS[name]
+    cl = ClosedLoopParams(alpha, beta, h)
+    assert spectrum_outcome(spectrum, cl, n) == spectrum_outcome(loop_spectrum, cl, n)
