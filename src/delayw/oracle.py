@@ -20,16 +20,17 @@ bound only towards its left end is split at a lattice knot past the
 crossing; the other edges, and the failing stretches, are walked knot
 by knot and refined until every segment turns by less than pi/2.
 
-find_roots isolates the roots in one pass over the strips between
-these lines, each of which takes its cut edges in closed form.  The W
-argument z = beta*h*e^{-alpha h} is real, and the branch ranges of W
+find_roots isolates the roots by the strips between these lines.  The
+W argument z = beta*h*e^{-alpha h} is real, and the branch ranges of W
 (Corless et al. 1996) put at most one root in each strip off the axis:
 above it, only in (j*pi/h, (j+1)*pi/h) with j odd when z > 0 and with j
-even when z < 0.  So a strip holds one root or none.  Newton from a
-strip's centre first steps on the log form log(s - alpha) + sh =
-log(beta) + 2*pi*i*m, which is close to linear in s, then polishes on f
-itself, and accepts once |f| is within the same derived rounding bound
-the edge slacks use.
+even when z < 0.  So Newton runs from the centre of each strip that can
+hold a root, and a cell whose count n it meets in n distinct strips
+needs no strip wound; only a shortfall winds the strips, each of which
+takes its cut edges in closed form.  Newton from a strip's centre first
+steps on the log form log(s - alpha) + sh = log(beta) + 2*pi*i*m, which
+is close to linear in s, then polishes on f itself, and accepts once |f|
+is within the same derived rounding bound the edge slacks use.
 
 Every root off the real axis is simple.  f = f' = 0 forces
 beta*e^{-sh} = -1/h and hence s = alpha - 1/h, where f'' = h != 0: the
@@ -200,14 +201,13 @@ def _edge_knots(sa, sb, h, focus):
     Each knot depends only on the line the segment lies on, never on its
     endpoints, so every walk along one line (the shared edge of two
     cells, a strip's stretch of its cell's edge) lands on the same
-    points.  Uniform knots sit on the lattice j*pi/(4h) along
-    the line, which keeps each piece under a quarter turn of the delay
-    term's rotation (rate h along the segment); past 65,536 pieces the
-    step doubles until the edge fits, which keeps the knots on a coarser
-    lattice of the same family.  Focus knots, at fx + k*d, resolve the
-    phase swing concentrated where the line passes a focus point fx on
-    the axis, at distance d: closest at Re s = fx (horizontal) or Im s =
-    0 (vertical).
+    points.  Uniform knots sit on the lattice j*pi/(4h) along the line,
+    which keeps each piece under a quarter turn of the delay term's
+    rotation (rate h along the segment).  An edge longer than 65,536
+    pieces raises: a coarser step would let a piece hide whole turns.
+    Focus knots, at fx + k*d, resolve the phase swing concentrated where
+    the line passes a focus point fx on the axis, at distance d: closest
+    at Re s = fx (horizontal) or Im s = 0 (vertical).
     """
     horizontal = sa.imag == sb.imag
     if horizontal:
@@ -216,8 +216,8 @@ def _edge_knots(sa, sb, h, focus):
         a, b, fixed = sa.imag, sb.imag, sa.real
     lo, hi = (a, b) if a < b else (b, a)
     step = math.pi / (4.0 * h)
-    while hi - lo > 65536.0 * step:
-        step *= 2.0
+    if hi - lo > 65536.0 * step:
+        raise DomainError(f"walking the edge {sa} -> {sb} takes over 65,536 pieces; shrink the rectangle")
     xs = [x for j in range(math.floor(lo / step), math.ceil(hi / step) + 1)
           if lo < (x := j * step) < hi]
     for fx in focus:
@@ -479,6 +479,7 @@ def _axis(cl, rect):
 
 def _counted_rect(cl, rect, phases):
     """Winding count with outward nudges when the boundary grazes a root."""
+    rect = SearchRect(*rect)
     delta = _NUDGE_FRACTION * rect.diameter
     last = None
     for attempt in range(_MAX_NUDGES + 1):
@@ -495,10 +496,10 @@ def _counted_rect(cl, rect, phases):
 def count_roots(cl, rect):
     """Number of characteristic roots in rect, counted with multiplicity.
 
-    Evaluated purely from the boundary: (1/2pi) times the phase change
-    of f around the rectangle.  If a root sits on the boundary the
-    rectangle is grown outward by 1e-3 of its diameter, up to 5 times,
-    before giving up.
+    Evaluated purely from the boundary of rect (a SearchRect or any
+    4-sequence): (1/2pi) times the phase change of f around it.  If a
+    root sits on the boundary the rectangle is grown outward by 1e-3 of
+    its diameter, up to 5 times, before giving up.
     """
     n, _, _ = _counted_rect(cl, rect, {})
     return n
@@ -562,27 +563,44 @@ def _newton(cl, s0):
 def _resolve(cl, cell, n, out, phases):
     """Append the n simple roots that the winding count puts in cell to out.
 
-    One pass over the strips that the lines Im s = j*pi/h cut from cell,
-    which lies off the real axis: no root lies on such a line, and each
-    strip holds at most one root, which is Newton-polished from the
-    strip centre.  Two roots in one strip, or a failed or escaped Newton
-    run (a value outside the strip is another root), raise.  The pass
-    stops once it holds n roots: Newton-verified, in n distinct strips
-    of a cell that winds to n, they leave no other root in the cell.  If
-    the strips run out first, their counts fall short of the cell's and
-    it raises.
+    The lines Im s = j*pi/h cut cell, which lies off the real axis, into
+    strips that each hold at most one root, and strips of one parity
+    none.  Newton runs from the centre of each other strip and keeps a
+    result strictly inside its strip and the cell's real range: n such
+    roots, in n distinct strips of a cell that winds to n, leave no
+    other root, and no strip is wound.  Short of n, the strips are wound
+    and polished one by one, raising on two roots in a strip, on a
+    failed or escaped Newton run (a value outside the strip is another
+    root), and on counts short of the cell's.
     """
     gap = math.pi / cl.h
     re_lo, re_hi, im_lo, im_hi = cell
-    # from the top down: on cross_validate's rectangles the empty strips
-    # lie next to the axis, and the pass stops before it has to wind them
-    cuts = (y for j in range(math.ceil(im_hi / gap), math.floor(im_lo / gap) - 1, -1)
-            if im_lo < (y := j * gap) < im_hi)
+
+    def strips():
+        # from the top down: on cross_validate's rectangles an empty strip
+        # may lie next to the axis, and the winding pass stops before it
+        cuts = (y for j in range(math.ceil(im_hi / gap), math.floor(im_lo / gap) - 1, -1)
+                if im_lo < (y := j * gap) < im_hi)
+        return (SearchRect(re_lo, re_hi, lo, hi) for hi, lo in pairwise(chain((im_hi,), cuts, (im_lo,))))
+
+    held = []
+    for strip in strips():
+        if len(held) == n:
+            break
+        mid = strip.center
+        # the strip (j*pi/h, (j+1)*pi/h) and its mirror below the axis
+        # can hold a root only with j odd when z > 0, j even when z < 0
+        if math.floor(abs(mid.imag) / gap) % 2 == (cl.beta > 0.0):
+            s = _newton(cl, mid)
+            if s is not None and re_lo < s.real < re_hi and strip.im_min < s.imag < strip.im_max:
+                held.append(LocatedRoot(s, 1))
+    if len(held) == n:
+        out.extend(held)
+        return
     found = 0
-    for hi, lo in pairwise(chain((im_hi,), cuts, (im_lo,))):
+    for strip in strips():
         if found == n:
             return
-        strip = SearchRect(re_lo, re_hi, lo, hi)
         k = _winding(cl, strip, (), phases)
         if k > 1:
             raise NoConvergence(f"{k} roots share one pi/h strip inside cell around {strip.center}")
@@ -597,19 +615,19 @@ def _resolve(cl, cell, n, out, phases):
 
 
 def find_roots(cl, rect):
-    """Locate every characteristic root in rect.
+    """Locate every characteristic root in rect, a SearchRect or 4-sequence.
 
     Real roots are resolved directly on the axis (where any multiple
     root of this function family must lie), the off-axis remainder by
-    winding counts on the pi/h strips between the lines Im s = j*pi/h,
-    each of which holds at most one root (the one across the axis, one
-    pair); every root is Newton-polished until |f(s)| is below a bound
-    derived from the rounding error of evaluating f at s, and the roots
-    below the axis are the conjugates of those above.  Roots are ordered
-    by descending real part, ties by ascending imaginary part.
-    Raises NoConvergence if a root cannot be placed in its strip, and
-    BoundaryRootSuspected if a contour cannot be counted or the roots
-    found do not add up to rect's count.
+    Newton runs in the pi/h strips between the lines Im s = j*pi/h, each
+    holding at most one root (the one across the axis, one pair), checked
+    against winding counts; every root is Newton-polished until |f(s)| is
+    below a bound derived from the rounding error of evaluating f at s,
+    and the roots below the axis are the conjugates of those above.
+    Roots are ordered by descending real part, ties by ascending
+    imaginary part.  Raises NoConvergence if a root cannot be placed in
+    its strip, and BoundaryRootSuspected if a contour cannot be counted
+    or the roots found do not add up to rect's count.
     """
     phases = {}
     n, rect, reals = _counted_rect(cl, rect, phases)
@@ -670,8 +688,11 @@ def cross_validate(cl, n_branches, match_tol=1e-8):
     matching's, so it hides no disagreement).  Raises MismatchDetected
     on any count difference or a pair further apart than match_tol;
     either would mean a bug in one of the two paths.
-    Raises DomainError if match_tol is NaN, negative or infinite.
+    Raises DomainError if match_tol is not a number, or is NaN, negative
+    or infinite.
     """
+    if isinstance(match_tol, bool) or not isinstance(match_tol, (int, float)):
+        raise DomainError(f"match_tol must be a real number, got {match_tol!r}")
     if not 0.0 <= match_tol < math.inf:
         raise DomainError(f"match_tol must be finite and non-negative, got {match_tol!r}")
     sp = spectrum(cl, n_branches)

@@ -1,12 +1,16 @@
 """Tests for the argument-principle root oracle."""
 
 import cmath
+import hashlib
+import importlib
 import math
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import delayw
 from delayw import (
     BRANCH_POINT_Z,
     BoundaryRootSuspected,
@@ -15,6 +19,7 @@ from delayw import (
     DomainError,
     LocatedRoot,
     MismatchDetected,
+    NoConvergence,
     RootSet,
     SearchRect,
     char_residual,
@@ -27,6 +32,8 @@ from delayw import oracle
 from delayw.oracle import (_checked_phase, _closed_form, _df, _edge_arg, _edge_knots, _enclosing_rect, _f_noise,
                            _split_knot, _walk)
 
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # e*z + 1 = -2.1e-13 for the W argument z: a conjugate pair 5e-5 off the axis
 NEAR_BRANCH_POINT = ClosedLoopParams(-4.268065811676514, -26.546180901730136, 0.013104286990555977)
@@ -273,6 +280,29 @@ class TestFindRoots:
             assert min(abs(r.s - s) for s in truth) <= 1e-14 * max(1.0, abs(r.s))
 
     @pytest.mark.parametrize("locate", [count_roots, find_roots])
+    def test_tall_rect_raises_rather_than_miscount(self, locate):
+        # the left edge at Re s = -3 is walked; from +-1e5 up it needs over
+        # 65,536 pieces of pi/(4h), and a coarser step once gave a count of
+        # 4 at +-1e6, where 14 roots lie
+        cl = ClosedLoopParams(-1.0, -2.0, 1.0)
+        truth = sum(r.s.real > -3.0 for r in spectrum(cl, 1000).roots)
+        assert count_roots(cl, SearchRect(-3.0, 1.0, -1e4, 1e4)) == truth == 14
+        for height in (1e5, 1e6, 1e300):
+            with pytest.raises(DomainError, match=r"takes over 65,536 pieces; shrink the rectangle"):
+                locate(cl, SearchRect(-3.0, 1.0, -height, height))
+
+    @pytest.mark.parametrize("locate", [count_roots, find_roots])
+    def test_rect_given_as_a_sequence(self, locate):
+        # any 4-sequence is read as (re_min, re_max, im_min, im_max) and
+        # validated as a SearchRect
+        cl = ClosedLoopParams(-1.0, -2.0, 1.0)
+        assert locate(cl, (-3.0, 1.0, -5.0, 5.0)) == locate(cl, SearchRect(-3.0, 1.0, -5.0, 5.0))
+        assert locate(cl, [-3.0, 1.0, -5.0, 5.0]) == locate(cl, SearchRect(-3.0, 1.0, -5.0, 5.0))
+        for bad in ((-3.0, 1.0, 5.0, -5.0), [-3.0, math.nan, -5.0, 5.0], (1.0, 1.0, -5.0, 5.0)):
+            with pytest.raises(DomainError):
+                locate(cl, bad)
+
+    @pytest.mark.parametrize("locate", [count_roots, find_roots])
     def test_contour_overflow_raises(self, locate):
         # e^{-sh} passes the double range all along this rectangle
         with pytest.raises(DomainError, match=r"characteristic function overflows on the contour "
@@ -321,8 +351,14 @@ class TestCrossValidate:
         # NaN would switch the distance check off, a negative value would
         # report every loop as a mismatch
         for bad in (math.nan, -1.0, math.inf):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match="match_tol must be finite and non-negative"):
                 cross_validate(ClosedLoopParams(-1.0, -2.0, 1.0), 2, match_tol=bad)
+        # a string, a bool (True would read as 1.0), None or a complex
+        # number is no tolerance at all
+        for bad in ("1e-8", True, False, None, 1e-8j):
+            with pytest.raises(DomainError, match="match_tol must be a real number"):
+                cross_validate(ClosedLoopParams(-1.0, -2.0, 1.0), 2, match_tol=bad)
+        assert cross_validate(ClosedLoopParams(-1.0, -2.0, 1.0), 2, match_tol=1).max_distance < 1e-10
         assert cross_validate(ClosedLoopParams(-1.0, 0.0, 1.0), 1, match_tol=0.0).max_distance == 0.0
 
     @pytest.mark.parametrize("h", [1e3, 1.5e3, 1e5])
@@ -392,14 +428,14 @@ H23 = (11.044532312121724, -0.04801816730893112, 23.14904106214897)
 
 
 @pytest.mark.parametrize("alpha, beta, h, n, budget", [
-    pytest.param(-1.0, -2.0, 1.0, 3, 18, id="h1-n3"),
-    pytest.param(-1.0, -2.0, 1.0, 10, 46, id="h1-n10"),
-    pytest.param(-1.0, -2.0, 1.0, 30, 126, id="h1-n30"),
+    pytest.param(-1.0, -2.0, 1.0, 3, 8, id="h1-n3"),
+    pytest.param(-1.0, -2.0, 1.0, 10, 8, id="h1-n10"),
+    pytest.param(-1.0, -2.0, 1.0, 30, 8, id="h1-n30"),
     # |beta|e^{-uh} reaches ~1e15 at the left edge of these rectangles, so
-    # the strip lines j*pi/h pass the first bound only right of a split
-    # knot; walking them whole takes 5,145 and 5,308 evaluations
-    pytest.param(*H20, 30, 702, id="h20-n30"),
-    pytest.param(*H23, 30, 202, id="h23-n30"),
+    # the lines j*pi/h pass the first bound only right of a split knot;
+    # walking them whole took 5,145 and 5,308 evaluations
+    pytest.param(*H20, 30, 118, id="h20-n30"),
+    pytest.param(*H23, 30, 82, id="h23-n30"),
 ])
 def test_phase_evaluation_budget(alpha, beta, h, n, budget):
     # the oracle's work is its phase evaluations; cheaper walks may lower
@@ -409,16 +445,17 @@ def test_phase_evaluation_budget(alpha, beta, h, n, budget):
 
 
 @pytest.mark.parametrize("alpha, beta, h, n, budget", [
-    pytest.param(-1.0, -2.0, 1.0, 3, 8, id="h1-n3"),
-    pytest.param(-1.0, -2.0, 1.0, 10, 22, id="h1-n10"),
-    pytest.param(-1.0, -2.0, 1.0, 30, 64, id="h1-n30"),
-    pytest.param(*H20, 30, 62, id="h20-n30"),
-    pytest.param(*H23, 30, 62, id="h23-n30"),
+    pytest.param(-1.0, -2.0, 1.0, 3, 3, id="h1-n3"),
+    pytest.param(-1.0, -2.0, 1.0, 10, 3, id="h1-n10"),
+    pytest.param(-1.0, -2.0, 1.0, 30, 3, id="h1-n30"),
+    pytest.param(*H20, 30, 3, id="h20-n30"),
+    pytest.param(*H23, 30, 3, id="h23-n30"),
 ])
 def test_winding_budget(monkeypatch, alpha, beta, h, n, budget):
-    # a winding is one argument-principle count around a cell; one pass
-    # over the pi/h strips winds each strip at most once, and these
-    # budgets may only ever be lowered
+    # a winding is one argument-principle count around a cell: here the
+    # rectangle, the band at the axis and the cell above it, whose strips
+    # Newton resolves without winding them; these budgets may only ever
+    # be lowered
     calls = 0
     winding = oracle._winding
 
@@ -430,6 +467,30 @@ def test_winding_budget(monkeypatch, alpha, beta, h, n, budget):
     monkeypatch.setattr(oracle, "_winding", counted)
     cross_validate(ClosedLoopParams(alpha, beta, h), n)
     assert 0 < calls <= budget
+
+
+# sha256 over repr(find_roots(...)) on each verify pool of the benchmark,
+# in pool order, on the rectangles cross_validate builds
+VERIFY_POOL_DIGESTS = {
+    1: "7bdf1b487f32282bf0271143e5e5c2edac5662532af0e808dfec6c495fcbd9c0",
+    7919: "6212bc7207f8fe9e272f95b2e236253225b9027effe9c9a4523f3c0198bea46f",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_POOL_DIGESTS))
+def test_find_roots_bits_on_verify_pools(monkeypatch, seed):
+    # the located roots are pinned to the last bit: a faster search may
+    # wind and evaluate less, but must land on exactly these roots
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    try:
+        pool = workloads.verify_pool(delayw, seed)
+    finally:
+        sys.modules.pop("workloads", None)
+    digest = hashlib.sha256()
+    for cl, n in pool:
+        digest.update(repr(find_roots(cl, _enclosing_rect(spectrum(cl, n).roots, cl.h))).encode())
+    assert digest.hexdigest() == VERIFY_POOL_DIGESTS[seed]
 
 
 def test_at_most_one_root_per_strip():
@@ -450,6 +511,104 @@ def test_at_most_one_root_per_strip():
             n = count_roots(cl, SearchRect(lo, hi, j * gap, (j + 1) * gap))
             assert n == (1 if (j % 2 == 1) == (beta > 0.0) else 0), (cl, j, n)
             assert n == sum(j * gap < s.imag < (j + 1) * gap for s in roots), (cl, j, n)
+
+
+# a cell above the axis whose partial top strip and the parity strips
+# below it hold roots left of re_min, where Newton from their centres lands
+OFF_AXIS_CELL = (ClosedLoopParams(-1.0, -2.0, 1.0), SearchRect(-3.1, 0.5, 0.5 * math.pi, 21.5 * math.pi))
+
+
+def _strip_windings(monkeypatch, strip_count=None):
+    """Count the strip windings of a find_roots call on a rectangle off
+    the axis, whose first winding is the rectangle's own; strip_count, if
+    given, replaces every strip's count."""
+    windings = []
+    winding = oracle._winding
+
+    def counted(*args):
+        windings.append(args[1])
+        n = winding(*args)
+        return n if strip_count is None or len(windings) == 1 else strip_count
+
+    monkeypatch.setattr(oracle, "_winding", counted)
+    return windings
+
+
+@pytest.mark.parametrize("miss", ["fails-once", "lands-one-strip-down"])
+def test_strip_winding_fallback_keeps_the_bits(monkeypatch, miss):
+    # a Newton run that fails, or lands in another strip, leaves the
+    # Newton-first pass short of the cell's count; the strips are then
+    # wound one by one, and the roots come out bit for bit as before
+    cl, rect = OFF_AXIS_CELL
+    want = find_roots(cl, rect)
+    windings = _strip_windings(monkeypatch)
+    assert find_roots(cl, rect) == want and len(windings) == 1
+    newton = oracle._newton
+    missed = []
+
+    def missing(cl, s0):
+        # the first run that would hold a root misses it
+        s = newton(cl, s0)
+        if missed or not (s is not None and rect.contains(s)):
+            return s
+        missed.append(s)
+        return None if miss == "fails-once" else newton(cl, s0 - 2j * math.pi / cl.h)
+
+    monkeypatch.setattr(oracle, "_newton", missing)
+    windings.clear()
+    got = find_roots(cl, rect)
+    assert missed and repr(got) == repr(want)
+    assert windings[0] == rect and len(windings) > 1
+    assert all(s.im_max - s.im_min <= math.pi / cl.h * (1.0 + 1e-12) for s in windings[1:])
+
+
+def test_strip_winding_fallback_raises(monkeypatch):
+    # with no Newton result to hold, the strip windings decide, and raise
+    # as they always have on two roots in one strip, on a failed Newton
+    # run and on strips whose counts fall short of the cell's
+    cl, rect = OFF_AXIS_CELL
+    monkeypatch.setattr(oracle, "_newton", lambda cl, s0: None)
+    with pytest.raises(NoConvergence, match=r"^Newton failed to converge inside cell around "):
+        find_roots(cl, rect)
+    for strip_count, error, message in (
+            (2, NoConvergence, r"^2 roots share one pi/h strip inside cell around "),
+            (0, BoundaryRootSuspected, r"^strips inside cell around .* hold 0 of its 7 roots$")):
+        with monkeypatch.context() as patch:
+            _strip_windings(patch, strip_count)
+            with pytest.raises(error, match=message):
+                find_roots(cl, rect)
+
+
+def test_cells_above_the_axis_agree_with_spectrum():
+    # rectangles wholly above the axis, for both signs of beta, with
+    # partial strips at top and bottom and real ranges that cut some
+    # strips' roots out: Newton from those strips' centres lands outside
+    rng = __import__("random").Random(29)
+    checked = 0
+    while checked < 200:
+        h = 10.0 ** rng.uniform(-2.0, 2.0)
+        beta = (1.0 if checked % 2 else -1.0) * 10.0 ** rng.uniform(-3.0, 3.0)
+        cl = ClosedLoopParams(rng.uniform(-5.0, 5.0) / (h if rng.random() < 0.5 else 1.0), beta, h)
+        gap = math.pi / h
+        roots = [r.s for r in spectrum(cl, 14).roots if r.s.imag > 0.0]
+        im_lo = rng.uniform(0.0, 4.0) * gap
+        im_hi = im_lo + rng.uniform(0.2, 20.0) * gap
+        near = sorted(s.real for s in roots if im_lo < s.imag < im_hi)
+        if not near:
+            continue
+        re_lo = near[rng.randrange(len(near))] - rng.uniform(0.01, 1.0) / h
+        re_hi = near[-1] + rng.uniform(0.01, 1.0) / h
+        rect = SearchRect(re_lo, re_hi, im_lo, im_hi)
+        if -re_lo * h > 700.0 or any(min(abs(s.imag - im_lo), abs(s.imag - im_hi)) < 1e-3 * gap
+                                     or min(abs(s.real - re_lo), abs(s.real - re_hi)) < 1e-3 / h for s in roots):
+            continue
+        rs = find_roots(cl, rect)
+        expected = sorted_roots(s for s in roots if rect.contains(s))
+        assert rs.total_count == len(rs.roots) == len(expected), (cl, rect)
+        for root, ref in zip(rs.roots, expected):
+            assert root.multiplicity == 1
+            assert abs(root.s - ref) <= 1e-12 * max(1.0, abs(ref)), (cl, rect, root.s, ref)
+        checked += 1
 
 
 def _straddling_rects(rng, count):
@@ -578,15 +737,14 @@ def test_edge_knots_depend_only_on_the_line(h, horizontal, offset, ends, focus):
 
 
 def test_edge_knots_cap_the_piece_count():
-    # past 65,536 pieces of pi/(4h) the step doubles until the edge fits:
-    # 0 -> 1e5 at h = 10 takes 32 times pi/(4h), and a walk along a
-    # stretch at the same doubling samples the edge's own points
-    step = 32.0 * math.pi / 40.0
-    knots = _edge_knots(0j, complex(1e5, 0.0), 10.0, ())
-    assert len(knots) == 39788
-    assert knots == [complex(j * step, 0.0) for j in range(1, 39789)]
-    assert _edge_knots(complex(5e3, 0.0), complex(9.5e4, 0.0), 10.0, ()) == \
-        [s for s in knots if 5e3 < s.real < 9.5e4]
+    # an edge takes at most 65,536 pieces of pi/(4h); a longer one raises,
+    # as a coarser step would let a piece hide whole turns of the delay
+    # term: 0 -> 1e5 at h = 10 would take 318,310
+    step = math.pi / 40.0
+    assert _edge_knots(0j, complex(65536.0 * step, 0.0), 10.0, ()) == \
+        [complex(j * step, 0.0) for j in range(1, 65536)]
+    with pytest.raises(DomainError, match=r"takes over 65,536 pieces; shrink the rectangle"):
+        _edge_knots(0j, complex(1e5, 0.0), 10.0, ())
 
 
 def _closed_form_cases(rng):
