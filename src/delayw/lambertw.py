@@ -9,12 +9,17 @@ evaluated as the limit from above (counter-clockwise continuity), so a
 The kernel is Halley's method on f(w) = w*e^w - z, started from one of
 four seeds: a square-root series about the branch point, a rational
 fit of the principal branch near the origin, the real-axis expansion of
-W_-1 in log(-z) next to its real domain, or the standard logarithmic
-asymptotic expansion.  It runs at full double precision, with a
-stopping rule relative to |z| and |w|, so accuracy does not depend on
-the scale of the argument.  Away from the branch point it stops once a
-derived bound puts the error of its next iterate below an ulp: mostly
-one step, one exp.  Real arguments run through the same complex kernel;
+W_-1 in log(-z) next to its real domain, or the asymptotic series in
+L1 = Log z + 2*pi*i*k and L2 = Log L1 through L2*(L2 - 2)/(2*L1^2)
+(Corless et al., "On the Lambert W function", Adv. Comput. Math. 5,
+1996, eq. 4.19).  It runs at full double precision, with a stopping
+rule relative to |z| and |w|, so accuracy does not depend on the scale
+of the argument.  Away from the branch point it stops once a derived
+bound puts the error of its next iterate below an ulp: from the
+asymptotic seed, one step and one exp on about 24 branches in 25.
+That seed has one entry for a range of branches of one z, which forms
+Log z once and takes the first step inline; a single branch uses it
+too.  Real arguments run through the same complex kernel;
 on the two real domains (branch 0 on [-1/e, inf), branch -1 on [-1/e, 0))
 every seed is real and the iterations keep Im w = +0.0, so w is real.
 """
@@ -142,13 +147,6 @@ def _pade0(z):
     return z * (60.0 + z * (114.0 + 17.0 * z)) / (60.0 + z * (174.0 + 101.0 * z))
 
 
-def _asymptotic(z, k):
-    """Log-based seed valid for large |z| and for every branch k != 0."""
-    l1 = cmath.log(z) + _TWO_PI * k * 1j
-    l2 = cmath.log(l1)
-    return l1 - l2 + l2 / l1
-
-
 # exp(w) leaves the normal double range below this; Halley's f and f'
 # turn into subnormal noise (or exact zeros) and the quotient is garbage
 _LOG_DOMAIN_RE = -705.0
@@ -181,8 +179,9 @@ def _newton_log(z, w, az):
     return w, az * abs(g) if az < math.inf else abs(z * abs(g)), it
 
 
-def _halley(z, w):
-    """Polish w with Halley's method on f(w) = w*e^w - z.
+def _halley(z, w, step_prev=math.inf, it0=0):
+    """Polish w with Halley's method on f(w) = w*e^w - z, or resume after
+    it0 steps, the last of size step_prev.
 
     Stops once the residual is within _TOL*|z| and the last step within
     _TOL*|w|.  Both tolerances carry conditioning floors, scaled like the
@@ -200,8 +199,7 @@ def _halley(z, w):
     the next error is below eps*|w|/8 plus the noise of f, as above.
     """
     az = abs(z)
-    step_prev = math.inf
-    for it in range(_MAX_ITER):
+    for it in range(it0, _MAX_ITER):
         ew = cmath.exp(w)
         f = w * ew - z
         wp1 = w + 1.0
@@ -233,7 +231,8 @@ def _eval_complex(k, z, az):
     """Seed selection and iteration: the one kernel behind every argument.
 
     Takes a checked complex z != 0 and az = |z|, or inf where |z| passes
-    the largest double; returns (w, residual or None, steps)."""
+    the largest double; returns (w, residual or None, steps).  The
+    asymptotic seed goes through the range entry _branches."""
     # the sheet of W_-1 above the axis and of W_1 below it that is real on
     # [-1/e, 0)
     real_wm1 = (k == -1 and z.imag >= 0.0) or (k == 1 and z.imag < 0.0)
@@ -252,25 +251,50 @@ def _eval_complex(k, z, az):
             if abs(p) <= _BP_DIRECT:
                 return seed, None, 0
             return _halley(z, seed)
-    if k == 0:
-        if az <= 2.0 and z.real >= BRANCH_POINT_Z:
-            seed = _pade0(z)
-        else:
-            seed = _asymptotic(z, 0)
-    elif real_wm1 and z.real < 0.0 and az <= _WM1_SEED_RADIUS:
+    if k == 0 and az <= 2.0 and z.real >= BRANCH_POINT_Z:
+        return _halley(z, _pade0(z))
+    if real_wm1 and z.real < 0.0 and az <= _WM1_SEED_RADIUS:
         # w = L - log(-L) with L = log(-z), the real-axis expansion as
         # z -> 0-; unlike log(z) + 2*pi*i*k it keeps a tiny Im w exact
-        # instead of rounding it away against pi
+        # instead of rounding it away against pi (|w|*|z| stays finite)
         l1 = cmath.log(-z)
         seed = l1 - cmath.log(-l1)
-    else:
-        seed = _asymptotic(z, k)
-    # Halley's residual floor |w|*|f'| is about |w|*|z|; where that
-    # leaves the double range its quotients overflow too and the step
-    # reads 0, so such seeds take the exponential-free iteration as well
-    if seed.real < _LOG_DOMAIN_RE or math.isinf(abs(seed) * az):
-        return _newton_log(z, seed, az)
-    return _halley(z, seed)
+        return _newton_log(z, seed, az) if seed.real < _LOG_DOMAIN_RE else _halley(z, seed)
+    return _branches(z, az, (k,))[0]
+
+
+def _branches(z, az, ks):
+    """[(w, residual or None, steps)] of W_k(z), k in ks, from the asymptotic
+    seed; z and az as for _eval_complex.  Log z is formed once and Halley's
+    first step runs inline; a step the predictive stop does not accept
+    resumes in _halley, so each w has the bits _halley(z, seed) gives."""
+    out = []
+    append = out.append
+    lz = cmath.log(z) if ks else None
+    for k in ks:
+        l1 = lz + _TWO_PI * k * 1j
+        l2 = cmath.log(l1)
+        w = l1 - l2 + l2 / l1 + l2 * (l2 - 2.0) / (2.0 * l1 * l1)
+        # Halley's residual floor |w|*|f'| is about |w|*|z|; where that
+        # leaves the double range its quotients overflow too and the step
+        # reads 0, so such seeds take the exponential-free iteration as well
+        if w.real < _LOG_DOMAIN_RE or math.isinf(abs(w) * az):
+            append(_newton_log(z, w, az))
+            continue
+        ew = cmath.exp(w)
+        f = w * ew - z
+        wp1 = w + 1.0
+        fp = wp1 * ew
+        if fp == 0.0:
+            append(_halley(z, w))  # on the singular derivative: _halley nudges
+            continue
+        dw = f / (fp - f * (w + 2.0) / (2.0 * wp1))
+        step = abs(dw)
+        if 2.0 * step**3 <= _EPS * abs(w) and abs(wp1) >= 2.0:
+            append((w - dw, None, 1))
+        else:
+            append(_halley(z, w - dw, step, 1))
+    return out
 
 
 def lambert_w(k, z):

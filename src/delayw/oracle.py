@@ -109,7 +109,14 @@ class SearchRect(namedtuple("SearchRect", "re_min re_max im_min im_max")):
 
     def __new__(cls, re_min, re_max, im_min, im_max):
         vals = (re_min, re_max, im_min, im_max)
-        if not all(math.isfinite(v) for v in vals):
+        try:
+            finite = all(map(math.isfinite, vals))
+        except TypeError:  # raised for anything but a real number
+            finite = None
+        # a bool would pass as 0 or 1
+        if finite is None or bool in map(type, vals):
+            raise DomainError(f"rectangle bounds must be real numbers, got {vals}")
+        if not finite:
             raise DomainError(f"rectangle bounds must be finite, got {vals}")
         if not (re_min < re_max and im_min < im_max):
             raise DomainError(f"degenerate rectangle {vals}")
@@ -479,7 +486,10 @@ def _axis(cl, rect):
 
 def _counted_rect(cl, rect, phases):
     """Winding count with outward nudges when the boundary grazes a root."""
-    rect = SearchRect(*rect)
+    try:
+        rect = SearchRect(*rect)
+    except TypeError:  # not four values
+        raise DomainError(f"a rectangle is four bounds (re_min, re_max, im_min, im_max), got {rect!r}") from None
     delta = _NUDGE_FRACTION * rect.diameter
     last = None
     for attempt in range(_MAX_NUDGES + 1):

@@ -440,15 +440,15 @@ def micro_sample():
 def test_halley_step_budget():
     # Halley and log-form Newton steps over micro's sample; the budget
     # may only ever be lowered
-    assert 0 < sum(lambert_w(k, z).iterations for k, z in micro_sample()) <= 2023
+    assert 0 < sum(lambert_w(k, z).iterations for k, z in micro_sample()) <= 1255
 
 
-def loop_halley(z, w):
+def loop_halley(z, w, step_prev=math.inf, it0=0):
     """_halley forming its convergence test on every iteration, the first
-    included: the reference that _halley must match bit for bit."""
+    included: the reference that _halley must match bit for bit, also
+    when resumed after it0 steps whose last one had size step_prev."""
     az = abs(z)
-    step_prev = math.inf
-    for it in range(_MAX_ITER):
+    for it in range(it0, _MAX_ITER):
         ew = cmath.exp(w)
         f = w * ew - z
         res = abs(f)
@@ -487,22 +487,66 @@ def wide_sample(n):
 
 def test_halley_matches_loop_reference(monkeypatch):
     # every Halley call the kernel makes on micro's sample and the wide
-    # sample, fed to both: identical (w, residual, iterations) bits
+    # sample, fresh or resumed, fed to both: identical (w, residual,
+    # iterations) bits
     calls, mismatches = 0, []
 
-    def both(z, w):
+    def both(z, w, *state):
         nonlocal calls
         calls += 1
-        got, want = halley(z, w), loop_halley(z, w)
+        got, want = halley(z, w, *state), loop_halley(z, w, *state)
         if repr(got) != repr(want):
-            mismatches.append((z, w, got, want))
+            mismatches.append((z, w, state, got, want))
         return got
 
     halley = lambertw._halley
     monkeypatch.setattr(lambertw, "_halley", both)
     for k, z in micro_sample() + wide_sample(20000):
         lambert_w(k, z)
-    assert calls >= 15000
+    # most branches from the asymptotic seed stop after the range entry's
+    # inline first step and never call _halley; the range entry is
+    # checked against a fresh _halley run in the next test
+    assert calls >= 4000
+    assert not mismatches, mismatches[:3]
+
+
+def fresh_branch(z, az, k):
+    """W_k(z) from the asymptotic seed with Log z taken anew and Halley
+    run from the seed by the loop reference: what the range entry, which
+    forms Log z once and takes the first step inline, must give."""
+    l1 = cmath.log(z) + lambertw._TWO_PI * k * 1j
+    l2 = cmath.log(l1)
+    seed = l1 - l2 + l2 / l1 + l2 * (l2 - 2.0) / (2.0 * l1 * l1)
+    if seed.real < lambertw._LOG_DOMAIN_RE or math.isinf(abs(seed) * az):
+        return lambertw._newton_log(z, seed, az)
+    return loop_halley(z, seed)
+
+
+def test_branch_range_matches_fresh_halley(monkeypatch):
+    # every range-entry call the kernel makes on micro's sample, the wide
+    # sample and spectra over whole branch ranges, tiny and huge z among
+    # them, against one fresh reference run per branch: identical bits
+    calls, mismatches = 0, []
+
+    def both(z, az, ks):
+        nonlocal calls
+        got = branches(z, az, ks)
+        for k, g in zip(ks, got):
+            calls += 1
+            want = fresh_branch(z, az, k)
+            if repr(g) != repr(want):
+                mismatches.append((k, z, g, want))
+        return got
+
+    branches = lambertw._branches
+    monkeypatch.setattr(lambertw, "_branches", both)
+    monkeypatch.setattr(sys.modules["delayw.spectrum"], "_branches", both)
+    for k, z in micro_sample() + wide_sample(20000):
+        lambert_w(k, z)
+    for alpha, beta, h in ((-1.0, 2.0, 1.0), (0.0, -0.2, 1.0), (-1.0, -2.0, 1.0), (710.0, 1.0, 1.0),
+                           (710.0, -1.0, 1.0), (0.0, 1e305, 1.0), (0.0, -1e305, 1.0)):
+        spectrum(ClosedLoopParams(alpha, beta, h), 600)
+    assert calls >= 20000
     assert not mismatches, mismatches[:3]
 
 
@@ -522,7 +566,7 @@ def test_spectrum_exp_budget():
         spectrum(ClosedLoopParams(-1.0, -2.0, 1.0), 1000)
     finally:
         sys.setprofile(None)
-    assert 0 < calls <= 1101
+    assert 0 < calls <= 1015
 
 
 class TestExtremeArguments:

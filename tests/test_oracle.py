@@ -298,7 +298,12 @@ class TestFindRoots:
         cl = ClosedLoopParams(-1.0, -2.0, 1.0)
         assert locate(cl, (-3.0, 1.0, -5.0, 5.0)) == locate(cl, SearchRect(-3.0, 1.0, -5.0, 5.0))
         assert locate(cl, [-3.0, 1.0, -5.0, 5.0]) == locate(cl, SearchRect(-3.0, 1.0, -5.0, 5.0))
-        for bad in ((-3.0, 1.0, 5.0, -5.0), [-3.0, math.nan, -5.0, 5.0], (1.0, 1.0, -5.0, 5.0)):
+        assert locate(cl, (-3, 1, -5, 5)) == locate(cl, (-3.0, 1.0, -5.0, 5.0))
+        for bad in ((-3.0, 1.0, 5.0, -5.0), [-3.0, math.nan, -5.0, 5.0], (1.0, 1.0, -5.0, 5.0),
+                    # not four real numbers, and a bool is not read as 0 or 1:
+                    # DomainError, not a bare TypeError
+                    ("a", 1.0, -5.0, 5.0), (-3.0, 1.0, -5.0, 5j), (-3.0, None, -5.0, 5.0),
+                    (True, 2.0, -5.0, 5.0), (-3.0, 1.0, False, 5.0), (-3.0, 1.0, -5.0), 5.0):
             with pytest.raises(DomainError):
                 locate(cl, bad)
 
@@ -472,8 +477,8 @@ def test_winding_budget(monkeypatch, alpha, beta, h, n, budget):
 # sha256 over repr(find_roots(...)) on each verify pool of the benchmark,
 # in pool order, on the rectangles cross_validate builds
 VERIFY_POOL_DIGESTS = {
-    1: "7bdf1b487f32282bf0271143e5e5c2edac5662532af0e808dfec6c495fcbd9c0",
-    7919: "6212bc7207f8fe9e272f95b2e236253225b9027effe9c9a4523f3c0198bea46f",
+    1: "14752081afc1d89304d6cd6ea56465ac59075368a267267241cf15d5a9cf1967",
+    7919: "53af3f121793cec4d36bf5ff212cfe34eed1afc1274191aabeb6058689887758",
 }
 
 

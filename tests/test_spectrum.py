@@ -118,9 +118,9 @@ def test_branches_past_one_thousand():
     pytest.param(-1.0, -2.0, 1.0, id="z-below-branch-point"),
 ])
 def test_high_branches_share_the_kernel(alpha, beta, h):
-    # spectrum checks z once and calls the kernel entry behind lambert_w
-    # for k >= 1, forming alpha + w/h inline: the same seed, Halley path
-    # and root arithmetic, so the same bits
+    # spectrum checks z once and takes branches k >= 1 from the range
+    # entry, forming alpha + w/h inline: the same seed, Halley path and
+    # root arithmetic as lambert_w, so the same bits
     cl = ClosedLoopParams(alpha, beta, h)
     z = cl.w_argument
     roots = [r for r in spectrum(cl, 200).roots if r.branch >= 1]
@@ -359,14 +359,19 @@ def spectrum_outcome(fn, cl, n):
         return f"{type(exc).__name__}: {exc}"
 
 
-def test_matches_loop_reference_on_enumerate_pool(monkeypatch):
-    # every 8th task of the benchmark's seed-1 enumerate pool
+def enumerate_pool(monkeypatch):
+    """The benchmark's seed-1 enumerate pool: (cl, n, sampled branches)."""
     monkeypatch.syspath_prepend(str(BENCH))
     workloads = importlib.import_module("workloads")
     try:
-        pool = workloads.enumerate_pool(delayw, 1)[::8]
+        return workloads.enumerate_pool(delayw, 1)
     finally:
         sys.modules.pop("workloads", None)
+
+
+def test_matches_loop_reference_on_enumerate_pool(monkeypatch):
+    # every 8th task of the benchmark's seed-1 enumerate pool
+    pool = enumerate_pool(monkeypatch)[::8]
     assert len(pool) >= 50
     for cl, n, _ in pool:
         assert spectrum_outcome(spectrum, cl, n) == spectrum_outcome(loop_spectrum, cl, n), (cl, n)
@@ -398,3 +403,23 @@ def test_matches_loop_reference_on_crafted_loops(name):
     (alpha, beta, h), n = CRAFTED_LOOPS[name]
     cl = ClosedLoopParams(alpha, beta, h)
     assert spectrum_outcome(spectrum, cl, n) == spectrum_outcome(loop_spectrum, cl, n)
+
+
+def test_second_halley_step_share_on_enumerate_pool(monkeypatch):
+    # the benchmark's whole seed-1 enumerate pool: from the asymptotic
+    # seed through the L2*(L2 - 2)/(2*L1^2) term, at most 5% of the
+    # branches k >= 1 take a second step
+    pool = enumerate_pool(monkeypatch)
+    module = sys.modules["delayw.spectrum"]
+    branches, steps = module._branches, []
+
+    def counted(z, az, ks):
+        out = branches(z, az, ks)
+        steps.extend(it for _, _, it in out)
+        return out
+
+    monkeypatch.setattr(module, "_branches", counted)
+    for cl, n, _ in pool:
+        spectrum(cl, n)
+    assert len(steps) == sum(n for _, n, _ in pool)
+    assert sum(it >= 2 for it in steps) <= 0.05 * len(steps)
