@@ -18,8 +18,8 @@ of the argument.  Away from the branch point it stops once a derived
 bound puts the error of its next iterate below an ulp: from the
 asymptotic seed, one step and one exp on about 24 branches in 25.
 That seed has one entry for a range of branches of one z, which forms
-Log z once and takes the first step inline; a single branch uses it
-too.  Real arguments run through the same complex kernel;
+Log z once and runs Halley on all of them in one loop; a single branch
+uses it too.  Real arguments run through the same complex kernel;
 on the two real domains (branch 0 on [-1/e, inf), branch -1 on [-1/e, 0))
 every seed is real and the iterations keep Im w = +0.0, so w is real.
 """
@@ -179,17 +179,22 @@ def _newton_log(z, w, az):
     return w, az * abs(g) if az < math.inf else abs(z * abs(g)), it
 
 
-def _halley(z, w, step_prev=math.inf, it0=0):
-    """Polish w with Halley's method on f(w) = w*e^w - z, or resume after
-    it0 steps, the last of size step_prev.
+_ITERATIONS = range(_MAX_ITER)
 
-    Stops once the residual is within _TOL*|z| and the last step within
-    _TOL*|w|.  Both tolerances carry conditioning floors, scaled like the
-    quantities they bound: the step cannot shrink below the noise of f
-    divided by |f'| (which vanishes at the branch point), and the residual
-    cannot shrink below |f'| times the quantization of w itself (which
-    grows with |w|, i.e. with |k|); demanding less would spin until the
-    iteration cap.
+
+def _halley(z, az, seeds):
+    """[(w, residual or None, steps)] for each seed w of a root of
+    f(w) = w*e^w - z: Halley's method, or the exponential-free iteration
+    where Halley's quantities leave the double range.  z and az as for
+    _eval_complex.
+
+    Halley stops once the residual is within _TOL*|z| and the last step
+    within _TOL*|w|.  Both tolerances carry conditioning floors, scaled
+    like the quantities they bound: the step cannot shrink below the
+    noise of f divided by |f'| (which vanishes at the branch point), and
+    the residual cannot shrink below |f'| times the quantization of w
+    itself (which grows with |w|, i.e. with |k|); demanding less would
+    spin until the iteration cap.
 
     Where u = 1 + w has |u| >= 2 it returns w - dw, residual None, once
     2*|dw|^3 <= eps*|w|.  With e = w - W, f*e^-w = w - W*e^-e exactly and
@@ -198,33 +203,47 @@ def _halley(z, w, step_prev=math.inf, it0=0):
     of a root, where |e - dw| <= 0.25*|dw|^3 (60-digit grid over u, e):
     the next error is below eps*|w|/8 plus the noise of f, as above.
     """
-    az = abs(z)
-    for it in range(it0, _MAX_ITER):
-        ew = cmath.exp(w)
-        f = w * ew - z
-        wp1 = w + 1.0
-        fp = wp1 * ew
-        aw = abs(w)
-        # the test needs a previous step; before the first one (or after a
-        # nudge) step_prev is inf and it cannot pass, so it is not formed
-        if step_prev < math.inf:
-            res = abs(f)
-            afp = abs(fp)
-            step_tol = _TOL * aw + 8.0 * _EPS * az / max(afp, 1e-300)
-            res_floor = 2.0 * _EPS * (aw * afp + 2.0 * az)
-            if res <= _TOL * az + res_floor and step_prev <= step_tol:
-                return w, res, it
-        if fp == 0.0:
-            # sitting exactly on the singular derivative; nudge off it
-            w = w + 1e-7
-            step_prev = math.inf
+    out = []
+    append, inf = out.append, math.inf
+    for w in seeds:
+        # exp(w) underflows left of _LOG_DOMAIN_RE; Halley's residual floor
+        # |w|*|f'| is about |w|*|z|, and where that leaves the double range
+        # its quotients overflow too and the step reads 0
+        if w.real < _LOG_DOMAIN_RE or math.isinf(abs(w) * az):
+            append(_newton_log(z, w, az))
             continue
-        dw = f / (fp - f * (w + 2.0) / (2.0 * wp1))
-        w = w - dw
-        step_prev = abs(dw)
-        if 2.0 * step_prev**3 <= _EPS * aw and abs(wp1) >= 2.0:
-            return w, None, it + 1
-    raise NoConvergence(f"Halley iteration did not converge for z={z!r} (last step {step_prev:.3e})")
+        step_prev = inf
+        for it in _ITERATIONS:
+            ew = cmath.exp(w)
+            f = w * ew - z
+            wp1 = w + 1.0
+            fp = wp1 * ew
+            aw = abs(w)
+            # the test needs a previous step; before the first one (or
+            # after a nudge) step_prev is inf and it cannot pass, so it is
+            # not formed
+            if step_prev < inf:
+                res = abs(f)
+                afp = abs(fp)
+                step_tol = _TOL * aw + 8.0 * _EPS * az / max(afp, 1e-300)
+                res_floor = 2.0 * _EPS * (aw * afp + 2.0 * az)
+                if res <= _TOL * az + res_floor and step_prev <= step_tol:
+                    append((w, res, it))
+                    break
+            if fp == 0.0:
+                # sitting exactly on the singular derivative; nudge off it
+                w = w + 1e-7
+                step_prev = inf
+                continue
+            dw = f / (fp - f * (w + 2.0) / (2.0 * wp1))
+            w = w - dw
+            step_prev = abs(dw)
+            if 2.0 * step_prev**3 <= _EPS * aw and abs(wp1) >= 2.0:
+                append((w, None, it + 1))
+                break
+        else:
+            raise NoConvergence(f"Halley iteration did not converge for z={z!r} (last step {step_prev:.3e})")
+    return out
 
 
 def _eval_complex(k, z, az):
@@ -250,51 +269,30 @@ def _eval_complex(k, z, az):
         if seed is not None:
             if abs(p) <= _BP_DIRECT:
                 return seed, None, 0
-            return _halley(z, seed)
+            return _halley(z, az, (seed,))[0]
     if k == 0 and az <= 2.0 and z.real >= BRANCH_POINT_Z:
-        return _halley(z, _pade0(z))
+        return _halley(z, az, (_pade0(z),))[0]
     if real_wm1 and z.real < 0.0 and az <= _WM1_SEED_RADIUS:
         # w = L - log(-L) with L = log(-z), the real-axis expansion as
         # z -> 0-; unlike log(z) + 2*pi*i*k it keeps a tiny Im w exact
-        # instead of rounding it away against pi (|w|*|z| stays finite)
+        # instead of rounding it away against pi
         l1 = cmath.log(-z)
-        seed = l1 - cmath.log(-l1)
-        return _newton_log(z, seed, az) if seed.real < _LOG_DOMAIN_RE else _halley(z, seed)
+        return _halley(z, az, (l1 - cmath.log(-l1),))[0]
     return _branches(z, az, (k,))[0]
 
 
 def _branches(z, az, ks):
     """[(w, residual or None, steps)] of W_k(z), k in ks, from the asymptotic
-    seed; z and az as for _eval_complex.  Log z is formed once and Halley's
-    first step runs inline; a step the predictive stop does not accept
-    resumes in _halley, so each w has the bits _halley(z, seed) gives."""
-    out = []
-    append = out.append
-    lz = cmath.log(z) if ks else None
+    seed, with Log z formed once; z and az as for _eval_complex."""
+    if not ks:
+        return []
+    lz = cmath.log(z)
+    seeds = []
     for k in ks:
         l1 = lz + _TWO_PI * k * 1j
         l2 = cmath.log(l1)
-        w = l1 - l2 + l2 / l1 + l2 * (l2 - 2.0) / (2.0 * l1 * l1)
-        # Halley's residual floor |w|*|f'| is about |w|*|z|; where that
-        # leaves the double range its quotients overflow too and the step
-        # reads 0, so such seeds take the exponential-free iteration as well
-        if w.real < _LOG_DOMAIN_RE or math.isinf(abs(w) * az):
-            append(_newton_log(z, w, az))
-            continue
-        ew = cmath.exp(w)
-        f = w * ew - z
-        wp1 = w + 1.0
-        fp = wp1 * ew
-        if fp == 0.0:
-            append(_halley(z, w))  # on the singular derivative: _halley nudges
-            continue
-        dw = f / (fp - f * (w + 2.0) / (2.0 * wp1))
-        step = abs(dw)
-        if 2.0 * step**3 <= _EPS * abs(w) and abs(wp1) >= 2.0:
-            append((w - dw, None, 1))
-        else:
-            append(_halley(z, w - dw, step, 1))
-    return out
+        seeds.append(l1 - l2 + l2 / l1 + l2 * (l2 - 2.0) / (2.0 * l1 * l1))
+    return _halley(z, az, seeds)
 
 
 def lambert_w(k, z):

@@ -113,6 +113,8 @@ class SearchRect(namedtuple("SearchRect", "re_min re_max im_min im_max")):
             finite = all(map(math.isfinite, vals))
         except TypeError:  # raised for anything but a real number
             finite = None
+        except OverflowError:  # an int past the double range
+            finite = False
         # a bool would pass as 0 or 1
         if finite is None or bool in map(type, vals):
             raise DomainError(f"rectangle bounds must be real numbers, got {vals}")

@@ -8,14 +8,14 @@ function f(s) = s - alpha - beta*e^{-s h}, whose roots are
 one per Lambert W branch.  The principal branch gives the rightmost
 root, so stability reduces to the sign of Re s_0.
 
-``spectrum`` checks z once per call and then skips ``lambert_w``'s
-checks and residual: branches 0 and -1 come from the kernel entry
-behind it, and every branch k >= 1 from the range entry, which forms
-Log z once, seeds each branch one asymptotic term deep and mostly stops
-after one Halley step; each branch k >= 1 also gives the conjugate root
-of its partner branch.  The records are sorted by descending real part,
-ties by ascending imaginary part, in two stable passes, so exact ties
-keep the order in which the branches were listed.
+``spectrum`` takes branches 0 and -1 from ``lambert_w`` and every
+branch k >= 1 from the kernel's range entry, z being checked once per
+call: the range entry forms Log z once, seeds each branch one
+asymptotic term deep and mostly stops after one Halley step.  Each
+branch k >= 1 also gives the conjugate root of its partner branch.
+The records are sorted by descending real part, ties by ascending
+imaginary part, in two stable passes, so exact ties keep the order in
+which the branches were listed.
 """
 
 import cmath
@@ -24,8 +24,7 @@ from collections import namedtuple
 from operator import attrgetter
 
 from .errors import InvalidGain, NonFiniteInput, DomainError
-from .lambertw import BRANCH_POINT_Z, K_MAX, _branches, _eval_complex
-from .lambertw import lambert_w  # noqa: F401  bench/worker.py's tracer rebinds this name
+from .lambertw import BRANCH_POINT_Z, K_MAX, _branches, _eval_complex, lambert_w
 
 __all__ = [
     "SystemParams",
@@ -211,8 +210,7 @@ def spectrum(cl, n_branches):
             f"W argument beta*h*e^(-alpha*h) underflows to 0 for alpha = {cl.alpha!r}, "
             f"beta = {cl.beta!r}, h = {cl.h!r}; W_k(0) diverges for the branches k != 0"
         )
-    zc, az = complex(z), abs(z)
-    w0 = _eval_complex(0, zc, az)[0]
+    w0 = lambert_w(0, z).w
     s0 = _root(cl, w0)
     roots = [SpectrumRoot(0, s0)]
     if z < BRANCH_POINT_Z:
@@ -222,14 +220,16 @@ def spectrum(cl, n_branches):
         # -1/e <= z < 0: branch -1 is the second real root.  The kernel
         # returns it equal to W_0 (both -1) only where its compensated
         # e*z + 1 is zero, and there the two are one double root
-        w1 = _eval_complex(-1, zc, az)[0]
+        w1 = lambert_w(-1, z).w
         if w1 == w0:
             roots[0] = SpectrumRoot(0, s0, 2)
         else:
             roots.append(SpectrumRoot(-1, _root(cl, w1)))
-    # for z < 0 branch k pairs with branch -k-1, for z > 0 with -k.  Each
-    # root is alpha + w/h as in _root; each record is built as
-    # SpectrumRoot._make builds it
+    # for z < 0 branch k pairs with branch -k-1, for z > 0 with -k.  z is
+    # checked once here, so branches k >= 1 skip lambert_w's checks and
+    # residual.  Each root is alpha + w/h as in _root; each record is
+    # built as SpectrumRoot._make builds it
+    zc, az = complex(z), abs(z)
     alpha, h = cl.alpha, cl.h
     shift = 0 if z > 0.0 else 1
     record, append = tuple.__new__, roots.append

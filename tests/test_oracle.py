@@ -294,7 +294,7 @@ class TestFindRoots:
     @pytest.mark.parametrize("locate", [count_roots, find_roots])
     def test_rect_given_as_a_sequence(self, locate):
         # any 4-sequence is read as (re_min, re_max, im_min, im_max) and
-        # validated as a SearchRect
+        # validated as a SearchRect; int bounds are read as floats
         cl = ClosedLoopParams(-1.0, -2.0, 1.0)
         assert locate(cl, (-3.0, 1.0, -5.0, 5.0)) == locate(cl, SearchRect(-3.0, 1.0, -5.0, 5.0))
         assert locate(cl, [-3.0, 1.0, -5.0, 5.0]) == locate(cl, SearchRect(-3.0, 1.0, -5.0, 5.0))
@@ -303,7 +303,9 @@ class TestFindRoots:
                     # not four real numbers, and a bool is not read as 0 or 1:
                     # DomainError, not a bare TypeError
                     ("a", 1.0, -5.0, 5.0), (-3.0, 1.0, -5.0, 5j), (-3.0, None, -5.0, 5.0),
-                    (True, 2.0, -5.0, 5.0), (-3.0, 1.0, False, 5.0), (-3.0, 1.0, -5.0), 5.0):
+                    (True, 2.0, -5.0, 5.0), (-3.0, 1.0, False, 5.0), (-3.0, 1.0, -5.0), 5.0,
+                    # an int past the double range: DomainError, not OverflowError
+                    (-10**400, 1.0, -5.0, 5.0)):
             with pytest.raises(DomainError):
                 locate(cl, bad)
 
