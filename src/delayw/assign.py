@@ -57,7 +57,12 @@ def as_target(S):
     """Normalize a number (or Target) into a Target with v >= 0."""
     if isinstance(S, Target):
         return S
-    S = complex(S)
+    try:
+        S = complex(S)
+    except (TypeError, ValueError):
+        raise DomainError(f"target must be a number, got {S!r}") from None
+    except OverflowError:  # an int past the double range
+        raise NonFiniteInput(f"target must be finite, got {S!r}") from None
     if not (math.isfinite(S.real) and math.isfinite(S.imag)):
         raise NonFiniteInput(f"target must be finite, got {S!r}")
     u = S.real

@@ -321,11 +321,11 @@ def lambert_w(k, z):
         If |k| > K_MAX, the bound of the checked range; branches beyond
         it are rejected rather than approximated.
     NonFiniteInput
-        If z is NaN or infinite.
+        If z is NaN or infinite, or an int past the double range.
     DomainError
-        If k is not an int (a bool is rejected too), or z == 0 with
-        k != 0 (every branch but the principal one diverges at the
-        origin).
+        If k is not an int (a bool is rejected too), z is not a number
+        (anything complex() rejects), or z == 0 with k != 0 (every
+        branch but the principal one diverges at the origin).
     NoConvergence
         If the iteration cap is hit; indicates a kernel bug.
     """
@@ -333,7 +333,12 @@ def lambert_w(k, z):
         raise DomainError(f"branch index must be an integer, got {k!r}")
     if abs(k) > K_MAX:
         raise BranchOutOfRange(f"|k| = {abs(k)} exceeds K_MAX = {K_MAX}")
-    z = complex(z)
+    try:
+        z = complex(z)
+    except (TypeError, ValueError):
+        raise DomainError(f"z must be a number, got {z!r}") from None
+    except OverflowError:  # an int past the double range
+        raise NonFiniteInput(f"z must be finite, got {z!r}") from None
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise NonFiniteInput(f"z must be finite, got {z!r}")
     if z == 0:
@@ -370,7 +375,12 @@ def lambert_w_real(branch, x):
         W_0(x) >= -1, monotone increasing, or W_{-1}(x) <= -1, monotone
         decreasing, respectively.
     """
-    x = float(x)
+    try:
+        x = float(x)
+    except (TypeError, ValueError):
+        raise DomainError(f"x must be a real number, got {x!r}") from None
+    except OverflowError:  # an int past the double range
+        raise NonFiniteInput(f"x must be finite, got {x!r}") from None
     if not math.isfinite(x):
         raise NonFiniteInput(f"x must be finite, got {x!r}")
     if branch == 0:

@@ -25,12 +25,12 @@ W argument z = beta*h*e^{-alpha h} is real, and the branch ranges of W
 (Corless et al. 1996) put at most one root in each strip off the axis:
 above it, only in (j*pi/h, (j+1)*pi/h) with j odd when z > 0 and with j
 even when z < 0.  So Newton runs from the centre of each strip that can
-hold a root, and a cell whose count n it meets in n distinct strips
-needs no strip wound; only a shortfall winds the strips, each of which
-takes its cut edges in closed form.  Newton from a strip's centre first
-steps on the log form log(s - alpha) + sh = log(beta) + 2*pi*i*m, which
-is close to linear in s, then polishes on f itself, and accepts once |f|
-is within the same derived rounding bound the edge slacks use.
+hold a root, and n roots met in n distinct strips of a cell that winds
+to n are all of its roots; no strip is ever wound, and a shortfall
+raises.  Newton from a strip's centre first steps on the log form
+log(s - alpha) + sh = log(beta) + 2*pi*i*m, which is close to linear in
+s, then polishes on f itself, and accepts once |f| is within the same
+derived rounding bound the edge slacks use.
 
 Every root off the real axis is simple.  f = f' = 0 forces
 beta*e^{-sh} = -1/h and hence s = alpha - 1/h, where f'' = h != 0: the
@@ -39,27 +39,29 @@ point.  That even-order root produces no phase signature along a line
 through it: f stays in one half-plane, so a contour walk sails past
 without a jump and the count silently splits.  The real roots are
 therefore found by sign analysis (f on the reals has a single-signed
-second derivative, hence at most one extremum and two real roots), and
-the band between the root-free lines -pi/h and pi/h, which holds them
-and at most one conjugate pair, is wound once to tell whether the pair
-is there.  Walks of the caller's rectangle near a real root, or the
-axis extremum, insert extra knots scaled to the edge's distance from
-that point, to resolve the phase swing it concentrates there.
-The coefficients are real, so f(conj s) = conj f(s): only the upper
+second derivative, hence at most one extremum and two real roots).
+Walks of the caller's rectangle near a real root, or the axis
+extremum, insert extra knots scaled to the edge's distance from that
+point, to resolve the phase swing it concentrates there.  The
+coefficients are real, so f(conj s) = conj f(s): only the upper
 half-plane is searched, and the roots below are the exact conjugates.
+A rectangle across the axis is counted once more on its mirror hull,
+[-T, T] with T its farther side from the axis but at least pi/h; less
+the real roots, that count is twice the pairs the strips of [0, T]
+hold.  On cross_validate's rectangles, symmetric about the axis, the
+hull is the rectangle itself.
 
 Every sample point of a walk depends only on the line it lies on: the
 uniform knots sit on the lattice j*pi/(4h) along it, as do the split
-knots and, on vertical edges, the strip corners j*pi/h, the focus knots
-at fixed multiples of their distance, and a bisection midpoint is the
-midpoint of two such points.  Neighbouring cells sharing an edge, and
-strips re-walking a stretch of their cell's edge, therefore land on
-the same points, and each find_roots or count_roots call keeps one
-table of the phases it has evaluated, so each point is evaluated at
-most once per call.  The same table keeps the phase change of every
-edge a winding has summed, under the edge's ends in both directions:
-neighbouring strips share the line between them, and the band's top
-edge, the line pi/h, is the bottom edge of the lowest strip.
+knots, the focus knots at fixed multiples of their distance, and a
+bisection midpoint is the midpoint of two such points.  A mirror hull
+walking a stretch of its rectangle's vertical edges therefore meets
+the rectangle's lattice points there, and each find_roots or
+count_roots call keeps one table of the phases it has evaluated, so
+each point is evaluated at most once per call.  The same table keeps
+the phase change of every edge a winding has summed, under the edge's
+ends in both directions, so a mirror hull that shares edges with its
+rectangle sums them once.
 
 One function, _df, evaluates f and f' everywhere: on the contour, in
 Newton polishing and in the real-axis sign analysis; only the log-form
@@ -113,7 +115,7 @@ class SearchRect(namedtuple("SearchRect", "re_min re_max im_min im_max")):
             finite = all(map(math.isfinite, vals))
         except TypeError:  # raised for anything but a real number
             finite = None
-        except OverflowError:  # an int past the double range
+        except (OverflowError, ValueError):  # an int past the double range, a signaling NaN
             finite = False
         # a bool would pass as 0 or 1
         if finite is None or bool in map(type, vals):
@@ -208,12 +210,12 @@ def _edge_knots(sa, sb, h, focus):
     """Sample points strictly inside the segment sa -> sb, in walk order.
 
     Each knot depends only on the line the segment lies on, never on its
-    endpoints, so every walk along one line (the shared edge of two
-    cells, a strip's stretch of its cell's edge) lands on the same
-    points.  Uniform knots sit on the lattice j*pi/(4h) along the line,
-    which keeps each piece under a quarter turn of the delay term's
-    rotation (rate h along the segment).  An edge longer than 65,536
-    pieces raises: a coarser step would let a piece hide whole turns.
+    endpoints, so every walk along one line (a rectangle's edge, its
+    mirror hull's stretch of it) lands on the same points.  Uniform
+    knots sit on the lattice j*pi/(4h) along the line, which keeps each
+    piece under a quarter turn of the delay term's rotation (rate h
+    along the segment).  An edge longer than 65,536 pieces raises: a
+    coarser step would let a piece hide whole turns.
     Focus knots, at fx + k*d, resolve the phase swing concentrated where
     the line passes a focus point fx on the axis, at distance d: closest
     at Re s = fx (horizontal) or Im s = 0 (vertical).
@@ -553,7 +555,9 @@ def _newton(cl, s0):
     """Newton iteration on f, started from the log-form seed of s0.
 
     Returns the last iterate if f there is within _f_noise, that is,
-    indistinguishable from zero in _df's arithmetic; None otherwise.
+    indistinguishable from zero in _df's arithmetic, and its conjugate,
+    the root on s0's side of the axis, if it landed across; None
+    otherwise.
     """
     s = _log_seed(cl, s0)
     for _ in range(80):
@@ -568,107 +572,75 @@ def _newton(cl, s0):
         if abs(step) <= 1e-15 * max(1.0, abs(s)):
             break
     if abs(_df(cl, s, 0)) <= _f_noise(cl, s.real, s.imag):
-        return s
+        return s if (s.imag < 0.0) == (s0.imag < 0.0) else s.conjugate()
     return None
 
 
-def _resolve(cl, cell, n, out, phases):
-    """Append the n simple roots that the winding count puts in cell to out.
+def _resolve(cl, cell, n):
+    """The n simple roots that a winding count puts in cell, as a list.
 
-    The lines Im s = j*pi/h cut cell, which lies off the real axis, into
-    strips that each hold at most one root, and strips of one parity
-    none.  Newton runs from the centre of each other strip and keeps a
-    result strictly inside its strip and the cell's real range: n such
-    roots, in n distinct strips of a cell that winds to n, leave no
-    other root, and no strip is wound.  Short of n, the strips are wound
-    and polished one by one, raising on two roots in a strip, on a
-    failed or escaped Newton run (a value outside the strip is another
-    root), and on counts short of the cell's.
+    The lines Im s = j*pi/h cut cell, which lies on one side of the real
+    axis, into strips that each hold at most one root, and strips of one
+    parity none.  Newton runs from the centre of each other strip and
+    keeps a result strictly inside its strip and the cell's real range:
+    n such roots, in n distinct strips of a cell that winds to n, leave
+    no other root.  Short of n, raises NoConvergence.
     """
     gap = math.pi / cl.h
     re_lo, re_hi, im_lo, im_hi = cell
-
-    def strips():
-        # from the top down: on cross_validate's rectangles an empty strip
-        # may lie next to the axis, and the winding pass stops before it
-        cuts = (y for j in range(math.ceil(im_hi / gap), math.floor(im_lo / gap) - 1, -1)
-                if im_lo < (y := j * gap) < im_hi)
-        return (SearchRect(re_lo, re_hi, lo, hi) for hi, lo in pairwise(chain((im_hi,), cuts, (im_lo,))))
-
+    mid_re = (re_lo + re_hi) / 2.0
+    # from the top down: on cross_validate's rectangles an empty strip
+    # may lie next to the axis, and the pass stops before it
+    cuts = (y for j in range(math.ceil(im_hi / gap), math.floor(im_lo / gap) - 1, -1)
+            if im_lo < (y := j * gap) < im_hi)
     held = []
-    for strip in strips():
+    for hi, lo in pairwise(chain((im_hi,), cuts, (im_lo,))):
         if len(held) == n:
             break
-        mid = strip.center
+        mid = complex(mid_re, (lo + hi) / 2.0)
         # the strip (j*pi/h, (j+1)*pi/h) and its mirror below the axis
         # can hold a root only with j odd when z > 0, j even when z < 0
         if math.floor(abs(mid.imag) / gap) % 2 == (cl.beta > 0.0):
             s = _newton(cl, mid)
-            if s is not None and re_lo < s.real < re_hi and strip.im_min < s.imag < strip.im_max:
+            if s is not None and re_lo < s.real < re_hi and lo < s.imag < hi:
                 held.append(LocatedRoot(s, 1))
-    if len(held) == n:
-        out.extend(held)
-        return
-    found = 0
-    for strip in strips():
-        if found == n:
-            return
-        k = _winding(cl, strip, (), phases)
-        if k > 1:
-            raise NoConvergence(f"{k} roots share one pi/h strip inside cell around {strip.center}")
-        if k == 1:
-            s = _newton(cl, strip.center)
-            if s is None or not strip.contains(s, tol=1e-9 * strip.diameter + 1e-13):
-                raise NoConvergence(f"Newton failed to converge inside cell around {strip.center}")
-            out.append(LocatedRoot(s, 1))
-            found += 1
-    if found < n:
-        raise BoundaryRootSuspected(f"strips inside cell around {cell.center} hold {found} of its {n} roots")
+    if len(held) < n:
+        raise NoConvergence(f"Newton placed {len(held)} of the {n} roots of the cell around {cell.center}")
+    return held
 
 
 def find_roots(cl, rect):
     """Locate every characteristic root in rect, a SearchRect or 4-sequence.
 
     Real roots are resolved directly on the axis (where any multiple
-    root of this function family must lie), the off-axis remainder by
-    Newton runs in the pi/h strips between the lines Im s = j*pi/h, each
-    holding at most one root (the one across the axis, one pair), checked
-    against winding counts; every root is Newton-polished until |f(s)| is
-    below a bound derived from the rounding error of evaluating f at s,
-    and the roots below the axis are the conjugates of those above.
+    root of this function family must lie), the others by Newton runs in
+    the pi/h strips between the lines Im s = j*pi/h, each holding at
+    most one root, against the winding count of rect or, across the
+    axis, of its mirror hull; every root is Newton-polished until |f(s)|
+    is below a bound derived from the rounding error of evaluating f at
+    s, and the roots below the axis are the conjugates of those above.
     Roots are ordered by descending real part, ties by ascending
-    imaginary part.  Raises NoConvergence if a root cannot be placed in
-    its strip, and BoundaryRootSuspected if a contour cannot be counted
-    or the roots found do not add up to rect's count.
+    imaginary part.  Raises NoConvergence if Newton places fewer roots
+    than a count, and BoundaryRootSuspected if a contour cannot be
+    counted or the roots found do not add up to rect's count.
     """
     phases = {}
     n, rect, reals = _counted_rect(cl, rect, phases)
-    found = []
     if rect.im_min < 0.0 < rect.im_max:
-        # the band between the root-free lines -pi/h and pi/h holds the
-        # real roots and at most one pair; Newton may land on either root
-        gap = math.pi / cl.h
-        band = SearchRect(rect.re_min, rect.re_max, -gap, gap)
-        pair = _winding(cl, band, (), phases) - sum(r.multiplicity for r in reals)
-        above = []
-        if pair == 2:
-            s = _newton(cl, complex(band.center.real, 0.5 * gap))
-            if s is None or s.imag == 0.0 or not band.contains(s, tol=1e-9 * band.diameter + 1e-13):
-                raise NoConvergence(f"Newton failed to converge inside the band around {band.center}")
-            above.append(LocatedRoot(complex(s.real, abs(s.imag)), 1))
-        elif pair != 0:
-            raise BoundaryRootSuspected(f"band around {band.center} holds {pair} non-real roots, not 0 or 2")
-        top = max(rect.im_max, -rect.im_min)
-        if top > gap:
-            cell = SearchRect(rect.re_min, rect.re_max, gap, top)
-            _resolve(cl, cell, _winding(cl, cell, (), phases), above, phases)
-        found.extend(reals)
-        found.extend(r for r in above if r.s.imag < rect.im_max)
-        found.extend(LocatedRoot(r.s.conjugate(), 1) for r in above if r.s.imag < -rect.im_min)
+        # the hull [-top, top] holds the real roots and conjugate pairs;
+        # with top >= pi/h the strip on the axis is whole
+        top = max(rect.im_max, -rect.im_min, math.pi / cl.h)
+        hull = SearchRect(rect.re_min, rect.re_max, -top, top)
+        rest = _winding(cl, hull, (), phases) - sum(r.multiplicity for r in reals)
+        if rest < 0 or rest % 2:
+            raise BoundaryRootSuspected(f"hull around {hull.center} holds {rest} non-real roots, not an even count")
+        above = _resolve(cl, SearchRect(rect.re_min, rect.re_max, 0.0, top), rest // 2)
+        found = [*reals, *(r for r in above if r.s.imag < rect.im_max),
+                 *(LocatedRoot(r.s.conjugate(), 1) for r in above if r.s.imag < -rect.im_min)]
         if sum(r.multiplicity for r in found) != n:
             raise BoundaryRootSuspected(f"roots found in rectangle around {rect.center} do not add up to its {n}")
     else:
-        _resolve(cl, rect, n, found, phases)
+        found = _resolve(cl, rect, n)
     found.sort(key=lambda r: (-r.s.real, r.s.imag))
     return RootSet(roots=tuple(found), total_count=n)
 

@@ -30,6 +30,7 @@ from itertools import islice, repeat
 from operator import gt, mul
 
 from .errors import DomainError, InsufficientData, InvalidStep, NonFiniteInput
+from .spectrum import _require_finite
 
 __all__ = [
     "ConstantHistory",
@@ -54,8 +55,7 @@ class ConstantHistory(namedtuple("ConstantHistory", "c")):
     __slots__ = ()
 
     def __new__(cls, c):
-        if not math.isfinite(c):
-            raise NonFiniteInput(f"history constant must be finite, got {c!r}")
+        _require_finite("c", c)
         return super().__new__(cls, c)
 
     def __call__(self, tau):
@@ -68,8 +68,7 @@ class LinearHistory(namedtuple("LinearHistory", "c0 c1")):
     __slots__ = ()
 
     def __new__(cls, c0, c1):
-        if not (math.isfinite(c0) and math.isfinite(c1)):
-            raise NonFiniteInput("history coefficients must be finite")
+        _require_finite("c0 c1", c0, c1)
         return super().__new__(cls, c0, c1)
 
     def __call__(self, tau):
@@ -88,7 +87,12 @@ class SampledHistory(namedtuple("SampledHistory", "points")):
     __slots__ = ()
 
     def __new__(cls, points):
-        pts = tuple((float(t), float(x)) for t, x in points)
+        try:
+            pts = tuple((float(t), float(x)) for t, x in points)
+        except (TypeError, ValueError):  # not pairs of real numbers
+            raise DomainError(f"sampled history needs (stamp, value) pairs of reals, got {points!r}") from None
+        except OverflowError:  # an int past the double range
+            raise NonFiniteInput("sample stamps and values must be finite") from None
         if len(pts) < 2:
             raise DomainError("sampled history needs at least two points")
         for t, x in pts:
@@ -119,8 +123,7 @@ class InitialData(namedtuple("InitialData", "x0 phi")):
     __slots__ = ()
 
     def __new__(cls, x0, phi):
-        if not math.isfinite(x0):
-            raise NonFiniteInput(f"x0 must be finite, got {x0!r}")
+        _require_finite("x0", x0)
         if not callable(phi):
             raise DomainError("phi must be callable on [-h, 0)")
         return super().__new__(cls, x0, phi)
@@ -151,6 +154,14 @@ class Trajectory(namedtuple("Trajectory", "times values step truncated")):
         return "\n".join(lines) + "\n"
 
 
+def _finite_real(x):
+    """Whether x is a finite int or float (a bool is not)."""
+    try:
+        return type(x) is not bool and isinstance(x, (int, float)) and math.isfinite(x)
+    except OverflowError:  # an int past the double range
+        return False
+
+
 def simulate(cl, init, t_final, step=None):
     """Integrate the closed loop from the given initial data.
 
@@ -173,12 +184,11 @@ def simulate(cl, init, t_final, step=None):
     h = cl.h
     if step is None:
         step = h / 1000.0
-    if not (isinstance(step, (int, float)) and not isinstance(step, bool)
-            and math.isfinite(step) and step > 0.0):
+    if not (_finite_real(step) and step > 0.0):
         raise InvalidStep(f"step must be a positive finite real, got {step!r}")
-    if not (math.isfinite(t_final) and t_final >= h):
+    if not (_finite_real(t_final) and t_final >= h):
         raise InvalidStep(
-            f"t_final must be finite and >= h = {h:.6g} (one full delay interval), got {t_final!r}")
+            f"t_final must be a finite real >= h = {h:.6g} (one full delay interval), got {t_final!r}")
     phi = init.phi
     if isinstance(phi, SampledHistory) and abs(phi.points[0][0] + h) > 1e-9 * max(1.0, h):
         raise DomainError(f"sampled history must span [-h, 0): first stamp "

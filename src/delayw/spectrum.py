@@ -39,10 +39,25 @@ __all__ = [
 ]
 
 
-def _require_finite(**values):
-    for name, v in values.items():
-        if not math.isfinite(v):
-            raise NonFiniteInput(f"{name} must be finite, got {v!r}")
+def _require_finite(names, *values):
+    """Raise DomainError for a value that is not a real number (a bool
+    included) and NonFiniteInput for NaN, an infinity or an int past
+    the double range; names, space-separated, label the values."""
+    for v in values:
+        try:
+            # a bool would pass as 0 or 1
+            if math.isfinite(v) and type(v) is not bool:
+                continue
+            real = type(v) is not bool
+        except TypeError:  # raised for anything but a real number
+            real = False
+        except (OverflowError, ValueError):  # an int past the double range, a signaling NaN
+            real = True
+        # an earlier value that is v itself would have failed first
+        name = next(n for n, x in zip(names.split(), values) if x is v)
+        if not real:
+            raise DomainError(f"{name} must be a real number, got {v!r}")
+        raise NonFiniteInput(f"{name} must be finite, got {v!r}")
 
 
 class SystemParams(namedtuple("SystemParams", "a a1d b h input_delay")):
@@ -55,7 +70,7 @@ class SystemParams(namedtuple("SystemParams", "a a1d b h input_delay")):
     __slots__ = ()
 
     def __new__(cls, a, a1d, b, h, input_delay=False):
-        _require_finite(a=a, a1d=a1d, b=b, h=h)
+        _require_finite("a a1d b h", a, a1d, b, h)
         if h <= 0:
             raise DomainError(f"delay h must be positive, got {h}")
         if b == 0:
@@ -71,7 +86,7 @@ class Gains(namedtuple("Gains", "k k1d")):
     __slots__ = ()
 
     def __new__(cls, k, k1d=0.0):
-        _require_finite(k=k, k1d=k1d)
+        _require_finite("k k1d", k, k1d)
         return super().__new__(cls, k, k1d)
 
 
@@ -81,7 +96,7 @@ class ClosedLoopParams(namedtuple("ClosedLoopParams", "alpha beta h")):
     __slots__ = ()
 
     def __new__(cls, alpha, beta, h):
-        _require_finite(alpha=alpha, beta=beta, h=h)
+        _require_finite("alpha beta h", alpha, beta, h)
         if h <= 0:
             raise DomainError(f"delay h must be positive, got {h}")
         return super().__new__(cls, alpha, beta, h)
@@ -132,10 +147,16 @@ def close_loop(sys, gains):
 def char_residual(cl, s):
     """Value of the characteristic function s - alpha - beta*e^{-s h}.
 
-    Zero exactly at the characteristic roots.  Raises NonFiniteInput if
-    s is not finite or e^{-s h} overflows.
+    Zero exactly at the characteristic roots.  Raises DomainError if s
+    is not a number, NonFiniteInput if it is not finite or e^{-s h}
+    overflows.
     """
-    s = complex(s)
+    try:
+        s = complex(s)
+    except (TypeError, ValueError):
+        raise DomainError(f"s must be a number, got {s!r}") from None
+    except OverflowError:  # an int past the double range
+        raise NonFiniteInput(f"s must be finite, got {s!r}") from None
     if not cmath.isfinite(s):
         raise NonFiniteInput(f"s must be finite, got {s!r}")
     x = -s * cl.h

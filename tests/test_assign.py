@@ -225,6 +225,17 @@ def test_target_normalization():
     assert (t.u, t.v) == (2.0, 3.0)
     with pytest.raises(NonFiniteInput):
         as_target(complex(math.nan, 0.0))
+    with pytest.raises(NonFiniteInput):
+        as_target(10**400)
+    assert as_target("2-3j") == t
+    # every assign_* and feasibility_report normalize the target first
+    input_delay = SystemParams(a=1.0, a1d=0.0, b=1.0, h=1.0, input_delay=True)
+    for call in (as_target, lambda S: feasibility_report(PLANT, S), lambda S: assign_input_delay(input_delay, S),
+                 *(lambda S, fn=fn: fn(PLANT, S)
+                   for fn in (assign_both, assign_delay_only, assign_current_only, assign_real_both))):
+        for bad in ("abc", None):
+            with pytest.raises(DomainError, match="target must be a number"):
+                call(bad)
 
 
 plants = st.builds(

@@ -84,9 +84,21 @@ class TestErrors:
             lambert_w(True, 1.0)  # a bool is not a branch index
 
     def test_nonfinite(self):
-        for bad in (math.nan, math.inf, complex(0, math.inf)):
+        for bad in (math.nan, math.inf, complex(0, math.inf), 10**400):
             with pytest.raises(NonFiniteInput):
                 lambert_w(0, bad)
+        with pytest.raises(NonFiniteInput):
+            lambert_w_real(0, 10**400)
+
+    def test_not_a_number(self):
+        # anything complex() rejects; what it takes, a numeric string
+        # included, is evaluated
+        for bad in ("x", None, [1.0]):
+            with pytest.raises(DomainError, match="z must be a number"):
+                lambert_w(0, bad)
+            with pytest.raises(DomainError, match="x must be a real number"):
+                lambert_w_real(0, bad)
+        assert lambert_w(0, "1+1j") == lambert_w(0, 1 + 1j)
 
     def test_origin_off_principal(self):
         with pytest.raises(DomainError):

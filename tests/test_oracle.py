@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import math
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -304,8 +305,9 @@ class TestFindRoots:
                     # DomainError, not a bare TypeError
                     ("a", 1.0, -5.0, 5.0), (-3.0, 1.0, -5.0, 5j), (-3.0, None, -5.0, 5.0),
                     (True, 2.0, -5.0, 5.0), (-3.0, 1.0, False, 5.0), (-3.0, 1.0, -5.0), 5.0,
-                    # an int past the double range: DomainError, not OverflowError
-                    (-10**400, 1.0, -5.0, 5.0)):
+                    # an int past the double range and a signaling NaN: DomainError,
+                    # not OverflowError or ValueError
+                    (-10**400, 1.0, -5.0, 5.0), (Decimal("sNaN"), 1.0, -5.0, 5.0)):
             with pytest.raises(DomainError):
                 locate(cl, bad)
 
@@ -435,45 +437,50 @@ H23 = (11.044532312121724, -0.04801816730893112, 23.14904106214897)
 
 
 @pytest.mark.parametrize("alpha, beta, h, n, budget", [
-    pytest.param(-1.0, -2.0, 1.0, 3, 8, id="h1-n3"),
-    pytest.param(-1.0, -2.0, 1.0, 10, 8, id="h1-n10"),
-    pytest.param(-1.0, -2.0, 1.0, 30, 8, id="h1-n30"),
+    pytest.param(-1.0, -2.0, 1.0, 3, 4, id="h1-n3"),
+    pytest.param(-1.0, -2.0, 1.0, 10, 4, id="h1-n10"),
+    pytest.param(-1.0, -2.0, 1.0, 30, 4, id="h1-n30"),
     # |beta|e^{-uh} reaches ~1e15 at the left edge of these rectangles, so
     # the lines j*pi/h pass the first bound only right of a split knot;
     # walking them whole took 5,145 and 5,308 evaluations
-    pytest.param(*H20, 30, 118, id="h20-n30"),
-    pytest.param(*H23, 30, 82, id="h23-n30"),
+    pytest.param(*H20, 30, 92, id="h20-n30"),
+    pytest.param(*H23, 30, 76, id="h23-n30"),
 ])
 def test_phase_evaluation_budget(alpha, beta, h, n, budget):
-    # the oracle's work is its phase evaluations; cheaper walks may lower
-    # the counts, never raise them
+    # the oracle's work is its phase evaluations, here all on the
+    # rectangle's own contour: its mirror hull is the rectangle itself;
+    # cheaper walks may lower the counts, never raise them
     _, calls = phase_evaluations(ClosedLoopParams(alpha, beta, h), n)
     assert 0 < calls <= budget
 
 
-@pytest.mark.parametrize("alpha, beta, h, n, budget", [
-    pytest.param(-1.0, -2.0, 1.0, 3, 3, id="h1-n3"),
-    pytest.param(-1.0, -2.0, 1.0, 10, 3, id="h1-n10"),
-    pytest.param(-1.0, -2.0, 1.0, 30, 3, id="h1-n30"),
-    pytest.param(*H20, 30, 3, id="h20-n30"),
-    pytest.param(*H23, 30, 3, id="h23-n30"),
-])
-def test_winding_budget(monkeypatch, alpha, beta, h, n, budget):
-    # a winding is one argument-principle count around a cell: here the
-    # rectangle, the band at the axis and the cell above it, whose strips
-    # Newton resolves without winding them; these budgets may only ever
-    # be lowered
-    calls = 0
+def _recorded_windings(monkeypatch):
+    """The rectangles that find_roots winds from now on, in order."""
+    windings = []
     winding = oracle._winding
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return winding(*args)
+    def recorded(cl, rect, focus, phases):
+        windings.append(rect)
+        return winding(cl, rect, focus, phases)
 
-    monkeypatch.setattr(oracle, "_winding", counted)
+    monkeypatch.setattr(oracle, "_winding", recorded)
+    return windings
+
+
+@pytest.mark.parametrize("alpha, beta, h, n", [
+    pytest.param(-1.0, -2.0, 1.0, 3, id="h1-n3"),
+    pytest.param(-1.0, -2.0, 1.0, 10, id="h1-n10"),
+    pytest.param(-1.0, -2.0, 1.0, 30, id="h1-n30"),
+    pytest.param(*H20, 30, id="h20-n30"),
+    pytest.param(*H23, 30, id="h23-n30"),
+])
+def test_winding_budget(monkeypatch, alpha, beta, h, n):
+    # a winding is one argument-principle count around a rectangle: here
+    # the rectangle and its mirror hull, whose strips Newton resolves
+    # without winding them; this budget may only ever be lowered
+    windings = _recorded_windings(monkeypatch)
     cross_validate(ClosedLoopParams(alpha, beta, h), n)
-    assert 0 < calls <= budget
+    assert 0 < len(windings) <= 2
 
 
 # sha256 over repr(find_roots(...)) on each verify pool of the benchmark,
@@ -482,22 +489,65 @@ VERIFY_POOL_DIGESTS = {
     1: "14752081afc1d89304d6cd6ea56465ac59075368a267267241cf15d5a9cf1967",
     7919: "53af3f121793cec4d36bf5ff212cfe34eed1afc1274191aabeb6058689887758",
 }
+# Newton runs of find_roots over each pool; these may only ever fall
+VERIFY_POOL_NEWTON_RUNS = {1: 6267, 7919: 6268}
 
 
-@pytest.mark.parametrize("seed", sorted(VERIFY_POOL_DIGESTS))
-def test_find_roots_bits_on_verify_pools(monkeypatch, seed):
-    # the located roots are pinned to the last bit: a faster search may
-    # wind and evaluate less, but must land on exactly these roots
+def _verify_rects(monkeypatch, seed):
+    """(cl, rect) for each task of the benchmark's verify pool, rect the
+    rectangle cross_validate builds."""
     monkeypatch.syspath_prepend(str(BENCH))
     workloads = importlib.import_module("workloads")
     try:
         pool = workloads.verify_pool(delayw, seed)
     finally:
         sys.modules.pop("workloads", None)
+    return [(cl, _enclosing_rect(spectrum(cl, n).roots, cl.h)) for cl, n in pool]
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_POOL_DIGESTS))
+def test_find_roots_bits_on_verify_pools(monkeypatch, seed):
+    # the located roots are pinned to the last bit: a faster search may
+    # wind and evaluate less, but must land on exactly these roots
+    tasks = _verify_rects(monkeypatch, seed)
+    windings = _recorded_windings(monkeypatch)
+    newton_runs = 0
+    newton = oracle._newton
+
+    def counted(cl, s0):
+        nonlocal newton_runs
+        newton_runs += 1
+        return newton(cl, s0)
+
+    monkeypatch.setattr(oracle, "_newton", counted)
     digest = hashlib.sha256()
-    for cl, n in pool:
-        digest.update(repr(find_roots(cl, _enclosing_rect(spectrum(cl, n).roots, cl.h))).encode())
+    for cl, rect in tasks:
+        digest.update(repr(find_roots(cl, rect)).encode())
     assert digest.hexdigest() == VERIFY_POOL_DIGESTS[seed]
+    assert newton_runs <= VERIFY_POOL_NEWTON_RUNS[seed]
+    assert len(windings) <= 2 * len(tasks)
+
+
+def test_find_roots_makes_no_w_call(monkeypatch):
+    # the oracle is the W-free path of the two-path check: with every
+    # function of delayw.lambertw raising, wherever it was imported, it
+    # still locates the same roots on cross_validate's rectangles
+    tasks = _verify_rects(monkeypatch, 1)[::4]
+    want = [repr(find_roots(cl, rect)) for cl, rect in tasks]
+
+    def no_w(*args):
+        raise AssertionError("the oracle called into delayw.lambertw")
+
+    patched = 0
+    for module in [m for name, m in sys.modules.items() if name == "delayw" or name.startswith("delayw.")]:
+        for name, value in list(vars(module).items()):
+            if callable(value) and getattr(value, "__module__", None) == "delayw.lambertw":
+                monkeypatch.setattr(module, name, no_w)
+                patched += 1
+    assert patched >= 8
+    with pytest.raises(AssertionError, match="called into"):
+        spectrum(tasks[0][0], 3)
+    assert [repr(find_roots(cl, rect)) for cl, rect in tasks] == want
 
 
 def test_at_most_one_root_per_strip():
@@ -525,31 +575,11 @@ def test_at_most_one_root_per_strip():
 OFF_AXIS_CELL = (ClosedLoopParams(-1.0, -2.0, 1.0), SearchRect(-3.1, 0.5, 0.5 * math.pi, 21.5 * math.pi))
 
 
-def _strip_windings(monkeypatch, strip_count=None):
-    """Count the strip windings of a find_roots call on a rectangle off
-    the axis, whose first winding is the rectangle's own; strip_count, if
-    given, replaces every strip's count."""
-    windings = []
-    winding = oracle._winding
-
-    def counted(*args):
-        windings.append(args[1])
-        n = winding(*args)
-        return n if strip_count is None or len(windings) == 1 else strip_count
-
-    monkeypatch.setattr(oracle, "_winding", counted)
-    return windings
-
-
 @pytest.mark.parametrize("miss", ["fails-once", "lands-one-strip-down"])
-def test_strip_winding_fallback_keeps_the_bits(monkeypatch, miss):
-    # a Newton run that fails, or lands in another strip, leaves the
-    # Newton-first pass short of the cell's count; the strips are then
-    # wound one by one, and the roots come out bit for bit as before
+def test_newton_shortfall_raises(monkeypatch, miss):
+    # a Newton run that fails, or lands in another root's strip, leaves
+    # the cell short of its count; no strip winding stands in for it
     cl, rect = OFF_AXIS_CELL
-    want = find_roots(cl, rect)
-    windings = _strip_windings(monkeypatch)
-    assert find_roots(cl, rect) == want and len(windings) == 1
     newton = oracle._newton
     missed = []
 
@@ -562,28 +592,28 @@ def test_strip_winding_fallback_keeps_the_bits(monkeypatch, miss):
         return None if miss == "fails-once" else newton(cl, s0 - 2j * math.pi / cl.h)
 
     monkeypatch.setattr(oracle, "_newton", missing)
-    windings.clear()
-    got = find_roots(cl, rect)
-    assert missed and repr(got) == repr(want)
-    assert windings[0] == rect and len(windings) > 1
-    assert all(s.im_max - s.im_min <= math.pi / cl.h * (1.0 + 1e-12) for s in windings[1:])
-
-
-def test_strip_winding_fallback_raises(monkeypatch):
-    # with no Newton result to hold, the strip windings decide, and raise
-    # as they always have on two roots in one strip, on a failed Newton
-    # run and on strips whose counts fall short of the cell's
-    cl, rect = OFF_AXIS_CELL
-    monkeypatch.setattr(oracle, "_newton", lambda cl, s0: None)
-    with pytest.raises(NoConvergence, match=r"^Newton failed to converge inside cell around "):
+    with pytest.raises(NoConvergence, match=r"^Newton placed 6 of the 7 roots of the cell around "):
         find_roots(cl, rect)
-    for strip_count, error, message in (
-            (2, NoConvergence, r"^2 roots share one pi/h strip inside cell around "),
-            (0, BoundaryRootSuspected, r"^strips inside cell around .* hold 0 of its 7 roots$")):
-        with monkeypatch.context() as patch:
-            _strip_windings(patch, strip_count)
-            with pytest.raises(error, match=message):
-                find_roots(cl, rect)
+    assert missed
+
+
+@pytest.mark.parametrize("cl, rect, wound", [
+    pytest.param(*OFF_AXIS_CELL, [OFF_AXIS_CELL[1]], id="off-axis"),
+    pytest.param(*ASYMMETRIC[0], [ASYMMETRIC[0][1], SearchRect(-3.1, 0.5, -5.0 * math.pi, 5.0 * math.pi)],
+                 id="taller-above"),
+    pytest.param(*ASYMMETRIC[1], [ASYMMETRIC[1][1], SearchRect(-4.0, 1.5, -7.0 * math.pi / 0.7, 7.0 * math.pi / 0.7)],
+                 id="taller-below"),
+    pytest.param(TWO_REALS, SearchRect(-3.0, -1.0, -0.5, 0.5),
+                 [SearchRect(-3.0, -1.0, -0.5, 0.5), SearchRect(-3.0, -1.0, -math.pi, math.pi)], id="thin"),
+])
+def test_find_roots_winds_the_rect_and_its_hull(monkeypatch, cl, rect, wound):
+    # find_roots counts a rectangle off the axis once, and one across it
+    # once more on its mirror hull [-T, T], T at least pi/h; Newton places
+    # the roots strip by strip, and no strip is ever wound
+    want = find_roots(cl, rect)
+    windings = _recorded_windings(monkeypatch)
+    assert find_roots(cl, rect) == want
+    assert windings == wound
 
 
 def test_cells_above_the_axis_agree_with_spectrum():
@@ -699,8 +729,8 @@ def test_f_noise_bounds_df_error():
 def test_near_branch_point_raise_budget():
     # next to the branch point the oracle's double-root snap in _axis
     # trips cross_validate on about half of these loops, almost all as a
-    # mismatch of the near-double pair that Newton polishes in the band
-    # between -pi/h and pi/h; that may only ever fall, and no loop may
+    # mismatch of the near-double pair that Newton polishes in the strip
+    # between the axis and pi/h; that may only ever fall, and no loop may
     # end in NoConvergence or DomainError
     rng = __import__("random").Random(1)
     raised = 0

@@ -307,6 +307,22 @@ class TestHistories:
             InitialData(math.inf, ConstantHistory(0.0))
         with pytest.raises(DomainError):
             InitialData(0.0, "not callable")
+        # a value that is not a real number, a bool included, and an int
+        # past the double range
+        for bad in ("a", None, 1j, True):
+            for record in (lambda: InitialData(bad, UNIT.phi), lambda: ConstantHistory(bad),
+                           lambda: LinearHistory(bad, 0.0), lambda: LinearHistory(1.0, bad)):
+                with pytest.raises(DomainError, match="must be a real number"):
+                    record()
+        for record in (lambda: InitialData(10**400, UNIT.phi), lambda: ConstantHistory(-10**400),
+                       lambda: LinearHistory(1.0, 10**400)):
+            with pytest.raises(NonFiniteInput):
+                record()
+        for bad in ([(-1.0, None), (-0.5, 1.0)], [(-1.0, "a"), (-0.5, 1.0)], [(-1.0,), (-0.5, 1.0)]):
+            with pytest.raises(DomainError):
+                SampledHistory(bad)
+        with pytest.raises(NonFiniteInput):
+            SampledHistory([(-1.0, 10**400), (-0.5, 1.0)])
 
 
 class TestSimulate:
@@ -351,8 +367,12 @@ class TestSimulate:
                 simulate(cl, UNIT, 5.0, bad)
         with pytest.raises(InvalidStep):
             simulate(cl, UNIT, 0.5)  # below one delay interval
-        with pytest.raises(InvalidStep):
-            simulate(cl, UNIT, math.inf)
+        for bad in (math.inf, math.nan, "5", None, True, 5j, 10**400):
+            with pytest.raises(InvalidStep, match="t_final"):
+                simulate(cl, UNIT, bad)
+        with pytest.raises(InvalidStep, match="step"):
+            simulate(cl, UNIT, 5.0, 10**400)
+        assert simulate(cl, UNIT, 2) == simulate(cl, UNIT, 2.0)
 
     @pytest.mark.parametrize("cl, init, t_final, step", RK4_CASES)
     def test_matches_stagewise_rk4(self, cl, init, t_final, step):

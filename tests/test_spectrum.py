@@ -3,6 +3,7 @@ import importlib
 import math
 import random
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -234,8 +235,29 @@ def test_validation_errors():
         ClosedLoopParams(alpha=math.nan, beta=1.0, h=1.0)
     with pytest.raises(NonFiniteInput):
         Gains(k=math.inf)
+    # a field that is not a real number, a bool included, and an int past
+    # the double range
+    for bad in ("1.0", None, 1j, True):
+        for record in (lambda: SystemParams(a=bad, a1d=0.0, b=1.0, h=1.0), lambda: Gains(k=1.0, k1d=bad),
+                       lambda: ClosedLoopParams(alpha=1.0, beta=1.0, h=bad)):
+            with pytest.raises(DomainError, match="must be a real number"):
+                record()
+    for record in (lambda: SystemParams(a=0.0, a1d=0.0, b=10**400, h=1.0), lambda: Gains(k=-10**400),
+                   lambda: ClosedLoopParams(alpha=10**400, beta=1.0, h=1.0),
+                   lambda: ClosedLoopParams(alpha=1.0, beta=Decimal("sNaN"), h=1.0)):
+        with pytest.raises(NonFiniteInput, match="must be finite"):
+            record()
+    assert ClosedLoopParams(-1, -2, 1) == ClosedLoopParams(-1.0, -2.0, 1.0)
     with pytest.raises(NonFiniteInput, match="s must be finite"):
         char_residual(ClosedLoopParams(-1.0, -2.0, 1.0), complex(math.nan, 1.0))
+    for bad in ("x", None, [1.0]):
+        with pytest.raises(DomainError, match="s must be a number"):
+            char_residual(ClosedLoopParams(-1.0, -2.0, 1.0), bad)
+    with pytest.raises(NonFiniteInput, match="s must be finite"):
+        char_residual(ClosedLoopParams(-1.0, -2.0, 1.0), 10**400)
+    # whatever complex() takes, a numeric string included
+    cl = ClosedLoopParams(-1.0, -2.0, 1.0)
+    assert char_residual(cl, "1j") == char_residual(cl, 1j)
     # e^{-sh} overflows, for s itself finite
     for s, h in ((-800.0, 1.0), (-1e308, 10.0)):
         with pytest.raises(NonFiniteInput, match=r"e\^\(-s\*h\) overflows: exponent"):
