@@ -24,6 +24,9 @@ from .errors import (
     DomainError,
     NonFiniteInput,
     NotAssignableAsRightmost,
+    _require_complex,
+    _require_finite,
+    _require_tolerance,
 )
 from .lambertw import on_w0_boundary
 from .spectrum import ClosedLoopParams, Gains, spectrum
@@ -43,7 +46,8 @@ __all__ = [
     "feasibility_report",
 ]
 
-# relative tolerance for algebraic feasibility conditions
+# relative tolerance for algebraic feasibility conditions; every cond_tol
+# that is not a finite non-negative int or float raises DomainError
 COND_TOL_DEFAULT = 1e-9
 
 
@@ -57,14 +61,7 @@ def as_target(S):
     """Normalize a number (or Target) into a Target with v >= 0."""
     if isinstance(S, Target):
         return S
-    try:
-        S = complex(S)
-    except (TypeError, ValueError):
-        raise DomainError(f"target must be a number, got {S!r}") from None
-    except OverflowError:  # an int past the double range
-        raise NonFiniteInput(f"target must be finite, got {S!r}") from None
-    if not (math.isfinite(S.real) and math.isfinite(S.imag)):
-        raise NonFiniteInput(f"target must be finite, got {S!r}")
+    S = _require_complex("target", S)
     u = S.real
     v = abs(S.imag)
     return Target(S=complex(u, v), u=u, v=v)
@@ -201,6 +198,7 @@ def assign_both(sys, S):
 def _delay_only_value(fn, sys, S, cond_tol):
     """Normalized target, real value of (S - a)*e^{S h} and certificate,
     with the preconditions of fn's mode checked."""
+    _require_tolerance("cond_tol", cond_tol)
     t = _applicable(fn, sys, S)
     a, h = sys.a, sys.h
     if t.v == 0.0:
@@ -243,6 +241,7 @@ def assign_current_only(sys, S, cond_tol=COND_TOL_DEFAULT):
     computed spectrum and reported through the feasible flag instead
     of an exception.
     """
+    _require_tolerance("cond_tol", cond_tol)
     t = _applicable(assign_current_only, sys, S)
     a, a1d, h = sys.a, sys.a1d, sys.h
     if t.v == 0.0:
@@ -274,13 +273,16 @@ def assign_real_both(sys, S, alpha_choice=None):
 
     Any alpha <= S + 1/h works; beta = (S - alpha)*e^{S h} then puts
     the branch-0 root at S.  The default alpha = S gives beta = 0, a
-    delay-free closed loop.
+    delay-free closed loop.  An alpha_choice that is not a real number
+    (a bool included) raises DomainError, one that is not finite
+    NonFiniteInput.
     """
     t = _applicable(assign_real_both, sys, S)
     h = sys.h
-    alpha = t.u if alpha_choice is None else float(alpha_choice)
-    if not math.isfinite(alpha):
-        raise NonFiniteInput(f"alpha_choice must be finite, got {alpha_choice!r}")
+    alpha = t.u
+    if alpha_choice is not None:
+        _require_finite("alpha_choice", alpha_choice)
+        alpha = float(alpha_choice)
     bound = t.u + 1.0 / h
     if alpha > bound:
         raise AlphaOutOfRange(

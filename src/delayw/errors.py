@@ -1,4 +1,10 @@
-"""Exception types shared across the delayw package."""
+"""Exception types shared across the delayw package, and the input
+checks that raise them."""
+
+import math
+
+# the largest finite double
+_DBL_MAX = 1.7976931348623157e308
 
 
 class DelayWError(Exception):
@@ -77,3 +83,49 @@ class InvalidStep(DelayWError, ValueError):
 
 class InsufficientData(DelayWError, ValueError):
     """Trajectory tail too short to estimate the dominant eigenvalue."""
+
+
+def _require_finite(names, *values):
+    """Raise DomainError for a value that is not a real number (a bool
+    included) and NonFiniteInput for NaN, an infinity or an int past
+    the double range; names, space-separated, label the values."""
+    for v in values:
+        try:
+            # a bool would pass as 0 or 1
+            if math.isfinite(v) and type(v) is not bool:
+                continue
+            real = type(v) is not bool
+        except TypeError:  # raised for anything but a real number
+            real = False
+        except (OverflowError, ValueError):  # an int past the double range, a signaling NaN
+            real = True
+        # an earlier value that is v itself would have failed first
+        name = next(n for n, x in zip(names.split(), values) if x is v)
+        if not real:
+            raise DomainError(f"{name} must be a real number, got {v!r}")
+        raise NonFiniteInput(f"{name} must be finite, got {v!r}")
+
+
+def _require_complex(name, z):
+    """complex(z), numeric strings included; DomainError for what
+    complex() rejects, NonFiniteInput for NaN, an infinity or an int past
+    the double range."""
+    try:
+        z = complex(z)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a number, got {z!r}") from None
+    except OverflowError:  # an int past the double range
+        raise NonFiniteInput(f"{name} must be finite, got {z!r}") from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise NonFiniteInput(f"{name} must be finite, got {z!r}")
+    return z
+
+
+def _require_tolerance(name, tol):
+    """Raise DomainError unless tol is an int or float, not a bool, and
+    neither NaN, negative nor past the double range: NaN would switch a
+    check off, a negative value fail every one."""
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
+        raise DomainError(f"{name} must be a real number, got {tol!r}")
+    if not 0.0 <= tol <= _DBL_MAX:
+        raise DomainError(f"{name} must be finite and non-negative, got {tol!r}")

@@ -28,7 +28,8 @@ import cmath
 import math
 from collections import namedtuple
 
-from .errors import BranchOutOfRange, DomainError, NoConvergence, NonFiniteInput
+from .errors import (BranchOutOfRange, DomainError, NoConvergence, NonFiniteInput, _require_complex, _require_finite,
+                     _require_tolerance)
 
 __all__ = [
     "K_MAX",
@@ -333,14 +334,7 @@ def lambert_w(k, z):
         raise DomainError(f"branch index must be an integer, got {k!r}")
     if abs(k) > K_MAX:
         raise BranchOutOfRange(f"|k| = {abs(k)} exceeds K_MAX = {K_MAX}")
-    try:
-        z = complex(z)
-    except (TypeError, ValueError):
-        raise DomainError(f"z must be a number, got {z!r}") from None
-    except OverflowError:  # an int past the double range
-        raise NonFiniteInput(f"z must be finite, got {z!r}") from None
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise NonFiniteInput(f"z must be finite, got {z!r}")
+    z = _require_complex("z", z)
     if z == 0:
         if k == 0:
             return WValue(complex(0.0, 0.0), 0.0, 0)
@@ -399,8 +393,10 @@ def w0_boundary_point(eta):
 
     The image of the branch cut under W_0 is the curve
     ``{-eta*cot(eta) + i*eta : 0 < eta < pi}``; this returns the point at
-    parameter eta.
+    parameter eta.  An eta that is not a real number (a bool included)
+    raises DomainError, one that is not finite NonFiniteInput.
     """
+    _require_finite("eta", eta)
     eta = float(eta)
     if not 0.0 < eta < math.pi:
         raise DomainError(f"eta must lie in (0, pi), got {eta}")
@@ -410,12 +406,15 @@ def w0_boundary_point(eta):
 def on_w0_boundary(w, tol):
     """True iff w lies on the upper boundary of the W_0 range, within tol.
 
-    The test is Im w in (0, pi) and |Re w + Im w * cot(Im w)| <= tol;
-    a tol that is not positive and finite raises DomainError.
+    The test is Im w in (0, pi) and |Re w + Im w * cot(Im w)| <= tol.
+    A tol that is not a positive finite int or float, or a w that
+    complex() rejects, raises DomainError; a w that is not finite
+    NonFiniteInput.
     """
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol!r}")
-    w = complex(w)
+    _require_tolerance("tol", tol)
+    if tol == 0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
+    w = _require_complex("w", w)
     eta = w.imag
     if not 0.0 < eta < math.pi:
         return False

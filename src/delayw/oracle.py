@@ -40,28 +40,16 @@ through it: f stays in one half-plane, so a contour walk sails past
 without a jump and the count silently splits.  The real roots are
 therefore found by sign analysis (f on the reals has a single-signed
 second derivative, hence at most one extremum and two real roots).
-Walks of the caller's rectangle near a real root, or the axis
-extremum, insert extra knots scaled to the edge's distance from that
-point, to resolve the phase swing it concentrates there.  The
-coefficients are real, so f(conj s) = conj f(s): only the upper
-half-plane is searched, and the roots below are the exact conjugates.
-A rectangle across the axis is counted once more on its mirror hull,
-[-T, T] with T its farther side from the axis but at least pi/h; less
-the real roots, that count is twice the pairs the strips of [0, T]
-hold.  On cross_validate's rectangles, symmetric about the axis, the
-hull is the rectangle itself.
-
-Every sample point of a walk depends only on the line it lies on: the
-uniform knots sit on the lattice j*pi/(4h) along it, as do the split
-knots, the focus knots at fixed multiples of their distance, and a
-bisection midpoint is the midpoint of two such points.  A mirror hull
-walking a stretch of its rectangle's vertical edges therefore meets
-the rectangle's lattice points there, and each find_roots or
-count_roots call keeps one table of the phases it has evaluated, so
-each point is evaluated at most once per call.  The same table keeps
-the phase change of every edge a winding has summed, under the edge's
-ends in both directions, so a mirror hull that shares edges with its
-rectangle sums them once.
+Walks near a real root, or the axis extremum, insert extra knots scaled
+to the edge's distance from that point, to resolve the phase swing it
+concentrates there.  The coefficients are real, so f(conj s) =
+conj f(s): only the upper half-plane is searched, and the roots below
+are the exact conjugates.  A rectangle across the axis is therefore
+counted on its mirror hull alone, [-T, T] with T its farther side from
+the axis but at least pi/h: less the real roots, that count is twice
+the pairs the strips of [0, T] hold, and the rectangle's roots are the
+hull's roots that it contains.  On cross_validate's rectangles,
+symmetric about the axis, the hull is the rectangle itself.
 
 One function, _df, evaluates f and f' everywhere: on the contour, in
 Newton polishing and in the real-axis sign analysis; only the log-form
@@ -73,7 +61,7 @@ import math
 from collections import namedtuple
 from itertools import chain, pairwise
 
-from .errors import BoundaryRootSuspected, DomainError, MismatchDetected, NoConvergence
+from .errors import BoundaryRootSuspected, DomainError, MismatchDetected, NoConvergence, _require_tolerance
 from .spectrum import spectrum
 
 __all__ = [
@@ -183,23 +171,14 @@ def _df(cl, s, order):
     return 1.0 + cl.beta * cl.h * cmath.exp(-s * cl.h)
 
 
-def _checked_phase(cl, s, phases):
-    """Phase of f at the contour point s, evaluated once per call.
-
-    phases maps every point already evaluated in the current find_roots
-    or count_roots call to its phase; a point found there is not
-    evaluated again.  A zero or overflowing f raises on evaluation and
-    is never stored.
-    """
-    ph = phases.get(s)
-    if ph is None:
-        f = _df(cl, s, 0)
-        if f == 0.0:
-            raise BoundaryRootSuspected(f"characteristic function vanishes on the contour at {s}")
-        if not (math.isfinite(f.real) and math.isfinite(f.imag)):
-            raise DomainError(f"characteristic function overflows on the contour at {s}; shrink the rectangle")
-        ph = phases[s] = cmath.phase(f)
-    return ph
+def _checked_phase(cl, s):
+    """Phase of f at the contour point s; a zero or overflowing f raises."""
+    f = _df(cl, s, 0)
+    if f == 0.0:
+        raise BoundaryRootSuspected(f"characteristic function vanishes on the contour at {s}")
+    if not (math.isfinite(f.real) and math.isfinite(f.imag)):
+        raise DomainError(f"characteristic function overflows on the contour at {s}; shrink the rectangle")
+    return cmath.phase(f)
 
 
 def _wrap(d):
@@ -209,13 +188,10 @@ def _wrap(d):
 def _edge_knots(sa, sb, h, focus):
     """Sample points strictly inside the segment sa -> sb, in walk order.
 
-    Each knot depends only on the line the segment lies on, never on its
-    endpoints, so every walk along one line (a rectangle's edge, its
-    mirror hull's stretch of it) lands on the same points.  Uniform
-    knots sit on the lattice j*pi/(4h) along the line, which keeps each
-    piece under a quarter turn of the delay term's rotation (rate h
-    along the segment).  An edge longer than 65,536 pieces raises: a
-    coarser step would let a piece hide whole turns.
+    Uniform knots sit on the lattice j*pi/(4h) along the segment's line,
+    which keeps each piece under a quarter turn of the delay term's
+    rotation (rate h along the segment).  An edge longer than 65,536
+    pieces raises: a coarser step would let a piece hide whole turns.
     Focus knots, at fx + k*d, resolve the phase swing concentrated where
     the line passes a focus point fx on the axis, at distance d: closest
     at Re s = fx (horizontal) or Im s = 0 (vertical).
@@ -350,7 +326,7 @@ def _split_knot(cl, sa, sb):
     return complex(knot, v) if knot < hi else None
 
 
-def _edge_arg(cl, sa, sb, pa, pb, focus, phases):
+def _edge_arg(cl, sa, sb, pa, pb, focus):
     """Total phase change of f along the segment sa -> sb.
 
     In closed form where f stays in one half-plane; a horizontal edge
@@ -362,18 +338,18 @@ def _edge_arg(cl, sa, sb, pa, pb, focus, phases):
         return d
     knot = _split_knot(cl, sa, sb)
     if knot is None:
-        return _walk(cl, sa, sb, pa, pb, focus, phases)
-    pk = _checked_phase(cl, knot, phases)
-    return _edge_arg(cl, sa, knot, pa, pk, focus, phases) + _edge_arg(cl, knot, sb, pk, pb, focus, phases)
+        return _walk(cl, sa, sb, pa, pb, focus)
+    pk = _checked_phase(cl, knot)
+    return _edge_arg(cl, sa, knot, pa, pk, focus) + _edge_arg(cl, knot, sb, pk, pb, focus)
 
 
-def _walk(cl, sa, sb, pa, pb, focus, phases):
+def _walk(cl, sa, sb, pa, pb, focus):
     """Phase change of f along sa -> sb, summed knot by knot."""
     total = 0.0
     stack = []
     prev_s, prev_p = sa, pa
     for cur_s in _edge_knots(sa, sb, cl.h, focus):
-        cur_p = _checked_phase(cl, cur_s, phases)
+        cur_p = _checked_phase(cl, cur_s)
         # most pieces pass at once; only the others go through the stack
         d = _wrap(cur_p - prev_p)
         if abs(d) < _PHASE_STEP:
@@ -392,13 +368,13 @@ def _walk(cl, sa, sb, pa, pb, focus, phases):
             raise BoundaryRootSuspected(
                 f"phase refinement exhausted near {0.5 * (a + b)}; a root sits on or next to the contour")
         m = 0.5 * (a + b)
-        ph_m = _checked_phase(cl, m, phases)
+        ph_m = _checked_phase(cl, m)
         stack.append((a, m, ph_a, ph_m, depth + 1))
         stack.append((m, b, ph_m, ph_b, depth + 1))
     return total
 
 
-def _winding(cl, rect, focus, phases):
+def _winding(cl, rect, focus):
     """Exact root count inside rect from the boundary phase sum."""
     corners = (
         complex(rect.re_min, rect.im_min),
@@ -406,15 +382,11 @@ def _winding(cl, rect, focus, phases):
         complex(rect.re_max, rect.im_max),
         complex(rect.re_min, rect.im_max),
     )
-    ends = [_checked_phase(cl, c, phases) for c in corners]
+    ends = [_checked_phase(cl, c) for c in corners]
     total = 0.0
     for i in range(4):
-        a, b = corners[i], corners[(i + 1) % 4]
-        d = phases.get((a, b))
-        if d is None:
-            d = phases[(a, b)] = _edge_arg(cl, a, b, ends[i], ends[(i + 1) % 4], focus, phases)
-            phases[(b, a)] = -d
-        total += d
+        j = (i + 1) % 4
+        total += _edge_arg(cl, corners[i], corners[j], ends[i], ends[j], focus)
     n = round(total / _TWO_PI)
     if abs(total / _TWO_PI - n) > 0.25:
         raise BoundaryRootSuspected(
@@ -488,18 +460,23 @@ def _axis(cl, rect):
     return tuple([r.s.real for r in reals] + nodes[1:-1]), reals
 
 
-def _counted_rect(cl, rect, phases):
-    """Winding count with outward nudges when the boundary grazes a root."""
+def _as_rect(rect):
+    """rect, a SearchRect or any 4-sequence, as a SearchRect."""
     try:
-        rect = SearchRect(*rect)
+        return SearchRect(*rect)
     except TypeError:  # not four values
         raise DomainError(f"a rectangle is four bounds (re_min, re_max, im_min, im_max), got {rect!r}") from None
+
+
+def _counted_rect(cl, rect):
+    """Winding count, the rectangle it was taken on and the real roots
+    there, with outward nudges when the boundary grazes a root."""
     delta = _NUDGE_FRACTION * rect.diameter
     last = None
     for attempt in range(_MAX_NUDGES + 1):
         focus, reals = _axis(cl, rect)
         try:
-            return _winding(cl, rect, focus, phases), rect, reals
+            return _winding(cl, rect, focus), rect, reals
         except BoundaryRootSuspected as exc:
             last = exc
             rect = rect.expanded(delta)
@@ -515,7 +492,7 @@ def count_roots(cl, rect):
     root sits on the boundary the rectangle is grown outward by 1e-3 of
     its diameter, up to 5 times, before giving up.
     """
-    n, _, _ = _counted_rect(cl, rect, {})
+    n, _, _ = _counted_rect(cl, _as_rect(rect))
     return n
 
 
@@ -616,33 +593,35 @@ def find_roots(cl, rect):
     root of this function family must lie), the others by Newton runs in
     the pi/h strips between the lines Im s = j*pi/h, each holding at
     most one root, against the winding count of rect or, across the
-    axis, of its mirror hull; every root is Newton-polished until |f(s)|
-    is below a bound derived from the rounding error of evaluating f at
-    s, and the roots below the axis are the conjugates of those above.
-    Roots are ordered by descending real part, ties by ascending
-    imaginary part.  Raises NoConvergence if Newton places fewer roots
-    than a count, and BoundaryRootSuspected if a contour cannot be
-    counted or the roots found do not add up to rect's count.
+    axis, of its mirror hull alone; every root is Newton-polished until
+    |f(s)| is below a bound derived from the rounding error of
+    evaluating f at s, and the roots below the axis are the conjugates
+    of those above.  Roots are ordered by descending real part, ties by
+    ascending imaginary part, and total_count is their multiplicity
+    sum.  Raises NoConvergence if Newton places fewer roots than a
+    count, and BoundaryRootSuspected if a contour cannot be counted or
+    the hull holds an odd number of non-real roots.
     """
-    phases = {}
-    n, rect, reals = _counted_rect(cl, rect, phases)
+    rect = _as_rect(rect)
     if rect.im_min < 0.0 < rect.im_max:
         # the hull [-top, top] holds the real roots and conjugate pairs;
         # with top >= pi/h the strip on the axis is whole
         top = max(rect.im_max, -rect.im_min, math.pi / cl.h)
-        hull = SearchRect(rect.re_min, rect.re_max, -top, top)
-        rest = _winding(cl, hull, (), phases) - sum(r.multiplicity for r in reals)
+        n, hull, reals = _counted_rect(cl, SearchRect(rect.re_min, rect.re_max, -top, top))
+        rest = n - sum(r.multiplicity for r in reals)
         if rest < 0 or rest % 2:
             raise BoundaryRootSuspected(f"hull around {hull.center} holds {rest} non-real roots, not an even count")
-        above = _resolve(cl, SearchRect(rect.re_min, rect.re_max, 0.0, top), rest // 2)
-        found = [*reals, *(r for r in above if r.s.imag < rect.im_max),
-                 *(LocatedRoot(r.s.conjugate(), 1) for r in above if r.s.imag < -rect.im_min)]
-        if sum(r.multiplicity for r in found) != n:
-            raise BoundaryRootSuspected(f"roots found in rectangle around {rect.center} do not add up to its {n}")
+        above = _resolve(cl, SearchRect(hull.re_min, hull.re_max, 0.0, hull.im_max), rest // 2)
+        # rect's top and bottom move out by the hull's nudge, if any; a
+        # root on either counts as inside, as count_roots' nudge has it
+        grown = hull.im_max - top
+        found = [*reals, *(r for r in above if r.s.imag <= rect.im_max + grown),
+                 *(LocatedRoot(r.s.conjugate(), 1) for r in above if r.s.imag <= grown - rect.im_min)]
     else:
+        n, rect, _ = _counted_rect(cl, rect)
         found = _resolve(cl, rect, n)
     found.sort(key=lambda r: (-r.s.real, r.s.imag))
-    return RootSet(roots=tuple(found), total_count=n)
+    return RootSet(roots=tuple(found), total_count=sum(r.multiplicity for r in found))
 
 
 CrossValidation = namedtuple("CrossValidation", "rect spectrum_count oracle_count max_distance")
@@ -675,16 +654,14 @@ def cross_validate(cl, n_branches, match_tol=1e-8):
     Raises DomainError if match_tol is not a number, or is NaN, negative
     or infinite.
     """
-    if isinstance(match_tol, bool) or not isinstance(match_tol, (int, float)):
-        raise DomainError(f"match_tol must be a real number, got {match_tol!r}")
-    if not 0.0 <= match_tol < math.inf:
-        raise DomainError(f"match_tol must be finite and non-negative, got {match_tol!r}")
+    _require_tolerance("match_tol", match_tol)
     sp = spectrum(cl, n_branches)
     rect = _enclosing_rect(sp.roots, cl.h)
     located = find_roots(cl, rect)
 
+    # both lists come sorted by (-Re, Im), so expanding keeps the order
     def expand(roots):
-        return sorted((r.s for r in roots for _ in range(r.multiplicity)), key=lambda s: (-s.real, s.imag))
+        return [r.s for r in roots for _ in range(r.multiplicity)]
 
     from_spectrum, from_oracle = expand(sp.roots), expand(located.roots)
     n_sp, n_or = len(from_spectrum), len(from_oracle)

@@ -29,8 +29,7 @@ from collections import namedtuple
 from itertools import islice, repeat
 from operator import gt, mul
 
-from .errors import DomainError, InsufficientData, InvalidStep, NonFiniteInput
-from .spectrum import _require_finite
+from .errors import DomainError, InsufficientData, InvalidStep, NonFiniteInput, _require_finite
 
 __all__ = [
     "ConstantHistory",

@@ -23,7 +23,7 @@ import math
 from collections import namedtuple
 from operator import attrgetter
 
-from .errors import InvalidGain, NonFiniteInput, DomainError
+from .errors import InvalidGain, NonFiniteInput, DomainError, _require_complex, _require_finite
 from .lambertw import BRANCH_POINT_Z, K_MAX, _branches, _eval_complex, lambert_w
 
 __all__ = [
@@ -37,27 +37,6 @@ __all__ = [
     "spectrum",
     "is_stable",
 ]
-
-
-def _require_finite(names, *values):
-    """Raise DomainError for a value that is not a real number (a bool
-    included) and NonFiniteInput for NaN, an infinity or an int past
-    the double range; names, space-separated, label the values."""
-    for v in values:
-        try:
-            # a bool would pass as 0 or 1
-            if math.isfinite(v) and type(v) is not bool:
-                continue
-            real = type(v) is not bool
-        except TypeError:  # raised for anything but a real number
-            real = False
-        except (OverflowError, ValueError):  # an int past the double range, a signaling NaN
-            real = True
-        # an earlier value that is v itself would have failed first
-        name = next(n for n, x in zip(names.split(), values) if x is v)
-        if not real:
-            raise DomainError(f"{name} must be a real number, got {v!r}")
-        raise NonFiniteInput(f"{name} must be finite, got {v!r}")
 
 
 class SystemParams(namedtuple("SystemParams", "a a1d b h input_delay")):
@@ -151,14 +130,7 @@ def char_residual(cl, s):
     is not a number, NonFiniteInput if it is not finite or e^{-s h}
     overflows.
     """
-    try:
-        s = complex(s)
-    except (TypeError, ValueError):
-        raise DomainError(f"s must be a number, got {s!r}") from None
-    except OverflowError:  # an int past the double range
-        raise NonFiniteInput(f"s must be finite, got {s!r}") from None
-    if not cmath.isfinite(s):
-        raise NonFiniteInput(f"s must be finite, got {s!r}")
+    s = _require_complex("s", s)
     x = -s * cl.h
     try:
         e = cmath.exp(x)

@@ -183,8 +183,36 @@ def test_real_both_alpha_bounds():
     assert "marginal" in r.certificate
     assert r.closed_loop.w_argument == pytest.approx(-math.exp(-1.0), rel=1e-15)
     assert spectrum(r.closed_loop, 2).rightmost == pytest.approx(-1.0, abs=1e-7)
-    with pytest.raises(NonFiniteInput):
-        assign_real_both(PLANT, -1.0, alpha_choice=math.nan)
+    for bad in (math.nan, 10**400):
+        with pytest.raises(NonFiniteInput, match="alpha_choice must be finite"):
+            assign_real_both(PLANT, -1.0, alpha_choice=bad)
+    # a string, a sequence or a bool (True would read as 1.0) is no alpha
+    for bad in ("x", "-1.5", [1], True):
+        with pytest.raises(DomainError, match="alpha_choice must be a real number"):
+            assign_real_both(PLANT, -1.0, alpha_choice=bad)
+
+
+def test_cond_tol_validation():
+    # a NaN or infinite tolerance would certify the violated condition
+    # below; every mode that takes cond_tol rejects what cross_validate's
+    # match_tol rejects, and feasibility_report passes it through
+    plant, S = SystemParams(1.0, -1.0, 1.0, 1.0), -0.5 + 1.0j
+    input_delay = SystemParams(a=1.0, a1d=0.0, b=1.0, h=1.0, input_delay=True)
+    with pytest.raises(ConditionViolated):
+        assign_delay_only(plant, S)
+    assert feasibility_report(plant, S).feasible_modes() == (AssignmentMode.BOTH_GAINS,)
+    calls = [lambda tol: assign_delay_only(plant, S, cond_tol=tol),
+             lambda tol: assign_current_only(plant, S, cond_tol=tol),
+             lambda tol: assign_input_delay(input_delay, S, cond_tol=tol),
+             lambda tol: feasibility_report(plant, S, cond_tol=tol)]
+    for call in calls:
+        for bad in (math.nan, math.inf, -1.0, 10**400):
+            with pytest.raises(DomainError, match="cond_tol must be finite and non-negative"):
+                call(bad)
+        for bad in ("x", True, None, 1j):
+            with pytest.raises(DomainError, match="cond_tol must be a real number"):
+                call(bad)
+    assert assign_delay_only(plant, S, cond_tol=1) == assign_delay_only(plant, S, cond_tol=1.0)
 
 
 def test_real_both_rejects_complex_target():

@@ -183,9 +183,22 @@ class TestBoundaryCurve:
         for eta in (0.0, math.pi, -1.0, 4.0):
             with pytest.raises(DomainError):
                 w0_boundary_point(eta)
-        for bad in (0.0, math.nan, math.inf):
+        for bad in (0.0, math.nan, math.inf, -1.0, 10**400, "x", None, True):
             with pytest.raises(DomainError):
                 on_w0_boundary(1j, bad)
+        # eta and w as the record fields and lambert_w's z are checked
+        for bad in ("x", None, True):
+            with pytest.raises(DomainError, match="eta must be a real number"):
+                w0_boundary_point(bad)
+        for bad in ("x", None, [1.0]):
+            with pytest.raises(DomainError, match="w must be a number"):
+                on_w0_boundary(bad, 1e-9)
+        for bad in (10**400, math.nan):
+            with pytest.raises(NonFiniteInput, match="eta must be finite"):
+                w0_boundary_point(bad)
+            with pytest.raises(NonFiniteInput, match="w must be finite"):
+                on_w0_boundary(bad, 1e-9)
+        assert w0_boundary_point(2) == w0_boundary_point(2.0)
 
 
 @st.composite

@@ -61,9 +61,9 @@ def residual_ok(cl, s, tol=1e-12):
     return abs(char_residual(cl, s)) <= tol * max(1.0, abs(s))
 
 
-def phase_evaluations(cl, n):
-    """cross_validate(cl, n) and the number of phase evaluations it made:
-    the calls of cmath.phase from delayw.oracle."""
+def phase_evaluations(fn, *args):
+    """fn(*args) and the number of phase evaluations it made: the calls
+    of cmath.phase from delayw.oracle."""
     calls = 0
 
     def profile(frame, event, arg):
@@ -73,7 +73,7 @@ def phase_evaluations(cl, n):
 
     sys.setprofile(profile)
     try:
-        rep = cross_validate(cl, n)
+        rep = fn(*args)
     finally:
         sys.setprofile(None)
     return rep, calls
@@ -100,6 +100,12 @@ class TestCountRoots:
         # count must survive via outward expansion
         cl = ClosedLoopParams(-1.0, 0.0, 1.0)
         assert count_roots(cl, SearchRect(-1.0, 0.0, -1.0, 1.0)) == 1
+        # across the axis find_roots winds only the mirror hull, so a
+        # root on the rectangle's shorter side must still count as inside
+        cl = ClosedLoopParams(-1.0, -2.0, 1.0)
+        s = find_roots(cl, SearchRect(-3.1, 0.5, 19.0, 21.0)).roots[0].s
+        for rect in (SearchRect(-3.1, 0.5, -s.imag, 25.0), SearchRect(-3.1, 0.5, -25.0, s.imag)):
+            assert find_roots(cl, rect).total_count == count_roots(cl, rect) == 8
 
     def test_subdivision_additivity(self):
         cl = ClosedLoopParams(1.0, -1.0, 1.0)
@@ -359,7 +365,7 @@ class TestCrossValidate:
     def test_malformed_match_tol(self):
         # NaN would switch the distance check off, a negative value would
         # report every loop as a mismatch
-        for bad in (math.nan, -1.0, math.inf):
+        for bad in (math.nan, -1.0, math.inf, 10**400):
             with pytest.raises(DomainError, match="match_tol must be finite and non-negative"):
                 cross_validate(ClosedLoopParams(-1.0, -2.0, 1.0), 2, match_tol=bad)
         # a string, a bool (True would read as 1.0), None or a complex
@@ -379,8 +385,8 @@ class TestCrossValidate:
         # multiples of their distance, hence the same number of phase
         # evaluations
         for n in (3, 30):
-            base, base_calls = phase_evaluations(ClosedLoopParams(-1.0, -2.0, 1.0), n)
-            rep, calls = phase_evaluations(ClosedLoopParams(-1.0 / h, -2.0 / h, h), n)
+            base, base_calls = phase_evaluations(cross_validate, ClosedLoopParams(-1.0, -2.0, 1.0), n)
+            rep, calls = phase_evaluations(cross_validate, ClosedLoopParams(-1.0 / h, -2.0 / h, h), n)
             assert rep.spectrum_count == rep.oracle_count == base.spectrum_count
             assert rep.max_distance * h <= 1e-12
             for side in ("re_min", "re_max", "im_min", "im_max"):
@@ -450,8 +456,16 @@ def test_phase_evaluation_budget(alpha, beta, h, n, budget):
     # the oracle's work is its phase evaluations, here all on the
     # rectangle's own contour: its mirror hull is the rectangle itself;
     # cheaper walks may lower the counts, never raise them
-    _, calls = phase_evaluations(ClosedLoopParams(alpha, beta, h), n)
+    _, calls = phase_evaluations(cross_validate, ClosedLoopParams(alpha, beta, h), n)
     assert 0 < calls <= budget
+
+
+@pytest.mark.parametrize("cl, rect", ASYMMETRIC, ids=["taller-above", "taller-below"])
+def test_asymmetric_phase_evaluation_budget(cl, rect):
+    # across the axis only the mirror hull is wound, four corners whose
+    # edges all take the closed form; winding the rectangle too took 6
+    _, calls = phase_evaluations(find_roots, cl, rect)
+    assert 0 < calls <= 4
 
 
 def _recorded_windings(monkeypatch):
@@ -459,9 +473,9 @@ def _recorded_windings(monkeypatch):
     windings = []
     winding = oracle._winding
 
-    def recorded(cl, rect, focus, phases):
+    def recorded(cl, rect, focus):
         windings.append(rect)
-        return winding(cl, rect, focus, phases)
+        return winding(cl, rect, focus)
 
     monkeypatch.setattr(oracle, "_winding", recorded)
     return windings
@@ -476,11 +490,11 @@ def _recorded_windings(monkeypatch):
 ])
 def test_winding_budget(monkeypatch, alpha, beta, h, n):
     # a winding is one argument-principle count around a rectangle: here
-    # the rectangle and its mirror hull, whose strips Newton resolves
+    # the rectangle, its own mirror hull, whose strips Newton resolves
     # without winding them; this budget may only ever be lowered
     windings = _recorded_windings(monkeypatch)
     cross_validate(ClosedLoopParams(alpha, beta, h), n)
-    assert 0 < len(windings) <= 2
+    assert len(windings) == 1
 
 
 # sha256 over repr(find_roots(...)) on each verify pool of the benchmark,
@@ -525,7 +539,7 @@ def test_find_roots_bits_on_verify_pools(monkeypatch, seed):
         digest.update(repr(find_roots(cl, rect)).encode())
     assert digest.hexdigest() == VERIFY_POOL_DIGESTS[seed]
     assert newton_runs <= VERIFY_POOL_NEWTON_RUNS[seed]
-    assert len(windings) <= 2 * len(tasks)
+    assert len(windings) <= len(tasks)
 
 
 def test_find_roots_makes_no_w_call(monkeypatch):
@@ -598,22 +612,19 @@ def test_newton_shortfall_raises(monkeypatch, miss):
 
 
 @pytest.mark.parametrize("cl, rect, wound", [
-    pytest.param(*OFF_AXIS_CELL, [OFF_AXIS_CELL[1]], id="off-axis"),
-    pytest.param(*ASYMMETRIC[0], [ASYMMETRIC[0][1], SearchRect(-3.1, 0.5, -5.0 * math.pi, 5.0 * math.pi)],
-                 id="taller-above"),
-    pytest.param(*ASYMMETRIC[1], [ASYMMETRIC[1][1], SearchRect(-4.0, 1.5, -7.0 * math.pi / 0.7, 7.0 * math.pi / 0.7)],
-                 id="taller-below"),
-    pytest.param(TWO_REALS, SearchRect(-3.0, -1.0, -0.5, 0.5),
-                 [SearchRect(-3.0, -1.0, -0.5, 0.5), SearchRect(-3.0, -1.0, -math.pi, math.pi)], id="thin"),
+    pytest.param(*OFF_AXIS_CELL, OFF_AXIS_CELL[1], id="off-axis"),
+    pytest.param(*ASYMMETRIC[0], SearchRect(-3.1, 0.5, -5.0 * math.pi, 5.0 * math.pi), id="taller-above"),
+    pytest.param(*ASYMMETRIC[1], SearchRect(-4.0, 1.5, -7.0 * math.pi / 0.7, 7.0 * math.pi / 0.7), id="taller-below"),
+    pytest.param(TWO_REALS, SearchRect(-3.0, -1.0, -0.5, 0.5), SearchRect(-3.0, -1.0, -math.pi, math.pi), id="thin"),
 ])
-def test_find_roots_winds_the_rect_and_its_hull(monkeypatch, cl, rect, wound):
-    # find_roots counts a rectangle off the axis once, and one across it
-    # once more on its mirror hull [-T, T], T at least pi/h; Newton places
-    # the roots strip by strip, and no strip is ever wound
+def test_find_roots_winds_one_rectangle(monkeypatch, cl, rect, wound):
+    # find_roots counts a rectangle off the axis, and one across it only
+    # on its mirror hull [-T, T], T at least pi/h; Newton places the
+    # roots strip by strip, and no strip is ever wound
     want = find_roots(cl, rect)
     windings = _recorded_windings(monkeypatch)
     assert find_roots(cl, rect) == want
-    assert windings == wound
+    assert windings == [wound]
 
 
 def test_cells_above_the_axis_agree_with_spectrum():
@@ -755,8 +766,9 @@ def test_near_branch_point_raise_budget():
     focus=st.lists(st.floats(min_value=-20.0, max_value=20.0), max_size=2),
 )
 def test_edge_knots_depend_only_on_the_line(h, horizontal, offset, ends, focus):
-    # the per-call phase table pays off only if a walk along part of an
-    # edge samples exactly the edge's own points there, in either direction
+    # knots sit on a lattice of the line alone: a walk along part of an
+    # edge, such as either half of a split edge, samples exactly the
+    # edge's own points there, in either direction
     lo, a, b, hi = sorted(ends)
     assume((hi - lo) * h <= 65536 * math.pi / 4.0)
 
@@ -843,14 +855,13 @@ def test_closed_form_agrees_with_walk():
     rng = __import__("random").Random(13)
     fired = {}
     for kind, cl, sa, sb in _closed_form_cases(rng):
-        phases = {}
         try:
-            pa, pb = _checked_phase(cl, sa, phases), _checked_phase(cl, sb, phases)
-            walked = _walk(cl, sa, sb, pa, pb, (), {})
+            pa, pb = _checked_phase(cl, sa), _checked_phase(cl, sb)
+            walked = _walk(cl, sa, sb, pa, pb, ())
         except (BoundaryRootSuspected, DomainError):
             continue
         closed = _closed_form(cl, sa, sb, pa, pb)
-        got = _edge_arg(cl, sa, sb, pa, pb, (), phases)
+        got = _edge_arg(cl, sa, sb, pa, pb, ())
         assert abs(got - walked) <= 1e-9, (kind, cl, sa, sb, got, walked)
         if closed is not None:
             assert closed == got
