@@ -108,8 +108,10 @@ def _require_finite(names, *values):
 
 def _require_complex(name, z):
     """complex(z), numeric strings included; DomainError for what
-    complex() rejects, NonFiniteInput for NaN, an infinity or an int past
-    the double range."""
+    complex() rejects and for a bool, NonFiniteInput for NaN, an infinity
+    or an int past the double range."""
+    if z is True or z is False:  # complex() would read it as 1 or 0
+        raise DomainError(f"{name} must be a number, got {z!r}")
     try:
         z = complex(z)
     except (TypeError, ValueError):

@@ -28,8 +28,7 @@ import cmath
 import math
 from collections import namedtuple
 
-from .errors import (BranchOutOfRange, DomainError, NoConvergence, NonFiniteInput, _require_complex, _require_finite,
-                     _require_tolerance)
+from .errors import BranchOutOfRange, DomainError, NoConvergence, _require_complex, _require_finite, _require_tolerance
 
 __all__ = [
     "K_MAX",
@@ -325,7 +324,7 @@ def lambert_w(k, z):
         If z is NaN or infinite, or an int past the double range.
     DomainError
         If k is not an int (a bool is rejected too), z is not a number
-        (anything complex() rejects), or z == 0 with k != 0 (every
+        (a bool, or anything complex() rejects), or z == 0 with k != 0 (every
         branch but the principal one diverges at the origin).
     NoConvergence
         If the iteration cap is hit; indicates a kernel bug.
@@ -362,6 +361,8 @@ def lambert_w_real(branch, x):
     branch : {0, -1}
         0 needs x >= -1/e; -1 needs -1/e <= x < 0.
     x : float
+        A real number, not a bool or a string: DomainError otherwise,
+        NonFiniteInput for NaN, an infinity or an int past the double range.
 
     Returns
     -------
@@ -369,14 +370,8 @@ def lambert_w_real(branch, x):
         W_0(x) >= -1, monotone increasing, or W_{-1}(x) <= -1, monotone
         decreasing, respectively.
     """
-    try:
-        x = float(x)
-    except (TypeError, ValueError):
-        raise DomainError(f"x must be a real number, got {x!r}") from None
-    except OverflowError:  # an int past the double range
-        raise NonFiniteInput(f"x must be finite, got {x!r}") from None
-    if not math.isfinite(x):
-        raise NonFiniteInput(f"x must be finite, got {x!r}")
+    _require_finite("x", x)
+    x = float(x)
     if branch == 0:
         if x < BRANCH_POINT_Z:
             raise DomainError(f"W_0 is real only for x >= -1/e, got {x}")
@@ -407,9 +402,9 @@ def on_w0_boundary(w, tol):
     """True iff w lies on the upper boundary of the W_0 range, within tol.
 
     The test is Im w in (0, pi) and |Re w + Im w * cot(Im w)| <= tol.
-    A tol that is not a positive finite int or float, or a w that
-    complex() rejects, raises DomainError; a w that is not finite
-    NonFiniteInput.
+    A tol that is not a positive finite int or float, or a w that is a
+    bool or that complex() rejects, raises DomainError; a w that is not
+    finite NonFiniteInput.
     """
     _require_tolerance("tol", tol)
     if tol == 0:

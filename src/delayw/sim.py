@@ -2,14 +2,16 @@
 
 Method of steps with the classical 4th-order one-step scheme: each
 interval of length h is an ODE whose delayed term reads the previous
-interval through cubic Hermite dense output.  The step is snapped to
-an integer fraction of h, so full-step delayed values are stored nodes
-and only half steps interpolate.  The equation being linear, the four
-stages fold into x_{n+1} = c0 x_n + c1 f_n + c2 d_mid + c3 d_end (f_n
-the node derivative, d_mid/d_end the delayed values, c0..c3 fixed by
-alpha*dt): the same step up to rounding, so the error stays O(step^4).
-The first delay interval queries the history up front, later ones read
-stored nodes.
+interval through cubic Hermite dense output, on steps dt = h/N.  The
+equation being linear, the four stages fold into x_{n+1} = c0 x_n +
+c1 f_n + c2 d_mid + c3 d_end (f_n = alpha x_n + beta x_{n-N} the node
+derivative, d_mid = (x_{n-N} + x_{n+1-N})/2 + q (f_{n-N} - f_{n+1-N})
+the half step, q = dt/8, c0..c3 fixed by alpha*dt), so the error stays
+O(step^4).  Past the first delay, where history values stand in, the
+substitution leaves x alone: x_{n+1} = x_n + A x_n + B x_{n-N} +
+C x_{n+1-N} + D (x_{n-2N} - x_{n+1-2N}), A = c0 - 1 + c1 alpha,
+B = c1 beta + c2/2 + c2 q alpha, C = c2/2 - c2 q alpha + c3, D = c2 q
+beta; adding the increment to x_n keeps a constant solution exact.
 
 estimate_dominant_eig_detailed recovers the dominant characteristic
 root from the trajectory's second half: decay rate from a least-squares
@@ -87,16 +89,14 @@ class SampledHistory(namedtuple("SampledHistory", "points")):
 
     def __new__(cls, points):
         try:
-            pts = tuple((float(t), float(x)) for t, x in points)
-        except (TypeError, ValueError):  # not pairs of real numbers
+            pts = tuple((t, x) for t, x in points)
+        except (TypeError, ValueError):  # not a sequence of pairs
             raise DomainError(f"sampled history needs (stamp, value) pairs of reals, got {points!r}") from None
-        except OverflowError:  # an int past the double range
-            raise NonFiniteInput("sample stamps and values must be finite") from None
         if len(pts) < 2:
             raise DomainError("sampled history needs at least two points")
         for t, x in pts:
-            if not (math.isfinite(t) and math.isfinite(x)):
-                raise NonFiniteInput("sample stamps and values must be finite")
+            _require_finite("stamp value", t, x)
+        pts = tuple((float(t), float(x)) for t, x in pts)
         for (t0, x0), (t1, x1) in zip(pts, pts[1:]):
             if not (t1 > t0):
                 raise DomainError("sample stamps must be strictly increasing")
@@ -164,6 +164,8 @@ def _finite_real(x):
 def simulate(cl, init, t_final, step=None):
     """Integrate the closed loop from the given initial data.
 
+    Past the first delay the step runs on x alone; see the module docstring.
+
     Parameters
     ----------
     cl : ClosedLoopParams
@@ -199,37 +201,36 @@ def simulate(cl, init, t_final, step=None):
 
     alpha, beta = cl.alpha, cl.beta
     a = alpha * dt
-    c0 = 1.0 + a * (5.0 / 6.0 + a / 3.0 + a * a / 12.0)
+    e0 = a * (5.0 / 6.0 + a / 3.0 + a * a / 12.0)
+    c0 = 1.0 + e0
     c1 = dt / 6.0 * (1.0 + a + a * a / 2.0 + a * a * a / 4.0)
     c2 = beta * dt / 6.0 * (4.0 + 2.0 * a + a * a / 2.0)
     c3 = beta * dt / 6.0
-    x, f = init.x0, alpha * init.x0 + beta * phi(-h)
-    xs, fs = [x], [f]
+    xs = [phi(j * dt - h) for j in range(n_per)] + [init.x0]
+    x, f = init.x0, alpha * init.x0 + beta * xs[0]
 
-    # first delay interval: t - h lies in the history, except at its
-    # last node, where it is 0 and the delayed value is x0
-    n_hist = min(total, n_per)
-    mids = [phi((j + 0.5) * dt - h) for j in range(n_hist)]
-    ends = [phi(j * dt - h) for j in range(1, min(n_hist + 1, n_per))] + [x]
-    for d_mid, d_end in zip(mids, ends):
+    # first delay interval: t - h in the history; the last delayed node is x0
+    mids = [phi((j + 0.5) * dt - h) for j in range(min(total, n_per))]
+    for d_mid, d_end in zip(mids, islice(xs, 1, None)):
         x = c0 * x + c1 * f + c2 * d_mid + c3 * d_end
         if not abs(x) <= OVERFLOW_LIMIT:
             break
         f = alpha * x + beta * d_end
         xs.append(x)
-        fs.append(f)
     else:
-        # later steps read the nodes one delay back, through zips that follow
-        # the growing lists; the half step is their cubic Hermite midpoint
         q = 0.125 * dt
-        lagged = zip(xs, islice(xs, 1, None), fs, islice(fs, 1, None))
-        for x0, x1, f0, f1 in islice(lagged, total - n_hist):
-            x = c0 * x + c1 * f + c2 * (0.5 * (x0 + x1) + q * (f0 - f1)) + c3 * x1
+        A = e0 + c1 * alpha
+        B = c1 * beta + 0.5 * c2 + c2 * q * alpha
+        C = 0.5 * c2 - c2 * q * alpha + c3
+        D = c2 * q * beta
+        # x_{n-N}, x_{n+1-N}, x_{n-2N}, x_{n+1-2N}: islices of xs (history nodes, x_0, x_1, ...)
+        lagged = zip(islice(xs, n_per, total), islice(xs, n_per + 1, None), xs, islice(xs, 1, None))
+        for x1, x2, y1, y2 in lagged:
+            x += A * x + B * x1 + C * x2 + D * (y1 - y2)
             if not abs(x) <= OVERFLOW_LIMIT:
                 break
-            f = alpha * x + beta * x1
             xs.append(x)
-            fs.append(f)
+    del xs[:n_per]
 
     times = tuple(map(mul, repeat(dt), range(len(xs))))
     # every step that passed the overflow test appended its node

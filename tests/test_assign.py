@@ -261,7 +261,7 @@ def test_target_normalization():
     for call in (as_target, lambda S: feasibility_report(PLANT, S), lambda S: assign_input_delay(input_delay, S),
                  *(lambda S, fn=fn: fn(PLANT, S)
                    for fn in (assign_both, assign_delay_only, assign_current_only, assign_real_both))):
-        for bad in ("abc", None):
+        for bad in ("abc", None, True):
             with pytest.raises(DomainError, match="target must be a number"):
                 call(bad)
 

@@ -99,6 +99,19 @@ class TestErrors:
             with pytest.raises(DomainError, match="x must be a real number"):
                 lambert_w_real(0, bad)
         assert lambert_w(0, "1+1j") == lambert_w(0, 1 + 1j)
+        # the real entry takes real numbers only, like every other real input
+        with pytest.raises(DomainError, match="x must be a real number"):
+            lambert_w_real(0, "1.0")
+
+    def test_bool_is_not_a_number(self):
+        # complex(True) and float(True) read 1: a bool must not pass as W(1)
+        for value in (True, False):
+            with pytest.raises(DomainError, match="z must be a number"):
+                lambert_w(0, value)
+            with pytest.raises(DomainError, match="x must be a real number"):
+                lambert_w_real(0, value)
+            with pytest.raises(DomainError, match="w must be a number"):
+                on_w0_boundary(value, 1e-9)
 
     def test_origin_off_principal(self):
         with pytest.raises(DomainError):

@@ -88,36 +88,81 @@ RK4_CASES = [
 
 
 def folded_rk4(cl, init, t_final, step):
-    """simulate's folded step x_{n+1} = c0 x_n + c1 f_n + c2 d_mid + c3 d_end
-    written index by index, with the same coefficients and the same order
-    of operations: simulate must match it bit for bit.  Returns
-    (values, truncated)."""
+    """simulate's recurrence written index by index, with the same
+    coefficients and the same order of operations: simulate must match
+    it bit for bit.  The first delay interval takes the folded step
+    x_{n+1} = c0 x_n + c1 f_n + c2 d_mid + c3 d_end on history values;
+    later steps take x_{n+1} = x_n + (A x_n + B x_{n-N} + C x_{n+1-N} +
+    D (x_{n-2N} - x_{n+1-2N})), N steps per delay, where x_{j-N}, j < N,
+    is the history node phi(j dt - h).  Returns (values, truncated)."""
     alpha, beta, h, phi = cl.alpha, cl.beta, cl.h, init.phi
     n_per = max(1, math.ceil(h / step - 1e-12))
     dt = h / n_per
     total = math.floor(t_final / dt + 1e-9)
     a = alpha * dt
-    c0 = 1.0 + a * (5.0 / 6.0 + a / 3.0 + a * a / 12.0)
+    e0 = a * (5.0 / 6.0 + a / 3.0 + a * a / 12.0)
+    c0 = 1.0 + e0
     c1 = dt / 6.0 * (1.0 + a + a * a / 2.0 + a * a * a / 4.0)
     c2 = beta * dt / 6.0 * (4.0 + 2.0 * a + a * a / 2.0)
     c3 = beta * dt / 6.0
     q = 0.125 * dt
+    A = e0 + c1 * alpha
+    B = c1 * beta + 0.5 * c2 + c2 * q * alpha
+    C = 0.5 * c2 - c2 * q * alpha + c3
+    D = c2 * q * beta
     xs = [init.x0]
-    fs = [alpha * init.x0 + beta * phi(-h)]
+
+    def node(j):
+        return xs[j] if j >= 0 else phi((j + n_per) * dt - h)
+
+    f = alpha * init.x0 + beta * phi(-h)
     for i in range(total):
-        j = i - n_per
-        if j < 0:
-            d_mid = phi((i + 0.5) * dt - h)
-            d_end = phi((i + 1) * dt - h) if i + 1 < n_per else xs[0]
+        if i < n_per:
+            d_end = node(i + 1 - n_per)
+            x = c0 * xs[i] + c1 * f + c2 * phi((i + 0.5) * dt - h) + c3 * d_end
+            f = alpha * x + beta * d_end
         else:
-            d_mid = 0.5 * (xs[j] + xs[j + 1]) + q * (fs[j] - fs[j + 1])
-            d_end = xs[j + 1]
-        x = c0 * xs[i] + c1 * fs[i] + c2 * d_mid + c3 * d_end
+            x = xs[i]
+            x += A * x + B * node(i - n_per) + C * node(i + 1 - n_per) + D * (
+                node(i - 2 * n_per) - node(i + 1 - 2 * n_per))
         if not abs(x) <= 1e300:
             return xs, True
         xs.append(x)
-        fs.append(alpha * x + beta * d_end)
     return xs, False
+
+
+def exact_scheme(mpmath, cl, init, t_final, step, max_steps):
+    """The folded step x_{n+1} = c0 x_n + c1 f_n + c2 d_mid + c3 d_end,
+    with the Hermite midpoint of stored nodes past the first delay, run
+    in the working precision of mpmath on simulate's grid and history
+    values, with coefficients exact for them: what simulate computes,
+    less its rounding.  At most max_steps steps; returns (values,
+    truncated)."""
+    alpha, beta, h, phi = cl.alpha, cl.beta, cl.h, init.phi
+    n_per = max(1, math.ceil(h / step - 1e-12))
+    dt = h / n_per
+    total = math.floor(t_final / dt + 1e-9)
+    al, b, d = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(dt)
+    a = al * d
+    c0 = 1 + a * (mpmath.mpf(5) / 6 + a / 3 + a * a / 12)
+    c1 = d / 6 * (1 + a + a * a / 2 + a * a * a / 4)
+    c2 = b * d / 6 * (4 + 2 * a + a * a / 2)
+    c3 = b * d / 6
+    nodes = [mpmath.mpf(phi(j * dt - h)) for j in range(n_per)] + [mpmath.mpf(init.x0)]
+    fs = [al * nodes[n_per] + b * nodes[0]]
+    for i in range(min(total, max_steps)):
+        x, f = nodes[i + n_per], fs[i]
+        if i < n_per:
+            d_mid = mpmath.mpf(phi((i + 0.5) * dt - h))
+        else:
+            d_mid = (nodes[i] + nodes[i + 1]) / 2 + d / 8 * (fs[i - n_per] - fs[i + 1 - n_per])
+        d_end = nodes[i + 1]
+        x = c0 * x + c1 * f + c2 * d_mid + c3 * d_end
+        if abs(x) > 1e300:
+            return nodes[n_per:], True
+        nodes.append(x)
+        fs.append(al * x + b * d_end)
+    return nodes[n_per:], False
 
 
 def loop_estimate(traj):
@@ -318,11 +363,20 @@ class TestHistories:
                        lambda: LinearHistory(1.0, 10**400)):
             with pytest.raises(NonFiniteInput):
                 record()
-        for bad in ([(-1.0, None), (-0.5, 1.0)], [(-1.0, "a"), (-0.5, 1.0)], [(-1.0,), (-0.5, 1.0)]):
+        for bad in ([(-1.0, None), (-0.5, 1.0)], [(-1.0, "a"), (-0.5, 1.0)], [(-1.0,), (-0.5, 1.0)], 5):
             with pytest.raises(DomainError):
                 SampledHistory(bad)
-        with pytest.raises(NonFiniteInput):
-            SampledHistory([(-1.0, 10**400), (-0.5, 1.0)])
+        # the same checks as the other histories: float() would take a
+        # bool as 0 or 1 and a numeric string as its value
+        for bad in ([(-1.0, True), (-0.5, "2.0")], [(-1.0, 0.0), (False, 1.0)],
+                    [("-1.0", 0.0), (-0.5, 1.0)], [(-1.0, 1j), (-0.5, 1.0)]):
+            with pytest.raises(DomainError, match="must be a real number"):
+                SampledHistory(bad)
+        for bad in ([(-1.0, 10**400), (-0.5, 1.0)], [(-10**400, 0.0), (-0.5, 1.0)]):
+            with pytest.raises(NonFiniteInput):
+                SampledHistory(bad)
+        # ints are taken, and stored as floats
+        assert SampledHistory([(-1, 0), (-0.5, 2)]).points == ((-1.0, 0.0), (-0.5, 2.0))
 
 
 class TestSimulate:
@@ -391,6 +445,23 @@ class TestSimulate:
         ref, truncated = folded_rk4(cl, init, t_final, step)
         assert traj.values == tuple(ref)
         assert traj.truncated == truncated
+
+    @pytest.mark.parametrize("cl, init, t_final, step", RK4_CASES)
+    def test_matches_exact_scheme(self, cl, init, t_final, step):
+        # rounding alone: each value within 1e-11 of the largest |x| over
+        # the delay before it, against the scheme run in 40 digits over
+        # the first 2,000 steps at most
+        mpmath = pytest.importorskip("mpmath")
+        traj = simulate(cl, init, t_final, step)
+        with mpmath.workdps(40):
+            ref, truncated = exact_scheme(mpmath, cl, init, t_final, step, 2000)
+        assert len(traj.values) >= len(ref)
+        if truncated or len(ref) <= 2000:
+            assert (len(traj.values), traj.truncated) == (len(ref), truncated)
+        n_per = max(1, math.ceil(cl.h / step - 1e-12))
+        mags = [float(abs(x)) for x in ref]
+        for n, (x, y) in enumerate(zip(traj.values, ref)):
+            assert float(abs(x - y)) <= 1e-11 * max(mags[max(0, n - n_per):n + 1])
 
     def test_overflow_truncates_with_flag(self):
         traj = simulate(ClosedLoopParams(2.0, 0.5, 1.0), UNIT, 400.0, 0.01)

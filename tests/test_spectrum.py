@@ -250,7 +250,7 @@ def test_validation_errors():
     assert ClosedLoopParams(-1, -2, 1) == ClosedLoopParams(-1.0, -2.0, 1.0)
     with pytest.raises(NonFiniteInput, match="s must be finite"):
         char_residual(ClosedLoopParams(-1.0, -2.0, 1.0), complex(math.nan, 1.0))
-    for bad in ("x", None, [1.0]):
+    for bad in ("x", None, [1.0], False):
         with pytest.raises(DomainError, match="s must be a number"):
             char_residual(ClosedLoopParams(-1.0, -2.0, 1.0), bad)
     with pytest.raises(NonFiniteInput, match="s must be finite"):
