@@ -38,8 +38,8 @@ only multiple root is the real double root at the Lambert W branch
 point.  That even-order root produces no phase signature along a line
 through it: f stays in one half-plane, so a contour walk sails past
 without a jump and the count silently splits.  The real roots are
-therefore found by sign analysis (f on the reals has a single-signed
-second derivative, hence at most one extremum and two real roots).
+therefore found on the axis, where f'' has one sign (so f has at most
+one extremum and two roots), by Newton on the real-branch W equation.
 Walks near a real root, or the axis extremum, insert extra knots scaled
 to the edge's distance from that point, to resolve the phase swing it
 concentrates there.  The coefficients are real, so f(conj s) =
@@ -52,8 +52,8 @@ hull's roots that it contains.  On cross_validate's rectangles,
 symmetric about the axis, the hull is the rectangle itself.
 
 One function, _df, evaluates f and f' everywhere: on the contour, in
-Newton polishing and in the real-axis sign analysis; only the log-form
-seed steps evaluate their own function.
+Newton polishing and in the real-axis sign scan; only the log-form seed
+steps and the real-axis steps in y evaluate their own function.
 """
 
 import cmath
@@ -401,27 +401,38 @@ def _real_df(cl, x, order=0):
     return _df(cl, complex(x, 0.0), order).real
 
 
-def _real_bracketed(cl, lo, hi):
-    """One real root in [lo, hi] with a sign change: Newton with a
-    bisection safety net."""
-    flo = _real_df(cl, lo)
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        fx = _real_df(cl, x)
-        if fx == 0.0:
-            return x
-        if (fx > 0.0) == (flo > 0.0):
-            lo = x
-        else:
-            hi = x
-        fp = _real_df(cl, x, 1)
-        step = fx / fp if fp != 0.0 else math.inf
-        nx = x - step
-        if not (lo < nx < hi):
-            nx = 0.5 * (lo + hi)
-        if abs(nx - x) <= 4.0 * abs(x) * _EPS + 5e-324:
-            return nx
-        x = nx
+def _real_root(cl, lo, hi):
+    """The root in [lo, hi], a sign change of f on one side of x_ext.
+
+    In y = hx - log|beta h|, h*f is y + expm1(-y) + L (convex, least at
+    x_ext) for beta < 0 and y - e^{-y} + L (increasing, concave) for
+    beta > 0: the real-branch W equation (Corless et al. 1996), where
+    Newton needs no bracket.  Up to two steps on _df in x, kept in the
+    bracket while |f| does not grow, undo the cancellation in x.
+    """
+    lbh = math.log(abs(cl.beta)) + math.log(cl.h)  # also where beta*h leaves the double range
+    L = lbh - cl.alpha * cl.h
+    if cl.beta < 0.0:
+        L = min(L + 1.0, -_EPS)  # negative up to its rounding, as the sign scan found a root
+        side = 0.5 * lo + 0.5 * hi - lbh / cl.h
+        y = (math.copysign(math.sqrt(-2.0 * L), side) if L > -1.0 else 1.0 - L if side > 0.0
+             else -math.log(1.0 - L + math.log(1.0 - L)))
+    else:
+        y = -L if L < -1.0 else -math.log(L) if L > 1.0 else 0.5 * (1.0 - L)
+    for _ in range(40):  # a cap: from these seeds it takes 1 to 4 steps
+        e = math.expm1(-y)
+        y -= (step := (y + e + L) / -e if cl.beta < 0.0 else (y - e - 1.0 + L) / (2.0 + e))
+        if not abs(step) > 1e-6 * abs(y):
+            break
+    x = min(max((lbh + y) / cl.h, lo), hi)
+    f = _real_df(cl, x)
+    for _ in range(2):
+        nx = x - f / fp if (fp := _real_df(cl, x, 1)) else x
+        if not (lo <= nx <= hi and abs(nf := _real_df(cl, nx)) <= abs(f)):
+            break
+        x, f = nx, nf
+    if not (math.isinf(f) or abs(f) <= _f_noise(cl, x, 0.0)):  # if f overflows, the contour raises
+        raise NoConvergence(f"Newton on the real axis found no root in [{lo}, {hi}]")
     return x
 
 
@@ -429,7 +440,7 @@ def _axis(cl, rect):
     """(focus, reals) on the rectangle's stretch of the real axis.
 
     reals lists the real roots in (re_min, re_max) with multiplicity,
-    found by sign inspection with no phase walking near the axis: f on
+    bracketed by sign and found by _real_root, with no phase walking: f on
     the axis has a single-signed second derivative, hence at most one
     interior extremum x_ext, and so at most two simple roots or one
     double root exactly at x_ext.  focus holds the abscissae whose
@@ -455,7 +466,7 @@ def _axis(cl, rect):
     reals = []
     for lo, hi in zip(nodes, nodes[1:]):
         if (_real_df(cl, lo) > 0.0) != (_real_df(cl, hi) > 0.0):
-            reals.append(LocatedRoot(complex(_real_bracketed(cl, lo, hi), 0.0), 1))
+            reals.append(LocatedRoot(complex(_real_root(cl, lo, hi), 0.0), 1))
     # the interior node, if any, is x_ext
     return tuple([r.s.real for r in reals] + nodes[1:-1]), reals
 
@@ -496,7 +507,7 @@ def count_roots(cl, rect):
     return n
 
 
-def _log_seed(cl, s0):
+def _log_seed(cl, s0, log_beta):
     """s0 moved by Newton steps on the log form of f(s) = 0.
 
     Off the real axis f(s) = 0 iff log(s - alpha) + sh = log(beta) +
@@ -510,7 +521,6 @@ def _log_seed(cl, s0):
     """
     if cl.beta == 0.0 or s0.imag == 0.0:
         return s0
-    log_beta = cmath.log(cl.beta)
     lead = (cmath.log(s0 - cl.alpha) + s0 * cl.h - log_beta).imag / _TWO_PI
     if not math.isfinite(lead):
         return s0
@@ -528,7 +538,7 @@ def _log_seed(cl, s0):
     return s
 
 
-def _newton(cl, s0):
+def _newton(cl, s0, log_beta):
     """Newton iteration on f, started from the log-form seed of s0.
 
     Returns the last iterate if f there is within _f_noise, that is,
@@ -536,7 +546,7 @@ def _newton(cl, s0):
     the root on s0's side of the axis, if it landed across; None
     otherwise.
     """
-    s = _log_seed(cl, s0)
+    s = _log_seed(cl, s0, log_beta)
     for _ in range(80):
         f = _df(cl, s, 0)
         fp = _df(cl, s, 1)
@@ -566,6 +576,7 @@ def _resolve(cl, cell, n):
     gap = math.pi / cl.h
     re_lo, re_hi, im_lo, im_hi = cell
     mid_re = (re_lo + re_hi) / 2.0
+    log_beta = cmath.log(cl.beta) if cl.beta else None  # once per cell, not per strip
     # from the top down: on cross_validate's rectangles an empty strip
     # may lie next to the axis, and the pass stops before it
     cuts = (y for j in range(math.ceil(im_hi / gap), math.floor(im_lo / gap) - 1, -1)
@@ -578,7 +589,7 @@ def _resolve(cl, cell, n):
         # the strip (j*pi/h, (j+1)*pi/h) and its mirror below the axis
         # can hold a root only with j odd when z > 0, j even when z < 0
         if math.floor(abs(mid.imag) / gap) % 2 == (cl.beta > 0.0):
-            s = _newton(cl, mid)
+            s = _newton(cl, mid, log_beta)
             if s is not None and re_lo < s.real < re_hi and lo < s.imag < hi:
                 held.append(LocatedRoot(s, 1))
     if len(held) < n:

@@ -500,11 +500,35 @@ def test_winding_budget(monkeypatch, alpha, beta, h, n):
 # sha256 over repr(find_roots(...)) on each verify pool of the benchmark,
 # in pool order, on the rectangles cross_validate builds
 VERIFY_POOL_DIGESTS = {
-    1: "14752081afc1d89304d6cd6ea56465ac59075368a267267241cf15d5a9cf1967",
-    7919: "53af3f121793cec4d36bf5ff212cfe34eed1afc1274191aabeb6058689887758",
+    1: "01a82d634b014c39bbb4235ff314c6eb326ef080afa192149b83889e88bcfcfb",
+    7919: "f2b134b962f619ba468e1781c6c5a275de4f621b7eeedfd3c9e60275823ff667",
 }
 # Newton runs of find_roots over each pool; these may only ever fall
 VERIFY_POOL_NEWTON_RUNS = {1: 6267, 7919: 6268}
+# Newton steps of find_roots on the real axis over each pool, in y and
+# on _df; these may only ever fall
+VERIFY_POOL_REAL_STEPS = {1: 2200, 7919: 2199}
+
+
+def _real_axis_steps(fn, *args):
+    """fn(*args) and the Newton steps _real_root took in it: one
+    math.expm1 call per step in y, one f' evaluation per step on _df."""
+    steps = 0
+    real_root, real_df = oracle._real_root.__code__, oracle._real_df.__code__
+
+    def profile(frame, event, arg):
+        nonlocal steps
+        if event == "c_call" and arg is math.expm1 and frame.f_code is real_root:
+            steps += 1
+        elif event == "call" and frame.f_code is real_df and frame.f_back.f_code is real_root:
+            steps += frame.f_locals["order"]
+
+    sys.setprofile(profile)
+    try:
+        out = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return out, steps
 
 
 def _verify_rects(monkeypatch, seed):
@@ -528,18 +552,100 @@ def test_find_roots_bits_on_verify_pools(monkeypatch, seed):
     newton_runs = 0
     newton = oracle._newton
 
-    def counted(cl, s0):
+    def counted(*args):
         nonlocal newton_runs
         newton_runs += 1
-        return newton(cl, s0)
+        return newton(*args)
 
     monkeypatch.setattr(oracle, "_newton", counted)
     digest = hashlib.sha256()
+    real_steps = 0
     for cl, rect in tasks:
-        digest.update(repr(find_roots(cl, rect)).encode())
+        rs, steps = _real_axis_steps(find_roots, cl, rect)
+        digest.update(repr(rs).encode())
+        real_steps += steps
     assert digest.hexdigest() == VERIFY_POOL_DIGESTS[seed]
     assert newton_runs <= VERIFY_POOL_NEWTON_RUNS[seed]
+    assert 0 < real_steps <= VERIFY_POOL_REAL_STEPS[seed]
     assert len(windings) <= len(tasks)
+
+
+# verify-pool loops, with their branch counts, whose real roots Newton
+# with a bisection net left 5 to 7.5 ulps off, outside the noise ball
+NOISE_BALL_LOOPS = [
+    ((8.946206350657334, -0.033277193174607554, 0.746972828850663), 3),
+    ((-16.822134887854887, 0.0002430936429125217, 2.015397533390913), 10),
+    ((-8.684904469463904, 0.0030137758665911593, 7.249915170825774), 30),
+    ((-5.00142982877084, -0.005920376975767841, 0.010928265599487164), 10),
+    ((14.83120062530643, -0.00018309125814590515, 12.686088364660929), 3),
+]
+
+
+def test_real_roots_within_noise_ball(monkeypatch):
+    # each simple real root find_roots returns lies within the noise
+    # ball _f_noise/|f'| of the exact root, 50-digit mpmath: where _df
+    # cannot tell f from zero; every 4th task of both verify pools, and
+    # the loops above
+    mpmath = pytest.importorskip("mpmath")
+    tasks = _verify_rects(monkeypatch, 1)[::4] + _verify_rects(monkeypatch, 7919)[::4]
+    for loop, n in NOISE_BALL_LOOPS:
+        cl = ClosedLoopParams(*loop)
+        tasks.append((cl, _enclosing_rect(spectrum(cl, n).roots, cl.h)))
+    checked = 0
+    with mpmath.workdps(50):
+        for cl, rect in tasks:
+            a, b, h = map(mpmath.mpf, cl)
+            for r in find_roots(cl, rect).roots:
+                if r.s.imag != 0.0 or r.multiplicity != 1:
+                    continue
+                x = r.s.real
+                exact = mpmath.findroot(lambda t: t - a - b * mpmath.exp(-t * h), mpmath.mpf(x))
+                ball = _f_noise(cl, x, 0.0) / abs(1 + b * h * mpmath.exp(-exact * h))
+                assert abs(x - exact) <= ball, (cl, x, float(abs(x - exact) / ball))
+                checked += 1
+    assert checked >= 240
+
+
+@pytest.mark.parametrize("alpha, beta, h, rect", [
+    pytest.param(-1.0, -1e-300, 1e-30, (-3.0, 1.0, -1e30, 1e30), id="beta-h-underflows-neg"),
+    pytest.param(0.5, 1e-300, 1e-30, (-3.0, 1.0, -1e30, 1e30), id="beta-h-underflows-pos"),
+    pytest.param(-1.0, -1e-200, 1e-200, (-3.0, 1.0, -1.0, 1.0), id="tiny-h"),
+    pytest.param(-1.0, 1e-320, 1.0, (-3.0, 1.0, -1.0, 1.0), id="subnormal-beta"),
+])
+def test_real_root_where_beta_h_leaves_the_normal_range(alpha, beta, h, rect):
+    # beta*h rounds to 0 or is subnormal, where log(-beta*h) is no
+    # use; the one root next to alpha comes back correctly rounded
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a, b, hh = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(h)
+        exact = float(mpmath.findroot(lambda t: t - a - b * mpmath.exp(-t * hh), a))
+    rs = find_roots(ClosedLoopParams(alpha, beta, h), rect)
+    assert rs.roots == (LocatedRoot(complex(exact, 0.0), 1),)
+
+
+def test_real_roots_beside_x_ext():
+    # next to the branch point f(x_ext) is at the rounding level, and the
+    # sign scan may find a root where L rounds to 0 or above; on ranges
+    # that end at or next to x_ext, each simple real root the scan
+    # brackets comes back inside its range with |f| within _f_noise
+    rng = __import__("random").Random(3)
+    found = 0
+    for _ in range(2000):
+        h = 10.0 ** rng.uniform(-3.0, 3.0)
+        alpha = rng.uniform(-5.0, 5.0) / h
+        d = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-19.0, -6.0)
+        cl = ClosedLoopParams(alpha, BRANCH_POINT_Z * (1.0 + d) * math.exp(alpha * h) / h, h)
+        x_ext = math.log(-cl.beta * h) / h
+        width = 10.0 ** rng.uniform(-9.0, 1.0) / h
+        lo, hi = rng.choice([(x_ext - width, x_ext), (x_ext, x_ext + width),
+                             sorted((x_ext + width * rng.uniform(-1.0, 1.0), x_ext + width * rng.uniform(-1.0, 1.0)))])
+        _, reals = oracle._axis(cl, SearchRect(lo, hi, -1.0, 1.0))
+        for r in reals:
+            x = r.s.real
+            if r.multiplicity == 1:
+                assert lo <= x <= hi and abs(_df(cl, r.s, 0)) <= _f_noise(cl, x, 0.0), (cl, lo, hi, x)
+                found += 1
+    assert found >= 500
 
 
 def test_find_roots_makes_no_w_call(monkeypatch):
@@ -597,13 +703,13 @@ def test_newton_shortfall_raises(monkeypatch, miss):
     newton = oracle._newton
     missed = []
 
-    def missing(cl, s0):
+    def missing(cl, s0, log_beta):
         # the first run that would hold a root misses it
-        s = newton(cl, s0)
+        s = newton(cl, s0, log_beta)
         if missed or not (s is not None and rect.contains(s)):
             return s
         missed.append(s)
-        return None if miss == "fails-once" else newton(cl, s0 - 2j * math.pi / cl.h)
+        return None if miss == "fails-once" else newton(cl, s0 - 2j * math.pi / cl.h, log_beta)
 
     monkeypatch.setattr(oracle, "_newton", missing)
     with pytest.raises(NoConvergence, match=r"^Newton placed 6 of the 7 roots of the cell around "):
@@ -754,7 +860,42 @@ def test_near_branch_point_raise_budget():
             cross_validate(cl, 2)
         except (MismatchDetected, BoundaryRootSuspected):
             raised += 1
-    assert raised <= 277
+    assert raised <= 274
+
+
+def _census_loops(rng, wide, narrow):
+    """(cl, n) over the wide loop space: h = 10^U(-3, 3), beta h and
+    alpha h each +-10^U(-12, 4.5), n from {0, 1, 3, 10, 30, 100}; the
+    last narrow loops instead take alpha h so that log|z|, z the W
+    argument, is U(-744, -708.5), where z is subnormal or underflows."""
+    for i in range(wide + narrow):
+        h = 10.0 ** rng.uniform(-3.0, 3.0)
+        bh = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 4.5)
+        if i < wide:
+            ah = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 4.5)
+        else:
+            ah = math.log(abs(bh)) - rng.uniform(-744.0, -708.5)
+        yield ClosedLoopParams(ah / h, bh / h, h), rng.choice((0, 1, 3, 10, 30, 100))
+
+
+# raises of cross_validate on the census by exception class; these may
+# only ever fall, and no other class may appear
+CENSUS_RAISE_BUDGET = {"NonFiniteInput": 107, "DomainError": 108, "MismatchDetected": 145}
+
+
+def test_wide_space_census():
+    # the two paths across the whole loop space: the W argument
+    # overflows (NonFiniteInput) or underflows (DomainError) on some
+    # loops, and spectrum misses its roots where it is subnormal
+    raised = {}
+    for cl, n in _census_loops(__import__("random").Random(7), 2000, 300):
+        try:
+            cross_validate(cl, n)
+        except delayw.DelayWError as exc:
+            raised[type(exc).__name__] = raised.get(type(exc).__name__, 0) + 1
+    assert set(raised) <= set(CENSUS_RAISE_BUDGET), raised
+    for name, count in raised.items():
+        assert count <= CENSUS_RAISE_BUDGET[name], raised
 
 
 @settings(max_examples=200, deadline=None)
