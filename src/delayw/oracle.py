@@ -9,16 +9,17 @@ self-comparison.
 Most edges cost no sample points.  Where f provably keeps to one open
 half-plane along an edge, the edge's phase change follows from its two
 end phases in closed form: on a horizontal edge at height v once
-|v| > |beta|e^{-uh}|sin vh| for every u on it, on a vertical edge at
-Re s = c once |c - alpha| > |beta|e^{-ch}, or once |beta|e^{-ch}
-exceeds every |s - alpha| on it.  Each bound carries a rounding slack
-derived from how f is evaluated.  On a line Im s = j*pi/h, j != 0,
-Im f = j*pi/h exactly, so the first bound holds there for any beta and
-no root lies on it (the classical root-free lines of exponential
-polynomials, Bellman & Cooke 1963).  A horizontal edge that fails its
-bound only towards its left end is split at a lattice knot past the
-crossing; the other edges, and the failing stretches, are walked knot
-by knot and refined until every segment turns by less than pi/2.
+|v| > |beta|e^{-uh}|sin vh| for every u on it; on a vertical edge at
+Re s = c once |c - alpha| > |beta|e^{-ch}, once |beta|e^{-ch} exceeds
+every |s - alpha| on it, or once it keeps to one side of the axis with
+every |v| > |beta|e^{-ch}.  Each bound carries a rounding slack derived
+from how f is evaluated.  On a line Im s = j*pi/h, j != 0, Im f =
+j*pi/h exactly, so the first bound holds there for any beta and no root
+lies on it (the root-free lines of exponential polynomials, Bellman &
+Cooke 1963); as Im f = v + beta*e^{-ch}*sin(vh), the last is its twin.
+An edge failing either only towards its left end, or in the band |v| <=
+|beta|e^{-ch}, is split at a lattice knot past the crossing; the rest
+is walked knot by knot and refined until each piece turns under pi/2.
 
 find_roots isolates the roots by the strips between these lines.  The
 W argument z = beta*h*e^{-alpha h} is real, and the branch ranges of W
@@ -49,7 +50,9 @@ counted on its mirror hull alone, [-T, T] with T its farther side from
 the axis but at least pi/h: less the real roots, that count is twice
 the pairs the strips of [0, T] hold, and the rectangle's roots are the
 hull's roots that it contains.  On cross_validate's rectangles,
-symmetric about the axis, the hull is the rectangle itself.
+symmetric about the axis, the hull is the rectangle itself.  The lower
+half of a symmetric contour repeats the upper half's phase change, so
+only the upper half is wound, from (re_max, 0) to (re_min, 0).
 
 One function, _df, evaluates f and f' everywhere: on the contour, in
 Newton polishing and in the real-axis sign scan; only the log-form seed
@@ -159,13 +162,17 @@ def _df(cl, s, order):
     so that roots near the origin (where s - alpha and beta*e^{-sh}
     cancel to working precision in the naive form) stay evaluable; the
     double root of the coalesced branch case often sits exactly there.
-    Points where the exponential overflows double range come back as
-    infinities rather than exceptions; iterations treat them as
-    out-of-range probes.  Their real part keeps the sign of the
-    exponential term, which the real-axis sign analysis reads.
+    Past e^709, beta*e^{-sh} is sign(beta)*e^{log|beta| - sh}; where that
+    overflows, f comes back infinite rather than raising, and iterations
+    treat it as an out-of-range probe.  Its real part keeps the sign of
+    the delay term, which the real-axis sign analysis reads.
     """
     if cl.beta != 0.0 and -s.real * cl.h > 709.0:
-        return complex(-cl.beta * (-cl.h) ** order * math.inf, math.inf)
+        lead = math.log(abs(cl.beta)) - s * cl.h
+        if lead.real > 709.0:
+            return complex(-cl.beta * (-cl.h) ** order * math.inf, math.inf)
+        term = math.copysign(1.0, cl.beta) * cmath.exp(lead)
+        return s - cl.alpha - term if order == 0 else 1.0 + cl.h * term
     if order == 0:
         return (s - cl.alpha - cl.beta) - cl.beta * _cexpm1(-s * cl.h)
     return 1.0 + cl.beta * cl.h * cmath.exp(-s * cl.h)
@@ -222,8 +229,12 @@ def _edge_knots(sa, sb, h, focus):
 
 
 def _decay(cl, x):
-    """|beta|*e^{-x h}, the modulus of the delay term on the line Re s = x."""
-    return abs(cl.beta) * math.exp(-x * cl.h) if cl.beta != 0.0 else 0.0
+    """|beta|*e^{-x h}, the modulus of the delay term on the line Re s = x;
+    infinite where it overflows."""
+    if -x * cl.h <= 709.0:
+        return abs(cl.beta) * math.exp(-x * cl.h)
+    lead = math.log(abs(cl.beta)) - x * cl.h if cl.beta != 0.0 else -math.inf
+    return math.exp(lead) if lead <= 709.0 else math.inf
 
 
 def _closed_form(cl, sa, sb, pa, pb):
@@ -240,16 +251,18 @@ def _closed_form(cl, sa, sb, pa, pb):
       c - alpha;
     - vertical: if every |s - alpha| < B, then f = -beta*e^{-sh}*(1 - q)
       with |q| < 1, whose phase is that of -beta, minus vh, plus a part
-      inside (-pi/2, pi/2).
+      inside (-pi/2, pi/2);
+    - vertical, on one side of the axis: if every |v| > B, Im f has the
+      sign of v.
 
     In the fixed half-planes the change is the difference of the end
     phases measured from the half-plane's centre direction; in the third
     case it is -h*dv plus wrap(pb - pa + h*dv).
 
     Each bound carries a slack that covers both the exact f along the
-    edge and the f that _df evaluates at its ends: _sine_bound's for Im
-    f, _f_noise over the whole edge for the vertical bounds.  The third
-    case also needs the end phases, h*dv and the wrap, together off by
+    edge and the f that _df evaluates at its ends: _sine_bound's and
+    _band's for Im f, _f_noise over the whole edge for the others.  The
+    third case also needs the end phases, h*dv and the wrap, together off by
     at most x = eps*(4|h dv| + 32), to keep the part inside
     (-pi/2, pi/2) from reaching +-pi: its |q| <= rho has
     |phase(1 - q)| <= asin(rho), and pi/2 - asin(rho) >= sqrt(2(1 - rho))
@@ -268,6 +281,9 @@ def _closed_form(cl, sa, sb, pa, pb):
     slack = _f_noise(cl, c, ymax)
     if abs(c - cl.alpha) > decay + slack:
         centre = 0.0 if c > cl.alpha else math.pi
+        return _wrap(pb - centre) - _wrap(pa - centre)
+    if (sa.imag > 0.0) == (sb.imag > 0.0) and min(abs(sa.imag), abs(sb.imag)) > _band(cl, c, ymax):
+        centre = math.copysign(0.5 * math.pi, sa.imag)
         return _wrap(pb - centre) - _wrap(pa - centre)
     turn = h * (sb.imag - sa.imag)
     x = _EPS * (4.0 * abs(turn) + 32.0)
@@ -306,22 +322,37 @@ def _sine_bound(cl, sa, sb):
     return abs(math.sin(v * cl.h)) + _EPS * (12.0 + 2.0 * zmax)
 
 
-def _split_knot(cl, sa, sb):
-    """Lattice knot past which a horizontal edge meets the first bound.
+def _band(cl, c, ymax):
+    """B = |beta|e^{-ch} plus _f_noise's Im f share: on Re s = c, up to
+    |Im s| = ymax, Im f has the sign of Im s wherever |Im s| exceeds it."""
+    return _decay(cl, c) * (1.0 + _EPS * (12.0 + 2.0 * (abs(c) + ymax) * cl.h))
 
-    |beta|e^{-uh} falls as u grows, so an edge that fails the bound
-    fails it only left of u* = (log(|beta| S) - log|v|)/h, S the sine
-    bound.  Returns the first knot j*pi/(4h) past u* if it lies strictly
-    inside the edge, else None.
+
+def _split_knot(cl, sa, sb):
+    """Lattice knot past which an edge meets its sign bound on Im f.
+
+    |beta|e^{-uh} falls as u grows, so a horizontal edge that fails the
+    bound fails it only left of u* = (log(|beta| S) - log|v|)/h, S the
+    sine bound; a vertical edge fails it only inside the band |v| <= b of
+    _band.  Returns the first knot j*pi/(4h) past u*, or past b or -b
+    from the axis, if it lies strictly inside the edge, else None.
     """
+    if cl.beta == 0.0:
+        return None
+    step = math.pi / (4.0 * cl.h)
+    if sa.imag != sb.imag:
+        ymax = max(abs(sa.imag), abs(sb.imag))
+        band = _band(cl, sa.real, ymax)  # NaN if B = 0 and the slack is infinite
+        knot = (math.floor(band / step) + 1) * step if band < ymax else math.inf
+        lo, hi = (sa.imag, sb.imag) if sa.imag < sb.imag else (sb.imag, sa.imag)
+        return next((complex(sa.real, y) for y in (knot, -knot) if lo < y < hi), None)
     v = sa.imag
-    if sb.imag != v or v == 0.0 or cl.beta == 0.0:
+    if v == 0.0:
         return None
     cross = (math.log(abs(cl.beta)) + math.log(_sine_bound(cl, sa, sb)) - math.log(abs(v))) / cl.h
     lo, hi = (sa.real, sb.real) if sa.real < sb.real else (sb.real, sa.real)
     if not lo < cross < hi:
         return None
-    step = math.pi / (4.0 * cl.h)
     knot = (math.floor(cross / step) + 1) * step
     return complex(knot, v) if knot < hi else None
 
@@ -329,9 +360,9 @@ def _split_knot(cl, sa, sb):
 def _edge_arg(cl, sa, sb, pa, pb, focus):
     """Total phase change of f along the segment sa -> sb.
 
-    In closed form where f stays in one half-plane; a horizontal edge
-    that is clear only right of a knot is split there, and the part left
-    of it walked.
+    In closed form where f stays in one half-plane; an edge that is
+    clear only past a knot, rightward or away from the axis, is split
+    there, and the part short of it walked.
     """
     d = _closed_form(cl, sa, sb, pa, pb)
     if d is not None:
@@ -375,18 +406,17 @@ def _walk(cl, sa, sb, pa, pb, focus):
 
 
 def _winding(cl, rect, focus):
-    """Exact root count inside rect from the boundary phase sum."""
-    corners = (
-        complex(rect.re_min, rect.im_min),
-        complex(rect.re_max, rect.im_min),
-        complex(rect.re_max, rect.im_max),
-        complex(rect.re_min, rect.im_max),
-    )
-    ends = [_checked_phase(cl, c) for c in corners]
-    total = 0.0
-    for i in range(4):
-        j = (i + 1) % 4
-        total += _edge_arg(cl, corners[i], corners[j], ends[i], ends[j], focus)
+    """Exact root count inside rect from the boundary phase sum, wound on
+    the upper half alone if rect is symmetric about the axis."""
+    half = rect.im_min == -rect.im_max
+    base = 0.0 if half else rect.im_min
+    path = [complex(rect.re_max, base), complex(rect.re_max, rect.im_max),
+            complex(rect.re_min, rect.im_max), complex(rect.re_min, base)]
+    ends = [_checked_phase(cl, s) for s in path]
+    if not half:  # close the loop, back to the first corner
+        path, ends = path + path[:1], ends + ends[:1]
+    total = (2.0 if half else 1.0) * sum(_edge_arg(cl, sa, sb, pa, pb, focus)
+                                         for sa, sb, pa, pb in zip(path, path[1:], ends, ends[1:]))
     n = round(total / _TWO_PI)
     if abs(total / _TWO_PI - n) > 0.25:
         raise BoundaryRootSuspected(

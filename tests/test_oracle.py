@@ -30,8 +30,8 @@ from delayw import (
     spectrum,
 )
 from delayw import oracle
-from delayw.oracle import (_checked_phase, _closed_form, _df, _edge_arg, _edge_knots, _enclosing_rect, _f_noise,
-                           _split_knot, _walk)
+from delayw.oracle import (_band, _checked_phase, _closed_form, _df, _edge_arg, _edge_knots, _enclosing_rect,
+                           _f_noise, _split_knot, _walk)
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -288,15 +288,22 @@ class TestFindRoots:
 
     @pytest.mark.parametrize("locate", [count_roots, find_roots])
     def test_tall_rect_raises_rather_than_miscount(self, locate):
-        # the left edge at Re s = -3 is walked; from +-1e5 up it needs over
-        # 65,536 pieces of pi/(4h), and a coarser step once gave a count of
-        # 4 at +-1e6, where 14 roots lie
+        # only the band |Im s| <= 2e^3 of the left edge at Re s = -3 is
+        # walked, as Im f has the sign of Im s above it, and the other
+        # edges take the closed form at any height; a coarser step than
+        # pi/(4h) once gave a count of 4 at +-1e6, where 14 roots lie.  A
+        # walk of over 65,536 pieces still raises: at +-1e300 the rounding
+        # slack widens the right edge's band past that, and at Re s = -12
+        # the band |Im s| <= 2e^12 of the left edge is itself that long
         cl = ClosedLoopParams(-1.0, -2.0, 1.0)
         truth = sum(r.s.real > -3.0 for r in spectrum(cl, 1000).roots)
-        assert count_roots(cl, SearchRect(-3.0, 1.0, -1e4, 1e4)) == truth == 14
-        for height in (1e5, 1e6, 1e300):
+        assert truth == 14
+        for height in (1e4, 1e5, 1e6):
+            got = locate(cl, SearchRect(-3.0, 1.0, -height, height))
+            assert (got if locate is count_roots else got.total_count) == truth
+        for rect in (SearchRect(-3.0, 1.0, -1e300, 1e300), SearchRect(-12.0, 1.0, -1e6, 1e6)):
             with pytest.raises(DomainError, match=r"takes over 65,536 pieces; shrink the rectangle"):
-                locate(cl, SearchRect(-3.0, 1.0, -height, height))
+                locate(cl, rect)
 
     @pytest.mark.parametrize("locate", [count_roots, find_roots])
     def test_rect_given_as_a_sequence(self, locate):
@@ -323,6 +330,31 @@ class TestFindRoots:
         with pytest.raises(DomainError, match=r"characteristic function overflows on the contour "
                                               r".*; shrink the rectangle"):
             locate(ClosedLoopParams(-1.0, -2.0, 1.0), SearchRect(-800.0, -700.0, -1.0, 1.0))
+
+    @pytest.mark.parametrize("locate", [count_roots, find_roots])
+    def test_tiny_beta_past_e709_is_evaluated(self, locate):
+        # e^{-sh} passes the double range all along the left edge, but
+        # |beta| = 1e-300 keeps beta*e^{-sh} inside it: f is finite there
+        # (|f(-720 - i)| = 4.92e12), and the one root inside, real, is
+        # s = alpha + W_{-1}(beta*h*e^{-alpha h})/h in 40-digit mpmath
+        mpmath = pytest.importorskip("mpmath")
+        cl = ClosedLoopParams(1.8e8, -1e-300, 1.0)
+        rect = SearchRect(-720.0, -600.0, -1.0, 1.0)
+        with mpmath.workdps(40):
+            a, b, h = map(mpmath.mpf, cl)
+            z = b * h * mpmath.exp(-a * h)
+            inside = [s for s in (a + mpmath.lambertw(z, k) / h for k in range(-3, 4)) if rect.contains(complex(s))]
+            assert len(inside) == 1
+            got = locate(cl, rect)
+            if locate is count_roots:
+                assert got == 1
+                return
+            assert got.total_count == 1
+            (root,) = got.roots
+            assert root.multiplicity == 1 and root.s.imag == 0.0
+            x = mpmath.mpf(root.s.real)
+            slope = abs(1 - b * h * mpmath.exp(-inside[0] * h))
+            assert abs(x - inside[0]) <= _f_noise(cl, root.s.real, 0.0) / slope
 
     def test_rootset_multiplicity_bookkeeping(self):
         with pytest.raises(DomainError):
@@ -448,14 +480,16 @@ H23 = (11.044532312121724, -0.04801816730893112, 23.14904106214897)
     pytest.param(-1.0, -2.0, 1.0, 30, 4, id="h1-n30"),
     # |beta|e^{-uh} reaches ~1e15 at the left edge of these rectangles, so
     # the lines j*pi/h pass the first bound only right of a split knot;
-    # walking them whole took 5,145 and 5,308 evaluations
-    pytest.param(*H20, 30, 92, id="h20-n30"),
-    pytest.param(*H23, 30, 76, id="h23-n30"),
+    # walking them whole took 5,145 and 5,308 evaluations, and winding
+    # both halves of the contour 92 and 76
+    pytest.param(*H20, 30, 48, id="h20-n30"),
+    pytest.param(*H23, 30, 40, id="h23-n30"),
 ])
 def test_phase_evaluation_budget(alpha, beta, h, n, budget):
-    # the oracle's work is its phase evaluations, here all on the
-    # rectangle's own contour: its mirror hull is the rectangle itself;
-    # cheaper walks may lower the counts, never raise them
+    # the oracle's work is its phase evaluations, here all on the upper
+    # half of the rectangle's own contour: its mirror hull is the
+    # rectangle itself; cheaper walks may lower the counts, never raise
+    # them
     _, calls = phase_evaluations(cross_validate, ClosedLoopParams(alpha, beta, h), n)
     assert 0 < calls <= budget
 
@@ -508,18 +542,25 @@ VERIFY_POOL_NEWTON_RUNS = {1: 6267, 7919: 6268}
 # Newton steps of find_roots on the real axis over each pool, in y and
 # on _df; these may only ever fall
 VERIFY_POOL_REAL_STEPS = {1: 2200, 7919: 2199}
+# phase evaluations of find_roots over each pool; these may only ever
+# fall: winding both halves of the mirror-symmetric contours, and
+# walking whole vertical edges, took 10,359 and 9,022
+VERIFY_POOL_PHASE_EVALS = {1: 3283, 7919: 3243}
 
 
-def _real_axis_steps(fn, *args):
-    """fn(*args) and the Newton steps _real_root took in it: one
-    math.expm1 call per step in y, one f' evaluation per step on _df."""
-    steps = 0
+def _oracle_work(fn, *args):
+    """fn(*args), the Newton steps _real_root took in it (one math.expm1
+    call per step in y, one f' evaluation per step on _df) and its phase
+    evaluations."""
+    steps = phases = 0
     real_root, real_df = oracle._real_root.__code__, oracle._real_df.__code__
 
     def profile(frame, event, arg):
-        nonlocal steps
+        nonlocal steps, phases
         if event == "c_call" and arg is math.expm1 and frame.f_code is real_root:
             steps += 1
+        elif event == "c_call" and arg is cmath.phase and frame.f_globals.get("__name__") == "delayw.oracle":
+            phases += 1
         elif event == "call" and frame.f_code is real_df and frame.f_back.f_code is real_root:
             steps += frame.f_locals["order"]
 
@@ -528,7 +569,7 @@ def _real_axis_steps(fn, *args):
         out = fn(*args)
     finally:
         sys.setprofile(None)
-    return out, steps
+    return out, steps, phases
 
 
 def _verify_rects(monkeypatch, seed):
@@ -559,14 +600,16 @@ def test_find_roots_bits_on_verify_pools(monkeypatch, seed):
 
     monkeypatch.setattr(oracle, "_newton", counted)
     digest = hashlib.sha256()
-    real_steps = 0
+    real_steps = phase_evals = 0
     for cl, rect in tasks:
-        rs, steps = _real_axis_steps(find_roots, cl, rect)
+        rs, steps, phases = _oracle_work(find_roots, cl, rect)
         digest.update(repr(rs).encode())
         real_steps += steps
+        phase_evals += phases
     assert digest.hexdigest() == VERIFY_POOL_DIGESTS[seed]
     assert newton_runs <= VERIFY_POOL_NEWTON_RUNS[seed]
     assert 0 < real_steps <= VERIFY_POOL_REAL_STEPS[seed]
+    assert 0 < phase_evals <= VERIFY_POOL_PHASE_EVALS[seed]
     assert len(windings) <= len(tasks)
 
 
@@ -1016,3 +1059,78 @@ def test_closed_form_agrees_with_walk():
     assert fired["line"][1] >= fired["line"][0] // 2 and fired["line"][2] > 0
     for kind in ("near-horizontal", "near-vertical"):
         assert 0 < fired[kind][1] < fired[kind][0]
+
+
+def test_vertical_band_agrees_with_walk():
+    # on the line Re s = c, Im f = v + beta*e^{-ch}*sin(vh) has the sign
+    # of v outside the band |v| <= _band: a vertical edge on one side of
+    # the axis and outside the band takes the closed form, which must
+    # give the phase change the knotted walk finds; an edge from the
+    # axis is split past the band and walked below it only, and one
+    # across the axis at both ends of the band; |c - alpha|
+    # < |beta|e^{-ch} keeps the first vertical case off, and half the
+    # edges start within 1e-10 relative of the band, on either side
+    rng = __import__("random").Random(23)
+    fired = {"band": 0, "inside": 0, "split": 0}
+    for i in range(200):
+        h = 10.0 ** rng.uniform(-2.0, 1.0)
+        c = rng.uniform(-3.0, 3.0) / h
+        beta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 1.8) * math.exp(c * h) / h
+        decay = abs(beta) * math.exp(-c * h)
+        cl = ClosedLoopParams(c + rng.uniform(-1.0, 1.0) * decay, beta, h)
+        y0 = decay * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16.0, -10.0) if i % 2
+                      else rng.uniform(0.0, 3.0))
+        y1 = y0 + rng.uniform(0.1, 20.0) / h
+        side = rng.choice((-1.0, 1.0))
+        sa, sb = complex(c, side * y0), complex(c, side * y1)
+        if rng.random() < 0.5:
+            sa, sb = sb, sa
+        s0, sc = complex(c, 0.0), complex(c, -side * y0)
+        try:
+            pa, pb, p0, pc = (_checked_phase(cl, s) for s in (sa, sb, s0, sc))
+            walked = _walk(cl, sa, sb, pa, pb, ())
+            from_axis = _walk(cl, s0, sb, p0, pb, ())
+            across = _walk(cl, sc, sb, pc, pb, ())
+        except (BoundaryRootSuspected, DomainError):
+            continue
+        closed = _closed_form(cl, sa, sb, pa, pb)
+        if closed is not None:
+            assert abs(closed - walked) <= 1e-9, (cl, sa, sb, closed, walked)
+        fired["band" if y0 > _band(cl, c, y1) else "inside"] += 1
+        if y0 > _band(cl, c, y1):
+            assert closed is not None, (cl, sa, sb)
+        knot = _split_knot(cl, s0, sb)
+        if knot is not None:
+            assert knot.real == c and _band(cl, c, y1) < abs(knot.imag) < y1 and knot.imag * side > 0.0
+            fired["split"] += 1
+        got = _edge_arg(cl, s0, sb, p0, pb, ())
+        assert abs(got - from_axis) <= 1e-9, (cl, sb, got, from_axis)
+        got = _edge_arg(cl, sc, sb, pc, pb, ())
+        assert abs(got - across) <= 1e-9, (cl, sc, sb, got, across)
+    assert min(fired.values()) >= 40, fired
+
+
+def test_half_path_counts_agree_with_spectrum():
+    # a rectangle symmetric about the axis is wound on its upper half
+    # alone and the change doubled; that count must be the number of
+    # spectrum roots inside, with every edge 1e-3 of the diameter clear
+    # of every root
+    rng = __import__("random").Random(37)
+    checked = 0
+    while checked < 200:
+        h = 10.0 ** rng.uniform(-2.0, 2.0)
+        alpha = rng.uniform(-5.0, 5.0) / (h if rng.random() < 0.5 else 1.0)
+        cl = ClosedLoopParams(alpha, rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0), h)
+        roots = [r.s for r in spectrum(cl, 12).roots for _ in range(r.multiplicity)]
+        top = rng.uniform(0.05, 8.0) * math.pi / h
+        near = [s.real for s in roots if abs(s.imag) < top]
+        if not near:
+            continue
+        rect = SearchRect(rng.choice(near) - rng.uniform(0.05, 1.0) / h, max(near) + rng.uniform(0.05, 1.0) / h,
+                          -top, top)
+        clear = 1e-3 * rect.diameter
+        if -rect.re_min * h > 700.0 or any(min(abs(s.real - rect.re_min), abs(s.real - rect.re_max),
+                                               abs(abs(s.imag) - top)) < clear for s in roots):
+            continue
+        assert count_roots(cl, rect) == sum(rect.contains(s) for s in roots), (cl, rect)
+        checked += 1
