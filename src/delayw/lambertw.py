@@ -255,21 +255,14 @@ def _eval_complex(k, z, az):
     # the sheet of W_-1 above the axis and of W_1 below it that is real on
     # [-1/e, 0)
     real_wm1 = (k == -1 and z.imag >= 0.0) or (k == 1 and z.imag < 0.0)
-    # branch-point neighbourhood, branches 0 and +-1 only; |z| <= 1 covers
-    # it and keeps abs() from overflowing
-    if az <= 1.0 and abs(z - BRANCH_POINT_Z) <= _BP_SEED_RADIUS and k in (0, 1, -1):
+    # branch-point neighbourhood, on branch 0 and that real sheet only;
+    # |z| <= 1 covers it and keeps abs() from overflowing
+    if (k == 0 or real_wm1) and az <= 1.0 and abs(z - BRANCH_POINT_Z) <= _BP_SEED_RADIUS:
         p = cmath.sqrt(2.0 * _ez_plus_1(z))
-        if k == 0:
-            seed = _bp_series(p)
-        elif real_wm1:
-            seed = _bp_series(-p)
-            p = -p
-        else:
-            seed = None
-        if seed is not None:
-            if abs(p) <= _BP_DIRECT:
-                return seed, None, 0
-            return _halley(z, az, (seed,))[0]
+        seed = _bp_series(p if k == 0 else -p)
+        if abs(p) <= _BP_DIRECT:
+            return seed, None, 0
+        return _halley(z, az, (seed,))[0]
     if k == 0 and az <= 2.0 and z.real >= BRANCH_POINT_Z:
         return _halley(z, az, (_pade0(z),))[0]
     if real_wm1 and z.real < 0.0 and az <= _WM1_SEED_RADIUS:

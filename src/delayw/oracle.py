@@ -8,18 +8,19 @@ self-comparison.
 
 Most edges cost no sample points.  Where f provably keeps to one open
 half-plane along an edge, the edge's phase change follows from its two
-end phases in closed form: on a horizontal edge at height v once
-|v| > |beta|e^{-uh}|sin vh| for every u on it; on a vertical edge at
-Re s = c once |c - alpha| > |beta|e^{-ch}, once |beta|e^{-ch} exceeds
-every |s - alpha| on it, or once it keeps to one side of the axis with
-every |v| > |beta|e^{-ch}.  Each bound carries a rounding slack derived
-from how f is evaluated.  On a line Im s = j*pi/h, j != 0, Im f =
-j*pi/h exactly, so the first bound holds there for any beta and no root
-lies on it (the root-free lines of exponential polynomials, Bellman &
-Cooke 1963); as Im f = v + beta*e^{-ch}*sin(vh), the last is its twin.
-An edge failing either only towards its left end, or in the band |v| <=
-|beta|e^{-ch}, is split at a lattice knot past the crossing; the rest
-is walked knot by knot and refined until each piece turns under pi/2.
+end phases in closed form.  One rule serves both orientations: as
+Im f = v + beta*e^{-uh}*sin(vh), an edge on one side of the axis keeps
+Im f to the sign of v once every |v| > |beta|e^{-uh}*S, S = |sin vh| on
+a horizontal edge and 1 on a vertical one.  On a line Im s = j*pi/h,
+j != 0, Im f = j*pi/h exactly, so it holds there for any beta and no
+root lies on it (the root-free lines of exponential polynomials, Bellman
+& Cooke 1963).  A vertical edge at Re s = c is also clear once
+|c - alpha| > |beta|e^{-ch}, or once |beta|e^{-ch} exceeds every
+|s - alpha| on it.  Each bound carries a rounding slack derived from how
+f is evaluated.  An edge failing the rule only towards its left end, or
+in the band |v| <= |beta|e^{-ch}, is split at a lattice knot past the
+crossing; the rest is walked knot by knot and refined until each piece
+turns under pi/2.
 
 find_roots isolates the roots by the strips between these lines.  The
 W argument z = beta*h*e^{-alpha h} is real, and the branch ranges of W
@@ -237,62 +238,6 @@ def _decay(cl, x):
     return math.exp(lead) if lead <= 709.0 else math.inf
 
 
-def _closed_form(cl, sa, sb, pa, pb):
-    """Phase change of f along sa -> sb when f provably keeps to one open
-    half-plane there, from the end phases alone; None otherwise.
-
-    With s = u + iv, Im f = v + beta*e^{-uh}*sin(vh) and
-    Re f = u - alpha - beta*e^{-uh}*cos(vh).  Writing B for |beta|e^{-uh}
-    at the left end (its largest value on the edge), the edge is clear:
-
-    - horizontal, at height v: if |v| > B|sin vh|, Im f has the sign of v;
-      on the lines v = j*pi/h, j != 0, this holds whatever B is;
-    - vertical, at Re s = c: if |c - alpha| > B, Re f has the sign of
-      c - alpha;
-    - vertical: if every |s - alpha| < B, then f = -beta*e^{-sh}*(1 - q)
-      with |q| < 1, whose phase is that of -beta, minus vh, plus a part
-      inside (-pi/2, pi/2);
-    - vertical, on one side of the axis: if every |v| > B, Im f has the
-      sign of v.
-
-    In the fixed half-planes the change is the difference of the end
-    phases measured from the half-plane's centre direction; in the third
-    case it is -h*dv plus wrap(pb - pa + h*dv).
-
-    Each bound carries a slack that covers both the exact f along the
-    edge and the f that _df evaluates at its ends: _sine_bound's and
-    _band's for Im f, _f_noise over the whole edge for the others.  The
-    third case also needs the end phases, h*dv and the wrap, together off by
-    at most x = eps*(4|h dv| + 32), to keep the part inside
-    (-pi/2, pi/2) from reaching +-pi: its |q| <= rho has
-    |phase(1 - q)| <= asin(rho), and pi/2 - asin(rho) >= sqrt(2(1 - rho))
-    exceeds x/2 once 1 - rho > x^2/8.
-    """
-    h = cl.h
-    if sa.imag == sb.imag:
-        v = sa.imag
-        if abs(v) > _decay(cl, min(sa.real, sb.real)) * _sine_bound(cl, sa, sb):
-            centre = math.copysign(0.5 * math.pi, v)
-            return _wrap(pb - centre) - _wrap(pa - centre)
-        return None
-    c = sa.real
-    decay = _decay(cl, c)
-    ymax = max(abs(sa.imag), abs(sb.imag))
-    slack = _f_noise(cl, c, ymax)
-    if abs(c - cl.alpha) > decay + slack:
-        centre = 0.0 if c > cl.alpha else math.pi
-        return _wrap(pb - centre) - _wrap(pa - centre)
-    if (sa.imag > 0.0) == (sb.imag > 0.0) and min(abs(sa.imag), abs(sb.imag)) > _band(cl, c, ymax):
-        centre = math.copysign(0.5 * math.pi, sa.imag)
-        return _wrap(pb - centre) - _wrap(pa - centre)
-    turn = h * (sb.imag - sa.imag)
-    x = _EPS * (4.0 * abs(turn) + 32.0)
-    dist = math.hypot(c - cl.alpha, ymax)
-    if decay * (1.0 - 0.125 * x * x) > dist + slack:
-        return _wrap(pb - pa + turn) - turn
-    return None
-
-
 def _f_noise(cl, x, y):
     """Bound on the rounding error of the f that _df evaluates, at every
     s on the line Re s = x with |Im s| <= |y|.
@@ -304,72 +249,86 @@ def _f_noise(cl, x, y):
     alone carries only the B part, as its (s - alpha - beta) term is
     exact.  A bound that compares against B computed as
     |beta|*exp(-xh) is off by a further u*B*(4 + Z).  Summed, and rounded
-    up to whole eps = 2u, that is eps*B*(12 + 2Z) for Im f (the sine's
-    slack in _sine_bound) plus eps*(4(|s| + |alpha|) + 16|beta|).
+    up to whole eps = 2u, that is eps*B*(12 + 2Z) for Im f (_edge_arg's
+    Im f slack) plus eps*(4(|s| + |alpha|) + 16|beta|).
     """
     z = (abs(x) + abs(y)) * cl.h
     reach = abs(x) + abs(y) + abs(cl.alpha)
     return _EPS * (_decay(cl, x) * (12.0 + 2.0 * z) + 4.0 * reach + 16.0 * abs(cl.beta))
 
 
-def _sine_bound(cl, sa, sb):
-    """|sin vh| plus its slack on the horizontal edge sa -> sb at height
-    v: the edge is clear where |v| exceeds |beta|e^{-uh} times this; the
-    slack is _f_noise's Im f share over B, with sin(vh) itself off by
-    u|vh|."""
-    v = sa.imag
-    zmax = max(abs(sa.real), abs(sb.real)) * cl.h + abs(v * cl.h)
-    return abs(math.sin(v * cl.h)) + _EPS * (12.0 + 2.0 * zmax)
-
-
-def _band(cl, c, ymax):
-    """B = |beta|e^{-ch} plus _f_noise's Im f share: on Re s = c, up to
-    |Im s| = ymax, Im f has the sign of Im s wherever |Im s| exceeds it."""
-    return _decay(cl, c) * (1.0 + _EPS * (12.0 + 2.0 * (abs(c) + ymax) * cl.h))
-
-
-def _split_knot(cl, sa, sb):
-    """Lattice knot past which an edge meets its sign bound on Im f.
-
-    |beta|e^{-uh} falls as u grows, so a horizontal edge that fails the
-    bound fails it only left of u* = (log(|beta| S) - log|v|)/h, S the
-    sine bound; a vertical edge fails it only inside the band |v| <= b of
-    _band.  Returns the first knot j*pi/(4h) past u*, or past b or -b
-    from the axis, if it lies strictly inside the edge, else None.
-    """
-    if cl.beta == 0.0:
-        return None
-    step = math.pi / (4.0 * cl.h)
-    if sa.imag != sb.imag:
-        ymax = max(abs(sa.imag), abs(sb.imag))
-        band = _band(cl, sa.real, ymax)  # NaN if B = 0 and the slack is infinite
-        knot = (math.floor(band / step) + 1) * step if band < ymax else math.inf
-        lo, hi = (sa.imag, sb.imag) if sa.imag < sb.imag else (sb.imag, sa.imag)
-        return next((complex(sa.real, y) for y in (knot, -knot) if lo < y < hi), None)
-    v = sa.imag
-    if v == 0.0:
-        return None
-    cross = (math.log(abs(cl.beta)) + math.log(_sine_bound(cl, sa, sb)) - math.log(abs(v))) / cl.h
-    lo, hi = (sa.real, sb.real) if sa.real < sb.real else (sb.real, sa.real)
-    if not lo < cross < hi:
-        return None
-    knot = (math.floor(cross / step) + 1) * step
-    return complex(knot, v) if knot < hi else None
-
-
 def _edge_arg(cl, sa, sb, pa, pb, focus):
     """Total phase change of f along the segment sa -> sb.
 
-    In closed form where f stays in one half-plane; an edge that is
-    clear only past a knot, rightward or away from the axis, is split
-    there, and the part short of it walked.
+    With s = u + iv, Im f = v + beta*e^{-uh}*sin(vh) and
+    Re f = u - alpha - beta*e^{-uh}*cos(vh).  Writing B for |beta|e^{-uh}
+    at the left end (its largest value on the edge), the edge is decided
+    once, in this order:
+
+    - vertical, at Re s = c: if |c - alpha| > B, Re f has the sign of
+      c - alpha;
+    - on one side of the axis: if every |v| > B*S, with S = |sin vh| on a
+      horizontal edge and 1 on a vertical one, Im f has the sign of v;
+      on the lines v = j*pi/h, j != 0, this holds whatever B is;
+    - vertical: if every |s - alpha| < B, then f = -beta*e^{-sh}*(1 - q)
+      with |q| < 1, whose phase is that of -beta, minus vh, plus a part
+      inside (-pi/2, pi/2).
+
+    In the fixed half-planes the change is the difference of the end
+    phases measured from the half-plane's centre direction; in the last
+    case it is -h*dv plus wrap(pb - pa + h*dv).  An edge that passes
+    none is split at a lattice knot j*pi/(4h) strictly inside it, where
+    it meets the Im f rule: B falls as u grows, so a horizontal edge
+    fails it only left of u* = (log(|beta| S) - log|v|)/h, and a vertical
+    one only inside the band |v| <= B*S; the knot is the first past u*,
+    or past the band on either side of the axis.  Both parts are decided
+    again; an edge with no such knot is walked.
+
+    Each bound carries a slack that covers both the exact f along the
+    edge and the f that _df evaluates at its ends: for Im f, S grows by
+    _f_noise's Im f share over B, eps*(12 + 2Z) with Z = (max|u| +
+    max|v|)h, which also covers sin(vh) being off by u|vh|; _f_noise over
+    the whole edge for the others.  The last case also needs the end
+    phases, h*dv and the wrap, together off by at most x = eps*(4|h dv|
+    + 32), to keep the part inside (-pi/2, pi/2) from reaching +-pi: its
+    |q| <= rho has |phase(1 - q)| <= asin(rho), and pi/2 - asin(rho) >=
+    sqrt(2(1 - rho)) exceeds x/2 once 1 - rho > x^2/8.
     """
-    d = _closed_form(cl, sa, sb, pa, pb)
-    if d is not None:
-        return d
-    knot = _split_knot(cl, sa, sb)
-    if knot is None:
+    h = cl.h
+    horizontal = sa.imag == sb.imag
+    u0, u1 = (sa.real, sb.real) if sa.real < sb.real else (sb.real, sa.real)
+    v0, v1 = (sa.imag, sb.imag) if sa.imag < sb.imag else (sb.imag, sa.imag)
+    decay = _decay(cl, u0)
+    vmax = v1 if v1 > -v0 else -v0
+    if not horizontal:
+        slack = _f_noise(cl, u0, vmax)
+        if abs(u0 - cl.alpha) > decay + slack:
+            centre = 0.0 if u0 > cl.alpha else math.pi
+            return _wrap(pb - centre) - _wrap(pa - centre)
+    sine = ((abs(math.sin(v0 * h)) if horizontal else 1.0)
+            + _EPS * (12.0 + 2.0 * ((u1 if u1 > -u0 else -u0) + vmax) * h))
+    bound = decay * sine  # NaN if B = 0 and the slack is infinite
+    if v0 > bound or -v1 > bound:  # bound >= 0: only on one side of the axis
+        centre = math.copysign(0.5 * math.pi, sa.imag)
+        return _wrap(pb - centre) - _wrap(pa - centre)
+    if not horizontal:
+        turn = h * (sb.imag - sa.imag)
+        x = _EPS * (4.0 * abs(turn) + 32.0)
+        if decay * (1.0 - 0.125 * x * x) > math.hypot(u0 - cl.alpha, vmax) + slack:
+            return _wrap(pb - pa + turn) - turn
+    step = math.pi / (4.0 * h)
+    if horizontal:
+        lo, hi = u0, u1
+        cross = (math.log(abs(cl.beta)) + math.log(sine) - math.log(vmax)) / h if cl.beta and vmax else math.nan
+        knots = ((math.floor(cross / step) + 1) * step,) if lo < cross < hi else ()
+    else:
+        lo, hi = v0, v1
+        y = (math.floor(bound / step) + 1) * step if cl.beta and bound < vmax else math.inf
+        knots = (y, -y)
+    at = next((k for k in knots if lo < k < hi), None)
+    if at is None:
         return _walk(cl, sa, sb, pa, pb, focus)
+    knot = complex(at, sa.imag) if horizontal else complex(sa.real, at)
     pk = _checked_phase(cl, knot)
     return _edge_arg(cl, sa, knot, pa, pk, focus) + _edge_arg(cl, knot, sb, pk, pb, focus)
 
@@ -598,21 +557,27 @@ def _resolve(cl, cell, n):
 
     The lines Im s = j*pi/h cut cell, which lies on one side of the real
     axis, into strips that each hold at most one root, and strips of one
-    parity none.  Newton runs from the centre of each other strip and
-    keeps a result strictly inside its strip and the cell's real range:
-    n such roots, in n distinct strips of a cell that winds to n, leave
-    no other root.  Short of n, raises NoConvergence.
+    parity none, nor any strip above the reach |beta|e^{-re_min h}.
+    Newton runs from the centre of each other strip and keeps a result
+    strictly inside its strip and the cell's real range: n such roots,
+    in n distinct strips of a cell that winds to n, leave no other root.
+    Short of n, raises NoConvergence.
     """
     gap = math.pi / cl.h
     re_lo, re_hi, im_lo, im_hi = cell
     mid_re = (re_lo + re_hi) / 2.0
     log_beta = cmath.log(cl.beta) if cl.beta else None  # once per cell, not per strip
     # from the top down: on cross_validate's rectangles an empty strip
-    # may lie next to the axis, and the pass stops before it
-    cuts = (y for j in range(math.ceil(im_hi / gap), math.floor(im_lo / gap) - 1, -1)
-            if im_lo < (y := j * gap) < im_hi)
+    # may lie next to the axis, and the pass stops before it.  A root
+    # with Re s > re_lo has |Im s| <= |s - alpha| = |beta|e^{-Re(s) h},
+    # under the reach (with _edge_arg's Im f slack), so above the axis
+    # the pass starts at the first cut past it; an overflow skips nothing
+    reach = _decay(cl, re_lo) * (1.0 + _EPS * (12.0 + 2.0 * (abs(re_lo) + abs(im_hi)) * cl.h))
+    top = min(im_hi, (math.floor(reach / gap) + 1) * gap) if reach < im_hi else im_hi
+    cuts = (y for j in range(math.ceil(top / gap), math.floor(im_lo / gap) - 1, -1)
+            if im_lo < (y := j * gap) < top)
     held = []
-    for hi, lo in pairwise(chain((im_hi,), cuts, (im_lo,))):
+    for hi, lo in pairwise(chain((top,), cuts, (im_lo,))):
         if len(held) == n:
             break
         mid = complex(mid_re, (lo + hi) / 2.0)

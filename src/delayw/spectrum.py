@@ -84,10 +84,20 @@ class ClosedLoopParams(namedtuple("ClosedLoopParams", "alpha beta h")):
     def w_argument(self):
         """beta*h*e^{-alpha*h}, the argument handed to Lambert W.
 
-        Raises NonFiniteInput when it lies past the double range.
+        Raises NonFiniteInput when it lies past the double range, but
+        not when only beta*h or e^{-alpha h} does.
         """
         try:
             z = self.beta * self.h * math.exp(-self.alpha * self.h)
+        except OverflowError:
+            z = math.nan
+        if math.isfinite(z):
+            return z
+        # beta*h or e^{-alpha h} left the double range, yet z itself may
+        # lie inside it (or underflow): form it from the logs
+        lead = math.log(abs(self.beta)) + math.log(self.h) - self.alpha * self.h if self.beta else -math.inf
+        try:
+            z = math.copysign(math.exp(lead), self.beta)
         except OverflowError:
             z = math.inf
         if math.isinf(z):

@@ -30,8 +30,7 @@ from delayw import (
     spectrum,
 )
 from delayw import oracle
-from delayw.oracle import (_band, _checked_phase, _closed_form, _df, _edge_arg, _edge_knots, _enclosing_rect,
-                           _f_noise, _split_knot, _walk)
+from delayw.oracle import _checked_phase, _df, _edge_arg, _edge_knots, _enclosing_rect, _f_noise, _walk
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -287,20 +286,34 @@ class TestFindRoots:
             assert min(abs(r.s - s) for s in truth) <= 1e-14 * max(1.0, abs(r.s))
 
     @pytest.mark.parametrize("locate", [count_roots, find_roots])
-    def test_tall_rect_raises_rather_than_miscount(self, locate):
+    def test_tall_rect_raises_rather_than_miscount(self, monkeypatch, locate):
         # only the band |Im s| <= 2e^3 of the left edge at Re s = -3 is
         # walked, as Im f has the sign of Im s above it, and the other
         # edges take the closed form at any height; a coarser step than
-        # pi/(4h) once gave a count of 4 at +-1e6, where 14 roots lie.  A
-        # walk of over 65,536 pieces still raises: at +-1e300 the rounding
-        # slack widens the right edge's band past that, and at Re s = -12
-        # the band |Im s| <= 2e^12 of the left edge is itself that long
+        # pi/(4h) once gave a count of 4 at +-1e6, where 14 roots lie.
+        # Newton runs only in the strips under that reach, 2e^3 =
+        # |beta|e^{-re_min h}, not in the 159,155 above it at +-1e6.  A
+        # walk of over 65,536 pieces still raises: at +-1e300 the
+        # rounding slack widens the right edge's band past that, and at
+        # Re s = -12 the band |Im s| <= 2e^12 of the left edge is itself
+        # that long
         cl = ClosedLoopParams(-1.0, -2.0, 1.0)
         truth = sum(r.s.real > -3.0 for r in spectrum(cl, 1000).roots)
         assert truth == 14
+        newton_runs = 0
+        newton = oracle._newton
+
+        def counted(*args):
+            nonlocal newton_runs
+            newton_runs += 1
+            return newton(*args)
+
+        monkeypatch.setattr(oracle, "_newton", counted)
         for height in (1e4, 1e5, 1e6):
+            newton_runs = 0
             got = locate(cl, SearchRect(-3.0, 1.0, -height, height))
             assert (got if locate is count_roots else got.total_count) == truth
+            assert newton_runs <= 8
         for rect in (SearchRect(-3.0, 1.0, -1e300, 1e300), SearchRect(-12.0, 1.0, -1e6, 1e6)):
             with pytest.raises(DomainError, match=r"takes over 65,536 pieces; shrink the rectangle"):
                 locate(cl, rect)
@@ -444,6 +457,22 @@ class TestCrossValidate:
         rep = cross_validate(cl, n)
         assert rep.spectrum_count == rep.oracle_count
         assert rep.max_distance <= 1e-8
+
+    @pytest.mark.xfail(raises=MismatchDetected, strict=True,
+                       reason="_df's form (s - alpha - beta) - beta*expm1(-sh) carries an error of eps*|beta|")
+    @pytest.mark.parametrize("beta", [-1e9, -1e12, 1e12, -1e15])
+    def test_large_beta_matches(self, beta):
+        # at a root with Re(s) h >> 1, |s - alpha| = |beta|e^{-Re(s) h} is
+        # far below eps*|beta|, so the oracle's roots drift (6.9e-10 and
+        # 1.9e-7 relative), while spectrum's stay within a few ulps of
+        # 50-digit mpmath; the match distance runs from 1.3e-8 to 1.2e-2
+        mpmath = pytest.importorskip("mpmath")
+        cl = ClosedLoopParams(0.0, beta, 1.0)
+        with mpmath.workdps(50):
+            for r in spectrum(cl, 3).roots:
+                exact = mpmath.lambertw(mpmath.mpf(beta), r.branch)
+                assert abs(r.s - exact) <= 1e-15 * abs(exact)
+        cross_validate(cl, 3)
 
     def test_wide_parameter_space_agrees(self):
         # log-uniform delays and gains with unstable plants and long delays
@@ -1033,9 +1062,47 @@ def _closed_form_cases(rng):
             yield ("near-vertical", cl) + flip(complex(c, a), complex(c, b))
 
 
-def test_closed_form_agrees_with_walk():
+def _edge_decisions(monkeypatch):
+    """Records how each later _edge_arg call decides its edge: a closed
+    form makes no phase evaluation, a split evaluates its knot before any
+    walk, and a walk evaluates inside _walk alone.  Returns decide(cl,
+    sa, sb, pa, pb) -> (phase change, "closed" | "split" | "walked",
+    knot or None)."""
+    events = []
+    phase, walk = oracle._checked_phase, oracle._walk
+
+    def traced_phase(cl, s):
+        events.append(("phase", s))
+        return phase(cl, s)
+
+    def traced_walk(*args):
+        events.append(("walk", None))
+        return walk(*args)
+
+    monkeypatch.setattr(oracle, "_checked_phase", traced_phase)
+    monkeypatch.setattr(oracle, "_walk", traced_walk)
+
+    def decide(cl, sa, sb, pa, pb):
+        events.clear()
+        got = _edge_arg(cl, sa, sb, pa, pb, ())
+        if not events:
+            return got, "closed", None
+        kind, at = events[0]
+        return (got, "split", at) if kind == "phase" else (got, "walked", None)
+
+    return decide
+
+
+def _im_band(cl, c, ymax):
+    """|beta|e^{-ch} with the Im f slack of a vertical edge at Re s = c
+    up to |Im s| = ymax: outside it Im f has the sign of Im s."""
+    return abs(cl.beta) * math.exp(-c * cl.h) * (1.0 + 2.0 ** -52 * (12.0 + 2.0 * (abs(c) + ymax) * cl.h))
+
+
+def test_closed_form_agrees_with_walk(monkeypatch):
     # a closed-form edge, and a horizontal edge split at a lattice knot,
     # must give the phase change the knotted walk finds on the same edge
+    decide = _edge_decisions(monkeypatch)
     rng = __import__("random").Random(13)
     fired = {}
     for kind, cl, sa, sb in _closed_form_cases(rng):
@@ -1044,15 +1111,12 @@ def test_closed_form_agrees_with_walk():
             walked = _walk(cl, sa, sb, pa, pb, ())
         except (BoundaryRootSuspected, DomainError):
             continue
-        closed = _closed_form(cl, sa, sb, pa, pb)
-        got = _edge_arg(cl, sa, sb, pa, pb, ())
+        got, how, _ = decide(cl, sa, sb, pa, pb)
         assert abs(got - walked) <= 1e-9, (kind, cl, sa, sb, got, walked)
-        if closed is not None:
-            assert closed == got
         hit = fired.setdefault(kind, [0, 0, 0])
         hit[0] += 1
-        hit[1] += closed is not None
-        hit[2] += closed is None and _split_knot(cl, sa, sb) is not None
+        hit[1] += how == "closed"
+        hit[2] += how == "split"
     # the closed form must fire often, splits must occur, and near the
     # bounds the closed form must both pass and fail
     assert fired["random"][1] >= fired["random"][0] // 4
@@ -1061,15 +1125,16 @@ def test_closed_form_agrees_with_walk():
         assert 0 < fired[kind][1] < fired[kind][0]
 
 
-def test_vertical_band_agrees_with_walk():
+def test_vertical_band_agrees_with_walk(monkeypatch):
     # on the line Re s = c, Im f = v + beta*e^{-ch}*sin(vh) has the sign
-    # of v outside the band |v| <= _band: a vertical edge on one side of
-    # the axis and outside the band takes the closed form, which must
+    # of v outside the band |v| <= _im_band: a vertical edge on one side
+    # of the axis and outside the band takes the closed form, which must
     # give the phase change the knotted walk finds; an edge from the
     # axis is split past the band and walked below it only, and one
     # across the axis at both ends of the band; |c - alpha|
     # < |beta|e^{-ch} keeps the first vertical case off, and half the
     # edges start within 1e-10 relative of the band, on either side
+    decide = _edge_decisions(monkeypatch)
     rng = __import__("random").Random(23)
     fired = {"band": 0, "inside": 0, "split": 0}
     for i in range(200):
@@ -1093,19 +1158,18 @@ def test_vertical_band_agrees_with_walk():
             across = _walk(cl, sc, sb, pc, pb, ())
         except (BoundaryRootSuspected, DomainError):
             continue
-        closed = _closed_form(cl, sa, sb, pa, pb)
-        if closed is not None:
-            assert abs(closed - walked) <= 1e-9, (cl, sa, sb, closed, walked)
-        fired["band" if y0 > _band(cl, c, y1) else "inside"] += 1
-        if y0 > _band(cl, c, y1):
-            assert closed is not None, (cl, sa, sb)
-        knot = _split_knot(cl, s0, sb)
-        if knot is not None:
-            assert knot.real == c and _band(cl, c, y1) < abs(knot.imag) < y1 and knot.imag * side > 0.0
+        got, how, _ = decide(cl, sa, sb, pa, pb)
+        assert abs(got - walked) <= 1e-9, (cl, sa, sb, got, walked)
+        band = _im_band(cl, c, y1)
+        fired["band" if y0 > band else "inside"] += 1
+        if y0 > band:
+            assert how == "closed", (cl, sa, sb)
+        got, how, knot = decide(cl, s0, sb, p0, pb)
+        if how == "split":
+            assert knot.real == c and band < abs(knot.imag) < y1 and knot.imag * side > 0.0
             fired["split"] += 1
-        got = _edge_arg(cl, s0, sb, p0, pb, ())
         assert abs(got - from_axis) <= 1e-9, (cl, sb, got, from_axis)
-        got = _edge_arg(cl, sc, sb, pc, pb, ())
+        got, _, _ = decide(cl, sc, sb, pc, pb)
         assert abs(got - across) <= 1e-9, (cl, sc, sb, got, across)
     assert min(fired.values()) >= 40, fired
 

@@ -291,6 +291,24 @@ def test_w_argument_underflow(beta):
         spectrum(cl, 0)
 
 
+@pytest.mark.parametrize("alpha, beta, h", [(1.0, -1e300, 1e10), (1e-8, 1e300, 1e10), (-1e13, 1e-300, 1e-10)])
+def test_w_argument_past_a_factor_overflow(alpha, beta, h):
+    # beta*h overflows while e^{-alpha h} underflows (z is -0.0, not
+    # NaN), or one factor leaves the double range while z stays inside
+    # it: z and the rightmost root agree with 50-digit mpmath
+    mpmath = pytest.importorskip("mpmath")
+    cl = ClosedLoopParams(alpha, beta, h)
+    with mpmath.workdps(50):
+        z = mpmath.mpf(beta) * h * mpmath.exp(-mpmath.mpf(alpha) * h)
+        margin = float(alpha + mpmath.lambertw(z).real / h)
+    assert cl.w_argument == pytest.approx(float(z), rel=1e-12)
+    assert math.copysign(1.0, cl.w_argument) == math.copysign(1.0, beta)
+    assert is_stable(cl) == (margin < 0.0, pytest.approx(margin, rel=1e-12))
+    if float(z) == 0.0:
+        with pytest.raises(DomainError, match="underflows to 0"):
+            spectrum(cl, 0)
+
+
 finite = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 # |beta| below ~1e-6 with large |alpha*h| pushes the branch -1 root so far
 # left that e^{-s h} is not representable; the residual oracle only makes
