@@ -46,14 +46,14 @@ Walks near a real root, or the axis extremum, insert extra knots scaled
 to the edge's distance from that point, to resolve the phase swing it
 concentrates there.  The coefficients are real, so f(conj s) =
 conj f(s): only the upper half-plane is searched, and the roots below
-are the exact conjugates.  A rectangle across the axis is therefore
-counted on its mirror hull alone, [-T, T] with T its farther side from
-the axis but at least pi/h: less the real roots, that count is twice
-the pairs the strips of [0, T] hold, and the rectangle's roots are the
-hull's roots that it contains.  On cross_validate's rectangles,
-symmetric about the axis, the hull is the rectangle itself.  The lower
-half of a symmetric contour repeats the upper half's phase change, so
-only the upper half is wound, from (re_max, 0) to (re_min, 0).
+are the exact conjugates.  A rectangle below the axis is searched as
+its mirror, one that meets the axis as its mirror hull alone, [-T, T]
+with T its farther side from the axis but at least pi/h: less the real
+roots, that count is twice the pairs the strips of [0, T] hold, and
+the rectangle's roots are the hull's roots that it contains.  On
+cross_validate's rectangles, symmetric about the axis, the hull is the
+rectangle itself.  The lower half of a symmetric contour repeats the
+upper half's phase change, so only the upper half is wound.
 
 One function, _df, evaluates f and f' everywhere: on the contour, in
 Newton polishing and in the real-axis sign scan; only the log-form seed
@@ -168,7 +168,9 @@ def _df(cl, s, order):
     treat it as an out-of-range probe.  Its real part keeps the sign of
     the delay term, which the real-axis sign analysis reads.
     """
-    if cl.beta != 0.0 and -s.real * cl.h > 709.0:
+    if cl.beta == 0.0:
+        return s - cl.alpha if order == 0 else 1.0
+    if -s.real * cl.h > 709.0:
         lead = math.log(abs(cl.beta)) - s * cl.h
         if lead.real > 709.0:
             return complex(-cl.beta * (-cl.h) ** order * math.inf, math.inf)
@@ -335,19 +337,10 @@ def _edge_arg(cl, sa, sb, pa, pb, focus):
 
 def _walk(cl, sa, sb, pa, pb, focus):
     """Phase change of f along sa -> sb, summed knot by knot."""
+    knots = [sa, *_edge_knots(sa, sb, cl.h, focus), sb]
+    phases = [pa, *(_checked_phase(cl, s) for s in knots[1:-1]), pb]
+    stack = [(*piece, 0) for piece in zip(knots, knots[1:], phases, phases[1:])]
     total = 0.0
-    stack = []
-    prev_s, prev_p = sa, pa
-    for cur_s in _edge_knots(sa, sb, cl.h, focus):
-        cur_p = _checked_phase(cl, cur_s)
-        # most pieces pass at once; only the others go through the stack
-        d = _wrap(cur_p - prev_p)
-        if abs(d) < _PHASE_STEP:
-            total += d
-        else:
-            stack.append((prev_s, cur_s, prev_p, cur_p, 0))
-        prev_s, prev_p = cur_s, cur_p
-    stack.append((prev_s, sb, prev_p, pb, 0))
     while stack:
         a, b, ph_a, ph_b, depth = stack.pop()
         d = _wrap(ph_b - ph_a)
@@ -490,9 +483,16 @@ def count_roots(cl, rect):
     Evaluated purely from the boundary of rect (a SearchRect or any
     4-sequence): (1/2pi) times the phase change of f around it.  If a
     root sits on the boundary the rectangle is grown outward by 1e-3 of
-    its diameter, up to 5 times, before giving up.
+    its diameter, up to 5 times, before giving up.  A rectangle with an
+    edge on the real axis, where its real roots lie, counts half of its
+    mirror hull [-T, T], T its farther side, and half of its real roots.
     """
-    n, _, _ = _counted_rect(cl, _as_rect(rect))
+    rect = _as_rect(rect)
+    if rect.im_min == 0.0 or rect.im_max == 0.0:
+        top = max(rect.im_max, -rect.im_min)
+        n, _, reals = _counted_rect(cl, SearchRect(rect.re_min, rect.re_max, -top, top))
+        return (n + sum(r.multiplicity for r in reals)) // 2
+    n, _, _ = _counted_rect(cl, rect)
     return n
 
 
@@ -503,13 +503,11 @@ def _log_seed(cl, s0, log_beta):
     2*pi*i*m for one integer m, read here from s0.  The left side is
     close to linear in s except near alpha - 1/h, so the steps reach a
     root's neighbourhood where Newton on f, whose exponential term
-    swings by e^{h|ds|} over a step, would take many.  The steps stop
-    once one is small, turns non-finite or would cross the real axis,
-    where the principal log jumps; s0 comes back unmoved if none was
-    taken.
+    swings by e^{h|ds|} over a step, would take many.  s0 lies above
+    the real axis, and the steps stop once one is small, turns
+    non-finite or would leave that half-plane, where the principal log
+    jumps; s0 comes back unmoved if none was taken.
     """
-    if cl.beta == 0.0 or s0.imag == 0.0:
-        return s0
     lead = (cmath.log(s0 - cl.alpha) + s0 * cl.h - log_beta).imag / _TWO_PI
     if not math.isfinite(lead):
         return s0
@@ -519,7 +517,7 @@ def _log_seed(cl, s0, log_beta):
         w = s - cl.alpha
         step = (cmath.log(w) + s * cl.h - target) / (1.0 / w + cl.h)
         nxt = s - step
-        if not (math.isfinite(nxt.real) and math.isfinite(nxt.imag) and nxt.imag * s0.imag > 0.0):
+        if not (math.isfinite(nxt.real) and math.isfinite(nxt.imag) and nxt.imag > 0.0):
             break
         s = nxt
         if abs(step) <= _LOG_SEED_STEP * max(1.0, abs(s)):
@@ -531,9 +529,7 @@ def _newton(cl, s0, log_beta):
     """Newton iteration on f, started from the log-form seed of s0.
 
     Returns the last iterate if f there is within _f_noise, that is,
-    indistinguishable from zero in _df's arithmetic, and its conjugate,
-    the root on s0's side of the axis, if it landed across; None
-    otherwise.
+    indistinguishable from zero in _df's arithmetic; None otherwise.
     """
     s = _log_seed(cl, s0, log_beta)
     for _ in range(80):
@@ -547,15 +543,13 @@ def _newton(cl, s0, log_beta):
             return None
         if abs(step) <= 1e-15 * max(1.0, abs(s)):
             break
-    if abs(_df(cl, s, 0)) <= _f_noise(cl, s.real, s.imag):
-        return s if (s.imag < 0.0) == (s0.imag < 0.0) else s.conjugate()
-    return None
+    return s if abs(_df(cl, s, 0)) <= _f_noise(cl, s.real, s.imag) else None
 
 
 def _resolve(cl, cell, n):
     """The n simple roots that a winding count puts in cell, as a list.
 
-    The lines Im s = j*pi/h cut cell, which lies on one side of the real
+    The lines Im s = j*pi/h cut cell, which lies on or above the real
     axis, into strips that each hold at most one root, and strips of one
     parity none, nor any strip above the reach |beta|e^{-re_min h}.
     Newton runs from the centre of each other strip and keeps a result
@@ -570,9 +564,9 @@ def _resolve(cl, cell, n):
     # from the top down: on cross_validate's rectangles an empty strip
     # may lie next to the axis, and the pass stops before it.  A root
     # with Re s > re_lo has |Im s| <= |s - alpha| = |beta|e^{-Re(s) h},
-    # under the reach (with _edge_arg's Im f slack), so above the axis
-    # the pass starts at the first cut past it; an overflow skips nothing
-    reach = _decay(cl, re_lo) * (1.0 + _EPS * (12.0 + 2.0 * (abs(re_lo) + abs(im_hi)) * cl.h))
+    # under the reach (with _edge_arg's Im f slack), so the pass starts
+    # at the first cut past it; an overflow skips nothing
+    reach = _decay(cl, re_lo) * (1.0 + _EPS * (12.0 + 2.0 * (abs(re_lo) + im_hi) * cl.h))
     top = min(im_hi, (math.floor(reach / gap) + 1) * gap) if reach < im_hi else im_hi
     cuts = (y for j in range(math.ceil(top / gap), math.floor(im_lo / gap) - 1, -1)
             if im_lo < (y := j * gap) < top)
@@ -581,9 +575,9 @@ def _resolve(cl, cell, n):
         if len(held) == n:
             break
         mid = complex(mid_re, (lo + hi) / 2.0)
-        # the strip (j*pi/h, (j+1)*pi/h) and its mirror below the axis
-        # can hold a root only with j odd when z > 0, j even when z < 0
-        if math.floor(abs(mid.imag) / gap) % 2 == (cl.beta > 0.0):
+        # the strip (j*pi/h, (j+1)*pi/h) can hold a root only with j odd
+        # when z > 0, j even when z < 0
+        if math.floor(mid.imag / gap) % 2 == (cl.beta > 0.0):
             s = _newton(cl, mid, log_beta)
             if s is not None and re_lo < s.real < re_hi and lo < s.imag < hi:
                 held.append(LocatedRoot(s, 1))
@@ -597,11 +591,12 @@ def find_roots(cl, rect):
 
     Real roots are resolved directly on the axis (where any multiple
     root of this function family must lie), the others by Newton runs in
-    the pi/h strips between the lines Im s = j*pi/h, each holding at
-    most one root, against the winding count of rect or, across the
-    axis, of its mirror hull alone; every root is Newton-polished until
-    |f(s)| is below a bound derived from the rounding error of
-    evaluating f at s, and the roots below the axis are the conjugates
+    the pi/h strips between the lines Im s = j*pi/h above the axis, each
+    holding at most one root, against the winding count of rect's image
+    above the axis or, if rect meets the axis or a nudge takes it
+    across, of its mirror hull alone.  Every root is Newton-polished
+    until |f(s)| is below a bound derived from the rounding error of
+    evaluating f at s; the roots below the axis are the exact conjugates
     of those above.  Roots are ordered by descending real part, ties by
     ascending imaginary part, and total_count is their multiplicity
     sum.  Raises NoConvergence if Newton places fewer roots than a
@@ -609,23 +604,28 @@ def find_roots(cl, rect):
     the hull holds an odd number of non-real roots.
     """
     rect = _as_rect(rect)
-    if rect.im_min < 0.0 < rect.im_max:
-        # the hull [-top, top] holds the real roots and conjugate pairs;
-        # with top >= pi/h the strip on the axis is whole
-        top = max(rect.im_max, -rect.im_min, math.pi / cl.h)
-        n, hull, reals = _counted_rect(cl, SearchRect(rect.re_min, rect.re_max, -top, top))
-        rest = n - sum(r.multiplicity for r in reals)
-        if rest < 0 or rest % 2:
-            raise BoundaryRootSuspected(f"hull around {hull.center} holds {rest} non-real roots, not an even count")
-        above = _resolve(cl, SearchRect(hull.re_min, hull.re_max, 0.0, hull.im_max), rest // 2)
-        # rect's top and bottom move out by the hull's nudge, if any; a
-        # root on either counts as inside, as count_roots' nudge has it
-        grown = hull.im_max - top
-        found = [*reals, *(r for r in above if r.s.imag <= rect.im_max + grown),
-                 *(LocatedRoot(r.s.conjugate(), 1) for r in above if r.s.imag <= grown - rect.im_min)]
-    else:
-        n, rect, _ = _counted_rect(cl, rect)
-        found = _resolve(cl, rect, n)
+    # rect or, below the axis, its mirror: f(conj s) = conj f(s)
+    up = rect if rect.im_max > 0.0 else SearchRect(rect.re_min, rect.re_max, -rect.im_max, -rect.im_min)
+    cell, reals = up, []
+    if up.im_min > 0.0:
+        n, cell, _ = _counted_rect(cl, up)
+    grown = cell.im_max - up.im_max
+    if cell.im_min <= 0.0:
+        # the hull holds the real roots and conjugate pairs; with
+        # top >= pi/h the strip on the axis is whole
+        top = max(cell.im_max, -cell.im_min, math.pi / cl.h)
+        n, hull, reals = _counted_rect(cl, SearchRect(cell.re_min, cell.re_max, -top, top))
+        n -= sum(r.multiplicity for r in reals)
+        if n < 0 or n % 2:
+            raise BoundaryRootSuspected(f"hull around {hull.center} holds {n} non-real roots, not an even count")
+        n //= 2
+        grown += hull.im_max - top
+        cell = SearchRect(hull.re_min, hull.re_max, 0.0, hull.im_max)
+    above = _resolve(cl, cell, n)
+    # rect's top and bottom move out by the nudges, if any; a root on
+    # either counts as inside, as count_roots' nudge has it
+    lo, hi = rect.im_min - grown, rect.im_max + grown
+    found = [r for r in chain(reals, above, (LocatedRoot(r.s.conjugate(), 1) for r in above)) if lo <= r.s.imag <= hi]
     found.sort(key=lambda r: (-r.s.real, r.s.imag))
     return RootSet(roots=tuple(found), total_count=sum(r.multiplicity for r in found))
 

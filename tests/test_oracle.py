@@ -390,6 +390,14 @@ class TestCrossValidate:
         assert rep.spectrum_count == rep.oracle_count == 1
         assert rep.max_distance == 0.0
 
+    def test_delay_free_loop_past_the_exponential_range(self):
+        # with beta = 0, f = s - alpha is evaluated directly, also where
+        # e^{-sh} overflows: neither the contour nor the real axis raises
+        assert count_roots(ClosedLoopParams(-1.0, 0.0, 1.0), (-800.0, 1.0, -1.0, 1.0)) == 1
+        rep = cross_validate(ClosedLoopParams(-1000.0, 0.0, 1.0), 2)
+        assert rep.spectrum_count == rep.oracle_count == 1
+        assert rep.max_distance == 0.0
+
     def test_positive_argument_case(self):
         # beta > 0 keeps one real root plus symmetric pairs
         rep = cross_validate(ClosedLoopParams(0.5, 2.0, 0.7), 4)
@@ -881,6 +889,69 @@ def test_straddling_rects_agree_with_spectrum():
         assert rs.total_count == len(got) == len(expected), (cl, rect)
         for s, ref in zip(got, expected):
             assert abs(s - ref) <= 1e-12 * max(1.0, abs(ref)), (cl, rect, s, ref)
+
+
+def _edge_on_axis_rects(rng, count):
+    """Seeded loops and rectangles with an edge on the real axis, as (cl,
+    rect): the bottom edge on odd draws, the top one on even draws, and
+    beta = 0 on every tenth loop.  Heights run to 6*pi/h, and the real
+    range from alpha - 8/h to alpha + 4/h."""
+    for i in range(count):
+        h = 10.0 ** rng.uniform(-1.5, 1.5)
+        alpha = rng.uniform(-5.0, 5.0)
+        beta = 0.0 if i % 10 == 9 else rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, 2.5)
+        height = rng.uniform(0.1, 6.0) * math.pi / h
+        re_lo, re_hi = alpha - rng.uniform(0.5, 8.0) / h, alpha + rng.uniform(0.1, 4.0) / h
+        yield ClosedLoopParams(alpha, beta, h), SearchRect(re_lo, re_hi, *((0.0, height) if i % 2 else (-height, 0.0)))
+
+
+@pytest.mark.parametrize("seed", [11, 23])
+def test_edge_on_axis_rects_agree_with_spectrum(seed):
+    # the real roots of a rectangle with an edge on the axis lie on that
+    # edge: both find_roots and count_roots hold every root of the closed
+    # rectangle and none further than 1e-9 outside it
+    for cl, rect in _edge_on_axis_rects(__import__("random").Random(seed), 1200):
+        roots = [r.s for r in spectrum(cl, 12).roots for _ in range(r.multiplicity)]
+        inside = [s for s in roots if rect.contains(s)]
+        near = [s for s in roots if rect.contains(s, 1e-9)]
+        rs = find_roots(cl, rect)
+        got = [r.s for r in rs.roots for _ in range(r.multiplicity)]
+        assert len(inside) <= len(got) == rs.total_count == count_roots(cl, rect) <= len(near), (cl, rect)
+        for s, pool in [(s, near) for s in got] + [(s, got) for s in inside]:
+            assert min(abs(s - ref) for ref in pool) <= 1e-12 * max(1.0, abs(s)), (cl, rect, s)
+
+
+@pytest.mark.parametrize("edge", [0.0, 1e-17, 1e-300])
+def test_real_root_on_or_next_to_an_edge(edge):
+    # the one real root of (-1, 0.2, 1) lies on the bottom edge of
+    # [-3, 1] x [edge, 3], or edge below it, where the count's nudge may
+    # take it in; find_roots holds what count_roots counts, and the
+    # rectangle's mirror below the axis the same
+    cl = ClosedLoopParams(-1.0, 0.2, 1.0)
+    real = LocatedRoot(complex(-0.6259832407340479, 0.0), 1)
+    for rect in (SearchRect(-3.0, 1.0, edge, 3.0), SearchRect(-3.0, 1.0, -3.0, -edge)):
+        rs = find_roots(cl, rect)
+        assert rs.total_count == count_roots(cl, rect)
+        assert rs.roots in (((real,),) if edge == 0.0 else ((), (real,)))
+
+
+def test_below_axis_rects_are_conjugates_of_their_mirror():
+    # a rectangle below the axis is searched as its mirror above it, so
+    # its roots are the conjugates of the mirror's to the last bit; the
+    # same holds with an edge on the axis, where the real roots are
+    # shared, and where a root on an edge makes the count nudge
+    rng = __import__("random").Random(23)
+    cases = [(cl, SearchRect(r.re_min, r.re_max, lo, lo + r.im_max - r.im_min))
+             for cl, r in _edge_on_axis_rects(rng, 60) for lo in (rng.uniform(0.01, 4.0) * math.pi / cl.h, 0.0)]
+    # the right edge passes through the root at -1.3630 + 7.8075i
+    cl = ClosedLoopParams(-1.0, -2.0, 1.0)
+    s = next(r.s for r in spectrum(cl, 2).roots if r.s.imag > 5.0)
+    cases.append((cl, SearchRect(-3.1, s.real, 1.0, 10.0)))
+    for cl, rect in cases:
+        mirror = SearchRect(rect.re_min, rect.re_max, -rect.im_max, -rect.im_min)
+        above, below = find_roots(cl, rect).roots, find_roots(cl, mirror).roots
+        expected = [LocatedRoot(r.s.conjugate() if r.s.imag else r.s, r.multiplicity) for r in above]
+        assert below == tuple(sorted(expected, key=lambda r: (-r.s.real, r.s.imag))), (cl, rect)
 
 
 def test_f_noise_bounds_df_error():
