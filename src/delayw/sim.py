@@ -7,11 +7,15 @@ equation being linear, the four stages fold into x_{n+1} = c0 x_n +
 c1 f_n + c2 d_mid + c3 d_end (f_n = alpha x_n + beta x_{n-N} the node
 derivative, d_mid = (x_{n-N} + x_{n+1-N})/2 + q (f_{n-N} - f_{n+1-N})
 the half step, q = dt/8, c0..c3 fixed by alpha*dt), so the error stays
-O(step^4).  Past the first delay, where history values stand in, the
-substitution leaves x alone: x_{n+1} = x_n + A x_n + B x_{n-N} +
-C x_{n+1-N} + D (x_{n-2N} - x_{n+1-2N}), A = c0 - 1 + c1 alpha,
-B = c1 beta + c2/2 + c2 q alpha, C = c2/2 - c2 q alpha + c3, D = c2 q
-beta; adding the increment to x_n keeps a constant solution exact.
+O(step^4).  The history is read once, at the nodes and midpoints of
+[-h, 0), and each of those values must be a finite real.  Past the
+first delay, where history values stand in, the substitution leaves x
+alone: x_{n+1} = x_n + A x_n + B x_{n-N} + C x_{n+1-N} +
+D (x_{n-2N} - x_{n+1-2N}), A = c0 - 1 + c1 alpha, B = c1 beta + c2/2 +
+c2 q alpha, C = c2/2 - c2 q alpha + c3, D = c2 q beta; adding the
+increment to x_n keeps a constant solution exact.  The trajectory's
+times are the grid dt*j, kept as its step and length: an item is
+computed when it is read.
 
 estimate_dominant_eig_detailed recovers the dominant characteristic
 root from the trajectory's second half: decay rate from a least-squares
@@ -21,14 +25,16 @@ The common path makes no Python-level pass over the tail: crossing
 candidates are the 0->1 and 1->0 steps of one bytes string of x > 0
 flags (bytes.find), plus the exact zeros when the tail holds one; only
 those candidates are interpolated.  Between two crossings, bisecting
-the times gives the sample range, and the peak is the first sample of
-the larger modulus of that range's max and min.
+the times from the tail's first index gives the sample range, and the
+peak is the first sample of the larger modulus of that range's max and
+min; the times are read by index, never copied, except for the
+monotone fit.
 """
 
 import bisect
 import math
 from collections import namedtuple
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import gt, mul
 
 from .errors import DomainError, InsufficientData, InvalidStep, NonFiniteInput, _require_finite
@@ -128,9 +134,48 @@ class InitialData(namedtuple("InitialData", "x0 phi")):
         return super().__new__(cls, x0, phi)
 
 
+class _Grid:
+    """The uniform time grid step*j, j = 0 .. n-1, as a read-only
+    sequence: an item or a slice (a tuple) is computed when asked for,
+    and the grid compares and hashes as the tuple of its items."""
+
+    __slots__ = ("step", "_js")
+
+    def __init__(self, step, n):
+        self.step = step
+        self._js = range(n)
+
+    def __len__(self):
+        return len(self._js)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(mul, repeat(self.step), self._js[i]))
+        return self.step * self._js[i]
+
+    def __iter__(self):
+        return map(mul, repeat(self.step), self._js)
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _Grid)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __reduce__(self):
+        return _Grid, (self.step, len(self))
+
+    def __repr__(self):
+        return f"_Grid(step={self.step!r}, n={len(self)})"
+
+
 class Trajectory(namedtuple("Trajectory", "times values step truncated")):
     """Uniformly sampled solution starting at t = 0.
 
+    times is any sequence of sample times; simulate's is the uniform
+    grid step*j, whose items are computed when read rather than stored.
     truncated marks an integration stopped early because the state
     magnitude passed OVERFLOW_LIMIT (a diverging loop), in which case
     the arrays hold everything computed up to that point.
@@ -206,11 +251,26 @@ def simulate(cl, init, t_final, step=None):
     c1 = dt / 6.0 * (1.0 + a + a * a / 2.0 + a * a * a / 4.0)
     c2 = beta * dt / 6.0 * (4.0 + 2.0 * a + a * a / 2.0)
     c3 = beta * dt / 6.0
-    xs = [phi(j * dt - h) for j in range(n_per)] + [init.x0]
+    nodes = [phi(j * dt - h) for j in range(n_per)]
+    mids = [phi((j + 0.5) * dt - h) for j in range(min(total, n_per))]
+    # the nodes and midpoints are every history value the steps read; a
+    # float sum is finite only when every term is, so the term-by-term
+    # test runs only when it is not (a non-finite term, or an overflow)
+    try:
+        finite = math.isfinite(sum(mids, sum(nodes, 0.0))) or all(map(math.isfinite, chain(nodes, mids)))
+    except TypeError:  # raised for anything but a real number
+        finite = None
+    except OverflowError:  # an int past the double range
+        finite = False
+    # a bool would pass as 0 or 1
+    if finite is None or bool in {*map(type, nodes), *map(type, mids)}:
+        raise DomainError("history phi must return real numbers on [-h, 0)")
+    if not finite:
+        raise NonFiniteInput("history phi returned NaN or an infinity on [-h, 0)")
+    xs = nodes + [init.x0]
     x, f = init.x0, alpha * init.x0 + beta * xs[0]
 
     # first delay interval: t - h in the history; the last delayed node is x0
-    mids = [phi((j + 0.5) * dt - h) for j in range(min(total, n_per))]
     for d_mid, d_end in zip(mids, islice(xs, 1, None)):
         x = c0 * x + c1 * f + c2 * d_mid + c3 * d_end
         if not abs(x) <= OVERFLOW_LIMIT:
@@ -232,9 +292,8 @@ def simulate(cl, init, t_final, step=None):
             xs.append(x)
     del xs[:n_per]
 
-    times = tuple(map(mul, repeat(dt), range(len(xs))))
     # every step that passed the overflow test appended its node
-    return Trajectory(times=times, values=tuple(xs), step=dt, truncated=len(xs) <= total)
+    return Trajectory(times=_Grid(dt, len(xs)), values=tuple(xs), step=dt, truncated=len(xs) <= total)
 
 
 class EigEstimate(namedtuple("EigEstimate", "value kind fit_residual n_crossings")):
@@ -270,8 +329,9 @@ def _find_all(buf, pattern):
         i = buf.find(pattern, i + 1)
 
 
-def _crossings(ts, xs):
-    """Zero-crossing times of a finite sampled tail, in sample order.
+def _crossings(ts, start, xs):
+    """Zero-crossing times of a finite sampled tail xs, in sample order;
+    sample i of the tail is at time ts[start + i].
 
     An exact zero sample (either sign) is a crossing at its own time; a
     sign change between two nonzero samples is one at the zero of the
@@ -284,12 +344,13 @@ def _crossings(ts, xs):
     crossings = []
     for i in sorted(events):
         a = xs[i]
+        t = ts[start + i]
         if a == 0.0:
-            crossings.append(ts[i])
+            crossings.append(t)
         else:
             b = xs[i + 1]
             if b != 0.0:
-                crossings.append(ts[i] + (ts[i + 1] - ts[i]) * a / (a - b))
+                crossings.append(t + (ts[start + i + 1] - t) * a / (a - b))
     return crossings
 
 
@@ -326,7 +387,7 @@ def estimate_dominant_eig_detailed(traj):
     """
     n = len(traj.values)
     start = n - math.ceil(n * TAIL_FRACTION)
-    ts = traj.times[start:]
+    ts = traj.times
     xs = traj.values[start:]
     if len(xs) < 20:
         raise InsufficientData(f"tail holds {len(xs)} samples; need at least 20")
@@ -344,16 +405,17 @@ def estimate_dominant_eig_detailed(traj):
     if spread <= 1e-9 * amax:
         return EigEstimate(0j, "constant", spread, 0)
 
-    crossings = _crossings(ts, xs)
+    crossings = _crossings(ts, start, xs)
     if len(crossings) >= 10:
         spacings = [t1 - t0 for t0, t1 in zip(crossings, crossings[1:])]
         omega = math.pi / (sum(spacings) / len(spacings))
         # one peak of |x| between consecutive crossings, both ends included
         peak_ts, peak_logs = [], []
         for t0, t1 in zip(crossings, crossings[1:]):
-            k = _peak(xs, bisect.bisect_left(ts, t0), bisect.bisect_right(ts, t1))
+            k = _peak(xs, bisect.bisect_left(ts, t0, start) - start,
+                      bisect.bisect_right(ts, t1, start) - start)
             if k is not None:
-                peak_ts.append(ts[k])
+                peak_ts.append(ts[start + k])
                 peak_logs.append(math.log(abs(xs[k])))
         if len(peak_ts) < 4:
             raise InsufficientData("oscillatory tail with too few usable envelope peaks")
@@ -365,9 +427,10 @@ def estimate_dominant_eig_detailed(traj):
             f"tail crosses zero {len(crossings)} times: too few for a frequency fit, "
             "too many for a monotone fit")
     # single-signed tail: fit log|x| directly
-    efold = abs(math.log(abs(xs[-1]) / abs(xs[0])))
+    # a difference of logs: the ratio of the end samples can underflow
+    efold = abs(math.log(abs(xs[-1])) - math.log(abs(xs[0])))
     if efold < 10.0:
         raise InsufficientData(
             f"monotone tail spans {efold:.2f} e-foldings; need 10 for a trustworthy rate")
-    rate, resid = _lsq_slope(ts, [math.log(abs(x)) for x in xs])
+    rate, resid = _lsq_slope(ts[start:], [math.log(abs(x)) for x in xs])
     return EigEstimate(complex(rate, 0.0), "monotone", resid, 0)

@@ -1,8 +1,12 @@
 """Tests for the method-of-steps integrator and eigenvalue estimator."""
 
+import copy
 import importlib
 import math
+import pickle
 import sys
+from itertools import repeat
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -224,7 +228,7 @@ def loop_estimate(traj):
         raise InsufficientData(
             f"tail crosses zero {len(crossings)} times: too few for a frequency fit, "
             "too many for a monotone fit")
-    efold = abs(math.log(abs(xs[-1]) / abs(xs[0])))
+    efold = abs(math.log(abs(xs[-1])) - math.log(abs(xs[0])))
     if efold < 10.0:
         raise InsufficientData(
             f"monotone tail spans {efold:.2f} e-foldings; need 10 for a trustworthy rate")
@@ -239,6 +243,15 @@ def outcome(estimator, traj):
         return repr(estimator(traj))
     except InsufficientData as exc:
         return f"InsufficientData: {exc}"
+
+
+def old_times(traj):
+    """The uniform grid as a plain tuple of step * j."""
+    return tuple(map(mul, repeat(traj.step), range(len(traj.values))))
+
+
+def bits(xs):
+    return tuple(map(float.hex, xs))
 
 
 def decaying_sine(n, dt, rate=-0.1, omega=6.0):
@@ -303,6 +316,11 @@ CRAFTED_TAILS = {
         values=tuple(math.sin(0.005 * i) for i in range(2000)), step=0.01),
     "short": lambda: Trajectory(times=tuple(i * 0.1 for i in range(30)),
                                 values=tuple(1.0 for _ in range(30)), step=0.1),
+    # a monotone tail through 600 decades: the ratio of its end samples
+    # underflows to 0
+    "monotone_600_decades": lambda: Trajectory(
+        times=tuple(i * 0.1 for i in range(100)),
+        values=(1e300,) * 50 + tuple(10.0 ** (300 - 600 * k / 49) for k in range(50)), step=0.1),
 }
 
 
@@ -445,6 +463,8 @@ class TestSimulate:
         ref, truncated = folded_rk4(cl, init, t_final, step)
         assert traj.values == tuple(ref)
         assert traj.truncated == truncated
+        # the lazy grid keeps the bits of the time tuple it replaces
+        assert bits(traj.times) == bits(old_times(traj))
 
     @pytest.mark.parametrize("cl, init, t_final, step", RK4_CASES)
     def test_matches_exact_scheme(self, cl, init, t_final, step):
@@ -486,6 +506,72 @@ class TestSimulate:
         t, x = lines[2].split(",")
         assert float(t) == traj.times[1]
         assert float(x) == traj.values[1]
+
+    def test_history_values_checked(self):
+        # phi is any callable: its values at the nodes and midpoints of
+        # [-h, 0) are checked once, before the first step
+        cl = ClosedLoopParams(-1.0, -2.0, 1.0)
+        for phi in (lambda tau: math.nan, lambda tau: -math.inf,
+                    lambda tau: math.inf if tau > -0.3 else 1.0, lambda tau: 10**400):
+            with pytest.raises(NonFiniteInput):
+                simulate(cl, InitialData(1.0, phi), 3.0, 0.01)
+        # a midpoint alone: the nodes sit on multiples of the step
+        with pytest.raises(NonFiniteInput):
+            simulate(cl, InitialData(1.0, lambda tau: 1.0 if round(tau / 0.01, 6).is_integer() else math.nan),
+                     3.0, 0.01)
+        for phi in (lambda tau: 1j, lambda tau: True, lambda tau: 1.0 if tau < -0.5 else False,
+                    lambda tau: "1.0", lambda tau: None):
+            with pytest.raises(DomainError, match="real numbers"):
+                simulate(cl, InitialData(1.0, phi), 3.0, 0.01)
+        # finite values whose sum overflows, and ints, are taken
+        assert simulate(cl, InitialData(1.0, lambda tau: 1e308), 3.0, 0.01).truncated
+        assert simulate(cl, InitialData(1, lambda tau: 1), 3.0, 0.01) == simulate(cl, UNIT, 3.0, 0.01)
+
+    def test_grid_is_a_sequence(self):
+        traj = simulate(ClosedLoopParams(-1.0, -2.0, 1.0), UNIT, 6.0, 0.01)
+        grid, old = traj.times, old_times(traj)
+        n = len(old)
+        assert len(grid) == n == 601
+        assert (grid[0], grid[-1], grid[n - 1], grid[-n]) == (old[0], old[-1], old[n - 1], old[-n])
+        for i in (n, -n - 1, 10**30):
+            with pytest.raises(IndexError):
+                grid[i]
+        with pytest.raises(TypeError):
+            grid[1.0]
+        for sl in (slice(None), slice(300, None), slice(-5, None), slice(None, None, -7), slice(10, 3),
+                   slice(-10**30, 10**30, 3)):
+            assert type(grid[sl]) is tuple
+            assert bits(grid[sl]) == bits(old[sl])
+        assert bits(grid) == bits(old)
+        assert bits(reversed(grid)) == bits(reversed(old))
+
+    def test_grid_compares_as_its_tuple(self):
+        cl = ClosedLoopParams(-1.0, -2.0, 1.0)
+        traj = simulate(cl, UNIT, 6.0, 0.01)
+        grid, old = traj.times, old_times(traj)
+        assert grid == old and old == grid
+        assert not (grid != old or old != grid)
+        assert grid != old[:-1] and old[:-1] != grid and grid != list(old)
+        again = simulate(cl, UNIT, 6.0, 0.01)
+        assert again.times is not grid and again.times == grid and again == traj
+        assert simulate(cl, UNIT, 5.0, 0.01).times != grid
+        assert simulate(cl, UNIT, 6.0, 0.02).times != grid
+        assert hash(grid) == hash(old) and hash(traj) == hash(traj._replace(times=old))
+        for twin in (pickle.loads(pickle.dumps(traj)), pickle.loads(pickle.dumps(traj, 0)), copy.deepcopy(traj),
+                     copy.copy(traj)):
+            assert twin == traj and type(twin.times) is type(grid)
+            assert bits(twin.times) == bits(old)
+        # a record equals the plain tuple of its fields
+        fields = (old, traj.values, traj.step, traj.truncated)
+        assert traj == fields and fields == traj
+        assert tuple(traj) == fields
+
+    def test_grid_not_materialized(self):
+        # the grid holds its step and length, not its items
+        cl = ClosedLoopParams(-1.0, -2.0, 1.0)
+        short, long = simulate(cl, UNIT, 2.0, 0.01), simulate(cl, UNIT, 200.0, 0.01)
+        assert len(long.times) == 100 * len(short.times) - 99
+        assert sys.getsizeof(long.times) == sys.getsizeof(short.times) < 100
 
     def test_trajectory_invariants(self):
         with pytest.raises(DomainError):
@@ -610,17 +696,22 @@ class TestEstimate:
             estimate_dominant_eig_detailed(Trajectory(times=ts, values=tuple(xs), step=0.1))
 
     def test_matches_loop_reference_on_simulate_pool(self, monkeypatch):
-        # every 8th task of the benchmark's seed-1 simulate pool
+        # every 8th task of the benchmark's simulate pools, seed 1 and
+        # the held-out 7919, and every RK4 case; each trajectory also
+        # rebuilt with its time grid as a plain tuple
         monkeypatch.syspath_prepend(str(BENCH))
         workloads = importlib.import_module("workloads")
         try:
-            pool = workloads.simulate_pool(delayw, 1)[::8]
-            delays = workloads.SIM_DELAYS
+            runs = [(cl, init, workloads.SIM_DELAYS * cl.h, None)
+                    for seed in (1, 7919) for cl, init in workloads.simulate_pool(delayw, seed)[::8]]
         finally:
             sys.modules.pop("workloads", None)
-        for cl, init in pool:
-            traj = simulate(cl, init, delays * cl.h)
-            assert outcome(estimate_dominant_eig_detailed, traj) == outcome(loop_estimate, traj)
+        for cl, init, t_final, step in runs + RK4_CASES:
+            traj = simulate(cl, init, t_final, step)
+            as_tuple = Trajectory(tuple(traj.times), traj.values, traj.step, traj.truncated)
+            assert type(as_tuple.times) is tuple is not type(traj.times)
+            est = outcome(estimate_dominant_eig_detailed, traj)
+            assert est == outcome(estimate_dominant_eig_detailed, as_tuple) == outcome(loop_estimate, traj)
 
     @pytest.mark.parametrize("name", sorted(CRAFTED_TAILS))
     def test_matches_loop_reference_on_crafted_tails(self, name):
