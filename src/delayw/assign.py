@@ -49,6 +49,8 @@ __all__ = [
 # relative tolerance for algebraic feasibility conditions; every cond_tol
 # that is not a finite non-negative int or float raises DomainError
 COND_TOL_DEFAULT = 1e-9
+# the least normal double
+_DBL_MIN = 2.2250738585072014e-308
 
 
 class Target(namedtuple("Target", "S u v")):
@@ -110,12 +112,21 @@ def _applicable(fn, sys, S):
     return t
 
 
-def _exp(x, name):
-    """e^x, or NonFiniteInput naming the quantity when it overflows."""
+def _exp(x, name, factor=0.0):
+    """e^x, or NonFiniteInput naming the quantity when it overflows.
+
+    Given the factor that e^x scales into a delayed coefficient, also
+    raises DomainError when e^x falls below the normal double range
+    while that factor is not zero: the coefficient would keep few bits
+    of the design, or none, and the loop would miss its target.
+    """
     try:
-        return math.exp(x)
+        e = math.exp(x)
     except OverflowError:
         raise NonFiniteInput(f"{name} overflows: exponent {x!r}") from None
+    if e < _DBL_MIN and factor:
+        raise DomainError(f"{name} underflows: exponent {x!r}; the delayed coefficient would miss the target")
+    return e
 
 
 def _window(t, h):
@@ -176,7 +187,7 @@ def assign_both(sys, S):
             window=(0.0, math.pi / h),
         )
     alpha = t.u + t.v * cv / sv
-    beta = -t.v * _exp(t.u * h, "e^(u*h)") / sv
+    beta = -t.v * _exp(t.u * h, "e^(u*h)", t.v) / sv
     gains = Gains(k=(alpha - sys.a) / sys.b, k1d=(beta - sys.a1d) / sys.b)
     # carry the designed coefficients, not close_loop(sys, gains): the
     # gain round trip a1d + b*k1d loses beta to cancellation once
@@ -211,12 +222,13 @@ def _delay_only_value(fn, sys, S, cond_tol):
         cert = f"S >= a - 1/h holds with margin {margin:.6g}"
         if margin == 0.0:
             cert += "; marginal: double rightmost root"
-        return t, (t.u - a) * _exp(t.u * h, "e^(u*h)"), cert
+        return t, (t.u - a) * _exp(t.u * h, "e^(u*h)", t.u - a), cert
     vh, sv, cv = _in_window(fn, t, h)
     cot_term = t.v * cv / sv
     cert = _condition("a = u + v*cot(v*h)", a - t.u - cot_term,
                       max(1.0, abs(a), abs(t.u), abs(cot_term)), cond_tol, vh)
-    return t, _exp(t.u * h, "e^(u*h)") * ((t.u - a) * cv - t.v * sv), cert
+    value = (t.u - a) * cv - t.v * sv
+    return t, _exp(t.u * h, "e^(u*h)", value) * value, cert
 
 
 def assign_delay_only(sys, S, cond_tol=COND_TOL_DEFAULT):
@@ -248,7 +260,7 @@ def assign_current_only(sys, S, cond_tol=COND_TOL_DEFAULT):
         shift = a1d * _exp(-t.u * h, "e^(-u*h)")
     else:
         vh, sv, cv = _in_window(assign_current_only, t, h)
-        csc_term = t.v * _exp(t.u * h, "e^(u*h)") / sv
+        csc_term = t.v * _exp(t.u * h, "e^(u*h)", t.v) / sv
         cert = _condition("a1d + v*e^(u*h)*csc(v*h) = 0", a1d + csc_term,
                           max(1.0, abs(a1d), abs(csc_term)), cond_tol, vh)
         shift = a1d * _exp(-t.u * h, "e^(-u*h)") * cv
@@ -281,15 +293,14 @@ def assign_real_both(sys, S, alpha_choice=None):
     h = sys.h
     alpha = t.u
     if alpha_choice is not None:
-        _require_finite("alpha_choice", alpha_choice)
-        alpha = float(alpha_choice)
+        alpha, = _require_finite("alpha_choice", alpha_choice)
     bound = t.u + 1.0 / h
     if alpha > bound:
         raise AlphaOutOfRange(
             f"alpha = {alpha:.9g} exceeds S + 1/h = {bound:.9g}; the branch-0 root would lie right of S",
             margin=bound - alpha,
         )
-    beta = (t.u - alpha) * _exp(t.u * h, "e^(u*h)")
+    beta = (t.u - alpha) * _exp(t.u * h, "e^(u*h)", t.u - alpha)
     gains = Gains(k=(alpha - sys.a) / sys.b, k1d=(beta - sys.a1d) / sys.b)
     cl = ClosedLoopParams(alpha, beta, sys.h)
     cert = f"alpha = {alpha:.9g} <= S + 1/h = {bound:.9g}"

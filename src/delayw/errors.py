@@ -85,25 +85,38 @@ class InsufficientData(DelayWError, ValueError):
     """Trajectory tail too short to estimate the dominant eigenvalue."""
 
 
+def _real_fault(v):
+    """None for a finite real number, else the error class and the word
+    for its message: DomainError, "a real number" for what is not one (a
+    bool included: it would pass as 0 or 1), NonFiniteInput, "finite"
+    for NaN, an infinity or an int past the double range."""
+    try:
+        if math.isfinite(v) and type(v) is not bool:
+            return None
+        real = type(v) is not bool
+    except TypeError:  # raised for anything but a real number
+        real = False
+    except (OverflowError, ValueError):  # an int past the double range, a signaling NaN
+        real = True
+    return (NonFiniteInput, "finite") if real else (DomainError, "a real number")
+
+
 def _require_finite(names, *values):
-    """Raise DomainError for a value that is not a real number (a bool
-    included) and NonFiniteInput for NaN, an infinity or an int past
-    the double range; names, space-separated, label the values."""
+    """The values, each a finite real number, as a tuple that works in
+    float arithmetic: an int or a float as given, any other (a Decimal, a
+    Fraction, a numpy scalar) as float(v).  Raises _real_fault's error for
+    the first that is not; names, space-separated, label the values."""
+    admitted = values
     for v in values:
-        try:
-            # a bool would pass as 0 or 1
-            if math.isfinite(v) and type(v) is not bool:
-                continue
-            real = type(v) is not bool
-        except TypeError:  # raised for anything but a real number
-            real = False
-        except (OverflowError, ValueError):  # an int past the double range, a signaling NaN
-            real = True
-        # an earlier value that is v itself would have failed first
-        name = next(n for n, x in zip(names.split(), values) if x is v)
-        if not real:
-            raise DomainError(f"{name} must be a real number, got {v!r}")
-        raise NonFiniteInput(f"{name} must be finite, got {v!r}")
+        if type(v) is float and math.isfinite(v):
+            continue
+        if fault := _real_fault(v):
+            # an earlier value that is v itself would have failed first
+            name = next(n for n, x in zip(names.split(), values) if x is v)
+            raise fault[0](f"{name} must be {fault[1]}, got {v!r}")
+        if type(v) is not int:
+            admitted = None
+    return admitted or tuple(v if type(v) is float or type(v) is int else float(v) for v in values)
 
 
 def _require_complex(name, z):

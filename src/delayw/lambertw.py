@@ -363,8 +363,7 @@ def lambert_w_real(branch, x):
         W_0(x) >= -1, monotone increasing, or W_{-1}(x) <= -1, monotone
         decreasing, respectively.
     """
-    _require_finite("x", x)
-    x = float(x)
+    x, = _require_finite("x", x)
     if branch == 0:
         if x < BRANCH_POINT_Z:
             raise DomainError(f"W_0 is real only for x >= -1/e, got {x}")
@@ -384,8 +383,7 @@ def w0_boundary_point(eta):
     parameter eta.  An eta that is not a real number (a bool included)
     raises DomainError, one that is not finite NonFiniteInput.
     """
-    _require_finite("eta", eta)
-    eta = float(eta)
+    eta, = _require_finite("eta", eta)
     if not 0.0 < eta < math.pi:
         raise DomainError(f"eta must lie in (0, pi), got {eta}")
     return complex(-eta * math.cos(eta) / math.sin(eta), eta)

@@ -65,7 +65,8 @@ import math
 from collections import namedtuple
 from itertools import chain, pairwise
 
-from .errors import BoundaryRootSuspected, DomainError, MismatchDetected, NoConvergence, _require_tolerance
+from .errors import (BoundaryRootSuspected, DomainError, MismatchDetected, NoConvergence, NonFiniteInput,
+                     _require_finite, _require_tolerance)
 from .spectrum import spectrum
 
 __all__ = [
@@ -99,24 +100,25 @@ _FOCUS_LADDER = (-128.0, -64.0, -32.0, -16.0, -8.0, -4.0, -2.0, -1.0, 0.0,
 
 
 class SearchRect(namedtuple("SearchRect", "re_min re_max im_min im_max")):
+    """Closed rectangle [re_min, re_max] x [im_min, im_max], non-empty.
+
+    Its bounds follow the rule every real field follows (an int or a
+    float kept as given, any other finite real stored as its float), but
+    every bound that breaks it raises DomainError, as a degenerate
+    rectangle does.
+    """
+
     __slots__ = ()
 
     def __new__(cls, re_min, re_max, im_min, im_max):
-        vals = (re_min, re_max, im_min, im_max)
         try:
-            finite = all(map(math.isfinite, vals))
-        except TypeError:  # raised for anything but a real number
-            finite = None
-        except (OverflowError, ValueError):  # an int past the double range, a signaling NaN
-            finite = False
-        # a bool would pass as 0 or 1
-        if finite is None or bool in map(type, vals):
-            raise DomainError(f"rectangle bounds must be real numbers, got {vals}")
-        if not finite:
-            raise DomainError(f"rectangle bounds must be finite, got {vals}")
+            vals = _require_finite("re_min re_max im_min im_max", re_min, re_max, im_min, im_max)
+        except NonFiniteInput as exc:  # every bad bound is a DomainError here
+            raise DomainError(str(exc)) from None
+        re_min, re_max, im_min, im_max = vals
         if not (re_min < re_max and im_min < im_max):
             raise DomainError(f"degenerate rectangle {vals}")
-        return super().__new__(cls, *vals)
+        return super().__new__(cls, re_min, re_max, im_min, im_max)
 
     @property
     def diameter(self):
@@ -454,11 +456,21 @@ def _axis(cl, rect):
 
 
 def _as_rect(rect):
-    """rect, a SearchRect or any 4-sequence, as a SearchRect."""
+    """rect, a SearchRect or any 4-sequence, as a SearchRect, with an
+    edge that lies within 1e-14*max(1, |re_min|, |re_max|) of the real
+    axis, the closest distance _edge_knots' focus knots resolve, moved
+    onto it: the real roots would sit on that edge, out of reach of a
+    winding, and a nudge could take in a neighbouring root."""
     try:
-        return SearchRect(*rect)
+        rect = SearchRect(*rect)
     except TypeError:  # not four values
         raise DomainError(f"a rectangle is four bounds (re_min, re_max, im_min, im_max), got {rect!r}") from None
+    near = 1e-14 * max(1.0, abs(rect.re_min), abs(rect.re_max))
+    if rect.im_min and abs(rect.im_min) <= near < rect.im_max:
+        return rect._replace(im_min=0.0)
+    if rect.im_max and abs(rect.im_max) <= near < -rect.im_min:
+        return rect._replace(im_max=0.0)
+    return rect
 
 
 def _counted_rect(cl, rect):
@@ -486,6 +498,8 @@ def count_roots(cl, rect):
     its diameter, up to 5 times, before giving up.  A rectangle with an
     edge on the real axis, where its real roots lie, counts half of its
     mirror hull [-T, T], T its farther side, and half of its real roots.
+    An edge within 1e-14*max(1, |re_min|, |re_max|) of the axis lies on
+    it: a root that close to an edge counts as on it.
     """
     rect = _as_rect(rect)
     if rect.im_min == 0.0 or rect.im_max == 0.0:
@@ -601,7 +615,9 @@ def find_roots(cl, rect):
     ascending imaginary part, and total_count is their multiplicity
     sum.  Raises NoConvergence if Newton places fewer roots than a
     count, and BoundaryRootSuspected if a contour cannot be counted or
-    the hull holds an odd number of non-real roots.
+    the hull holds an odd number of non-real roots.  An edge within
+    1e-14*max(1, |re_min|, |re_max|) of the real axis lies on it: a root
+    that close to an edge counts as on it.
     """
     rect = _as_rect(rect)
     # rect or, below the axis, its mirror: f(conj s) = conj f(s)

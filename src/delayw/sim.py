@@ -37,7 +37,7 @@ from collections import namedtuple
 from itertools import chain, islice, repeat
 from operator import gt, mul
 
-from .errors import DomainError, InsufficientData, InvalidStep, NonFiniteInput, _require_finite
+from .errors import DomainError, InsufficientData, InvalidStep, NonFiniteInput, _real_fault, _require_finite
 
 __all__ = [
     "ConstantHistory",
@@ -62,7 +62,7 @@ class ConstantHistory(namedtuple("ConstantHistory", "c")):
     __slots__ = ()
 
     def __new__(cls, c):
-        _require_finite("c", c)
+        c, = _require_finite("c", c)
         return super().__new__(cls, c)
 
     def __call__(self, tau):
@@ -75,7 +75,7 @@ class LinearHistory(namedtuple("LinearHistory", "c0 c1")):
     __slots__ = ()
 
     def __new__(cls, c0, c1):
-        _require_finite("c0 c1", c0, c1)
+        c0, c1 = _require_finite("c0 c1", c0, c1)
         return super().__new__(cls, c0, c1)
 
     def __call__(self, tau):
@@ -100,9 +100,7 @@ class SampledHistory(namedtuple("SampledHistory", "points")):
             raise DomainError(f"sampled history needs (stamp, value) pairs of reals, got {points!r}") from None
         if len(pts) < 2:
             raise DomainError("sampled history needs at least two points")
-        for t, x in pts:
-            _require_finite("stamp value", t, x)
-        pts = tuple((float(t), float(x)) for t, x in pts)
+        pts = tuple(_require_finite("stamp value", t, x) for t, x in pts)
         for (t0, x0), (t1, x1) in zip(pts, pts[1:]):
             if not (t1 > t0):
                 raise DomainError("sample stamps must be strictly increasing")
@@ -128,7 +126,7 @@ class InitialData(namedtuple("InitialData", "x0 phi")):
     __slots__ = ()
 
     def __new__(cls, x0, phi):
-        _require_finite("x0", x0)
+        x0, = _require_finite("x0", x0)
         if not callable(phi):
             raise DomainError("phi must be callable on [-h, 0)")
         return super().__new__(cls, x0, phi)
@@ -198,14 +196,6 @@ class Trajectory(namedtuple("Trajectory", "times values step truncated")):
         return "\n".join(lines) + "\n"
 
 
-def _finite_real(x):
-    """Whether x is a finite int or float (a bool is not)."""
-    try:
-        return type(x) is not bool and isinstance(x, (int, float)) and math.isfinite(x)
-    except OverflowError:  # an int past the double range
-        return False
-
-
 def simulate(cl, init, t_final, step=None):
     """Integrate the closed loop from the given initial data.
 
@@ -221,6 +211,13 @@ def simulate(cl, init, t_final, step=None):
         Nominal step, snapped down so an integer number of steps spans
         exactly one delay interval.  Defaults to h/1000.
 
+    step and t_final may be any finite real number but a bool, a
+    Decimal or a Fraction read as its float; anything else raises
+    InvalidStep.  The history values read, at the nodes and midpoints of
+    [-h, 0), follow the rule of every real field: DomainError for a value
+    that is not a real number, NonFiniteInput for one that is not finite,
+    and one that is neither an int nor a float is used as its float.
+
     Returns
     -------
     Trajectory
@@ -230,11 +227,12 @@ def simulate(cl, init, t_final, step=None):
     h = cl.h
     if step is None:
         step = h / 1000.0
-    if not (_finite_real(step) and step > 0.0):
+    if _real_fault(step) or not step > 0.0:
         raise InvalidStep(f"step must be a positive finite real, got {step!r}")
-    if not (_finite_real(t_final) and t_final >= h):
+    if _real_fault(t_final) or not t_final >= h:
         raise InvalidStep(
             f"t_final must be a finite real >= h = {h:.6g} (one full delay interval), got {t_final!r}")
+    step, t_final = float(step), float(t_final)
     phi = init.phi
     if isinstance(phi, SampledHistory) and abs(phi.points[0][0] + h) > 1e-9 * max(1.0, h):
         raise DomainError(f"sampled history must span [-h, 0): first stamp "
@@ -254,19 +252,17 @@ def simulate(cl, init, t_final, step=None):
     nodes = [phi(j * dt - h) for j in range(n_per)]
     mids = [phi((j + 0.5) * dt - h) for j in range(min(total, n_per))]
     # the nodes and midpoints are every history value the steps read; a
-    # float sum is finite only when every term is, so the term-by-term
-    # test runs only when it is not (a non-finite term, or an overflow)
+    # float sum is finite only when every term is, so when it is, and
+    # every value is an int or a float, the value-by-value check is spared
     try:
-        finite = math.isfinite(sum(mids, sum(nodes, 0.0))) or all(map(math.isfinite, chain(nodes, mids)))
-    except TypeError:  # raised for anything but a real number
-        finite = None
-    except OverflowError:  # an int past the double range
-        finite = False
-    # a bool would pass as 0 or 1
-    if finite is None or bool in {*map(type, nodes), *map(type, mids)}:
-        raise DomainError("history phi must return real numbers on [-h, 0)")
-    if not finite:
-        raise NonFiniteInput("history phi returned NaN or an infinity on [-h, 0)")
+        plain = math.isfinite(sum(mids, sum(nodes, 0.0))) and {*map(type, nodes), *map(type, mids)} <= {int, float}
+    except (TypeError, OverflowError):  # not a real number, an int past the double range
+        plain = False
+    if not plain:
+        for v in chain(nodes, mids):
+            if fault := _real_fault(v):
+                raise fault[0](f"history phi must return finite real numbers on [-h, 0), got {v!r}")
+        nodes, mids = [*map(float, nodes)], [*map(float, mids)]
     xs = nodes + [init.x0]
     x, f = init.x0, alpha * init.x0 + beta * xs[0]
 

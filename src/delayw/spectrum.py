@@ -49,7 +49,7 @@ class SystemParams(namedtuple("SystemParams", "a a1d b h input_delay")):
     __slots__ = ()
 
     def __new__(cls, a, a1d, b, h, input_delay=False):
-        _require_finite("a a1d b h", a, a1d, b, h)
+        a, a1d, b, h = _require_finite("a a1d b h", a, a1d, b, h)
         if h <= 0:
             raise DomainError(f"delay h must be positive, got {h}")
         if b == 0:
@@ -65,7 +65,7 @@ class Gains(namedtuple("Gains", "k k1d")):
     __slots__ = ()
 
     def __new__(cls, k, k1d=0.0):
-        _require_finite("k k1d", k, k1d)
+        k, k1d = _require_finite("k k1d", k, k1d)
         return super().__new__(cls, k, k1d)
 
 
@@ -75,7 +75,7 @@ class ClosedLoopParams(namedtuple("ClosedLoopParams", "alpha beta h")):
     __slots__ = ()
 
     def __new__(cls, alpha, beta, h):
-        _require_finite("alpha beta h", alpha, beta, h)
+        alpha, beta, h = _require_finite("alpha beta h", alpha, beta, h)
         if h <= 0:
             raise DomainError(f"delay h must be positive, got {h}")
         return super().__new__(cls, alpha, beta, h)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -81,6 +82,48 @@ def test_both_window_underflow_is_singular():
     with pytest.raises(NotAssignableAsRightmost, match="is a multiple of pi") as info:
         assign_both(SystemParams(a=0.5, a1d=1.0, b=1.0, h=0.1), complex(-1.0, 5e-324))
     assert info.value.window == (0.0, math.pi / 0.1)
+
+
+def test_underflowing_delayed_coefficient_raises():
+    # e^{u h} below the normal double range would leave beta with few of
+    # its bits, or none, and the loop would miss S
+    plant = SystemParams(a=0.3, a1d=-0.2, b=1.0, h=1.0)
+    for call in (lambda: assign_both(plant, -800.0 + 1.0j), lambda: assign_both(plant, -740.0 + 1.0j),
+                 lambda: assign_real_both(plant, -800.0, alpha_choice=-801.0),
+                 lambda: assign_delay_only(SystemParams(a=-800.5, a1d=-0.2, b=1.0, h=1.0), -800.0),
+                 lambda: assign_input_delay(SystemParams(a=-800.5, a1d=0.0, b=1.0, h=1.0, input_delay=True), -800.0)):
+        with pytest.raises(DomainError, match=r"e\^\(u\*h\) underflows: exponent"):
+            call()
+    # where the exact beta is 0 the design stands, with S rightmost
+    at_a = SystemParams(a=-800.0, a1d=-0.2, b=1.0, h=1.0)
+    for r in (assign_real_both(plant, -800.0), assign_delay_only(at_a, -800.0)):
+        assert r.feasible and r.closed_loop.beta == 0.0
+        assert spectrum(r.closed_loop, 0).rightmost == -800.0
+
+
+def test_deep_left_designs_place_their_target():
+    # complex targets with |u h| up to 10^3.5 and h from 1e-3 to 1e3:
+    # every design returned has its branch-0 root, by 40-digit mpmath on
+    # the returned loop, at S; the others raise as e^{u h} leaves the
+    # double range, one way or the other
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(9)
+    raised = 0
+    for _ in range(600):
+        h = 10.0 ** rng.uniform(-3.0, 3.0)
+        uh = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 3.5)
+        S = complex(uh / h, rng.uniform(0.0, math.pi) / h)
+        try:
+            r = assign_both(SystemParams(a=0.3 / h, a1d=-0.2 / h, b=1.0, h=h), S)
+        except (NonFiniteInput, DomainError):
+            raised += 1
+            continue
+        assert r.feasible
+        with mpmath.workdps(40):
+            alpha, beta, delay = map(mpmath.mpf, r.closed_loop)
+            s0 = alpha + mpmath.lambertw(beta * delay * mpmath.exp(-alpha * delay)) / delay
+            assert abs(s0 - mpmath.mpc(S)) <= 1e-8 * abs(S), (S, h)
+    assert raised <= 49
 
 
 def test_delay_only_real():

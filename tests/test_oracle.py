@@ -6,6 +6,7 @@ import importlib
 import math
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -326,16 +327,21 @@ class TestFindRoots:
         assert locate(cl, (-3.0, 1.0, -5.0, 5.0)) == locate(cl, SearchRect(-3.0, 1.0, -5.0, 5.0))
         assert locate(cl, [-3.0, 1.0, -5.0, 5.0]) == locate(cl, SearchRect(-3.0, 1.0, -5.0, 5.0))
         assert locate(cl, (-3, 1, -5, 5)) == locate(cl, (-3.0, 1.0, -5.0, 5.0))
-        for bad in ((-3.0, 1.0, 5.0, -5.0), [-3.0, math.nan, -5.0, 5.0], (1.0, 1.0, -5.0, 5.0),
-                    # not four real numbers, and a bool is not read as 0 or 1:
-                    # DomainError, not a bare TypeError
-                    ("a", 1.0, -5.0, 5.0), (-3.0, 1.0, -5.0, 5j), (-3.0, None, -5.0, 5.0),
-                    (True, 2.0, -5.0, 5.0), (-3.0, 1.0, False, 5.0), (-3.0, 1.0, -5.0), 5.0,
-                    # an int past the double range and a signaling NaN: DomainError,
-                    # not OverflowError or ValueError
-                    (-10**400, 1.0, -5.0, 5.0), (Decimal("sNaN"), 1.0, -5.0, 5.0)):
+        # any other finite real counts as its float
+        for kind in (Decimal, Fraction):
+            assert locate(cl, (kind("-3.1"), 1, kind("-5.5"), 5.0)) == locate(cl, (-3.1, 1.0, -5.5, 5.0))
+        for bad in ((-3.0, 1.0, 5.0, -5.0), (1.0, 1.0, -5.0, 5.0), (-3.0, 1.0, -5.0), 5.0):
             with pytest.raises(DomainError):
                 locate(cl, bad)
+        # a bound that is not a finite real number, a bool included (not
+        # read as 0 or 1): DomainError, not a bare TypeError, OverflowError
+        # or ValueError
+        for bad in (True, "a", None, 5j, math.nan, math.inf, -math.inf, -10**400, Decimal("sNaN")):
+            for at in range(4):
+                rect = [-3.0, 1.0, -5.0, 5.0]
+                rect[at] = bad
+                with pytest.raises(DomainError):
+                    locate(cl, rect)
 
     @pytest.mark.parametrize("locate", [count_roots, find_roots])
     def test_contour_overflow_raises(self, locate):
@@ -921,18 +927,30 @@ def test_edge_on_axis_rects_agree_with_spectrum(seed):
             assert min(abs(s - ref) for ref in pool) <= 1e-12 * max(1.0, abs(s)), (cl, rect, s)
 
 
-@pytest.mark.parametrize("edge", [0.0, 1e-17, 1e-300])
+@pytest.mark.parametrize("edge", [0.0, 1e-17, 1e-300, -1e-17, -1e-300])
 def test_real_root_on_or_next_to_an_edge(edge):
     # the one real root of (-1, 0.2, 1) lies on the bottom edge of
-    # [-3, 1] x [edge, 3], or edge below it, where the count's nudge may
-    # take it in; find_roots holds what count_roots counts, and the
-    # rectangle's mirror below the axis the same
+    # [-3, 1] x [edge, 3], or within rounding of it, where it counts as
+    # on the edge, and so inside; find_roots holds what count_roots
+    # counts, and the rectangle's mirror below the axis the same
     cl = ClosedLoopParams(-1.0, 0.2, 1.0)
     real = LocatedRoot(complex(-0.6259832407340479, 0.0), 1)
     for rect in (SearchRect(-3.0, 1.0, edge, 3.0), SearchRect(-3.0, 1.0, -3.0, -edge)):
         rs = find_roots(cl, rect)
-        assert rs.total_count == count_roots(cl, rect)
-        assert rs.roots in (((real,),) if edge == 0.0 else ((), (real,)))
+        assert rs.total_count == count_roots(cl, rect) == 1
+        assert rs.roots == (real,)
+
+
+@pytest.mark.parametrize("edge", [1e-17, 1e-300, -1e-300])
+def test_edge_within_rounding_of_the_axis_takes_in_no_neighbour(edge):
+    # the top edge lies on the axis to within the resolution of the focus
+    # knots, so it is counted there: a nudge off it, 0.237 wide, would
+    # take in the root -66.1065 - 198.7707i, 0.155 left of re_min
+    cl = ClosedLoopParams(-2.095171586917628, -2.1030952658153725, 0.06955559880785149)
+    rect = (-65.95166802068606, 9.926327042877025, -224.91506333163196, edge)
+    on_axis = find_roots(cl, rect[:3] + (0.0,))
+    assert on_axis.total_count == count_roots(cl, rect[:3] + (0.0,)) == 3
+    assert find_roots(cl, rect) == on_axis and count_roots(cl, rect) == 3
 
 
 def test_below_axis_rects_are_conjugates_of_their_mirror():

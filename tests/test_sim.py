@@ -5,6 +5,8 @@ import importlib
 import math
 import pickle
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from itertools import repeat
 from operator import mul
 from pathlib import Path
@@ -393,8 +395,11 @@ class TestHistories:
         for bad in ([(-1.0, 10**400), (-0.5, 1.0)], [(-10**400, 0.0), (-0.5, 1.0)]):
             with pytest.raises(NonFiniteInput):
                 SampledHistory(bad)
-        # ints are taken, and stored as floats
-        assert SampledHistory([(-1, 0), (-0.5, 2)]).points == ((-1.0, 0.0), (-0.5, 2.0))
+        # ints are taken as given, any other finite real as its float
+        for pts, types in (([(-1, 0), (-0.5, 2)], [int, int, float, int]),
+                           ([(Decimal("-1"), Fraction(1, 2)), (-0.5, 2)], [float, float, float, int])):
+            points = SampledHistory(pts).points
+            assert points == tuple(pts) and [type(x) for pt in points for x in pt] == types
 
 
 class TestSimulate:
@@ -434,17 +439,24 @@ class TestSimulate:
 
     def test_invalid_step(self):
         cl = ClosedLoopParams(-1.0, 0.0, 1.0)
-        for bad in (0.0, -0.1, math.nan, math.inf, True):
-            with pytest.raises(InvalidStep):
+        # what no record takes as a real number raises InvalidStep here,
+        # as does a step that is not positive (None is the default step)
+        bad_reals = (True, "0.5", 1j, math.nan, math.inf, -math.inf, 10**400, Decimal("sNaN"))
+        for bad in (0.0, -0.1, *bad_reals):
+            with pytest.raises(InvalidStep, match="step"):
                 simulate(cl, UNIT, 5.0, bad)
         with pytest.raises(InvalidStep):
             simulate(cl, UNIT, 0.5)  # below one delay interval
-        for bad in (math.inf, math.nan, "5", None, True, 5j, 10**400):
+        for bad in (None, *bad_reals):
             with pytest.raises(InvalidStep, match="t_final"):
                 simulate(cl, UNIT, bad)
-        with pytest.raises(InvalidStep, match="step"):
-            simulate(cl, UNIT, 5.0, 10**400)
+        # any other finite real counts as its float, and an int as itself
         assert simulate(cl, UNIT, 2) == simulate(cl, UNIT, 2.0)
+        for step in (Decimal("0.01"), Fraction(1, 100)):
+            assert simulate(cl, UNIT, 2.0, step) == simulate(cl, UNIT, 2.0, 0.01)
+        for t_final in (Decimal("2.5"), Fraction(5, 2)):
+            assert simulate(cl, UNIT, t_final, 0.01) == simulate(cl, UNIT, 2.5, 0.01)
+        assert simulate(cl, UNIT, 5.0, 1) == simulate(cl, UNIT, 5.0, 1.0)
 
     @pytest.mark.parametrize("cl, init, t_final, step", RK4_CASES)
     def test_matches_stagewise_rk4(self, cl, init, t_final, step):
@@ -523,9 +535,17 @@ class TestSimulate:
                     lambda tau: "1.0", lambda tau: None):
             with pytest.raises(DomainError, match="real numbers"):
                 simulate(cl, InitialData(1.0, phi), 3.0, 0.01)
-        # finite values whose sum overflows, and ints, are taken
+        # a signaling NaN is not finite, as in every record
+        with pytest.raises(NonFiniteInput, match="real numbers"):
+            simulate(cl, InitialData(1.0, lambda tau: Decimal("sNaN") if tau > -0.5 else 1.0), 3.0, 0.01)
+        # finite values whose sum overflows are taken, and any other finite
+        # real counts as its float, an int as itself
         assert simulate(cl, InitialData(1.0, lambda tau: 1e308), 3.0, 0.01).truncated
-        assert simulate(cl, InitialData(1, lambda tau: 1), 3.0, 0.01) == simulate(cl, UNIT, 3.0, 0.01)
+        for kind in (int, Decimal, Fraction):
+            assert simulate(cl, InitialData(1, lambda tau: kind(1)), 3.0, 0.01) == simulate(cl, UNIT, 3.0, 0.01)
+        want = simulate(cl, InitialData(1.0, lambda tau: 1.0 + 0.1 * tau), 3.0, 0.01)
+        for kind in (Decimal, Fraction):  # each holds the float exactly
+            assert simulate(cl, InitialData(1.0, lambda tau: kind(1.0 + 0.1 * tau)), 3.0, 0.01) == want
 
     def test_grid_is_a_sequence(self):
         traj = simulate(ClosedLoopParams(-1.0, -2.0, 1.0), UNIT, 6.0, 0.01)

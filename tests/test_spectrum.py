@@ -4,6 +4,7 @@ import math
 import random
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -235,18 +236,51 @@ def test_validation_errors():
         ClosedLoopParams(alpha=math.nan, beta=1.0, h=1.0)
     with pytest.raises(NonFiniteInput):
         Gains(k=math.inf)
-    # a field that is not a real number, a bool included, and an int past
-    # the double range
-    for bad in ("1.0", None, 1j, True):
-        for record in (lambda: SystemParams(a=bad, a1d=0.0, b=1.0, h=1.0), lambda: Gains(k=1.0, k1d=bad),
-                       lambda: ClosedLoopParams(alpha=1.0, beta=1.0, h=bad)):
-            with pytest.raises(DomainError, match="must be a real number"):
-                record()
-    for record in (lambda: SystemParams(a=0.0, a1d=0.0, b=10**400, h=1.0), lambda: Gains(k=-10**400),
-                   lambda: ClosedLoopParams(alpha=10**400, beta=1.0, h=1.0),
-                   lambda: ClosedLoopParams(alpha=1.0, beta=Decimal("sNaN"), h=1.0)):
-        with pytest.raises(NonFiniteInput, match="must be finite"):
-            record()
+    # one rule for a real input, in every record and call that takes one
+    cl = ClosedLoopParams(-1.0, -2.0, 1.0)
+    plant = SystemParams(-1.0, 0.5, 1.0, 1.0)
+
+    def run(init):
+        return delayw.simulate(cl, init, 3.0, 0.01)
+
+    def loop(beta):
+        cl = ClosedLoopParams(-1.0, beta, 1.0)
+        return spectrum(cl, 3), is_stable(cl), cross_validate(cl, 3)
+
+    takes_real = {  # each call puts v in one field and uses the result
+        "SystemParams": lambda v: delayw.assign_both(SystemParams(-1.0, v, 1.0, 0.5), -1.0 + 2.0j),
+        "Gains": lambda v: spectrum(close_loop(plant, Gains(0.25, v)), 3),
+        "ClosedLoopParams": loop,
+        "ConstantHistory": lambda v: run(delayw.InitialData(1.0, delayw.ConstantHistory(v))),
+        "LinearHistory": lambda v: run(delayw.InitialData(1.0, delayw.LinearHistory(1.0, v))),
+        "SampledHistory": lambda v: run(delayw.InitialData(1.0, delayw.SampledHistory(((-1.0, v), (-0.5, 1.0))))),
+        "InitialData": lambda v: run(delayw.InitialData(v, delayw.ConstantHistory(1.0))),
+        "lambert_w_real": lambda v: delayw.lambert_w_real(0, v),
+        "w0_boundary_point": delayw.w0_boundary_point,
+        "alpha_choice": lambda v: delayw.assign_real_both(plant, 2.5, alpha_choice=v),
+    }
+    # not a real number, a bool included; NaN, an infinity, an int past
+    # the double range, a signaling NaN
+    bad_reals = [(bad, DomainError, "must be a real number") for bad in (True, "1.0", 1j, None)]
+    bad_reals += [(bad, NonFiniteInput, "must be finite")
+                  for bad in (math.nan, math.inf, -math.inf, 10**400, Decimal("sNaN"))]
+    for bad, cls, text in bad_reals:
+        for record, n in ((SystemParams, 4), (Gains, 2), (ClosedLoopParams, 3)):
+            for at in range(n):  # in every field
+                with pytest.raises(cls, match=text):
+                    record(*(bad if i == at else 1.0 for i in range(n)))
+    for name, call in takes_real.items():
+        for bad, cls, text in bad_reals:
+            if not (bad is None and name == "alpha_choice"):  # None: the default alpha
+                with pytest.raises(cls, match=text):
+                    call(bad)
+        # any other finite real counts as its float, and an int as itself
+        for value, same in ((2.0, (Decimal("2"), Fraction(2), 2)), (2.1, (Decimal("2.1"), Fraction("2.1")))):
+            want = call(value)
+            for v in same:
+                assert call(v) == want, (name, v)
+    # a record stores an int or a float as given, any other real as its float
+    assert [type(x) for x in ClosedLoopParams(Decimal("-1"), Fraction(-2), 1)] == [float, float, int]
     assert ClosedLoopParams(-1, -2, 1) == ClosedLoopParams(-1.0, -2.0, 1.0)
     with pytest.raises(NonFiniteInput, match="s must be finite"):
         char_residual(ClosedLoopParams(-1.0, -2.0, 1.0), complex(math.nan, 1.0))
