@@ -29,7 +29,7 @@ from .errors import (
     _require_tolerance,
 )
 from .lambertw import on_w0_boundary
-from .spectrum import ClosedLoopParams, Gains, spectrum
+from .spectrum import _DBL_MIN, ClosedLoopParams, Gains, spectrum
 
 __all__ = [
     "Target",
@@ -49,8 +49,6 @@ __all__ = [
 # relative tolerance for algebraic feasibility conditions; every cond_tol
 # that is not a finite non-negative int or float raises DomainError
 COND_TOL_DEFAULT = 1e-9
-# the least normal double
-_DBL_MIN = 2.2250738585072014e-308
 
 
 class Target(namedtuple("Target", "S u v")):
@@ -249,9 +247,9 @@ def assign_current_only(sys, S, cond_tol=COND_TOL_DEFAULT):
     beta stays at the plant's a1d.  A complex target needs
     a1d + v*e^{u h}*csc(v h) = 0.  A real target always becomes an
     eigenvalue, but it is the rightmost one only when the implied
-    (S - alpha)*h >= -1; that is checked after the fact against the
-    computed spectrum and reported through the feasible flag instead
-    of an exception.
+    (S - alpha)*h >= -1; the feasible flag reports that rule instead of
+    an exception, and the certificate adds the computed spectrum's
+    rightmost root.
     """
     _require_tolerance("cond_tol", cond_tol)
     t = _applicable(assign_current_only, sys, S)
@@ -262,7 +260,7 @@ def assign_current_only(sys, S, cond_tol=COND_TOL_DEFAULT):
         vh, sv, cv = _in_window(assign_current_only, t, h)
         csc_term = t.v * _exp(t.u * h, "e^(u*h)", t.v) / sv
         cert = _condition("a1d + v*e^(u*h)*csc(v*h) = 0", a1d + csc_term,
-                          max(1.0, abs(a1d), abs(csc_term)), cond_tol, vh)
+                          max(abs(a1d), abs(csc_term)), cond_tol, vh)
         shift = a1d * _exp(-t.u * h, "e^(-u*h)") * cv
     # k from S - a directly: (alpha - a)/b would add alpha's rounding
     gains = Gains(k=(t.u - a - shift) / sys.b, k1d=0.0)
@@ -277,7 +275,7 @@ def assign_current_only(sys, S, cond_tol=COND_TOL_DEFAULT):
         f"({'>=' if x >= -1.0 else '<'} -1); spectrum rightmost = "
         f"{rm.real:.9g}{rm.imag:+.9g}i, |rightmost - S| = {dist:.3e}"
     )
-    return AssignmentResult(AssignmentMode.CURRENT_ONLY, gains, cl, t.S, dist <= 1e-10, cert)
+    return AssignmentResult(AssignmentMode.CURRENT_ONLY, gains, cl, t.S, x >= -1.0, cert)
 
 
 def assign_real_both(sys, S, alpha_choice=None):

@@ -152,16 +152,16 @@ def _pade0(z):
 _LOG_DOMAIN_RE = -705.0
 
 
-def _newton_log(z, w, az):
+def _newton_log(z, w, az, lz):
     """Newton on g(w) = w + Log(w) - (Log(z) + 2*pi*i*m), exponential-free.
 
     Used when the seed lies so far left that exp(w) underflows, or when
     |w|*|z| overflows.  Any root of g satisfies w*e^w = z exactly; the
     integer m is pinned by the seed's band.  The defining residual is
     |z|*|exp(g) - 1|, reported to first order as |z|*|g|; az is |z|, inf
-    past the largest double, where the residual itself is still finite.
+    past the largest double; lz is Log z as for _eval_complex.
     """
-    lz = cmath.log(z)
+    lz = cmath.log(z) if lz is None else lz
     m = round((w.imag + cmath.phase(w) - lz.imag) / _TWO_PI)
     # Log(w) is continued from the seed w0 as Log(w0) + Log(w/w0): the
     # principal Log jumps by 2*pi*i across the negative axis, where the
@@ -182,11 +182,11 @@ def _newton_log(z, w, az):
 _ITERATIONS = range(_MAX_ITER)
 
 
-def _halley(z, az, seeds):
+def _halley(z, az, seeds, lz=None):
     """[(w, residual or None, steps)] for each seed w of a root of
     f(w) = w*e^w - z: Halley's method, or the exponential-free iteration
-    where Halley's quantities leave the double range.  z and az as for
-    _eval_complex.
+    where Halley's quantities leave the double range.  z, az and lz as
+    for _eval_complex.
 
     Halley stops once the residual is within _TOL*|z| and the last step
     within _TOL*|w|.  Both tolerances carry conditioning floors, scaled
@@ -210,7 +210,7 @@ def _halley(z, az, seeds):
         # |w|*|f'| is about |w|*|z|, and where that leaves the double range
         # its quotients overflow too and the step reads 0
         if w.real < _LOG_DOMAIN_RE or math.isinf(abs(w) * az):
-            append(_newton_log(z, w, az))
+            append(_newton_log(z, w, az, lz))
             continue
         step_prev = inf
         for it in _ITERATIONS:
@@ -246,12 +246,12 @@ def _halley(z, az, seeds):
     return out
 
 
-def _eval_complex(k, z, az):
+def _eval_complex(k, z, az, lz=None):
     """Seed selection and iteration: the one kernel behind every argument.
 
-    Takes a checked complex z != 0 and az = |z|, or inf where |z| passes
-    the largest double; returns (w, residual or None, steps).  The
-    asymptotic seed goes through the range entry _branches."""
+    Takes a checked complex z, az = |z| (inf past the largest double) and
+    lz, Log z of a real z formed by its caller (z may then be 0 or inf),
+    or None; returns (w, residual or None, steps)."""
     # the sheet of W_-1 above the axis and of W_1 below it that is real on
     # [-1/e, 0)
     real_wm1 = (k == -1 and z.imag >= 0.0) or (k == 1 and z.imag < 0.0)
@@ -265,27 +265,27 @@ def _eval_complex(k, z, az):
         return _halley(z, az, (seed,))[0]
     if k == 0 and az <= 2.0 and z.real >= BRANCH_POINT_Z:
         return _halley(z, az, (_pade0(z),))[0]
-    if real_wm1 and z.real < 0.0 and az <= _WM1_SEED_RADIUS:
+    if real_wm1 and az <= _WM1_SEED_RADIUS and (z.real if lz is None else -lz.imag) < 0.0:
         # w = L - log(-L) with L = log(-z), the real-axis expansion as
         # z -> 0-; unlike log(z) + 2*pi*i*k it keeps a tiny Im w exact
         # instead of rounding it away against pi
-        l1 = cmath.log(-z)
-        return _halley(z, az, (l1 - cmath.log(-l1),))[0]
-    return _branches(z, az, (k,))[0]
+        l1 = cmath.log(-z) if lz is None else complex(lz.real)
+        return _halley(z, az, (l1 - cmath.log(-l1),), lz)[0]
+    return _branches(z, az, (k,), lz)[0]
 
 
-def _branches(z, az, ks):
+def _branches(z, az, ks, lz=None):
     """[(w, residual or None, steps)] of W_k(z), k in ks, from the asymptotic
-    seed, with Log z formed once; z and az as for _eval_complex."""
+    seed, with Log z formed once; z, az and lz as for _eval_complex."""
     if not ks:
         return []
-    lz = cmath.log(z)
+    lz = cmath.log(z) if lz is None else lz
     seeds = []
     for k in ks:
         l1 = lz + _TWO_PI * k * 1j
         l2 = cmath.log(l1)
         seeds.append(l1 - l2 + l2 / l1 + l2 * (l2 - 2.0) / (2.0 * l1 * l1))
-    return _halley(z, az, seeds)
+    return _halley(z, az, seeds, lz)
 
 
 def lambert_w(k, z):

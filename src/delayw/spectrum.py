@@ -10,9 +10,10 @@ root, so stability reduces to the sign of Re s_0.
 
 ``spectrum`` takes branches 0 and -1 from ``lambert_w`` and every
 branch k >= 1 from the kernel's range entry, z being checked once per
-call: the range entry forms Log z once, seeds each branch one
-asymptotic term deep and mostly stops after one Halley step.  Each
-branch k >= 1 also gives the conjugate root of its partner branch.
+call: the range entry forms Log z once (off the normal range of z it
+takes ``_w_arg``'s Log z, as branches 0 and -1 do there), seeds
+each branch one asymptotic term deep and mostly stops after one Halley
+step.  Each branch k >= 1 also gives the conjugate root of its partner.
 The records are sorted by descending real part, ties by ascending
 imaginary part, in two stable passes, so exact ties keep the order in
 which the branches were listed.
@@ -84,28 +85,39 @@ class ClosedLoopParams(namedtuple("ClosedLoopParams", "alpha beta h")):
     def w_argument(self):
         """beta*h*e^{-alpha*h}, the argument handed to Lambert W.
 
+        Formed from logs where it or a factor is not a normal double.
         Raises NonFiniteInput when it lies past the double range, but
         not when only beta*h or e^{-alpha h} does.
         """
-        try:
-            z = self.beta * self.h * math.exp(-self.alpha * self.h)
-        except OverflowError:
-            z = math.nan
-        if math.isfinite(z):
-            return z
-        # beta*h or e^{-alpha h} left the double range, yet z itself may
-        # lie inside it (or underflow): form it from the logs
-        lead = math.log(abs(self.beta)) + math.log(self.h) - self.alpha * self.h if self.beta else -math.inf
-        try:
-            z = math.copysign(math.exp(lead), self.beta)
-        except OverflowError:
-            z = math.inf
+        z = _w_arg(self)[0]
         if math.isinf(z):
             raise NonFiniteInput(
                 f"W argument beta*h*e^(-alpha*h) overflows for alpha = {self.alpha!r}, "
                 f"beta = {self.beta!r}, h = {self.h!r}"
             )
         return z
+
+
+_DBL_MIN = 2.2250738585072014e-308  # least positive normal double
+_LOG_MIN, _LOG_MAX = -708.3964185322641, 709.782712893384  # exp is normal between them
+_ALPHA_H_OVERFLOW = "alpha*h overflows for alpha = {0.alpha!r}, h = {0.h!r}; Log z = log|beta*h| - alpha*h is not finite"
+
+
+def _w_arg(cl):
+    """(z, Log z) for the W argument z = beta*h*e^{-alpha h}: Log z is None
+    where beta*h, e^{-alpha h} and z are normal doubles, for the kernel to
+    take from z.  Elsewhere it is log|beta| + log h - alpha*h, plus i*pi
+    for beta < 0, and z is its exp: a subnormal, a signed zero, an
+    infinity or a normal double that a subnormal factor would have
+    rounded.  Its real part is infinite where alpha*h overflows or beta = 0."""
+    alpha, beta, h = cl
+    ah, bh = alpha * h, beta * h
+    z = bh * math.exp(-ah) if _LOG_MIN <= -ah <= _LOG_MAX and abs(bh) >= _DBL_MIN else 0.0
+    if _DBL_MIN <= abs(z) < math.inf:
+        return z, None
+    lead = math.log(abs(beta)) + math.log(h) - ah if beta else -math.inf
+    z = math.copysign(math.exp(lead) if lead <= _LOG_MAX else math.inf, beta)
+    return z, complex(lead, math.pi if beta < 0.0 else 0.0)
 
 
 SpectrumRoot = namedtuple("SpectrumRoot", "branch s multiplicity", defaults=(1,))
@@ -156,13 +168,13 @@ def _root(cl, w):
 
 
 def _rightmost(cl):
-    """Branch-0 root, the rightmost one."""
+    """Branch-0 root, the rightmost one (alpha where z flushes to 0)."""
     if cl.beta == 0.0:
-        # delay term vanishes; W_k(0) exists only for k = 0
         return complex(cl.alpha, 0.0)
-    z = cl.w_argument
-    # W_0(0) = 0, where z underflows
-    return _root(cl, _eval_complex(0, complex(z), abs(z))[0] if z else 0j)
+    z, lz = _w_arg(cl)
+    if lz is not None and lz.real == math.inf:
+        raise DomainError(_ALPHA_H_OVERFLOW.format(cl))
+    return _root(cl, _eval_complex(0, complex(z), abs(z), lz)[0])
 
 
 def spectrum(cl, n_branches):
@@ -175,8 +187,8 @@ def spectrum(cl, n_branches):
         Highest branch index to include, at most the W kernel's K_MAX;
         anything but a non-negative int (a bool included) raises
         DomainError.  The root set is kept closed under conjugation, so
-        for negative real W arguments the partner of branch k is branch
-        -k-1 and the listing extends to -(n+1).
+        for beta < 0 (a negative W argument) the partner of branch k is
+        branch -k-1 and the listing extends to -(n+1).
 
     Returns
     -------
@@ -192,11 +204,8 @@ def spectrum(cl, n_branches):
 
     Raises
     ------
-    NonFiniteInput
-        If the W argument beta*h*e^{-alpha h} overflows.
     DomainError
-        If n_branches is invalid, or the W argument underflows to 0 with
-        beta != 0: W_k(0) diverges for every k != 0.
+        If n_branches is invalid, or alpha*h overflows: Log z is not finite.
     """
     if isinstance(n_branches, bool) or not isinstance(n_branches, int):
         raise DomainError(f"n_branches must be an integer, got {n_branches!r}")
@@ -207,36 +216,33 @@ def spectrum(cl, n_branches):
     if cl.beta == 0.0:
         s0 = _rightmost(cl)
         return Spectrum(roots=(SpectrumRoot(0, s0),), rightmost=s0)
-    z = cl.w_argument
-    if z == 0.0:
-        raise DomainError(
-            f"W argument beta*h*e^(-alpha*h) underflows to 0 for alpha = {cl.alpha!r}, "
-            f"beta = {cl.beta!r}, h = {cl.h!r}; W_k(0) diverges for the branches k != 0"
-        )
-    w0 = lambert_w(0, z).w
+    z, lz = _w_arg(cl)
+    if lz is not None and math.isinf(lz.real):
+        raise DomainError(_ALPHA_H_OVERFLOW.format(cl))
+    zc, az = complex(z), abs(z)
+    w0 = lambert_w(0, z).w if lz is None else _eval_complex(0, zc, az, lz)[0]
     s0 = _root(cl, w0)
     roots = [SpectrumRoot(0, s0)]
     if z < BRANCH_POINT_Z:
         # on the cut: branch -1 is the conjugate partner of branch 0
         roots.append(SpectrumRoot(-1, s0.conjugate()))
-    elif z < 0.0:
-        # -1/e <= z < 0: branch -1 is the second real root.  The kernel
-        # returns it equal to W_0 (both -1) only where its compensated
-        # e*z + 1 is zero, and there the two are one double root
-        w1 = lambert_w(-1, z).w
+    elif cl.beta < 0.0:
+        # -1/e <= z < 0 (or -0.0): branch -1 is the second real root.  The
+        # kernel returns it equal to W_0 (both -1) only where its
+        # compensated e*z + 1 is zero, and there the two are one double root
+        w1 = lambert_w(-1, z).w if lz is None else _eval_complex(-1, zc, az, lz)[0]
         if w1 == w0:
             roots[0] = SpectrumRoot(0, s0, 2)
         else:
             roots.append(SpectrumRoot(-1, _root(cl, w1)))
-    # for z < 0 branch k pairs with branch -k-1, for z > 0 with -k.  z is
-    # checked once here, so branches k >= 1 skip lambert_w's checks and
-    # residual.  Each root is alpha + w/h as in _root; each record is
+    # for beta < 0 branch k pairs with branch -k-1, for beta > 0 with -k.
+    # z is checked once here, so branches k >= 1 skip lambert_w's checks
+    # and residual.  Each root is alpha + w/h as in _root; each record is
     # built as SpectrumRoot._make builds it
-    zc, az = complex(z), abs(z)
     alpha, h = cl.alpha, cl.h
-    shift = 0 if z > 0.0 else 1
+    shift = 0 if cl.beta > 0.0 else 1
     record, append = tuple.__new__, roots.append
-    for k, (w, _, _) in enumerate(_branches(zc, az, range(1, n_branches + 1)), 1):
+    for k, (w, _, _) in enumerate(_branches(zc, az, range(1, n_branches + 1), lz), 1):
         sk = alpha + w / h
         append(record(SpectrumRoot, (k, sk, 1)))
         append(record(SpectrumRoot, (-k - shift, sk.conjugate(), 1)))
@@ -256,7 +262,7 @@ def is_stable(cl):
     -------
     (stable, margin) : (bool, float)
         margin is Re s_0; the loop is exponentially stable iff it is
-        negative.
+        negative.  DomainError where alpha*h overflows to -inf.
     """
     margin = _rightmost(cl).real
     return margin < 0.0, margin

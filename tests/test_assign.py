@@ -173,6 +173,42 @@ def test_delay_only_published_target_needs_matching_plant():
         assign_delay_only(PLANT, -0.60502 + 1.78820j)
 
 
+def test_current_only_complex_condition_is_relative():
+    # v*e^(u*h)*csc(v*h) = 2.3e-22 is far below cond_tol, but a1d = 0
+    # leaves the loop (-50, 0, 1), whose only root is -50: the residual
+    # counts relative to the two terms of the condition, not to 1
+    with pytest.raises(ConditionViolated) as info:
+        assign_current_only(SystemParams(0.3, 0.0, 1.0, 1.0), -50.0 + 1.0j)
+    assert info.value.residual == pytest.approx(math.exp(-50.0) / math.sin(1.0), rel=1e-12)
+
+
+def test_current_only_real_flags_follow_the_exact_rule():
+    # real targets with a, a1d and S each +-10^U(-6, 4)/h and h from 1e-3
+    # to 1e3, the designed loop's W argument subnormal, flushed to 0 or
+    # past the largest double among them: every flag is the rule
+    # (S - alpha)*h = a1d*h*e^{-S h} >= -1 in 40-digit mpmath, and a
+    # design raises only where e^{-S h}, or with it the gain, overflows
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(5)
+
+    def draw():
+        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 4.0)
+
+    returned = 0
+    for _ in range(2000):
+        h = 10.0 ** rng.uniform(-3.0, 3.0)
+        a, a1d, S = draw() / h, draw() / h, draw() / h
+        try:
+            r = assign_current_only(SystemParams(a, a1d, 1.0, h), S)
+        except NonFiniteInput as exc:
+            assert str(exc).startswith(("e^(-u*h) overflows", "k must be finite")), exc
+            continue
+        returned += 1
+        with mpmath.workdps(40):
+            assert r.feasible == (mpmath.mpf(a1d) * h * mpmath.exp(-mpmath.mpf(S) * h) >= -1), (a, a1d, h, S)
+    assert returned >= 1892
+
+
 def test_current_only_real_not_rightmost():
     # k = e - 2 makes S = -1 an eigenvalue, but a real root sits right of it
     r = assign_current_only(PLANT, -1.0)

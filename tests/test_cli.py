@@ -296,9 +296,20 @@ class TestSpectrum:
             int(branch), float(re), float(im), int(mult)
 
     def test_w_argument_overflow(self, capsys):
+        # z = 3e390 is past the largest double; the printed roots come
+        # from Log z and agree with 60-digit mpmath to a few ulps
+        mpmath = pytest.importorskip("mpmath")
         code, env = run_json(capsys, "spectrum", "--alpha=-300", "--beta=1", "--h=3")
-        assert code == 2
-        assert env["result"]["error"] == "NonFiniteInput"
+        assert code == 0
+        roots = env["result"]["roots"]
+        assert sorted(r["branch"] for r in roots) == list(range(-4, 5))
+        with mpmath.workdps(60):
+            z = 3 * mpmath.exp(900)
+            for r in roots:
+                want = -300 + mpmath.lambertw(z, r["branch"]) / 3
+                assert abs(mpmath.mpc(r["re"], r["im"]) - want) <= 5e-14 * abs(want)
+        assert env["result"]["stable"] is True
+        assert env["result"]["margin"] == roots[0]["re"]
 
     def test_mixed_forms_rejected(self, capsys):
         code, env = run_json(capsys, "spectrum", "--alpha", "-1", "--beta", "0",

@@ -481,12 +481,12 @@ def test_halley_step_budget():
     assert 0 < sum(lambert_w(k, z).iterations for k, z in micro_sample()) <= 1255
 
 
-def loop_halley(z, az, w):
+def loop_halley(z, az, w, lz=None):
     """_halley on one seed, forming its convergence test on every
     iteration, the first included: the reference that _halley must match
     bit for bit."""
     if w.real < lambertw._LOG_DOMAIN_RE or math.isinf(abs(w) * az):
-        return lambertw._newton_log(z, w, az)
+        return lambertw._newton_log(z, w, az, lz)
     step_prev = math.inf
     for it in range(_MAX_ITER):
         ew = cmath.exp(w)
@@ -526,16 +526,17 @@ def wide_sample(n):
 
 
 def test_halley_matches_loop_reference(monkeypatch):
-    # every seed the kernel polishes on micro's sample and the wide
-    # sample, fed to both: identical (w, residual, iterations) bits
+    # every seed the kernel polishes on micro's sample, the wide sample
+    # and spectra whose W argument is off the normal range (so the
+    # caller's Log z), fed to both: identical (w, residual, iterations) bits
     calls, mismatches = 0, []
 
-    def both(z, az, seeds):
+    def both(z, az, seeds, lz=None):
         nonlocal calls
-        got = halley(z, az, seeds)
+        got = halley(z, az, seeds, lz)
         for w, g in zip(seeds, got):
             calls += 1
-            want = loop_halley(z, az, w)
+            want = loop_halley(z, az, w, lz)
             if repr(g) != repr(want):
                 mismatches.append((z, w, g, want))
         return got
@@ -544,17 +545,19 @@ def test_halley_matches_loop_reference(monkeypatch):
     monkeypatch.setattr(lambertw, "_halley", both)
     for k, z in micro_sample() + wide_sample(20000):
         lambert_w(k, z)
+    for alpha, beta, h in ((740.0, 1.0, 1.0), (740.0, -1.0, 1.0), (300.0, -1.0, 3.0), (-300.0, -1.0, 3.0)):
+        spectrum(ClosedLoopParams(alpha, beta, h), 50)
     assert calls >= 15000
     assert not mismatches, mismatches[:3]
 
 
-def fresh_branch(z, az, k):
-    """W_k(z) from the asymptotic seed with Log z taken anew and the seed
-    polished by the loop reference: what the range entry, which forms
-    Log z once, must give."""
-    l1 = cmath.log(z) + lambertw._TWO_PI * k * 1j
+def fresh_branch(z, az, k, lz):
+    """W_k(z) from the asymptotic seed with Log z taken anew (or the
+    caller's lz) and the seed polished by the loop reference: what the
+    range entry, which forms Log z once, must give."""
+    l1 = (cmath.log(z) if lz is None else lz) + lambertw._TWO_PI * k * 1j
     l2 = cmath.log(l1)
-    return loop_halley(z, az, l1 - l2 + l2 / l1 + l2 * (l2 - 2.0) / (2.0 * l1 * l1))
+    return loop_halley(z, az, l1 - l2 + l2 / l1 + l2 * (l2 - 2.0) / (2.0 * l1 * l1), lz)
 
 
 def test_branch_range_matches_fresh_halley(monkeypatch):
@@ -563,12 +566,12 @@ def test_branch_range_matches_fresh_halley(monkeypatch):
     # them, against one fresh reference run per branch: identical bits
     calls, mismatches = 0, []
 
-    def both(z, az, ks):
+    def both(z, az, ks, lz=None):
         nonlocal calls
-        got = branches(z, az, ks)
+        got = branches(z, az, ks, lz)
         for k, g in zip(ks, got):
             calls += 1
-            want = fresh_branch(z, az, k)
+            want = fresh_branch(z, az, k, lz)
             if repr(g) != repr(want):
                 mismatches.append((k, z, g, want))
         return got
@@ -579,7 +582,8 @@ def test_branch_range_matches_fresh_halley(monkeypatch):
     for k, z in micro_sample() + wide_sample(20000):
         lambert_w(k, z)
     for alpha, beta, h in ((-1.0, 2.0, 1.0), (0.0, -0.2, 1.0), (-1.0, -2.0, 1.0), (710.0, 1.0, 1.0),
-                           (710.0, -1.0, 1.0), (0.0, 1e305, 1.0), (0.0, -1e305, 1.0)):
+                           (710.0, -1.0, 1.0), (0.0, 1e305, 1.0), (0.0, -1e305, 1.0), (300.0, 1.0, 3.0),
+                           (-300.0, -1.0, 3.0), (744.0, 1e300, 1.0)):
         spectrum(ClosedLoopParams(alpha, beta, h), 600)
     assert calls >= 20000
     assert not mismatches, mismatches[:3]

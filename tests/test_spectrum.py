@@ -29,7 +29,7 @@ from delayw import (
     spectrum,
 )
 from delayw.lambertw import _eval_complex
-from delayw.spectrum import Spectrum, SpectrumRoot, _rightmost, _root
+from delayw.spectrum import _ALPHA_H_OVERFLOW, Spectrum, SpectrumRoot, _rightmost, _root, _w_arg
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -306,30 +306,55 @@ def test_validation_errors():
             spectrum(cl, n_branches=bad)
 
 
+def mp_root_error(cl, roots):
+    """Largest |s - s_k| / max(1, |s_k|) over the roots, s_k = alpha +
+    W_k(z)/h in 60-digit mpmath at the exact z = beta*h*e^{-alpha h}."""
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(60):
+        alpha, beta, h = (mpmath.mpf(x) for x in cl)
+        z = beta * h * mpmath.exp(-alpha * h)
+        for r in roots:
+            want = alpha + mpmath.lambertw(z, r.branch) / h
+            worst = max(worst, float(abs(mpmath.mpc(r.s.real, r.s.imag) - want) / max(1, abs(want))))
+    return worst
+
+
 @pytest.mark.parametrize("alpha, beta", [(-300.0, 1.0), (-230.0, 1e10)])
 def test_w_argument_overflow(alpha, beta):
-    # e^{-alpha h} itself overflows, or only its product with beta*h
+    # e^{-alpha h} itself overflows, or only its product with beta*h:
+    # w_argument raises, while spectrum, is_stable and cross_validate read
+    # Log z from the parameters and place every root to a few ulps
     cl = ClosedLoopParams(alpha, beta, 3.0)
-    for call in (lambda: cl.w_argument, lambda: spectrum(cl, 2), lambda: is_stable(cl),
-                 lambda: cross_validate(cl, 2)):
-        with pytest.raises(NonFiniteInput, match=r"beta\*h\*e\^\(-alpha\*h\) overflows"):
-            call()
+    with pytest.raises(NonFiniteInput, match=r"beta\*h\*e\^\(-alpha\*h\) overflows"):
+        cl.w_argument
+    spec = spectrum(cl, 30)
+    assert mp_root_error(cl, spec.roots) <= 5e-14
+    assert is_stable(cl) == (spec.rightmost.real < 0.0, spec.rightmost.real)
+    cv = cross_validate(cl, 2)
+    assert cv.spectrum_count == cv.oracle_count == 5
 
 
 @pytest.mark.parametrize("beta", [-1.0, 1.0])
 def test_w_argument_underflow(beta):
-    # W_0(0) still gives the rightmost root, W_k(0) for k != 0 diverges
+    # z = +-3e-391 flushes to a signed zero: W_0(z) = 0 still gives the
+    # rightmost root, and every other branch comes from Log z
     cl = ClosedLoopParams(300.0, beta, 3.0)
+    assert cl.w_argument == 0.0 and math.copysign(1.0, cl.w_argument) == beta
     assert is_stable(cl) == (False, 300.0)
-    with pytest.raises(DomainError, match="underflows to 0"):
-        spectrum(cl, 0)
+    spec = spectrum(cl, 30)
+    assert spec.rightmost == 300.0
+    assert len(spec.roots) == (62 if beta < 0.0 else 61)
+    assert mp_root_error(cl, spec.roots) <= 5e-14
 
 
-@pytest.mark.parametrize("alpha, beta, h", [(1.0, -1e300, 1e10), (1e-8, 1e300, 1e10), (-1e13, 1e-300, 1e-10)])
+@pytest.mark.parametrize("alpha, beta, h", [(1.0, -1e300, 1e10), (1e-8, 1e300, 1e10), (-1e13, 1e-300, 1e-10),
+                                            (-2.3e172, 1e-170, 1e-170), (744.0, 1e300, 1.0), (740.0, -1e300, 1.0)])
 def test_w_argument_past_a_factor_overflow(alpha, beta, h):
     # beta*h overflows while e^{-alpha h} underflows (z is -0.0, not
-    # NaN), or one factor leaves the double range while z stays inside
-    # it: z and the rightmost root agree with 50-digit mpmath
+    # NaN), one factor leaves the double range while z stays inside it,
+    # or beta*h underflows to 0 while z = 7.7e-241, or e^{-alpha h} is
+    # subnormal while z is normal: z and every root agree with mpmath
     mpmath = pytest.importorskip("mpmath")
     cl = ClosedLoopParams(alpha, beta, h)
     with mpmath.workdps(50):
@@ -338,9 +363,37 @@ def test_w_argument_past_a_factor_overflow(alpha, beta, h):
     assert cl.w_argument == pytest.approx(float(z), rel=1e-12)
     assert math.copysign(1.0, cl.w_argument) == math.copysign(1.0, beta)
     assert is_stable(cl) == (margin < 0.0, pytest.approx(margin, rel=1e-12))
-    if float(z) == 0.0:
-        with pytest.raises(DomainError, match="underflows to 0"):
-            spectrum(cl, 0)
+    assert mp_root_error(cl, spectrum(cl, 10).roots) <= 5e-14
+
+
+@pytest.mark.parametrize("alpha, beta, h", [(740.0, -1.0, 1.0), (300.0, -1.0, 3.0), (1.0, -1e300, 1e10)])
+def test_second_real_root_below_the_normal_range(alpha, beta, h):
+    # beta < 0 with z subnormal (4e-322, two bits) or flushed to -0.0:
+    # branch -1 is the second real root, read from the sign of beta and
+    # from Log z, and it stays exactly real
+    cl = ClosedLoopParams(alpha, beta, h)
+    roots = [r for r in spectrum(cl, 3).roots if r.branch in (0, -1)]
+    assert [r.s.imag for r in roots] == [0.0, 0.0]
+    assert mp_root_error(cl, roots) <= 5e-14
+
+
+def test_alpha_h_overflow():
+    # alpha*h overflows to +inf: z is -0.0, so the rightmost root is
+    # alpha, but Log z, which every other branch needs, is not finite;
+    # to -inf, z and Log z are both past the double range.  Either ends
+    # in a DomainError naming alpha*h, never in NoConvergence or NaN
+    cl = ClosedLoopParams(3.366325060362924e307, -0.28563946144005314, 66.67958104486705)
+    assert cl.w_argument == 0.0
+    assert is_stable(cl) == (False, cl.alpha)
+    for n in (0, 3):
+        with pytest.raises(DomainError, match=r"alpha\*h overflows for alpha = 3\.366325060362924e\+307"):
+            spectrum(cl, n)
+    cl = ClosedLoopParams(-1e308, 1.0, 10.0)
+    with pytest.raises(NonFiniteInput, match=r"beta\*h\*e\^\(-alpha\*h\) overflows"):
+        cl.w_argument
+    for call in (lambda: spectrum(cl, 3), lambda: is_stable(cl)):
+        with pytest.raises(DomainError, match=r"alpha\*h overflows for alpha = -1e\+308, h = 10\.0"):
+            call()
 
 
 finite = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
@@ -398,28 +451,25 @@ def loop_spectrum(cl, n_branches):
     if cl.beta == 0.0:
         s0 = _rightmost(cl)
         return Spectrum(roots=(SpectrumRoot(0, s0),), rightmost=s0)
-    z = cl.w_argument
-    if z == 0.0:
-        raise DomainError(
-            f"W argument beta*h*e^(-alpha*h) underflows to 0 for alpha = {cl.alpha!r}, "
-            f"beta = {cl.beta!r}, h = {cl.h!r}; W_k(0) diverges for the branches k != 0"
-        )
-    w0 = lambert_w(0, z).w
+    z, lz = _w_arg(cl)
+    if lz is not None and math.isinf(lz.real):
+        raise DomainError(_ALPHA_H_OVERFLOW.format(cl))
+    zc, az = complex(z), abs(z)
+    w0 = lambert_w(0, z).w if lz is None else _eval_complex(0, zc, az, lz)[0]
     s0 = _root(cl, w0)
     roots = [SpectrumRoot(0, s0)]
     if z < BRANCH_POINT_Z:
         roots.append(SpectrumRoot(-1, s0.conjugate()))
-    elif z < 0.0:
-        w1 = lambert_w(-1, z).w
+    elif cl.beta < 0.0:
+        w1 = lambert_w(-1, z).w if lz is None else _eval_complex(-1, zc, az, lz)[0]
         if w1 == w0:
             roots[0] = SpectrumRoot(0, s0, 2)
         else:
             roots.append(SpectrumRoot(-1, _root(cl, w1)))
-    zc, az = complex(z), abs(z)
     for k in range(1, n_branches + 1):
-        sk = _root(cl, _eval_complex(k, zc, az)[0])
+        sk = _root(cl, _eval_complex(k, zc, az, lz)[0])
         roots.append(SpectrumRoot(k, sk))
-        roots.append(SpectrumRoot(-k if z > 0.0 else -k - 1, sk.conjugate()))
+        roots.append(SpectrumRoot(-k if cl.beta > 0.0 else -k - 1, sk.conjugate()))
     roots.sort(key=lambda r: (-r.s.real, r.s.imag))
     return Spectrum(roots=tuple(roots), rightmost=s0)
 
@@ -468,7 +518,13 @@ CRAFTED_LOOPS = {
     # |seed|*|z| overflows from some branch on: log-form Newton again
     "huge-z": ((0.0, 1e305, 1.0), 600),
     "huge-z-negative": ((0.0, -1e305, 1.0), 600),
+    # z flushes to a signed zero, or alpha*h overflows: Log z from the
+    # parameters, or a DomainError naming alpha*h
     "underflow": ((300.0, 1.0, 3.0), 5),
+    "underflow-negative": ((300.0, -1.0, 3.0), 5),
+    "alpha-h-overflow": ((3.366325060362924e307, -0.28563946144005314, 66.67958104486705), 3),
+    # z is normal, but e^{-alpha h} is subnormal
+    "subnormal-factor": ((744.0, 1e300, 1.0), 50),
 }
 
 
@@ -487,8 +543,8 @@ def test_second_halley_step_share_on_enumerate_pool(monkeypatch):
     module = sys.modules["delayw.spectrum"]
     branches, steps = module._branches, []
 
-    def counted(z, az, ks):
-        out = branches(z, az, ks)
+    def counted(z, az, ks, lz=None):
+        out = branches(z, az, ks, lz)
         steps.extend(it for _, _, it in out)
         return out
 
