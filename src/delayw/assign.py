@@ -16,6 +16,7 @@ of a higher branch, never the rightmost one.
 
 import enum
 import math
+import sys
 from collections import namedtuple
 
 from .errors import (
@@ -29,7 +30,7 @@ from .errors import (
     _require_tolerance,
 )
 from .lambertw import on_w0_boundary
-from .spectrum import _DBL_MIN, ClosedLoopParams, Gains, spectrum
+from .spectrum import ClosedLoopParams, Gains, spectrum
 
 __all__ = [
     "Target",
@@ -122,7 +123,7 @@ def _exp(x, name, factor=0.0):
         e = math.exp(x)
     except OverflowError:
         raise NonFiniteInput(f"{name} overflows: exponent {x!r}") from None
-    if e < _DBL_MIN and factor:
+    if e < sys.float_info.min and factor:
         raise DomainError(f"{name} underflows: exponent {x!r}; the delayed coefficient would miss the target")
     return e
 

@@ -9,18 +9,17 @@ one per Lambert W branch.  The principal branch gives the rightmost
 root, so stability reduces to the sign of Re s_0.
 
 ``spectrum`` takes branches 0 and -1 from ``lambert_w`` and every
-branch k >= 1 from the kernel's range entry, z being checked once per
-call: the range entry forms Log z once (off the normal range of z it
-takes ``_w_arg``'s Log z, as branches 0 and -1 do there), seeds
-each branch one asymptotic term deep and mostly stops after one Halley
-step.  Each branch k >= 1 also gives the conjugate root of its partner.
-The records are sorted by descending real part, ties by ascending
-imaginary part, in two stable passes, so exact ties keep the order in
-which the branches were listed.
+branch k >= 1, with the conjugate root of its partner, from the
+kernel's range entry: it forms Log z once (``_w_arg``'s off the normal
+range of z), seeds one asymptotic term deep and mostly stops after one
+Halley step.  The records are sorted by descending real part, ties by
+ascending imaginary part, in two stable passes, so exact ties keep the
+order in which the branches were listed.
 """
 
 import cmath
 import math
+import sys
 from collections import namedtuple
 from operator import attrgetter
 
@@ -83,33 +82,27 @@ class ClosedLoopParams(namedtuple("ClosedLoopParams", "alpha beta h")):
 
     @property
     def w_argument(self):
-        """beta*h*e^{-alpha*h}, the argument handed to Lambert W.
+        """beta*h*e^{-alpha*h}, the argument handed to Lambert W, from _w_arg.
 
-        Formed from logs where it or a factor is not a normal double.
         Raises NonFiniteInput when it lies past the double range, but
         not when only beta*h or e^{-alpha h} does.
         """
         z = _w_arg(self)[0]
         if math.isinf(z):
-            raise NonFiniteInput(
-                f"W argument beta*h*e^(-alpha*h) overflows for alpha = {self.alpha!r}, "
-                f"beta = {self.beta!r}, h = {self.h!r}"
-            )
+            raise NonFiniteInput(f"W argument beta*h*e^(-alpha*h) overflows for alpha = {self.alpha!r}, "
+                                 f"beta = {self.beta!r}, h = {self.h!r}")
         return z
 
 
-_DBL_MIN = 2.2250738585072014e-308  # least positive normal double
-_LOG_MIN, _LOG_MAX = -708.3964185322641, 709.782712893384  # exp is normal between them
-_ALPHA_H_OVERFLOW = "alpha*h overflows for alpha = {0.alpha!r}, h = {0.h!r}; Log z = log|beta*h| - alpha*h is not finite"
+# the least normal double, and the range of x where e^x is a normal double
+_DBL_MIN, _LOG_MIN, _LOG_MAX = sys.float_info.min, math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
 def _w_arg(cl):
-    """(z, Log z) for the W argument z = beta*h*e^{-alpha h}: Log z is None
-    where beta*h, e^{-alpha h} and z are normal doubles, for the kernel to
-    take from z.  Elsewhere it is log|beta| + log h - alpha*h, plus i*pi
-    for beta < 0, and z is its exp: a subnormal, a signed zero, an
-    infinity or a normal double that a subnormal factor would have
-    rounded.  Its real part is infinite where alpha*h overflows or beta = 0."""
+    """(z, Log z) for z = beta*h*e^{-alpha h}: Log z is None where beta*h,
+    e^{-alpha h} and z are normal doubles.  Elsewhere it is log|beta| +
+    log h - alpha*h (+ i*pi for beta < 0), infinite where alpha*h overflows
+    or beta = 0, and z is its exp, which may be subnormal, +-0 or inf."""
     alpha, beta, h = cl
     ah, bh = alpha * h, beta * h
     z = bh * math.exp(-ah) if _LOG_MIN <= -ah <= _LOG_MAX and abs(bh) >= _DBL_MIN else 0.0
@@ -118,6 +111,15 @@ def _w_arg(cl):
     lead = math.log(abs(beta)) + math.log(h) - ah if beta else -math.inf
     z = math.copysign(math.exp(lead) if lead <= _LOG_MAX else math.inf, beta)
     return z, complex(lead, math.pi if beta < 0.0 else 0.0)
+
+
+def _log_w_arg(cl, rightmost_only):
+    """_w_arg(cl), or DomainError where alpha*h overflows and a root asked for
+    is lost: all to -inf (z = inf), all but the rightmost, alpha, to +inf."""
+    z, lz = _w_arg(cl)
+    if lz is not None and (lz.real == math.inf or lz.real == -math.inf and not rightmost_only):
+        raise DomainError(f"alpha*h overflows for alpha = {cl.alpha!r}, h = {cl.h!r}; Log z is not finite")
+    return z, lz
 
 
 SpectrumRoot = namedtuple("SpectrumRoot", "branch s multiplicity", defaults=(1,))
@@ -163,18 +165,21 @@ def char_residual(cl, s):
     return s - cl.alpha - cl.beta * e
 
 
-def _root(cl, w):
-    return cl.alpha + w / cl.h
+def _root(cl, w, lz=None):
+    """alpha + w/h.  Given _w_arg's Log z and |w| > 1, the same root as
+    (log|beta h| + i*Im Log z + 2*pi*i*m - Log w)/h, w + Log w = Log z +
+    2*pi*i*m: no alpha cancels against w/h, and Log w keeps a few ulps."""
+    if lz is None or abs(w) <= 1.0:
+        return cl.alpha + w / cl.h
+    lw = cmath.log(w)
+    m = round((w.imag + lw.imag - lz.imag) / math.tau)
+    return complex(math.log(abs(cl.beta)) + math.log(cl.h) - lw.real, lz.imag + math.tau * m - lw.imag) / cl.h
 
 
 def _rightmost(cl):
-    """Branch-0 root, the rightmost one (alpha where z flushes to 0)."""
-    if cl.beta == 0.0:
-        return complex(cl.alpha, 0.0)
-    z, lz = _w_arg(cl)
-    if lz is not None and lz.real == math.inf:
-        raise DomainError(_ALPHA_H_OVERFLOW.format(cl))
-    return _root(cl, _eval_complex(0, complex(z), abs(z), lz)[0])
+    """Branch-0 root, the rightmost one (alpha where z is +-0: W_0 = 0)."""
+    z, lz = _log_w_arg(cl, True)
+    return _root(cl, _eval_complex(0, complex(z), abs(z), lz)[0], lz)
 
 
 def spectrum(cl, n_branches):
@@ -216,34 +221,30 @@ def spectrum(cl, n_branches):
     if cl.beta == 0.0:
         s0 = _rightmost(cl)
         return Spectrum(roots=(SpectrumRoot(0, s0),), rightmost=s0)
-    z, lz = _w_arg(cl)
-    if lz is not None and math.isinf(lz.real):
-        raise DomainError(_ALPHA_H_OVERFLOW.format(cl))
+    z, lz = _log_w_arg(cl, False)
     zc, az = complex(z), abs(z)
     w0 = lambert_w(0, z).w if lz is None else _eval_complex(0, zc, az, lz)[0]
-    s0 = _root(cl, w0)
+    s0 = _root(cl, w0, lz)
     roots = [SpectrumRoot(0, s0)]
     if z < BRANCH_POINT_Z:
         # on the cut: branch -1 is the conjugate partner of branch 0
         roots.append(SpectrumRoot(-1, s0.conjugate()))
     elif cl.beta < 0.0:
-        # -1/e <= z < 0 (or -0.0): branch -1 is the second real root.  The
-        # kernel returns it equal to W_0 (both -1) only where its
-        # compensated e*z + 1 is zero, and there the two are one double root
+        # -1/e <= z <= -0.0: branch -1 is the second real root, equal to W_0
+        # (both -1, one double root) only where the kernel's e*z + 1 is zero
         w1 = lambert_w(-1, z).w if lz is None else _eval_complex(-1, zc, az, lz)[0]
         if w1 == w0:
             roots[0] = SpectrumRoot(0, s0, 2)
         else:
-            roots.append(SpectrumRoot(-1, _root(cl, w1)))
+            roots.append(SpectrumRoot(-1, _root(cl, w1, lz)))
     # for beta < 0 branch k pairs with branch -k-1, for beta > 0 with -k.
-    # z is checked once here, so branches k >= 1 skip lambert_w's checks
-    # and residual.  Each root is alpha + w/h as in _root; each record is
-    # built as SpectrumRoot._make builds it
+    # z is checked once here, so branches k >= 1 skip lambert_w's checks and
+    # residual; each root is _root's, each record SpectrumRoot._make's
     alpha, h = cl.alpha, cl.h
     shift = 0 if cl.beta > 0.0 else 1
     record, append = tuple.__new__, roots.append
     for k, (w, _, _) in enumerate(_branches(zc, az, range(1, n_branches + 1), lz), 1):
-        sk = alpha + w / h
+        sk = alpha + w / h if lz is None else _root(cl, w, lz)
         append(record(SpectrumRoot, (k, sk, 1)))
         append(record(SpectrumRoot, (-k - shift, sk.conjugate(), 1)))
     # descending Re s, ties by ascending Im s: two stable sorts, the

@@ -29,7 +29,7 @@ from delayw import (
     spectrum,
 )
 from delayw.lambertw import _eval_complex
-from delayw.spectrum import _ALPHA_H_OVERFLOW, Spectrum, SpectrumRoot, _rightmost, _root, _w_arg
+from delayw.spectrum import Spectrum, SpectrumRoot, _log_w_arg, _rightmost, _root
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -306,12 +306,12 @@ def test_validation_errors():
             spectrum(cl, n_branches=bad)
 
 
-def mp_root_error(cl, roots):
+def mp_root_error(cl, roots, dps=60):
     """Largest |s - s_k| / max(1, |s_k|) over the roots, s_k = alpha +
-    W_k(z)/h in 60-digit mpmath at the exact z = beta*h*e^{-alpha h}."""
+    W_k(z)/h in dps-digit mpmath at the exact z = beta*h*e^{-alpha h}."""
     mpmath = pytest.importorskip("mpmath")
     worst = 0.0
-    with mpmath.workdps(60):
+    with mpmath.workdps(dps):
         alpha, beta, h = (mpmath.mpf(x) for x in cl)
         z = beta * h * mpmath.exp(-alpha * h)
         for r in roots:
@@ -396,6 +396,22 @@ def test_alpha_h_overflow():
             call()
 
 
+@pytest.mark.parametrize("alpha, beta, h, margin", [
+    (-1e20, 1.0, 1.0, -46.051701859880914), (-1e17, 1.0, 1.0, -39.14394658089878),
+    (1e20, 1.0, 1.0, 1e20), (1e20, -1.0, 1.0, 1e20), (-1e300, 1.0, 1e-5, -69077552.78982136)])
+def test_huge_finite_alpha_h(alpha, beta, h, margin):
+    # |alpha*h| is huge but finite: w is about -alpha*h, so alpha + w/h
+    # would cancel to ulp(alpha*h)/h (Re s_0 = 0.0 instead of -46.05 at
+    # (-1e20, 1, 1)); every root with |w| > 1 comes from log|beta*h| and
+    # Log w instead.  The 60-digit reference keeps 40 digits past the
+    # cancellation at 1e20; (-1e300, 1, 1e-5) needs 330
+    cl = ClosedLoopParams(alpha, beta, h)
+    assert is_stable(cl) == (margin < 0.0, margin)
+    spec = spectrum(cl, 20)
+    assert spec.rightmost.real == margin
+    assert mp_root_error(cl, spec.roots, 60 if abs(alpha) < 1e100 else 330) <= 5e-14
+
+
 finite = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 # |beta| below ~1e-6 with large |alpha*h| pushes the branch -1 root so far
 # left that e^{-s h} is not representable; the residual oracle only makes
@@ -451,12 +467,10 @@ def loop_spectrum(cl, n_branches):
     if cl.beta == 0.0:
         s0 = _rightmost(cl)
         return Spectrum(roots=(SpectrumRoot(0, s0),), rightmost=s0)
-    z, lz = _w_arg(cl)
-    if lz is not None and math.isinf(lz.real):
-        raise DomainError(_ALPHA_H_OVERFLOW.format(cl))
+    z, lz = _log_w_arg(cl, False)
     zc, az = complex(z), abs(z)
     w0 = lambert_w(0, z).w if lz is None else _eval_complex(0, zc, az, lz)[0]
-    s0 = _root(cl, w0)
+    s0 = _root(cl, w0, lz)
     roots = [SpectrumRoot(0, s0)]
     if z < BRANCH_POINT_Z:
         roots.append(SpectrumRoot(-1, s0.conjugate()))
@@ -465,9 +479,9 @@ def loop_spectrum(cl, n_branches):
         if w1 == w0:
             roots[0] = SpectrumRoot(0, s0, 2)
         else:
-            roots.append(SpectrumRoot(-1, _root(cl, w1)))
+            roots.append(SpectrumRoot(-1, _root(cl, w1, lz)))
     for k in range(1, n_branches + 1):
-        sk = _root(cl, _eval_complex(k, zc, az, lz)[0])
+        sk = _root(cl, _eval_complex(k, zc, az, lz)[0], lz)
         roots.append(SpectrumRoot(k, sk))
         roots.append(SpectrumRoot(-k if cl.beta > 0.0 else -k - 1, sk.conjugate()))
     roots.sort(key=lambda r: (-r.s.real, r.s.imag))
