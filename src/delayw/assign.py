@@ -225,7 +225,7 @@ def _delay_only_value(fn, sys, S, cond_tol):
     vh, sv, cv = _in_window(fn, t, h)
     cot_term = t.v * cv / sv
     cert = _condition("a = u + v*cot(v*h)", a - t.u - cot_term,
-                      max(1.0, abs(a), abs(t.u), abs(cot_term)), cond_tol, vh)
+                      max(t.v, abs(a), abs(t.u), abs(cot_term)), cond_tol, vh)
     value = (t.u - a) * cv - t.v * sv
     return t, _exp(t.u * h, "e^(u*h)", value) * value, cert
 
@@ -234,7 +234,9 @@ def assign_delay_only(sys, S, cond_tol=COND_TOL_DEFAULT):
     """Place the target with the delayed-state gain alone (k = 0).
 
     alpha stays at the plant's a, so a complex target must already
-    satisfy a = u + v*cot(v h); a real target needs S >= a - 1/h.
+    satisfy a = u + v*cot(v h), to cond_tol relative to the largest of
+    v, |a|, |u| and |v*cot(v h)|: relative to 1 instead, a tiny target
+    would pass at any a; a real target needs S >= a - 1/h.
     """
     t, value, cert = _delay_only_value(assign_delay_only, sys, S, cond_tol)
     gains = Gains(k=0.0, k1d=(value - sys.a1d) / sys.b)

@@ -40,7 +40,7 @@ from .sim import (
     estimate_dominant_eig_detailed,
     simulate,
 )
-from .spectrum import ClosedLoopParams, Gains, SystemParams, close_loop, spectrum
+from .spectrum import ClosedLoopParams, Gains, SystemParams, close_loop, is_stable, spectrum
 
 SCHEMA_VERSION = "1"
 
@@ -195,7 +195,6 @@ def cmd_spectrum(args):
     if args.format == "csv":
         rows = (f"{r.branch},{_g(r.s.real)},{_g(r.s.imag)},{r.multiplicity}" for r in sp.roots)
         return "\n".join(("branch,re,im,multiplicity", *rows)) + "\n", []
-    margin = sp.rightmost.real
     return {
         "closed_loop": cl,
         "roots": [
@@ -203,8 +202,8 @@ def cmd_spectrum(args):
             for r in sp.roots
         ],
         "rightmost": sp.rightmost,
-        "stable": margin < 0.0,
-        "margin": margin,
+        "stable": is_stable(cl)[0],
+        "margin": sp.rightmost.real,
     }, []
 
 

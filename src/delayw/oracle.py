@@ -57,7 +57,7 @@ upper half's phase change, so only the upper half is wound.
 
 One function, _df, evaluates f and f' everywhere: on the contour, in
 Newton polishing and in the real-axis sign scan; only the log-form seed
-steps and the real-axis steps in y evaluate their own function.
+steps, the real-axis steps in y and an overflowing phase use their own.
 """
 
 import cmath
@@ -166,9 +166,8 @@ def _df(cl, s, order):
     cancel to working precision in the naive form) stay evaluable; the
     double root of the coalesced branch case often sits exactly there.
     Past e^709, beta*e^{-sh} is sign(beta)*e^{log|beta| - sh}; where that
-    overflows, f comes back infinite rather than raising, and iterations
-    treat it as an out-of-range probe.  Its real part keeps the sign of
-    the delay term, which the real-axis sign analysis reads.
+    overflows, f comes back infinite, an out-of-range probe to Newton, its
+    real part with the sign of the delay term for the real-axis scan.
     """
     if cl.beta == 0.0:
         return s - cl.alpha if order == 0 else 1.0
@@ -184,12 +183,14 @@ def _df(cl, s, order):
 
 
 def _checked_phase(cl, s):
-    """Phase of f at the contour point s; a zero or overflowing f raises."""
+    """Phase of f at the contour point s, read in logarithms where f overflows; a zero f raises."""
     f = _df(cl, s, 0)
     if f == 0.0:
         raise BoundaryRootSuspected(f"characteristic function vanishes on the contour at {s}")
-    if not (math.isfinite(f.real) and math.isfinite(f.imag)):
-        raise DomainError(f"characteristic function overflows on the contour at {s}; shrink the rectangle")
+    if not cmath.isfinite(f):  # f/(2e^m), m = max(lead, 0), lead = log|beta| - Re(s)*h: no term overflows
+        lead = math.log(abs(cl.beta)) - s.real * cl.h if cl.beta else -math.inf
+        f = ((0.5 * s - 0.5 * cl.alpha) * math.exp(-max(lead, 0.0))
+             - math.copysign(0.5, cl.beta) * cmath.exp(complex(min(lead, 0.0), -s.imag * cl.h)))
     return cmath.phase(f)
 
 
@@ -234,8 +235,8 @@ def _edge_knots(sa, sb, h, focus):
 
 
 def _decay(cl, x):
-    """|beta|*e^{-x h}, the modulus of the delay term on the line Re s = x;
-    infinite where it overflows."""
+    """|beta|*e^{-x h}, the modulus of the delay term on the line Re s = x,
+    past e^709 read from its logarithm; infinite where it overflows."""
     if -x * cl.h <= 709.0:
         return abs(cl.beta) * math.exp(-x * cl.h)
     lead = math.log(abs(cl.beta)) - x * cl.h if cl.beta != 0.0 else -math.inf
@@ -385,20 +386,19 @@ def _real_df(cl, x, order=0):
     return _df(cl, complex(x, 0.0), order).real
 
 
-def _real_root(cl, lo, hi):
+def _real_root(cl, lo, hi, lbh, x_ext):
     """The root in [lo, hi], a sign change of f on one side of x_ext.
 
-    In y = hx - log|beta h|, h*f is y + expm1(-y) + L (convex, least at
-    x_ext) for beta < 0 and y - e^{-y} + L (increasing, concave) for
-    beta > 0: the real-branch W equation (Corless et al. 1996), where
-    Newton needs no bracket.  Up to two steps on _df in x, kept in the
-    bracket while |f| does not grow, undo the cancellation in x.
+    In y = hx - lbh, lbh = log|beta h| = h*x_ext, h*f is y + expm1(-y) + L
+    (convex, least at x_ext) for beta < 0 and y - e^{-y} + L (increasing,
+    concave) for beta > 0: the real-branch W equation (Corless et al.
+    1996), where Newton needs no bracket.  Up to two steps on _df in x,
+    kept in the bracket while |f| does not grow, undo the cancellation.
     """
-    lbh = math.log(abs(cl.beta)) + math.log(cl.h)  # also where beta*h leaves the double range
     L = lbh - cl.alpha * cl.h
     if cl.beta < 0.0:
         L = min(L + 1.0, -_EPS)  # negative up to its rounding, as the sign scan found a root
-        side = 0.5 * lo + 0.5 * hi - lbh / cl.h
+        side = 0.5 * lo + 0.5 * hi - x_ext
         y = (math.copysign(math.sqrt(-2.0 * L), side) if L > -1.0 else 1.0 - L if side > 0.0
              else -math.log(1.0 - L + math.log(1.0 - L)))
     else:
@@ -415,7 +415,7 @@ def _real_root(cl, lo, hi):
         if not (lo <= nx <= hi and abs(nf := _real_df(cl, nx)) <= abs(f)):
             break
         x, f = nx, nf
-    if not (math.isinf(f) or abs(f) <= _f_noise(cl, x, 0.0)):  # if f overflows, the contour raises
+    if not (math.isfinite(f) and abs(f) <= _f_noise(cl, x, 0.0)):  # _f_noise is inf where f overflows
         raise NoConvergence(f"Newton on the real axis found no root in [{lo}, {hi}]")
     return x
 
@@ -438,19 +438,19 @@ def _axis(cl, rect):
         reals = [LocatedRoot(complex(cl.alpha, 0.0), 1)] if re_lo < cl.alpha < re_hi else []
         return tuple(r.s.real for r in reals), reals
     nodes = [re_lo, re_hi]
-    if cl.beta * cl.h < 0.0:
-        # f'(x) = 0 has the single solution below; f' itself is monotone
-        x_ext = math.log(-cl.beta * cl.h) / cl.h
-        if re_lo < x_ext < re_hi:
-            scale = max(1.0, abs(x_ext), abs(cl.alpha) + abs(cl.beta))
-            if abs(_real_df(cl, x_ext)) <= 8.0 * _EPS * scale:
-                # the extremum touches zero: double root, location exact
-                return (x_ext, x_ext), [LocatedRoot(complex(x_ext, 0.0), 2)]
-            nodes = [re_lo, x_ext, re_hi]
+    lbh = math.log(abs(cl.beta)) + math.log(cl.h)  # log|beta h|, in range where beta*h is not
+    x_ext = lbh / cl.h
+    # for beta < 0, f'(x) = 0 has the single solution x_ext; f' itself is monotone
+    if cl.beta < 0.0 and re_lo < x_ext < re_hi:
+        scale = max(1.0, abs(x_ext), abs(cl.alpha) + abs(cl.beta))
+        if abs(_real_df(cl, x_ext)) <= 8.0 * _EPS * scale:
+            # the extremum touches zero: double root, location exact
+            return (x_ext, x_ext), [LocatedRoot(complex(x_ext, 0.0), 2)]
+        nodes = [re_lo, x_ext, re_hi]
     reals = []
     for lo, hi in zip(nodes, nodes[1:]):
         if (_real_df(cl, lo) > 0.0) != (_real_df(cl, hi) > 0.0):
-            reals.append(LocatedRoot(complex(_real_root(cl, lo, hi), 0.0), 1))
+            reals.append(LocatedRoot(complex(_real_root(cl, lo, hi, lbh, x_ext), 0.0), 1))
     # the interior node, if any, is x_ext
     return tuple([r.s.real for r in reals] + nodes[1:-1]), reals
 
@@ -492,14 +492,14 @@ def _counted_rect(cl, rect):
 def count_roots(cl, rect):
     """Number of characteristic roots in rect, counted with multiplicity.
 
-    Evaluated purely from the boundary of rect (a SearchRect or any
-    4-sequence): (1/2pi) times the phase change of f around it.  If a
-    root sits on the boundary the rectangle is grown outward by 1e-3 of
-    its diameter, up to 5 times, before giving up.  A rectangle with an
-    edge on the real axis, where its real roots lie, counts half of its
-    mirror hull [-T, T], T its farther side, and half of its real roots.
-    An edge within 1e-14*max(1, |re_min|, |re_max|) of the axis lies on
-    it: a root that close to an edge counts as on it.
+    Evaluated from the boundary of rect (a SearchRect or any 4-sequence):
+    (1/2pi) times the phase change of f around it, read in logarithms where
+    f overflows.  If a root sits on the boundary the rectangle is grown
+    outward by 1e-3 of its diameter, up to 5 times, before giving up.  A
+    rectangle with an edge on the real axis, where its real roots lie,
+    counts half of its mirror hull [-T, T], T its farther side, and half of
+    its real roots.  An edge within 1e-14*max(1, |re_min|, |re_max|) of the
+    axis lies on it: a root that close to an edge counts as on it.
     """
     rect = _as_rect(rect)
     if rect.im_min == 0.0 or rect.im_max == 0.0:
@@ -606,18 +606,18 @@ def find_roots(cl, rect):
     Real roots are resolved directly on the axis (where any multiple
     root of this function family must lie), the others by Newton runs in
     the pi/h strips between the lines Im s = j*pi/h above the axis, each
-    holding at most one root, against the winding count of rect's image
-    above the axis or, if rect meets the axis or a nudge takes it
-    across, of its mirror hull alone.  Every root is Newton-polished
-    until |f(s)| is below a bound derived from the rounding error of
-    evaluating f at s; the roots below the axis are the exact conjugates
-    of those above.  Roots are ordered by descending real part, ties by
-    ascending imaginary part, and total_count is their multiplicity
-    sum.  Raises NoConvergence if Newton places fewer roots than a
-    count, and BoundaryRootSuspected if a contour cannot be counted or
-    the hull holds an odd number of non-real roots.  An edge within
-    1e-14*max(1, |re_min|, |re_max|) of the real axis lies on it: a root
-    that close to an edge counts as on it.
+    holding at most one root, against the winding count, as count_roots
+    takes it, of rect's image above the axis or, if rect meets the axis
+    or a nudge takes it across, of its mirror hull alone.  Every root is
+    Newton-polished until |f(s)| is below a bound derived from the
+    rounding error of evaluating f at s; the roots below the axis are
+    the exact conjugates of those above.  Roots are ordered by
+    descending real part, ties by ascending imaginary part, and
+    total_count is their multiplicity sum.  Raises NoConvergence if
+    Newton places fewer roots than a count, and BoundaryRootSuspected if
+    a contour cannot be counted or the hull holds an odd number of
+    non-real roots.  An edge within 1e-14*max(1, |re_min|, |re_max|) of
+    the real axis lies on it: a root that close to an edge counts as on it.
     """
     rect = _as_rect(rect)
     # rect or, below the axis, its mirror: f(conj s) = conj f(s)

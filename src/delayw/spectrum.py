@@ -255,15 +255,29 @@ def spectrum(cl, n_branches):
 
 
 def is_stable(cl):
-    """Stability verdict from the rightmost root.
+    """Stability verdict from the delay-margin rule, with the rightmost root.
 
-    Reads the same branch-0 root that ``spectrum`` reports.
+    The verdict needs no W (Hayes, J. London Math. Soc. 25, 1950): the
+    loop is unstable if alpha + beta >= 0; otherwise stable if |beta| <=
+    |alpha|; otherwise stable iff h < atan2(w, alpha)/w, the delay margin,
+    with w = sqrt(|beta| - |alpha|)*sqrt(|beta| + |alpha|).  Each factor
+    rounds once, where sqrt(beta^2 - alpha^2) would cancel as |beta|
+    nears |alpha|.
 
     Returns
     -------
     (stable, margin) : (bool, float)
-        margin is Re s_0; the loop is exponentially stable iff it is
-        negative.  DomainError where alpha*h overflows to -inf.
+        margin is Re s_0, from the same branch-0 root that ``spectrum``
+        reports.  Its sign agrees with the verdict except where it lies
+        within its own rounding error of 0, next to the delay margin.
+        DomainError where alpha*h overflows to -inf.
     """
     margin = _rightmost(cl).real
-    return margin < 0.0, margin
+    alpha, beta, h = cl
+    lo, hi = abs(alpha), abs(beta)
+    if alpha + beta >= 0.0 or hi <= lo:
+        return alpha + beta < 0.0, margin
+    # |alpha| + |beta| over the double range: 2*sqrt(sum/4) is sqrt(sum)
+    total = lo + hi
+    w = math.sqrt(hi - lo) * (math.sqrt(total) if total < math.inf else 2.0 * math.sqrt(0.25 * lo + 0.25 * hi))
+    return h < math.atan2(w, alpha) / w, margin

@@ -182,6 +182,23 @@ def test_current_only_complex_condition_is_relative():
     assert info.value.residual == pytest.approx(math.exp(-50.0) / math.sin(1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("input_delay", [False, True])
+def test_delay_only_complex_condition_is_relative(input_delay):
+    # at h = 1e12, S = 1e-12 + 1.5708e-12i misses a = u + v*cot(v*h) by
+    # 1e-12, far below cond_tol but 64% of v: the loop's rightmost root
+    # would miss S by 24%.  The residual counts relative to v and the
+    # terms of the condition, not to 1
+    assign = assign_input_delay if input_delay else assign_delay_only
+    with pytest.raises(ConditionViolated):
+        assign(SystemParams(0.0, 0.0, 1.0, 1e12, input_delay), complex(1e-12, 1.5708e-12))
+    # plants that meet it to rounding still assign, to a few ulps
+    for u, h in ((0.0, 1.0), (0.0, 1e-6), (0.0, 1e12), (1e-10, 1.0)):
+        v = 0.5 * math.pi / h
+        S = complex(u, v)
+        r = assign(SystemParams(u + v * math.cos(v * h) / math.sin(v * h), 0.0, 1.0, h, input_delay), S)
+        assert abs(spectrum(r.closed_loop, 0).rightmost - S) <= 1e-15 * abs(S), (u, h)
+
+
 def test_current_only_real_flags_follow_the_exact_rule():
     # real targets with a, a1d and S each +-10^U(-6, 4)/h and h from 1e-3
     # to 1e3, the designed loop's W argument subnormal, flushed to 0 or

@@ -344,11 +344,26 @@ class TestFindRoots:
                     locate(cl, rect)
 
     @pytest.mark.parametrize("locate", [count_roots, find_roots])
-    def test_contour_overflow_raises(self, locate):
-        # e^{-sh} passes the double range all along this rectangle
-        with pytest.raises(DomainError, match=r"characteristic function overflows on the contour "
-                                              r".*; shrink the rectangle"):
-            locate(ClosedLoopParams(-1.0, -2.0, 1.0), SearchRect(-800.0, -700.0, -1.0, 1.0))
+    def test_contour_past_the_double_range(self, locate):
+        # f overflows all along [-800, -700] x [-1, 1], where no root lies
+        # (each root there has |Im s| ~ e^750), and on the left part of
+        # [-800, 1] x [-30, 30], which holds the 10 roots of spectrum(cl,
+        # 4): the phase of f, read in logarithms, counts both, and find_roots
+        # locates each root that spectrum lists.  Where s - alpha itself
+        # overflows, beta = 0 included, the rectangle is counted too
+        empty = 0 if locate is count_roots else RootSet((), 0)
+        for far in ((-1e308, 0.0, 1e-300), (-1e308, 1.0, 1e-300)):
+            assert locate(ClosedLoopParams(*far), (1e308, 1.0001e308, -1.0, 1.0)) == empty
+        cl = ClosedLoopParams(-1.0, -2.0, 1.0)
+        assert locate(cl, SearchRect(-800.0, -700.0, -1.0, 1.0)) == empty
+        got = locate(cl, SearchRect(-800.0, 1.0, -30.0, 30.0))
+        expected = [r.s for r in spectrum(cl, 4).roots]
+        assert len(expected) == 10
+        if locate is count_roots:
+            assert got == 10
+            return
+        assert got.total_count == 10
+        assert max(abs(r.s - s) for r, s in zip(got.roots, expected)) <= 1e-13
 
     @pytest.mark.parametrize("locate", [count_roots, find_roots])
     def test_tiny_beta_past_e709_is_evaluated(self, locate):
@@ -1039,24 +1054,38 @@ def _census_loops(rng, wide, narrow):
         yield ClosedLoopParams(ah / h, bh / h, h), rng.choice((0, 1, 3, 10, 30, 100))
 
 
-# raises of cross_validate on the census by exception class; these may
-# only ever fall, and no other class may appear.  All 32 are the oracle's
-# "characteristic function overflows on the contour"
-CENSUS_RAISE_BUDGET = {"DomainError": 32}
-
-
-def test_wide_space_census():
-    # the two paths across the whole loop space, the W argument past the
-    # double range, subnormal or flushed to 0 included
+def _census_raises(loops):
+    """cross_validate(cl, n) over the (cl, n) loops: its raises by exception class."""
     raised = {}
-    for cl, n in _census_loops(__import__("random").Random(7), 2000, 300):
+    for cl, n in loops:
         try:
             cross_validate(cl, n)
         except delayw.DelayWError as exc:
             raised[type(exc).__name__] = raised.get(type(exc).__name__, 0) + 1
-    assert set(raised) <= set(CENSUS_RAISE_BUDGET), raised
-    for name, count in raised.items():
-        assert count <= CENSUS_RAISE_BUDGET[name], raised
+    return raised
+
+
+def test_wide_space_census():
+    # the two paths across the whole loop space, the W argument past the
+    # double range, subnormal or flushed to 0 included, agree on every loop
+    assert _census_raises(_census_loops(__import__("random").Random(7), 2000, 300)) == {}
+
+
+def _underflow_band_loops(rng, count):
+    """(cl, n) with h = 10^U(-3, -0.5), beta = +-10^U(-323.3, -321), so
+    that beta*h is subnormal or rounds to +-0, alpha h = +-10^U(-12,
+    2.5) and n from {0, 1, 3, 10}."""
+    for _ in range(count):
+        h = 10.0 ** rng.uniform(-3.0, -0.5)
+        beta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-323.3, -321.0)
+        ah = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 2.5)
+        yield ClosedLoopParams(ah / h, beta, h), rng.choice((0, 1, 3, 10))
+
+
+def test_underflow_band_census():
+    # the oracle reads x_ext and log|beta h| from log|beta| + log h, not
+    # from the rounded beta*h, and the two paths agree on every loop
+    assert _census_raises(_underflow_band_loops(__import__("random").Random(5), 300)) == {}
 
 
 def test_census_roots_off_the_normal_range():

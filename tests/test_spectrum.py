@@ -222,6 +222,26 @@ def test_is_stable_agrees_with_hayes():
     assert verdicts == {True, False}
 
 
+def test_is_stable_next_to_the_delay_margin():
+    # beta < -|alpha| and h within 1e-12 to 1e-1 of the delay margin h*,
+    # where the sign of Re s_0 cancels to about eps*|alpha|: the verdict
+    # must match the rule evaluated in 50-digit mpmath on every loop
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(11)
+    wrong = []
+    with mpmath.workdps(50):
+        for _ in range(2000):
+            alpha = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            beta = -abs(alpha) * (1.0 + 10.0 ** rng.uniform(-8.0, 2.0))
+            w = math.sqrt(beta * beta - alpha * alpha)
+            h = math.atan2(w, alpha) / w * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -1.0))
+            a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+            wm = mpmath.sqrt(b * b - a * a)
+            if is_stable(ClosedLoopParams(alpha, beta, h))[0] != (h < mpmath.atan2(wm, a) / wm):
+                wrong.append((alpha, beta, h))
+    assert wrong == []
+
+
 def test_validation_errors():
     with pytest.raises(DomainError):
         ClosedLoopParams(alpha=0.0, beta=1.0, h=0.0)
