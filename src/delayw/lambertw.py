@@ -280,11 +280,15 @@ def _branches(z, az, ks, lz=None):
     if not ks:
         return []
     lz = cmath.log(z) if lz is None else lz
+    # past |Log z| = 1e150 the last term is below an ulp of the seed, and
+    # from about 1e297 on 2*l1*l1 overflows and would make the seed NaN
+    full = abs(lz.real) < 1e150
     seeds = []
     for k in ks:
         l1 = lz + _TWO_PI * k * 1j
         l2 = cmath.log(l1)
-        seeds.append(l1 - l2 + l2 / l1 + l2 * (l2 - 2.0) / (2.0 * l1 * l1))
+        seed = l1 - l2 + l2 / l1
+        seeds.append(seed + l2 * (l2 - 2.0) / (2.0 * l1 * l1) if full else seed)
     return _halley(z, az, seeds, lz)
 
 

@@ -168,9 +168,9 @@ def _df(cl, s, order):
     Past e^709, beta*e^{-sh} is sign(beta)*e^{log|beta| - sh}; where that
     overflows, f comes back infinite, an out-of-range probe to Newton, its
     real part with the sign of the delay term for the real-axis scan.
+    beta != 0 and Im(s)*h is finite: count_roots and find_roots settle
+    both before any contour work.
     """
-    if cl.beta == 0.0:
-        return s - cl.alpha if order == 0 else 1.0
     if -s.real * cl.h > 709.0:
         lead = math.log(abs(cl.beta)) - s * cl.h
         if lead.real > 709.0:
@@ -188,10 +188,13 @@ def _checked_phase(cl, s):
     if f == 0.0:
         raise BoundaryRootSuspected(f"characteristic function vanishes on the contour at {s}")
     if not cmath.isfinite(f):  # f/(2e^m), m = max(lead, 0), lead = log|beta| - Re(s)*h: no term overflows
-        lead = math.log(abs(cl.beta)) - s.real * cl.h if cl.beta else -math.inf
+        lead = math.log(abs(cl.beta)) - s.real * cl.h
         f = ((0.5 * s - 0.5 * cl.alpha) * math.exp(-max(lead, 0.0))
              - math.copysign(0.5, cl.beta) * cmath.exp(complex(min(lead, 0.0), -s.imag * cl.h)))
-    return cmath.phase(f)
+    try:
+        return cmath.phase(f)
+    except OverflowError:  # atan2 underflows: the phase is +-0 to double precision
+        return math.atan2(f.imag, f.real)
 
 
 def _wrap(d):
@@ -215,7 +218,7 @@ def _edge_knots(sa, sb, h, focus):
     else:
         a, b, fixed = sa.imag, sb.imag, sa.real
     lo, hi = (a, b) if a < b else (b, a)
-    step = math.pi / (4.0 * h)
+    step = 0.25 * math.pi / h
     if hi - lo > 65536.0 * step:
         raise DomainError(f"walking the edge {sa} -> {sb} takes over 65,536 pieces; shrink the rectangle")
     xs = [x for j in range(math.floor(lo / step), math.ceil(hi / step) + 1)
@@ -239,7 +242,7 @@ def _decay(cl, x):
     past e^709 read from its logarithm; infinite where it overflows."""
     if -x * cl.h <= 709.0:
         return abs(cl.beta) * math.exp(-x * cl.h)
-    lead = math.log(abs(cl.beta)) - x * cl.h if cl.beta != 0.0 else -math.inf
+    lead = math.log(abs(cl.beta)) - x * cl.h
     return math.exp(lead) if lead <= 709.0 else math.inf
 
 
@@ -321,14 +324,14 @@ def _edge_arg(cl, sa, sb, pa, pb, focus):
         x = _EPS * (4.0 * abs(turn) + 32.0)
         if decay * (1.0 - 0.125 * x * x) > math.hypot(u0 - cl.alpha, vmax) + slack:
             return _wrap(pb - pa + turn) - turn
-    step = math.pi / (4.0 * h)
+    step = 0.25 * math.pi / h
     if horizontal:
         lo, hi = u0, u1
-        cross = (math.log(abs(cl.beta)) + math.log(sine) - math.log(vmax)) / h if cl.beta and vmax else math.nan
+        cross = (math.log(abs(cl.beta)) + math.log(sine) - math.log(vmax)) / h if vmax else math.nan
         knots = ((math.floor(cross / step) + 1) * step,) if lo < cross < hi else ()
     else:
         lo, hi = v0, v1
-        y = (math.floor(bound / step) + 1) * step if cl.beta and bound < vmax else math.inf
+        y = (math.floor(bound / step) + 1) * step if bound < vmax else math.inf
         knots = (y, -y)
     at = next((k for k in knots if lo < k < hi), None)
     if at is None:
@@ -431,12 +434,10 @@ def _axis(cl, rect):
     nearby edges need extra knots: the real roots, and x_ext, where a
     near-coalescent conjugate pair concentrates two cancelling phase
     swings even though no real root exists.  Edges that skim the axis
-    need them on rectangles off it too.
+    need them on rectangles off it too.  beta != 0: the entries answer a
+    delay-free loop themselves.
     """
     re_lo, re_hi = rect.re_min, rect.re_max
-    if cl.beta == 0.0:
-        reals = [LocatedRoot(complex(cl.alpha, 0.0), 1)] if re_lo < cl.alpha < re_hi else []
-        return tuple(r.s.real for r in reals), reals
     nodes = [re_lo, re_hi]
     lbh = math.log(abs(cl.beta)) + math.log(cl.h)  # log|beta h|, in range where beta*h is not
     x_ext = lbh / cl.h
@@ -479,6 +480,8 @@ def _counted_rect(cl, rect):
     delta = _NUDGE_FRACTION * rect.diameter
     last = None
     for attempt in range(_MAX_NUDGES + 1):
+        if math.isinf(max(rect.im_max, -rect.im_min) * cl.h):
+            raise DomainError(f"Im(s)*h passes the double range on {tuple(rect)}: e^(-s*h) has no phase there")
         focus, reals = _axis(cl, rect)
         try:
             return _winding(cl, rect, focus), rect, reals
@@ -499,9 +502,14 @@ def count_roots(cl, rect):
     rectangle with an edge on the real axis, where its real roots lie,
     counts half of its mirror hull [-T, T], T its farther side, and half of
     its real roots.  An edge within 1e-14*max(1, |re_min|, |re_max|) of the
-    axis lies on it: a root that close to an edge counts as on it.
+    axis lies on it: a root that close to an edge counts as on it.  For
+    beta = 0 the count is that of find_roots, with no winding.  Raises
+    DomainError where Im(s)*h passes the double range on a rectangle to be
+    wound, a nudged one included: e^{-sh} has no phase there.
     """
     rect = _as_rect(rect)
+    if cl.beta == 0.0:
+        return find_roots(cl, rect).total_count
     if rect.im_min == 0.0 or rect.im_max == 0.0:
         top = max(rect.im_max, -rect.im_min)
         n, _, reals = _counted_rect(cl, SearchRect(rect.re_min, rect.re_max, -top, top))
@@ -523,8 +531,6 @@ def _log_seed(cl, s0, log_beta):
     jumps; s0 comes back unmoved if none was taken.
     """
     lead = (cmath.log(s0 - cl.alpha) + s0 * cl.h - log_beta).imag / _TWO_PI
-    if not math.isfinite(lead):
-        return s0
     target = log_beta + complex(0.0, _TWO_PI * round(lead))
     s = s0
     for _ in range(_LOG_STEPS):
@@ -574,7 +580,7 @@ def _resolve(cl, cell, n):
     gap = math.pi / cl.h
     re_lo, re_hi, im_lo, im_hi = cell
     mid_re = (re_lo + re_hi) / 2.0
-    log_beta = cmath.log(cl.beta) if cl.beta else None  # once per cell, not per strip
+    log_beta = cmath.log(cl.beta)  # once per cell, not per strip
     # from the top down: on cross_validate's rectangles an empty strip
     # may lie next to the axis, and the pass stops before it.  A root
     # with Re s > re_lo has |Im s| <= |s - alpha| = |beta|e^{-Re(s) h},
@@ -618,8 +624,14 @@ def find_roots(cl, rect):
     a contour cannot be counted or the hull holds an odd number of
     non-real roots.  An edge within 1e-14*max(1, |re_min|, |re_max|) of
     the real axis lies on it: a root that close to an edge counts as on it.
+    A delay-free loop, beta = 0, has the one root alpha, returned with no
+    winding if the closed rectangle, so snapped, holds it.  Raises
+    DomainError as count_roots does where Im(s)*h passes the double range.
     """
     rect = _as_rect(rect)
+    if cl.beta == 0.0:  # f = s - alpha: its one root, if the closed rect holds it
+        found = (LocatedRoot(complex(cl.alpha, 0.0), 1),) if rect.contains(complex(cl.alpha, 0.0)) else ()
+        return RootSet(roots=found, total_count=len(found))
     # rect or, below the axis, its mirror: f(conj s) = conj f(s)
     up = rect if rect.im_max > 0.0 else SearchRect(rect.re_min, rect.re_max, -rect.im_max, -rect.im_min)
     cell, reals = up, []

@@ -113,11 +113,12 @@ def _w_arg(cl):
     return z, complex(lead, math.pi if beta < 0.0 else 0.0)
 
 
-def _log_w_arg(cl, rightmost_only):
-    """_w_arg(cl), or DomainError where alpha*h overflows and a root asked for
-    is lost: all to -inf (z = inf), all but the rightmost, alpha, to +inf."""
+def _log_w_arg(cl):
+    """_w_arg(cl) of a loop with beta != 0, or DomainError where alpha*h
+    overflows: every root is lost to -inf (z = inf), every root but the
+    rightmost, alpha, to +inf."""
     z, lz = _w_arg(cl)
-    if lz is not None and (lz.real == math.inf or lz.real == -math.inf and not rightmost_only):
+    if lz is not None and math.isinf(lz.real):
         raise DomainError(f"alpha*h overflows for alpha = {cl.alpha!r}, h = {cl.h!r}; Log z is not finite")
     return z, lz
 
@@ -152,13 +153,13 @@ def char_residual(cl, s):
 
     Zero exactly at the characteristic roots.  Raises DomainError if s
     is not a number, NonFiniteInput if it is not finite or e^{-s h}
-    overflows.
+    overflows, in modulus or in its phase Im(s)*h.
     """
     s = _require_complex("s", s)
     x = -s * cl.h
     try:
         e = cmath.exp(x)
-    except OverflowError:
+    except (OverflowError, ValueError):  # ValueError: Im(s)*h overflows
         e = complex(math.inf)
     if not cmath.isfinite(e):
         raise NonFiniteInput(f"e^(-s*h) overflows: exponent {x!r}")
@@ -177,8 +178,12 @@ def _root(cl, w, lz=None):
 
 
 def _rightmost(cl):
-    """Branch-0 root, the rightmost one (alpha where z is +-0: W_0 = 0)."""
-    z, lz = _log_w_arg(cl, True)
+    """Branch-0 root, the rightmost one: alpha where z is +-0 (W_0 = 0), and
+    (log|beta| - log(-alpha) + i*Im Log z)/h where alpha*h overflows to
+    -inf, as W_0 is then Log z to double precision."""
+    z, lz = _w_arg(cl)
+    if lz is not None and lz.real == math.inf:
+        return complex(math.log(abs(cl.beta)) - math.log(-cl.alpha), lz.imag) / cl.h
     return _root(cl, _eval_complex(0, complex(z), abs(z), lz)[0], lz)
 
 
@@ -210,7 +215,9 @@ def spectrum(cl, n_branches):
     Raises
     ------
     DomainError
-        If n_branches is invalid, or alpha*h overflows: Log z is not finite.
+        If n_branches is invalid, alpha*h overflows (Log z is not finite),
+        or a root passes the double range, as where |W_k|/h overflows
+        for a tiny h.
     """
     if isinstance(n_branches, bool) or not isinstance(n_branches, int):
         raise DomainError(f"n_branches must be an integer, got {n_branches!r}")
@@ -221,7 +228,7 @@ def spectrum(cl, n_branches):
     if cl.beta == 0.0:
         s0 = _rightmost(cl)
         return Spectrum(roots=(SpectrumRoot(0, s0),), rightmost=s0)
-    z, lz = _log_w_arg(cl, False)
+    z, lz = _log_w_arg(cl)
     zc, az = complex(z), abs(z)
     w0 = lambert_w(0, z).w if lz is None else _eval_complex(0, zc, az, lz)[0]
     s0 = _root(cl, w0, lz)
@@ -247,6 +254,10 @@ def spectrum(cl, n_branches):
         sk = alpha + w / h if lz is None else _root(cl, w, lz)
         append(record(SpectrumRoot, (k, sk, 1)))
         append(record(SpectrumRoot, (-k - shift, sk.conjugate(), 1)))
+    # Re s_k falls and |Im s_k| grows with k: branches 0, -1 and n bound the rest
+    for r in roots[:2] + roots[-1:]:
+        if not cmath.isfinite(r.s):
+            raise DomainError(f"the root of branch {r.branch} passes the double range: {r.s}")
     # descending Re s, ties by ascending Im s: two stable sorts, the
     # secondary key first
     roots.sort(key=_IMAG)
@@ -269,8 +280,9 @@ def is_stable(cl):
     (stable, margin) : (bool, float)
         margin is Re s_0, from the same branch-0 root that ``spectrum``
         reports.  Its sign agrees with the verdict except where it lies
-        within its own rounding error of 0, next to the delay margin.
-        DomainError where alpha*h overflows to -inf.
+        within its own rounding error of 0, next to the delay margin,
+        and it is +-inf where Re s_0 passes the double range.  Where
+        alpha*h overflows to -inf, Re s_0 is (log|beta| - log(-alpha))/h.
     """
     margin = _rightmost(cl).real
     alpha, beta, h = cl

@@ -3,6 +3,7 @@
 import cmath
 import hashlib
 import importlib
+import itertools
 import math
 import sys
 from decimal import Decimal
@@ -18,6 +19,7 @@ from delayw import (
     BoundaryRootSuspected,
     ClosedLoopParams,
     CrossValidation,
+    DelayWError,
     DomainError,
     LocatedRoot,
     MismatchDetected,
@@ -28,6 +30,7 @@ from delayw import (
     count_roots,
     cross_validate,
     find_roots,
+    is_stable,
     spectrum,
 )
 from delayw import oracle
@@ -968,6 +971,42 @@ def test_edge_within_rounding_of_the_axis_takes_in_no_neighbour(edge):
     assert find_roots(cl, rect) == on_axis and count_roots(cl, rect) == 3
 
 
+def _delay_free_rects(rng, count):
+    """Seeded loops with beta = 0 and rectangles, as (cl, rect): real edges
+    on alpha, within 1e-16*|alpha| of it or up to 5/h away, imaginary
+    edges on the axis, within 1e-17 of it, at 1e-300 or up to 30/h away."""
+    for _ in range(count):
+        h = 10.0 ** rng.uniform(-3.0, 3.0)
+        alpha = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        re = sorted(alpha + rng.choice((0.0, rng.uniform(-1e-16, 1e-16) * alpha, rng.uniform(-5.0, 5.0) / h))
+                    for _ in range(2))
+        im = sorted(rng.choice((0.0, 1e-17, -1e-17, 1e-300, rng.uniform(-30.0, 30.0) / h)) for _ in range(2))
+        if re[0] < re[1] and im[0] < im[1]:
+            yield ClosedLoopParams(alpha, 0.0, h), SearchRect(*re, *im)
+
+
+def test_delay_free_loop_is_settled_at_the_entry():
+    # with beta = 0, f = s - alpha: both entries answer whether the closed
+    # rectangle holds alpha, an edge within 1e-14*max(1, |re_min|,
+    # |re_max|) of the axis taken as on it, also where alpha lies on an
+    # edge, where a winding meets the root and its nudges may not clear it
+    cases = list(_delay_free_rects(__import__("random").Random(3), 2000))
+    cases.append((ClosedLoopParams(-1.0722985209754519, 0.0, 0.773955687595389),
+                  SearchRect(-1.072298520975456, -1.0722985209754519, -1e-17, 1e-17)))
+    held = on_edge = 0
+    for cl, rect in cases:
+        near = 1e-14 * max(1.0, abs(rect.re_min), abs(rect.re_max))
+        lo, hi = rect.im_min, rect.im_max
+        on_axis = lo <= 0.0 <= hi or abs(lo) <= near < hi or abs(hi) <= near < -lo
+        inside = on_axis and rect.re_min <= cl.alpha <= rect.re_max
+        want = (LocatedRoot(complex(cl.alpha, 0.0), 1),) if inside else ()
+        assert find_roots(cl, rect) == RootSet(want, len(want)), (cl, rect)
+        assert count_roots(cl, rect) == len(want), (cl, rect)
+        held += inside
+        on_edge += inside and cl.alpha in (rect.re_min, rect.re_max)
+    assert held > 200 and on_edge > 100, (held, on_edge)
+
+
 def test_below_axis_rects_are_conjugates_of_their_mirror():
     # a rectangle below the axis is searched as its mirror above it, so
     # its roots are the conjugates of the mirror's to the last bit; the
@@ -1037,6 +1076,50 @@ def test_near_branch_point_raise_budget():
         except (MismatchDetected, BoundaryRootSuspected):
             raised += 1
     assert raised <= 274
+
+
+# the ends of the double range, each signed, and 0; the delays; and four
+# rectangles: a unit square, one high above the axis, one wide along it,
+# and one with an edge within rounding of it
+_RANGE_ENDS = (0.0, *(s * v for v in (1e-320, 1e-300, 1.0, 2.0, 1e154, 1e300, 1e307, 1.7e308) for s in (1.0, -1.0)))
+_RANGE_END_DELAYS = (1e-320, 1e-300, 1e-10, 1.0, 1e10, 1e154, 1e300, 1e307, 1.7e308)
+_RANGE_END_RECTS = ((-1.0, 1.0, -1.0, 1.0), (-1.0, 1.0, 1e10, 2e10), (-1e300, 1e300, 0.0, 1.0), (-2.0, 1.0, -1e-300, 3.0))
+
+
+def test_range_end_grid_raises_only_library_errors():
+    # 2,601 loops at the ends of the double range: spectrum raises no
+    # NoConvergence and returns no non-finite root, is_stable answers on
+    # every loop, and the oracle and char_residual raise nothing but the
+    # library's own errors
+    for alpha, beta, h in itertools.product(_RANGE_ENDS, _RANGE_ENDS, _RANGE_END_DELAYS):
+        cl = ClosedLoopParams(alpha, beta, h)
+        try:
+            roots = spectrum(cl, 3).roots
+        except DomainError:
+            roots = ()
+        assert all(cmath.isfinite(r.s) for r in roots), cl
+        is_stable(cl)
+        calls = [lambda rect=rect: count_roots(cl, rect) for rect in _RANGE_END_RECTS]
+        calls += [lambda: cross_validate(cl, 1), lambda: char_residual(cl, complex(-1e300, 1e300))]
+        for call in calls:
+            try:
+                call()
+            except DelayWError:
+                pass
+
+
+@pytest.mark.parametrize("locate", [count_roots, find_roots])
+def test_im_s_h_past_the_double_range_raises(locate):
+    # e^{-sh} has no phase where Im(s)*h overflows: the rectangle is
+    # refused before any winding, and so is the nudge that the root s = 0
+    # on the corner of the second one forces, which takes 2*Im s from
+    # 1.797e308 past the range; a delay-free loop is answered at the entry
+    with pytest.raises(DomainError, match=r"Im\(s\)\*h passes the double range on \(-1\.0, 1\.0, 1\d{10}\.0, 2\d{10}\.0\)"):
+        locate(ClosedLoopParams(0.0, 1.0, 1e300), (-1.0, 1.0, 1e10, 2e10))
+    with pytest.raises(DomainError, match=r"Im\(s\)\*h passes the double range on \(-1\.797e\+305, "):
+        locate(ClosedLoopParams(1.0, -1.0, 2.0), (-1.0, 0.0, -8.985e307, 8.985e307))
+    empty = 0 if locate is count_roots else RootSet((), 0)
+    assert locate(ClosedLoopParams(0.0, 0.0, 1e300), (-1.0, 1.0, 1e10, 2e10)) == empty
 
 
 def _census_loops(rng, wide, narrow):
@@ -1137,6 +1220,29 @@ def test_edge_knots_depend_only_on_the_line(h, horizontal, offset, ends, focus):
     assert _edge_knots(at(a), at(b), h, focus) == inside
     assert _edge_knots(at(b), at(a), h, focus) == inside[::-1]
     assert _edge_knots(at(hi), at(lo), h, focus) == full[::-1]
+
+
+def test_lattice_step_where_4h_overflows():
+    # pi/(4h) is 0 where 4h overflows; 0.25*pi/h is the same double
+    # wherever 4h is finite, and a subnormal step past it, so that the
+    # walk and the knot split of an edge never divide by 0
+    h = 1.7e308
+    step = 0.25 * math.pi / h
+    assert step > 0.0 and all(0.25 * math.pi / x == math.pi / (4.0 * x) for x in (1e-300, 1.0, 4e307))
+    assert _edge_knots(0j, complex(0.0, 1e-307), h, ()) == [complex(0.0, j * step) for j in range(1, 22)]
+    with pytest.raises(DelayWError):  # the roots, about 1e-308, are subnormal
+        cross_validate(ClosedLoopParams(0.0, 1e-320, h), 1)
+
+
+def test_phase_where_atan2_underflows():
+    # f = 1e300 + 7.85e-301i at this lattice knot: cmath.phase raises
+    # OverflowError as atan2 underflows, and the phase is read from
+    # math.atan2 instead
+    cl = ClosedLoopParams(-1e300, -1.7e308, 1e300)
+    s = complex(1.0, 0.25 * math.pi / 1e300)
+    assert _checked_phase(cl, s) == math.atan2(_df(cl, s, 0).imag, _df(cl, s, 0).real) == 0.0
+    with pytest.raises(DomainError, match="takes over 65,536 pieces"):
+        count_roots(cl, (-1.0, 1.0, -1.0, 1.0))
 
 
 def test_edge_knots_cap_the_piece_count():

@@ -312,10 +312,12 @@ def test_validation_errors():
     # whatever complex() takes, a numeric string included
     cl = ClosedLoopParams(-1.0, -2.0, 1.0)
     assert char_residual(cl, "1j") == char_residual(cl, 1j)
-    # e^{-sh} overflows, for s itself finite
-    for s, h in ((-800.0, 1.0), (-1e308, 10.0)):
+    # e^{-sh} overflows, for s itself finite, in modulus or in its phase
+    # Im(s)*h, where cmath.exp raises ValueError
+    for cl, s in ((ClosedLoopParams(-1.0, -2.0, 1.0), -800.0), (ClosedLoopParams(-1.0, -2.0, 10.0), -1e308),
+                  (ClosedLoopParams(0.0, 0.0, 1e10), complex(-1e300, 1e300))):
         with pytest.raises(NonFiniteInput, match=r"e\^\(-s\*h\) overflows: exponent"):
-            char_residual(ClosedLoopParams(-1.0, -2.0, h), s)
+            char_residual(cl, s)
     cl = ClosedLoopParams(alpha=0.0, beta=1.0, h=1.0)
     with pytest.raises(DomainError):
         spectrum(cl, n_branches=-1)
@@ -400,8 +402,10 @@ def test_second_real_root_below_the_normal_range(alpha, beta, h):
 def test_alpha_h_overflow():
     # alpha*h overflows to +inf: z is -0.0, so the rightmost root is
     # alpha, but Log z, which every other branch needs, is not finite;
-    # to -inf, z and Log z are both past the double range.  Either ends
-    # in a DomainError naming alpha*h, never in NoConvergence or NaN
+    # to -inf, z and Log z are both past the double range, and only the
+    # rightmost root is kept, as W_0 is Log z to double precision there.
+    # spectrum ends in a DomainError naming alpha*h, never in
+    # NoConvergence or NaN
     cl = ClosedLoopParams(3.366325060362924e307, -0.28563946144005314, 66.67958104486705)
     assert cl.w_argument == 0.0
     assert is_stable(cl) == (False, cl.alpha)
@@ -411,9 +415,67 @@ def test_alpha_h_overflow():
     cl = ClosedLoopParams(-1e308, 1.0, 10.0)
     with pytest.raises(NonFiniteInput, match=r"beta\*h\*e\^\(-alpha\*h\) overflows"):
         cl.w_argument
-    for call in (lambda: spectrum(cl, 3), lambda: is_stable(cl)):
-        with pytest.raises(DomainError, match=r"alpha\*h overflows for alpha = -1e\+308, h = 10\.0"):
-            call()
+    with pytest.raises(DomainError, match=r"alpha\*h overflows for alpha = -1e\+308, h = 10\.0"):
+        spectrum(cl, 3)
+    stable, margin = is_stable(cl)
+    assert stable and mp_root_error(cl, [SpectrumRoot(0, complex(margin))], dps=700) <= 2.0 * sys.float_info.epsilon
+
+
+@pytest.mark.parametrize("alpha, beta, h", [
+    (-1e308, -1.0, 10.0), (-1.7e308, 2.0, 1e10), (-1e300, -1e-300, 1e154),
+    (-3.0, -1e200, 1e308), (-1e154, 1e-320, 1e155), (-1e154, 1.7e308, 1e155),
+])
+def test_rightmost_where_alpha_h_overflows(alpha, beta, h):
+    # alpha*h is -inf, so W_0 = Log z - Log W_0 is Log z to double
+    # precision: the rightmost root is (log|beta| - log(-alpha) + i*Im Log
+    # z)/h, within a few ulps of 700-digit mpmath, and is_stable's margin
+    # is its real part
+    cl = ClosedLoopParams(alpha, beta, h)
+    s0 = _rightmost(cl)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(700):
+        a, b, hh = (mpmath.mpf(x) for x in cl)
+        want = a + mpmath.lambertw(b * hh * mpmath.exp(-a * hh), 0) / hh
+        assert abs(mpmath.mpc(s0.real, s0.imag) - want) <= 4 * sys.float_info.epsilon * abs(want)
+    assert is_stable(cl)[1] == s0.real
+
+
+@pytest.mark.parametrize("alpha, beta, h", [(-1e307, -1e-320, 1.0), (-1e154, -1e-300, 1e154)])
+def test_huge_log_z_seeds(alpha, beta, h):
+    # |Log z| is about 1e307 and 1e308: the seed's last term is below an
+    # ulp there, and forming it made the seed NaN, so that Halley spent
+    # its steps and raised NoConvergence.  Every root is within a few
+    # ulps of 700-digit mpmath
+    cl = ClosedLoopParams(alpha, beta, h)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(700):
+        a, b, hh = (mpmath.mpf(x) for x in cl)
+        z = b * hh * mpmath.exp(-a * hh)
+        for r in spectrum(cl, 3).roots:
+            want = a + mpmath.lambertw(z, r.branch) / hh
+            assert abs(mpmath.mpc(r.s.real, r.s.imag) - want) <= 4 * sys.float_info.epsilon * abs(want), r
+    assert is_stable(cl) == (True, _rightmost(cl).real)
+    # the examples whose roots are next to the subnormal range
+    assert len(spectrum(ClosedLoopParams(-1.0, -2.0, 1e308), 1).roots) == 4
+    assert is_stable(ClosedLoopParams(-1.0, 2.0, 1e308)) == (False, _rightmost(ClosedLoopParams(-1.0, 2.0, 1e308)).real)
+
+
+def test_roots_past_the_double_range_raise():
+    # with h = 1e-320 every root but the rightmost is near -1.5e323, past
+    # the double range: spectrum names the first such root it meets
+    # instead of returning (-inf+-infj); is_stable reads only the
+    # rightmost root, which is finite
+    cl = ClosedLoopParams(0.0, 1e-320, 1e-320)
+    with pytest.raises(DomainError, match=r"the root of branch 1 passes the double range: \(-inf\+infj\)"):
+        spectrum(cl, 3)
+    assert spectrum(cl, 0).roots == (SpectrumRoot(0, _rightmost(cl)),)
+    assert is_stable(cl)[0] is False
+    # only Im s_k passes it: z = 1, so Im W_k is about 2*pi*k - pi/2,
+    # and Re s_3 is -5.7e307
+    cl = ClosedLoopParams(0.0, 2e307, 5e-308)
+    assert all(cmath.isfinite(r.s) for r in spectrum(cl, 1).roots)
+    with pytest.raises(DomainError, match=r"the root of branch -3 passes the double range: \(-5\.7\d*e\+307-infj\)"):
+        spectrum(cl, 3)
 
 
 @pytest.mark.parametrize("alpha, beta, h, margin", [
@@ -487,7 +549,7 @@ def loop_spectrum(cl, n_branches):
     if cl.beta == 0.0:
         s0 = _rightmost(cl)
         return Spectrum(roots=(SpectrumRoot(0, s0),), rightmost=s0)
-    z, lz = _log_w_arg(cl, False)
+    z, lz = _log_w_arg(cl)
     zc, az = complex(z), abs(z)
     w0 = lambert_w(0, z).w if lz is None else _eval_complex(0, zc, az, lz)[0]
     s0 = _root(cl, w0, lz)
