@@ -258,11 +258,13 @@ def _f_noise(cl, x, y):
     exact.  A bound that compares against B computed as
     |beta|*exp(-xh) is off by a further u*B*(4 + Z).  Summed, and rounded
     up to whole eps = 2u, that is eps*B*(12 + 2Z) for Im f (_edge_arg's
-    Im f slack) plus eps*(4(|s| + |alpha|) + 16|beta|).
+    Im f slack) plus eps*(4(|s| + |alpha|) + 16|beta|).  Where B
+    underflows to 0 its share is 0, even where Z overflows.
     """
     z = (abs(x) + abs(y)) * cl.h
     reach = abs(x) + abs(y) + abs(cl.alpha)
-    return _EPS * (_decay(cl, x) * (12.0 + 2.0 * z) + 4.0 * reach + 16.0 * abs(cl.beta))
+    b = _decay(cl, x)
+    return _EPS * ((b * (12.0 + 2.0 * z) if b else 0.0) + 4.0 * reach + 16.0 * abs(cl.beta))
 
 
 def _edge_arg(cl, sa, sb, pa, pb, focus):

@@ -9,6 +9,7 @@ from delayw import (
     AlphaOutOfRange,
     AssignmentMode,
     ConditionViolated,
+    DelayWError,
     DomainError,
     NonFiniteInput,
     NotAssignableAsRightmost,
@@ -506,3 +507,54 @@ def test_feasibility_report_input_delay():
     assert by_mode[AssignmentMode.INPUT_DELAY].applicable
     assert by_mode[AssignmentMode.INPUT_DELAY].feasible  # S = a >= a - 1/h
     assert not by_mode[AssignmentMode.BOTH_GAINS].applicable
+
+
+# plants with targets for every mode: the published gain table, the
+# CLI's constructed plants, real targets on both sides of the rule, and
+# designs whose e^(u*h), e^(-u*h) or designed alpha*h leave the double range
+NO_W_CASES = [
+    (PLANT, -0.092484 + 1.99730j), (PLANT, -0.60502 + 1.78820j), (PLANT, -1.0), (PLANT, 0.5),
+    (PLANT, -0.5 + 1.5j), (PLANT, -0.5 + 5.0j),
+    (SystemParams(a=-0.3936277335460213, a1d=0.3, b=2.0, h=1.0), -0.5 + 1.5j),
+    (SystemParams(a=0.7, a1d=-0.912080764101208, b=2.0, h=1.0), -0.5 + 1.5j),
+    (SystemParams(a=0.5, a1d=-0.2, b=1.0, h=1.0), -0.3),
+    (SystemParams(a=0.0, a1d=0.0, b=1.0, h=1.0, input_delay=True), 0.0),
+    (SystemParams(a=0.0, a1d=0.0, b=1.0, h=1.0, input_delay=True), 1.0 + 2.0j),
+    (SystemParams(a=0.0, a1d=1e299, b=1.0, h=10.0), -2.0),
+    (SystemParams(a=0.0, a1d=-1e299, b=1.0, h=10.0), -2.0),
+    (SystemParams(a=0.3, a1d=-0.2, b=1.0, h=1.0), -800.0 + 1.0j),
+    (SystemParams(a=0.3, a1d=-0.2, b=1.0, h=1.0), -800.0),
+    (SystemParams(a=0.3, a1d=-0.2, b=1.0, h=1.0), 800.0 + 1.0j),
+]
+
+
+def test_designs_evaluate_no_w(monkeypatch):
+    # every mode's gains and flag are closed form: with the design
+    # module's spectrum and the W kernel's iteration raising, each mode
+    # answers, and feasibility_report lists every applicable mode with
+    # the outcome of its function, a range failure as infeasible
+    def no_w(*args, **kwargs):
+        raise AssertionError("the design layer evaluated W")
+
+    monkeypatch.setattr("delayw.assign.spectrum", no_w)
+    monkeypatch.setattr("delayw.lambertw._halley", no_w)
+    with pytest.raises(AssertionError, match="evaluated W"):
+        spectrum(assign_both(PLANT, -0.5 + 1.5j).closed_loop, 0)
+    for plant, S in NO_W_CASES:
+        rep = feasibility_report(plant, S)
+        assert [c.mode for c in rep.checks] == list(AssignmentMode)
+        for check in rep.checks:
+            if not check.applicable or check.mode is AssignmentMode.REAL_BOTH:
+                continue
+            try:
+                res = MODE_FUNCTIONS[check.mode](plant, S)
+            except DelayWError as exc:
+                assert (check.feasible, check.detail) == (False, str(exc)), (plant, S)
+            else:
+                assert (check.feasible, check.detail) == (res.feasible, res.certificate), (plant, S)
+    # the designed loops have alpha*h = -+4.85e308: the flag is the rule alone
+    for a1d, feasible in ((1e299, True), (-1e299, False)):
+        r = assign_current_only(SystemParams(a=0.0, a1d=a1d, b=1.0, h=10.0), -2.0)
+        assert r.gains.k == -a1d * math.exp(20.0) and r.feasible is feasible
+    assert [c.feasible for c in feasibility_report(SystemParams(0.3, -0.2, 1.0, 1.0), -800.0).checks] == [
+        False, False, False, True, False]

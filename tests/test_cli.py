@@ -106,6 +106,10 @@ GOLDEN_COMMANDS = {
     "assign-current-only-overflow": ("assign", *_OVERFLOW_PLANT, "--target", "-800", "--mode", "current-only"),
     "assign-real-both-overflow": ("assign", *_OVERFLOW_PLANT, "--target", "800", "--mode", "real-both",
                                   "--alpha", "0"),
+    # a finite design whose loop has alpha*h past the double range: no
+    # confirming spectrum, but the design stands and exits 0
+    "assign-current-only-confirmation-overflow": ("assign", "--a", "0", "--a1d", "1e299", "--b", "1",
+                                                  "--h", "10", "--target", "-2", "--mode", "current-only"),
     "wk-branch-0-real": ("wk", "--branch", "0", "--re", "0.5"),
     "wk-branch-minus-1-real": ("wk", "--branch", "-1", "--re", "-0.2"),
     "wk-cut": ("wk", "--branch", "0", "--re", "-1"),

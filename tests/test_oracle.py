@@ -435,6 +435,22 @@ class TestCrossValidate:
         assert report.spectrum_count == report.oracle_count == 6
         assert report.max_distance > 1e-300
 
+    def test_count_mismatch_carries_report(self, monkeypatch):
+        # an oracle that loses a root: the lists cannot be paired, so the
+        # report has no distance to give
+        locate = oracle.find_roots
+
+        def one_short(cl, rect):
+            found = locate(cl, rect)
+            return RootSet(found.roots[:-1], found.total_count - found.roots[-1].multiplicity)
+
+        monkeypatch.setattr(oracle, "find_roots", one_short)
+        with pytest.raises(MismatchDetected, match="^root count differs: spectrum lists 8, oracle found 7$") as info:
+            cross_validate(ClosedLoopParams(-1.0, -2.0, 1.0), 3)
+        report = info.value.report
+        assert report.spectrum_count == report.oracle_count + 1
+        assert report.max_distance == math.inf
+
     def test_non_integer_branch_count(self):
         with pytest.raises(DomainError):
             cross_validate(ClosedLoopParams(-1.0, -2.0, 1.0), 2.5)
@@ -725,6 +741,15 @@ def test_real_root_where_beta_h_leaves_the_normal_range(alpha, beta, h, rect):
         exact = float(mpmath.findroot(lambda t: t - a - b * mpmath.exp(-t * hh), a))
     rs = find_roots(ClosedLoopParams(alpha, beta, h), rect)
     assert rs.roots == (LocatedRoot(complex(exact, 0.0), 1),)
+
+
+def test_real_root_where_the_delay_term_underflows_and_z_overflows():
+    # on x = 1, |beta|e^{-xh} underflows to 0 while (|x| + |y|)h
+    # overflows: the delay term adds nothing to f's noise, so the root
+    # alpha is accepted rather than compared against a NaN bound
+    cl = ClosedLoopParams(1.0, 1e-320, 1.7e308)
+    assert _f_noise(cl, 1.0, 0.0) == _f_noise(ClosedLoopParams(1.0, 1e-320, 1.0), 1.0, 0.0)
+    assert oracle._axis(cl, SearchRect(-1.5, 1.5, -1.0, 1.0)) == ((1.0,), [LocatedRoot(1.0 + 0j, 1)])
 
 
 def test_real_roots_beside_x_ext():

@@ -678,6 +678,16 @@ class TestEstimate:
         with pytest.raises(InsufficientData):
             estimate_dominant_eig_detailed(Trajectory(times=ts, values=vals, step=0.01))
 
+    def test_too_few_envelope_peaks(self):
+        # a tail of exact zeros crosses zero at every sample, but only
+        # three of the segments between crossings hold a nonzero peak
+        xs = [0.0] * 60
+        for i, x in ((35, 1.0), (45, -1.0), (55, 1.0)):
+            xs[i] = x
+        traj = Trajectory(times=tuple(i * 0.1 for i in range(60)), values=tuple(xs), step=0.1)
+        with pytest.raises(InsufficientData, match="too few usable envelope peaks"):
+            estimate_dominant_eig_detailed(traj)
+
     def test_tail_fraction_validation(self):
         assert 0.0 < TAIL_FRACTION <= 1.0
         traj = simulate(ClosedLoopParams(-1.0, 0.0, 1.0), UNIT, 25.0, 0.01)
