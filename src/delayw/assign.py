@@ -272,7 +272,10 @@ def assign_current_only(sys, S, cond_tol=COND_TOL_DEFAULT):
     if t.v != 0.0:
         return AssignmentResult(AssignmentMode.CURRENT_ONLY, gains, cl, t.S, True, cert)
     x = a1d * h * math.exp(-t.u * h)  # (S - alpha)*h at the designed gain
-    cert = f"S is an eigenvalue by construction; (S - alpha)*h = {x:.9g} ({'>=' if x >= -1.0 else '<'} -1)"
+    value = f"{x:.9g}"
+    if math.isinf(x):  # the rule in logs: the sign of a1d, e^(log|a1d| + log h - u*h)
+        value = f"{'-' if x < 0.0 else '+'}e^{math.log(abs(a1d)) + math.log(h) - t.u * h:.9g}"
+    cert = f"S is an eigenvalue by construction; (S - alpha)*h = {value} ({'>=' if x >= -1.0 else '<'} -1)"
     return AssignmentResult(AssignmentMode.CURRENT_ONLY, gains, cl, t.S, x >= -1.0, cert)
 
 

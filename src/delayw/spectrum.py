@@ -115,8 +115,9 @@ def _w_arg(cl):
 
 def _log_w_arg(cl):
     """_w_arg(cl) of a loop with beta != 0, or DomainError where alpha*h
-    overflows: every root is lost to -inf (z = inf), every root but the
-    rightmost, alpha, to +inf."""
+    overflows and Log z is not finite.  The roots are finite there (at
+    (-1e308, 1, 10) they are -70.9196209 + 2*pi*i*k/10), but spectrum
+    refuses to form them."""
     z, lz = _w_arg(cl)
     if lz is not None and math.isinf(lz.real):
         raise DomainError(f"alpha*h overflows for alpha = {cl.alpha!r}, h = {cl.h!r}; Log z is not finite")
@@ -215,9 +216,10 @@ def spectrum(cl, n_branches):
     Raises
     ------
     DomainError
-        If n_branches is invalid, alpha*h overflows (Log z is not finite),
-        or a root passes the double range, as where |W_k|/h overflows
-        for a tiny h.
+        If n_branches is invalid, alpha*h overflows (Log z is not
+        finite; the roots are, but spectrum refuses to form them), or a
+        root passes the double range, as where |W_k|/h overflows for a
+        tiny h.
     """
     if isinstance(n_branches, bool) or not isinstance(n_branches, int):
         raise DomainError(f"n_branches must be an integer, got {n_branches!r}")

@@ -1,5 +1,5 @@
 import math
-import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +25,8 @@ from delayw import (
     on_w0_boundary,
     spectrum,
 )
+
+from recipes import current_only_real_designs, deep_left_designs, mp_roots, over_budget
 
 PLANT = SystemParams(a=1.0, a1d=-1.0, b=1.0, h=1.0)
 EPS = math.ulp(1.0)
@@ -108,23 +110,17 @@ def test_deep_left_designs_place_their_target():
     # the returned loop, at S; the others raise as e^{u h} leaves the
     # double range, one way or the other
     mpmath = pytest.importorskip("mpmath")
-    rng = random.Random(9)
-    raised = 0
-    for _ in range(600):
-        h = 10.0 ** rng.uniform(-3.0, 3.0)
-        uh = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 3.5)
-        S = complex(uh / h, rng.uniform(0.0, math.pi) / h)
+    raised = Counter()
+    for plant, S in deep_left_designs():
         try:
-            r = assign_both(SystemParams(a=0.3 / h, a1d=-0.2 / h, b=1.0, h=h), S)
-        except (NonFiniteInput, DomainError):
-            raised += 1
+            r = assign_both(plant, S)
+        except (NonFiniteInput, DomainError) as exc:
+            raised[type(exc).__name__] += 1
             continue
         assert r.feasible
-        with mpmath.workdps(40):
-            alpha, beta, delay = map(mpmath.mpf, r.closed_loop)
-            s0 = alpha + mpmath.lambertw(beta * delay * mpmath.exp(-alpha * delay)) / delay
-            assert abs(s0 - mpmath.mpc(S)) <= 1e-8 * abs(S), (S, h)
-    assert raised <= 49
+        (s0,) = mp_roots(r.closed_loop, [0], 40)
+        assert abs(s0 - mpmath.mpc(S)) <= 1e-8 * abs(S), (S, plant.h)
+    assert not over_budget("deep_left_designs", raised)
 
 
 def test_delay_only_real():
@@ -207,24 +203,17 @@ def test_current_only_real_flags_follow_the_exact_rule():
     # (S - alpha)*h = a1d*h*e^{-S h} >= -1 in 40-digit mpmath, and a
     # design raises only where e^{-S h}, or with it the gain, overflows
     mpmath = pytest.importorskip("mpmath")
-    rng = random.Random(5)
-
-    def draw():
-        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 4.0)
-
-    returned = 0
-    for _ in range(2000):
-        h = 10.0 ** rng.uniform(-3.0, 3.0)
-        a, a1d, S = draw() / h, draw() / h, draw() / h
+    raised = Counter()
+    for a, a1d, h, S in current_only_real_designs():
         try:
             r = assign_current_only(SystemParams(a, a1d, 1.0, h), S)
         except NonFiniteInput as exc:
             assert str(exc).startswith(("e^(-u*h) overflows", "k must be finite")), exc
+            raised["NonFiniteInput"] += 1
             continue
-        returned += 1
         with mpmath.workdps(40):
             assert r.feasible == (mpmath.mpf(a1d) * h * mpmath.exp(-mpmath.mpf(S) * h) >= -1), (a, a1d, h, S)
-    assert returned >= 1892
+    assert not over_budget("current_only_real_designs", raised)
 
 
 def test_current_only_real_not_rightmost():
@@ -552,9 +541,10 @@ def test_designs_evaluate_no_w(monkeypatch):
                 assert (check.feasible, check.detail) == (False, str(exc)), (plant, S)
             else:
                 assert (check.feasible, check.detail) == (res.feasible, res.certificate), (plant, S)
-    # the designed loops have alpha*h = -+4.85e308: the flag is the rule alone
-    for a1d, feasible in ((1e299, True), (-1e299, False)):
+    # the designed loops have alpha*h = -+4.85e308: the flag is the rule
+    # alone, and the certificate states it in logs
+    for a1d, feasible, rule in ((1e299, True, "+e^710.775528 (>= -1)"), (-1e299, False, "-e^710.775528 (< -1)")):
         r = assign_current_only(SystemParams(a=0.0, a1d=a1d, b=1.0, h=10.0), -2.0)
-        assert r.gains.k == -a1d * math.exp(20.0) and r.feasible is feasible
+        assert r.gains.k == -a1d * math.exp(20.0) and r.feasible is feasible and r.certificate.endswith(rule)
     assert [c.feasible for c in feasibility_report(SystemParams(0.3, -0.2, 1.0, 1.0), -800.0).checks] == [
         False, False, False, True, False]

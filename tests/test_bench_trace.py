@@ -6,25 +6,11 @@ to their callees (`spectrum.lambert_w`, `assign.spectrum`,
 them must fail here rather than crash a traced benchmark run.
 """
 
-import importlib
-import sys
-from pathlib import Path
-
-import pytest
-
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+from recipes import bench_module
 
 
-@pytest.fixture
-def worker(monkeypatch):
-    # the bench scripts import each other by bare name
-    monkeypatch.syspath_prepend(str(BENCH))
-    yield importlib.import_module("worker")
-    for name in ("worker", "calibrate", "workloads"):
-        sys.modules.pop(name, None)
-
-
-def test_tracer_installs_and_undoes(worker):
+def test_tracer_installs_and_undoes():
+    worker = bench_module("worker")
     bound = [(worker.SPECTRUM_MOD, "lambert_w"), (worker.ASSIGN_MOD, "spectrum"),
              (worker.ORACLE_MOD, "spectrum"), (worker.ORACLE_MOD, "find_roots")]
     before = [getattr(mod, attr) for mod, attr in bound]

@@ -22,6 +22,9 @@ from delayw.lambertw import (
 )
 from delayw.spectrum import ClosedLoopParams, spectrum
 
+from recipes import (BUDGETS, log_uniform_grid, micro_sample, mpmath_sample, predictive_stop_sample,
+                     real_axis_arguments, scipy_sample, top_of_range_sample, wide_sample)
+
 OMEGA = 0.56714329040978384  # W_0(1)
 
 
@@ -136,16 +139,7 @@ def test_real_domains_exactly_real():
     # W_0 on [-1/e, inf) and W_-1 on [-1/e, 0) are real; the kernel must
     # return Im w == +0.0 there, for a float argument and for either
     # signed zero imaginary part, up to both ends of the double range
-    rng = __import__("random").Random(5)
-    xs0 = [BRANCH_POINT_Z, math.nextafter(BRANCH_POINT_Z, 0.0), -5e-324, 1.7976931348623157e308]
-    xs1 = [BRANCH_POINT_Z, math.nextafter(BRANCH_POINT_Z, 0.0), -5e-324]
-    for _ in range(400):
-        xs0.append(BRANCH_POINT_Z + 10.0 ** rng.uniform(-17.0, 0.0))
-        xs0.append(rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-323.0, 308.25))
-        xs1.append(max(BRANCH_POINT_Z, BRANCH_POINT_Z + 10.0 ** rng.uniform(-17.0, -0.44)))
-        xs1.append(min(-5e-324, -(10.0 ** rng.uniform(-323.5, -0.44))))
-    xs0 = [x for x in xs0 if x >= BRANCH_POINT_Z]
-    for k, xs in ((0, xs0), (-1, xs1)):
+    for k, xs in zip((0, -1), real_axis_arguments()):
         for x in xs:
             for z in (x, complex(x, 0.0), complex(x, -0.0)):
                 w = lambert_w(k, z).w
@@ -333,10 +327,7 @@ def test_w0_monotone_real(x, y):
 class TestCrossChecks:
     def test_against_scipy(self):
         scipy_special = pytest.importorskip("scipy.special")
-        rng = __import__("random").Random(7)
-        for _ in range(300):
-            k = rng.randint(-8, 8)
-            z = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
+        for k, z in scipy_sample():
             # scipy's seeding loses accuracy near the branch point and
             # the cut; compare only on clearly separated arguments
             if abs(z - BRANCH_POINT_Z) < 0.05 or abs(z.imag) < 1e-6 or abs(z) < 1e-6:
@@ -348,10 +339,7 @@ class TestCrossChecks:
     def test_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 40
-        rng = __import__("random").Random(11)
-        for _ in range(40):
-            k = rng.randint(-4, 4)
-            z = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+        for k, z in mpmath_sample():
             if abs(z) < 1e-6 or (z.imag == 0 and z.real < 0):
                 continue
             ours = lambert_w(k, z).w
@@ -398,15 +386,10 @@ class TestCrossChecks:
         # relative, so tiny and huge |z| get the same relative accuracy
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 50
-        rng = __import__("random").Random(3)
+        # none next to the branch point, where the conditioning 1/|1+W| dominates
         eps = 2.220446049250313e-16
-        for i in range(300):
-            r = 10.0 ** rng.uniform(-300.0, 300.0)
-            z = (complex(r, 0.0), complex(-r, 0.0), r * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))[i % 3]
-            if abs(math.e * z + 1.0) <= 1e-3:
-                continue  # conditioning 1/|1+W| dominates next to the branch point
-            for k in (0, 1, -1, 2, -2, 3, -3, K_MAX, -K_MAX,
-                      rng.choice((-1000, -317, -40, 40, 317, 1000))):
+        for z, ks in log_uniform_grid():
+            for k in ks:
                 ours = lambert_w(k, z).w
                 theirs = mpmath.lambertw(mpmath.mpc(z.real, z.imag), k)
                 err = abs(mpmath.mpc(ours.real, ours.imag) - theirs) / abs(theirs)
@@ -417,16 +400,8 @@ class TestCrossChecks:
         # it Halley's step and residual floor, can leave the double range
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 50
-        rng = __import__("random").Random(5)
         eps = 2.220446049250313e-16
-        top = sys.float_info.max
-        # the last two have |z| past the largest double, where abs(z) raises
-        zs = [complex(1e308, 1e308), complex(top, 0.0), complex(-top, 0.0), complex(0.0, top),
-              complex(-top / 2.0, -top / 3.0), complex(top, top), complex(-1.7e308, -6e307)]
-        for i in range(150):
-            r = 10.0 ** rng.uniform(300.0, math.log10(top))
-            zs.append((complex(r, 0.0), complex(-r, 0.0), r * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))[i % 3])
-        for z in zs:
+        for z in top_of_range_sample():
             for k in (0, 1, -1, 5, 1000, K_MAX):
                 ours = lambert_w(k, z).w
                 theirs = mpmath.lambertw(mpmath.mpc(z.real, z.imag), k)
@@ -440,18 +415,10 @@ class TestCrossChecks:
         # the residual bound lambert_w documents
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 50
-        rng = __import__("random").Random(17)
         eps = 2.220446049250313e-16
-        draws = []
-        for i in range(450):
-            k = rng.choice((-1, 1)) * round(10.0 ** rng.uniform(0.0, math.log10(K_MAX)))
-            r = 10.0 ** rng.uniform(-300.0, 300.0)
-            draws.append((k, (complex(r, 0.0), complex(-r, 0.0),
-                              r * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))[i % 3]))
+        draws, ws = predictive_stop_sample()
         # W on both sides of the circle |1 + w| = 2 that bounds the region
-        for i in range(90):
-            w = -1.0 + 2.0 * (1.0 + (-1) ** i * 10.0 ** rng.uniform(-12.0, -1.0)) \
-                * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        for w in ws:
             z = w * cmath.exp(w)
             k = min((-1, 0, 1), key=lambda j: abs(complex(mpmath.lambertw(mpmath.mpc(z.real, z.imag), j)) - w))
             draws.append((k, z))
@@ -464,21 +431,9 @@ class TestCrossChecks:
             assert res.residual <= (1e-14 + 4 * eps * (abs(1.0 + ours) + 2.0)) * abs(z), (k, z)
 
 
-def micro_sample():
-    """The lambert_w sample of bench/micro.py: rng 9, 1,000 (k, z)."""
-    rng = __import__("random").Random(9)
-    args = []
-    while len(args) < 1000:
-        z = complex(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0))
-        if z.imag != 0.0:
-            args.append((rng.randint(-50, 50), z))
-    return args
-
-
 def test_halley_step_budget():
-    # Halley and log-form Newton steps over micro's sample; the budget
-    # may only ever be lowered
-    assert 0 < sum(lambert_w(k, z).iterations for k, z in micro_sample()) <= 1255
+    # Halley and log-form Newton steps over micro's sample
+    assert 0 < sum(lambert_w(k, z).iterations for k, z in micro_sample()) <= BUDGETS["micro_sample", "halley_steps"]
 
 
 def loop_halley(z, az, w, lz=None):
@@ -512,19 +467,6 @@ def loop_halley(z, az, w, lz=None):
     raise NoConvergence(f"Halley iteration did not converge for z={z!r} (last step {step_prev:.3e})")
 
 
-def wide_sample(n):
-    """Seeded (k, z): |k| up to K_MAX, |z| log-uniform in [1e-300, 1e300],
-    one in four on the real axis with a +0.0 or -0.0 imaginary part."""
-    rng = __import__("random").Random(20)
-    args = []
-    for _ in range(n):
-        k = rng.choice((0, -1, 1, rng.randint(-50, 50), rng.randint(-K_MAX, K_MAX)))
-        r, t = 10.0 ** rng.uniform(-300.0, 300.0), rng.uniform(-math.pi, math.pi)
-        im = rng.choice((r * math.sin(t), r * math.sin(t), r * math.sin(t), rng.choice((0.0, -0.0))))
-        args.append((k, complex(r * math.cos(t), im)))
-    return args
-
-
 def test_halley_matches_loop_reference(monkeypatch):
     # every seed the kernel polishes on micro's sample, the wide sample
     # and spectra whose W argument is off the normal range (so the
@@ -543,7 +485,7 @@ def test_halley_matches_loop_reference(monkeypatch):
 
     halley = lambertw._halley
     monkeypatch.setattr(lambertw, "_halley", both)
-    for k, z in micro_sample() + wide_sample(20000):
+    for k, z in micro_sample() + wide_sample():
         lambert_w(k, z)
     for alpha, beta, h in ((740.0, 1.0, 1.0), (740.0, -1.0, 1.0), (300.0, -1.0, 3.0), (-300.0, -1.0, 3.0)):
         spectrum(ClosedLoopParams(alpha, beta, h), 50)
@@ -579,7 +521,7 @@ def test_branch_range_matches_fresh_halley(monkeypatch):
     branches = lambertw._branches
     monkeypatch.setattr(lambertw, "_branches", both)
     monkeypatch.setattr(sys.modules["delayw.spectrum"], "_branches", both)
-    for k, z in micro_sample() + wide_sample(20000):
+    for k, z in micro_sample() + wide_sample():
         lambert_w(k, z)
     for alpha, beta, h in ((-1.0, 2.0, 1.0), (0.0, -0.2, 1.0), (-1.0, -2.0, 1.0), (710.0, 1.0, 1.0),
                            (710.0, -1.0, 1.0), (0.0, 1e305, 1.0), (0.0, -1e305, 1.0), (300.0, 1.0, 3.0),

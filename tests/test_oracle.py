@@ -2,13 +2,11 @@
 
 import cmath
 import hashlib
-import importlib
-import itertools
 import math
 import sys
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -36,8 +34,8 @@ from delayw import (
 from delayw import oracle
 from delayw.oracle import _checked_phase, _df, _edge_arg, _edge_knots, _enclosing_rect, _f_noise, _walk
 
-
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+import recipes
+from recipes import mp_real_root, mp_root_error, mp_roots, over_budget
 
 # e*z + 1 = -2.1e-13 for the W argument z: a conjugate pair 5e-5 off the axis
 NEAR_BRANCH_POINT = ClosedLoopParams(-4.268065811676514, -26.546180901730136, 0.013104286990555977)
@@ -60,26 +58,43 @@ def sorted_roots(roots):
     return sorted(roots, key=lambda s: (-s.real, s.imag))
 
 
+def simple_roots_found(rs, truth, rect):
+    """How many roots of truth lie in rect, asserting that find_roots'
+    answer rs on rect holds exactly those, each simple and within 1e-12
+    of it relative to max(1, |s|)."""
+    expected = sorted_roots(s for s in truth if rect.contains(s))
+    assert rs.total_count == len(rs.roots) == len(expected), rect
+    for root, ref in zip(rs.roots, expected):
+        assert root.multiplicity == 1 and abs(root.s - ref) <= 1e-12 * max(1.0, abs(ref)), (rect, root.s, ref)
+    return len(expected)
+
+
 def residual_ok(cl, s, tol=1e-12):
     return abs(char_residual(cl, s)) <= tol * max(1.0, abs(s))
 
 
-def phase_evaluations(fn, *args):
-    """fn(*args) and the number of phase evaluations it made: the calls
-    of cmath.phase from delayw.oracle."""
-    calls = 0
+def oracle_work(fn, *args):
+    """fn(*args), the Newton steps _real_root took in it (one math.expm1
+    call per step in y, one f' evaluation per step on _df) and its phase
+    evaluations: the calls of cmath.phase from delayw.oracle."""
+    steps = phases = 0
+    real_root, real_df = oracle._real_root.__code__, oracle._real_df.__code__
 
     def profile(frame, event, arg):
-        nonlocal calls
-        if event == "c_call" and arg is cmath.phase and frame.f_globals.get("__name__") == "delayw.oracle":
-            calls += 1
+        nonlocal steps, phases
+        if event == "c_call" and arg is math.expm1 and frame.f_code is real_root:
+            steps += 1
+        elif event == "c_call" and arg is cmath.phase and frame.f_globals.get("__name__") == "delayw.oracle":
+            phases += 1
+        elif event == "call" and frame.f_code is real_df and frame.f_back.f_code is real_root:
+            steps += frame.f_locals["order"]
 
     sys.setprofile(profile)
     try:
-        rep = fn(*args)
+        out = fn(*args)
     finally:
         sys.setprofile(None)
-    return rep, calls
+    return out, steps, phases
 
 
 class TestCountRoots:
@@ -132,12 +147,7 @@ class TestCountRoots:
         truth = [r.s for r in spectrum(cl, 3).roots]
         for rect, n in ((SearchRect(-6.0, 1.0, m, 3.0 * math.pi), 1), (SearchRect(-6.0, 1.0, -3.0 * math.pi, -m), 1),
                         (SearchRect(r1 - 1.0, r2 + 1.0, -1.0, m), 2)):
-            rs = find_roots(cl, rect)
-            expected = sorted_roots(s for s in truth if rect.contains(s))
-            assert rs.total_count == len(rs.roots) == len(expected) == n
-            for root, ref in zip(rs.roots, expected):
-                assert root.multiplicity == 1
-                assert abs(root.s - ref) <= 1e-12 * max(1.0, abs(ref))
+            assert simple_roots_found(find_roots(cl, rect), truth, rect) == n
 
     def test_degenerate_rect_rejected(self):
         with pytest.raises(DomainError):
@@ -165,7 +175,7 @@ class TestFindRoots:
             complex(-2.32231, -20.3555),
         ]
         assert len(rs.roots) == 8
-        for root, ref in zip(rs.roots, sorted(expected, key=lambda s: (-s.real, s.imag))):
+        for root, ref in zip(rs.roots, sorted_roots(expected)):
             assert root.multiplicity == 1
             assert abs(root.s - ref) < 5e-4
             assert residual_ok(cl, root.s)
@@ -219,13 +229,8 @@ class TestFindRoots:
 
     @pytest.mark.parametrize("cl, rect", ASYMMETRIC, ids=["taller-above", "taller-below"])
     def test_asymmetric_rect_agrees_with_spectrum(self, cl, rect):
-        rs = find_roots(cl, rect)
-        expected = [r.s for r in spectrum(cl, 8).roots for _ in range(r.multiplicity) if rect.contains(r.s)]
-        assert rs.total_count == len(expected) == 5
-        assert len(rs.roots) == 5
-        for root, ref in zip(rs.roots, sorted(expected, key=lambda s: (-s.real, s.imag))):
-            assert root.multiplicity == 1
-            assert abs(root.s - ref) <= 1e-12 * max(1.0, abs(ref))
+        truth = [r.s for r in spectrum(cl, 8).roots for _ in range(r.multiplicity)]
+        assert simple_roots_found(find_roots(cl, rect), truth, rect) == 5
 
     def test_off_axis_rect(self):
         # a window that avoids the real axis entirely
@@ -246,14 +251,9 @@ class TestFindRoots:
         # the lines j*pi/h with j < 0 and stops once it holds every root
         mirror = SearchRect(rect.re_min, rect.re_max, -rect.im_max, -rect.im_min)
         above, below = find_roots(cl, rect), find_roots(cl, mirror)
-        expected = [r.s for r in spectrum(cl, 60).roots if rect.contains(r.s)]
-        assert above.total_count == len(above.roots) == len(expected) == n
-        for root, ref in zip(above.roots, sorted(expected, key=lambda s: (-s.real, s.imag))):
-            assert root.multiplicity == 1
-            assert abs(root.s - ref) <= 1e-12 * max(1.0, abs(ref))
+        assert simple_roots_found(above, [r.s for r in spectrum(cl, 60).roots], rect) == n
         assert below.total_count == n
-        assert [r.s for r in below.roots] == sorted((r.s.conjugate() for r in above.roots),
-                                                     key=lambda s: (-s.real, s.imag))
+        assert [r.s for r in below.roots] == sorted_roots(r.s.conjugate() for r in above.roots)
 
     def test_closely_spaced_simple_roots_separate(self):
         # at h = 1e8 six simple roots sit 2*pi/h ~ 6.3e-8 apart, in a cell
@@ -304,20 +304,12 @@ class TestFindRoots:
         cl = ClosedLoopParams(-1.0, -2.0, 1.0)
         truth = sum(r.s.real > -3.0 for r in spectrum(cl, 1000).roots)
         assert truth == 14
-        newton_runs = 0
-        newton = oracle._newton
-
-        def counted(*args):
-            nonlocal newton_runs
-            newton_runs += 1
-            return newton(*args)
-
-        monkeypatch.setattr(oracle, "_newton", counted)
+        newton_runs = _newton_runs(monkeypatch)
         for height in (1e4, 1e5, 1e6):
-            newton_runs = 0
+            newton_runs.clear()
             got = locate(cl, SearchRect(-3.0, 1.0, -height, height))
             assert (got if locate is count_roots else got.total_count) == truth
-            assert newton_runs <= 8
+            assert len(newton_runs) <= 8
         for rect in (SearchRect(-3.0, 1.0, -1e300, 1e300), SearchRect(-12.0, 1.0, -1e6, 1e6)):
             with pytest.raises(DomainError, match=r"takes over 65,536 pieces; shrink the rectangle"):
                 locate(cl, rect)
@@ -378,9 +370,8 @@ class TestFindRoots:
         cl = ClosedLoopParams(1.8e8, -1e-300, 1.0)
         rect = SearchRect(-720.0, -600.0, -1.0, 1.0)
         with mpmath.workdps(40):
-            a, b, h = map(mpmath.mpf, cl)
-            z = b * h * mpmath.exp(-a * h)
-            inside = [s for s in (a + mpmath.lambertw(z, k) / h for k in range(-3, 4)) if rect.contains(complex(s))]
+            b, h = mpmath.mpf(cl.beta), mpmath.mpf(cl.h)
+            inside = [s for s in mp_roots(cl, range(-3, 4), 40) if rect.contains(complex(s))]
             assert len(inside) == 1
             got = locate(cl, rect)
             if locate is count_roots:
@@ -478,8 +469,8 @@ class TestCrossValidate:
         # multiples of their distance, hence the same number of phase
         # evaluations
         for n in (3, 30):
-            base, base_calls = phase_evaluations(cross_validate, ClosedLoopParams(-1.0, -2.0, 1.0), n)
-            rep, calls = phase_evaluations(cross_validate, ClosedLoopParams(-1.0 / h, -2.0 / h, h), n)
+            base, _, base_calls = oracle_work(cross_validate, ClosedLoopParams(-1.0, -2.0, 1.0), n)
+            rep, _, calls = oracle_work(cross_validate, ClosedLoopParams(-1.0 / h, -2.0 / h, h), n)
             assert rep.spectrum_count == rep.oracle_count == base.spectrum_count
             assert rep.max_distance * h <= 1e-12
             for side in ("re_min", "re_max", "im_min", "im_max"):
@@ -514,24 +505,16 @@ class TestCrossValidate:
         # far below eps*|beta|, so the oracle's roots drift (6.9e-10 and
         # 1.9e-7 relative), while spectrum's stay within a few ulps of
         # 50-digit mpmath; the match distance runs from 1.3e-8 to 1.2e-2
-        mpmath = pytest.importorskip("mpmath")
         cl = ClosedLoopParams(0.0, beta, 1.0)
-        with mpmath.workdps(50):
-            for r in spectrum(cl, 3).roots:
-                exact = mpmath.lambertw(mpmath.mpf(beta), r.branch)
-                assert abs(r.s - exact) <= 1e-15 * abs(exact)
+        assert mp_root_error(cl, spectrum(cl, 3).roots, 50, floor=0) <= 1e-15
         cross_validate(cl, 3)
 
     def test_wide_parameter_space_agrees(self):
         # log-uniform delays and gains with unstable plants and long delays
         # push |beta*h*e^{-alpha*h}| down to ~1e-280, where a W kernel
         # with an absolute stopping rule drifts from the oracle by ~1e-6
-        rng = __import__("random").Random(7)
-        for _ in range(400):
-            h = 10.0 ** rng.uniform(-2.0, 1.5)
-            alpha = rng.uniform(-20.0, 20.0)
-            beta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-4.0, 2.0)
-            rep = cross_validate(ClosedLoopParams(alpha, beta, h), 3)
+        for cl in recipes.verify_space_loops(7, 400):
+            rep = cross_validate(cl, 3)
             assert rep.spectrum_count == rep.oracle_count
 
     def test_located_roots_satisfy_equation(self):
@@ -567,7 +550,7 @@ def test_phase_evaluation_budget(alpha, beta, h, n, budget):
     # half of the rectangle's own contour: its mirror hull is the
     # rectangle itself; cheaper walks may lower the counts, never raise
     # them
-    _, calls = phase_evaluations(cross_validate, ClosedLoopParams(alpha, beta, h), n)
+    _, _, calls = oracle_work(cross_validate, ClosedLoopParams(alpha, beta, h), n)
     assert 0 < calls <= budget
 
 
@@ -575,8 +558,21 @@ def test_phase_evaluation_budget(alpha, beta, h, n, budget):
 def test_asymmetric_phase_evaluation_budget(cl, rect):
     # across the axis only the mirror hull is wound, four corners whose
     # edges all take the closed form; winding the rectangle too took 6
-    _, calls = phase_evaluations(find_roots, cl, rect)
+    _, _, calls = oracle_work(find_roots, cl, rect)
     assert 0 < calls <= 4
+
+
+def _newton_runs(monkeypatch):
+    """The list that each later oracle._newton run appends its result to."""
+    runs = []
+    newton = oracle._newton
+
+    def counted(*args):
+        runs.append(newton(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(oracle, "_newton", counted)
+    return runs
 
 
 def _recorded_windings(monkeypatch):
@@ -625,39 +621,10 @@ VERIFY_POOL_REAL_STEPS = {1: 2200, 7919: 2199}
 VERIFY_POOL_PHASE_EVALS = {1: 3283, 7919: 3243}
 
 
-def _oracle_work(fn, *args):
-    """fn(*args), the Newton steps _real_root took in it (one math.expm1
-    call per step in y, one f' evaluation per step on _df) and its phase
-    evaluations."""
-    steps = phases = 0
-    real_root, real_df = oracle._real_root.__code__, oracle._real_df.__code__
-
-    def profile(frame, event, arg):
-        nonlocal steps, phases
-        if event == "c_call" and arg is math.expm1 and frame.f_code is real_root:
-            steps += 1
-        elif event == "c_call" and arg is cmath.phase and frame.f_globals.get("__name__") == "delayw.oracle":
-            phases += 1
-        elif event == "call" and frame.f_code is real_df and frame.f_back.f_code is real_root:
-            steps += frame.f_locals["order"]
-
-    sys.setprofile(profile)
-    try:
-        out = fn(*args)
-    finally:
-        sys.setprofile(None)
-    return out, steps, phases
-
-
-def _verify_rects(monkeypatch, seed):
+def _verify_rects(seed):
     """(cl, rect) for each task of the benchmark's verify pool, rect the
     rectangle cross_validate builds."""
-    monkeypatch.syspath_prepend(str(BENCH))
-    workloads = importlib.import_module("workloads")
-    try:
-        pool = workloads.verify_pool(delayw, seed)
-    finally:
-        sys.modules.pop("workloads", None)
+    pool = recipes.bench_module().verify_pool(delayw, seed)
     return [(cl, _enclosing_rect(spectrum(cl, n).roots, cl.h)) for cl, n in pool]
 
 
@@ -665,26 +632,18 @@ def _verify_rects(monkeypatch, seed):
 def test_find_roots_bits_on_verify_pools(monkeypatch, seed):
     # the located roots are pinned to the last bit: a faster search may
     # wind and evaluate less, but must land on exactly these roots
-    tasks = _verify_rects(monkeypatch, seed)
+    tasks = _verify_rects(seed)
     windings = _recorded_windings(monkeypatch)
-    newton_runs = 0
-    newton = oracle._newton
-
-    def counted(*args):
-        nonlocal newton_runs
-        newton_runs += 1
-        return newton(*args)
-
-    monkeypatch.setattr(oracle, "_newton", counted)
+    newton_runs = _newton_runs(monkeypatch)
     digest = hashlib.sha256()
     real_steps = phase_evals = 0
     for cl, rect in tasks:
-        rs, steps, phases = _oracle_work(find_roots, cl, rect)
+        rs, steps, phases = oracle_work(find_roots, cl, rect)
         digest.update(repr(rs).encode())
         real_steps += steps
         phase_evals += phases
     assert digest.hexdigest() == VERIFY_POOL_DIGESTS[seed]
-    assert newton_runs <= VERIFY_POOL_NEWTON_RUNS[seed]
+    assert len(newton_runs) <= VERIFY_POOL_NEWTON_RUNS[seed]
     assert 0 < real_steps <= VERIFY_POOL_REAL_STEPS[seed]
     assert 0 < phase_evals <= VERIFY_POOL_PHASE_EVALS[seed]
     assert len(windings) <= len(tasks)
@@ -701,13 +660,13 @@ NOISE_BALL_LOOPS = [
 ]
 
 
-def test_real_roots_within_noise_ball(monkeypatch):
+def test_real_roots_within_noise_ball():
     # each simple real root find_roots returns lies within the noise
     # ball _f_noise/|f'| of the exact root, 50-digit mpmath: where _df
     # cannot tell f from zero; every 4th task of both verify pools, and
     # the loops above
     mpmath = pytest.importorskip("mpmath")
-    tasks = _verify_rects(monkeypatch, 1)[::4] + _verify_rects(monkeypatch, 7919)[::4]
+    tasks = _verify_rects(1)[::4] + _verify_rects(7919)[::4]
     for loop, n in NOISE_BALL_LOOPS:
         cl = ClosedLoopParams(*loop)
         tasks.append((cl, _enclosing_rect(spectrum(cl, n).roots, cl.h)))
@@ -719,7 +678,7 @@ def test_real_roots_within_noise_ball(monkeypatch):
                 if r.s.imag != 0.0 or r.multiplicity != 1:
                     continue
                 x = r.s.real
-                exact = mpmath.findroot(lambda t: t - a - b * mpmath.exp(-t * h), mpmath.mpf(x))
+                exact = mp_real_root(cl, x)
                 ball = _f_noise(cl, x, 0.0) / abs(1 + b * h * mpmath.exp(-exact * h))
                 assert abs(x - exact) <= ball, (cl, x, float(abs(x - exact) / ball))
                 checked += 1
@@ -735,11 +694,9 @@ def test_real_roots_within_noise_ball(monkeypatch):
 def test_real_root_where_beta_h_leaves_the_normal_range(alpha, beta, h, rect):
     # beta*h rounds to 0 or is subnormal, where log(-beta*h) is no
     # use; the one root next to alpha comes back correctly rounded
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
-        a, b, hh = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(h)
-        exact = float(mpmath.findroot(lambda t: t - a - b * mpmath.exp(-t * hh), a))
-    rs = find_roots(ClosedLoopParams(alpha, beta, h), rect)
+    cl = ClosedLoopParams(alpha, beta, h)
+    exact = float(mp_real_root(cl, alpha))
+    rs = find_roots(cl, rect)
     assert rs.roots == (LocatedRoot(complex(exact, 0.0), 1),)
 
 
@@ -757,17 +714,8 @@ def test_real_roots_beside_x_ext():
     # sign scan may find a root where L rounds to 0 or above; on ranges
     # that end at or next to x_ext, each simple real root the scan
     # brackets comes back inside its range with |f| within _f_noise
-    rng = __import__("random").Random(3)
     found = 0
-    for _ in range(2000):
-        h = 10.0 ** rng.uniform(-3.0, 3.0)
-        alpha = rng.uniform(-5.0, 5.0) / h
-        d = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-19.0, -6.0)
-        cl = ClosedLoopParams(alpha, BRANCH_POINT_Z * (1.0 + d) * math.exp(alpha * h) / h, h)
-        x_ext = math.log(-cl.beta * h) / h
-        width = 10.0 ** rng.uniform(-9.0, 1.0) / h
-        lo, hi = rng.choice([(x_ext - width, x_ext), (x_ext, x_ext + width),
-                             sorted((x_ext + width * rng.uniform(-1.0, 1.0), x_ext + width * rng.uniform(-1.0, 1.0)))])
+    for cl, lo, hi in recipes.x_ext_ranges():
         _, reals = oracle._axis(cl, SearchRect(lo, hi, -1.0, 1.0))
         for r in reals:
             x = r.s.real
@@ -781,7 +729,7 @@ def test_find_roots_makes_no_w_call(monkeypatch):
     # the oracle is the W-free path of the two-path check: with every
     # function of delayw.lambertw raising, wherever it was imported, it
     # still locates the same roots on cross_validate's rectangles
-    tasks = _verify_rects(monkeypatch, 1)[::4]
+    tasks = _verify_rects(1)[::4]
     want = [repr(find_roots(cl, rect)) for cl, rect in tasks]
 
     def no_w(*args):
@@ -804,11 +752,8 @@ def test_at_most_one_root_per_strip():
     # argument, the branch ranges of W put one root in each strip
     # [j*pi/h, (j+1)*pi/h] above the axis with j odd when z > 0, with j
     # even when z < 0, and none in the others
-    rng = __import__("random").Random(3)
-    for _ in range(200):
-        h = 10.0 ** rng.uniform(-2.0, 2.0)
-        beta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
-        cl = ClosedLoopParams(rng.uniform(-5.0, 5.0), beta, h)
+    for cl in recipes.strip_loops():
+        h, beta = cl.h, cl.beta
         roots = [r.s for r in spectrum(cl, 6).roots]
         lo = min(s.real for s in roots) - 0.5 / h
         hi = max(s.real for s in roots) + 0.5 / h
@@ -866,71 +811,15 @@ def test_cells_above_the_axis_agree_with_spectrum():
     # rectangles wholly above the axis, for both signs of beta, with
     # partial strips at top and bottom and real ranges that cut some
     # strips' roots out: Newton from those strips' centres lands outside
-    rng = __import__("random").Random(29)
-    checked = 0
-    while checked < 200:
-        h = 10.0 ** rng.uniform(-2.0, 2.0)
-        beta = (1.0 if checked % 2 else -1.0) * 10.0 ** rng.uniform(-3.0, 3.0)
-        cl = ClosedLoopParams(rng.uniform(-5.0, 5.0) / (h if rng.random() < 0.5 else 1.0), beta, h)
-        gap = math.pi / h
-        roots = [r.s for r in spectrum(cl, 14).roots if r.s.imag > 0.0]
-        im_lo = rng.uniform(0.0, 4.0) * gap
-        im_hi = im_lo + rng.uniform(0.2, 20.0) * gap
-        near = sorted(s.real for s in roots if im_lo < s.imag < im_hi)
-        if not near:
-            continue
-        re_lo = near[rng.randrange(len(near))] - rng.uniform(0.01, 1.0) / h
-        re_hi = near[-1] + rng.uniform(0.01, 1.0) / h
-        rect = SearchRect(re_lo, re_hi, im_lo, im_hi)
-        if -re_lo * h > 700.0 or any(min(abs(s.imag - im_lo), abs(s.imag - im_hi)) < 1e-3 * gap
-                                     or min(abs(s.real - re_lo), abs(s.real - re_hi)) < 1e-3 / h for s in roots):
-            continue
-        rs = find_roots(cl, rect)
-        expected = sorted_roots(s for s in roots if rect.contains(s))
-        assert rs.total_count == len(rs.roots) == len(expected), (cl, rect)
-        for root, ref in zip(rs.roots, expected):
-            assert root.multiplicity == 1
-            assert abs(root.s - ref) <= 1e-12 * max(1.0, abs(ref)), (cl, rect, root.s, ref)
-        checked += 1
-
-
-def _straddling_rects(rng, count):
-    """Seeded loops and rectangles across the real axis, as (cl, rect): a
-    third taller on one side, a third thin (half-height down to
-    1e-9*pi/h) and a third as cross_validate builds them.  No horizontal
-    edge comes within 1e-3*pi/h of a root off the axis, and every edge
-    stays clear of the exponential's overflow."""
-    made = 0
-    while made < count:
-        h = 10.0 ** rng.uniform(-2.0, 2.0)
-        alpha = rng.uniform(-5.0, 5.0) / (h if rng.random() < 0.5 else 1.0)
-        cl = ClosedLoopParams(alpha, rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0), h)
-        gap = math.pi / h
-        roots = [r.s for r in spectrum(cl, 12).roots]
-        kind = made % 3
-        if kind == 2:
-            rect = _enclosing_rect(spectrum(cl, rng.randint(0, 5)).roots, h)
-        else:
-            near = [s.real for s in roots if abs(s.imag) < rng.uniform(0.5, 6.0) * gap]
-            re_lo = min(near) - rng.uniform(0.05, 1.0) / h
-            re_hi = max(near) + rng.uniform(0.05, 1.0) / h
-            if kind == 0:
-                rect = SearchRect(re_lo, re_hi, -rng.uniform(0.1, 6.0) * gap, rng.uniform(0.1, 6.0) * gap)
-            else:
-                half = 10.0 ** rng.uniform(-9.0, 0.0) * gap
-                rect = SearchRect(re_lo, re_hi, -half * rng.uniform(0.5, 1.5), half * rng.uniform(0.5, 1.5))
-        if -rect.re_min * h > 700.0 or any(abs(s.imag - y) < 1e-3 * gap for s in roots if s.imag != 0.0
-                                           for y in (rect.im_min, rect.im_max)):
-            continue
-        made += 1
-        yield cl, rect
+    for cl, rect, roots in recipes.cells_above_axis():
+        simple_roots_found(find_roots(cl, rect), roots, rect)
 
 
 def test_straddling_rects_agree_with_spectrum():
     # the band between the lines -pi/h and pi/h holds the real roots and
     # at most one pair; on thin rectangles that pair lies outside and the
     # roots must still add up to the rectangle's count
-    for cl, rect in _straddling_rects(__import__("random").Random(17), 300):
+    for cl, rect in recipes.straddling_rects():
         rs = find_roots(cl, rect)
         got = [r.s for r in rs.roots for _ in range(r.multiplicity)]
         expected = sorted_roots(r.s for r in spectrum(cl, 12).roots for _ in range(r.multiplicity)
@@ -940,26 +829,12 @@ def test_straddling_rects_agree_with_spectrum():
             assert abs(s - ref) <= 1e-12 * max(1.0, abs(ref)), (cl, rect, s, ref)
 
 
-def _edge_on_axis_rects(rng, count):
-    """Seeded loops and rectangles with an edge on the real axis, as (cl,
-    rect): the bottom edge on odd draws, the top one on even draws, and
-    beta = 0 on every tenth loop.  Heights run to 6*pi/h, and the real
-    range from alpha - 8/h to alpha + 4/h."""
-    for i in range(count):
-        h = 10.0 ** rng.uniform(-1.5, 1.5)
-        alpha = rng.uniform(-5.0, 5.0)
-        beta = 0.0 if i % 10 == 9 else rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, 2.5)
-        height = rng.uniform(0.1, 6.0) * math.pi / h
-        re_lo, re_hi = alpha - rng.uniform(0.5, 8.0) / h, alpha + rng.uniform(0.1, 4.0) / h
-        yield ClosedLoopParams(alpha, beta, h), SearchRect(re_lo, re_hi, *((0.0, height) if i % 2 else (-height, 0.0)))
-
-
 @pytest.mark.parametrize("seed", [11, 23])
 def test_edge_on_axis_rects_agree_with_spectrum(seed):
     # the real roots of a rectangle with an edge on the axis lie on that
     # edge: both find_roots and count_roots hold every root of the closed
     # rectangle and none further than 1e-9 outside it
-    for cl, rect in _edge_on_axis_rects(__import__("random").Random(seed), 1200):
+    for cl, rect in recipes.edge_on_axis_rects(seed):
         roots = [r.s for r in spectrum(cl, 12).roots for _ in range(r.multiplicity)]
         inside = [s for s in roots if rect.contains(s)]
         near = [s for s in roots if rect.contains(s, 1e-9)]
@@ -996,26 +871,12 @@ def test_edge_within_rounding_of_the_axis_takes_in_no_neighbour(edge):
     assert find_roots(cl, rect) == on_axis and count_roots(cl, rect) == 3
 
 
-def _delay_free_rects(rng, count):
-    """Seeded loops with beta = 0 and rectangles, as (cl, rect): real edges
-    on alpha, within 1e-16*|alpha| of it or up to 5/h away, imaginary
-    edges on the axis, within 1e-17 of it, at 1e-300 or up to 30/h away."""
-    for _ in range(count):
-        h = 10.0 ** rng.uniform(-3.0, 3.0)
-        alpha = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
-        re = sorted(alpha + rng.choice((0.0, rng.uniform(-1e-16, 1e-16) * alpha, rng.uniform(-5.0, 5.0) / h))
-                    for _ in range(2))
-        im = sorted(rng.choice((0.0, 1e-17, -1e-17, 1e-300, rng.uniform(-30.0, 30.0) / h)) for _ in range(2))
-        if re[0] < re[1] and im[0] < im[1]:
-            yield ClosedLoopParams(alpha, 0.0, h), SearchRect(*re, *im)
-
-
 def test_delay_free_loop_is_settled_at_the_entry():
     # with beta = 0, f = s - alpha: both entries answer whether the closed
     # rectangle holds alpha, an edge within 1e-14*max(1, |re_min|,
     # |re_max|) of the axis taken as on it, also where alpha lies on an
     # edge, where a winding meets the root and its nudges may not clear it
-    cases = list(_delay_free_rects(__import__("random").Random(3), 2000))
+    cases = list(recipes.delay_free_rects())
     cases.append((ClosedLoopParams(-1.0722985209754519, 0.0, 0.773955687595389),
                   SearchRect(-1.072298520975456, -1.0722985209754519, -1e-17, 1e-17)))
     held = on_edge = 0
@@ -1037,9 +898,7 @@ def test_below_axis_rects_are_conjugates_of_their_mirror():
     # its roots are the conjugates of the mirror's to the last bit; the
     # same holds with an edge on the axis, where the real roots are
     # shared, and where a root on an edge makes the count nudge
-    rng = __import__("random").Random(23)
-    cases = [(cl, SearchRect(r.re_min, r.re_max, lo, lo + r.im_max - r.im_min))
-             for cl, r in _edge_on_axis_rects(rng, 60) for lo in (rng.uniform(0.01, 4.0) * math.pi / cl.h, 0.0)]
+    cases = recipes.below_axis_rects()
     # the right edge passes through the root at -1.3630 + 7.8075i
     cl = ClosedLoopParams(-1.0, -2.0, 1.0)
     s = next(r.s for r in spectrum(cl, 2).roots if r.s.imag > 5.0)
@@ -1056,27 +915,13 @@ def test_f_noise_bounds_df_error():
     # acceptance must cover _df's error, against 50-digit mpmath, near
     # roots, far from them and where s - alpha cancels
     mpmath = pytest.importorskip("mpmath")
-    rng = __import__("random").Random(11)
     checked = 0
     with mpmath.workdps(50):
-        for _ in range(1500):
-            h = 10.0 ** rng.uniform(-2.0, 2.0)
-            alpha = rng.uniform(-5.0, 5.0) / (h if rng.random() < 0.5 else 1.0)
-            beta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
-            cl = ClosedLoopParams(alpha, beta, h)
-            kind = rng.randrange(3)
-            if kind == 0:
-                s = rng.choice(spectrum(cl, 5).roots).s
-                s *= 1.0 + 10.0 ** rng.uniform(-16.0, -6.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-            elif kind == 1:
-                s = 10.0 ** rng.uniform(-3.0, 3.0) / h * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-            else:
-                s = complex(alpha + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16.0, 0.0),
-                            rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 3.0) / h)
-            if -s.real * h > 700.0:
+        for cl, s in recipes.f_noise_points():
+            if -s.real * cl.h > 700.0:
                 continue
             ms = mpmath.mpc(s.real, s.imag)
-            exact = ms - mpmath.mpf(alpha) - mpmath.mpf(beta) * mpmath.exp(-ms * mpmath.mpf(h))
+            exact = ms - mpmath.mpf(cl.alpha) - mpmath.mpf(cl.beta) * mpmath.exp(-ms * mpmath.mpf(cl.h))
             err = abs(mpmath.mpc(_df(cl, s, 0)) - exact)
             assert err <= _f_noise(cl, s.real, s.imag), (cl, s, float(err))
             checked += 1
@@ -1087,50 +932,46 @@ def test_near_branch_point_raise_budget():
     # next to the branch point the oracle's double-root snap in _axis
     # trips cross_validate on about half of these loops, almost all as a
     # mismatch of the near-double pair that Newton polishes in the strip
-    # between the axis and pi/h; that may only ever fall, and no loop may
-    # end in NoConvergence or DomainError
-    rng = __import__("random").Random(1)
-    raised = 0
-    for i in range(600):
-        h = 10.0 ** rng.uniform(-2.0, 1.0)
-        alpha = rng.uniform(-5.0, 5.0)
-        d = (-1.0 if i % 2 == 0 else 1.0) * 10.0 ** rng.uniform(-17.0, -12.0)
-        cl = ClosedLoopParams(alpha, BRANCH_POINT_Z * (1.0 + d) * math.exp(alpha * h) / h, h)
+    # between the axis and pi/h; no loop may end in NoConvergence or
+    # DomainError
+    raised = Counter()
+    for cl, _ in recipes.near_branch_point_loops(1, 600, (-17.0, -12.0)):
         try:
             cross_validate(cl, 2)
-        except (MismatchDetected, BoundaryRootSuspected):
-            raised += 1
-    assert raised <= 274
-
-
-# the ends of the double range, each signed, and 0; the delays; and four
-# rectangles: a unit square, one high above the axis, one wide along it,
-# and one with an edge within rounding of it
-_RANGE_ENDS = (0.0, *(s * v for v in (1e-320, 1e-300, 1.0, 2.0, 1e154, 1e300, 1e307, 1.7e308) for s in (1.0, -1.0)))
-_RANGE_END_DELAYS = (1e-320, 1e-300, 1e-10, 1.0, 1e10, 1e154, 1e300, 1e307, 1.7e308)
-_RANGE_END_RECTS = ((-1.0, 1.0, -1.0, 1.0), (-1.0, 1.0, 1e10, 2e10), (-1e300, 1e300, 0.0, 1.0), (-2.0, 1.0, -1e-300, 3.0))
+        except (MismatchDetected, BoundaryRootSuspected) as exc:
+            raised[type(exc).__name__] += 1
+    assert not over_budget("near_branch_point", raised)
 
 
 def test_range_end_grid_raises_only_library_errors():
     # 2,601 loops at the ends of the double range: spectrum raises no
     # NoConvergence and returns no non-finite root, is_stable answers on
     # every loop, and the oracle and char_residual raise nothing but the
-    # library's own errors
-    for alpha, beta, h in itertools.product(_RANGE_ENDS, _RANGE_ENDS, _RANGE_END_DELAYS):
-        cl = ClosedLoopParams(alpha, beta, h)
+    # library's own errors.  The refusals of spectrum(cl, 3) and of
+    # cross_validate(cl, 1) stay within BUDGETS, so that the loops that
+    # answer, 1,721 and 312 today, may only grow
+    refused, raised = Counter(), Counter()
+    for cl in recipes.range_end_grid():
         try:
             roots = spectrum(cl, 3).roots
-        except DomainError:
+        except DomainError as exc:
             roots = ()
+            refused[next((text for text in ("alpha*h overflows", "passes the double range") if text in str(exc)),
+                         str(exc))] += 1
         assert all(cmath.isfinite(r.s) for r in roots), cl
         is_stable(cl)
-        calls = [lambda rect=rect: count_roots(cl, rect) for rect in _RANGE_END_RECTS]
-        calls += [lambda: cross_validate(cl, 1), lambda: char_residual(cl, complex(-1e300, 1e300))]
-        for call in calls:
+        try:
+            cross_validate(cl, 1)
+        except DelayWError as exc:
+            raised[type(exc).__name__] += 1
+        calls = [lambda rect=rect: count_roots(cl, rect) for rect in recipes.RANGE_END_RECTS]
+        for call in calls + [lambda: char_residual(cl, complex(-1e300, 1e300))]:
             try:
                 call()
             except DelayWError:
                 pass
+    assert not over_budget("range_end_grid spectrum(cl, 3)", refused)
+    assert not over_budget("range_end_grid cross_validate(cl, 1)", raised)
 
 
 @pytest.mark.parametrize("locate", [count_roots, find_roots])
@@ -1147,53 +988,27 @@ def test_im_s_h_past_the_double_range_raises(locate):
     assert locate(ClosedLoopParams(0.0, 0.0, 1e300), (-1.0, 1.0, 1e10, 2e10)) == empty
 
 
-def _census_loops(rng, wide, narrow):
-    """(cl, n) over the wide loop space: h = 10^U(-3, 3), beta h and
-    alpha h each +-10^U(-12, 4.5), n from {0, 1, 3, 10, 30, 100}; the
-    last narrow loops instead take alpha h so that log|z|, z the W
-    argument, is U(-744, -708.5), where z is subnormal or underflows."""
-    for i in range(wide + narrow):
-        h = 10.0 ** rng.uniform(-3.0, 3.0)
-        bh = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 4.5)
-        if i < wide:
-            ah = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 4.5)
-        else:
-            ah = math.log(abs(bh)) - rng.uniform(-744.0, -708.5)
-        yield ClosedLoopParams(ah / h, bh / h, h), rng.choice((0, 1, 3, 10, 30, 100))
-
-
 def _census_raises(loops):
     """cross_validate(cl, n) over the (cl, n) loops: its raises by exception class."""
-    raised = {}
+    raised = Counter()
     for cl, n in loops:
         try:
             cross_validate(cl, n)
-        except delayw.DelayWError as exc:
-            raised[type(exc).__name__] = raised.get(type(exc).__name__, 0) + 1
+        except DelayWError as exc:
+            raised[type(exc).__name__] += 1
     return raised
 
 
 def test_wide_space_census():
     # the two paths across the whole loop space, the W argument past the
     # double range, subnormal or flushed to 0 included, agree on every loop
-    assert _census_raises(_census_loops(__import__("random").Random(7), 2000, 300)) == {}
-
-
-def _underflow_band_loops(rng, count):
-    """(cl, n) with h = 10^U(-3, -0.5), beta = +-10^U(-323.3, -321), so
-    that beta*h is subnormal or rounds to +-0, alpha h = +-10^U(-12,
-    2.5) and n from {0, 1, 3, 10}."""
-    for _ in range(count):
-        h = 10.0 ** rng.uniform(-3.0, -0.5)
-        beta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-323.3, -321.0)
-        ah = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 2.5)
-        yield ClosedLoopParams(ah / h, beta, h), rng.choice((0, 1, 3, 10))
+    assert not over_budget("census", _census_raises(recipes.census()))
 
 
 def test_underflow_band_census():
     # the oracle reads x_ext and log|beta h| from log|beta| + log h, not
     # from the rounded beta*h, and the two paths agree on every loop
-    assert _census_raises(_underflow_band_loops(__import__("random").Random(5), 300)) == {}
+    assert not over_budget("underflow_band", _census_raises(recipes.underflow_band()))
 
 
 def test_census_roots_off_the_normal_range():
@@ -1206,7 +1021,7 @@ def test_census_roots_off_the_normal_range():
     mpmath = pytest.importorskip("mpmath")
     loops = worst = 0
     with mpmath.workdps(60):
-        for cl, n in _census_loops(__import__("random").Random(7), 2000, 300):
+        for cl, n in recipes.census():
             alpha, beta, h = (mpmath.mpf(x) for x in cl)
             if sys.float_info.min <= abs(beta * h * mpmath.exp(-alpha * h)) <= sys.float_info.max:
                 continue
@@ -1281,59 +1096,6 @@ def test_edge_knots_cap_the_piece_count():
         _edge_knots(0j, complex(1e5, 0.0), 10.0, ())
 
 
-def _closed_form_cases(rng):
-    """Seeded edges for test_closed_form_agrees_with_walk, as (kind, cl,
-    sa, sb): random edges, edges on the lines Im s = j*pi/h with
-    |beta|e^{-uh} up to 1e15 at their left end, and edges within 1e-12
-    relative of each bound, on either side."""
-    def loop(alpha=None, beta=None):
-        h = 10.0 ** rng.uniform(-2.0, 1.0)
-        if alpha is None:
-            alpha = rng.uniform(-5.0, 5.0) / h
-        if beta is None:
-            beta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0) / h
-        return ClosedLoopParams(alpha, beta, h)
-
-    def flip(sa, sb):
-        return (sa, sb) if rng.random() < 0.5 else (sb, sa)
-
-    for _ in range(150):
-        cl = loop()
-        a, b, c = (rng.uniform(-6.0, 6.0) / cl.h for _ in range(3))
-        if rng.random() < 0.5:
-            yield ("random", cl) + flip(complex(a, c), complex(b, c))
-        else:
-            yield ("random", cl) + flip(complex(c, a), complex(c, b))
-    for _ in range(150):
-        cl = loop()
-        v = rng.choice((-1, 1)) * rng.randint(1, 40) * (math.pi / cl.h)
-        lo = (math.log(abs(cl.beta)) - math.log(10.0 ** rng.uniform(0.0, 15.0))) / cl.h
-        yield ("line", cl) + flip(complex(lo, v), complex(lo + rng.uniform(0.1, 40.0) / cl.h, v))
-    for side in (-1.0, 1.0):
-        for _ in range(100):
-            rel = 1.0 + side * 10.0 ** rng.uniform(-14.0, -12.0)
-            cl = loop()
-            h, beta = cl.h, abs(cl.beta)
-            kind = rng.randrange(3)
-            if kind == 0:
-                # |v| = |beta|e^{-uh}|sin vh| * rel at the left end
-                v = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 6.0) / h
-                lo = (math.log(beta * abs(math.sin(v * h))) - math.log(abs(v) * rel)) / h
-                yield ("near-horizontal", cl) + flip(complex(lo, v), complex(lo + rng.uniform(0.1, 10.0) / h, v))
-                continue
-            c = rng.uniform(-3.0, 3.0) / h
-            a, b = (rng.uniform(-6.0, 6.0) / h for _ in range(2))
-            if kind == 1:
-                # |c - alpha| = |beta|e^{-ch} * rel
-                alpha = c - rng.choice((-1.0, 1.0)) * beta * math.exp(-c * h) * rel
-                cl = ClosedLoopParams(alpha, cl.beta, h)
-            else:
-                # max |s - alpha| = |beta|e^{-ch} * rel
-                dist = max(math.hypot(c - cl.alpha, a), math.hypot(c - cl.alpha, b))
-                cl = ClosedLoopParams(cl.alpha, math.copysign(dist * math.exp(c * h) / rel, cl.beta), h)
-            yield ("near-vertical", cl) + flip(complex(c, a), complex(c, b))
-
-
 def _edge_decisions(monkeypatch):
     """Records how each later _edge_arg call decides its edge: a closed
     form makes no phase evaluation, a split evaluates its knot before any
@@ -1375,9 +1137,8 @@ def test_closed_form_agrees_with_walk(monkeypatch):
     # a closed-form edge, and a horizontal edge split at a lattice knot,
     # must give the phase change the knotted walk finds on the same edge
     decide = _edge_decisions(monkeypatch)
-    rng = __import__("random").Random(13)
     fired = {}
-    for kind, cl, sa, sb in _closed_form_cases(rng):
+    for kind, cl, sa, sb in recipes.closed_form_cases():
         try:
             pa, pb = _checked_phase(cl, sa), _checked_phase(cl, sb)
             walked = _walk(cl, sa, sb, pa, pb, ())
@@ -1407,21 +1168,8 @@ def test_vertical_band_agrees_with_walk(monkeypatch):
     # < |beta|e^{-ch} keeps the first vertical case off, and half the
     # edges start within 1e-10 relative of the band, on either side
     decide = _edge_decisions(monkeypatch)
-    rng = __import__("random").Random(23)
     fired = {"band": 0, "inside": 0, "split": 0}
-    for i in range(200):
-        h = 10.0 ** rng.uniform(-2.0, 1.0)
-        c = rng.uniform(-3.0, 3.0) / h
-        beta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 1.8) * math.exp(c * h) / h
-        decay = abs(beta) * math.exp(-c * h)
-        cl = ClosedLoopParams(c + rng.uniform(-1.0, 1.0) * decay, beta, h)
-        y0 = decay * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16.0, -10.0) if i % 2
-                      else rng.uniform(0.0, 3.0))
-        y1 = y0 + rng.uniform(0.1, 20.0) / h
-        side = rng.choice((-1.0, 1.0))
-        sa, sb = complex(c, side * y0), complex(c, side * y1)
-        if rng.random() < 0.5:
-            sa, sb = sb, sa
+    for cl, c, y0, y1, side, sa, sb in recipes.vertical_band_edges():
         s0, sc = complex(c, 0.0), complex(c, -side * y0)
         try:
             pa, pb, p0, pc = (_checked_phase(cl, s) for s in (sa, sb, s0, sc))
@@ -1451,22 +1199,5 @@ def test_half_path_counts_agree_with_spectrum():
     # alone and the change doubled; that count must be the number of
     # spectrum roots inside, with every edge 1e-3 of the diameter clear
     # of every root
-    rng = __import__("random").Random(37)
-    checked = 0
-    while checked < 200:
-        h = 10.0 ** rng.uniform(-2.0, 2.0)
-        alpha = rng.uniform(-5.0, 5.0) / (h if rng.random() < 0.5 else 1.0)
-        cl = ClosedLoopParams(alpha, rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0), h)
-        roots = [r.s for r in spectrum(cl, 12).roots for _ in range(r.multiplicity)]
-        top = rng.uniform(0.05, 8.0) * math.pi / h
-        near = [s.real for s in roots if abs(s.imag) < top]
-        if not near:
-            continue
-        rect = SearchRect(rng.choice(near) - rng.uniform(0.05, 1.0) / h, max(near) + rng.uniform(0.05, 1.0) / h,
-                          -top, top)
-        clear = 1e-3 * rect.diameter
-        if -rect.re_min * h > 700.0 or any(min(abs(s.real - rect.re_min), abs(s.real - rect.re_max),
-                                               abs(abs(s.imag) - top)) < clear for s in roots):
-            continue
+    for cl, rect, roots in recipes.half_path_rects():
         assert count_roots(cl, rect) == sum(rect.contains(s) for s in roots), (cl, rect)
-        checked += 1

@@ -1,11 +1,8 @@
 import cmath
-import importlib
 import math
-import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +28,7 @@ from delayw import (
 from delayw.lambertw import _eval_complex
 from delayw.spectrum import Spectrum, SpectrumRoot, _log_w_arg, _rightmost, _root
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+from recipes import bench_module, delay_margin_loops, mp_root_error, near_branch_point_loops, verify_space_loops
 
 # published 6sf reference spectra for h = 1, upper-half representatives
 REFERENCE = {
@@ -43,14 +40,19 @@ REFERENCE = {
 
 @pytest.mark.parametrize("ab", sorted(REFERENCE))
 def test_reference_spectra(ab):
+    # branches 0 to 3 within 1e-4 per component, each a simple root with
+    # its exact conjugate on branch -k-1, but for the double root at 0
     alpha, beta = ab
     cl = ClosedLoopParams(alpha=alpha, beta=beta, h=1.0)
     spec = spectrum(cl, n_branches=3)
-    by_branch = {r.branch: r.s for r in spec.roots}
+    by_branch = {r.branch: r for r in spec.roots}
+    assert len(spec.roots) == 2 * len(REFERENCE[ab]) - (0j in REFERENCE[ab])
     for k, want in enumerate(REFERENCE[ab]):
         got = by_branch[k]
-        assert abs(got.real - want.real) < 1e-4
-        assert abs(got.imag - want.imag) < 1e-4
+        assert abs(got.s.real - want.real) < 1e-4
+        assert abs(got.s.imag - want.imag) < 1e-4
+        assert got.multiplicity == (2 if want == 0j else 1)
+        assert want == 0j or by_branch[-k - 1].s == got.s.conjugate()
 
 
 def test_coalesced_double_root():
@@ -82,13 +84,9 @@ def test_coalescence_band_against_mpmath():
     # of branches 0 and -1 sits sqrt(2|d|)/h apart, and each root must
     # match its 50-digit reference, not the branch point alpha - 1/h
     mpmath = pytest.importorskip("mpmath")
-    rng = random.Random(20)
     with mpmath.workdps(50):
-        for i in range(200):
-            h = 10.0 ** rng.uniform(-2.0, 1.0)
-            alpha = rng.uniform(-5.0, 5.0)
-            d = (1.0 if i % 2 else -1.0) * 10.0 ** rng.uniform(-15.0, -12.0)
-            cl = ClosedLoopParams(alpha, BRANCH_POINT_Z * (1.0 + d) * math.exp(alpha * h) / h, h)
+        for cl, d in near_branch_point_loops(20, 200, (-15.0, -12.0)):
+            alpha, h = cl.alpha, cl.h
             spec = spectrum(cl, 0)
             got = {r.branch: r.s for r in spec.roots}
             if -1 not in got:
@@ -102,16 +100,10 @@ def test_coalescence_band_against_mpmath():
 
 def test_branches_past_one_thousand():
     # branch indices beyond 1024 are evaluated like any other
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 50
     cl = ClosedLoopParams(alpha=-1.0, beta=-2.0, h=1.0)
-    by_branch = {r.branch: r.s for r in spectrum(cl, 1100).roots}
-    assert len(by_branch) == 2 * 1101
-    z = mpmath.mpf(cl.beta) * cl.h * mpmath.exp(-cl.alpha * cl.h)
-    for k in (1025, 1100):
-        want = cl.alpha + mpmath.lambertw(z, k) / cl.h
-        got = by_branch[k]
-        assert abs(mpmath.mpc(got.real, got.imag) - want) <= 4 * 2.220446049250313e-16 * abs(want)
+    roots = spectrum(cl, 1100).roots
+    assert len({r.branch for r in roots}) == 2 * 1101
+    assert mp_root_error(cl, [r for r in roots if r.branch in (1025, 1100)], 50, floor=0) <= 4 * 2.220446049250313e-16
 
 
 @pytest.mark.parametrize("alpha, beta, h", [
@@ -210,14 +202,10 @@ def _hayes_stable(alpha, beta, h):
 
 
 def test_is_stable_agrees_with_hayes():
-    rng = random.Random(1950)
     verdicts = set()
-    for _ in range(2000):
-        h = 10.0 ** rng.uniform(-2.0, 1.5)
-        alpha = rng.uniform(-20.0, 20.0)
-        beta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-4.0, 2.0)
-        stable = _hayes_stable(alpha, beta, h)
-        assert is_stable(ClosedLoopParams(alpha, beta, h))[0] == stable, (alpha, beta, h)
+    for cl in verify_space_loops(1950, 2000):
+        stable = _hayes_stable(*cl)
+        assert is_stable(cl)[0] == stable, cl
         verdicts.add(stable)
     assert verdicts == {True, False}
 
@@ -227,14 +215,9 @@ def test_is_stable_next_to_the_delay_margin():
     # where the sign of Re s_0 cancels to about eps*|alpha|: the verdict
     # must match the rule evaluated in 50-digit mpmath on every loop
     mpmath = pytest.importorskip("mpmath")
-    rng = random.Random(11)
     wrong = []
     with mpmath.workdps(50):
-        for _ in range(2000):
-            alpha = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
-            beta = -abs(alpha) * (1.0 + 10.0 ** rng.uniform(-8.0, 2.0))
-            w = math.sqrt(beta * beta - alpha * alpha)
-            h = math.atan2(w, alpha) / w * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -1.0))
+        for alpha, beta, h in delay_margin_loops():
             a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
             wm = mpmath.sqrt(b * b - a * a)
             if is_stable(ClosedLoopParams(alpha, beta, h))[0] != (h < mpmath.atan2(wm, a) / wm):
@@ -328,20 +311,6 @@ def test_validation_errors():
             spectrum(cl, n_branches=bad)
 
 
-def mp_root_error(cl, roots, dps=60):
-    """Largest |s - s_k| / max(1, |s_k|) over the roots, s_k = alpha +
-    W_k(z)/h in dps-digit mpmath at the exact z = beta*h*e^{-alpha h}."""
-    mpmath = pytest.importorskip("mpmath")
-    worst = 0.0
-    with mpmath.workdps(dps):
-        alpha, beta, h = (mpmath.mpf(x) for x in cl)
-        z = beta * h * mpmath.exp(-alpha * h)
-        for r in roots:
-            want = alpha + mpmath.lambertw(z, r.branch) / h
-            worst = max(worst, float(abs(mpmath.mpc(r.s.real, r.s.imag) - want) / max(1, abs(want))))
-    return worst
-
-
 @pytest.mark.parametrize("alpha, beta", [(-300.0, 1.0), (-230.0, 1e10)])
 def test_w_argument_overflow(alpha, beta):
     # e^{-alpha h} itself overflows, or only its product with beta*h:
@@ -402,10 +371,11 @@ def test_second_real_root_below_the_normal_range(alpha, beta, h):
 def test_alpha_h_overflow():
     # alpha*h overflows to +inf: z is -0.0, so the rightmost root is
     # alpha, but Log z, which every other branch needs, is not finite;
-    # to -inf, z and Log z are both past the double range, and only the
-    # rightmost root is kept, as W_0 is Log z to double precision there.
-    # spectrum ends in a DomainError naming alpha*h, never in
-    # NoConvergence or NaN
+    # to -inf, z and Log z are both past the double range.  Every root is
+    # finite there (at (-1e308, 1, 10) they are -70.9196209 + 2 pi i k/10),
+    # but spectrum refuses to form them: it ends in a DomainError naming
+    # alpha*h, never in NoConvergence or NaN, and is_stable reads the
+    # rightmost root alone, as W_0 is Log z to double precision there
     cl = ClosedLoopParams(3.366325060362924e307, -0.28563946144005314, 66.67958104486705)
     assert cl.w_argument == 0.0
     assert is_stable(cl) == (False, cl.alpha)
@@ -432,11 +402,7 @@ def test_rightmost_where_alpha_h_overflows(alpha, beta, h):
     # is its real part
     cl = ClosedLoopParams(alpha, beta, h)
     s0 = _rightmost(cl)
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(700):
-        a, b, hh = (mpmath.mpf(x) for x in cl)
-        want = a + mpmath.lambertw(b * hh * mpmath.exp(-a * hh), 0) / hh
-        assert abs(mpmath.mpc(s0.real, s0.imag) - want) <= 4 * sys.float_info.epsilon * abs(want)
+    assert mp_root_error(cl, [SpectrumRoot(0, s0)], 700, floor=0) <= 4 * sys.float_info.epsilon
     assert is_stable(cl)[1] == s0.real
 
 
@@ -447,13 +413,7 @@ def test_huge_log_z_seeds(alpha, beta, h):
     # its steps and raised NoConvergence.  Every root is within a few
     # ulps of 700-digit mpmath
     cl = ClosedLoopParams(alpha, beta, h)
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(700):
-        a, b, hh = (mpmath.mpf(x) for x in cl)
-        z = b * hh * mpmath.exp(-a * hh)
-        for r in spectrum(cl, 3).roots:
-            want = a + mpmath.lambertw(z, r.branch) / hh
-            assert abs(mpmath.mpc(r.s.real, r.s.imag) - want) <= 4 * sys.float_info.epsilon * abs(want), r
+    assert mp_root_error(cl, spectrum(cl, 3).roots, 700, floor=0) <= 4 * sys.float_info.epsilon
     assert is_stable(cl) == (True, _rightmost(cl).real)
     # the examples whose roots are next to the subnormal range
     assert len(spectrum(ClosedLoopParams(-1.0, -2.0, 1e308), 1).roots) == 4
@@ -579,19 +539,14 @@ def spectrum_outcome(fn, cl, n):
         return f"{type(exc).__name__}: {exc}"
 
 
-def enumerate_pool(monkeypatch):
+def enumerate_pool():
     """The benchmark's seed-1 enumerate pool: (cl, n, sampled branches)."""
-    monkeypatch.syspath_prepend(str(BENCH))
-    workloads = importlib.import_module("workloads")
-    try:
-        return workloads.enumerate_pool(delayw, 1)
-    finally:
-        sys.modules.pop("workloads", None)
+    return bench_module().enumerate_pool(delayw, 1)
 
 
-def test_matches_loop_reference_on_enumerate_pool(monkeypatch):
+def test_matches_loop_reference_on_enumerate_pool():
     # every 8th task of the benchmark's seed-1 enumerate pool
-    pool = enumerate_pool(monkeypatch)[::8]
+    pool = enumerate_pool()[::8]
     assert len(pool) >= 50
     for cl, n, _ in pool:
         assert spectrum_outcome(spectrum, cl, n) == spectrum_outcome(loop_spectrum, cl, n), (cl, n)
@@ -635,7 +590,7 @@ def test_second_halley_step_share_on_enumerate_pool(monkeypatch):
     # the benchmark's whole seed-1 enumerate pool: from the asymptotic
     # seed through the L2*(L2 - 2)/(2*L1^2) term, at most 5% of the
     # branches k >= 1 take a second step
-    pool = enumerate_pool(monkeypatch)
+    pool = enumerate_pool()
     module = sys.modules["delayw.spectrum"]
     branches, steps = module._branches, []
 
