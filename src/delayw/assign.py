@@ -17,7 +17,6 @@ of a higher branch, never the rightmost one.
 import enum
 import math
 import sys
-from collections import namedtuple
 
 from .errors import (
     AlphaOutOfRange,
@@ -26,6 +25,7 @@ from .errors import (
     DomainError,
     NonFiniteInput,
     NotAssignableAsRightmost,
+    _Record,
     _require_complex,
     _require_finite,
     _require_tolerance,
@@ -54,10 +54,13 @@ __all__ = [
 COND_TOL_DEFAULT = 1e-9
 
 
-class Target(namedtuple("Target", "S u v")):
+class Target(_Record, fields="S u v"):
     """Desired rightmost eigenvalue, normalized to Im S >= 0."""
 
     __slots__ = ()
+
+    def __new__(cls, S, u, v):
+        return tuple.__new__(cls, (S, u, v))
 
 
 def as_target(S):
@@ -78,8 +81,7 @@ class AssignmentMode(enum.Enum):
     INPUT_DELAY = "input_delay"
 
 
-class AssignmentResult(namedtuple("AssignmentResult",
-                                  "mode gains closed_loop predicted_rightmost feasible certificate")):
+class AssignmentResult(_Record, fields="mode gains closed_loop predicted_rightmost feasible certificate"):
     """Outcome of one design mode.
 
     closed_loop holds the designed coefficients (alpha, beta) directly;
@@ -89,6 +91,9 @@ class AssignmentResult(namedtuple("AssignmentResult",
     """
 
     __slots__ = ()
+
+    def __new__(cls, mode, gains, closed_loop, predicted_rightmost, feasible, certificate):
+        return tuple.__new__(cls, (mode, gains, closed_loop, predicted_rightmost, feasible, certificate))
 
 
 def _applicable(fn, sys, S):
@@ -320,12 +325,22 @@ def assign_input_delay(sys, S, cond_tol=COND_TOL_DEFAULT):
     return AssignmentResult(AssignmentMode.INPUT_DELAY, gains, cl, t.S, True, cert)
 
 
-ModeCheck = namedtuple("ModeCheck", "mode applicable feasible detail residual alpha_interval",
-                       defaults=(None, None))
+class ModeCheck(_Record, fields="mode applicable feasible detail residual alpha_interval"):
+    """One design mode's line in a FeasibilityReport."""
 
-
-class FeasibilityReport(namedtuple("FeasibilityReport", "target checks")):
     __slots__ = ()
+
+    def __new__(cls, mode, applicable, feasible, detail, residual=None, alpha_interval=None):
+        return tuple.__new__(cls, (mode, applicable, feasible, detail, residual, alpha_interval))
+
+
+class FeasibilityReport(_Record, fields="target checks"):
+    """Every design mode's ModeCheck against one target."""
+
+    __slots__ = ()
+
+    def __new__(cls, target, checks):
+        return tuple.__new__(cls, (target, checks))
 
     def feasible_modes(self):
         return tuple(c.mode for c in self.checks if c.applicable and c.feasible)

@@ -2,9 +2,54 @@
 checks that raise them."""
 
 import math
+from collections import _tuplegetter  # the C field descriptor of a named tuple
 
 # the largest finite double
 _DBL_MAX = 1.7976931348623157e308
+
+
+class _Record(tuple):
+    """Base of every public record: an immutable tuple with a named tuple's
+    field API (_fields, _field_defaults, _make, _replace, _asdict, its
+    repr and pickling), built without collections' per-class eval.
+
+    A record names its fields in the class statement, ``class
+    R(_Record, fields="a b"):``, sets ``__slots__ = ()`` and defines
+    ``__new__(cls, a, b)``; _field_defaults are that __new__'s defaults.
+    As a named tuple's, _make and _replace skip __new__ and its checks.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, fields, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__match_args__ = names = tuple(fields.split())
+        defaults = cls.__new__.__defaults__ or ()
+        cls._field_defaults = dict(zip(names[len(names) - len(defaults):], defaults))
+        for i, name in enumerate(names):
+            setattr(cls, name, _tuplegetter(i, f"Alias for field number {i}"))
+
+    @classmethod
+    def _make(cls, iterable):
+        result = tuple.__new__(cls, iterable)
+        if len(result) != len(cls._fields):
+            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(result)}")
+        return result
+
+    def _replace(self, /, **kwds):
+        result = self._make(map(kwds.pop, self._fields, self))
+        if kwds:
+            raise ValueError(f"Got unexpected field names: {list(kwds)!r}")
+        return result
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in zip(self._fields, self))})"
+
+    def _asdict(self):
+        return dict(zip(self._fields, self))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
 
 class DelayWError(Exception):

@@ -26,9 +26,9 @@ every seed is real and the iterations keep Im w = +0.0, so w is real.
 
 import cmath
 import math
-from collections import namedtuple
 
-from .errors import BranchOutOfRange, DomainError, NoConvergence, _require_complex, _require_finite, _require_tolerance
+from .errors import (BranchOutOfRange, DomainError, NoConvergence, _Record, _require_complex, _require_finite,
+                     _require_tolerance)
 
 __all__ = [
     "K_MAX",
@@ -115,7 +115,7 @@ def _ez_plus_1(z):
     return complex(re, _E * z.imag + _E_LO * z.imag)
 
 
-class WValue(namedtuple("WValue", "w residual iterations")):
+class WValue(_Record, fields="w residual iterations"):
     """Result of a Lambert W evaluation.
 
     Attributes
@@ -130,6 +130,9 @@ class WValue(namedtuple("WValue", "w residual iterations")):
     """
 
     __slots__ = ()
+
+    def __new__(cls, w, residual, iterations):
+        return tuple.__new__(cls, (w, residual, iterations))
 
 
 def _bp_series(p):

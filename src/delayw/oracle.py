@@ -62,10 +62,9 @@ steps, the real-axis steps in y and an overflowing phase use their own.
 
 import cmath
 import math
-from collections import namedtuple
 from itertools import chain, pairwise
 
-from .errors import (BoundaryRootSuspected, DomainError, MismatchDetected, NoConvergence, NonFiniteInput,
+from .errors import (BoundaryRootSuspected, DomainError, MismatchDetected, NoConvergence, NonFiniteInput, _Record,
                      _require_finite, _require_tolerance)
 from .spectrum import spectrum
 
@@ -99,7 +98,7 @@ _FOCUS_LADDER = (-128.0, -64.0, -32.0, -16.0, -8.0, -4.0, -2.0, -1.0, 0.0,
                  1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
-class SearchRect(namedtuple("SearchRect", "re_min re_max im_min im_max")):
+class SearchRect(_Record, fields="re_min re_max im_min im_max"):
     """Closed rectangle [re_min, re_max] x [im_min, im_max], non-empty.
 
     Its bounds follow the rule every real field follows (an int or a
@@ -118,7 +117,7 @@ class SearchRect(namedtuple("SearchRect", "re_min re_max im_min im_max")):
         re_min, re_max, im_min, im_max = vals
         if not (re_min < re_max and im_min < im_max):
             raise DomainError(f"degenerate rectangle {vals}")
-        return super().__new__(cls, re_min, re_max, im_min, im_max)
+        return tuple.__new__(cls, vals)
 
     @property
     def diameter(self):
@@ -137,16 +136,24 @@ class SearchRect(namedtuple("SearchRect", "re_min re_max im_min im_max")):
                           self.im_min - delta, self.im_max + delta)
 
 
-LocatedRoot = namedtuple("LocatedRoot", "s multiplicity")
+class LocatedRoot(_Record, fields="s multiplicity"):
+    """A root the oracle found, with its multiplicity."""
+
+    __slots__ = ()
+
+    def __new__(cls, s, multiplicity):
+        return tuple.__new__(cls, (s, multiplicity))
 
 
-class RootSet(namedtuple("RootSet", "roots total_count")):
+class RootSet(_Record, fields="roots total_count"):
+    """The roots in a rectangle; their multiplicities add up to total_count."""
+
     __slots__ = ()
 
     def __new__(cls, roots, total_count):
         if sum(r.multiplicity for r in roots) != total_count:
             raise DomainError("multiplicities do not add up to the boundary count")
-        return super().__new__(cls, roots, total_count)
+        return tuple.__new__(cls, (roots, total_count))
 
 
 def _cexpm1(z):
@@ -660,7 +667,14 @@ def find_roots(cl, rect):
     return RootSet(roots=tuple(found), total_count=sum(r.multiplicity for r in found))
 
 
-CrossValidation = namedtuple("CrossValidation", "rect spectrum_count oracle_count max_distance")
+class CrossValidation(_Record, fields="rect spectrum_count oracle_count max_distance"):
+    """cross_validate's report: the rectangle searched, each path's root
+    count and the largest distance between matched roots."""
+
+    __slots__ = ()
+
+    def __new__(cls, rect, spectrum_count, oracle_count, max_distance):
+        return tuple.__new__(cls, (rect, spectrum_count, oracle_count, max_distance))
 
 
 def _enclosing_rect(roots, h):

@@ -33,11 +33,10 @@ monotone fit.
 
 import bisect
 import math
-from collections import namedtuple
 from itertools import chain, islice, repeat
 from operator import gt, mul
 
-from .errors import DomainError, InsufficientData, InvalidStep, NonFiniteInput, _real_fault, _require_finite
+from .errors import DomainError, InsufficientData, InvalidStep, NonFiniteInput, _Record, _real_fault, _require_finite
 
 __all__ = [
     "ConstantHistory",
@@ -56,33 +55,33 @@ OVERFLOW_LIMIT = 1e300
 TAIL_FRACTION = 0.5
 
 
-class ConstantHistory(namedtuple("ConstantHistory", "c")):
+class ConstantHistory(_Record, fields="c"):
     """phi(tau) = c on [-h, 0)."""
 
     __slots__ = ()
 
     def __new__(cls, c):
         c, = _require_finite("c", c)
-        return super().__new__(cls, c)
+        return tuple.__new__(cls, (c,))
 
     def __call__(self, tau):
         return self.c
 
 
-class LinearHistory(namedtuple("LinearHistory", "c0 c1")):
+class LinearHistory(_Record, fields="c0 c1"):
     """phi(tau) = c0 + c1*tau on [-h, 0)."""
 
     __slots__ = ()
 
     def __new__(cls, c0, c1):
         c0, c1 = _require_finite("c0 c1", c0, c1)
-        return super().__new__(cls, c0, c1)
+        return tuple.__new__(cls, (c0, c1))
 
     def __call__(self, tau):
         return self.c0 + self.c1 * tau
 
 
-class SampledHistory(namedtuple("SampledHistory", "points")):
+class SampledHistory(_Record, fields="points"):
     """Piecewise-linear history through (tau_i, x_i) samples.
 
     Stamps must be strictly increasing and start at the delay horizon;
@@ -106,7 +105,7 @@ class SampledHistory(namedtuple("SampledHistory", "points")):
                 raise DomainError("sample stamps must be strictly increasing")
         if pts[-1][0] >= 0.0:
             raise DomainError("sample stamps must stay below 0")
-        return super().__new__(cls, pts)
+        return tuple.__new__(cls, (pts,))
 
     def __call__(self, tau):
         pts = self.points
@@ -120,7 +119,7 @@ class SampledHistory(namedtuple("SampledHistory", "points")):
         return x0 * (1.0 - w) + x1 * w
 
 
-class InitialData(namedtuple("InitialData", "x0 phi")):
+class InitialData(_Record, fields="x0 phi"):
     """State at t = 0 plus the history segment feeding the delay term."""
 
     __slots__ = ()
@@ -129,7 +128,7 @@ class InitialData(namedtuple("InitialData", "x0 phi")):
         x0, = _require_finite("x0", x0)
         if not callable(phi):
             raise DomainError("phi must be callable on [-h, 0)")
-        return super().__new__(cls, x0, phi)
+        return tuple.__new__(cls, (x0, phi))
 
 
 class _Grid:
@@ -169,7 +168,7 @@ class _Grid:
         return f"_Grid(step={self.step!r}, n={len(self)})"
 
 
-class Trajectory(namedtuple("Trajectory", "times values step truncated")):
+class Trajectory(_Record, fields="times values step truncated"):
     """Uniformly sampled solution starting at t = 0.
 
     times is any sequence of sample times; simulate's is the uniform
@@ -186,7 +185,7 @@ class Trajectory(namedtuple("Trajectory", "times values step truncated")):
             raise DomainError("times and values must have equal length")
         if not times or times[0] != 0.0:
             raise DomainError("trajectory must start at t = 0")
-        return super().__new__(cls, times, values, step, truncated)
+        return tuple.__new__(cls, (times, values, step, truncated))
 
     def to_csv(self):
         """Render as CSV with header "t,x", 17 significant digits."""
@@ -292,7 +291,7 @@ def simulate(cl, init, t_final, step=None):
     return Trajectory(times=_Grid(dt, len(xs)), values=tuple(xs), step=dt, truncated=len(xs) <= total)
 
 
-class EigEstimate(namedtuple("EigEstimate", "value kind fit_residual n_crossings")):
+class EigEstimate(_Record, fields="value kind fit_residual n_crossings"):
     """Dominant-eigenvalue fit with its diagnostics.
 
     kind is one of "constant" (tail spread within 1e-9 of the tail's own
@@ -303,6 +302,9 @@ class EigEstimate(namedtuple("EigEstimate", "value kind fit_residual n_crossings
     """
 
     __slots__ = ()
+
+    def __new__(cls, value, kind, fit_residual, n_crossings):
+        return tuple.__new__(cls, (value, kind, fit_residual, n_crossings))
 
 
 def _lsq_slope(ts, ys):

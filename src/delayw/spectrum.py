@@ -20,10 +20,9 @@ order in which the branches were listed.
 import cmath
 import math
 import sys
-from collections import namedtuple
 from operator import attrgetter
 
-from .errors import InvalidGain, NonFiniteInput, DomainError, _require_complex, _require_finite
+from .errors import InvalidGain, NonFiniteInput, DomainError, _Record, _require_complex, _require_finite
 from .lambertw import BRANCH_POINT_Z, K_MAX, _branches, _eval_complex, lambert_w
 
 __all__ = [
@@ -39,7 +38,7 @@ __all__ = [
 ]
 
 
-class SystemParams(namedtuple("SystemParams", "a a1d b h input_delay")):
+class SystemParams(_Record, fields="a a1d b h input_delay"):
     """Open-loop plant x'(t) = a*x(t) + a1d*x(t-h) + b*u(t).
 
     With ``input_delay=True`` the plant is x'(t) = a*x(t) + b*u(t-h)
@@ -56,20 +55,20 @@ class SystemParams(namedtuple("SystemParams", "a a1d b h input_delay")):
             raise DomainError("input gain b must be nonzero")
         if input_delay and a1d != 0:
             raise DomainError("an input-delay plant has no delayed-state term; a1d must be 0")
-        return super().__new__(cls, a, a1d, b, h, input_delay)
+        return tuple.__new__(cls, (a, a1d, b, h, input_delay))
 
 
-class Gains(namedtuple("Gains", "k k1d")):
+class Gains(_Record, fields="k k1d"):
     """Feedback law u(t) = k*x(t) + k1d*x(t-h)."""
 
     __slots__ = ()
 
     def __new__(cls, k, k1d=0.0):
         k, k1d = _require_finite("k k1d", k, k1d)
-        return super().__new__(cls, k, k1d)
+        return tuple.__new__(cls, (k, k1d))
 
 
-class ClosedLoopParams(namedtuple("ClosedLoopParams", "alpha beta h")):
+class ClosedLoopParams(_Record, fields="alpha beta h"):
     """Closed loop x'(t) = alpha*x(t) + beta*x(t-h)."""
 
     __slots__ = ()
@@ -78,7 +77,7 @@ class ClosedLoopParams(namedtuple("ClosedLoopParams", "alpha beta h")):
         alpha, beta, h = _require_finite("alpha beta h", alpha, beta, h)
         if h <= 0:
             raise DomainError(f"delay h must be positive, got {h}")
-        return super().__new__(cls, alpha, beta, h)
+        return tuple.__new__(cls, (alpha, beta, h))
 
     @property
     def w_argument(self):
@@ -124,15 +123,25 @@ def _log_w_arg(cl):
     return z, lz
 
 
-SpectrumRoot = namedtuple("SpectrumRoot", "branch s multiplicity", defaults=(1,))
+class SpectrumRoot(_Record, fields="branch s multiplicity"):
+    """One characteristic root, labelled by its Lambert W branch."""
+
+    __slots__ = ()
+
+    def __new__(cls, branch, s, multiplicity=1):
+        return tuple.__new__(cls, (branch, s, multiplicity))
+
 
 _REAL, _IMAG = attrgetter("s.real"), attrgetter("s.imag")
 
 
-class Spectrum(namedtuple("Spectrum", "roots rightmost", defaults=((), 0j))):
+class Spectrum(_Record, fields="roots rightmost"):
     """Branch-labelled characteristic roots, rightmost first."""
 
     __slots__ = ()
+
+    def __new__(cls, roots=(), rightmost=0j):
+        return tuple.__new__(cls, (roots, rightmost))
 
 
 def close_loop(sys, gains):
@@ -248,7 +257,8 @@ def spectrum(cl, n_branches):
             roots.append(SpectrumRoot(-1, _root(cl, w1, lz)))
     # for beta < 0 branch k pairs with branch -k-1, for beta > 0 with -k.
     # z is checked once here, so branches k >= 1 skip lambert_w's checks and
-    # residual; each root is _root's, each record SpectrumRoot._make's
+    # residual; each root is _root's, each record tuple.__new__'s, as in
+    # SpectrumRoot.__new__ but without its Python frame
     alpha, h = cl.alpha, cl.h
     shift = 0 if cl.beta > 0.0 else 1
     record, append = tuple.__new__, roots.append

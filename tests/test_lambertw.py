@@ -338,32 +338,31 @@ class TestCrossChecks:
 
     def test_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 40
-        for k, z in mpmath_sample():
-            if abs(z) < 1e-6 or (z.imag == 0 and z.real < 0):
-                continue
-            ours = lambert_w(k, z).w
-            theirs = complex(mpmath.lambertw(mpmath.mpc(z.real, z.imag), k))
-            assert abs(ours - theirs) <= 1e-12 * max(1.0, abs(theirs))
+        with mpmath.workdps(40):
+            for k, z in mpmath_sample():
+                if abs(z) < 1e-6 or (z.imag == 0 and z.real < 0):
+                    continue
+                ours = lambert_w(k, z).w
+                theirs = complex(mpmath.lambertw(mpmath.mpc(z.real, z.imag), k))
+                assert abs(ours - theirs) <= 1e-12 * max(1.0, abs(theirs))
 
     def test_near_branch_point_against_mpmath(self):
         # the seeding region scipy gets wrong; series + Halley must hold
         # full precision here
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 50
-        for delta in (1e-14, 1e-10, 1e-6, 1e-3, 1e-2):
-            for phase in (0.0, 0.7, 2.3, 3.9, 5.1):
-                z = BRANCH_POINT_Z + delta * cmath.exp(1j * phase)
-                for k in (0, -1, 1):
-                    ours = lambert_w(k, z).w
-                    theirs = complex(mpmath.lambertw(mpmath.mpc(z.real, z.imag), k))
-                    assert abs(ours - theirs) <= 1e-12 * max(1.0, abs(theirs)), (k, z)
+        with mpmath.workdps(50):
+            for delta in (1e-14, 1e-10, 1e-6, 1e-3, 1e-2):
+                for phase in (0.0, 0.7, 2.3, 3.9, 5.1):
+                    z = BRANCH_POINT_Z + delta * cmath.exp(1j * phase)
+                    for k in (0, -1, 1):
+                        ours = lambert_w(k, z).w
+                        theirs = complex(mpmath.lambertw(mpmath.mpc(z.real, z.imag), k))
+                        assert abs(ours - theirs) <= 1e-12 * max(1.0, abs(theirs)), (k, z)
 
     def test_subnormal_arguments_against_mpmath(self):
         # exp(w) underflows for these, so the kernel switches to an
         # exponential-free log-space iteration
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 60
         cases = [
             (1, 5e-324j),
             (-1, 5e-324j),
@@ -375,38 +374,39 @@ class TestCrossChecks:
             (-1, complex(-5.56017e-319, 5e-324)),
             (1, complex(-3.7095074e-316, -5e-324)),
         ]
-        for k, z in cases:
-            ours = lambert_w(k, z).w
-            theirs = complex(mpmath.lambertw(mpmath.mpc(z.real, z.imag), k))
-            assert abs(ours - theirs) <= 1e-12 * abs(theirs), (k, z)
+        with mpmath.workdps(60):
+            for k, z in cases:
+                ours = lambert_w(k, z).w
+                theirs = complex(mpmath.lambertw(mpmath.mpc(z.real, z.imag), k))
+                assert abs(ours - theirs) <= 1e-12 * abs(theirs), (k, z)
 
     def test_log_uniform_grid_against_mpmath(self):
         # |z| over the whole double range on the positive axis, the
         # negative axis (cut included) and off-axis; the stopping rule is
         # relative, so tiny and huge |z| get the same relative accuracy
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 50
         # none next to the branch point, where the conditioning 1/|1+W| dominates
         eps = 2.220446049250313e-16
-        for z, ks in log_uniform_grid():
-            for k in ks:
-                ours = lambert_w(k, z).w
-                theirs = mpmath.lambertw(mpmath.mpc(z.real, z.imag), k)
-                err = abs(mpmath.mpc(ours.real, ours.imag) - theirs) / abs(theirs)
-                assert err <= 4 * eps, (k, z, float(err))
+        with mpmath.workdps(50):
+            for z, ks in log_uniform_grid():
+                for k in ks:
+                    ours = lambert_w(k, z).w
+                    theirs = mpmath.lambertw(mpmath.mpc(z.real, z.imag), k)
+                    err = abs(mpmath.mpc(ours.real, ours.imag) - theirs) / abs(theirs)
+                    assert err <= 4 * eps, (k, z, float(err))
 
     def test_top_of_double_range_against_mpmath(self):
         # |z| from 1e300 up to the largest double, where |w|*|z|, and with
         # it Halley's step and residual floor, can leave the double range
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 50
         eps = 2.220446049250313e-16
-        for z in top_of_range_sample():
-            for k in (0, 1, -1, 5, 1000, K_MAX):
-                ours = lambert_w(k, z).w
-                theirs = mpmath.lambertw(mpmath.mpc(z.real, z.imag), k)
-                err = abs(mpmath.mpc(ours.real, ours.imag) - theirs) / abs(theirs)
-                assert err <= 4 * eps, (k, z, float(err))
+        with mpmath.workdps(50):
+            for z in top_of_range_sample():
+                for k in (0, 1, -1, 5, 1000, K_MAX):
+                    ours = lambert_w(k, z).w
+                    theirs = mpmath.lambertw(mpmath.mpc(z.real, z.imag), k)
+                    err = abs(mpmath.mpc(ours.real, ours.imag) - theirs) / abs(theirs)
+                    assert err <= 4 * eps, (k, z, float(err))
 
     def test_predictive_stop_against_mpmath(self):
         # away from the branch point Halley returns its next iterate once
@@ -414,21 +414,21 @@ class TestCrossChecks:
         # result must hold full precision on every branch and scale, and
         # the residual bound lambert_w documents
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 50
         eps = 2.220446049250313e-16
         draws, ws = predictive_stop_sample()
-        # W on both sides of the circle |1 + w| = 2 that bounds the region
-        for w in ws:
-            z = w * cmath.exp(w)
-            k = min((-1, 0, 1), key=lambda j: abs(complex(mpmath.lambertw(mpmath.mpc(z.real, z.imag), j)) - w))
-            draws.append((k, z))
-        for k, z in draws:
-            res = lambert_w(k, z)
-            ours = res.w
-            theirs = mpmath.lambertw(mpmath.mpc(z.real, z.imag), k)
-            err = abs(mpmath.mpc(ours.real, ours.imag) - theirs) / abs(theirs)
-            assert err <= 4 * eps, (k, z, float(err))
-            assert res.residual <= (1e-14 + 4 * eps * (abs(1.0 + ours) + 2.0)) * abs(z), (k, z)
+        with mpmath.workdps(50):
+            # W on both sides of the circle |1 + w| = 2 that bounds the region
+            for w in ws:
+                z = w * cmath.exp(w)
+                k = min((-1, 0, 1), key=lambda j: abs(complex(mpmath.lambertw(mpmath.mpc(z.real, z.imag), j)) - w))
+                draws.append((k, z))
+            for k, z in draws:
+                res = lambert_w(k, z)
+                ours = res.w
+                theirs = mpmath.lambertw(mpmath.mpc(z.real, z.imag), k)
+                err = abs(mpmath.mpc(ours.real, ours.imag) - theirs) / abs(theirs)
+                assert err <= 4 * eps, (k, z, float(err))
+                assert res.residual <= (1e-14 + 4 * eps * (abs(1.0 + ours) + 2.0)) * abs(z), (k, z)
 
 
 def test_halley_step_budget():

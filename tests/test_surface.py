@@ -1,7 +1,10 @@
 """The package's public names: nothing exported that no module declares,
-and every record an immutable named tuple."""
+and every record an immutable tuple with the field API of a named
+tuple."""
 
+import copy
 import importlib
+import pickle
 import types
 
 import pytest
@@ -69,3 +72,36 @@ def test_record_fields_and_immutability(cls, given, defaults):
     # a subclass that lacks __slots__ = () would take new attributes
     with pytest.raises(AttributeError):
         rec.extra = None
+
+
+@pytest.mark.parametrize("cls, given, defaults", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS])
+def test_record_field_api(cls, given, defaults):
+    # namedtuple's field API, one record at a time
+    rec = cls(**given)
+    values = {**given, **defaults}
+    assert repr(rec) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in values.items())})"
+    assert cls._field_defaults == defaults
+    assert cls.__match_args__ == rec._fields
+    assert all(getattr(rec, n) is rec[i] for i, n in enumerate(rec._fields))
+    assert type(rec._asdict()) is dict and rec._asdict() == values
+    made = cls._make(iter(values.values()))
+    assert type(made) is cls and made == rec
+    with pytest.raises(TypeError, match=f"Expected {len(values)} arguments, got {len(values) + 1}"):
+        cls._make((*values.values(), None))
+    # "new" fits no field: _replace, as namedtuple's, skips __new__'s checks
+    last = rec._fields[-1]
+    replaced = rec._replace(**{last: "new"})
+    assert type(replaced) is cls and replaced == (*tuple(rec)[:-1], "new")
+    with pytest.raises(ValueError, match=r"Got unexpected field names: \['nope'\]"):
+        rec._replace(nope=1)
+    assert rec == tuple(rec) and tuple(rec) == rec and hash(rec) == hash(tuple(rec))
+
+
+@pytest.mark.parametrize("cls, given, defaults", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS])
+def test_record_pickles_and_copies(cls, given, defaults):
+    rec = cls(**given)
+    copies = [pickle.loads(pickle.dumps(rec, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(rec), copy.deepcopy(rec)]
+    for back in copies:
+        assert type(back) is cls and back == rec
+
