@@ -8,7 +8,9 @@ c1 f_n + c2 d_mid + c3 d_end (f_n = alpha x_n + beta x_{n-N} the node
 derivative, d_mid = (x_{n-N} + x_{n+1-N})/2 + q (f_{n-N} - f_{n+1-N})
 the half step, q = dt/8, c0..c3 fixed by alpha*dt), so the error stays
 O(step^4).  The history is read once, at the nodes and midpoints of
-[-h, 0), and each of those values must be a finite real.  Past the
+[-h, 0), and each of those values must be a finite real; a built-in
+history evaluates each of the two grids in one call, in map passes,
+any other callable is called once per point.  Past the
 first delay, where history values stand in, the substitution leaves x
 alone: x_{n+1} = x_n + A x_n + B x_{n-N} + C x_{n+1-N} +
 D (x_{n-2N} - x_{n+1-2N}), A = c0 - 1 + c1 alpha, B = c1 beta + c2/2 +
@@ -21,20 +23,25 @@ estimate_dominant_eig_detailed recovers the dominant characteristic
 root from the trajectory's second half: decay rate from a least-squares
 line through the log of the peak envelope (or of |x| itself for
 non-oscillatory tails), frequency from the mean zero-crossing spacing.
-The common path makes no Python-level pass over the tail: crossing
-candidates are the 0->1 and 1->0 steps of one bytes string of x > 0
-flags (bytes.find), plus the exact zeros when the tail holds one; only
-those candidates are interpolated.  Between two crossings, bisecting
-the times from the tail's first index gives the sample range, and the
-peak is the first sample of the larger modulus of that range's max and
-min; the times are read by index, never copied, except for the
-monotone fit.
+The common path makes no Python-level pass over the tail: the x > 0
+flags are the sign bits of the tail packed as doubles (one
+struct.pack, a strided slice of the high bytes and a translate), and
+crossing candidates are the 0->1 and 1->0 steps of that bytes string
+(bytes.find); a zero or a sample below 2**-1007 in modulus sends the
+flags back to x > 0 sample by sample and adds the exact zeros as
+candidates.  Only the candidates are interpolated.  Between two
+crossings, bisecting the times from the tail's first index gives the
+sample range, and the peak is the first sample of largest modulus in
+it: the range's max where its flags are all 1, its min where they are
+all 0, and the larger modulus of the two otherwise; the times are read
+by index, never copied, except for the monotone fit.
 """
 
 import bisect
 import math
+import struct
 from itertools import chain, islice, repeat
-from operator import gt, mul
+from operator import add, gt, itemgetter, mul, sub, truediv
 
 from .errors import DomainError, InsufficientData, InvalidStep, NonFiniteInput, _Record, _real_fault, _require_finite
 
@@ -67,6 +74,10 @@ class ConstantHistory(_Record, fields="c"):
     def __call__(self, tau):
         return self.c
 
+    def _at(self, taus):
+        """[self(t) for t in taus]: one value, repeated."""
+        return [self.c] * len(taus)
+
 
 class LinearHistory(_Record, fields="c0 c1"):
     """phi(tau) = c0 + c1*tau on [-h, 0)."""
@@ -79,6 +90,10 @@ class LinearHistory(_Record, fields="c0 c1"):
 
     def __call__(self, tau):
         return self.c0 + self.c1 * tau
+
+    def _at(self, taus):
+        """[self(t) for t in taus], in two map passes."""
+        return [*map(add, repeat(self.c0), map(mul, repeat(self.c1), taus))]
 
 
 class SampledHistory(_Record, fields="points"):
@@ -117,6 +132,24 @@ class SampledHistory(_Record, fields="points"):
         (t0, x0), (t1, x1) = pts[hi - 1], pts[hi]
         w = (tau - t0) / (t1 - t0)
         return x0 * (1.0 - w) + x1 * w
+
+    def _at(self, taus):
+        """[self(t) for t in taus] for nondecreasing taus: those outside
+        the stamps take the edge values, and the rest go piece by piece,
+        each piece [t0, t1) that holds a tau found by bisection and its
+        taus interpolated in map passes."""
+        pts = self.points
+        lo, end = bisect.bisect_right(taus, pts[0][0]), bisect.bisect_left(taus, pts[-1][0])
+        out = [pts[0][1]] * lo
+        while lo < end:
+            k = bisect.bisect_right(pts, taus[lo], key=itemgetter(0))
+            (t0, x0), (t1, x1) = pts[k - 1], pts[k]
+            hi = bisect.bisect_left(taus, t1, lo, end)
+            ws = [*map(truediv, map(sub, taus[lo:hi], repeat(t0)), repeat(t1 - t0))]
+            out += map(add, map(mul, repeat(x0), map(sub, repeat(1.0), ws)), map(mul, repeat(x1), ws))
+            lo = hi
+        out += [pts[-1][1]] * (len(taus) - lo)
+        return out
 
 
 class InitialData(_Record, fields="x0 phi"):
@@ -233,7 +266,7 @@ def simulate(cl, init, t_final, step=None):
             f"t_final must be a finite real >= h = {h:.6g} (one full delay interval), got {t_final!r}")
     step, t_final = float(step), float(t_final)
     phi = init.phi
-    if isinstance(phi, SampledHistory) and abs(phi.points[0][0] + h) > 1e-9 * max(1.0, h):
+    if isinstance(phi, SampledHistory) and abs(phi.points[0][0] + h) > 1e-9 * h:
         raise DomainError(f"sampled history must span [-h, 0): first stamp "
                           f"{phi.points[0][0]:.6g}, expected {-h:.6g}")
 
@@ -248,8 +281,13 @@ def simulate(cl, init, t_final, step=None):
     c1 = dt / 6.0 * (1.0 + a + a * a / 2.0 + a * a * a / 4.0)
     c2 = beta * dt / 6.0 * (4.0 + 2.0 * a + a * a / 2.0)
     c3 = beta * dt / 6.0
-    nodes = [phi(j * dt - h) for j in range(n_per)]
-    mids = [phi((j + 0.5) * dt - h) for j in range(min(total, n_per))]
+    # the taus j*dt - h and (j + 0.5)*dt - h, j counting from 0
+    node_taus = [*map(sub, map(mul, range(n_per), repeat(dt)), repeat(h))]
+    mid_taus = [*map(sub, map(mul, map(add, range(min(total, n_per)), repeat(0.5)), repeat(dt)), repeat(h))]
+    if type(phi) in (ConstantHistory, LinearHistory, SampledHistory):
+        nodes, mids = phi._at(node_taus), phi._at(mid_taus)
+    else:
+        nodes, mids = [*map(phi, node_taus)], [*map(phi, mid_taus)]
     # the nodes and midpoints are every history value the steps read; a
     # float sum is finite only when every term is, so when it is, and
     # every value is an int or a float, the value-by-value check is spared
@@ -264,11 +302,12 @@ def simulate(cl, init, t_final, step=None):
         nodes, mids = [*map(float, nodes)], [*map(float, mids)]
     xs = nodes + [init.x0]
     x, f = init.x0, alpha * init.x0 + beta * xs[0]
+    hi, lo = OVERFLOW_LIMIT, -OVERFLOW_LIMIT
 
     # first delay interval: t - h in the history; the last delayed node is x0
     for d_mid, d_end in zip(mids, islice(xs, 1, None)):
         x = c0 * x + c1 * f + c2 * d_mid + c3 * d_end
-        if not abs(x) <= OVERFLOW_LIMIT:
+        if not lo <= x <= hi:
             break
         f = alpha * x + beta * d_end
         xs.append(x)
@@ -282,7 +321,7 @@ def simulate(cl, init, t_final, step=None):
         lagged = zip(islice(xs, n_per, total), islice(xs, n_per + 1, None), xs, islice(xs, 1, None))
         for x1, x2, y1, y2 in lagged:
             x += A * x + B * x1 + C * x2 + D * (y1 - y2)
-            if not abs(x) <= OVERFLOW_LIMIT:
+            if not lo <= x <= hi:
                 break
             xs.append(x)
     del xs[:n_per]
@@ -327,17 +366,30 @@ def _find_all(buf, pattern):
         i = buf.find(pattern, i + 1)
 
 
+# the high byte of a little-endian double to 1 where its sign bit is clear
+_SIGN_CLEAR = b"\x01" * 128 + bytes(128)
+
+
 def _crossings(ts, start, xs):
-    """Zero-crossing times of a finite sampled tail xs, in sample order;
-    sample i of the tail is at time ts[start + i].
+    """Zero-crossing times of a finite sampled tail xs, in sample order,
+    and the bytes string of its x > 0 flags; sample i of the tail is at
+    time ts[start + i].
 
     An exact zero sample (either sign) is a crossing at its own time; a
     sign change between two nonzero samples is one at the zero of the
-    line through them.
+    line through them.  The flags are the sign bits of the packed tail,
+    read off its high bytes, unless a high byte is 0x00 or 0x80 (a zero,
+    or a modulus below 2**-1007): then they are x > 0 taken sample by
+    sample, and only then are the exact zeros looked for.
     """
-    positive = bytes(map(gt, xs, repeat(0.0)))
+    high = struct.pack(f"<{len(xs)}d", *xs)[7::8]
+    if 0x00 in high or 0x80 in high:
+        positive = bytes(map(gt, xs, repeat(0.0)))
+        zeros = 0.0 in xs
+    else:
+        positive, zeros = high.translate(_SIGN_CLEAR), False
     events = {*_find_all(positive, b"\x00\x01"), *_find_all(positive, b"\x01\x00")}
-    if 0.0 in xs:
+    if zeros:
         events.update(i for i, x in enumerate(xs) if x == 0.0)
     crossings = []
     for i in sorted(events):
@@ -349,18 +401,23 @@ def _crossings(ts, start, xs):
             b = xs[i + 1]
             if b != 0.0:
                 crossings.append(t + (ts[start + i + 1] - t) * a / (a - b))
-    return crossings
+    return crossings, positive
 
 
-def _peak(xs, lo, hi):
+def _peak(xs, positive, lo, hi):
     """Index of the first sample of largest |x| in xs[lo:hi], or None if
-    the range is empty or all zero."""
-    seg = xs[lo:hi]
-    top, bottom = max(seg, default=0.0), min(seg, default=0.0)
+    the range is empty or all zero; positive holds the x > 0 flags of
+    xs.  A range of one sign takes one extremum: its max where every
+    flag is 1, its min where none is; a mixed range takes both."""
+    seg, flags = xs[lo:hi], positive[lo:hi]
+    if 0 not in flags:
+        return xs.index(max(seg), lo, hi) if seg else None
+    if 1 not in flags:
+        bottom = min(seg)
+        return xs.index(bottom, lo, hi) if bottom < 0.0 else None
+    top, bottom = max(seg), min(seg)
     if top < -bottom:
         return xs.index(bottom, lo, hi)
-    if top <= 0.0:
-        return None
     i = xs.index(top, lo, hi)
     return min(i, xs.index(bottom, lo, hi)) if top == -bottom else i
 
@@ -403,14 +460,14 @@ def estimate_dominant_eig_detailed(traj):
     if spread <= 1e-9 * amax:
         return EigEstimate(0j, "constant", spread, 0)
 
-    crossings = _crossings(ts, start, xs)
+    crossings, positive = _crossings(ts, start, xs)
     if len(crossings) >= 10:
         spacings = [t1 - t0 for t0, t1 in zip(crossings, crossings[1:])]
         omega = math.pi / (sum(spacings) / len(spacings))
         # one peak of |x| between consecutive crossings, both ends included
         peak_ts, peak_logs = [], []
         for t0, t1 in zip(crossings, crossings[1:]):
-            k = _peak(xs, bisect.bisect_left(ts, t0, start) - start,
+            k = _peak(xs, positive, bisect.bisect_left(ts, t0, start) - start,
                       bisect.bisect_right(ts, t1, start) - start)
             if k is not None:
                 peak_ts.append(ts[start + k])

@@ -20,8 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from delayw import (BRANCH_POINT_Z, K_MAX, ClosedLoopParams, SearchRect, SystemParams, assign_both,
-                    assign_current_only, assign_delay_only, assign_real_both, spectrum)
+from delayw import (BRANCH_POINT_Z, K_MAX, ClosedLoopParams, ConstantHistory, LinearHistory, SampledHistory,
+                    SearchRect, SystemParams, assign_both, assign_current_only, assign_delay_only, assign_real_both,
+                    spectrum)
 from delayw.oracle import _enclosing_rect
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -603,3 +604,40 @@ def vertical_band_edges():
         if rng.random() < 0.5:
             sa, sb = sb, sa
         yield cl, c, y0, y1, side, sa, sb
+
+
+def history_grids():
+    """(phi, taus) for 300 built-in histories: each over simulate's node
+    and midpoint taus, j*dt - h and (j + 0.5)*dt - h, and a sampled one
+    also over those taus merged with its stamps and with points before
+    its first stamp and past its last.  Values are ints, signed
+    zeros or floats; a sampled history's first stamp is -h, within
+    1e-9*h of it, or a grid point, and the rest are grid points or
+    drawn."""
+    rng = random.Random("history_grids")
+
+    def value():
+        return rng.choice((rng.randint(-3, 3), 0.0, -0.0, rng.uniform(-2.0, 2.0)))
+
+    for i in range(300):
+        h = 10.0 ** rng.uniform(-3.0, 3.0)
+        n_per = rng.randint(1, 60)
+        dt = h / n_per
+        nodes = [j * dt - h for j in range(n_per)]
+        mids = [(j + 0.5) * dt - h for j in range(n_per)]
+        kind = i % 3
+        if kind == 0:
+            phi = ConstantHistory(value())
+        elif kind == 1:
+            phi = LinearHistory(value(), rng.choice((value(), value() / h)))
+        else:
+            first = rng.choice((-h, -h * (1.0 + rng.uniform(-1e-9, 1e-9)), rng.choice(nodes)))
+            later = {*rng.sample(nodes + mids, min(2 * n_per, rng.randint(1, 6))),
+                     *(rng.uniform(first, 0.0) for _ in range(rng.randint(0, 4)))}
+            stamps = [first, *sorted(t for t in later if first < t < 0.0)]
+            if len(stamps) < 2:
+                stamps.append(first / 2.0)
+            phi = SampledHistory(tuple((t, value()) for t in stamps))
+            yield phi, sorted({*nodes, *mids, *stamps, first - rng.uniform(0.0, h), stamps[-1] / 2.0})
+        yield phi, nodes
+        yield phi, mids

@@ -37,7 +37,7 @@ from delayw.sim import (
     simulate,
 )
 
-from recipes import bench_module
+from recipes import bench_module, history_grids
 
 UNIT = InitialData(1.0, ConstantHistory(1.0))
 
@@ -299,11 +299,27 @@ def _equal_opposite_peaks(sign):
     return Trajectory(times=head + tail, values=xs, step=0.9 / m)
 
 
+def _subnormal_at_sign_change(xs):
+    # the sample before a sign change becomes the least subnormal of its sign
+    i = _tail_sign_changes(xs)[2]
+    return [(i, math.copysign(5e-324, xs[i]))]
+
+
+def _inside_run(xs, positive):
+    # a sample two past the start of a positive or a negative run
+    return next(i + 2 for i in _tail_sign_changes(xs) if (xs[i + 1] > 0.0) == positive)
+
+
 CRAFTED_TAILS = {
     "signed_zeros": lambda: _edited_sine(_signed_zeros),
     "zero_last_sample": lambda: _edited_sine(lambda xs: [(len(xs) - 1, 0.0)]),
     "negative_zero_last_sample": lambda: _edited_sine(lambda xs: [(len(xs) - 1, -0.0)]),
     "crossing_on_sample": lambda: _edited_sine(_tiny_at_sign_changes),
+    # samples whose high byte is 0x00 or 0x80: the signs are read sample by sample
+    "subnormal_at_sign_change": lambda: _edited_sine(_subnormal_at_sign_change),
+    "tiny_inside_positive_run": lambda: _edited_sine(lambda xs: [(_inside_run(xs, True), 2.0 ** -1010)]),
+    # no x > 0 flag changes at it: a crossing only the zero scan finds
+    "lone_negative_zero": lambda: _edited_sine(lambda xs: [(_inside_run(xs, False), -0.0)]),
     "equal_opposite_peaks_positive_first": lambda: _equal_opposite_peaks(1.0),
     "equal_opposite_peaks_negative_first": lambda: _equal_opposite_peaks(-1.0),
     # the golden simulate-truncated command: a monotone run cut at overflow
@@ -365,6 +381,32 @@ class TestHistories:
         short = InitialData(1.0, SampledHistory(((-0.4, 1.0), (-0.2, 1.0))))
         with pytest.raises(DomainError):
             simulate(cl, short, 3.0, 0.01)
+
+    def test_sampled_span_check_is_scale_free(self):
+        # a first stamp off -h by 0.5e-9*h passes and one off by 2e-9*h
+        # fails, whatever the time unit: the loop and its history
+        # rescaled by a power of two keep their verdict
+        for off, fits in ((0.5e-9, True), (-0.5e-9, True), (2e-9, False), (-2e-9, False)):
+            for c in (2.0 ** -20, 1.0, 2.0 ** 20):
+                h = 0.7 * c
+                cl = ClosedLoopParams(-1.0 / c, -0.5 / c, h)
+                init = InitialData(1.0, SampledHistory(((-h + off * h, 1.0), (-0.5 * h, 0.5))))
+                if fits:
+                    simulate(cl, init, 3.0 * h, 0.01 * h)
+                else:
+                    with pytest.raises(DomainError, match="span"):
+                        simulate(cl, init, 3.0 * h, 0.01 * h)
+
+    def test_grids_match_calls(self):
+        # each built-in history reads a list of taus with the bits and
+        # types of its calls, tau by tau: ints stay ints
+        def typed_bits(values):
+            return [(type(v), float(v).hex()) for v in values]
+
+        for phi, taus in history_grids():
+            assert typed_bits(phi._at(taus)) == typed_bits([phi(t) for t in taus]), phi
+        for phi in (ConstantHistory(2), LinearHistory(1, 2), SampledHistory(((-1, 3), (-0.5, 4)))):
+            assert phi._at([]) == []
 
     def test_initial_data_validation(self):
         with pytest.raises(NonFiniteInput):
@@ -545,6 +587,24 @@ class TestSimulate:
         want = simulate(cl, InitialData(1.0, lambda tau: 1.0 + 0.1 * tau), 3.0, 0.01)
         for kind in (Decimal, Fraction):  # each holds the float exactly
             assert simulate(cl, InitialData(1.0, lambda tau: kind(1.0 + 0.1 * tau)), 3.0, 0.01) == want
+
+    def test_history_calls(self, monkeypatch):
+        # a built-in history is read over the grid, never called point by
+        # point; any other callable is called once per node and midpoint
+        calls = []
+        for cls in (ConstantHistory, LinearHistory, SampledHistory):
+            monkeypatch.setattr(cls, "__call__", lambda self, tau: calls.append(tau))
+        cl = ClosedLoopParams(-1.0, -2.0, 1.0)
+        for phi in (ConstantHistory(1.0), LinearHistory(1.0, -0.5), SampledHistory(((-1.0, 0.5), (-0.5, -1.0)))):
+            simulate(cl, InitialData(1.0, phi), 3.0, 0.01)
+        assert calls == []
+        for h, t_final, step, n_per in ((1.0, 3.0, 0.01, 100), (0.7, 0.7, 0.01, 70), (1.0, 30.0, 2.0, 1),
+                                        (1.0, 2.0, 0.3, 4)):
+            plain = []
+            simulate(ClosedLoopParams(-1.0, -2.0, h), InitialData(1.0, lambda tau: plain.append(tau) or 1.0),
+                     t_final, step)
+            # n_per nodes and min(total, n_per) = n_per midpoints
+            assert len(plain) == 2 * n_per
 
     def test_grid_is_a_sequence(self):
         traj = simulate(ClosedLoopParams(-1.0, -2.0, 1.0), UNIT, 6.0, 0.01)
