@@ -12,7 +12,9 @@ The one non-JSON mode is ``spectrum --format csv``, which emits a bare
 root table instead (header ``branch,re,im,multiplicity``).
 
 Exit codes: 0 success, 2 invalid input, 3 infeasible assignment,
-4 verification mismatch.
+4 verification mismatch.  A check the result does not need (assign's
+confirmation, simulate's prediction and estimate) reads null with a
+warning where it fails, and leaves the exit code alone.
 """
 
 import argparse
@@ -26,7 +28,6 @@ from .errors import (
     ConditionViolated,
     DelayWError,
     DomainError,
-    InsufficientData,
     MismatchDetected,
     NonFiniteInput,
     NotAssignableAsRightmost,
@@ -133,6 +134,16 @@ def _error_payload(exc):
     return payload
 
 
+def _checked(label, check, warnings):
+    """check(), or None and the warning "<label> unavailable: <message>"
+    where it raises a DelayWError."""
+    try:
+        return check()
+    except DelayWError as exc:
+        warnings.append(f"{label} unavailable: {exc}")
+        return None
+
+
 def _exit_code(exc):
     if isinstance(exc, MismatchDetected):
         return 4
@@ -230,24 +241,19 @@ def cmd_assign(args):
         raise DomainError("--alpha selects the decay coefficient for --mode real-both only")
     assign = _ASSIGNERS[args.mode]
     res = assign(sysp, target) if args.alpha is None else assign(sysp, target, alpha_choice=args.alpha)
-    result = {
+    warnings = []
+    rightmost = _checked("confirmation", lambda: spectrum(res.closed_loop, 0).rightmost, warnings)
+    return {
         "mode": res.mode.value,
         "gains": res.gains,
         "closed_loop": res.closed_loop,
         "predicted_rightmost": res.predicted_rightmost,
         "certificate": res.certificate,
-        "confirmation": None,
-    }
-    # the design stands on its own algebra; only its check may fail
-    try:
-        rightmost = spectrum(res.closed_loop, 0).rightmost
-    except DelayWError as exc:
-        return result, [f"confirmation unavailable: {exc}"]
-    result["confirmation"] = {
-        "rightmost": rightmost,
-        "distance_to_target": abs(rightmost - res.predicted_rightmost),
-    }
-    return result, []
+        "confirmation": None if rightmost is None else {
+            "rightmost": rightmost,
+            "distance_to_target": abs(rightmost - res.predicted_rightmost),
+        },
+    }, warnings
 
 
 def cmd_verify(args):
@@ -295,25 +301,18 @@ def cmd_simulate(args):
                 fh.write(traj.to_csv())
         except OSError as exc:
             raise DomainError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
-    prediction = spectrum(cl, 0).rightmost
-    result = {
+    prediction = _checked("prediction", lambda: spectrum(cl, 0).rightmost, warnings)
+    est = _checked("estimate", lambda: estimate_dominant_eig_detailed(traj), warnings)
+    return {
         "n_samples": len(traj.times),
         "step": traj.step,
         "t_end": traj.times[-1],
         "truncated": traj.truncated,
         "csv_path": args.out,
         "predicted_rightmost": prediction,
-        "estimate": None,
-        "deviation": None,
-    }
-    try:
-        est = estimate_dominant_eig_detailed(traj)
-    except InsufficientData as exc:
-        warnings.append(f"estimate unavailable: {exc}")
-    else:
-        result["estimate"] = est
-        result["deviation"] = abs(est.value - prediction)
-    return result, warnings
+        "estimate": est,
+        "deviation": None if est is None or prediction is None else abs(est.value - prediction),
+    }, warnings
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +383,16 @@ def _build_parser():
     return parser
 
 
-def _glue_target(argv):
-    """Join "--target -1+2i" into "--target=-1+2i".
-
-    argparse would otherwise read a leading minus as an option prefix
-    and reject the value.
-    """
+def _glue_values(parser, argv):
+    """Join "--name -v" into "--name=-v" where --name takes a value and
+    -v starts with one minus and is not -h: argparse would otherwise read
+    the minus of "-1e-1" or "-1+2i" as an option prefix."""
+    (sub,) = parser._subparsers._group_actions
+    takes_value = {opt for p in sub.choices.values()
+                   for opt, act in p._option_string_actions.items() if act.nargs is None}
     out = []
     for tok in argv:
-        if out and out[-1] == "--target" and tok.startswith("-"):
+        if out and out[-1] in takes_value and tok[:1] == "-" and tok[:2] != "--" and tok != "-h":
             out[-1] += "=" + tok
         else:
             out.append(tok)
@@ -400,8 +400,8 @@ def _glue_target(argv):
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    args = _build_parser().parse_args(_glue_target(argv))
+    parser = _build_parser()
+    args = parser.parse_args(_glue_values(parser, sys.argv[1:] if argv is None else argv))
     code, warnings = 0, []
     try:
         result, warnings = args.handler(args)

@@ -112,17 +112,6 @@ def _w_arg(cl):
     return z, complex(lead, math.pi if beta < 0.0 else 0.0)
 
 
-def _log_w_arg(cl):
-    """_w_arg(cl) of a loop with beta != 0, or DomainError where alpha*h
-    overflows and Log z is not finite.  The roots are finite there (at
-    (-1e308, 1, 10) they are -70.9196209 + 2*pi*i*k/10), but spectrum
-    refuses to form them."""
-    z, lz = _w_arg(cl)
-    if lz is not None and math.isinf(lz.real):
-        raise DomainError(f"alpha*h overflows for alpha = {cl.alpha!r}, h = {cl.h!r}; Log z is not finite")
-    return z, lz
-
-
 class SpectrumRoot(_Record, fields="branch s multiplicity"):
     """One characteristic root, labelled by its Lambert W branch."""
 
@@ -239,7 +228,11 @@ def spectrum(cl, n_branches):
     if cl.beta == 0.0:
         s0 = _rightmost(cl)
         return Spectrum(roots=(SpectrumRoot(0, s0),), rightmost=s0)
-    z, lz = _log_w_arg(cl)
+    z, lz = _w_arg(cl)
+    if lz is not None and math.isinf(lz.real):
+        # the roots are finite (at (-1e308, 1, 10) -70.9196209 +
+        # 2*pi*i*k/10), but Log z is not
+        raise DomainError(f"alpha*h overflows for alpha = {cl.alpha!r}, h = {cl.h!r}; Log z is not finite")
     zc, az = complex(z), abs(z)
     w0 = lambert_w(0, z).w if lz is None else _eval_complex(0, zc, az, lz)[0]
     s0 = _root(cl, w0, lz)

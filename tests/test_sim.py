@@ -651,6 +651,8 @@ class TestSimulate:
         short, long = simulate(cl, UNIT, 2.0, 0.01), simulate(cl, UNIT, 200.0, 0.01)
         assert len(long.times) == 100 * len(short.times) - 99
         assert sys.getsizeof(long.times) == sys.getsizeof(short.times) < 100
+        assert repr(short.times) == "_Grid(step=0.01, n=201)"
+        assert "times=_Grid(step=0.01, n=201)," in repr(short)
 
     def test_trajectory_invariants(self):
         with pytest.raises(DomainError):

@@ -26,7 +26,7 @@ from delayw import (
     spectrum,
 )
 from delayw.lambertw import _eval_complex
-from delayw.spectrum import Spectrum, SpectrumRoot, _log_w_arg, _rightmost, _root
+from delayw.spectrum import Spectrum, SpectrumRoot, _rightmost, _root, _w_arg
 
 from recipes import bench_module, delay_margin_loops, mp_root_error, near_branch_point_loops, verify_space_loops
 
@@ -66,24 +66,14 @@ def test_coalesced_double_root():
     assert sum(r.multiplicity for r in spec.roots) == 8
 
 
-def _conditioned_tol(alpha, h, w):
-    """Distance a root alpha + w/h may sit from the true one, from
-    conditioning: the W argument carries a relative uncertainty rho (the
-    kernel's 1e-14 residual plus the rounding of beta*h*e^{-alpha h}),
-    which moves W by rho|w|/|1 + w|, or by at most sqrt(rho) next to the
-    branch point.  A factor 4 covers the first-order constants."""
-    eps = 2.220446049250313e-16
-    rho = 1e-14 + 4.0 * eps * (1.0 + abs(alpha * h))
-    dw = 4.0 * rho * abs(w) / max(abs(1.0 + w), math.sqrt(rho)) + 4.0 * eps * abs(w)
-    return dw / h + 4.0 * eps * abs(alpha)
-
-
 def test_coalescence_band_against_mpmath():
     # W arguments (1 + d)(-1/e) with 1e-15 <= |d| <= 1e-12, on both sides
     # of the branch point: the real pair (d < 0) or conjugate pair (d > 0)
     # of branches 0 and -1 sits sqrt(2|d|)/h apart, and each root must
-    # match its 50-digit reference, not the branch point alpha - 1/h
+    # match its 50-digit reference within the benchmark's conditioning
+    # bound root_tolerance, not the branch point alpha - 1/h
     mpmath = pytest.importorskip("mpmath")
+    root_tolerance = bench_module().root_tolerance
     with mpmath.workdps(50):
         for cl, d in near_branch_point_loops(20, 200, (-15.0, -12.0)):
             alpha, h = cl.alpha, cl.h
@@ -95,7 +85,7 @@ def test_coalescence_band_against_mpmath():
             z = mpmath.mpf(cl.beta) * cl.h * mpmath.exp(-mpmath.mpf(cl.alpha) * cl.h)
             for k in (0, -1):
                 w = complex(mpmath.lambertw(z, k))
-                assert abs(got[k] - (alpha + w / h)) <= _conditioned_tol(alpha, h, w), (cl, k, d)
+                assert abs(got[k] - (alpha + w / h)) <= root_tolerance(alpha, h, w), (cl, k, d)
 
 
 def test_branches_past_one_thousand():
@@ -509,7 +499,9 @@ def loop_spectrum(cl, n_branches):
     if cl.beta == 0.0:
         s0 = _rightmost(cl)
         return Spectrum(roots=(SpectrumRoot(0, s0),), rightmost=s0)
-    z, lz = _log_w_arg(cl)
+    z, lz = _w_arg(cl)
+    if lz is not None and math.isinf(lz.real):
+        raise DomainError(f"alpha*h overflows for alpha = {cl.alpha!r}, h = {cl.h!r}; Log z is not finite")
     zc, az = complex(z), abs(z)
     w0 = lambert_w(0, z).w if lz is None else _eval_complex(0, zc, az, lz)[0]
     s0 = _root(cl, w0, lz)
