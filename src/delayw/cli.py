@@ -14,7 +14,8 @@ root table instead (header ``branch,re,im,multiplicity``).
 Exit codes: 0 success, 2 invalid input, 3 infeasible assignment,
 4 verification mismatch.  A check the result does not need (assign's
 confirmation, simulate's prediction and estimate) reads null with a
-warning where it fails, and leaves the exit code alone.
+warning where it fails, and leaves the exit code alone; simulate also
+warns where alpha*step lies past RK4's real-axis stability limit.
 """
 
 import argparse
@@ -44,6 +45,9 @@ from .sim import (
 from .spectrum import ClosedLoopParams, Gains, SystemParams, close_loop, is_stable, spectrum
 
 SCHEMA_VERSION = "1"
+# the left end of RK4's stability interval on the real axis, -2.78529...,
+# rounded toward 0: past it the step amplifies x' = alpha*x
+_RK4_REAL_LIMIT = -2.785
 
 COMPLEX_GRAMMAR = (
     'complex literal: "<re>", "<im>i", or "<re>+<im>i" / "<re>-<im>i"; '
@@ -295,6 +299,11 @@ def cmd_simulate(args):
         warnings.append(
             f"trajectory truncated at t = {_g(traj.times[-1])}: |x| reached the overflow limit"
         )
+    if cl.alpha * traj.step < _RK4_REAL_LIMIT:
+        warnings.append(
+            f"alpha*step = {_g(cl.alpha * traj.step)} is below {_RK4_REAL_LIMIT}, the real-axis stability "
+            "limit of the RK4 step: a blow-up is the integrator's, not the loop's"
+        )
     if args.out is not None:
         try:
             with open(args.out, "w", encoding="ascii") as fh:
@@ -384,15 +393,23 @@ def _build_parser():
 
 
 def _glue_values(parser, argv):
-    """Join "--name -v" into "--name=-v" where --name takes a value and
-    -v starts with one minus and is not -h: argparse would otherwise read
-    the minus of "-1e-1" or "-1+2i" as an option prefix."""
+    """Join "--name -v" into "--name=-v" where -v starts with one minus
+    and is not -h, and --name takes a value in the chosen subcommand:
+    named in full, or by a prefix that starts one option string only
+    (argparse's abbreviation rule).  argparse would otherwise read the
+    minus of "-1e-1" or "-1+2i" as an option prefix."""
     (sub,) = parser._subparsers._group_actions
-    takes_value = {opt for p in sub.choices.values()
-                   for opt, act in p._option_string_actions.items() if act.nargs is None}
+    # the top-level parser takes no value, so the first bare token is the subcommand
+    chosen = sub.choices.get(next((tok for tok in argv if tok[:1] != "-"), None))
+    actions = chosen._option_string_actions if chosen else {}
+
+    def takes_value(tok):
+        names = [tok] if tok in actions else [opt for opt in actions if tok[:2] == "--" and opt.startswith(tok)]
+        return len(names) == 1 and actions[names[0]].nargs is None
+
     out = []
     for tok in argv:
-        if out and out[-1] in takes_value and tok[:1] == "-" and tok[:2] != "--" and tok != "-h":
+        if out and tok[:1] == "-" and tok[:2] != "--" and tok != "-h" and takes_value(out[-1]):
             out[-1] += "=" + tok
         else:
             out.append(tok)

@@ -23,18 +23,23 @@ estimate_dominant_eig_detailed recovers the dominant characteristic
 root from the trajectory's second half: decay rate from a least-squares
 line through the log of the peak envelope (or of |x| itself for
 non-oscillatory tails), frequency from the mean zero-crossing spacing.
-The common path makes no Python-level pass over the tail: the x > 0
-flags are the sign bits of the tail packed as doubles (one
-struct.pack, a strided slice of the high bytes and a translate), and
-crossing candidates are the 0->1 and 1->0 steps of that bytes string
-(bytes.find); a zero or a sample below 2**-1007 in modulus sends the
-flags back to x > 0 sample by sample and adds the exact zeros as
-candidates.  Only the candidates are interpolated.  Between two
-crossings, bisecting the times from the tail's first index gives the
-sample range, and the peak is the first sample of largest modulus in
-it: the range's max where its flags are all 1, its min where they are
-all 0, and the larger modulus of the two otherwise; the times are read
-by index, never copied, except for the monotone fit.
+The tail is packed as doubles once, before any other pass, and the
+high bytes of the packing gate the whole-tail checks: where none is
+0x00 or 0x80 (a zero, or a modulus below 2**-1007) nor 0x7f or 0xff
+(a modulus of 2**1009 or more: every inf and NaN among them) and the
+sign bits hold both values, the tail is finite, nonzero and not
+constant, and no max, min or sum reads it; any other tail takes those
+checks in turn.  The x > 0 flags are the sign bits (a translate of the
+high bytes), and crossing candidates are the last samples of the
+flags' runs, found by single-byte finds that alternate between 0 and
+1; a 0x00 or 0x80 byte sends the flags back to x > 0 sample by sample
+and adds the exact zeros as candidates.  Only the candidates are
+interpolated.  Between two crossings, bisecting the times from the
+tail's first index gives the sample range, and the peak is the first
+sample of largest modulus in it: the range's max where a find sees no
+0 flag in it, its min where it sees no 1, and the larger modulus of the
+two otherwise; the times are read by index, never copied, except for
+the monotone fit.
 """
 
 import bisect
@@ -358,41 +363,38 @@ def _lsq_slope(ts, ys):
     return slope, math.sqrt(rss / n)
 
 
-def _find_all(buf, pattern):
-    """Start offsets of every occurrence of pattern in buf."""
-    i = buf.find(pattern)
-    while i >= 0:
-        yield i
-        i = buf.find(pattern, i + 1)
-
-
 # the high byte of a little-endian double to 1 where its sign bit is clear
 _SIGN_CLEAR = b"\x01" * 128 + bytes(128)
+# high bytes outside the estimator's gate: 0x00 and 0x80 (a zero, or a
+# modulus below 2**-1007), 0x7f and 0xff (a modulus of 2**1009 or more)
+_EDGE_BYTES = b"\x00\x80\x7f\xff"
 
 
-def _crossings(ts, start, xs):
+def _crossings(ts, start, xs, high, positive):
     """Zero-crossing times of a finite sampled tail xs, in sample order,
     and the bytes string of its x > 0 flags; sample i of the tail is at
-    time ts[start + i].
+    time ts[start + i], high holds the high bytes of the packed tail and
+    positive their sign-clear flags.
 
     An exact zero sample (either sign) is a crossing at its own time; a
     sign change between two nonzero samples is one at the zero of the
-    line through them.  The flags are the sign bits of the packed tail,
-    read off its high bytes, unless a high byte is 0x00 or 0x80 (a zero,
-    or a modulus below 2**-1007): then they are x > 0 taken sample by
-    sample, and only then are the exact zeros looked for.
+    line through them, found as the last sample of a run of the flags.
+    The flags are kept unless a high byte is 0x00 or 0x80 (a zero, or a
+    modulus below 2**-1007): then they are x > 0 taken sample by sample,
+    and only then are the exact zeros looked for.
     """
-    high = struct.pack(f"<{len(xs)}d", *xs)[7::8]
-    if 0x00 in high or 0x80 in high:
+    tiny = 0x00 in high or 0x80 in high
+    if tiny:
         positive = bytes(map(gt, xs, repeat(0.0)))
-        zeros = 0.0 in xs
-    else:
-        positive, zeros = high.translate(_SIGN_CLEAR), False
-    events = {*_find_all(positive, b"\x00\x01"), *_find_all(positive, b"\x01\x00")}
-    if zeros:
-        events.update(i for i, x in enumerate(xs) if x == 0.0)
+    # each find jumps from the start of a run to the start of the next
+    events, i, flag = [], 0, positive[0]
+    while (i := positive.find(flag ^ 1, i)) >= 0:
+        events.append(i - 1)
+        flag ^= 1
+    if tiny and 0.0 in xs:
+        events = sorted({*events, *(i for i, x in enumerate(xs) if x == 0.0)})
     crossings = []
-    for i in sorted(events):
+    for i in events:
         a = xs[i]
         t = ts[start + i]
         if a == 0.0:
@@ -407,12 +409,12 @@ def _crossings(ts, start, xs):
 def _peak(xs, positive, lo, hi):
     """Index of the first sample of largest |x| in xs[lo:hi], or None if
     the range is empty or all zero; positive holds the x > 0 flags of
-    xs.  A range of one sign takes one extremum: its max where every
-    flag is 1, its min where none is; a mixed range takes both."""
-    seg, flags = xs[lo:hi], positive[lo:hi]
-    if 0 not in flags:
+    xs.  A range of one sign takes one extremum: its max where no flag
+    is 0, its min where none is 1; a mixed range takes both."""
+    seg = xs[lo:hi]
+    if positive.find(0, lo, hi) < 0:
         return xs.index(max(seg), lo, hi) if seg else None
-    if 1 not in flags:
+    if positive.find(1, lo, hi) < 0:
         bottom = min(seg)
         return xs.index(bottom, lo, hi) if bottom < 0.0 else None
     top, bottom = max(seg), min(seg)
@@ -447,20 +449,25 @@ def estimate_dominant_eig_detailed(traj):
     if len(xs) < 20:
         raise InsufficientData(f"tail holds {len(xs)} samples; need at least 20")
 
-    hi, lo = max(xs), min(xs)
-    # max and min see every infinity and a NaN in the first sample; with
-    # those finite, the sum is NaN exactly when a later sample is NaN (a
-    # sum that overflows stays inf)
-    if not (math.isfinite(hi) and math.isfinite(lo)) or math.isnan(sum(xs)):
-        raise NonFiniteInput("trajectory tail holds a non-finite sample")
-    amax = max(hi, -lo)
-    if amax == 0.0:
-        raise InsufficientData("tail is identically zero; no mode is excited")
-    spread = hi - lo
-    if spread <= 1e-9 * amax:
-        return EigEstimate(0j, "constant", spread, 0)
+    high = struct.pack(f"<{len(xs)}d", *xs)[7::8]
+    positive = high.translate(_SIGN_CLEAR)
+    # with no edge byte every sample is finite and nonzero, and with both
+    # signs held fl(hi - lo) >= max(hi, -lo) = amax: not constant either
+    if any(map(high.__contains__, _EDGE_BYTES)) or not (0 in positive and 1 in positive):
+        hi, lo = max(xs), min(xs)
+        # max and min see every infinity and a NaN in the first sample; with
+        # those finite, the sum is NaN exactly when a later sample is NaN (a
+        # sum that overflows stays inf)
+        if not (math.isfinite(hi) and math.isfinite(lo)) or math.isnan(sum(xs)):
+            raise NonFiniteInput("trajectory tail holds a non-finite sample")
+        amax = max(hi, -lo)
+        if amax == 0.0:
+            raise InsufficientData("tail is identically zero; no mode is excited")
+        spread = hi - lo
+        if spread <= 1e-9 * amax:
+            return EigEstimate(0j, "constant", spread, 0)
 
-    crossings, positive = _crossings(ts, start, xs)
+    crossings, positive = _crossings(ts, start, xs, high, positive)
     if len(crossings) >= 10:
         spacings = [t1 - t0 for t0, t1 in zip(crossings, crossings[1:])]
         omega = math.pi / (sum(spacings) / len(spacings))

@@ -75,8 +75,9 @@ def test_import_loads_no_dataclasses():
 #     PYTHONPATH=src python tests/test_cli.py
 # The floats come from the platform libm (exp, sin, cos), so the file
 # pins one platform's results, and from the Python minor version: from
-# 3.12 on sum() of floats is compensated, which moves the monotone fit
-# of simulate-truncated (re, fit_residual, deviation) in its last digits.
+# 3.12 on sum() of floats is compensated, which moves the monotone fits
+# of simulate-truncated and simulate-stiff (re, fit_residual, deviation)
+# in their last digits.
 # The file is recorded on 3.11; the other goldens read the same on 3.10
 # to 3.13.
 _PLANT = ("--a", "1", "--a1d", "-1", "--b", "1", "--h", "1")
@@ -150,6 +151,10 @@ GOLDEN_COMMANDS = {
     # grows until the overflow limit stops it at t = 472
     "simulate-truncated": ("simulate", "--alpha", "1", "--beta", "2", "--h", "1", "--tfinal", "800",
                            "--step", "0.5"),
+    # a stable loop (rightmost root -12.2) at alpha*step = -100, past
+    # RK4's real-axis stability limit: the integrator blows up, and a
+    # warning says so
+    "simulate-stiff": ("simulate", "--alpha=-1e5", "--beta", "0.5", "--h", "1", "--tfinal", "2"),
     # a subnormal delay: the trajectory and its estimate stand, but the
     # branch -1 root passes the double range, so there is no prediction
     "simulate-prediction-unavailable": ("simulate", "--alpha", "-1", "--beta", "-2", "--h", "1e-310",
@@ -189,19 +194,35 @@ def test_readme_commands_run(tmp_path, monkeypatch):
 def test_every_float_flag_takes_a_negative_value(capsys, monkeypatch):
     # argparse reads a dash-led token that is not a plain decimal as an
     # option; a value like -1e-1 must still reach every float flag
+    # and so must a unique prefix of the flag, as argparse abbreviates
     (sub,) = cli._build_parser()._subparsers._group_actions
-    seen = set()
+    seen, abbreviated = set(), set()
     for command, p in sub.choices.items():
         monkeypatch.setattr(cli, f"cmd_{command}", lambda args: ({}, []))
         required = [opt for act in p._actions if act.required for opt in (act.option_strings[0], "1")]
         for act in p._actions:
             if act.type is float:
                 flag = act.option_strings[0]
-                code, env = run_json(capsys, command, *required, flag, "-1e-1")
-                assert (code, env["inputs"][act.dest]) == (0, -0.1), (command, flag)
+                prefixes = [flag[:n] for n in range(3, len(flag)) if flag[:n] not in p._option_string_actions
+                            and [opt for opt in p._option_string_actions if opt.startswith(flag[:n])] == [flag]]
+                for name in (flag, *prefixes):
+                    code, env = run_json(capsys, command, *required, name, "-1e-1")
+                    assert (code, env["inputs"][act.dest]) == (0, -0.1), (command, name)
                 seen.add(flag)
+                abbreviated.update(prefixes[:1])
     assert seen == {"--a", "--a1d", "--b", "--k", "--k1d", "--alpha", "--beta", "--h", "--re", "--im",
                     "--target-re", "--target-im", "--match-tol", "--x0", "--tfinal", "--step"}
+    assert abbreviated == {"--a1", "--k1", "--al", "--be", "--r", "--i", "--target-r", "--target-i",
+                           "--m", "--x", "--t", "--s"}
+    code, env = run_json(capsys, "spectrum", "--alp", "-1e-1", "--beta", "-2", "--h", "1")
+    assert (code, env["inputs"]["alpha"], env["inputs"]["beta"]) == (0, -0.1, -2.0)
+    # a prefix of several flags stays argparse's error, value or not
+    for argv in (["assign", "--a", "1", "--b", "1", "--h", "1", "--targ", "-1+2i"],
+                 ["assign", "--a", "1", "--b", "1", "--h", "1", "--target-", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"ambiguous option: {argv[-2]} could match" in capsys.readouterr().err
     # dash-led values of the other flags keep their meaning; -h is never a value
     code, env = run_json(capsys, "assign", "--a", "1", "--b", "1", "--h", "1", "--target", "-i")
     assert env["inputs"]["target"] == "-i"
@@ -551,6 +572,15 @@ class TestSimulate:
         assert code == 0
         assert env["result"]["truncated"] is True
         assert any("truncated" in w for w in env["warnings"])
+
+    def test_stiff_step_warns(self, capsys):
+        # alpha*step past RK4's real-axis stability limit -2.785 is named,
+        # whatever the trajectory does; inside it, nothing is said
+        for alpha, warned in (("-2.78", False), ("-2.79", True)):
+            code, env = run_json(capsys, "simulate", "--alpha", alpha, "--beta", "0",
+                                 "--h", "1", "--tfinal", "30", "--step", "1")
+            assert code == 0
+            assert any("real-axis stability limit" in w for w in env["warnings"]) is warned
 
     def test_estimate_unavailable_warns(self, capsys):
         code, env = run_json(capsys, "simulate", "--alpha", "-0.05", "--beta", "0",

@@ -23,6 +23,7 @@ from delayw import (
     SystemParams,
     assign_both,
     close_loop,
+    sim,
     spectrum,
 )
 from delayw.sim import (
@@ -318,6 +319,10 @@ CRAFTED_TAILS = {
     # samples whose high byte is 0x00 or 0x80: the signs are read sample by sample
     "subnormal_at_sign_change": lambda: _edited_sine(_subnormal_at_sign_change),
     "tiny_inside_positive_run": lambda: _edited_sine(lambda xs: [(_inside_run(xs, True), 2.0 ** -1010)]),
+    # finite samples whose high byte is 0x7f or 0xff, like an inf's or a
+    # NaN's: the tail takes the whole-tail checks and passes them
+    "huge_finite_in_mixed_tail": lambda: _edited_sine(lambda xs: [(_inside_run(xs, True), 2.0 ** 1010)]),
+    "huge_negative_in_mixed_tail": lambda: _edited_sine(lambda xs: [(_inside_run(xs, False), -2.0 ** 1010)]),
     # no x > 0 flag changes at it: a crossing only the zero scan finds
     "lone_negative_zero": lambda: _edited_sine(lambda xs: [(_inside_run(xs, False), -0.0)]),
     "equal_opposite_peaks_positive_first": lambda: _equal_opposite_peaks(1.0),
@@ -799,6 +804,29 @@ class TestEstimate:
             assert type(as_tuple.times) is tuple is not type(traj.times)
             est = outcome(estimate_dominant_eig_detailed, traj)
             assert est == outcome(estimate_dominant_eig_detailed, as_tuple) == outcome(loop_estimate, traj)
+
+    def test_tail_extrema_read_once(self, monkeypatch):
+        # a finite, nonzero tail of both signs skips the whole-tail max,
+        # min and sum: max and min see the peak segments only, at most
+        # one tail's worth of samples
+        workloads = bench_module()
+        seen = []
+
+        def counting(builtin):
+            def wrapper(*args):
+                seen.append(len(args[0]) if len(args) == 1 else len(args))
+                return builtin(*args)
+            return wrapper
+
+        for seed in (1, 7919):
+            for cl, init in workloads.simulate_pool(delayw, seed)[:8]:
+                traj = simulate(cl, init, workloads.SIM_DELAYS * cl.h)
+                seen.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(sim, "max", counting(max), raising=False)
+                    m.setattr(sim, "min", counting(min), raising=False)
+                    assert estimate_dominant_eig_detailed(traj).kind == "oscillatory"
+                assert 0 < sum(seen) <= math.ceil(len(traj.values) * TAIL_FRACTION), (seed, cl)
 
     @pytest.mark.parametrize("name", sorted(CRAFTED_TAILS))
     def test_matches_loop_reference_on_crafted_tails(self, name):
