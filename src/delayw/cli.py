@@ -11,6 +11,10 @@ significant digits, so identical flags produce byte-identical output.
 The one non-JSON mode is ``spectrum --format csv``, which emits a bare
 root table instead (header ``branch,re,im,multiplicity``).
 
+Flags are argparse's, abbreviations included.  A subcommand's parser
+takes a token with one leading minus that names no option as a value,
+so ``--alpha -1e-1`` and ``--target -1+2i`` work.
+
 Exit codes: 0 success, 2 invalid input, 3 infeasible assignment,
 4 verification mismatch.  A check the result does not need (assign's
 confirmation, simulate's prediction and estimate) reads null with a
@@ -21,6 +25,7 @@ warns where alpha*step lies past RK4's real-axis stability limit.
 import argparse
 import json
 import math
+import re
 import sys
 
 from .assign import _MODES
@@ -57,13 +62,13 @@ COMPLEX_GRAMMAR = (
 
 
 def parse_complex(text):
-    """Parse the documented complex-literal grammar into a complex."""
-    t = text.replace(" ", "").replace("I", "i").replace("J", "j").replace("i", "j")
+    """Parse the documented complex-literal grammar into a complex:
+    complex() reads the text once spaces are dropped and i or I is j,
+    so "-i" and "1+j" parse and "1e+i" (an exponent without digits) does
+    not."""
+    t = text.replace(" ", "").replace("I", "i").replace("i", "j")
     if not t:
         raise DomainError("empty complex literal")
-    # complex() rejects a bare trailing j without a mantissa ("1+j", "-j")
-    if t.endswith("j") and (len(t) == 1 or t[-2] in "+-"):
-        t = t[:-1] + "1j"
     try:
         val = complex(t)
     except ValueError:
@@ -328,13 +333,26 @@ def cmd_simulate(args):
 # parser
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: a token with one leading minus that names
+    no option, such as -1e-1, -1+2i or -x.csv, is a value; argparse's
+    own test for a negative number is widened to that.  argparse looks
+    a token up as an option first, so -h stays one, and so does -hx (-h
+    given x); the test holds only while no subcommand defines another
+    single-dash option."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"-(?!-)")
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="delayw",
         description="Spectra, stability, and eigenvalue assignment for x'(t) = alpha*x(t) + beta*x(t-h).",
         epilog="exit codes: 0 ok, 2 invalid input, 3 infeasible assignment, 4 verification mismatch",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = sub.add_parser("wk", help="evaluate one branch of the Lambert W function")
     p.add_argument("--branch", type=int, required=True, help="branch index k")
@@ -392,33 +410,9 @@ def _build_parser():
     return parser
 
 
-def _glue_values(parser, argv):
-    """Join "--name -v" into "--name=-v" where -v starts with one minus
-    and is not -h, and --name takes a value in the chosen subcommand:
-    named in full, or by a prefix that starts one option string only
-    (argparse's abbreviation rule).  argparse would otherwise read the
-    minus of "-1e-1" or "-1+2i" as an option prefix."""
-    (sub,) = parser._subparsers._group_actions
-    # the top-level parser takes no value, so the first bare token is the subcommand
-    chosen = sub.choices.get(next((tok for tok in argv if tok[:1] != "-"), None))
-    actions = chosen._option_string_actions if chosen else {}
-
-    def takes_value(tok):
-        names = [tok] if tok in actions else [opt for opt in actions if tok[:2] == "--" and opt.startswith(tok)]
-        return len(names) == 1 and actions[names[0]].nargs is None
-
-    out = []
-    for tok in argv:
-        if out and tok[:1] == "-" and tok[:2] != "--" and tok != "-h" and takes_value(out[-1]):
-            out[-1] += "=" + tok
-        else:
-            out.append(tok)
-    return out
-
-
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(_glue_values(parser, sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(argv)
     code, warnings = 0, []
     try:
         result, warnings = args.handler(args)

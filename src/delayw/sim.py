@@ -23,28 +23,31 @@ estimate_dominant_eig_detailed recovers the dominant characteristic
 root from the trajectory's second half: decay rate from a least-squares
 line through the log of the peak envelope (or of |x| itself for
 non-oscillatory tails), frequency from the mean zero-crossing spacing.
-The tail is packed as doubles once, before any other pass, and the
-high bytes of the packing gate the whole-tail checks: where none is
+The tail is packed as doubles once, before any other pass (a sample
+with no double raises the error of every real input, naming it), and
+the high bytes of the packing gate the whole-tail checks: where none is
 0x00 or 0x80 (a zero, or a modulus below 2**-1007) nor 0x7f or 0xff
 (a modulus of 2**1009 or more: every inf and NaN among them) and the
 sign bits hold both values, the tail is finite, nonzero and not
 constant, and no max, min or sum reads it; any other tail takes those
-checks in turn.  The x > 0 flags are the sign bits (a translate of the
-high bytes), and crossing candidates are the last samples of the
-flags' runs, found by single-byte finds that alternate between 0 and
-1; a 0x00 or 0x80 byte sends the flags back to x > 0 sample by sample
-and adds the exact zeros as candidates.  Only the candidates are
-interpolated.  Between two crossings, bisecting the times from the
-tail's first index gives the sample range, and the peak is the first
-sample of largest modulus in it: the range's max where a find sees no
-0 flag in it, its min where it sees no 1, and the larger modulus of the
-two otherwise; the times are read by index, never copied, except for
-the monotone fit.
+checks in turn, on the packed doubles.  The x > 0 flags are the sign
+bits (a translate of the high bytes), and crossing candidates are the
+last samples of the flags' runs, found by single-byte finds that
+alternate between 0 and 1; a 0x00 or 0x80 byte sends the flags back to
+x > 0 sample by sample and adds the exact zeros as candidates.  Only
+the candidates are interpolated.  Between two crossings, bisecting the
+times from the tail's first index gives the sample range, and the peak
+is the first sample of largest modulus in it: the range's max where a
+find sees no 0 flag in it, its min where it sees no 1, and the larger
+modulus of the two otherwise; the times are read by index, never
+copied, except for the monotone fit.  The fits' sums add left to
+right, so an estimate's bits do not depend on the Python version.
 """
 
 import bisect
 import math
 import struct
+from functools import reduce
 from itertools import chain, islice, repeat
 from operator import add, gt, itemgetter, mul, sub, truediv
 
@@ -351,15 +354,22 @@ class EigEstimate(_Record, fields="value kind fit_residual n_crossings"):
         return tuple.__new__(cls, (value, kind, fit_residual, n_crossings))
 
 
+def _total(xs):
+    """xs added left to right from 0, as sum() adds floats up to Python
+    3.11: from 3.12 sum() compensates, which would move a printed
+    estimate in its last digits."""
+    return reduce(add, xs, 0)
+
+
 def _lsq_slope(ts, ys):
     n = len(ts)
-    tm = sum(ts) / n
-    ym = sum(ys) / n
-    num = sum((t - tm) * (y - ym) for t, y in zip(ts, ys))
-    den = sum((t - tm) ** 2 for t in ts)
+    tm = _total(ts) / n
+    ym = _total(ys) / n
+    num = _total((t - tm) * (y - ym) for t, y in zip(ts, ys))
+    den = _total((t - tm) ** 2 for t in ts)
     slope = num / den
     icept = ym - slope * tm
-    rss = sum((y - (icept + slope * t)) ** 2 for t, y in zip(ts, ys))
+    rss = _total((y - (icept + slope * t)) ** 2 for t, y in zip(ts, ys))
     return slope, math.sqrt(rss / n)
 
 
@@ -440,7 +450,11 @@ def estimate_dominant_eig_detailed(traj):
     InsufficientData
         Tail too short or identically zero, or too few crossings/e-foldings.
     NonFiniteInput
-        Tail holds an infinite or NaN sample.
+        Tail holds an infinite or NaN sample, or an int past the double
+        range.
+    DomainError
+        Tail holds a sample that is not a real number.  A bool is read
+        as 0 or 1.
     """
     n = len(traj.values)
     start = n - math.ceil(n * TAIL_FRACTION)
@@ -449,16 +463,26 @@ def estimate_dominant_eig_detailed(traj):
     if len(xs) < 20:
         raise InsufficientData(f"tail holds {len(xs)} samples; need at least 20")
 
-    high = struct.pack(f"<{len(xs)}d", *xs)[7::8]
+    try:
+        packed = struct.pack(f"<{len(xs)}d", *xs)
+    except struct.error:  # a sample with no double: not a real number, or past the double range
+        for i, x in enumerate(xs, start):
+            if fault := _real_fault(x):
+                raise fault[0](f"trajectory sample {i} must be {fault[1]}, got {x!r}") from None
+        raise
+    high = packed[7::8]
     positive = high.translate(_SIGN_CLEAR)
     # with no edge byte every sample is finite and nonzero, and with both
     # signs held fl(hi - lo) >= max(hi, -lo) = amax: not constant either
     if any(map(high.__contains__, _EDGE_BYTES)) or not (0 in positive and 1 in positive):
-        hi, lo = max(xs), min(xs)
+        # the checks read the packed doubles, so a sample such as a Decimal
+        # NaN is compared as the float it stands for
+        doubles = struct.unpack(f"<{len(xs)}d", packed)
+        hi, lo = max(doubles), min(doubles)
         # max and min see every infinity and a NaN in the first sample; with
         # those finite, the sum is NaN exactly when a later sample is NaN (a
         # sum that overflows stays inf)
-        if not (math.isfinite(hi) and math.isfinite(lo)) or math.isnan(sum(xs)):
+        if not (math.isfinite(hi) and math.isfinite(lo)) or math.isnan(sum(doubles)):
             raise NonFiniteInput("trajectory tail holds a non-finite sample")
         amax = max(hi, -lo)
         if amax == 0.0:
@@ -470,7 +494,7 @@ def estimate_dominant_eig_detailed(traj):
     crossings, positive = _crossings(ts, start, xs, high, positive)
     if len(crossings) >= 10:
         spacings = [t1 - t0 for t0, t1 in zip(crossings, crossings[1:])]
-        omega = math.pi / (sum(spacings) / len(spacings))
+        omega = math.pi / (_total(spacings) / len(spacings))
         # one peak of |x| between consecutive crossings, both ends included
         peak_ts, peak_logs = [], []
         for t0, t1 in zip(crossings, crossings[1:]):

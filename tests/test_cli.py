@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end."""
 
+import ast
 import contextlib
 import io
 import json
@@ -12,9 +13,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import delayw
-from delayw import cli
+from delayw import cli, sim
 from delayw.cli import main, parse_complex
 from delayw.errors import DomainError, NonFiniteInput
 from delayw.lambertw import K_MAX
@@ -69,17 +71,25 @@ def test_import_loads_no_dataclasses():
     assert proc.stdout.strip() == "[] []"
 
 
+def test_sources_parse_at_the_python_floor():
+    # every module of the repository parses under the grammar of the
+    # oldest Python that pyproject.toml admits
+    floor = re.search(r'^requires-python\s*=\s*">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text(), re.M)
+    version = tuple(map(int, floor.groups()))
+    paths = [path for folder in ("src", "tests", "bench", "demos") for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
+
+
 # Fixed commands whose stdout, exit code and --out file must not change by
 # a single byte.  The recorded outputs live in cli_golden.json; after an
 # intended output change, rewrite it with
 #     PYTHONPATH=src python tests/test_cli.py
 # The floats come from the platform libm (exp, sin, cos), so the file
-# pins one platform's results, and from the Python minor version: from
-# 3.12 on sum() of floats is compensated, which moves the monotone fits
-# of simulate-truncated and simulate-stiff (re, fit_residual, deviation)
-# in their last digits.
-# The file is recorded on 3.11; the other goldens read the same on 3.10
-# to 3.13.
+# pins one platform's results.  No printed value goes through sum(),
+# whose float total is compensated from Python 3.12 on:
+# test_goldens_do_not_depend_on_sum runs them under 3.12's algorithm.
 _PLANT = ("--a", "1", "--a1d", "-1", "--b", "1", "--h", "1")
 # a = u + v*cot(v*h) and a1d = -v*e^(u*h)/sin(v*h) for S = -0.5+1.5i, h = 1
 _DELAY_PLANT = ("--a", "-0.3936277335460213", "--a1d", "0.3", "--b", "2", "--h", "1")
@@ -180,6 +190,36 @@ def test_golden_output(name, tmp_path, monkeypatch):
     assert golden_run(GOLDEN_COMMANDS[name]) == expected
 
 
+def neumaier_sum(items, start=0):
+    """sum() as CPython 3.12 adds floats: Neumaier's compensated sum,
+    whose compensation is left out where it is not finite, so that an
+    overflowed total stays inf rather than turning NaN."""
+    total, comp = start, 0.0
+    for x in items:
+        if type(total) is float and type(x) is float:
+            t = total + x
+            comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        else:
+            total = total + x
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_goldens_do_not_depend_on_sum(tmp_path, monkeypatch):
+    # every golden reads the same where sim's sum() compensates, as from
+    # Python 3.12 on
+    assert (neumaier_sum([1.0, 1e100, 1.0, -1e100]), sum([1.0, 1e100, 1.0, -1e100])) == (2.0, 0.0)
+    assert neumaier_sum([1e308, 1e308, -1e308]) == math.inf
+    calls = []
+    monkeypatch.setattr(sim, "sum", lambda *args: calls.append(1) or neumaier_sum(*args), raising=False)
+    monkeypatch.chdir(tmp_path)
+    expected = json.loads(GOLDEN.read_text())
+    assert len(expected) == len(GOLDEN_COMMANDS) == 48
+    for name, argv in GOLDEN_COMMANDS.items():
+        assert golden_run(argv) == expected[name], name
+    assert calls
+
+
 def test_readme_commands_run(tmp_path, monkeypatch):
     # every line of the README's command-line example exits 0
     block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
@@ -243,6 +283,41 @@ def test_every_float_flag_takes_a_negative_value(capsys, monkeypatch):
     assert exc.value.code == 0
 
 
+def test_no_single_dash_option_but_help():
+    # a subcommand reads any token with one leading minus as a value,
+    # which holds only while -h is its one single-dash option
+    (sub,) = cli._build_parser()._subparsers._group_actions
+    for command, p in sub.choices.items():
+        short = [opt for act in p._actions for opt in act.option_strings if opt[:2] != "--"]
+        assert short == ["-h"], command
+
+
+def test_stray_and_dash_led_tokens(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    loop = ("--alpha", "-1", "--beta", "-2", "--h", "1")
+    # a stray token is argparse's error, after the subcommand or before it
+    for argv, message in ((["spectrum", *loop, "-x"], "unrecognized arguments: -x"),
+                          (["-x", "spectrum", *loop], "unrecognized arguments: -x"),
+                          (["spectrum", "-x", *loop], "unrecognized arguments: -x"),
+                          (["spectrum", *loop, "--x"], "unrecognized arguments: --x")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+    # a dash-led path is a value; one led by -h is read as -h, so it
+    # takes the --out=<path> spelling
+    for flag, path in (("--out", "-x.csv"), ("--ou", "-"), ("--out=-h.csv", None)):
+        argv = ["simulate", *loop, "--tfinal", "2", flag, *([path] if path else [])]
+        code, env = run_json(capsys, *argv)
+        written = path or flag.split("=", 1)[1]
+        assert (code, env["inputs"]["out"]) == (0, written)
+        assert (tmp_path / written).read_text().startswith("t,x\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", *loop, "--tfinal", "2", "--out", "-h.csv"])
+    assert exc.value.code == 2
+    assert "argument --out: expected one argument" in capsys.readouterr().err
+
+
 class TestParseComplex:
     def test_forms(self):
         assert parse_complex("-1") == -1.0
@@ -256,6 +331,29 @@ class TestParseComplex:
         for bad in ("", "1+2x", "i2", "1++2i", "nan+nani"):
             with pytest.raises((DomainError, NonFiniteInput)):
                 parse_complex(bad)
+        # an exponent needs digits: these are no literal of the grammar
+        for bad in ("1e+i", "1e-i", "-1e+i", "1E+J"):
+            with pytest.raises(DomainError):
+                parse_complex(bad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(re_=st.floats(allow_nan=False, allow_infinity=False),
+           im=st.floats(allow_nan=False, allow_infinity=False),
+           form=st.sampled_from(("re", "im", "both")),
+           fmt=st.sampled_from((repr, "%.17g".__mod__, "%.16e".__mod__)),
+           unit=st.sampled_from("ijIJ"),
+           pad=st.sampled_from(("", " ")))
+    def test_round_trip(self, re_, im, form, fmt, unit, pad):
+        # a finite complex written in any documented spelling parses
+        # back to itself exactly
+        if form == "re":
+            text, im = fmt(re_), 0.0
+        elif form == "im":
+            text, re_ = fmt(im) + unit, 0.0
+        else:
+            sign = "-" if math.copysign(1.0, im) < 0 else "+"
+            text = fmt(re_) + pad + sign + pad + fmt(abs(im)) + unit
+        assert parse_complex(pad + text + pad) == complex(re_, im)
 
 
 class TestEnvelope:

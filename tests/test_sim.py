@@ -6,8 +6,9 @@ import pickle
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from functools import reduce
 from itertools import repeat
-from operator import mul
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,16 +175,20 @@ def exact_scheme(mpmath, cl, init, t_final, step, max_steps):
 def loop_estimate(traj):
     """The estimator written as index-by-index loops over the tail: the
     reference that estimate_dominant_eig_detailed must match field for
-    field, InsufficientData message included, on finite tails."""
+    field, InsufficientData message included, on finite tails.  Its sums
+    add left to right, as sum() does up to Python 3.11."""
+    def total(xs):
+        return reduce(add, xs, 0)
+
     def lsq_slope(ts, ys):
         n = len(ts)
-        tm = sum(ts) / n
-        ym = sum(ys) / n
-        num = sum((t - tm) * (y - ym) for t, y in zip(ts, ys))
-        den = sum((t - tm) ** 2 for t in ts)
+        tm = total(ts) / n
+        ym = total(ys) / n
+        num = total((t - tm) * (y - ym) for t, y in zip(ts, ys))
+        den = total((t - tm) ** 2 for t in ts)
         slope = num / den
         icept = ym - slope * tm
-        rss = sum((y - (icept + slope * t)) ** 2 for t, y in zip(ts, ys))
+        rss = total((y - (icept + slope * t)) ** 2 for t, y in zip(ts, ys))
         return slope, math.sqrt(rss / n)
 
     n = len(traj.values)
@@ -209,7 +214,7 @@ def loop_estimate(traj):
         crossings.append(ts[-1])
     if len(crossings) >= 10:
         spacings = [t1 - t0 for t0, t1 in zip(crossings, crossings[1:])]
-        omega = math.pi / (sum(spacings) / len(spacings))
+        omega = math.pi / (total(spacings) / len(spacings))
         peak_ts, peak_logs = [], []
         k = 0
         for t0, t1 in zip(crossings, crossings[1:]):
@@ -790,6 +795,20 @@ class TestEstimate:
         xs[where] = bad
         with pytest.raises(NonFiniteInput):
             estimate_dominant_eig_detailed(Trajectory(times=ts, values=tuple(xs), step=0.1))
+
+    @pytest.mark.parametrize("bad, error", [
+        (1j, DomainError), ("a", DomainError), (None, DomainError), (10**400, NonFiniteInput),
+        (Decimal("sNaN"), NonFiniteInput), (Decimal("NaN"), NonFiniteInput), (Decimal("-Infinity"), NonFiniteInput),
+    ], ids=["complex", "str", "None", "int_past_double", "sNaN", "Decimal_NaN", "Decimal_minus_inf"])
+    def test_tail_samples_follow_the_real_rule(self, bad, error):
+        # a tail sample that is not a finite real raises the error of every
+        # real input; one with no double is named by its index
+        traj = _edited_sine(lambda xs: [(300, bad)])
+        with pytest.raises(error) as exc:
+            estimate_dominant_eig_detailed(traj)
+        assert type(exc.value) is error
+        if not isinstance(bad, Decimal) or bad.is_snan():
+            assert str(exc.value).startswith("trajectory sample 300 must be"), exc.value
 
     def test_matches_loop_reference_on_simulate_pool(self):
         # every 8th task of the benchmark's simulate pools, seed 1 and
