@@ -63,10 +63,13 @@ COMPLEX_GRAMMAR = (
 
 def parse_complex(text):
     """Parse the documented complex-literal grammar into a complex:
-    complex() reads the text once spaces are dropped and i or I is j,
-    so "-i" and "1+j" parse and "1e+i" (an exponent without digits) does
-    not."""
-    t = text.replace(" ", "").replace("I", "i").replace("i", "j")
+    complex() reads the text once spaces are dropped and a trailing i or
+    I is j, so "-i" and "1+j" parse, "1e+i" (an exponent without digits)
+    does not, and "inf", "Infinity" or "1+infi" reads as infinite, not
+    as a misspelling."""
+    t = text.replace(" ", "")
+    if t[-1:] in ("i", "I"):
+        t = t[:-1] + "j"
     if not t:
         raise DomainError("empty complex literal")
     try:

@@ -66,7 +66,7 @@ from itertools import chain, pairwise
 
 from .errors import (BoundaryRootSuspected, DomainError, MismatchDetected, NoConvergence, NonFiniteInput, _Record,
                      _require_finite, _require_tolerance)
-from .spectrum import spectrum
+from .spectrum import _IMAG, _REAL, spectrum
 
 __all__ = [
     "SearchRect",
@@ -663,7 +663,9 @@ def find_roots(cl, rect):
     # either counts as inside, as count_roots' nudge has it
     lo, hi = rect.im_min - grown, rect.im_max + grown
     found = [r for r in chain(reals, above, (LocatedRoot(r.s.conjugate(), 1) for r in above)) if lo <= r.s.imag <= hi]
-    found.sort(key=lambda r: (-r.s.real, r.s.imag))
+    # descending Re s, ties by ascending Im s, as spectrum orders its roots
+    found.sort(key=_IMAG)
+    found.sort(key=_REAL, reverse=True)
     return RootSet(roots=tuple(found), total_count=sum(r.multiplicity for r in found))
 
 

@@ -12,9 +12,14 @@ root, so stability reduces to the sign of Re s_0.
 branch k >= 1, with the conjugate root of its partner, from the
 kernel's range entry: it forms Log z once (``_w_arg``'s off the normal
 range of z), seeds one asymptotic term deep and mostly stops after one
-Halley step.  The records are sorted by descending real part, ties by
-ascending imaginary part, in two stable passes, so exact ties keep the
-order in which the branches were listed.
+Halley step.  The roots come by descending real part, ties by
+ascending imaginary part.  For a real z the branch bands of W give
+that order by construction: Re s_k falls and Im s_k > 0 grows with k,
+so each pair k >= 1, conjugate first, follows the at most two roots of
+branches 0 and -1, and only those are sorted.  Where a check of each
+root finds otherwise, as where every root has the same real part, all
+records are sorted in two stable passes, so exact ties keep the order
+in which the branches were listed.
 """
 
 import cmath
@@ -202,10 +207,14 @@ def spectrum(cl, n_branches):
     Returns
     -------
     Spectrum
-        Roots sorted by descending real part (ties by ascending
-        imaginary part).  ``Spectrum.rightmost`` is the branch-0 root,
-        with Im >= 0; for an oscillatory loop ``roots[0]`` is its
-        branch -1 conjugate, which sorts first.  For a W argument z in
+        Roots by descending real part, ties by ascending imaginary
+        part.  They come in that order by construction, branches 0 and
+        -1 and then each pair k >= 1 conjugate first, and are sorted
+        only where a root breaks it (Re s_k not strictly below the root
+        before, or Im s_k <= 0), as where every root has one real part.
+        ``Spectrum.rightmost`` is the branch-0 root, with Im >= 0; for
+        an oscillatory loop ``roots[0]`` is its branch -1 conjugate,
+        which sorts first.  For a W argument z in
         [-1/e, 0), branches 0 and -1 are reported once, as branch 0 with
         multiplicity 2, exactly when the kernel returns the same W for
         both, as it does where its compensated e*z + 1 is zero.  Next
@@ -233,41 +242,58 @@ def spectrum(cl, n_branches):
         # the roots are finite (at (-1e308, 1, 10) -70.9196209 +
         # 2*pi*i*k/10), but Log z is not
         raise DomainError(f"alpha*h overflows for alpha = {cl.alpha!r}, h = {cl.h!r}; Log z is not finite")
+    # each record is tuple.__new__'s, as in SpectrumRoot.__new__ but
+    # without its Python frame
+    record = tuple.__new__
     zc, az = complex(z), abs(z)
     w0 = lambert_w(0, z).w if lz is None else _eval_complex(0, zc, az, lz)[0]
     s0 = _root(cl, w0, lz)
-    roots = [SpectrumRoot(0, s0)]
+    head = [record(SpectrumRoot, (0, s0, 1))]
     if z < BRANCH_POINT_Z:
         # on the cut: branch -1 is the conjugate partner of branch 0
-        roots.append(SpectrumRoot(-1, s0.conjugate()))
+        head.append(record(SpectrumRoot, (-1, s0.conjugate(), 1)))
     elif cl.beta < 0.0:
         # -1/e <= z <= -0.0: branch -1 is the second real root, equal to W_0
         # (both -1, one double root) only where the kernel's e*z + 1 is zero
         w1 = lambert_w(-1, z).w if lz is None else _eval_complex(-1, zc, az, lz)[0]
         if w1 == w0:
-            roots[0] = SpectrumRoot(0, s0, 2)
+            head[0] = record(SpectrumRoot, (0, s0, 2))
         else:
-            roots.append(SpectrumRoot(-1, _root(cl, w1, lz)))
-    # for beta < 0 branch k pairs with branch -k-1, for beta > 0 with -k.
-    # z is checked once here, so branches k >= 1 skip lambert_w's checks and
-    # residual; each root is _root's, each record tuple.__new__'s, as in
-    # SpectrumRoot.__new__ but without its Python frame
+            head.append(record(SpectrumRoot, (-1, _root(cl, w1, lz), 1)))
+    # for beta < 0 branch k pairs with branch -k-1, for beta > 0 with -k,
+    # listed conjugate first.  z is checked once here, so branches k >= 1
+    # skip lambert_w's checks and residual; each root is _root's.  The
+    # tail is in order where Re s_k falls strictly, from below the head's,
+    # and Im s_k > 0, as the branch bands of W make it for a real z
     alpha, h = cl.alpha, cl.h
     shift = 0 if cl.beta > 0.0 else 1
-    record, append = tuple.__new__, roots.append
+    tail = []
+    append = tail.append
+    last, ordered = min(s0.real, head[-1].s.real), True
     for k, (w, _, _) in enumerate(_branches(zc, az, range(1, n_branches + 1), lz), 1):
         sk = alpha + w / h if lz is None else _root(cl, w, lz)
-        append(record(SpectrumRoot, (k, sk, 1)))
+        re = sk.real
+        if not (re < last and sk.imag > 0.0):
+            ordered = False
+        last = re
         append(record(SpectrumRoot, (-k - shift, sk.conjugate(), 1)))
-    # Re s_k falls and |Im s_k| grows with k: branches 0, -1 and n bound the rest
-    for r in roots[:2] + roots[-1:]:
+        append(record(SpectrumRoot, (k, sk, 1)))
+    # Re s_k falls and |Im s_k| grows with k: branches 0 and -1 (or 1),
+    # then -n - shift, bound the rest
+    for r in (head + tail[1:2])[:2] + tail[-2:-1]:
         if not cmath.isfinite(r.s):
             raise DomainError(f"the root of branch {r.branch} passes the double range: {r.s}")
+    if not ordered:
+        # sort every record, each pair back to branch k first, so exact ties
+        # keep the order in which the branches are listed
+        tail[::2], tail[1::2] = tail[1::2], tail[::2]
+        head, tail = head + tail, []
     # descending Re s, ties by ascending Im s: two stable sorts, the
-    # secondary key first
-    roots.sort(key=_IMAG)
-    roots.sort(key=_REAL, reverse=True)
-    return Spectrum(roots=tuple(roots), rightmost=s0)
+    # secondary key first, over the head's at most two records or, where
+    # the tail is not in order, over every record
+    head.sort(key=_IMAG)
+    head.sort(key=_REAL, reverse=True)
+    return record(Spectrum, (tuple(head + tail), s0))
 
 
 def is_stable(cl):

@@ -335,6 +335,11 @@ class TestParseComplex:
         for bad in ("1e+i", "1e-i", "-1e+i", "1E+J"):
             with pytest.raises(DomainError):
                 parse_complex(bad)
+        # an infinity in any spelling complex() takes is a finiteness
+        # error, as NaN is, not a parse error
+        for bad in ("inf", "-inf", "Infinity", "1+infi", "nan"):
+            with pytest.raises(NonFiniteInput, match="complex literal must be finite"):
+                parse_complex(bad)
 
     @settings(max_examples=300, deadline=None)
     @given(re_=st.floats(allow_nan=False, allow_infinity=False),

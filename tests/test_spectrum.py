@@ -568,6 +568,10 @@ CRAFTED_LOOPS = {
     "alpha-h-overflow": ((3.366325060362924e307, -0.28563946144005314, 66.67958104486705), 3),
     # z is normal, but e^{-alpha h} is subnormal
     "subnormal-factor": ((744.0, 1e300, 1.0), 50),
+    # alpha*h = -1e300: every root has Re s = -690.7755278982137, so the
+    # branches k >= 1 do not come out in order and only the sort orders them
+    "equal-real": ((-1e300, 1.0, 1.0), 50),
+    "equal-real-negative": ((-1e300, -1.0, 1.0), 50),
 }
 
 
@@ -596,3 +600,46 @@ def test_second_halley_step_share_on_enumerate_pool(monkeypatch):
         spectrum(cl, n)
     assert len(steps) == sum(n for _, n, _ in pool)
     assert sum(it >= 2 for it in steps) <= 0.05 * len(steps)
+
+
+def count_key_reads(monkeypatch):
+    """Rebind spectrum's two sort keys to wrappers that record, per key,
+    the branch of every record read."""
+    module = sys.modules["delayw.spectrum"]
+    reads = {}
+    for name in ("_IMAG", "_REAL"):
+        key, reads[name] = getattr(module, name), []
+
+        def counted(r, key=key, branches=reads[name]):
+            branches.append(r.branch)
+            return key(r)
+
+        monkeypatch.setattr(module, name, counted)
+    return reads
+
+
+def test_spectrum_sort_key_budget(monkeypatch):
+    # every 8th task of the benchmark's seed-1 enumerate pool: branches
+    # k >= 1 come out of the branch loop in order, so a call reads each
+    # sort key at most twice, for the 0/-1 head alone; the budget may only
+    # ever be lowered
+    reads = count_key_reads(monkeypatch)
+    pool = enumerate_pool()[::8]
+    assert len(pool) >= 50
+    for cl, n, _ in pool:
+        for branches in reads.values():
+            branches.clear()
+        spectrum(cl, n)
+        for branches in reads.values():
+            assert len(branches) <= 2 and set(branches) <= {0, -1}, (cl, n)
+
+
+@pytest.mark.parametrize("name", ["equal-real", "equal-real-negative"])
+def test_equal_real_parts_take_the_sort(monkeypatch, name):
+    # no root is left of another, so spectrum sorts every record, as the
+    # crafted-loop test checks against the reference
+    (alpha, beta, h), n = CRAFTED_LOOPS[name]
+    reads = count_key_reads(monkeypatch)
+    roots = spectrum(ClosedLoopParams(alpha, beta, h), n).roots
+    for branches in reads.values():
+        assert sorted(branches) == sorted(r.branch for r in roots)
