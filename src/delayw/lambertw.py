@@ -19,7 +19,10 @@ bound puts the error of its next iterate below an ulp: from the
 asymptotic seed, one step and one exp on about 24 branches in 25.
 That seed has one entry for a range of branches of one z, which forms
 Log z once and runs Halley on all of them in one loop; a single branch
-uses it too.  Real arguments run through the same complex kernel;
+uses it too.  Over such a range one compare of the first step against
+a bound taken from seeds the full test closed settles most seeds, with
+the same bits, and the overflow check on |w|*|z| runs only where
+|z| > 1e290.  Real arguments run through the same complex kernel;
 on the two real domains (branch 0 on [-1/e, inf), branch -1 on [-1/e, 0))
 every seed is real and the iterations keep Im w = +0.0, so w is real.
 """
@@ -182,7 +185,10 @@ def _newton_log(z, w, az, lz):
     return w, az * abs(g) if az < math.inf else abs(z * abs(g)), it
 
 
-_ITERATIONS = range(_MAX_ITER)
+_ITERATIONS = range(1, _MAX_ITER)
+
+# |z| up to which |w|*|z| stays finite for every seed: see _halley
+_AZ_FINITE = 1e290
 
 
 def _halley(z, az, seeds, lz=None):
@@ -205,26 +211,64 @@ def _halley(z, az, seeds, lz=None):
     The stop needs |dw| <= 0.02 (|w| < 3e10 here), so w is within 0.3
     of a root, where |e - dw| <= 0.25*|dw|^3 (60-digit grid over u, e):
     the next error is below eps*|w|/8 plus the noise of f, as above.
+
+    After the first step a certificate stands in for that test.  Let m
+    be the least Im w >= 2 of a seed the test has closed after one step
+    in this call, and t = 0.999*(eps*m/2)^(1/3).  A seed with Im w >= m
+    and |dw| <= t has |1 + w| >= Im w >= 2, |w| >= m and 2*|dw|^3 <=
+    0.997*eps*m <= eps*|w|, so the test would pass and the result is the
+    same; the 0.3% covers the rounding of abs, pow and the products.  A
+    range of branches k >= 1 has Im w growing with k, so most of its
+    seeds close on one compare.  m and t choose the test, never the bits.
+
+    The overflow check on |w|*|z| runs only where |z| > 1e290.  A
+    nonzero double z has |Log z| < 746, so every seed of a branch with
+    |k| <= K_MAX has |w| < 3e10 and |w|*|z| < 3e300.  A caller's Log z
+    past that range comes with z = 0, where the product is 0 or NaN, or
+    with |z| = inf, where the check runs.
     """
     out = []
     append, inf = out.append, math.inf
+    # no certificate until the full test has closed a seed with Im w >= 2
+    m, t = inf, -1.0
+    huge = az > _AZ_FINITE
     for w in seeds:
         # exp(w) underflows left of _LOG_DOMAIN_RE; Halley's residual floor
         # |w|*|f'| is about |w|*|z|, and where that leaves the double range
         # its quotients overflow too and the step reads 0
-        if w.real < _LOG_DOMAIN_RE or math.isinf(abs(w) * az):
+        if w.real < _LOG_DOMAIN_RE or (huge and math.isinf(abs(w) * az)):
             append(_newton_log(z, w, az, lz))
             continue
-        step_prev = inf
+        # the first step: there is no previous step to test yet
+        ew = cmath.exp(w)
+        f = w * ew - z
+        wp1 = w + 1.0
+        fp = wp1 * ew
+        if fp == 0.0:
+            # sitting exactly on the singular derivative; nudge off it
+            w = w + 1e-7
+            step_prev = inf
+        else:
+            dw = f / (fp - f * (w + 2.0) / (2.0 * wp1))
+            step_prev = abs(dw)
+            if step_prev <= t and w.imag >= m:
+                append((w - dw, None, 1))
+                continue
+            if 2.0 * step_prev**3 <= _EPS * abs(w) and abs(wp1) >= 2.0:
+                if 2.0 <= w.imag < m:
+                    m = w.imag
+                    t = 0.999 * (0.5 * _EPS * m) ** (1.0 / 3.0)
+                append((w - dw, None, 1))
+                continue
+            w = w - dw
         for it in _ITERATIONS:
             ew = cmath.exp(w)
             f = w * ew - z
             wp1 = w + 1.0
             fp = wp1 * ew
             aw = abs(w)
-            # the test needs a previous step; before the first one (or
-            # after a nudge) step_prev is inf and it cannot pass, so it is
-            # not formed
+            # the test needs a previous step; after a nudge step_prev is
+            # inf and it cannot pass, so it is not formed
             if step_prev < inf:
                 res = abs(f)
                 afp = abs(fp)
@@ -234,7 +278,6 @@ def _halley(z, az, seeds, lz=None):
                     append((w, res, it))
                     break
             if fp == 0.0:
-                # sitting exactly on the singular derivative; nudge off it
                 w = w + 1e-7
                 step_prev = inf
                 continue

@@ -246,6 +246,7 @@ def spectrum(cl, n_branches):
     # without its Python frame
     record = tuple.__new__
     zc, az = complex(z), abs(z)
+    # branches 0 and -1 pay lambert_w's residual exp: bench/worker.py's Tracer counts W by that name
     w0 = lambert_w(0, z).w if lz is None else _eval_complex(0, zc, az, lz)[0]
     s0 = _root(cl, w0, lz)
     head = [record(SpectrumRoot, (0, s0, 1))]

@@ -487,6 +487,11 @@ def test_halley_matches_loop_reference(monkeypatch):
     monkeypatch.setattr(lambertw, "_halley", both)
     for k, z in micro_sample() + wide_sample():
         lambert_w(k, z)
+    # the top branches on both sides of |z| = 1e290, below which the
+    # kernel skips its overflow check on |w|*|z|
+    for k in (K_MAX, -K_MAX):
+        for z in (1e289, 1e290, 1e291, -1e291, 1.7e308):
+            lambert_w(k, z)
     for alpha, beta, h in ((740.0, 1.0, 1.0), (740.0, -1.0, 1.0), (300.0, -1.0, 3.0), (-300.0, -1.0, 3.0)):
         spectrum(ClosedLoopParams(alpha, beta, h), 50)
     assert calls >= 15000
@@ -523,9 +528,15 @@ def test_branch_range_matches_fresh_halley(monkeypatch):
     monkeypatch.setattr(sys.modules["delayw.spectrum"], "_branches", both)
     for k, z in micro_sample() + wide_sample():
         lambert_w(k, z)
+    # |z| = 1e290 and 1e291 sit on both sides of the kernel's overflow
+    # check; at alpha*h = 700 every seed takes the log form, and at -45
+    # and 150, |Re Log z| >> Im w, so seeds the certificate of one step
+    # cannot close take the full predictive test, and at -45 some of
+    # them a second step
     for alpha, beta, h in ((-1.0, 2.0, 1.0), (0.0, -0.2, 1.0), (-1.0, -2.0, 1.0), (710.0, 1.0, 1.0),
                            (710.0, -1.0, 1.0), (0.0, 1e305, 1.0), (0.0, -1e305, 1.0), (300.0, 1.0, 3.0),
-                           (-300.0, -1.0, 3.0), (744.0, 1e300, 1.0)):
+                           (-300.0, -1.0, 3.0), (744.0, 1e300, 1.0), (0.0, 1e290, 1.0), (0.0, -1e291, 1.0),
+                           (700.0, 1.0, 1.0), (-45.0, 1.0, 1.0), (150.0, 1.0, 1.0)):
         spectrum(ClosedLoopParams(alpha, beta, h), 600)
     assert calls >= 20000
     assert not mismatches, mismatches[:3]
@@ -548,6 +559,26 @@ def test_spectrum_exp_budget():
     finally:
         sys.setprofile(None)
     assert 0 < calls <= 1016
+
+
+def test_spectrum_abs_budget():
+    # the abs calls the kernel makes for spectrum(n=1000): one per branch
+    # k >= 1 where the certificate of one step closes the seed, against
+    # three for the full predictive test; the budget may only ever be
+    # lowered
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "c_call" and arg is abs and frame.f_globals.get("__name__") == "delayw.lambertw":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        spectrum(ClosedLoopParams(-1.0, -2.0, 1.0), 1000)
+    finally:
+        sys.setprofile(None)
+    assert 0 < calls <= 1100
 
 
 class TestExtremeArguments:
