@@ -18,11 +18,12 @@ of the argument.  Away from the branch point it stops once a derived
 bound puts the error of its next iterate below an ulp: from the
 asymptotic seed, one step and one exp on about 24 branches in 25.
 That seed has one entry for a range of branches of one z, which forms
-Log z once and runs Halley on all of them in one loop; a single branch
-uses it too.  Over such a range one compare of the first step against
-a bound taken from seeds the full test closed settles most seeds, with
-the same bits, and the overflow check on |w|*|z| runs only where
-|z| > 1e290.  Real arguments run through the same complex kernel;
+Log z once, runs Halley on all of them in one loop and returns their
+bare W values, with no record per branch; a single branch uses it too.
+Over such a range one compare of the first step against a bound taken
+from seeds the full test closed settles most seeds, with the same bits,
+and the overflow check on |w|*|z| runs only where |z| > 1e290.  Real
+arguments run through the same complex kernel;
 on the two real domains (branch 0 on [-1/e, inf), branch -1 on [-1/e, 0))
 every seed is real and the iterations keep Im w = +0.0, so w is real.
 """
@@ -192,10 +193,14 @@ _AZ_FINITE = 1e290
 
 
 def _halley(z, az, seeds, lz=None):
-    """[(w, residual or None, steps)] for each seed w of a root of
-    f(w) = w*e^w - z: Halley's method, or the exponential-free iteration
-    where Halley's quantities leave the double range.  z, az and lz as
-    for _eval_complex.
+    """(ws, residual, steps): ws holds the root w of f(w) = w*e^w - z
+    reached from each seed, in seed order, by Halley's method, or by the
+    exponential-free iteration where Halley's quantities leave the double
+    range.  steps is the sum of every seed's steps.  residual is |f(w)|
+    for a single seed, None where the predictive stop below closed it,
+    and is not defined over several.  Only single-seed callers read the
+    two, so a range call builds no per-seed record.  z, az and lz as for
+    _eval_complex.
 
     Halley stops once the residual is within _TOL*|z| and the last step
     within _TOL*|w|.  Both tolerances carry conditioning floors, scaled
@@ -227,8 +232,12 @@ def _halley(z, az, seeds, lz=None):
     past that range comes with z = 0, where the product is 0 or NaN, or
     with |z| = inf, where the check runs.
     """
-    out = []
-    append, inf = out.append, math.inf
+    ws = []
+    append, inf = ws.append, math.inf
+    # steps beyond one per seed, so a seed closed on the first step adds
+    # nothing; only the full test and the log form set res, so a single
+    # seed that the predictive stop closed keeps None
+    extra, res = 0, None
     # no certificate until the full test has closed a seed with Im w >= 2
     m, t = inf, -1.0
     huge = az > _AZ_FINITE
@@ -237,7 +246,9 @@ def _halley(z, az, seeds, lz=None):
         # |w|*|f'| is about |w|*|z|, and where that leaves the double range
         # its quotients overflow too and the step reads 0
         if w.real < _LOG_DOMAIN_RE or (huge and math.isinf(abs(w) * az)):
-            append(_newton_log(z, w, az, lz))
+            w, res, it = _newton_log(z, w, az, lz)
+            append(w)
+            extra += it - 1
             continue
         # the first step: there is no previous step to test yet
         ew = cmath.exp(w)
@@ -252,13 +263,13 @@ def _halley(z, az, seeds, lz=None):
             dw = f / (fp - f * (w + 2.0) / (2.0 * wp1))
             step_prev = abs(dw)
             if step_prev <= t and w.imag >= m:
-                append((w - dw, None, 1))
+                append(w - dw)
                 continue
             if 2.0 * step_prev**3 <= _EPS * abs(w) and abs(wp1) >= 2.0:
                 if 2.0 <= w.imag < m:
                     m = w.imag
                     t = 0.999 * (0.5 * _EPS * m) ** (1.0 / 3.0)
-                append((w - dw, None, 1))
+                append(w - dw)
                 continue
             w = w - dw
         for it in _ITERATIONS:
@@ -268,15 +279,16 @@ def _halley(z, az, seeds, lz=None):
             fp = wp1 * ew
             aw = abs(w)
             # the test needs a previous step; after a nudge step_prev is
-            # inf and it cannot pass, so it is not formed
+            # inf and it cannot pass, so it is not formed.  The residual
+            # is formed only once the step passes
             if step_prev < inf:
-                res = abs(f)
                 afp = abs(fp)
-                step_tol = _TOL * aw + 8.0 * _EPS * az / max(afp, 1e-300)
-                res_floor = 2.0 * _EPS * (aw * afp + 2.0 * az)
-                if res <= _TOL * az + res_floor and step_prev <= step_tol:
-                    append((w, res, it))
-                    break
+                if step_prev <= _TOL * aw + 8.0 * _EPS * az / max(afp, 1e-300):
+                    af = abs(f)
+                    if af <= _TOL * az + 2.0 * _EPS * (aw * afp + 2.0 * az):
+                        append(w)
+                        res, extra = af, extra + it - 1
+                        break
             if fp == 0.0:
                 w = w + 1e-7
                 step_prev = inf
@@ -285,11 +297,12 @@ def _halley(z, az, seeds, lz=None):
             w = w - dw
             step_prev = abs(dw)
             if 2.0 * step_prev**3 <= _EPS * aw and abs(wp1) >= 2.0:
-                append((w, None, it + 1))
+                append(w)
+                extra += it
                 break
         else:
             raise NoConvergence(f"Halley iteration did not converge for z={z!r} (last step {step_prev:.3e})")
-    return out
+    return ws, res, len(ws) + extra
 
 
 def _eval_complex(k, z, az, lz=None):
@@ -308,23 +321,26 @@ def _eval_complex(k, z, az, lz=None):
         seed = _bp_series(p if k == 0 else -p)
         if abs(p) <= _BP_DIRECT:
             return seed, None, 0
-        return _halley(z, az, (seed,))[0]
-    if k == 0 and az <= 2.0 and z.real >= BRANCH_POINT_Z:
-        return _halley(z, az, (_pade0(z),))[0]
-    if real_wm1 and az <= _WM1_SEED_RADIUS and (z.real if lz is None else -lz.imag) < 0.0:
+        ws, res, it = _halley(z, az, (seed,))
+    elif k == 0 and az <= 2.0 and z.real >= BRANCH_POINT_Z:
+        ws, res, it = _halley(z, az, (_pade0(z),))
+    elif real_wm1 and az <= _WM1_SEED_RADIUS and (z.real if lz is None else -lz.imag) < 0.0:
         # w = L - log(-L) with L = log(-z), the real-axis expansion as
         # z -> 0-; unlike log(z) + 2*pi*i*k it keeps a tiny Im w exact
         # instead of rounding it away against pi
         l1 = cmath.log(-z) if lz is None else complex(lz.real)
-        return _halley(z, az, (l1 - cmath.log(-l1),), lz)[0]
-    return _branches(z, az, (k,), lz)[0]
+        ws, res, it = _halley(z, az, (l1 - cmath.log(-l1),), lz)
+    else:
+        ws, res, it = _branches(z, az, (k,), lz)
+    return ws[0], res, it
 
 
 def _branches(z, az, ks, lz=None):
-    """[(w, residual or None, steps)] of W_k(z), k in ks, from the asymptotic
-    seed, with Log z formed once; z, az and lz as for _eval_complex."""
+    """_halley's (ws, residual, steps) for W_k(z), k in ks, from the
+    asymptotic seed, with Log z formed once; z, az and lz as for
+    _eval_complex."""
     if not ks:
-        return []
+        return [], None, 0
     lz = cmath.log(z) if lz is None else lz
     # past |Log z| = 1e150 the last term is below an ulp of the seed, and
     # from about 1e297 on 2*l1*l1 overflows and would make the seed NaN
@@ -390,7 +406,8 @@ def lambert_w(k, z):
     w, res, it = _eval_complex(k, z, az)
     if res is None:
         res = abs(w * cmath.exp(w) - z)
-    return WValue(complex(w), res, it)
+    # WValue.__new__'s record without its Python frame
+    return tuple.__new__(WValue, (complex(w), res, it))
 
 
 def lambert_w_real(branch, x):

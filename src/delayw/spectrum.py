@@ -12,19 +12,28 @@ root, so stability reduces to the sign of Re s_0.
 branch k >= 1, with the conjugate root of its partner, from the
 kernel's range entry: it forms Log z once (``_w_arg``'s off the normal
 range of z), seeds one asymptotic term deep and mostly stops after one
-Halley step.  The roots come by descending real part, ties by
-ascending imaginary part.  For a real z the branch bands of W give
-that order by construction: Re s_k falls and Im s_k > 0 grows with k,
-so each pair k >= 1, conjugate first, follows the at most two roots of
-branches 0 and -1, and only those are sorted.  Where a check of each
-root finds otherwise, as where every root has the same real part, all
-records are sorted in two stable passes, so exact ties keep the order
-in which the branches were listed.
+Halley step; the kernel hands back bare W values.  The roots come by
+descending real part, ties by ascending imaginary part.  For a real z
+the branch bands of W give that order by construction: Re s_k falls and
+Im s_k > 0 grows with k, so each pair k >= 1, conjugate first, follows
+the at most two roots of branches 0 and -1, and one compare orders
+those two.  Where a check of each root finds otherwise, as where every
+root has the same real part, all records are sorted in two stable
+passes, so exact ties keep the order in which the branches were listed.
+
+All records go into one list, which becomes the result's tuple.  Below
+_RECORD_PASS branches the branch loop builds each record as it forms
+the root; from there on the loop forms the values alone and one C pass
+(map over zip) labels them and builds every record.  That pass saves
+bytecode per branch but costs a fixed set-up that a few branches do
+not repay, so small spectra, such as the n = 3 of a design check, keep
+the loop.
 """
 
 import cmath
 import math
 import sys
+from itertools import repeat
 from operator import attrgetter
 
 from .errors import InvalidGain, NonFiniteInput, DomainError, _Record, _require_complex, _require_finite
@@ -127,6 +136,11 @@ class SpectrumRoot(_Record, fields="branch s multiplicity"):
 
 
 _REAL, _IMAG = attrgetter("s.real"), attrgetter("s.imag")
+
+# branches from which spectrum builds its records in one C pass after its
+# branch loop instead of in it: the pass costs about 1.3 us to set up and
+# saves about 0.075 us per branch, so the two break even near 19 branches
+_RECORD_PASS = 20
 
 
 class Spectrum(_Record, fields="roots rightmost"):
@@ -249,52 +263,78 @@ def spectrum(cl, n_branches):
     # branches 0 and -1 pay lambert_w's residual exp: bench/worker.py's Tracer counts W by that name
     w0 = lambert_w(0, z).w if lz is None else _eval_complex(0, zc, az, lz)[0]
     s0 = _root(cl, w0, lz)
-    head = [record(SpectrumRoot, (0, s0, 1))]
+    roots = [record(SpectrumRoot, (0, s0, 1))]
+    last, s1 = s0.real, None
     if z < BRANCH_POINT_Z:
         # on the cut: branch -1 is the conjugate partner of branch 0
-        head.append(record(SpectrumRoot, (-1, s0.conjugate(), 1)))
+        s1 = s0.conjugate()
     elif cl.beta < 0.0:
         # -1/e <= z <= -0.0: branch -1 is the second real root, equal to W_0
         # (both -1, one double root) only where the kernel's e*z + 1 is zero
         w1 = lambert_w(-1, z).w if lz is None else _eval_complex(-1, zc, az, lz)[0]
         if w1 == w0:
-            head[0] = record(SpectrumRoot, (0, s0, 2))
+            roots[0] = record(SpectrumRoot, (0, s0, 2))
         else:
-            head.append(record(SpectrumRoot, (-1, _root(cl, w1, lz), 1)))
+            s1 = _root(cl, w1, lz)
+    if s1 is not None:
+        roots.append(record(SpectrumRoot, (-1, s1, 1)))
+        last = min(last, s1.real)
+    nh = len(roots)
     # for beta < 0 branch k pairs with branch -k-1, for beta > 0 with -k,
     # listed conjugate first.  z is checked once here, so branches k >= 1
     # skip lambert_w's checks and residual; each root is _root's.  The
-    # tail is in order where Re s_k falls strictly, from below the head's,
-    # and Im s_k > 0, as the branch bands of W make it for a real z
-    alpha, h = cl.alpha, cl.h
+    # branches follow the head in order where Re s_k falls strictly, from
+    # below the head's, and Im s_k > 0, as the branch bands of W make it
+    # for a real z
+    alpha, h, n = cl.alpha, cl.h, n_branches
     shift = 0 if cl.beta > 0.0 else 1
-    tail = []
-    append = tail.append
-    last, ordered = min(s0.real, head[-1].s.real), True
-    for k, (w, _, _) in enumerate(_branches(zc, az, range(1, n_branches + 1), lz), 1):
-        sk = alpha + w / h if lz is None else _root(cl, w, lz)
-        re = sk.real
-        if not (re < last and sk.imag > 0.0):
-            ordered = False
-        last = re
-        append(record(SpectrumRoot, (-k - shift, sk.conjugate(), 1)))
-        append(record(SpectrumRoot, (k, sk, 1)))
-    # Re s_k falls and |Im s_k| grows with k: branches 0 and -1 (or 1),
-    # then -n - shift, bound the rest
-    for r in (head + tail[1:2])[:2] + tail[-2:-1]:
+    ws, ordered = _branches(zc, az, range(1, n + 1), lz)[0], True
+    if n < _RECORD_PASS:
+        append = roots.append
+        for k, w in enumerate(ws, 1):
+            sk = alpha + w / h if lz is None else _root(cl, w, lz)
+            re = sk.real
+            if not (re < last and sk.imag > 0.0):
+                ordered = False
+            last = re
+            append(record(SpectrumRoot, (-k - shift, sk.conjugate(), 1)))
+            append(record(SpectrumRoot, (k, sk, 1)))
+    else:
+        # the loop forms the values alone; one C pass labels them and
+        # builds every record
+        vals = []
+        append = vals.append
+        for w in ws:
+            sk = alpha + w / h if lz is None else _root(cl, w, lz)
+            re = sk.real
+            if not (re < last and sk.imag > 0.0):
+                ordered = False
+            last = re
+            append(sk.conjugate())
+            append(sk)
+        labels = [0] * (2 * n)
+        labels[::2], labels[1::2] = range(-1 - shift, -n - 1 - shift, -1), range(1, n + 1)
+        roots += map(record, repeat(SpectrumRoot), zip(labels, vals, repeat(1)))
+    # Re s_k falls and |Im s_k| grows with k: branch 0, branch -1 (or,
+    # with a one-record head, branch 1 at roots[2]) and branch -n - shift
+    # at roots[-2] bound the rest
+    for r in (roots[0], roots[3 - nh], roots[-2]) if len(roots) > 1 else roots:
         if not cmath.isfinite(r.s):
             raise DomainError(f"the root of branch {r.branch} passes the double range: {r.s}")
-    if not ordered:
+    if ordered:
+        # descending Re s, ties by ascending Im s: only the head's two
+        # records can be out of order, and branch -1 goes first only where
+        # it sorts strictly first, as the stable sorts below would place it
+        if s1 is not None and (s1.real > s0.real or s1.real == s0.real and s1.imag < s0.imag):
+            roots[0], roots[1] = roots[1], roots[0]
+    else:
         # sort every record, each pair back to branch k first, so exact ties
-        # keep the order in which the branches are listed
-        tail[::2], tail[1::2] = tail[1::2], tail[::2]
-        head, tail = head + tail, []
-    # descending Re s, ties by ascending Im s: two stable sorts, the
-    # secondary key first, over the head's at most two records or, where
-    # the tail is not in order, over every record
-    head.sort(key=_IMAG)
-    head.sort(key=_REAL, reverse=True)
-    return record(Spectrum, (tuple(head + tail), s0))
+        # keep the order in which the branches are listed: two stable
+        # sorts, the secondary key first
+        roots[nh::2], roots[nh + 1::2] = roots[nh + 1::2], roots[nh::2]
+        roots.sort(key=_IMAG)
+        roots.sort(key=_REAL, reverse=True)
+    return record(Spectrum, (tuple(roots), s0))
 
 
 def is_stable(cl):

@@ -470,17 +470,23 @@ def loop_halley(z, az, w, lz=None):
 def test_halley_matches_loop_reference(monkeypatch):
     # every seed the kernel polishes on micro's sample, the wide sample
     # and spectra whose W argument is off the normal range (so the
-    # caller's Log z), fed to both: identical (w, residual, iterations) bits
+    # caller's Log z), fed to both: identical w bits for every seed, the
+    # summed steps of every call and a single seed's whole (w, residual,
+    # iterations); no caller reads the residual of several seeds
     calls, mismatches = 0, []
 
     def both(z, az, seeds, lz=None):
         nonlocal calls
         got = halley(z, az, seeds, lz)
-        for w, g in zip(seeds, got):
+        wants = [loop_halley(z, az, w, lz) for w in seeds]
+        for w, g, want in zip(seeds, got[0], wants):
             calls += 1
-            want = loop_halley(z, az, w, lz)
-            if repr(g) != repr(want):
+            if repr(g) != repr(want[0]):
                 mismatches.append((z, w, g, want))
+        if len(got[0]) != len(seeds) or got[2] != sum(it for _, _, it in wants):
+            mismatches.append((z, seeds, got, wants))
+        if len(seeds) == 1 and repr((got[0][0],) + got[1:]) != repr(wants[0]):
+            mismatches.append((z, seeds, got, wants))
         return got
 
     halley = lambertw._halley
@@ -510,17 +516,24 @@ def fresh_branch(z, az, k, lz):
 def test_branch_range_matches_fresh_halley(monkeypatch):
     # every range-entry call the kernel makes on micro's sample, the wide
     # sample and spectra over whole branch ranges, tiny and huge z among
-    # them, against one fresh reference run per branch: identical bits
+    # them, against one fresh reference run per branch: identical w bits
+    # for every branch, the summed steps of every call and a single
+    # branch's whole (w, residual, iterations); no caller reads the
+    # residual of several branches
     calls, mismatches = 0, []
 
     def both(z, az, ks, lz=None):
         nonlocal calls
         got = branches(z, az, ks, lz)
-        for k, g in zip(ks, got):
+        wants = [fresh_branch(z, az, k, lz) for k in ks]
+        for k, g, want in zip(ks, got[0], wants):
             calls += 1
-            want = fresh_branch(z, az, k, lz)
-            if repr(g) != repr(want):
+            if repr(g) != repr(want[0]):
                 mismatches.append((k, z, g, want))
+        if len(got[0]) != len(ks) or got[2] != sum(it for _, _, it in wants):
+            mismatches.append((ks, z, got, wants))
+        if len(ks) == 1 and repr((got[0][0],) + got[1:]) != repr(wants[0]):
+            mismatches.append((ks, z, got, wants))
         return got
 
     branches = lambertw._branches
