@@ -20,10 +20,10 @@ asymptotic seed, one step and one exp on about 24 branches in 25.
 That seed has one entry for a range of branches of one z, which forms
 Log z once, runs Halley on all of them in one loop and returns their
 bare W values, with no record per branch; a single branch uses it too.
-Over such a range one compare of the first step against a bound taken
-from seeds the full test closed settles most seeds, with the same bits,
-and the overflow check on |w|*|z| runs only where |z| > 1e290.  Real
-arguments run through the same complex kernel;
+Over such a range one compare of the first step against a fixed bound
+settles most seeds, with the same bits, and the overflow check on
+|w|*|z| runs only where |z| > 1e290.  Real arguments run through the
+same complex kernel;
 on the two real domains (branch 0 on [-1/e, inf), branch -1 on [-1/e, 0))
 every seed is real and the iterations keep Im w = +0.0, so w is real.
 """
@@ -191,6 +191,11 @@ _ITERATIONS = range(1, _MAX_ITER)
 # |z| up to which |w|*|z| stays finite for every seed: see _halley
 _AZ_FINITE = 1e290
 
+# a first step |dw| this small closes a seed with Im w >= 2: see _halley;
+# the 0.3% that 0.999 takes off |dw|^3 covers the rounding of abs, pow
+# and the products
+_ONE_STEP = 0.999 * _EPS ** (1.0 / 3.0)
+
 
 def _halley(z, az, seeds, lz=None):
     """(ws, residual, steps): ws holds the root w of f(w) = w*e^w - z
@@ -217,14 +222,11 @@ def _halley(z, az, seeds, lz=None):
     of a root, where |e - dw| <= 0.25*|dw|^3 (60-digit grid over u, e):
     the next error is below eps*|w|/8 plus the noise of f, as above.
 
-    After the first step a certificate stands in for that test.  Let m
-    be the least Im w >= 2 of a seed the test has closed after one step
-    in this call, and t = 0.999*(eps*m/2)^(1/3).  A seed with Im w >= m
-    and |dw| <= t has |1 + w| >= Im w >= 2, |w| >= m and 2*|dw|^3 <=
-    0.997*eps*m <= eps*|w|, so the test would pass and the result is the
-    same; the 0.3% covers the rounding of abs, pow and the products.  A
-    range of branches k >= 1 has Im w growing with k, so most of its
-    seeds close on one compare.  m and t choose the test, never the bits.
+    After the first step a fixed bound stands in for that test: a seed
+    with Im w >= 2 and |dw| <= _ONE_STEP has |1 + w| >= Im w >= 2 and
+    2*|dw|^3 <= 0.997*eps*2 <= eps*|w|, so the test would pass and the
+    result is the same.  Im W_k > pi for k >= 1 at real z, so most seeds
+    of a branch range close on one compare.
 
     The overflow check on |w|*|z| runs only where |z| > 1e290.  A
     nonzero double z has |Log z| < 746, so every seed of a branch with
@@ -238,8 +240,6 @@ def _halley(z, az, seeds, lz=None):
     # nothing; only the full test and the log form set res, so a single
     # seed that the predictive stop closed keeps None
     extra, res = 0, None
-    # no certificate until the full test has closed a seed with Im w >= 2
-    m, t = inf, -1.0
     huge = az > _AZ_FINITE
     for w in seeds:
         # exp(w) underflows left of _LOG_DOMAIN_RE; Halley's residual floor
@@ -262,13 +262,8 @@ def _halley(z, az, seeds, lz=None):
         else:
             dw = f / (fp - f * (w + 2.0) / (2.0 * wp1))
             step_prev = abs(dw)
-            if step_prev <= t and w.imag >= m:
-                append(w - dw)
-                continue
-            if 2.0 * step_prev**3 <= _EPS * abs(w) and abs(wp1) >= 2.0:
-                if 2.0 <= w.imag < m:
-                    m = w.imag
-                    t = 0.999 * (0.5 * _EPS * m) ** (1.0 / 3.0)
+            if (step_prev <= _ONE_STEP and w.imag >= 2.0
+                    or 2.0 * step_prev**3 <= _EPS * abs(w) and abs(wp1) >= 2.0):
                 append(w - dw)
                 continue
             w = w - dw

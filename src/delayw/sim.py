@@ -70,8 +70,14 @@ OVERFLOW_LIMIT = 1e300
 TAIL_FRACTION = 0.5
 
 
+def _at_one(self, tau):
+    """A built-in history's value at tau, a finite real number, through
+    the same interpolation as its grid reads."""
+    return self._at((_require_finite("tau", tau)[0],))[0]
+
+
 class ConstantHistory(_Record, fields="c"):
-    """phi(tau) = c on [-h, 0)."""
+    """phi(tau) = c on [-h, 0); a call checks that tau is a finite real."""
 
     __slots__ = ()
 
@@ -79,16 +85,16 @@ class ConstantHistory(_Record, fields="c"):
         c, = _require_finite("c", c)
         return tuple.__new__(cls, (c,))
 
-    def __call__(self, tau):
-        return self.c
+    __call__ = _at_one
 
     def _at(self, taus):
-        """[self(t) for t in taus]: one value, repeated."""
+        """The values at taus: one value, repeated."""
         return [self.c] * len(taus)
 
 
 class LinearHistory(_Record, fields="c0 c1"):
-    """phi(tau) = c0 + c1*tau on [-h, 0)."""
+    """phi(tau) = c0 + c1*tau on [-h, 0); a call checks that tau is a
+    finite real."""
 
     __slots__ = ()
 
@@ -96,11 +102,10 @@ class LinearHistory(_Record, fields="c0 c1"):
         c0, c1 = _require_finite("c0 c1", c0, c1)
         return tuple.__new__(cls, (c0, c1))
 
-    def __call__(self, tau):
-        return self.c0 + self.c1 * tau
+    __call__ = _at_one
 
     def _at(self, taus):
-        """[self(t) for t in taus], in two map passes."""
+        """The values at taus, in two map passes."""
         return [*map(add, repeat(self.c0), map(mul, repeat(self.c1), taus))]
 
 
@@ -110,7 +115,7 @@ class SampledHistory(_Record, fields="points"):
     Stamps must be strictly increasing and start at the delay horizon;
     queries before the first or after the last stamp hold the edge
     value, so a sample list ending short of 0 stays evaluable on all
-    of [-h, 0).
+    of [-h, 0).  A call checks that tau is a finite real.
     """
 
     __slots__ = ()
@@ -130,22 +135,13 @@ class SampledHistory(_Record, fields="points"):
             raise DomainError("sample stamps must stay below 0")
         return tuple.__new__(cls, (pts,))
 
-    def __call__(self, tau):
-        pts = self.points
-        if tau <= pts[0][0]:
-            return pts[0][1]
-        if tau >= pts[-1][0]:
-            return pts[-1][1]
-        hi = bisect.bisect_right(pts, tau, key=lambda p: p[0])
-        (t0, x0), (t1, x1) = pts[hi - 1], pts[hi]
-        w = (tau - t0) / (t1 - t0)
-        return x0 * (1.0 - w) + x1 * w
+    __call__ = _at_one
 
     def _at(self, taus):
-        """[self(t) for t in taus] for nondecreasing taus: those outside
-        the stamps take the edge values, and the rest go piece by piece,
-        each piece [t0, t1) that holds a tau found by bisection and its
-        taus interpolated in map passes."""
+        """The values at nondecreasing taus: those outside the stamps
+        take the edge values, and the rest go piece by piece, each piece
+        [t0, t1) that holds a tau found by bisection and its taus
+        interpolated in map passes."""
         pts = self.points
         lo, end = bisect.bisect_right(taus, pts[0][0]), bisect.bisect_left(taus, pts[-1][0])
         out = [pts[0][1]] * lo

@@ -641,3 +641,10 @@ def history_grids():
             yield phi, sorted({*nodes, *mids, *stamps, first - rng.uniform(0.0, h), stamps[-1] / 2.0})
         yield phi, nodes
         yield phi, mids
+
+
+def history_call_taus():
+    """200 taus drawn on [-1.5, 0.5), around the stamps -1, -0.5 and
+    -0.25 of the sampled history that test_call_checks_tau calls."""
+    rng = random.Random("history_calls")
+    return [rng.uniform(-1.5, 0.5) for _ in range(200)]

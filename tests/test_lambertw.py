@@ -12,6 +12,7 @@ from delayw.errors import BranchOutOfRange, DomainError, NoConvergence, NonFinit
 from delayw.lambertw import (
     _EPS,
     _MAX_ITER,
+    _ONE_STEP,
     _TOL,
     BRANCH_POINT_Z,
     K_MAX,
@@ -543,9 +544,9 @@ def test_branch_range_matches_fresh_halley(monkeypatch):
         lambert_w(k, z)
     # |z| = 1e290 and 1e291 sit on both sides of the kernel's overflow
     # check; at alpha*h = 700 every seed takes the log form, and at -45
-    # and 150, |Re Log z| >> Im w, so seeds the certificate of one step
-    # cannot close take the full predictive test, and at -45 some of
-    # them a second step
+    # and 150, |Re Log z| >> Im w, so seeds the fixed bound of one step
+    # cannot close take the full predictive test, and some of them a
+    # second step
     for alpha, beta, h in ((-1.0, 2.0, 1.0), (0.0, -0.2, 1.0), (-1.0, -2.0, 1.0), (710.0, 1.0, 1.0),
                            (710.0, -1.0, 1.0), (0.0, 1e305, 1.0), (0.0, -1e305, 1.0), (300.0, 1.0, 3.0),
                            (-300.0, -1.0, 3.0), (744.0, 1e300, 1.0), (0.0, 1e290, 1.0), (0.0, -1e291, 1.0),
@@ -553,6 +554,24 @@ def test_branch_range_matches_fresh_halley(monkeypatch):
         spectrum(ClosedLoopParams(alpha, beta, h), 600)
     assert calls >= 20000
     assert not mismatches, mismatches[:3]
+
+
+def test_fixed_bound_implies_predictive_stop():
+    # a first step with |dw| <= _ONE_STEP at Im w >= 2 passes the full
+    # predictive stop, 2*|dw|^3 <= eps*|w| and |1 + w| >= 2, in doubles,
+    # so closing it on that one compare gives the same bits
+    hits = 0
+    for im in (2.0, math.nextafter(2.0, 3.0), math.pi, 2.0 * math.pi, 1e3, 3e10):
+        for re in (-3e10, -1e3, -1.0, 0.0, 1.0, 1e3, 3e10):
+            w = complex(re, im)
+            assert abs(w + 1.0) >= 2.0, w
+            for d in (1.0, 1j, -1.0, -1j, 0.6 + 0.8j, -0.8 - 0.6j, cmath.exp(0.3j), cmath.exp(2.5j)):
+                step = abs(_ONE_STEP * d)
+                if step <= _ONE_STEP:
+                    hits += 1
+                    assert 2.0 * step**3 <= _EPS * abs(w), (w, d)
+    # the four axis directions give |dw| = _ONE_STEP exactly
+    assert hits >= 4 * 6 * 7
 
 
 def test_spectrum_exp_budget():

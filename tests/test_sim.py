@@ -1,5 +1,6 @@
 """Tests for the method-of-steps integrator and eigenvalue estimator."""
 
+import bisect
 import copy
 import math
 import pickle
@@ -39,7 +40,7 @@ from delayw.sim import (
     simulate,
 )
 
-from recipes import bench_module, history_grids
+from recipes import bench_module, history_call_taus, history_grids
 
 UNIT = InitialData(1.0, ConstantHistory(1.0))
 
@@ -261,6 +262,25 @@ def bits(xs):
     return tuple(map(float.hex, xs))
 
 
+def point_value(phi, tau):
+    """A built-in history at one tau by its formula, edge holds and
+    interpolation weight as documented: the reference for its grid
+    reads."""
+    if type(phi) is ConstantHistory:
+        return phi.c
+    if type(phi) is LinearHistory:
+        return phi.c0 + phi.c1 * tau
+    pts = phi.points
+    if tau <= pts[0][0]:
+        return pts[0][1]
+    if tau >= pts[-1][0]:
+        return pts[-1][1]
+    hi = bisect.bisect_right(pts, tau, key=lambda p: p[0])
+    (t0, x0), (t1, x1) = pts[hi - 1], pts[hi]
+    w = (tau - t0) / (t1 - t0)
+    return x0 * (1.0 - w) + x1 * w
+
+
 def decaying_sine(n, dt, rate=-0.1, omega=6.0):
     ts = tuple(i * dt for i in range(n))
     return ts, [math.exp(rate * t) * math.sin(omega * t) for t in ts]
@@ -374,6 +394,23 @@ class TestHistories:
         assert phi(-2.0) == 0.0
         assert phi(-0.1) == 1.0
 
+    def test_call_checks_tau(self):
+        # a call takes tau by the rule of every real input, then reads
+        # the history through its grid interpolation
+        for phi in (ConstantHistory(2.5), LinearHistory(1.0, -0.75),
+                    SampledHistory(((-1.0, 0.0), (-0.5, 1.0), (-0.25, -2.0)))):
+            for bad in (math.nan, math.inf, -math.inf, 10**400):
+                with pytest.raises(NonFiniteInput, match="tau must be finite"):
+                    phi(bad)
+            for bad in ("a", "-0.5", True, False, 1j, None):
+                with pytest.raises(DomainError, match="tau must be a real number"):
+                    phi(bad)
+            taus = [-1.0, -0.5, -0.25, 0.0, -2, 0, *history_call_taus()]
+            for tau in taus + [math.nextafter(t, d) for t in (-1.0, -0.5, -0.25) for d in (-2.0, 0.0)]:
+                assert bits([phi(tau)]) == bits(phi._at((tau,))), (phi, tau)
+            # any other finite real counts as its float
+            assert bits([phi(Fraction(-3, 4)), phi(Decimal("-0.75"))]) == bits([phi(-0.75)] * 2)
+
     def test_sampled_validation(self):
         with pytest.raises(DomainError):
             SampledHistory(((-1.0, 0.0),))
@@ -409,12 +446,13 @@ class TestHistories:
 
     def test_grids_match_calls(self):
         # each built-in history reads a list of taus with the bits and
-        # types of its calls, tau by tau: ints stay ints
+        # types of its calls and of its formula, tau by tau: ints stay ints
         def typed_bits(values):
             return [(type(v), float(v).hex()) for v in values]
 
         for phi, taus in history_grids():
-            assert typed_bits(phi._at(taus)) == typed_bits([phi(t) for t in taus]), phi
+            want = typed_bits([point_value(phi, t) for t in taus])
+            assert typed_bits(phi._at(taus)) == want == typed_bits([phi(t) for t in taus]), phi
         for phi in (ConstantHistory(2), LinearHistory(1, 2), SampledHistory(((-1, 3), (-0.5, 4)))):
             assert phi._at([]) == []
 
